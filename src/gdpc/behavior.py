@@ -5,7 +5,8 @@ The covariance is estimated from data as W W^T / D (the maximum-likelihood
 estimate for zero-mean i.i.d. columns and full-row-rank W); conditioning on
 a "free" index set yields the Gaussian predictive distribution; the
 predictive model extracts the affine predictor (input map, history map) and
-the predictive covariance used by all controllers. A behavior can also be
+the predictive covariance used by all controllers, from one LQ factorization
+of the data matrix. A behavior can also be
 constructed directly from a stochastic state-space model, which is the
 forward map the Monte-Carlo oracles certify.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite, ShapeError
-from .linalg import chol_psd, is_psd, pinv, symmetrize
+from .linalg import DEFAULT_RANK_TOL, chol_psd, is_psd, pinv, symmetrize
 from .plant import StochasticLtiModel, build_block_operators
 from .trajectory import DataMatrix, SignalDims
 
@@ -255,27 +256,59 @@ def condition(gb: GaussianBehavior, free_index, free_value) -> ConditionalGaussi
     return ConditionalGaussian(mean=mean, cov=cov)
 
 
-def predictive_model(dm: DataMatrix) -> PredictiveModel:
+def data_lq(dm: DataMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Economy LQ factorization [W_p; U_f; Y_f] = L Q^T of the data matrix.
+
+    Returns ``(L, Q)`` with L of shape (qL, k), Q of shape (D, k) with
+    orthonormal columns, and k = min(D, qL). Computed as the QR
+    factorization of the transposed ordered data matrix (the LQ step of
+    subspace identification), so no Gram matrix is formed and the condition
+    number is not squared. Every quantity the predictor and deepc need
+    depends on the data only through L.
+    """
+    basis, upper = np.linalg.qr(dm.ordered.T)
+    return upper.T, basis
+
+
+def lq_predictor(
+    dm: DataMatrix, l_fac: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL
+) -> tuple[PredictiveModel, np.ndarray]:
+    """Predictive model from the LQ factor L of :func:`data_lq`.
+
+    With L_F and L_Y the free ([w_ini; u_f]) and output rows of L, the
+    predictor is L_Y L_F^+ and the predictive covariance is the residual
+    Gram matrix (L_Y - coeff L_F)(L_Y - coeff L_F)^T / D, which is PSD by
+    construction. Singular values of L_F below ``rank_tol`` times the
+    largest are treated as zero. Also returns L_F^+ L_F, the projector onto
+    the free-block row space in the coordinates of L.
+    """
+    n_free = dm.free_rows.size
+    l_free, l_out = l_fac[:n_free], l_fac[n_free:]
+    free_pinv = pinv(l_free, rank_tol)
+    coeff = l_out @ free_pinv
+    resid = l_out - coeff @ l_free
+    n_ini = dm.dims.q * dm.l_ini
+    pm = PredictiveModel(
+        M_u=coeff[:, n_ini:], M_ini=coeff[:, :n_ini], cov=resid @ resid.T / dm.n_columns
+    )
+    return pm, free_pinv @ l_free
+
+
+def predictive_model(dm: DataMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> PredictiveModel:
     """Least-squares output predictor and predictive covariance from data.
 
-    The predictor is Y_f [W_p; U_f]^+, split column-wise into the history
-    and input maps. The predictive covariance projects the output rows onto
-    the orthogonal complement of the free-block row space:
-    (1/D) Y_f (I - F^+ F) Y_f^T with F = [W_p; U_f].
+    The predictor is Y_f F^+ with F = [W_p; U_f], split column-wise into
+    the history and input maps; the predictive covariance is
+    (1/D) Y_f (I - F^+ F) Y_f^T, the residual Gram matrix of that fit.
+    Both are computed from the LQ factor of the data matrix
+    (:func:`data_lq`, :func:`lq_predictor`): with W = L Q^T,
+    F^+ = Q L_F^+ gives Y_f F^+ = L_Y L_F^+, and
+    Y_f (I - F^+ F) Y_f^T = L_Y (I - L_F^+ L_F) L_Y^T. Time is linear in D
+    and memory O(D qL); no D x D matrix is formed. ``rank_tol`` truncates
+    the pseudoinverse of L_F (relative to its largest singular value).
     """
-    free = dm.free_block
-    dep = dm.future_outputs
-    d = dm.n_columns
-    free_pinv = pinv(free)
-    coeff = dep @ free_pinv
-    n_ini = dm.dims.q * dm.l_ini
-    projector = np.eye(d) - free_pinv @ free
-    cov = symmetrize(dep @ projector @ dep.T / d)
-    # Clip the tiny negative eigenvalues the projector product can leave.
-    if not is_psd(cov, 1e-12):
-        vals, vecs = np.linalg.eigh(cov)
-        cov = symmetrize((vecs * np.clip(vals, 0.0, None)) @ vecs.T)
-    return PredictiveModel(M_u=coeff[:, n_ini:], M_ini=coeff[:, :n_ini], cov=cov)
+    l_fac, _ = data_lq(dm)
+    return lq_predictor(dm, l_fac, rank_tol)[0]
 
 
 def from_state_space(

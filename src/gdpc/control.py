@@ -10,7 +10,9 @@ output mean), subject to per-stack input boxes and optional output boxes.
   predictive distribution; same minimizer as spc, objective reported with
   the constant trace term so the expected cost is faithful.
 * ``deepc``: optimization over the data-combination vector g with a
-  regularizer (projected 2-norm, squared 2-norm, or 1-norm).
+  regularizer (projected 2-norm, squared 2-norm, or 1-norm), solved in the
+  row-space coordinates of the data matrix's LQ factor except for the
+  1-norm.
 * ``optimistic``: jointly picks the predicted mean inside a relative-entropy
   ball around the estimate to lower the expected cost (the regularized
   deepc problem in disguise for the projected regularizer).
@@ -24,9 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import ConditionalGaussian, PredictiveModel, predictive_model
+from .behavior import ConditionalGaussian, PredictiveModel, data_lq, lq_predictor
+# Not called here; benchmarks/tracing.py wraps control.predictive_model by name.
+from .behavior import predictive_model  # noqa: F401
 from .errors import InfeasibleProblem, LambdaTooSmall, NotPositiveDefinite, ShapeError
-from .linalg import chol_psd, is_psd, pinv, sym_eig, symmetrize
+from .linalg import DEFAULT_RANK_TOL, chol_psd, is_psd, pinv, sym_eig, symmetrize
 from .qp import QpProblem, QpSettings, QpSolution, l1_epigraph, solve
 from .trajectory import DataMatrix, SignalDims
 
@@ -287,14 +291,33 @@ def deepc(
     regularizer: str = "proj2",
     lambda_g: float = 0.0,
     settings: QpSettings | None = None,
+    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> ControlResult:
     """Data-combination control: decision variables (g, u_f, y_f) tied to
-    the raw data matrix through [w_ini; u_f; y_f] = [W_p; U_f; Y_f] g.
+    the data matrix through [w_ini; u_f; y_f] = W g, W = [W_p; U_f; Y_f].
 
     ``proj2`` penalizes the component of g orthogonal to the row space of
-    [W_p; U_f]; ``sq2`` the full squared norm; ``l1`` the 1-norm through an
-    epigraph reformulation. With ``lambda_g`` = 0 the kernel component of g
-    is removed afterwards (minimum-norm polish), since it is cost-invisible.
+    F = [W_p; U_f]; ``sq2`` the full squared norm; ``l1`` the 1-norm through
+    an epigraph reformulation. With ``lambda_g`` = 0 the kernel component of
+    g is removed afterwards (minimum-norm polish), since it is
+    cost-invisible.
+
+    For proj2, sq2 and ``lambda_g`` = 0 the QP is solved in the row-space
+    coordinates of the LQ factorization W = L Q^T (:func:`data_lq`), with
+    k = min(D, qL) columns: g = Q alpha, the equality rows become L, the
+    proj2 penalty becomes alpha^T (I - L_F^+ L_F) alpha and the sq2 penalty
+    alpha^T alpha. This is exact. Write any g as g = Q alpha + g_perp with
+    Q^T g_perp = 0. Then W g_perp = L Q^T g_perp = 0, so g_perp leaves the
+    constraints and the tracking cost unchanged. Since F^+ F = Q L_F^+ L_F Q^T
+    annihilates g_perp, the proj2 penalty is
+    alpha^T (I - L_F^+ L_F) alpha + ||g_perp||^2 and the sq2 penalty
+    ||alpha||^2 + ||g_perp||^2, so g_perp = 0 at the optimum. The QP thus
+    has k + n_u + n_y variables whatever D is. The polish for
+    ``lambda_g`` = 0 is alpha <- L^+ L alpha, which is g <- W^+ W g.
+    ``rank_tol`` truncates the pseudoinverses of L_F and L. The 1-norm is
+    not rotation-invariant, so ``l1`` with ``lambda_g`` > 0 keeps the raw
+    D-column g. The returned g has length D in every case, and the reported
+    covariance is the predictive covariance computed from the same L.
     """
     if regularizer not in REGULARIZERS:
         raise ValueError(f"regularizer must be one of {REGULARIZERS}, got {regularizer!r}")
@@ -307,65 +330,57 @@ def deepc(
     if cp.dims != dm.dims or cp.l_ini != dm.l_ini or cp.l_f != dm.l_f:
         raise ShapeError("control problem and data matrix disagree on dims/horizons")
 
-    d = dm.n_columns
+    l_fac, basis = data_lq(dm)
+    pm, free_projector = lq_predictor(dm, l_fac, rank_tol)
+    raw = regularizer == "l1" and lambda_g > 0.0
+    data = dm.ordered if raw else l_fac
+    k = data.shape[1]
     nu, ny = cp.n_u, cp.n_y
-    n = d + nu + ny
-    w_p, u_f_rows, y_f_rows = dm.past, dm.future_inputs, dm.future_outputs
+    n = k + nu + ny
 
     p_mat = np.zeros((n, n))
-    p_mat[d : d + nu, d : d + nu] = 2.0 * cp.R
-    p_mat[d + nu :, d + nu :] = 2.0 * cp.Q
+    p_mat[k : k + nu, k : k + nu] = 2.0 * cp.R
+    p_mat[k + nu :, k + nu :] = 2.0 * cp.Q
     if lambda_g > 0.0 and regularizer == "proj2":
-        free = dm.free_block
-        projector = np.eye(d) - pinv(free) @ free
-        p_mat[:d, :d] = 2.0 * lambda_g * symmetrize(projector)
+        p_mat[:k, :k] = 2.0 * lambda_g * symmetrize(np.eye(k) - free_projector)
     elif lambda_g > 0.0 and regularizer == "sq2":
-        p_mat[:d, :d] = 2.0 * lambda_g * np.eye(d)
+        p_mat[:k, :k] = 2.0 * lambda_g * np.eye(k)
 
     q_vec = np.zeros(n)
-    q_vec[d : d + nu] = -2.0 * cp.R @ cp.u_ref
-    q_vec[d + nu :] = -2.0 * cp.Q @ cp.y_ref
+    q_vec[k : k + nu] = -2.0 * cp.R @ cp.u_ref
+    q_vec[k + nu :] = -2.0 * cp.Q @ cp.y_ref
 
     a_eq = np.zeros((n_ini + nu + ny, n))
-    a_eq[:n_ini, :d] = w_p
-    a_eq[n_ini : n_ini + nu, :d] = u_f_rows
-    a_eq[n_ini : n_ini + nu, d : d + nu] = -np.eye(nu)
-    a_eq[n_ini + nu :, :d] = y_f_rows
-    a_eq[n_ini + nu :, d + nu :] = -np.eye(ny)
+    a_eq[:, :k] = data
+    a_eq[n_ini:, k:] = -np.eye(nu + ny)
     b_eq = np.concatenate([w, np.zeros(nu + ny)])
 
     y_lower = cp.y_lower if cp.has_output_box else np.full(ny, -np.inf)
     y_upper = cp.y_upper if cp.has_output_box else np.full(ny, np.inf)
-    lower = np.concatenate([np.full(d, -np.inf), cp.u_lower, y_lower])
-    upper = np.concatenate([np.full(d, np.inf), cp.u_upper, y_upper])
+    lower = np.concatenate([np.full(k, -np.inf), cp.u_lower, y_lower])
+    upper = np.concatenate([np.full(k, np.inf), cp.u_upper, y_upper])
 
     prob = QpProblem(P=p_mat, q=q_vec, A_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper)
-    if regularizer == "l1" and lambda_g > 0.0:
-        prob, keep = l1_epigraph(prob, lambda_g, np.arange(d))
+    if raw:
+        prob, keep = l1_epigraph(prob, lambda_g, np.arange(k))
         sol = _run_qp(prob, settings)
         x = sol.x[keep]
     else:
         sol = _run_qp(prob, settings)
         x = sol.x
 
-    g = x[:d]
-    u = x[d : d + nu]
-    y_mean = x[d + nu :]
+    coords = x[:k]
+    u = x[k : k + nu]
+    y_mean = x[k + nu :]
     if lambda_g == 0.0:
-        full = dm.matrix
-        g = pinv(full) @ (full @ g)  # drop the cost-invisible kernel component
+        coords = pinv(l_fac, rank_tol) @ (l_fac @ coords)  # drop the kernel component
 
-    pm = predictive_model(dm)
-    reg_term = 0.0
-    if lambda_g > 0.0:
-        if regularizer == "proj2":
-            free = dm.free_block
-            resid = g - pinv(free) @ (free @ g)
-            reg_term = lambda_g * float(resid @ resid)
-        elif regularizer == "sq2":
-            reg_term = lambda_g * float(g @ g)
-        else:
-            reg_term = lambda_g * float(np.abs(g).sum())
+    if raw:
+        g = coords
+        reg_term = lambda_g * float(np.abs(g).sum())
+    else:
+        g = basis @ coords
+        reg_term = 0.5 * float(coords @ p_mat[:k, :k] @ coords)
     return ControlResult(
         u_f=u,
         y_pred=ConditionalGaussian(mean=y_mean, cov=pm.cov),

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import control as ctl
 from .behavior import predictive_model
-from .errors import ConfigError, InfeasibleProblem, UnstableSystem
+from .errors import ConfigError, GdpcError, InfeasibleProblem, UnstableSystem
 from .plant import (
     StochasticLtiModel,
     default_benchmark,
@@ -267,7 +267,7 @@ def identification_run(cfg: ExperimentConfig):
                         steps=cfg.data_steps + extra, seed=cfg.data_seed)
         traj = type(full)(dims=full.dims, samples=full.samples[extra:])
     dm = build_data_matrix(traj, cfg.l_ini, cfg.l_f, mode=cfg.data_mode)
-    return traj, dm, predictive_model(dm)
+    return traj, dm, predictive_model(dm, cfg.rank_tol)
 
 
 @dataclass(frozen=True)
@@ -347,7 +347,8 @@ def _solve_controller(cfg: ExperimentConfig, dm, pm, cp, w_ini, lam=None):
     if cfg.controller == "ce":
         return ctl.certainty_equivalence(pm, w_ini, cp, cfg.solver)
     if cfg.controller == "deepc":
-        return ctl.deepc(dm, w_ini, cp, cfg.regularizer, lam, cfg.solver)
+        return ctl.deepc(dm, w_ini, cp, cfg.regularizer, lam, cfg.solver,
+                         rank_tol=cfg.rank_tol)
     if cfg.controller == "optimistic":
         return ctl.optimistic(pm, w_ini, cp, lam, cfg.solver, jitter=cfg.jitter)
     if cfg.controller == "robust":
@@ -359,13 +360,21 @@ def run_closed_loop(cfg: ExperimentConfig, seed: int | None = None,
                     lam: float | None = None) -> RunRecord:
     """Receding-horizon loop with the frozen identified predictor.
 
-    The first L_ini steps apply seeded excitation input (warm-up) so a full
-    measured history window exists; afterwards the configured controller
-    plans and the first ``apply_steps`` inputs of each plan are applied.
-    The history window is built from measured, noisy outputs.
+    The first L_ini steps apply seeded excitation input (warm-up), clipped
+    to the input box, so a full measured history window exists; afterwards
+    the configured controller plans and the first ``apply_steps`` inputs of
+    each plan are applied. The history window is built from measured, noisy
+    outputs.
     """
-    seed = cfg.run_seed if seed is None else seed
     _, dm, pm = identification_run(cfg)
+    return _closed_loop(cfg, dm, pm, seed, lam)
+
+
+def _closed_loop(cfg: ExperimentConfig, dm, pm, seed: int | None,
+                 lam: float | None) -> RunRecord:
+    """The loop of :func:`run_closed_loop` on an identified data matrix and
+    predictor."""
+    seed = cfg.run_seed if seed is None else seed
     cp = cfg.control_problem()
     model = cfg.plant
     dims = model.dims
@@ -409,7 +418,8 @@ def run_closed_loop(cfg: ExperimentConfig, seed: int | None = None,
     t = 0
     while t < cfg.l_ini:
         w_snapshot = snapshot()
-        u = cfg.data_input_std * rng_warm.standard_normal(dims.m)
+        u = np.clip(cfg.data_input_std * rng_warm.standard_normal(dims.m),
+                    cp.u_lower[: dims.m], cp.u_upper[: dims.m])
         xi, eta = noise()
         x, y = step(model, x, u, xi, eta)
         history.append(np.concatenate([u, y]))
@@ -457,23 +467,26 @@ class SweepCell:
 def sweep_lambda(cfg: ExperimentConfig, grid=None) -> list[SweepCell]:
     """Monte-Carlo closed-loop cost over an ascending weight grid.
 
-    Each cell repeats ``cfg.repetitions`` runs with seeds run_seed + r; cell
-    failures (infeasibility, threshold violations) are recorded as missing
-    and the sweep continues.
+    Each cell repeats ``cfg.repetitions`` runs with seeds run_seed + r. The
+    data are identified once, since every run of the sweep identifies the
+    same data. Runs that raise a package error (infeasibility, threshold
+    violations) or abort are recorded as failed and the sweep continues;
+    any other exception propagates.
     """
     values = tuple(float(g) for g in (grid if grid is not None else cfg.lambda_grid))
     if not values:
         raise ConfigError("sweep requires a non-empty lambda grid")
     if any(b < a for a, b in zip(values, values[1:])):
         raise ConfigError("lambda grid must be ascending")
+    _, dm, pm = identification_run(cfg)
     cells = []
     for lam in values:
         costs = []
         failed = 0
         for rep in range(cfg.repetitions):
             try:
-                rec = run_closed_loop(cfg, seed=cfg.run_seed + rep, lam=lam)
-            except Exception:
+                rec = _closed_loop(cfg, dm, pm, cfg.run_seed + rep, lam)
+            except GdpcError:
                 failed += 1
                 continue
             if rec.aborted:

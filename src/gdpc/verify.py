@@ -15,6 +15,7 @@ import numpy as np
 
 from . import control as ctl
 from .behavior import (
+    PredictiveModel,
     estimate,
     kl_mean_term,
     log_likelihood,
@@ -267,11 +268,24 @@ def _check_spc_ce_equivalence(rng) -> CheckResult:
     )
 
 
+def _lstsq_predictor(dm) -> PredictiveModel:
+    """Least-squares fit of Y_f on [W_p; U_f] over the raw data columns and
+    its residual Gram matrix over D: the predictor computed without the LQ
+    factor that both ``predictive_model`` and ``deepc`` use."""
+    free, dep = dm.free_block, dm.future_outputs
+    coeff = np.linalg.lstsq(free.T, dep.T, rcond=None)[0].T
+    resid = dep - coeff @ free
+    n_ini = dm.dims.q * dm.l_ini
+    return PredictiveModel(M_u=coeff[:, n_ini:], M_ini=coeff[:, :n_ini],
+                           cov=resid @ resid.T / dm.n_columns)
+
+
 def _check_deepc_optimistic_equivalence(rng, mutate=None) -> CheckResult:
     worst = 0.0
     g_hom_worst = 0.0
     for _ in range(5):
-        _, dm, pm, w_ini, cp = _random_instance(rng, with_input_box=True)
+        _, dm, _, w_ini, cp = _random_instance(rng, with_input_box=True)
+        pm = _lstsq_predictor(dm)
         if mutate == MUTATE_PRED_COV:
             cov = pm.cov.copy()
             if cov.shape[0] >= 2:

@@ -3,6 +3,7 @@ prediction, the state-space forward map, divergence, and sampling."""
 
 import numpy as np
 import pytest
+from conftest import random_stable_plant
 
 from gdpc.behavior import (
     ConditionalGaussian,
@@ -248,6 +249,63 @@ class TestPredictiveModel:
         expected = dep @ pinv(free)
         assert np.allclose(np.hstack([pm.M_ini, pm.M_u]), expected, atol=1e-10)
         assert np.linalg.norm(pm.cov) <= 1e-10 * np.linalg.norm(col) ** 2
+
+
+def lstsq_predictor(dm):
+    """(coefficients, residual Gram matrix / D) of the least-squares fit of
+    Y_f on [W_p; U_f] over the raw data columns."""
+    free, dep = dm.free_block, dm.future_outputs
+    coeff = np.linalg.lstsq(free.T, dep.T, rcond=None)[0].T
+    resid = dep - coeff @ free
+    return coeff, resid @ resid.T / dm.n_columns
+
+
+class TestLqRoute:
+    """predictive_model through the LQ factor against an independent lstsq
+    fit, on tall, wide and noiseless rank-deficient data."""
+
+    # D = 1995 (tall), D = 10 (fewer columns than the 12 rows) and D = 5
+    # (fewer than the 8 free rows, where lstsq returns the minimum-norm fit).
+    @pytest.mark.parametrize("steps", [2000, 15, 10])
+    def test_matches_lstsq_on_tall_and_wide_data(self, steps):
+        model = random_stable_plant(np.random.default_rng(31), n=2, m=1, p=1)
+        traj = simulate(model, np.zeros(2), 1.0, steps=steps, seed=31)
+        dm = build_data_matrix(traj, 2, 4)
+        assert dm.n_columns == steps - 5
+        pm = predictive_model(dm)
+        coeff, cov = lstsq_predictor(dm)
+        assert np.allclose(np.hstack([pm.M_ini, pm.M_u]), coeff, rtol=0, atol=1e-9)
+        assert np.allclose(pm.cov, cov, rtol=0, atol=1e-10 * max(1.0, np.abs(cov).max()))
+        assert np.linalg.eigvalsh(pm.cov)[0] >= -1e-12 * max(1.0, np.abs(pm.cov).max())
+
+    def test_matches_lstsq_on_noiseless_rank_deficient_data(self):
+        # The plant and data of acceptance check C09: rank mL + n < qL.
+        model = random_stable_plant(np.random.default_rng(909), n=2, m=1, p=1,
+                                    noise_std=0.0)
+        traj = simulate(model, np.zeros(2), 1.0, steps=5 + 120, seed=13)
+        dm = build_data_matrix(traj, 2, 3)
+        assert matrix_rank(dm.matrix) < dm.matrix.shape[0]
+        pm = predictive_model(dm)
+        # The fit is not unique; its predictions on the data and the
+        # residual Gram matrix are.
+        coeff, cov = lstsq_predictor(dm)
+        fitted = np.hstack([pm.M_ini, pm.M_u]) @ dm.free_block
+        assert np.allclose(fitted, coeff @ dm.free_block, rtol=0, atol=1e-9)
+        assert np.allclose(fitted, dm.future_outputs, rtol=0, atol=1e-9)
+        assert np.abs(pm.cov).max() <= 1e-12 and np.abs(cov).max() <= 1e-12
+
+    def test_rank_tol_truncates_the_predictor(self):
+        rng = np.random.default_rng(32)
+        cols = sample(make_behavior(random_spd(rng, 6), window=3), 200, seed=3)
+        dm = assemble(cols, DIMS_SISO, 1, 2)
+        default = predictive_model(dm)
+        explicit = predictive_model(dm, rank_tol=1e-10)
+        truncated = predictive_model(dm, rank_tol=0.9)
+        assert np.array_equal(default.M_u, explicit.M_u)
+        assert np.array_equal(default.cov, explicit.cov)
+        # Keeping only the leading direction of the free block leaves more
+        # output variance unexplained.
+        assert np.trace(truncated.cov) > np.trace(default.cov) + 1e-6
 
 
 class TestFromStateSpace:

@@ -22,6 +22,7 @@ from gdpc.control import (
 from gdpc.errors import InfeasibleProblem, LambdaTooSmall, ShapeError
 from gdpc.linalg import pinv, sym_eig
 from gdpc.plant import simulate, step
+from gdpc.qp import QpProblem, solve
 from gdpc.trajectory import SignalDims, build_data_matrix
 
 
@@ -203,6 +204,93 @@ class TestDeepc:
         full = inst.dm.matrix
         kernel_part = res.g - pinv(full) @ (full @ res.g)
         assert np.linalg.norm(kernel_part) <= 1e-6 * max(1.0, np.linalg.norm(res.g))
+
+
+def raw_deepc_plan(dm, w_ini, cp, regularizer, lambda_g):
+    """The deepc QP over all D columns of g, assembled here from the raw
+    data matrix: the reference for the row-space route."""
+    d, nu, ny = dm.n_columns, cp.n_u, cp.n_y
+    n = d + nu + ny
+    p_mat = np.zeros((n, n))
+    if regularizer == "proj2":
+        free = dm.free_block
+        p_mat[:d, :d] = 2.0 * lambda_g * (np.eye(d) - pinv(free) @ free)
+    else:
+        p_mat[:d, :d] = 2.0 * lambda_g * np.eye(d)
+    p_mat[d : d + nu, d : d + nu] = 2.0 * cp.R
+    p_mat[d + nu :, d + nu :] = 2.0 * cp.Q
+    q_vec = np.concatenate([np.zeros(d), -2.0 * cp.R @ cp.u_ref, -2.0 * cp.Q @ cp.y_ref])
+    a_eq = np.hstack([dm.ordered, np.vstack([np.zeros((w_ini.size, nu + ny)),
+                                             -np.eye(nu + ny)])])
+    b_eq = np.concatenate([w_ini, np.zeros(nu + ny)])
+    lower = np.concatenate([np.full(d, -np.inf), cp.u_lower, np.full(ny, -np.inf)])
+    upper = np.concatenate([np.full(d, np.inf), cp.u_upper, np.full(ny, np.inf)])
+    sol = solve(QpProblem(P=p_mat, q=q_vec, A_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper))
+    return sol.x[d : d + nu]
+
+
+class TestDeepcRowSpace:
+    """proj2 and sq2 solve a QP whose size does not depend on D; l1 keeps
+    the raw D-column g."""
+
+    L_INI, L_F = 2, 3
+
+    def problem(self, rng):
+        model = random_stable_plant(rng, n=2, m=1, p=1)
+        cp = ControlProblem.from_step_weights(
+            model.dims, self.L_INI, self.L_F, q_diag=1.0, r_diag=0.1,
+            y_ref=0.8, u_min=-0.4, u_max=0.4,
+        )
+        fresh = simulate(model, np.zeros(2), 1.0, steps=self.L_INI + 2, seed=5)
+        return model, cp, fresh.samples[-self.L_INI :].reshape(-1)
+
+    def data(self, model, columns, seed):
+        window = self.L_INI + self.L_F
+        traj = simulate(model, np.zeros(2), 1.0, steps=columns + window - 1, seed=seed)
+        return build_data_matrix(traj, self.L_INI, self.L_F)
+
+    @pytest.mark.parametrize("regularizer", ["proj2", "sq2"])
+    def test_qp_size_is_independent_of_d(self, regularizer):
+        rng = np.random.default_rng(13)
+        model, cp, w_ini = self.problem(rng)
+        rows = 2 * (self.L_INI + self.L_F)
+        for columns in (8, 40, 1500):
+            dm = self.data(model, columns, seed=columns)
+            res = deepc(dm, w_ini, cp, regularizer, lambda_g=3.0)
+            assert res.solver.status == "optimal"
+            assert res.solver.x.size == min(columns, rows) + cp.n_u + cp.n_y
+            assert res.g.shape == (columns,)
+            full = dm.matrix
+            kernel_part = res.g - pinv(full) @ (full @ res.g)
+            assert np.linalg.norm(kernel_part) <= 1e-9 * max(1.0, np.linalg.norm(res.g))
+            assert np.allclose(dm.future_outputs @ res.g, res.y_pred.mean, rtol=0, atol=1e-6)
+            if columns <= 40:
+                reference = raw_deepc_plan(dm, w_ini, cp, regularizer, 3.0)
+                assert np.max(np.abs(res.u_f - reference)) < 1e-6
+                free = dm.free_block
+                penalized = res.g - pinv(free) @ (free @ res.g) if regularizer == "proj2" else res.g
+                expected = cp.tracking_cost(res.u_f, res.y_pred.mean) + 3.0 * penalized @ penalized
+                assert res.objective == pytest.approx(expected, rel=1e-9)
+
+    def test_l1_keeps_raw_g(self):
+        rng = np.random.default_rng(14)
+        model, cp, w_ini = self.problem(rng)
+        dm = self.data(model, 40, seed=3)
+        res = deepc(dm, w_ini, cp, "l1", lambda_g=0.5)
+        d = dm.n_columns
+        # g, u_f, y_f and the two epigraph halves of g.
+        assert res.solver.x.size == 3 * d + cp.n_u + cp.n_y
+        assert np.array_equal(res.g, res.solver.x[:d])
+
+    def test_rank_tol_reaches_the_regularizer(self):
+        rng = np.random.default_rng(15)
+        model, cp, w_ini = self.problem(rng)
+        dm = self.data(model, 40, seed=4)
+        default = deepc(dm, w_ini, cp, "proj2", lambda_g=3.0)
+        explicit = deepc(dm, w_ini, cp, "proj2", lambda_g=3.0, rank_tol=1e-10)
+        truncated = deepc(dm, w_ini, cp, "proj2", lambda_g=3.0, rank_tol=0.5)
+        assert np.array_equal(default.u_f, explicit.u_f)
+        assert np.max(np.abs(truncated.u_f - default.u_f)) > 1e-6
 
 
 class TestOptimistic:

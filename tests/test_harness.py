@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gdpc.errors import ConfigError
+from gdpc import control, harness
+from gdpc.errors import ConfigError, LambdaTooSmall
 from gdpc.harness import (
     config_from_dict,
     load_config,
@@ -16,6 +18,8 @@ from gdpc.harness import (
 )
 from gdpc.plant import default_benchmark
 from gdpc.verify import verify
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.json"
 
 
 def base_doc(**over):
@@ -168,6 +172,26 @@ class TestClosedLoop:
         assert solve_rows, "no controller solves recorded"
         assert all(s.solver_status == "optimal" for s in solve_rows)
 
+    def test_rank_tol_changes_the_closed_loop(self):
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        del doc["rank_tol"]
+
+        def csv(rank_tol=None):
+            run_doc = doc if rank_tol is None else {**doc, "rank_tol": rank_tol}
+            return run_closed_loop(config_from_dict(run_doc)).to_csv_bytes()
+
+        default = csv()
+        assert default == csv(1e-10)
+        assert default != csv(0.5)
+
+    def test_warm_up_inputs_stay_in_the_box(self):
+        # Run seed 44 draws u = -3.299 at t = 1, below u_min = -3.
+        cfg = load_config(EXAMPLE_CONFIG)
+        rec = run_closed_loop(cfg, seed=44)
+        u = np.array([s.u for s in rec.steps])
+        assert np.all(u >= cfg.u_min) and np.all(u <= cfg.u_max)
+        assert np.min(u[: cfg.l_ini]) == cfg.u_min[0]
+
     def test_all_controllers_run(self):
         for name, extra in (
             ("spc", {}),
@@ -236,6 +260,48 @@ class TestSweep:
         assert cells[0].runs_ok == 0 and cells[0].runs_failed == 1
         assert np.isnan(cells[0].mean_cost)
         assert cells[1].runs_ok == 1
+
+    def test_cells_match_one_identification_per_run(self, monkeypatch):
+        doc = base_doc()
+        doc["control"] = {"controller": "robust", "q": 1.0, "r": 0.05, "y_ref": 1.0}
+        doc["run"] = {"steps": 12, "repetitions": 2, "seed": 5}
+        cfg = config_from_dict(doc)
+        grid = [1e-12, 10.0, 1e4]
+        expected = []
+        for lam in grid:
+            costs = []
+            for rep in range(cfg.repetitions):
+                try:
+                    costs.append(run_closed_loop(cfg, seed=cfg.run_seed + rep,
+                                                 lam=lam).realized_cost)
+                except LambdaTooSmall:  # the weight below the threshold
+                    pass
+            expected.append((len(costs), cfg.repetitions - len(costs),
+                             float(np.mean(costs)) if costs else None))
+
+        calls = []
+        identify = harness.identification_run
+        monkeypatch.setattr(harness, "identification_run",
+                            lambda c: calls.append(c) or identify(c))
+        cells = sweep_lambda(cfg, grid)
+        assert len(calls) == 1
+        got = [(c.runs_ok, c.runs_failed, None if np.isnan(c.mean_cost) else c.mean_cost)
+               for c in cells]
+        assert got == expected
+        assert expected[0][0] == 0 and expected[2][0] == cfg.repetitions
+
+    def test_non_package_errors_propagate(self, monkeypatch):
+        doc = base_doc()
+        doc["control"] = {"controller": "optimistic", "q": 1.0, "r": 0.05, "lambda": 1.0}
+        doc["run"] = {"steps": 12, "repetitions": 1, "seed": 0}
+        cfg = config_from_dict(doc)
+
+        def broken(*args, **kwargs):
+            raise TypeError("controller bug")
+
+        monkeypatch.setattr(control, "optimistic", broken)
+        with pytest.raises(TypeError, match="controller bug"):
+            sweep_lambda(cfg, [1.0])
 
     def test_unsorted_grid_rejected(self):
         cfg = config_from_dict(base_doc())
