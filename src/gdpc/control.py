@@ -171,6 +171,9 @@ class HessianReport:
 
 @dataclass(frozen=True)
 class LambdaThreshold:
+    """Robust-controller weights; ``lambda_psd`` equals ``lambda0`` (see
+    :func:`lambda_threshold`)."""
+
     lambda0: float
     lambda_psd: float
 
@@ -462,15 +465,10 @@ def optimistic(
     )
 
 
-def hessian(pm: PredictiveModel, cp: ControlProblem, lam: float,
-            jitter: float = DEFAULT_JITTER) -> HessianReport:
-    """Input-space cost Hessian of the robust dual objective.
-
-    Computed in the equivalent cancellation-free form
-        H = R + M_u^T (Q + Q (lam*S - Q)^-1 Q) M_u,   S = cov^-1,
-    which is exact for every lam where lam*S - Q is invertible.
-    """
-    precision = _precision(pm.cov, jitter)
+def _robust_terms(pm: PredictiveModel, cp: ControlProblem, lam: float, precision):
+    """(gap, Z, H) of the robust dual objective for the precision S:
+    gap = lam*S - Q, the output weight Z = Q + Q gap^-1 Q and the
+    input-space half-Hessian H = R + M_u^T Z M_u."""
     gap = symmetrize(lam * precision - cp.Q)
     try:
         solved = np.linalg.solve(gap, cp.Q)
@@ -479,7 +477,18 @@ def hessian(pm: PredictiveModel, cp: ControlProblem, lam: float,
             f"lam*precision - Q is singular at lam={lam:g}", lambda0=lam
         ) from None
     z = symmetrize(cp.Q + cp.Q @ solved)
-    h = symmetrize(cp.R + pm.M_u.T @ z @ pm.M_u)
+    return gap, z, symmetrize(cp.R + pm.M_u.T @ z @ pm.M_u)
+
+
+def hessian(pm: PredictiveModel, cp: ControlProblem, lam: float,
+            jitter: float = DEFAULT_JITTER) -> HessianReport:
+    """Input-space cost Hessian of the robust dual objective.
+
+    Computed in the equivalent cancellation-free form
+        H = R + M_u^T (Q + Q (lam*S - Q)^-1 Q) M_u,   S = cov^-1,
+    which is exact for every lam where lam*S - Q is invertible.
+    """
+    _, _, h = _robust_terms(pm, cp, lam, _precision(pm.cov, jitter))
     return HessianReport(matrix=h, psd=is_psd(h, 1e-10))
 
 
@@ -489,9 +498,12 @@ def lambda_threshold(pm: PredictiveModel, cp: ControlProblem,
 
     ``lambda0`` is the smallest weight making lam*cov^-1 - Q positive
     definite (max eigenvalue of G Q G with G the symmetric square root of
-    the predictive covariance, inflated by 1e-6). ``lambda_psd`` is the
-    smallest weight >= lambda0 at which the input-space Hessian is PSD,
-    located by bisection to 1e-6 relative width.
+    the predictive covariance, inflated by 1e-6). ``lambda_psd``, the
+    smallest weight >= lambda0 at which the input-space Hessian is PSD, is
+    lambda0 itself. For lam >= lambda0, lam*S - Q is positive definite, so
+    Q (lam*S - Q)^-1 Q is PSD, so H = R + M_u^T (Q + Q (lam*S - Q)^-1 Q) M_u
+    is at least R, which is positive definite. ``verify`` samples
+    lambda_min(H - R) >= 0 as an independent check.
     """
     cov = symmetrize(pm.cov)
     try:
@@ -507,23 +519,7 @@ def lambda_threshold(pm: PredictiveModel, cp: ControlProblem,
     if lam_max <= 0.0:
         return LambdaThreshold(lambda0=0.0, lambda_psd=0.0)
     lambda0 = lam_max * (1.0 + 1e-6)
-
-    def psd_at(lam):
-        return hessian(pm, cp, lam, jitter).psd
-
-    lo = lambda0 * (1.0 + 1e-9)
-    if psd_at(lo):
-        return LambdaThreshold(lambda0=lambda0, lambda_psd=lambda0)
-    hi = 1e12
-    if not psd_at(hi):
-        return LambdaThreshold(lambda0=lambda0, lambda_psd=math.inf)
-    while hi - lo > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        if psd_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return LambdaThreshold(lambda0=lambda0, lambda_psd=hi)
+    return LambdaThreshold(lambda0=lambda0, lambda_psd=lambda0)
 
 
 def robust_mean(pm: PredictiveModel, cp: ControlProblem, lam: float, mu_hat,
@@ -548,8 +544,9 @@ def robust(
     Objective in the input:
         ||lam*S mu_hat(u) - Q y_ref||^2_{(lam*S - Q)^-1}
         - lam ||mu_hat(u)||^2_S + ||u - u_ref||^2_R,
-    with S the predictive precision. Requires lam >= lambda0 and a PSD
-    Hessian; output boxes are not representable in this eliminated form.
+    with S the predictive precision. Requires lam >= lambda0, which makes
+    the Hessian positive definite; output boxes are not representable in
+    this eliminated form.
     """
     if cp.has_output_box:
         raise ShapeError("robust controller does not support output boxes")
@@ -561,25 +558,18 @@ def robust(
             lambda0=thresholds.lambda0,
             lambda_psd=thresholds.lambda_psd,
         )
-    h_rep = hessian(pm, cp, lam, jitter)
-    if not h_rep.psd:
-        raise LambdaTooSmall(
-            f"cost Hessian indefinite at lam={lam:g}",
-            lambda0=thresholds.lambda0,
-            lambda_psd=thresholds.lambda_psd,
-        )
 
     precision = _precision(pm.cov, jitter)
     bias = pm.M_ini @ w
-    gap = symmetrize(lam * precision - cp.Q)
     # The lam-scale terms of the dual objective cancel exactly through
     # Z = Q + Q gap^-1 Q: the cost equals ||mu_hat(u) - y_ref||_Z^2
     # + ||u - u_ref||_R^2 - y_ref' Q y_ref, which is what is assembled here
-    # (no catastrophic cancellation at large lam).
-    z = symmetrize(cp.Q + cp.Q @ np.linalg.solve(gap, cp.Q))
+    # (no catastrophic cancellation at large lam). Its Hessian is PSD for
+    # lam >= lambda0 (see lambda_threshold).
+    gap, z, h = _robust_terms(pm, cp, lam, precision)
     lin = pm.M_u.T @ (z @ (bias - cp.y_ref)) - cp.R @ cp.u_ref
 
-    prob = QpProblem(P=2.0 * h_rep.matrix, q=2.0 * lin, lower=cp.u_lower, upper=cp.u_upper)
+    prob = QpProblem(P=2.0 * h, q=2.0 * lin, lower=cp.u_lower, upper=cp.u_upper)
     sol = _run_qp(prob, settings)
     u = sol.x
     mu_hat = pm.M_u @ u + bias

@@ -207,8 +207,12 @@ def config_from_dict(doc: dict, base_dir: str = ".",
     except TypeError as exc:
         raise ConfigError(f"invalid solver settings: {exc}") from None
 
-    rank_tol = float(overrides.get("rank_tol") or doc.get("rank_tol", 1e-10))
-    jitter = float(overrides.get("jitter") or doc.get("jitter", 1e-9))
+    def override(key, default):
+        value = overrides.get(key)
+        return float(doc.get(key, default) if value is None else value)
+
+    rank_tol = override("rank_tol", 1e-10)
+    jitter = override("jitter", 1e-9)
     if not 0.0 < rank_tol < 1.0:
         raise ConfigError("rank_tol must be in (0, 1)")
 
@@ -337,6 +341,9 @@ class RunRecord:
             "aborted": self.aborted,
             "abort_reason": self.abort_reason,
             "realized_cost": self.realized_cost,
+            "solves_not_optimal": sum(
+                1 for s in self.steps if s.solver_status and s.solver_status != "optimal"
+            ),
         }
 
 

@@ -6,15 +6,31 @@ OSQP iteration: deterministic Ruiz equilibration, a regularized KKT
 factorization reused across iterations, over-relaxation, deterministic
 step-size adaptation, divergence certificates for infeasibility, and an
 active-set polish step that solves the reduced KKT system once the active
-set has settled. No randomized scaling: runs are bit-reproducible.
+set has settled.
+
+Runs are bit-reproducible: the same problem and settings give the same
+bits on the same machine and libraries. Nothing is randomized, and every
+operation is the same elementwise IEEE operation, or the same LAPACK or
+BLAS call, as in the plain statement of the iteration; only where results
+are stored differs. Most controller QPs have 8 to 50 variables, so the
+per-call overhead of the Python wrappers, not the arithmetic, sets the
+time of a solve. Hence the KKT system is factored and solved by calling
+LAPACK's getrf/getrs directly, keeping the finiteness and ``info`` checks
+of ``scipy.linalg.lu_factor``/``lu_solve`` but not their argument
+handling, which costs several times the solve itself; the iterate update
+works in place; and Ruiz scaling reads magnitudes taken once. Each returns
+the bits of the plain form it replaces; ``tests/test_qp.py`` checks the
+scaling and the KKT solve against that form.
 
 Infinite bounds are encoded internally by the sentinel magnitude 1e30.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import ShapeError
 from .linalg import is_psd, matrix_rank, sym_eig, symmetrize
@@ -98,35 +114,44 @@ MAX_ITER = "max_iter"
 INFEASIBLE = "infeasible"
 
 
+def _clip(v, lo, hi):
+    """np.clip(v, lo, hi) bit for bit, including NaN and signed zeros: both
+    return the bound where v equals it, without np.clip's dispatch cost."""
+    return np.minimum(np.maximum(v, lo), hi)
+
+
 def _clip_sentinel(v):
-    return np.clip(v, -INFINITY_SENTINEL, INFINITY_SENTINEL)
+    return _clip(v, -INFINITY_SENTINEL, INFINITY_SENTINEL)
 
 
 def _ruiz_equilibrate(p, q, a, iters):
     """Deterministic modified Ruiz scaling of the stacked KKT data.
 
     Returns (d, e, c): variable scaling, constraint scaling, cost scaling.
+
+    The scalings are positive and rounding to nearest is symmetric in sign,
+    so |s * x| is s * |x| bit for bit: the magnitudes are taken once, not
+    per pass. Rounding is also monotone, so the column maxima of c * D|P|D
+    are c times those of D|P|D.
     """
     n, m = p.shape[0], a.shape[0]
     d = np.ones(n)
     e = np.ones(m)
     c = 1.0
+    abs_p, abs_q, abs_a = np.abs(p), np.abs(q), np.abs(a)
+    p_col_max = abs_p.max(axis=0, initial=0.0)  # of D|P|D, here with D = I
     for _ in range(iters):
-        ps = c * (d[:, None] * p * d[None, :])
-        asc = e[:, None] * a * d[None, :]
-        col_norms = np.maximum(
-            np.max(np.abs(ps), axis=0, initial=0.0),
-            np.max(np.abs(asc), axis=0, initial=0.0),
-        )
-        row_norms = np.max(np.abs(asc), axis=1, initial=0.0) if m else np.zeros(0)
+        asc = e[:, None] * abs_a * d[None, :]
+        col_norms = np.maximum(c * p_col_max, asc.max(axis=0, initial=0.0))
+        row_norms = asc.max(axis=1, initial=0.0)
         delta_d = 1.0 / np.sqrt(np.where(col_norms > 1e-12, col_norms, 1.0))
         delta_e = 1.0 / np.sqrt(np.where(row_norms > 1e-12, row_norms, 1.0))
         d *= delta_d
         e *= delta_e
-        ps = c * (d[:, None] * p * d[None, :])
+        p_col_max = (d[:, None] * abs_p * d[None, :]).max(axis=0, initial=0.0)
         cost_scale = max(
-            float(np.mean(np.max(np.abs(ps), axis=0, initial=0.0))),
-            float(np.max(np.abs(c * d * q), initial=0.0)),
+            float((c * p_col_max).mean()),
+            float((c * d * abs_q).max(initial=0.0)),
         )
         if cost_scale > 1e-12:
             c /= cost_scale if cost_scale > 1.0 else 1.0
@@ -136,7 +161,36 @@ def _ruiz_equilibrate(p, q, a, iters):
 def _rho_vector(base, eq_mask):
     rho = np.full(eq_mask.shape[0], base)
     rho[eq_mask] = base * 1e3
-    return np.clip(rho, 1e-6, 1e6)
+    return _clip(rho, 1e-6, 1e6)
+
+
+def _lu_factor(mat):
+    """scipy.linalg.lu_factor(mat), free to overwrite ``mat``: the same
+    LAPACK getrf call, finiteness check and ``info`` handling."""
+    if not np.isfinite(mat).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if mat.size == 0:
+        return mat, np.zeros(0, dtype=np.int32)
+    lu, piv, info = dgetrf(mat, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal getrf (lu_factor)")
+    if info > 0:
+        warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
+                      LinAlgWarning, stacklevel=2)
+    return lu, piv
+
+
+def _lu_solve(factor, b):
+    """scipy.linalg.lu_solve(factor, b): the same LAPACK getrs call and
+    the same ValueError for a non-finite right-hand side."""
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if b.size == 0:
+        return np.empty_like(b)
+    x, info = dgetrs(factor[0], factor[1], b)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal gesv|posv")
+    return x
 
 
 def _factor_kkt(p, a, sigma, rho):
@@ -147,43 +201,40 @@ def _factor_kkt(p, a, sigma, rho):
     kkt[n:, :n] = a
     if m:
         kkt[n:, n:] = -np.diag(1.0 / rho)
-    return lu_factor(kkt)
+    return _lu_factor(kkt)
 
 
-def _unscaled_residuals(prob, a_full, x, z, y):
+def _unscaled_residuals(prob, a_full, x, z, y, q_norm):
+    """Primal and dual residuals and their scales; ``q_norm`` is max |q|."""
     ax = a_full @ x
-    r_prim = float(np.max(np.abs(ax - z), initial=0.0))
+    r_prim = float(np.abs(ax - z).max(initial=0.0))
     px = prob.P @ x
     aty = a_full.T @ y
-    r_dual = float(np.max(np.abs(px + prob.q + aty), initial=0.0))
-    prim_scale = max(
-        float(np.max(np.abs(ax), initial=0.0)), float(np.max(np.abs(z), initial=0.0))
-    )
+    r_dual = float(np.abs(px + prob.q + aty).max(initial=0.0))
+    prim_scale = max(float(np.abs(ax).max(initial=0.0)), float(np.abs(z).max(initial=0.0)))
     dual_scale = max(
-        float(np.max(np.abs(px), initial=0.0)),
-        float(np.max(np.abs(aty), initial=0.0)),
-        float(np.max(np.abs(prob.q), initial=0.0)),
+        float(np.abs(px).max(initial=0.0)), float(np.abs(aty).max(initial=0.0)), q_norm
     )
     return r_prim, r_dual, prim_scale, dual_scale
 
 
 def _primal_infeasibility_certificate(a_full, lo, hi, dy, eps):
-    norm = float(np.max(np.abs(dy), initial=0.0))
+    norm = float(np.abs(dy).max(initial=0.0))
     if norm <= 1e-14:
         return False
     dyn = dy / norm
-    if float(np.max(np.abs(a_full.T @ dyn), initial=0.0)) > eps:
+    if float(np.abs(a_full.T @ dyn).max(initial=0.0)) > eps:
         return False
-    support = hi @ np.clip(dyn, 0.0, None) + lo @ np.clip(dyn, None, 0.0)
+    support = hi @ np.maximum(dyn, 0.0) + lo @ np.minimum(dyn, 0.0)
     return bool(support <= -eps)
 
 
 def _dual_infeasibility_certificate(prob, a_full, lo, hi, dx, eps):
-    norm = float(np.max(np.abs(dx), initial=0.0))
+    norm = float(np.abs(dx).max(initial=0.0))
     if norm <= 1e-14:
         return False
     dxn = dx / norm
-    if float(np.max(np.abs(prob.P @ dxn), initial=0.0)) > eps:
+    if float(np.abs(prob.P @ dxn).max(initial=0.0)) > eps:
         return False
     if float(prob.q @ dxn) > -eps:
         return False
@@ -207,34 +258,24 @@ def _polish(prob, a_full, lo, hi, x, y, z, tol):
     lower_active &= ~both | (prob.lower != prob.upper)
     upper_active &= ~(lower_active & upper_active)
 
-    rows = [prob.A_eq]
-    rhs = [prob.b_eq]
-    eye = np.eye(n)
     low_idx = np.flatnonzero(lower_active)
     up_idx = np.flatnonzero(upper_active)
-    if low_idx.size:
-        rows.append(eye[low_idx])
-        rhs.append(prob.lower[low_idx])
-    if up_idx.size:
-        rows.append(eye[up_idx])
-        rhs.append(prob.upper[up_idx])
-    a_act = np.vstack(rows)
-    b_act = np.concatenate(rhs)
-    k = a_act.shape[0]
-
+    k = m_eq + low_idx.size + up_idx.size
+    # [[P, A_act'], [A_act, 0]] with A_act = [A_eq; I[low_idx]; I[up_idx]].
     kkt = np.zeros((n + k, n + k))
     kkt[:n, :n] = prob.P
-    kkt[:n, n:] = a_act.T
-    kkt[n:, :n] = a_act
-    target = np.concatenate([-prob.q, b_act])
+    kkt[n : n + m_eq, :n] = prob.A_eq
+    kkt[np.arange(n + m_eq, n + k), np.concatenate([low_idx, up_idx])] = 1.0
+    kkt[:n, n:] = kkt[n:, :n].T
+    target = np.concatenate([-prob.q, prob.b_eq, prob.lower[low_idx], prob.upper[up_idx]])
     reg = 1e-9 * np.eye(n + k)
     reg[n:, n:] *= -1.0
     try:
-        lu = lu_factor(kkt + reg)
-        sol = lu_solve(lu, target)
+        factor = _lu_factor(kkt + reg)
+        sol = _lu_solve(factor, target)
         # One round of iterative refinement against the unregularized system.
-        sol += lu_solve(lu, target - kkt @ sol)
-    except Exception:
+        sol += _lu_solve(factor, target - kkt @ sol)
+    except ValueError:  # non-finite data, or a singular factor's inf/nan solve
         sol, *_ = np.linalg.lstsq(kkt, target, rcond=None)
 
     x_pol = sol[:n]
@@ -245,7 +286,7 @@ def _polish(prob, a_full, lo, hi, x, y, z, tol):
     y_pol[m_eq + low_idx] = nu[offset : offset + low_idx.size]
     offset += low_idx.size
     y_pol[m_eq + up_idx] = nu[offset : offset + up_idx.size]
-    z_pol = np.clip(a_full @ x_pol, lo, hi)
+    z_pol = _clip(a_full @ x_pol, lo, hi)
     return x_pol, y_pol, z_pol
 
 
@@ -267,31 +308,38 @@ def solve(prob: QpProblem, settings: QpSettings = QpSettings()) -> QpSolution:
     asc = e[:, None] * a_full * d[None, :]
     los = _clip_sentinel(e * lo)
     his = _clip_sentinel(e * hi)
+    e_over_c = e / c
+    q_norm = float(np.abs(prob.q).max(initial=0.0))
 
     rho = _rho_vector(settings.rho, eq_mask)
-    lu = _factor_kkt(ps, asc, settings.sigma, rho)
+    factor = _factor_kkt(ps, asc, settings.sigma, rho)
 
-    x = np.zeros(n)
-    z = np.clip(np.zeros(m), los, his)
+    # state holds [x; z_relaxed] during an update and [x; z] between them;
+    # x and z are views into it. rhs is the KKT right-hand side.
+    state = np.zeros(n + m)
+    x, z = state[:n], state[n:]
+    z[:] = _clip(z, los, his)
     y = np.zeros(m)
+    rhs = np.empty(n + m)
+    rhs_x, rhs_z = rhs[:n], rhs[n:]
     x_check_prev = x.copy()
     y_check_prev = y.copy()
 
     def unscale(xb, zb, yb):
-        return d * xb, zb / e, (e / c) * yb
+        return d * xb, zb / e, e_over_c * yb
 
     def try_finish(xb, zb, yb, iters, status_if_bad):
         xu, zu, yu = unscale(xb, zb, yb)
-        r_p, r_d, s_p, s_d = _unscaled_residuals(prob, a_full, xu, zu, yu)
+        r_p, r_d, s_p, s_d = _unscaled_residuals(prob, a_full, xu, zu, yu, q_norm)
         best = (xu, yu, r_p, r_d, False)
         if settings.polish:
             xp, yp, zp = _polish(prob, a_full, lo, hi, xu, yu, zu,
                                  tol=max(settings.eps_abs * 100, 1e-10))
-            rp_p, rd_p, sp_p, sd_p = _unscaled_residuals(prob, a_full, xp, zp, yp)
+            rp_p, rd_p, sp_p, sd_p = _unscaled_residuals(prob, a_full, xp, zp, yp, q_norm)
             # Polished candidate must itself respect the bounds.
             viol = max(
-                float(np.max(prob.lower - xp, initial=0.0)),
-                float(np.max(xp - prob.upper, initial=0.0)),
+                float((prob.lower - xp).max(initial=0.0)),
+                float((xp - prob.upper).max(initial=0.0)),
             )
             if max(rp_p, viol) <= max(best[2], 1e-12) and rd_p <= max(best[3], 1e-12):
                 best = (xp, yp, max(rp_p, viol), rd_p, True)
@@ -309,22 +357,31 @@ def solve(prob: QpProblem, settings: QpSettings = QpSettings()) -> QpSolution:
 
     sigma = settings.sigma
     alpha = settings.alpha
+    beta = 1.0 - alpha
     iters_done = settings.max_iter
     for it in range(1, settings.max_iter + 1):
-        rhs = np.concatenate([sigma * x - qs, z - y / rho])
-        sol = lu_solve(lu, rhs)
-        x_tilde = sol[:n]
+        # Each line computes, elementwise, what its comment states, with
+        # the same roundings; a + b and a * b are commutative in IEEE.
+        y_rho = y / rho
+        np.subtract(sigma * x, qs, out=rhs_x)
+        np.subtract(z, y_rho, out=rhs_z)
+        sol = _lu_solve(factor, rhs)  # [x_tilde; nu]
         nu = sol[n:]
-        z_tilde = z + (nu - y) / rho
-        x = alpha * x_tilde + (1.0 - alpha) * x
-        z_relaxed = alpha * z_tilde + (1.0 - alpha) * z
-        z_new = np.clip(z_relaxed + y / rho, los, his)
-        y = y + rho * (z_relaxed - z_new)
-        z = z_new
+        nu -= y
+        nu /= rho
+        nu += z  # z_tilde = z + (nu - y) / rho
+        sol *= alpha
+        state *= beta
+        state += sol  # [x; z_relaxed] = alpha [x_tilde; z_tilde] + (1 - alpha) [x; z]
+        z_new = _clip(z + y_rho, los, his)  # z_relaxed + y / rho, projected
+        z -= z_new
+        z *= rho
+        y += z  # y + rho (z_relaxed - z_new)
+        z[:] = z_new
 
         if it % settings.check_interval == 0 or it == settings.max_iter:
             xu, zu, yu = unscale(x, z, y)
-            r_p, r_d, s_p, s_d = _unscaled_residuals(prob, a_full, xu, zu, yu)
+            r_p, r_d, s_p, s_d = _unscaled_residuals(prob, a_full, xu, zu, yu, q_norm)
             eps_p = settings.eps_abs + settings.eps_rel * s_p
             eps_d = settings.eps_abs + settings.eps_rel * s_d
             trigger = max(100.0 * settings.eps_abs, 1e-7)
@@ -335,13 +392,11 @@ def solve(prob: QpProblem, settings: QpSettings = QpSettings()) -> QpSolution:
                 if candidate.status == OPTIMAL:
                     return candidate
 
-            dy = (e / c) * (y - y_check_prev)
-            dx = d * (x - x_check_prev)
             # A primal (dual) infeasibility ray is only credible while the
             # primal (dual) residual itself refuses to converge; otherwise a
             # vanishing delta can alias into a spurious certificate.
             if r_p > 10.0 * eps_p and _primal_infeasibility_certificate(
-                a_full, lo, hi, dy, settings.eps_infeasible
+                a_full, lo, hi, e_over_c * (y - y_check_prev), settings.eps_infeasible
             ):
                 return QpSolution(
                     x=xu, objective=np.nan, status=INFEASIBLE,
@@ -349,7 +404,7 @@ def solve(prob: QpProblem, settings: QpSettings = QpSettings()) -> QpSolution:
                     eq_duals=yu[:m_eq], bound_duals=yu[m_eq:],
                 )
             if r_d > 10.0 * eps_d and _dual_infeasibility_certificate(
-                prob, a_full, lo, hi, dx, settings.eps_infeasible
+                prob, a_full, lo, hi, d * (x - x_check_prev), settings.eps_infeasible
             ):
                 return QpSolution(
                     x=xu, objective=np.nan, status=INFEASIBLE,
@@ -365,8 +420,8 @@ def solve(prob: QpProblem, settings: QpSettings = QpSettings()) -> QpSolution:
                 if num > 1e-14 and den > 1e-14:
                     ratio = np.sqrt(num / den)
                     if ratio > 5.0 or ratio < 0.2:
-                        rho = np.clip(rho * ratio, 1e-6, 1e6)
-                        lu = _factor_kkt(ps, asc, sigma, rho)
+                        rho = _clip(rho * ratio, 1e-6, 1e6)
+                        factor = _factor_kkt(ps, asc, sigma, rho)
 
     return try_finish(x, z, y, iters_done, MAX_ITER)
 

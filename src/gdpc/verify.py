@@ -436,6 +436,25 @@ def _check_lambda_threshold(rng) -> CheckResult:
     )
 
 
+def _check_hessian_dominates_input_weight(rng) -> CheckResult:
+    """lambda_psd = lambda0: for lam >= lambda0 the robust Hessian is at
+    least R, checked by the eigenvalues of H - R on sampled instances."""
+    worst = -math.inf
+    for _ in range(5):
+        _, _, pm, _, cp = _random_instance(rng)
+        lambda0 = ctl.lambda_threshold(pm, cp).lambda0
+        for lam in lambda0 * (1.0 + np.array([0.0, 1e-9, 1e-6, 1e-3, 1.0, 1e3])):
+            vals = np.linalg.eigvalsh(ctl.hessian(pm, cp, lam).matrix - cp.R)
+            worst = max(worst, -float(vals[0]) / max(1.0, abs(float(vals[-1]))))
+    return CheckResult(
+        name="hessian_dominates_input_weight_above_lambda0",
+        passed=worst <= 1e-10,
+        residual=worst,
+        tolerance=1e-10,
+        detail="largest -lambda_min(H - R), relative to max(1, lambda_max)",
+    )
+
+
 def _check_lambda_collapse(rng) -> CheckResult:
     _, dm, pm, w_ini, cp = _random_instance(rng)
     ref = ctl.certainty_equivalence(pm, w_ini, cp)
@@ -531,6 +550,7 @@ _THEOREM_CHECKS = (
     _check_hessian_zero_weight,
     _check_hessian_large_lambda_limit,
     _check_lambda_threshold,
+    _check_hessian_dominates_input_weight,
     _check_lambda_collapse,
 )
 _SOLVER_CHECKS = (

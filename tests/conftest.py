@@ -1,14 +1,30 @@
 """Shared instance generators and finite-difference oracles."""
 
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import gdpc
 from gdpc.behavior import PredictiveModel, predictive_model
 from gdpc.control import ControlProblem
 from gdpc.linalg import spectral_radius
 from gdpc.plant import StochasticLtiModel, simulate
 from gdpc.trajectory import DataMatrix, SignalDims, build_data_matrix
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _subprocess_pythonpath():
+    """The CLI tests run ``python -m gdpc.cli`` in subprocesses. They import
+    the gdpc these tests import, also when pytest's ``pythonpath`` setting
+    rather than PYTHONPATH put it on the path."""
+    root = str(Path(gdpc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", path)
+        yield
 
 
 def random_stable_plant(rng, n=2, m=1, p=1, noise_std=0.1, radius=0.8):

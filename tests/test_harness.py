@@ -83,6 +83,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict(doc)
 
+    def test_zero_jitter_override_is_kept(self):
+        assert load_config(EXAMPLE_CONFIG).jitter == 1e-9
+        assert load_config(EXAMPLE_CONFIG, overrides={"jitter": None}).jitter == 1e-9
+        assert load_config(EXAMPLE_CONFIG, overrides={"jitter": 0.0}).jitter == 0.0
+
+    def test_zero_rank_tol_override_rejected(self):
+        with pytest.raises(ConfigError, match="rank_tol"):
+            load_config(EXAMPLE_CONFIG, overrides={"rank_tol": 0.0})
+        cfg = load_config(EXAMPLE_CONFIG, overrides={"rank_tol": 0.5})
+        assert cfg.rank_tol == 0.5
+
     def test_data_initial_modes(self):
         doc = base_doc()
         doc["data"]["initial"] = "burn_in"
@@ -171,6 +182,21 @@ class TestClosedLoop:
         solve_rows = [s for s in rec.steps if s.solver_status]
         assert solve_rows, "no controller solves recorded"
         assert all(s.solver_status == "optimal" for s in solve_rows)
+
+    def test_summary_counts_solves_not_optimal(self):
+        doc = base_doc(solver={"max_iter": 1})
+        doc["control"] = {"controller": "ce", "q": 1.0, "r": 0.05, "y_ref": 1.0,
+                          "u_max": 0.5}
+        doc["run"] = {"steps": 12, "seed": 2, "apply_steps": 2}
+        rec = run_closed_loop(config_from_dict(doc))
+        statuses = [s.solver_status for s in rec.steps if s.t >= 3]
+        assert "" in statuses and "optimal" in statuses and "max_iter" in statuses
+        assert rec.summary_dict()["solves_not_optimal"] == statuses.count("max_iter")
+        # The CSV keeps its columns; the status lives in the summary only.
+        assert rec.to_csv_bytes().split(b"\n")[0].decode().split(",") == rec.csv_header()
+        assert "solver_status" not in rec.csv_header()
+        cfg = config_from_dict(base_doc())
+        assert run_closed_loop(cfg).summary_dict()["solves_not_optimal"] == 0
 
     def test_rank_tol_changes_the_closed_loop(self):
         doc = json.loads(EXAMPLE_CONFIG.read_text())

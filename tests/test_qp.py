@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
+from gdpc import qp
 from gdpc.errors import ShapeError
 from gdpc.qp import (
     QpProblem,
@@ -222,3 +224,147 @@ class TestDeterminism:
         prob = random_equality_qp(rng, n=8, m=3)
         sol = solve(prob, QpSettings(max_iter=2, check_interval=1, polish=False))
         assert sol.status == "max_iter"
+
+
+def ruiz_reference(p, q, a, iters):
+    """The plain statement of the modified Ruiz scaling: every pass rescales
+    the signed data and takes magnitudes afresh."""
+    n, m = p.shape[0], a.shape[0]
+    d = np.ones(n)
+    e = np.ones(m)
+    c = 1.0
+    for _ in range(iters):
+        ps = c * (d[:, None] * p * d[None, :])
+        asc = e[:, None] * a * d[None, :]
+        col_norms = np.maximum(
+            np.max(np.abs(ps), axis=0, initial=0.0),
+            np.max(np.abs(asc), axis=0, initial=0.0),
+        )
+        row_norms = np.max(np.abs(asc), axis=1, initial=0.0) if m else np.zeros(0)
+        delta_d = 1.0 / np.sqrt(np.where(col_norms > 1e-12, col_norms, 1.0))
+        delta_e = 1.0 / np.sqrt(np.where(row_norms > 1e-12, row_norms, 1.0))
+        d *= delta_d
+        e *= delta_e
+        ps = c * (d[:, None] * p * d[None, :])
+        cost_scale = max(
+            float(np.mean(np.max(np.abs(ps), axis=0, initial=0.0))),
+            float(np.max(np.abs(c * d * q), initial=0.0)),
+        )
+        if cost_scale > 1e-12:
+            c /= cost_scale if cost_scale > 1.0 else 1.0
+    return d, e, c
+
+
+class TestBitIdentity:
+    """The fast kernels return the bits of the plain forms they replace."""
+
+    def test_ruiz_matches_reference(self):
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            n = int(rng.integers(1, 15))
+            m = int(rng.integers(0, 12))
+            b = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-4, 4, size=n)
+            p = b @ b.T if trial % 2 else b + b.T  # PSD and indefinite
+            q = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6)
+            a = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+            if m and trial % 3 == 0:
+                a[rng.integers(m)] = 0.0  # a zero row
+            if trial % 4 == 0:
+                col = rng.integers(n)  # a zero column of both P and A
+                p[:, col] = p[col, :] = 0.0
+                a[:, col] = -0.0
+            if trial % 5 == 0:
+                a = np.vstack([a, np.eye(n)])  # the solver's [A_eq; I] shape
+            got = qp._ruiz_equilibrate(p, q, a, 10)
+            want = ruiz_reference(p, q, a, 10)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+
+    def test_ruiz_with_empty_constraints(self):
+        rng = np.random.default_rng(12)
+        b = rng.standard_normal((5, 5))
+        p, q, a = b @ b.T, rng.standard_normal(5), np.zeros((0, 5))
+        got = qp._ruiz_equilibrate(p, q, a, 10)
+        want = ruiz_reference(p, q, a, 10)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].shape == want[1].shape == (0,)
+        assert got[2] == want[2]
+
+    def test_kkt_solve_matches_scipy(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            n, m = int(rng.integers(1, 30)), int(rng.integers(1, 40))
+            b = rng.standard_normal((n, n))
+            p, a = b @ b.T, rng.standard_normal((m, n))
+            rho = 10.0 ** rng.uniform(-6, 6, size=m)
+            factor = qp._factor_kkt(p, a, 1e-6, rho)
+            kkt = np.block([[p + 1e-6 * np.eye(n), a.T], [a, -np.diag(1.0 / rho)]])
+            lu, piv = lu_factor(kkt)
+            assert np.array_equal(factor[0], lu) and np.array_equal(factor[1], piv)
+            rhs = rng.standard_normal(n + m)
+            assert np.array_equal(qp._lu_solve(factor, rhs), lu_solve((lu, piv), rhs))
+
+    def test_kkt_solve_rejects_non_finite_right_hand_side(self):
+        factor = qp._lu_factor(np.eye(3) + 1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                qp._lu_solve(factor, np.array([1.0, bad, 0.0]))
+
+    def test_projection_matches_clip(self):
+        v = np.array([-0.0, 0.0, -0.0, 0.0, np.nan, 2.0, -2.0, 0.5, -np.inf])
+        lo = np.array([0.0, -0.0, -0.0, 0.0, 0.0, -1.0, -1.0, 0.0, -1.0])
+        hi = np.array([0.0, -0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 1.0])
+        got, want = qp._clip(v, lo, hi), np.clip(v, lo, hi)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_non_finite_iterate_raises(self, monkeypatch):
+        # A factor with a zero pivot turns the first solve into inf/nan,
+        # which the next iteration's right-hand side carries.
+        def singular_factor(p, a, sigma, rho):
+            size = p.shape[0] + a.shape[0]
+            return np.zeros((size, size)), np.arange(size, dtype=np.int32)
+
+        monkeypatch.setattr(qp, "_factor_kkt", singular_factor)
+        rng = np.random.default_rng(14)
+        with pytest.raises(ValueError, match="infs or NaNs"), np.errstate(all="ignore"):
+            solve(random_equality_qp(rng, n=4, m=2))
+
+    def test_non_finite_constraint_data_raises(self):
+        with pytest.raises(ValueError):
+            solve(QpProblem(P=np.eye(2), q=[1.0, 0.0], A_eq=[[np.nan, 1.0]], b_eq=[0.0]))
+
+
+class TestPolishFallback:
+    def _fail_polish_factor(self, monkeypatch, prob, exc):
+        """Make the factorization of the polish KKT system, whose size is
+        n + n_eq here (no bound is active), raise ``exc``."""
+        calls = []
+        factor = qp._lu_factor
+
+        def failing(mat):
+            if mat.shape[0] == prob.n + prob.n_eq:
+                calls.append(mat.shape[0])
+                raise exc
+            return factor(mat)
+
+        monkeypatch.setattr(qp, "_lu_factor", failing)
+        return calls
+
+    def test_lstsq_fallback_on_factorization_failure(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        prob = random_equality_qp(rng, n=5, m=2)
+        calls = self._fail_polish_factor(monkeypatch, prob, ValueError("singular"))
+        sol = solve(prob)
+        assert calls, "the polish factorization was not reached"
+        assert sol.status == "optimal" and sol.polished
+        x_ref, _ = kkt_oracle(prob.P, prob.q, prob.A_eq, prob.b_eq)
+        assert np.max(np.abs(sol.x - x_ref)) < 1e-9
+
+    def test_other_errors_propagate(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        prob = random_equality_qp(rng, n=5, m=2)
+        self._fail_polish_factor(monkeypatch, prob, TypeError("bug"))
+        with pytest.raises(TypeError, match="bug"):
+            solve(prob)
