@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the four control formulations on one open-loop instance.
+"""Compare the five control formulations on one open-loop instance.
 
 Solves the same tracking problem with the subspace predictor controller,
 its expected-cost twin, regularized data-combination control, and the

@@ -2,10 +2,11 @@
 
 The package models finite-length trajectories of a stochastic LTI system as
 a multivariate Gaussian, estimates that model directly from recorded data,
-conditions it to predict future outputs, and builds four predictive
+conditions it to predict future outputs, and builds five predictive
 controllers on top: the classical subspace predictor (spc), its expected
-cost twin (certainty_equivalence), regularized data-combination control
-(deepc, the distributionally optimistic formulation in disguise), and a
+cost twin (certainty_equivalence, spc plus a constant trace term),
+regularized data-combination control (deepc), the distributionally
+optimistic formulation it is in disguise (optimistic), and a
 distributionally robust formulation with a certified convex reformulation.
 
 Quick start::

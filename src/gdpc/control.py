@@ -7,8 +7,8 @@ output mean), subject to per-stack input boxes and optional output boxes.
 
 * ``spc``: outputs eliminated through the data-driven affine predictor.
 * ``certainty_equivalence``: the expected cost under the estimated
-  predictive distribution; same minimizer as spc, objective reported with
-  the constant trace term so the expected cost is faithful.
+  predictive distribution. It is spc's plan; the reported objective adds
+  the constant trace term tr(Q cov).
 * ``deepc``: optimization over the data-combination vector g with a
   regularizer (projected 2-norm, squared 2-norm, or 1-norm), solved in the
   row-space coordinates of the data matrix's LQ factor except for the
@@ -18,11 +18,21 @@ output mean), subject to per-stack input boxes and optional output boxes.
   deepc problem in disguise for the projected regularizer).
 * ``robust``: minimizes the dual upper bound of the worst-case expected
   cost over the same ball; convex for weights above a certified threshold.
+
+Without an output box, spc, certainty equivalence, optimistic and robust
+solve one input-space QP, min ||u - u_ref||_R^2 + ||M_u u + M_ini w_ini -
+y_ref||_Z^2 over the input box, and differ only in the output weight Z.
+With cov = L L^T (jittered if needed), L^T Q L = V diag(Lambda) V^T and
+W = L^-T V, the precision is W W^T and Z = W diag(phi) W^T with
+phi = Lambda for spc and certainty equivalence, kappa Lambda / (kappa +
+Lambda) for optimistic (kappa = lam/2) and lam Lambda / (lam - Lambda) for
+robust: optimistic <= certainty equivalence <= robust, and both weights
+tend to Lambda as lam grows. Robust needs lam > max Lambda.
 """
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -194,8 +204,49 @@ def _run_qp(prob: QpProblem, settings: QpSettings | None) -> QpSolution:
     return sol
 
 
-def _precision(cov, jitter: float = DEFAULT_JITTER) -> np.ndarray:
-    """Inverse of a (jittered-if-needed) PD covariance via Cholesky."""
+@dataclass(frozen=True)
+class _Spectral:
+    """cov = L L^T (``chol``) and L^T Q L = V diag(values) V^T, values
+    descending, with W = L^-T V; see the module docstring."""
+
+    chol: np.ndarray
+    inv_chol: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+    w: np.ndarray
+
+    @property
+    def precision(self) -> np.ndarray:
+        return symmetrize(self.inv_chol.T @ self.inv_chol)
+
+    @property
+    def lambda0(self) -> float:
+        return float(np.max(self.values, initial=0.0)) * (1.0 + 1e-6)
+
+    def weight(self, phi) -> np.ndarray:
+        """The output weight W diag(phi) W^T."""
+        return symmetrize((self.w * phi) @ self.w.T)
+
+    def unwhiten(self, v) -> np.ndarray:
+        return self.chol @ (self.vectors @ v)  # W^-T v = L V v
+
+    def optimistic_phi(self, lam: float) -> np.ndarray:
+        """kappa Lambda / (kappa + Lambda) with kappa = lam/2."""
+        kappa = 0.5 * lam
+        return kappa * self.values / (kappa + self.values)
+
+    def robust_phi(self, lam: float) -> np.ndarray:
+        """lam Lambda / (lam - Lambda); raises where lam*S - Q is singular."""
+        gap = lam - self.values
+        if np.any(gap == 0.0):
+            raise LambdaTooSmall(f"lam*precision - Q is singular at lam={lam:g}",
+                                 lambda0=lam)
+        return lam * self.values / gap
+
+
+def _spectral(cov, q, jitter: float = DEFAULT_JITTER) -> _Spectral:
+    """Spectral factor of the (jittered-if-needed) PD covariance and the
+    output weight Q: one Cholesky factorization and one eigendecomposition."""
     cov = symmetrize(cov)
     k = cov.shape[0]
     try:
@@ -207,7 +258,24 @@ def _precision(cov, jitter: float = DEFAULT_JITTER) -> np.ndarray:
         logger.info("predictive covariance not PD; applying jitter %.3e", delta)
         chol = chol_psd(cov, shift=delta)
     inv_chol = np.linalg.solve(chol, np.eye(k))
-    return symmetrize(inv_chol.T @ inv_chol)
+    dec = sym_eig(chol.T @ q @ chol)
+    return _Spectral(chol=chol, inv_chol=inv_chol, values=dec.values,
+                     vectors=dec.vectors, w=inv_chol.T @ dec.vectors)
+
+
+def _input_hessian(pm: PredictiveModel, cp: ControlProblem, z) -> np.ndarray:
+    """Half-Hessian R + M_u^T Z M_u of the eliminated input problem."""
+    return symmetrize(cp.R + pm.M_u.T @ z @ pm.M_u)
+
+
+def _input_qp(pm: PredictiveModel, bias, cp: ControlProblem, z,
+              settings: QpSettings | None) -> QpSolution:
+    """Solve min ||u - u_ref||_R^2 + ||M_u u + bias - y_ref||_Z^2 over the
+    input box."""
+    lin = pm.M_u.T @ z @ (bias - cp.y_ref) - cp.R @ cp.u_ref
+    prob = QpProblem(P=2.0 * _input_hessian(pm, cp, z), q=2.0 * lin,
+                     lower=cp.u_lower, upper=cp.u_upper)
+    return _run_qp(prob, settings)
 
 
 def spc(
@@ -218,12 +286,7 @@ def spc(
     w = _check_w_ini(pm, w_ini)
     bias = pm.M_ini @ w
     if not cp.has_output_box:
-        h = symmetrize(pm.M_u.T @ cp.Q @ pm.M_u + cp.R)
-        lin = pm.M_u.T @ cp.Q @ (bias - cp.y_ref) - cp.R @ cp.u_ref
-        prob = QpProblem(
-            P=2.0 * h, q=2.0 * lin, lower=cp.u_lower, upper=cp.u_upper
-        )
-        sol = _run_qp(prob, settings)
+        sol = _input_qp(pm, bias, cp, cp.Q, settings)
         u = sol.x
     else:
         nu, ny = cp.n_u, cp.n_y
@@ -249,42 +312,26 @@ def spc(
     )
 
 
+# spc as defined here, for certainty_equivalence: a caller that rebinds the
+# public names to time or trace them (benchmarks/) then sees one controller
+# call per ce solve, not a nested spc call.
+_spc = spc
+
+
 def certainty_equivalence(
     pm: PredictiveModel, w_ini, cp: ControlProblem, settings: QpSettings | None = None
 ) -> ControlResult:
     """Minimize the expected cost under the estimated predictive
     distribution.
 
-    Solved in the constrained (u, mean) form rather than by elimination, so
-    the spc equivalence is a genuine cross-check of two code paths. The
-    reported objective includes the constant trace term tr(Q cov).
+    E||y - y_ref||_Q^2 = ||mean - y_ref||_Q^2 + tr(Q cov), and the trace term
+    does not depend on the input, so the minimizer is spc's (Z = Q in the
+    module docstring's terms) and the reported objective adds tr(Q cov).
+    ``verify`` checks this against the constrained (u, mean) QP solved
+    directly.
     """
-    w = _check_w_ini(pm, w_ini)
-    bias = pm.M_ini @ w
-    nu, ny = cp.n_u, cp.n_y
-    p_mat = np.zeros((nu + ny, nu + ny))
-    p_mat[:nu, :nu] = 2.0 * cp.R
-    p_mat[nu:, nu:] = 2.0 * cp.Q
-    q_vec = np.concatenate([-2.0 * cp.R @ cp.u_ref, -2.0 * cp.Q @ cp.y_ref])
-    a_eq = np.hstack([-pm.M_u, np.eye(ny)])
-    y_lower = cp.y_lower if cp.has_output_box else np.full(ny, -np.inf)
-    y_upper = cp.y_upper if cp.has_output_box else np.full(ny, np.inf)
-    prob = QpProblem(
-        P=p_mat, q=q_vec, A_eq=a_eq, b_eq=bias,
-        lower=np.concatenate([cp.u_lower, y_lower]),
-        upper=np.concatenate([cp.u_upper, y_upper]),
-    )
-    sol = _run_qp(prob, settings)
-    u = sol.x[:nu]
-    y_mean = pm.M_u @ u + bias
-    expected = cp.tracking_cost(u, y_mean) + float(np.trace(cp.Q @ pm.cov))
-    return ControlResult(
-        u_f=u,
-        y_pred=ConditionalGaussian(mean=y_mean, cov=pm.cov),
-        objective=expected,
-        solver=sol,
-        lambda_effective=math.inf,
-    )
+    res = _spc(pm, w_ini, cp, settings)
+    return replace(res, objective=res.objective + float(np.trace(cp.Q @ pm.cov)))
 
 
 def deepc(
@@ -394,18 +441,6 @@ def deepc(
     )
 
 
-def _schur_reduced_input_cost(pm, cp, bias, kappa, precision):
-    """Half-Hessian and half-gradient of the input problem after the
-    predicted mean is eliminated, in the cancellation-free product form
-    Z = kappa*S (Q + kappa*S)^-1 Q."""
-    inner = symmetrize(cp.Q + kappa * precision)
-    solved = np.linalg.solve(inner, cp.Q)
-    z = symmetrize(kappa * precision @ solved)
-    h_half = symmetrize(cp.R + pm.M_u.T @ z @ pm.M_u)
-    lin = pm.M_u.T @ (z @ (bias - cp.y_ref)) - cp.R @ cp.u_ref
-    return h_half, lin, inner
-
-
 def optimistic(
     pm: PredictiveModel,
     w_ini,
@@ -416,22 +451,26 @@ def optimistic(
 ) -> ControlResult:
     """Jointly optimize the input and the predicted output mean, with the
     mean tethered to the estimate by lam/2 times its precision-weighted
-    squared distance (the mean term of the relative entropy)."""
+    squared distance (the mean term of the relative entropy). Without an
+    output box the mean is eliminated (module docstring) and recovered as
+    L V (Lambda + kappa)^-1 (Lambda W^T y_ref + kappa W^T mu_hat)."""
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
     w = _check_w_ini(pm, w_ini)
     bias = pm.M_ini @ w
-    precision = _precision(pm.cov, jitter)
+    spec = _spectral(pm.cov, cp.Q, jitter)
+    precision = spec.precision
     kappa = 0.5 * lam
     nu, ny = cp.n_u, cp.n_y
 
     if not cp.has_output_box:
-        h_half, lin, inner = _schur_reduced_input_cost(pm, cp, bias, kappa, precision)
-        prob = QpProblem(P=2.0 * h_half, q=2.0 * lin, lower=cp.u_lower, upper=cp.u_upper)
-        sol = _run_qp(prob, settings)
+        sol = _input_qp(pm, bias, cp, spec.weight(spec.optimistic_phi(lam)), settings)
         u = sol.x
         mu_hat = pm.M_u @ u + bias
-        mu = np.linalg.solve(inner, cp.Q @ cp.y_ref + kappa * precision @ mu_hat)
+        mu = spec.unwhiten(
+            (spec.values * (spec.w.T @ cp.y_ref) + kappa * (spec.w.T @ mu_hat))
+            / (spec.values + kappa)
+        )
     else:
         p_mat = np.zeros((nu + ny, nu + ny))
         p_mat[:nu, :nu] = 2.0 * (cp.R + kappa * pm.M_u.T @ precision @ pm.M_u)
@@ -465,30 +504,17 @@ def optimistic(
     )
 
 
-def _robust_terms(pm: PredictiveModel, cp: ControlProblem, lam: float, precision):
-    """(gap, Z, H) of the robust dual objective for the precision S:
-    gap = lam*S - Q, the output weight Z = Q + Q gap^-1 Q and the
-    input-space half-Hessian H = R + M_u^T Z M_u."""
-    gap = symmetrize(lam * precision - cp.Q)
-    try:
-        solved = np.linalg.solve(gap, cp.Q)
-    except np.linalg.LinAlgError:
-        raise LambdaTooSmall(
-            f"lam*precision - Q is singular at lam={lam:g}", lambda0=lam
-        ) from None
-    z = symmetrize(cp.Q + cp.Q @ solved)
-    return gap, z, symmetrize(cp.R + pm.M_u.T @ z @ pm.M_u)
-
-
 def hessian(pm: PredictiveModel, cp: ControlProblem, lam: float,
             jitter: float = DEFAULT_JITTER) -> HessianReport:
     """Input-space cost Hessian of the robust dual objective.
 
-    Computed in the equivalent cancellation-free form
-        H = R + M_u^T (Q + Q (lam*S - Q)^-1 Q) M_u,   S = cov^-1,
-    which is exact for every lam where lam*S - Q is invertible.
+    H = R + M_u^T Z M_u with Z = Q + Q (lam*S - Q)^-1 Q, S = cov^-1, in the
+    spectral form Z = W diag(lam Lambda / (lam - Lambda)) W^T. Exact for
+    every lam that is no eigenvalue Lambda (lam*S - Q invertible); at an
+    eigenvalue it raises :class:`LambdaTooSmall`.
     """
-    _, _, h = _robust_terms(pm, cp, lam, _precision(pm.cov, jitter))
+    spec = _spectral(pm.cov, cp.Q, jitter)
+    h = _input_hessian(pm, cp, spec.weight(spec.robust_phi(lam)))
     return HessianReport(matrix=h, psd=is_psd(h, 1e-10))
 
 
@@ -497,37 +523,14 @@ def lambda_threshold(pm: PredictiveModel, cp: ControlProblem,
     """Certified weights for the robust controller.
 
     ``lambda0`` is the smallest weight making lam*cov^-1 - Q positive
-    definite (max eigenvalue of G Q G with G the symmetric square root of
-    the predictive covariance, inflated by 1e-6). ``lambda_psd``, the
-    smallest weight >= lambda0 at which the input-space Hessian is PSD, is
-    lambda0 itself. For lam >= lambda0, lam*S - Q is positive definite, so
-    Q (lam*S - Q)^-1 Q is PSD, so H = R + M_u^T (Q + Q (lam*S - Q)^-1 Q) M_u
-    is at least R, which is positive definite. ``verify`` samples
-    lambda_min(H - R) >= 0 as an independent check.
+    definite, max Lambda (module docstring) inflated by 1e-6. ``lambda_psd``,
+    the smallest weight >= lambda0 at which the input-space Hessian is PSD,
+    is lambda0 itself: for lam > max Lambda, lam Lambda / (lam - Lambda)
+    >= Lambda, so Z >= Q >= 0 and H = R + M_u^T Z M_u >= R > 0. ``verify``
+    samples lambda_min(H - R) >= 0 as an independent check.
     """
-    cov = symmetrize(pm.cov)
-    try:
-        chol_psd(cov)
-    except NotPositiveDefinite:
-        if jitter <= 0.0:
-            raise
-        k = cov.shape[0]
-        cov = cov + jitter * max(np.trace(cov) / k, 1.0) * np.eye(k)
-    dec = sym_eig(cov)
-    root = dec.vectors * np.sqrt(np.clip(dec.values, 0.0, None))
-    lam_max = float(np.max(np.linalg.eigvalsh(root.T @ cp.Q @ root), initial=0.0))
-    if lam_max <= 0.0:
-        return LambdaThreshold(lambda0=0.0, lambda_psd=0.0)
-    lambda0 = lam_max * (1.0 + 1e-6)
+    lambda0 = _spectral(pm.cov, cp.Q, jitter).lambda0
     return LambdaThreshold(lambda0=lambda0, lambda_psd=lambda0)
-
-
-def robust_mean(pm: PredictiveModel, cp: ControlProblem, lam: float, mu_hat,
-                jitter: float = DEFAULT_JITTER) -> np.ndarray:
-    """Worst-case predicted mean (lam*S - Q)^-1 (lam*S mu_hat - Q y_ref)."""
-    precision = _precision(pm.cov, jitter)
-    gap = symmetrize(lam * precision - cp.Q)
-    return np.linalg.solve(gap, lam * precision @ mu_hat - cp.Q @ cp.y_ref)
 
 
 def robust(
@@ -551,32 +554,24 @@ def robust(
     if cp.has_output_box:
         raise ShapeError("robust controller does not support output boxes")
     w = _check_w_ini(pm, w_ini)
-    thresholds = lambda_threshold(pm, cp, jitter)
-    if lam < thresholds.lambda0 or lam <= 0.0:
-        raise LambdaTooSmall(
-            f"lam={lam:g} below certified lambda0={thresholds.lambda0:g}",
-            lambda0=thresholds.lambda0,
-            lambda_psd=thresholds.lambda_psd,
-        )
+    spec = _spectral(pm.cov, cp.Q, jitter)
+    if lam < spec.lambda0 or lam <= 0.0:
+        raise LambdaTooSmall(f"lam={lam:g} below certified lambda0={spec.lambda0:g}",
+                             lambda0=spec.lambda0, lambda_psd=spec.lambda0)
 
-    precision = _precision(pm.cov, jitter)
     bias = pm.M_ini @ w
-    # The lam-scale terms of the dual objective cancel exactly through
-    # Z = Q + Q gap^-1 Q: the cost equals ||mu_hat(u) - y_ref||_Z^2
-    # + ||u - u_ref||_R^2 - y_ref' Q y_ref, which is what is assembled here
-    # (no catastrophic cancellation at large lam). Its Hessian is PSD for
-    # lam >= lambda0 (see lambda_threshold).
-    gap, z, h = _robust_terms(pm, cp, lam, precision)
-    lin = pm.M_u.T @ (z @ (bias - cp.y_ref)) - cp.R @ cp.u_ref
-
-    prob = QpProblem(P=2.0 * h, q=2.0 * lin, lower=cp.u_lower, upper=cp.u_upper)
-    sol = _run_qp(prob, settings)
+    # The lam-scale terms of the dual objective cancel exactly: the cost is
+    # ||mu_hat(u) - y_ref||_Z^2 + ||u - u_ref||_R^2 - y_ref' Q y_ref, with
+    # no catastrophic cancellation at large lam.
+    phi = spec.robust_phi(lam)
+    z = spec.weight(phi)
+    sol = _input_qp(pm, bias, cp, z, settings)
     u = sol.x
     mu_hat = pm.M_u @ u + bias
-    # mu* = mu_hat + gap^-1 Q (mu_hat - y_ref), the worst-case mean.
-    mu_star = mu_hat + np.linalg.solve(gap, cp.Q @ (mu_hat - cp.y_ref))
-
     dev = mu_hat - cp.y_ref
+    # The worst-case mean mu* = mu_hat + (lam*S - Q)^-1 Q (mu_hat - y_ref).
+    mu_star = mu_hat + spec.unwhiten(phi / lam * (spec.w.T @ dev))
+
     du = u - cp.u_ref
     objective = float(dev @ z @ dev + du @ cp.R @ du - cp.y_ref @ cp.Q @ cp.y_ref)
     return ControlResult(

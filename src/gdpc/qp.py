@@ -40,7 +40,8 @@ INFINITY_SENTINEL = 1e30
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Data of one convex QP. ``lower``/``upper`` accept +-inf entries."""
+    """Data of one convex QP. ``lower``/``upper`` accept +-inf entries; any
+    other non-finite entry raises :class:`ShapeError`."""
 
     P: np.ndarray
     q: np.ndarray
@@ -63,10 +64,14 @@ class QpProblem:
         b = np.zeros(0) if self.b_eq is None else np.asarray(self.b_eq, dtype=float).reshape(-1)
         if a.ndim != 2 or a.shape[1] != n or a.shape[0] != b.shape[0]:
             raise ShapeError(f"A_eq/b_eq shapes inconsistent: {a.shape}, {b.shape}")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ShapeError("A_eq/b_eq contain non-finite entries")
         lo = np.full(n, -np.inf) if self.lower is None else np.asarray(self.lower, dtype=float).reshape(-1)
         hi = np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float).reshape(-1)
         if lo.shape != (n,) or hi.shape != (n,):
             raise ShapeError(f"bounds must have length {n}")
+        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+            raise ShapeError("bounds contain NaN")
         if np.any(lo > hi):
             raise ShapeError("lower bound exceeds upper bound")
         for name, value in (("P", p), ("q", qv), ("A_eq", a), ("b_eq", b),

@@ -251,15 +251,39 @@ def _check_deterministic_degeneration(rng) -> CheckResult:
 # -------------------------------------------------------------- theorems --
 
 
+def _certainty_equivalence_oracle(pm, w_ini, cp):
+    """(u, expected cost) of the certainty-equivalence problem solved in the
+    constrained (u, mean) form: minimize ||u - u_ref||_R^2
+    + ||mean - y_ref||_Q^2 subject to mean = M_u u + M_ini w_ini and the
+    boxes, then add tr(Q cov). ``control.certainty_equivalence`` eliminates
+    the mean instead, so this is a second, independent computation."""
+    w = np.asarray(w_ini, dtype=float).reshape(-1)
+    bias = pm.M_ini @ w
+    nu, ny = cp.n_u, cp.n_y
+    p_mat = np.zeros((nu + ny, nu + ny))
+    p_mat[:nu, :nu] = 2.0 * cp.R
+    p_mat[nu:, nu:] = 2.0 * cp.Q
+    q_vec = np.concatenate([-2.0 * cp.R @ cp.u_ref, -2.0 * cp.Q @ cp.y_ref])
+    y_lower = cp.y_lower if cp.has_output_box else np.full(ny, -np.inf)
+    y_upper = cp.y_upper if cp.has_output_box else np.full(ny, np.inf)
+    sol = solve(QpProblem(
+        P=p_mat, q=q_vec, A_eq=np.hstack([-pm.M_u, np.eye(ny)]), b_eq=bias,
+        lower=np.concatenate([cp.u_lower, y_lower]),
+        upper=np.concatenate([cp.u_upper, y_upper]),
+    ))
+    u = sol.x[:nu]
+    return u, cp.tracking_cost(u, pm.M_u @ u + bias) + float(np.trace(cp.Q @ pm.cov))
+
+
 def _check_spc_ce_equivalence(rng) -> CheckResult:
     worst = 0.0
     for _ in range(10):
         _, dm, pm, w_ini, cp = _random_instance(rng)
         a = ctl.spc(pm, w_ini, cp)
-        b = ctl.certainty_equivalence(pm, w_ini, cp)
-        worst = max(worst, float(np.max(np.abs(a.u_f - b.u_f))))
+        u_ce, objective_ce = _certainty_equivalence_oracle(pm, w_ini, cp)
+        worst = max(worst, float(np.max(np.abs(a.u_f - u_ce))))
         trace = float(np.trace(cp.Q @ pm.cov))
-        worst = max(worst, abs(b.objective - a.objective - trace))
+        worst = max(worst, abs(objective_ce - a.objective - trace))
     return CheckResult(
         name="spc_equals_certainty_equivalence",
         passed=worst <= 1e-8,
@@ -481,6 +505,48 @@ def _check_lambda_collapse(rng) -> CheckResult:
     )
 
 
+def _check_spectral_weights(rng) -> CheckResult:
+    """The spectral precision, output weights and lambda0 of
+    ``control._spectral`` against the solve-based forms they replaced:
+    S = inv(L)^T inv(L), kappa S (Q + kappa S)^-1 Q (optimistic, kappa =
+    lam/2), Q + Q (lam S - Q)^-1 Q (robust) and lambda0 = max eig(G Q G)
+    (1 + 1e-6) with G the symmetric square root of cov. Draws from a child
+    generator, so the checks after it see the instances they saw before it
+    existed."""
+    local = rng.spawn(1)[0]
+
+    def rel(a, b):
+        return float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), 1e-300)
+
+    worst = {"precision": 0.0, "optimistic": 0.0, "robust": 0.0, "lambda0": 0.0}
+    for _ in range(5):
+        _, _, pm, _, cp = _random_instance(local)
+        spec = ctl._spectral(pm.cov, cp.Q)
+        inv_chol = np.linalg.inv(np.linalg.cholesky(symmetrize(pm.cov)))
+        precision = inv_chol.T @ inv_chol
+        dec = sym_eig(pm.cov)
+        root = dec.vectors * np.sqrt(np.clip(dec.values, 0.0, None))
+        lambda0 = float(np.max(np.linalg.eigvalsh(root.T @ cp.Q @ root))) * (1.0 + 1e-6)
+        worst["precision"] = max(worst["precision"], rel(spec.precision, precision))
+        worst["lambda0"] = max(worst["lambda0"], rel(spec.lambda0, lambda0))
+        for lam in (0.2, 1.0, 10.0, 500.0, 1e4):
+            kappa = 0.5 * lam
+            z = kappa * precision @ np.linalg.solve(cp.Q + kappa * precision, cp.Q)
+            worst["optimistic"] = max(worst["optimistic"],
+                                      rel(spec.weight(spec.optimistic_phi(lam)), z))
+        for lam in lambda0 * np.array([1.001, 2.0, 10.0, 1e3]):
+            z = cp.Q + cp.Q @ np.linalg.solve(lam * precision - cp.Q, cp.Q)
+            worst["robust"] = max(worst["robust"], rel(spec.weight(spec.robust_phi(lam)), z))
+    residual = max(worst.values())
+    return CheckResult(
+        name="spectral_weights_match_solve_forms",
+        passed=residual <= 1e-9,
+        residual=residual,
+        tolerance=1e-9,
+        detail=", ".join(f"{k} {v:.1e}" for k, v in worst.items()),
+    )
+
+
 # ---------------------------------------------------------------- solver --
 
 
@@ -552,6 +618,7 @@ _THEOREM_CHECKS = (
     _check_lambda_threshold,
     _check_hessian_dominates_input_weight,
     _check_lambda_collapse,
+    _check_spectral_weights,
 )
 _SOLVER_CHECKS = (
     _check_kkt_agreement,

@@ -46,6 +46,7 @@ from gdpc.linalg import pinv, sym_eig
 from gdpc.plant import simulate, step
 from gdpc.qp import QpProblem, l1_epigraph, solve
 from gdpc.trajectory import SignalDims, assemble, build_data_matrix, excitation_rank
+from gdpc.verify import _certainty_equivalence_oracle
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -64,10 +65,12 @@ class TestC01SpcEqualsCertaintyEquivalence:
         for _ in range(50):
             inst = random_control_instance(rng, n_max=4, m_max=2, p_max=2, l_f_max=6)
             a = spc(inst.pm, inst.w_ini, inst.cp)
-            b = certainty_equivalence(inst.pm, inst.w_ini, inst.cp)
-            worst_u = max(worst_u, float(np.max(np.abs(a.u_f - b.u_f))))
+            # certainty_equivalence is spc plus the trace term; the oracle
+            # solves the expected-cost problem in the (u, mean) form.
+            u_ce, objective_ce = _certainty_equivalence_oracle(inst.pm, inst.w_ini, inst.cp)
+            worst_u = max(worst_u, float(np.max(np.abs(a.u_f - u_ce))))
             trace = float(np.trace(inst.cp.Q @ inst.pm.cov))
-            worst_obj = max(worst_obj, abs(b.objective - a.objective - trace))
+            worst_obj = max(worst_obj, abs(objective_ce - a.objective - trace))
         passed = worst_u <= 1e-8 and worst_obj <= 1e-8
         report("C1 spc = certainty equivalence",
                passed, f"max input gap {worst_u:.2e}, objective-trace gap {worst_obj:.2e} (tol 1e-8)")

@@ -1,0 +1,113 @@
+"""The names by which the benchmark reaches into gdpc.
+
+``benchmarks/tracing.py`` traces a run by rebinding the (module, attribute)
+pairs of its ``BINDINGS``, and ``benchmarks/workloads.py`` times the five
+controllers by rebinding them in ``gdpc.control`` and unpacks their
+positional arguments in its checks. Both files are loaded here, not edited,
+so a refactor of gdpc that breaks ``--trace 1`` or the solve timing fails
+here first.
+"""
+
+import copy
+import importlib.util
+import inspect
+import json
+import pathlib
+
+import pytest
+
+from gdpc import behavior, control, harness, trajectory
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# The leading positional parameters each controller is called with and the
+# workload checks unpack (``solve.args[:n]``).
+POSITIONAL = {
+    "spc": ("pm", "w_ini", "cp"),
+    "certainty_equivalence": ("pm", "w_ini", "cp"),
+    "deepc": ("dm", "w_ini", "cp", "regularizer", "lambda_g"),
+    "optimistic": ("pm", "w_ini", "cp", "lam"),
+    "robust": ("pm", "w_ini", "cp", "lam"),
+}
+HARNESS_NAMES = {"spc": "spc", "ce": "certainty_equivalence", "deepc": "deepc",
+                 "optimistic": "optimistic", "robust": "robust"}
+
+
+def load_benchmark_module(name):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}",
+                                                  ROOT / "benchmarks" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return load_benchmark_module("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load_benchmark_module("workloads")
+
+
+def short_loop_config(controller):
+    with open(ROOT / "configs" / "example.json") as fh:
+        doc = json.load(fh)
+    doc = copy.deepcopy(doc)
+    doc["control"]["controller"] = controller
+    doc["run"]["steps"] = 8
+    return harness.config_from_dict(doc)
+
+
+def test_every_traced_binding_is_bound(tracing):
+    for module, attr in tracing.BINDINGS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_controllers_keep_their_positional_arguments(workloads):
+    assert set(workloads.CONTROLLERS) == set(POSITIONAL)
+    for name in workloads.CONTROLLERS:
+        params = list(inspect.signature(getattr(control, name)).parameters)
+        assert tuple(params[: len(POSITIONAL[name])]) == POSITIONAL[name], name
+
+
+@pytest.mark.parametrize("controller", sorted(HARNESS_NAMES))
+def test_one_timed_solve_per_step_with_unpackable_arguments(controller, workloads,
+                                                            monkeypatch):
+    for name in workloads.CONTROLLERS:  # restored after the test
+        monkeypatch.setattr(control, name, getattr(control, name))
+    log = workloads.SolveLog(control)
+    rec = harness.run_closed_loop(short_loop_config(controller))
+    solves = log.take()
+    planned = [s for s in rec.steps if s.solver_status]
+    assert len(solves) == len(planned) > 0
+    for solve in solves:
+        assert solve.controller == HARNESS_NAMES[controller]
+        args = solve.args[: len(POSITIONAL[solve.controller])]
+        assert len(args) == len(POSITIONAL[solve.controller])
+        first = trajectory.DataMatrix if controller == "deepc" else behavior.PredictiveModel
+        assert isinstance(args[0], first)
+        assert isinstance(args[2], control.ControlProblem)
+        if controller in ("optimistic", "robust"):
+            assert args[3] == rec.steps[-1].lambda_effective
+
+
+@pytest.mark.parametrize("controller,factorizations", [
+    ("spc", 0), ("ce", 0), ("optimistic", 1), ("robust", 1),
+])
+def test_traced_factorizations_per_solve(controller, factorizations, tracing):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        harness.run_closed_loop(short_loop_config(controller))
+    finally:
+        tracer.remove()
+    spans = tracer.spans
+    solves = [i for i, span in enumerate(spans) if span[0] in tracing.CONTROLLER_SPANS]
+    assert solves
+    for i in solves:
+        children = [span[0] for span in spans if span[1] == i]
+        assert children.count("linalg.chol_psd") == factorizations
+        assert children.count("linalg.sym_eig") == factorizations
+        assert "control.lambda_threshold" not in children

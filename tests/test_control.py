@@ -1,4 +1,4 @@
-"""Tests for the four control formulations and their equivalences."""
+"""Tests for the five control formulations and their equivalences."""
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from gdpc.linalg import pinv, sym_eig
 from gdpc.plant import simulate, step
 from gdpc.qp import QpProblem, solve
 from gdpc.trajectory import SignalDims, build_data_matrix
+from gdpc.verify import _certainty_equivalence_oracle
 
 
 def scalar_model_pm(cov=2.0, gain=1.0):
@@ -98,13 +99,17 @@ class TestSpc:
 
 
 class TestCertaintyEquivalence:
+    # certainty_equivalence is spc's plan plus tr(Q cov); the oracle solves
+    # the constrained (u, mean) problem directly.
     def test_same_minimizer_as_spc(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             inst = random_control_instance(rng)
             a = spc(inst.pm, inst.w_ini, inst.cp)
             b = certainty_equivalence(inst.pm, inst.w_ini, inst.cp)
+            u_oracle, _ = _certainty_equivalence_oracle(inst.pm, inst.w_ini, inst.cp)
             assert np.max(np.abs(a.u_f - b.u_f)) < 1e-8
+            assert np.max(np.abs(b.u_f - u_oracle)) < 1e-8
 
     def test_objective_gap_is_trace_term(self):
         rng = np.random.default_rng(4)
@@ -112,8 +117,18 @@ class TestCertaintyEquivalence:
             inst = random_control_instance(rng)
             a = spc(inst.pm, inst.w_ini, inst.cp)
             b = certainty_equivalence(inst.pm, inst.w_ini, inst.cp)
+            _, expected = _certainty_equivalence_oracle(inst.pm, inst.w_ini, inst.cp)
             trace = float(np.trace(inst.cp.Q @ inst.pm.cov))
             assert abs((b.objective - a.objective) - trace) < 1e-8 * max(1.0, trace)
+            assert abs(b.objective - expected) < 1e-8 * max(1.0, abs(expected))
+
+    def test_output_box_matches_oracle(self):
+        rng = np.random.default_rng(5)
+        inst = random_control_instance(rng, with_output_box=True)
+        res = certainty_equivalence(inst.pm, inst.w_ini, inst.cp)
+        u_oracle, expected = _certainty_equivalence_oracle(inst.pm, inst.w_ini, inst.cp)
+        assert np.max(np.abs(res.u_f - u_oracle)) < 1e-8
+        assert abs(res.objective - expected) < 1e-8 * max(1.0, abs(expected))
 
     def test_zero_covariance_objectives_match(self):
         pm = PredictiveModel(M_u=[[1.0]], M_ini=[[0.2, -0.1]], cov=[[0.0]])
@@ -482,6 +497,17 @@ class TestHessian:
             rep = hessian(inst.pm, inst.cp, lam=1e10)
             limit = inst.cp.R + inst.pm.M_u.T @ inst.cp.Q @ inst.pm.M_u
             assert np.linalg.norm(rep.matrix - limit) < 1e-3 * np.linalg.norm(limit)
+
+    def test_singular_gap_raises(self):
+        # cov 1 and Q 4 give Lambda = 4 exactly, so lam*S - Q is singular at
+        # lam = 4: the Hessian does not exist there.
+        pm = scalar_model_pm(cov=1.0)
+        cp = scalar_cp(q=4.0)
+        with pytest.raises(LambdaTooSmall) as err:
+            hessian(pm, cp, lam=4.0)
+        assert err.value.lambda0 == 4.0
+        # Z = lam Lambda / (lam - Lambda) = 8 at lam = 8, and H = R + Z.
+        assert float(hessian(pm, cp, lam=8.0).matrix[0, 0]) == pytest.approx(9.0, rel=1e-12)
 
     def test_indefinite_below_threshold(self):
         # Scalar crafted instance: cov 2, Q 3, R 0.1 gives lambda0 = 6 and

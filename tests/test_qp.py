@@ -334,6 +334,21 @@ class TestBitIdentity:
     def test_non_finite_constraint_data_raises(self):
         with pytest.raises(ValueError):
             solve(QpProblem(P=np.eye(2), q=[1.0, 0.0], A_eq=[[np.nan, 1.0]], b_eq=[0.0]))
+        base = dict(P=np.eye(2), q=[1.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[0.0],
+                    lower=[-1.0, -1.0], upper=[1.0, 1.0])
+        for name, value in (("A_eq", [[np.nan, 1.0]]), ("A_eq", [[np.inf, 1.0]]),
+                            ("b_eq", [np.nan]), ("b_eq", [-np.inf]),
+                            ("lower", [np.nan, -1.0]), ("upper", [1.0, np.nan])):
+            with pytest.raises(ShapeError):
+                QpProblem(**dict(base, **{name: value}))
+
+    def test_infinite_bounds_still_solve(self):
+        # min 0.5||x||^2 + x_0 s.t. x_0 + x_1 = 1: x = (0, 1), with the
+        # bounds on x_0 infinite and those on x_1 half infinite and inactive.
+        sol = solve(QpProblem(P=np.eye(2), q=[1.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
+                              lower=[-np.inf, -np.inf], upper=[np.inf, 5.0]))
+        assert sol.status == "optimal"
+        assert np.allclose(sol.x, [0.0, 1.0], atol=1e-8)
 
 
 class TestPolishFallback:
