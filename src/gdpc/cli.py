@@ -43,7 +43,8 @@ def _add_common_overrides(parser, plant=False):
     parser.add_argument("--jitter", type=float, default=None,
                         help="relative jitter for near-singular covariances")
     parser.add_argument("--eps-abs", type=float, default=None,
-                        help="QP solver absolute tolerance override")
+                        help="ADMM absolute tolerance override (the box-only QPs are "
+                             "solved exactly by the active-set method)")
     if plant:
         parser.add_argument("--plant", default=None,
                             help="plant JSON file overriding the config's plant")

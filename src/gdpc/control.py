@@ -210,14 +210,9 @@ class _Spectral:
     descending, with W = L^-T V; see the module docstring."""
 
     chol: np.ndarray
-    inv_chol: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
     w: np.ndarray
-
-    @property
-    def precision(self) -> np.ndarray:
-        return symmetrize(self.inv_chol.T @ self.inv_chol)
 
     @property
     def lambda0(self) -> float:
@@ -244,9 +239,8 @@ class _Spectral:
         return lam * self.values / gap
 
 
-def _spectral(cov, q, jitter: float = DEFAULT_JITTER) -> _Spectral:
-    """Spectral factor of the (jittered-if-needed) PD covariance and the
-    output weight Q: one Cholesky factorization and one eigendecomposition."""
+def _cholesky(cov, jitter: float) -> tuple[np.ndarray, np.ndarray]:
+    """(L, L^-1) with L L^T the covariance, jittered if it is not PD."""
     cov = symmetrize(cov)
     k = cov.shape[0]
     try:
@@ -257,10 +251,21 @@ def _spectral(cov, q, jitter: float = DEFAULT_JITTER) -> _Spectral:
         delta = jitter * max(np.trace(cov) / k, 1.0)
         logger.info("predictive covariance not PD; applying jitter %.3e", delta)
         chol = chol_psd(cov, shift=delta)
-    inv_chol = np.linalg.solve(chol, np.eye(k))
+    return chol, np.linalg.solve(chol, np.eye(k))
+
+
+def _precision(inv_chol) -> np.ndarray:
+    """The precision L^-T L^-1."""
+    return symmetrize(inv_chol.T @ inv_chol)
+
+
+def _spectral(cov, q, jitter: float = DEFAULT_JITTER) -> _Spectral:
+    """Spectral factor of the (jittered-if-needed) PD covariance and the
+    output weight Q: one Cholesky factorization and one eigendecomposition."""
+    chol, inv_chol = _cholesky(cov, jitter)
     dec = sym_eig(chol.T @ q @ chol)
-    return _Spectral(chol=chol, inv_chol=inv_chol, values=dec.values,
-                     vectors=dec.vectors, w=inv_chol.T @ dec.vectors)
+    return _Spectral(chol=chol, values=dec.values, vectors=dec.vectors,
+                     w=inv_chol.T @ dec.vectors)
 
 
 def _input_hessian(pm: PredictiveModel, cp: ControlProblem, z) -> np.ndarray:
@@ -453,25 +458,31 @@ def optimistic(
     mean tethered to the estimate by lam/2 times its precision-weighted
     squared distance (the mean term of the relative entropy). Without an
     output box the mean is eliminated (module docstring) and recovered as
-    L V (Lambda + kappa)^-1 (Lambda W^T y_ref + kappa W^T mu_hat)."""
+    L V (Lambda + kappa)^-1 (Lambda W^T y_ref + kappa W^T mu_hat); the
+    reported objective is then the eliminated value
+    ||mu_hat - y_ref||_Z^2 + ||u - u_ref||_R^2, which, unlike the tether
+    term, does not multiply a rounding-level difference by the precision."""
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
     w = _check_w_ini(pm, w_ini)
     bias = pm.M_ini @ w
-    spec = _spectral(pm.cov, cp.Q, jitter)
-    precision = spec.precision
     kappa = 0.5 * lam
     nu, ny = cp.n_u, cp.n_y
 
     if not cp.has_output_box:
-        sol = _input_qp(pm, bias, cp, spec.weight(spec.optimistic_phi(lam)), settings)
+        spec = _spectral(pm.cov, cp.Q, jitter)
+        z = spec.weight(spec.optimistic_phi(lam))
+        sol = _input_qp(pm, bias, cp, z, settings)
         u = sol.x
         mu_hat = pm.M_u @ u + bias
         mu = spec.unwhiten(
             (spec.values * (spec.w.T @ cp.y_ref) + kappa * (spec.w.T @ mu_hat))
             / (spec.values + kappa)
         )
+        dev, du = mu_hat - cp.y_ref, u - cp.u_ref
+        objective = float(dev @ z @ dev + du @ cp.R @ du)
     else:
+        precision = _precision(_cholesky(pm.cov, jitter)[1])
         p_mat = np.zeros((nu + ny, nu + ny))
         p_mat[:nu, :nu] = 2.0 * (cp.R + kappa * pm.M_u.T @ precision @ pm.M_u)
         p_mat[:nu, nu:] = -2.0 * kappa * pm.M_u.T @ precision
@@ -491,10 +502,8 @@ def optimistic(
         sol = _run_qp(prob, settings)
         u = sol.x[:nu]
         mu = sol.x[nu:]
-        mu_hat = pm.M_u @ u + bias
-
-    diff = mu - mu_hat
-    objective = cp.tracking_cost(u, mu) + kappa * float(diff @ precision @ diff)
+        diff = mu - (pm.M_u @ u + bias)
+        objective = cp.tracking_cost(u, mu) + kappa * float(diff @ precision @ diff)
     return ControlResult(
         u_f=u,
         y_pred=ConditionalGaussian(mean=mu, cov=pm.cov),

@@ -1,28 +1,45 @@
-"""Self-contained dense convex QP solver.
+"""Self-contained dense convex QP solvers.
 
 Solves   min 0.5 x'Px + q'x   s.t.  A_eq x = b_eq,  lower <= x <= upper
-by operator splitting on the consensus form l <= [A_eq; I] x <= u, the
-OSQP iteration: deterministic Ruiz equilibration, a regularized KKT
-factorization reused across iterations, over-relaxation, deterministic
-step-size adaptation, divergence certificates for infeasibility, and an
-active-set polish step that solves the reduced KKT system once the active
-set has settled.
+with one of two methods, chosen by :func:`solve` from the problem alone:
 
-Runs are bit-reproducible: the same problem and settings give the same
-bits on the same machine and libraries. Nothing is randomized, and every
-operation is the same elementwise IEEE operation, or the same LAPACK or
-BLAS call, as in the plain statement of the iteration; only where results
-are stored differs. Most controller QPs have 8 to 50 variables, so the
-per-call overhead of the Python wrappers, not the arithmetic, sets the
-time of a solve. Hence the KKT system is factored and solved by calling
-LAPACK's getrf/getrs directly, keeping the finiteness and ``info`` checks
-of ``scipy.linalg.lu_factor``/``lu_solve`` but not their argument
-handling, which costs several times the solve itself; the iterate update
-works in place; and Ruiz scaling reads magnitudes taken once. Each returns
-the bits of the plain form it replaces; ``tests/test_qp.py`` checks the
-scaling and the KKT solve against that form.
+* A problem without equality rows whose P passes a Cholesky factorization
+  (LAPACK potrf) goes to an exact primal active-set method
+  (``_active_set``). It works on the bounds that hold with equality, one
+  Cholesky solve of the free-variable block per iteration, and ends at the
+  minimizer in finitely many steps. The box-only controller QPs (spc,
+  certainty equivalence, optimistic and robust, with or without an output
+  box on optimistic) are of this kind: P >= 2R > 0.
+* Every other problem (equality rows, or a P that is only semidefinite)
+  goes to operator splitting on the consensus form l <= [A_eq; I] x <= u
+  (``_admm``), the OSQP iteration: deterministic Ruiz equilibration, a
+  regularized KKT factorization reused across iterations, over-relaxation,
+  deterministic step-size adaptation, divergence certificates for
+  infeasibility, and an active-set polish step that solves the reduced KKT
+  system once the active set has settled.
 
-Infinite bounds are encoded internally by the sentinel magnitude 1e30.
+The active-set method reads only ``max_iter`` from :class:`QpSettings`; it
+reports ``iterations`` as the number of free-block solves, the bound
+multipliers -(Px + q) on the bounds it holds active, no equality duals and
+``polished`` False. ADMM reads every setting.
+
+Both are bit-reproducible: the same problem and settings give the same
+bits on the same machine and libraries, since nothing is randomized. ADMM's
+kernels keep a stronger contract: every operation is the same elementwise
+IEEE operation, or the same LAPACK or BLAS call, as in the plain statement
+of the iteration; only where results are stored differs. Most controller
+QPs have 8 to 50 variables, so the per-call overhead of the Python
+wrappers, not the arithmetic, sets the time of a solve. Hence the KKT
+system is factored and solved by calling LAPACK's getrf/getrs directly,
+keeping the finiteness and ``info`` checks of
+``scipy.linalg.lu_factor``/``lu_solve`` but not their argument handling,
+which costs several times the solve itself; the iterate update works in
+place; and Ruiz scaling reads magnitudes taken once. Each returns the bits
+of the plain form it replaces; ``tests/test_qp.py`` checks the scaling and
+the KKT solve against that form.
+
+Infinite bounds are encoded internally by ADMM as the sentinel magnitude
+1e30; the active-set method uses them as they are.
 """
 
 import warnings
@@ -30,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgWarning
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
 from .errors import ShapeError
 from .linalg import is_psd, matrix_rank, sym_eig, symmetrize
@@ -296,6 +313,89 @@ def _polish(prob, a_full, lo, hi, x, y, z, tol):
 
 
 def solve(prob: QpProblem, settings: QpSettings = QpSettings()) -> QpSolution:
+    """Solve the QP: by the active-set method if it has no equality rows and
+    P passes a Cholesky factorization, by ADMM otherwise."""
+    if prob.n_eq == 0:
+        factor, info = dpotrf(prob.P)
+        if info == 0:
+            return _active_set(prob, factor, settings)
+    return _admm(prob, settings)
+
+
+def _active_set(prob: QpProblem, factor: np.ndarray, settings: QpSettings) -> QpSolution:
+    """Primal active-set method for min 0.5 x'Px + q'x s.t. lower <= x <= upper
+    with P positive definite; ``factor`` is P's upper Cholesky factor.
+
+    It starts at the clip of the unconstrained minimizer, with the bounds
+    the start lies on as the working set. Each iteration minimizes over the
+    variables off the working set, the others held at their bounds, by one
+    Cholesky solve of the free block. A step that would leave the box is
+    cut at the first bound it meets (lowest index on ties), which joins the
+    working set. After a full step, the working bound whose multiplier has
+    the most violated sign (lowest index on ties) leaves it; pinned
+    variables (equal bounds) never leave. The method stops when no
+    multiplier has a wrong sign, or after ``settings.max_iter`` iterations.
+
+    A multiplier counts as wrong only beyond the rounding error of Px + q,
+    n eps (|P||x| + |q|): a zero multiplier that rounds to the wrong sign
+    would otherwise drop and re-add the same bound until max_iter.
+    """
+    p, q, lo, hi = prob.P, prob.q, prob.lower, prob.upper
+    n = prob.n
+    x_unc = dpotrs(factor, -q)[0]
+    x = _clip(x_unc, lo, hi)
+    at_lo, at_hi = x == lo, x == hi
+    round_off = n * np.finfo(float).eps
+    status, it = MAX_ITER, 0
+    while it < settings.max_iter:
+        it += 1
+        free = ~(at_lo | at_hi)
+        f = np.flatnonzero(free)
+        if f.size == n:
+            target = x_unc
+        elif f.size:
+            sub, info = dpotrf(p[np.ix_(f, f)])
+            if info:  # a free block that rounding made not positive definite
+                return _admm(prob, settings)
+            target = dpotrs(sub, -(q + p @ np.where(free, 0.0, x))[f])[0]
+        if f.size:
+            xf = x[f]
+            step = target - xf
+            ratio = np.full(f.size, np.inf)
+            down, up = step < 0.0, step > 0.0
+            ratio[down] = (lo[f][down] - xf[down]) / step[down]
+            ratio[up] = (hi[f][up] - xf[up]) / step[up]
+            j = int(np.argmin(ratio))
+            if ratio[j] < 1.0:
+                x[f] = _clip(xf + ratio[j] * step, lo[f], hi[f])
+                block = f[j]
+                if up[j]:
+                    x[block], at_hi[block] = hi[block], True
+                else:
+                    x[block], at_lo[block] = lo[block], True
+                continue
+            x[f] = target
+        g = p @ x + q
+        wrong = np.where(at_lo, -g, g)
+        wrong[~(at_lo ^ at_hi)] = 0.0  # free variables and pinned ones
+        wrong[wrong <= round_off * (np.abs(p) @ np.abs(x) + np.abs(q))] = 0.0
+        k = int(np.argmax(wrong))
+        if wrong[k] == 0.0:
+            status = OPTIMAL
+            break
+        at_lo[k] = at_hi[k] = False
+
+    g = p @ x + q
+    duals = np.where(at_lo | at_hi, -g, 0.0)
+    return QpSolution(
+        x=x, objective=float(0.5 * x @ p @ x + q @ x), status=status,
+        primal_residual=float(np.maximum(lo - x, x - hi).max(initial=0.0)),
+        dual_residual=float(np.abs(g + duals).max(initial=0.0)),
+        iterations=it, eq_duals=np.zeros(0), bound_duals=duals,
+    )
+
+
+def _admm(prob: QpProblem, settings: QpSettings) -> QpSolution:
     """Run the operator-splitting iteration until the unscaled KKT residuals
     meet eps_abs/eps_rel, infeasibility is certified, or max_iter is hit."""
     n, m_eq = prob.n, prob.n_eq

@@ -9,7 +9,7 @@ device, never used in production paths.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .behavior import (
 )
 from .linalg import matrix_rank, pinv, spectral_radius, sym_eig, symmetrize
 from .plant import StochasticLtiModel
-from .qp import QpProblem, solve, l1_epigraph
+from .qp import QpProblem, QpSettings, _admm, l1_epigraph, solve
 from .trajectory import SignalDims, assemble
 
 SUITES = ("lemmas", "theorems", "solver", "all")
@@ -506,8 +506,9 @@ def _check_lambda_collapse(rng) -> CheckResult:
 
 
 def _check_spectral_weights(rng) -> CheckResult:
-    """The spectral precision, output weights and lambda0 of
-    ``control._spectral`` against the solve-based forms they replaced:
+    """The precision of ``control._precision``, and the output weights and
+    lambda0 of ``control._spectral``, against the solve-based forms they
+    replaced:
     S = inv(L)^T inv(L), kappa S (Q + kappa S)^-1 Q (optimistic, kappa =
     lam/2), Q + Q (lam S - Q)^-1 Q (robust) and lambda0 = max eig(G Q G)
     (1 + 1e-6) with G the symmetric square root of cov. Draws from a child
@@ -527,7 +528,8 @@ def _check_spectral_weights(rng) -> CheckResult:
         dec = sym_eig(pm.cov)
         root = dec.vectors * np.sqrt(np.clip(dec.values, 0.0, None))
         lambda0 = float(np.max(np.linalg.eigvalsh(root.T @ cp.Q @ root))) * (1.0 + 1e-6)
-        worst["precision"] = max(worst["precision"], rel(spec.precision, precision))
+        inv_l = ctl._cholesky(pm.cov, ctl.DEFAULT_JITTER)[1]
+        worst["precision"] = max(worst["precision"], rel(ctl._precision(inv_l), precision))
         worst["lambda0"] = max(worst["lambda0"], rel(spec.lambda0, lambda0))
         for lam in (0.2, 1.0, 10.0, 500.0, 1e4):
             kappa = 0.5 * lam
@@ -601,6 +603,64 @@ def _check_box_projection(rng) -> CheckResult:
     return CheckResult("qp_box_projection_exact", err <= 1e-7, err, 1e-7)
 
 
+def _check_active_set_oracles(rng) -> CheckResult:
+    """Box-only QPs, which ``solve`` hands to its active-set method, against
+    two independent oracles: the projected-gradient residual
+    ||x - clip(x - grad)||_inf, zero exactly at the minimizer, of
+    optimistic's (u, mean) problem with a binding output box at lam 500 and
+    1e4 (cond(P) 1e4 to 1e7), with the gradient formed from the model rather
+    than from the QP data; and ``qp._admm`` on well-conditioned random boxes
+    with infinite and equal bounds. Draws from a child generator, so the
+    checks before it see the instances they saw before it existed."""
+    local = rng.spawn(1)[0]
+    worst_pg, worst_gap, statuses = 0.0, 0.0, set()
+    for _ in range(4):
+        _, _, pm, w_ini, cp = _random_instance(local, with_input_box=True)
+        cp = replace(cp, y_lower=cp.y_ref - 3.0, y_upper=cp.y_ref - 0.05)
+        bias = pm.M_ini @ w_ini
+        lower = np.concatenate([cp.u_lower, cp.y_lower])
+        upper = np.concatenate([cp.u_upper, cp.y_upper])
+        for lam in (500.0, 1e4):
+            res = ctl.optimistic(pm, w_ini, cp, lam)
+            statuses.add(res.solver.status)
+            u, mu = res.u_f, res.y_pred.mean
+            kappa = 0.5 * lam
+            tether = np.linalg.solve(pm.cov, mu - pm.M_u @ u - bias)
+            grad = np.concatenate([
+                2.0 * cp.R @ (u - cp.u_ref) - 2.0 * kappa * pm.M_u.T @ tether,
+                2.0 * cp.Q @ (mu - cp.y_ref) + 2.0 * kappa * tether,
+            ])
+            s_bias = np.linalg.solve(pm.cov, bias)
+            q_vec = np.concatenate([2.0 * kappa * pm.M_u.T @ s_bias - 2.0 * cp.R @ cp.u_ref,
+                                    -2.0 * kappa * s_bias - 2.0 * cp.Q @ cp.y_ref])
+            x = np.concatenate([u, mu])
+            residual = float(np.max(np.abs(x - np.clip(x - grad, lower, upper))))
+            worst_pg = max(worst_pg, residual / max(1.0, float(np.max(np.abs(q_vec)))))
+    for _ in range(30):
+        n = int(local.integers(2, 13))
+        b_mat = local.standard_normal((n, n))
+        lower = local.uniform(-2.0, 0.0, n)
+        upper = local.uniform(0.0, 2.0, n)
+        lower[local.uniform(size=n) < 0.2] = -np.inf
+        upper[local.uniform(size=n) < 0.2] = np.inf
+        pinned = local.uniform(size=n) < 0.1
+        lower[pinned] = upper[pinned] = 0.5
+        prob = QpProblem(P=b_mat @ b_mat.T + 0.5 * np.eye(n),
+                         q=3.0 * local.standard_normal(n), lower=lower, upper=upper)
+        sol, ref = solve(prob), _admm(prob, QpSettings())
+        statuses.update((sol.status, ref.status))
+        worst_gap = max(worst_gap, float(np.max(np.abs(sol.x - ref.x))))
+    residual = max(worst_pg / 1e-9, worst_gap / 1e-6)
+    return CheckResult(
+        name="box_qp_matches_independent_oracles",
+        passed=residual <= 1.0 and statuses == {"optimal"},
+        residual=residual,
+        tolerance=1.0,
+        detail=(f"projected gradient {worst_pg:.1e} (tol 1e-9), ADMM gap {worst_gap:.1e} "
+                f"(tol 1e-6), statuses {sorted(statuses)}"),
+    )
+
+
 _LEMMA_CHECKS = (
     _check_mle_local_max,
     _check_predictor_conditioning_identity,
@@ -625,6 +685,7 @@ _SOLVER_CHECKS = (
     _check_soft_threshold,
     _check_scaling_invariance,
     _check_box_projection,
+    _check_active_set_oracles,
 )
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gdpc
+from gdpc import qp
 from gdpc.behavior import PredictiveModel, predictive_model
 from gdpc.control import ControlProblem
 from gdpc.linalg import spectral_radius
@@ -126,3 +127,19 @@ def fd_hessian(fun, x, h=1e-4):
             ) / (4.0 * h * h)
             hess[i, j] = hess[j, i] = val
     return hess
+
+
+def record_solver_paths(monkeypatch):
+    """Patch qp's two solvers to append their names, in call order, to the
+    returned list."""
+    calls = []
+
+    def recorded(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    for name in ("_active_set", "_admm"):
+        monkeypatch.setattr(qp, name, recorded(name, getattr(qp, name)))
+    return calls

@@ -15,8 +15,9 @@ import json
 import pathlib
 
 import pytest
+from conftest import record_solver_paths
 
-from gdpc import behavior, control, harness, trajectory
+from gdpc import behavior, control, harness, qp, trajectory
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -51,11 +52,13 @@ def workloads():
     return load_benchmark_module("workloads")
 
 
-def short_loop_config(controller):
+def short_loop_config(controller, output_box=False):
     with open(ROOT / "configs" / "example.json") as fh:
         doc = json.load(fh)
     doc = copy.deepcopy(doc)
     doc["control"]["controller"] = controller
+    if output_box:
+        doc["control"].update(y_min=-3.0, y_max=0.95)
     doc["run"]["steps"] = 8
     return harness.config_from_dict(doc)
 
@@ -93,21 +96,43 @@ def test_one_timed_solve_per_step_with_unpackable_arguments(controller, workload
             assert args[3] == rec.steps[-1].lambda_effective
 
 
-@pytest.mark.parametrize("controller,factorizations", [
-    ("spc", 0), ("ce", 0), ("optimistic", 1), ("robust", 1),
-])
-def test_traced_factorizations_per_solve(controller, factorizations, tracing):
+def traced_children(tracing, cfg):
+    """The names of the direct child spans of each controller span."""
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        harness.run_closed_loop(short_loop_config(controller))
+        harness.run_closed_loop(cfg)
     finally:
         tracer.remove()
     spans = tracer.spans
     solves = [i for i, span in enumerate(spans) if span[0] in tracing.CONTROLLER_SPANS]
     assert solves
-    for i in solves:
-        children = [span[0] for span in spans if span[1] == i]
+    return [[span[0] for span in spans if span[1] == i] for i in solves]
+
+
+@pytest.mark.parametrize("controller,factorizations", [
+    ("spc", 0), ("ce", 0), ("optimistic", 1), ("robust", 1),
+])
+def test_traced_factorizations_per_solve(controller, factorizations, tracing):
+    for children in traced_children(tracing, short_loop_config(controller)):
         assert children.count("linalg.chol_psd") == factorizations
         assert children.count("linalg.sym_eig") == factorizations
         assert "control.lambda_threshold" not in children
+
+
+def test_output_box_optimistic_needs_no_eigendecomposition(tracing):
+    # The (u, mean) QP uses only the precision.
+    for children in traced_children(tracing, short_loop_config("optimistic", True)):
+        assert children.count("linalg.chol_psd") == 1
+        assert children.count("linalg.sym_eig") == 0
+
+
+@pytest.mark.parametrize("controller", sorted(HARNESS_NAMES))
+def test_box_only_qps_take_the_active_set(controller, tracing, monkeypatch):
+    # control.solve is the name the tracer wraps for its qp.solve spans.
+    assert (control, "solve") in tracing.BINDINGS and control.solve is qp.solve
+    paths = record_solver_paths(monkeypatch)
+    rec = harness.run_closed_loop(short_loop_config(controller))
+    planned = sum(1 for s in rec.steps if s.solver_status)
+    expected = "_admm" if controller == "deepc" else "_active_set"
+    assert paths == [expected] * planned and planned > 0

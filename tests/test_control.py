@@ -370,6 +370,24 @@ class TestOptimistic:
         assert res.solver.status == "optimal"
         assert np.max(np.abs(res.u_f - ref.u_f)) < 1e-4
 
+    def test_noiseless_objective_is_the_eliminated_value(self):
+        # On noiseless data the predictive covariance is at rounding level, so
+        # a tether term kappa ||mu - mu_hat||_S^2 would multiply rounding noise
+        # by a precision near 1e30. The eliminated value is
+        # ||mu_hat - y_ref||_Z^2 + ||u - u_ref||_R^2 with Z <= Q, equal to the
+        # tracking cost up to rounding when Z is Q to rounding, as here.
+        model = random_stable_plant(np.random.default_rng(0), noise_std=0.0)
+        traj = simulate(model, np.zeros(2), 1.0, steps=60, seed=0)
+        dm = build_data_matrix(traj, 2, 4)
+        pm = predictive_model(dm)
+        w_ini = traj.samples[10:12].reshape(-1)
+        cp = ControlProblem.from_step_weights(model.dims, 2, 4, y_ref=1.0)
+        for lam in (0.5, 50.0, 1e6):
+            res = optimistic(pm, w_ini, cp, lam)
+            tracking = cp.tracking_cost(res.u_f, pm.predict_mean(w_ini, res.u_f))
+            assert 0.0 <= res.objective <= tracking * (1.0 + 1e-12)
+        assert abs(res.objective - tracking) <= 1e-6 * tracking
+
     def test_rejects_nonpositive_lambda(self):
         rng = np.random.default_rng(15)
         inst = random_control_instance(rng)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gdpc import control, harness
+from gdpc import control, harness, qp
 from gdpc.errors import ConfigError, LambdaTooSmall
 from gdpc.harness import (
     config_from_dict,
@@ -235,6 +235,41 @@ class TestClosedLoop:
             assert len(rec.steps) == 12
 
 
+class TestOutputBoxRegime:
+    def test_stalled_output_box_configuration_solves_exactly(self, monkeypatch):
+        # At lam 500 with y_max 0.95 the (u, mean) QP has cond(P) near 2.4e6;
+        # each solve once ended max_iter with a plan far from the optimum.
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        doc["control"].update(controller="optimistic", y_min=-3.0, y_max=0.95)
+        doc["control"]["lambda"] = 500.0
+        solves = []
+        optimistic = control.optimistic
+
+        def recorded(*args, **kwargs):
+            solves.append((args, optimistic(*args, **kwargs)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(control, "optimistic", recorded)
+        rec = run_closed_loop(config_from_dict(doc))
+        assert rec.summary_dict()["solves_not_optimal"] == 0
+        assert len(solves) == sum(1 for s in rec.steps if s.solver_status) > 0
+        for (pm, w_ini, cp, lam, *_), res in solves:
+            # The (u, mean) QP rebuilt from the model, with S = cov^-1.
+            kappa = 0.5 * lam
+            s_mat = np.linalg.inv(pm.cov)
+            m_u, bias = pm.M_u, pm.M_ini @ w_ini
+            p_mat = 2.0 * np.block([[cp.R + kappa * m_u.T @ s_mat @ m_u, -kappa * m_u.T @ s_mat],
+                                    [-kappa * s_mat @ m_u, cp.Q + kappa * s_mat]])
+            q_vec = 2.0 * np.concatenate([kappa * m_u.T @ s_mat @ bias - cp.R @ cp.u_ref,
+                                          -kappa * s_mat @ bias - cp.Q @ cp.y_ref])
+            lower = np.concatenate([cp.u_lower, cp.y_lower])
+            upper = np.concatenate([cp.u_upper, cp.y_upper])
+            x = np.concatenate([res.u_f, res.y_pred.mean])
+            residual = np.max(np.abs(x - np.clip(x - (p_mat @ x + q_vec), lower, upper)))
+            assert res.solver.status == "optimal"
+            assert residual <= 1e-9 * max(1.0, float(np.max(np.abs(q_vec))))
+
+
 class TestSweep:
     def test_single_point_reduces_to_repeated_runs(self):
         doc = base_doc()
@@ -360,6 +395,19 @@ class TestVerify:
         assert "projected_deepc_equals_optimistic" in failed or any(
             "deepc" in n for n in failed
         )
+
+    def test_box_qp_oracle_detects_an_early_stop(self, monkeypatch):
+        assert verify("solver", seed=0).all_passed
+        active_set = qp._active_set
+
+        def one_iteration_early(prob, factor, settings):
+            full = active_set(prob, factor, settings)
+            cut = dataclasses.replace(settings, max_iter=full.iterations - 1)
+            return dataclasses.replace(active_set(prob, factor, cut), status=full.status)
+
+        monkeypatch.setattr(qp, "_active_set", one_iteration_early)
+        failed = {c.name for c in verify("solver", seed=0).checks if not c.passed}
+        assert failed == {"box_qp_matches_independent_oracles"}
 
     def test_report_schema_stable(self):
         report = verify("solver", seed=0)

@@ -1,7 +1,8 @@
-"""Tests for the dense operator-splitting QP solver."""
+"""Tests for the dense QP solvers: the active-set method and ADMM."""
 
 import numpy as np
 import pytest
+from conftest import record_solver_paths
 from scipy.linalg import lu_factor, lu_solve
 
 from gdpc import qp
@@ -383,3 +384,147 @@ class TestPolishFallback:
         self._fail_polish_factor(monkeypatch, prob, TypeError("bug"))
         with pytest.raises(TypeError, match="bug"):
             solve(prob)
+
+
+def random_box_qp(rng, n, infinite=0.2, pinned=0.1):
+    """A strictly convex box-only QP with some infinite and some equal bounds."""
+    b_mat = rng.standard_normal((n, n))
+    lower = rng.uniform(-2.0, 0.0, n)
+    upper = rng.uniform(0.0, 2.0, n)
+    lower[rng.uniform(size=n) < infinite] = -np.inf
+    upper[rng.uniform(size=n) < infinite] = np.inf
+    pin = rng.uniform(size=n) < pinned
+    lower[pin] = upper[pin] = rng.uniform(-1.0, 1.0, int(pin.sum()))
+    return QpProblem(P=b_mat @ b_mat.T + 0.5 * np.eye(n), q=3.0 * rng.standard_normal(n),
+                     lower=lower, upper=upper)
+
+
+def projected_gradient_residual(prob, x):
+    return float(np.max(np.abs(x - np.clip(x - (prob.P @ x + prob.q), prob.lower,
+                                             prob.upper))))
+
+
+def assert_box_kkt(prob, sol, tol=1e-9):
+    """Feasibility, the duals' signs and stationarity of a box-QP solution."""
+    x, y = sol.x, sol.bound_duals
+    assert np.all(x >= prob.lower) and np.all(x <= prob.upper)
+    scale = max(1.0, float(np.max(np.abs(prob.q))))
+    assert np.max(np.abs(prob.P @ x + prob.q + y)) <= tol * scale
+    pinned = prob.lower == prob.upper
+    assert np.all(y[(x > prob.lower) & (x < prob.upper)] == 0.0)
+    assert np.all(y[(x == prob.lower) & ~pinned] <= 0.0)
+    assert np.all(y[(x == prob.upper) & ~pinned] >= 0.0)
+    assert sol.primal_residual == 0.0
+    assert sol.dual_residual <= tol * scale
+    assert projected_gradient_residual(prob, x) <= tol * scale
+
+
+class TestDispatch:
+    """solve hands box-only QPs with a positive definite P to the active-set
+    method and every other QP to ADMM."""
+
+    def test_box_only_positive_definite_takes_the_active_set(self, monkeypatch):
+        calls = record_solver_paths(monkeypatch)
+        sol = solve(random_box_qp(np.random.default_rng(20), 6))
+        assert calls == ["_active_set"] and sol.status == "optimal"
+
+    def test_equalities_take_admm(self, monkeypatch):
+        prob = random_equality_qp(np.random.default_rng(21), n=6, m=2)
+        ref = qp._admm(prob, QpSettings())
+        calls = record_solver_paths(monkeypatch)
+        sol = solve(prob)
+        assert calls == ["_admm"]
+        assert np.array_equal(sol.x, ref.x) and sol.iterations == ref.iterations
+        assert np.array_equal(sol.bound_duals, ref.bound_duals)
+        assert np.array_equal(sol.eq_duals, ref.eq_duals)
+
+    def test_singular_cost_without_equalities_takes_admm(self, monkeypatch):
+        calls = record_solver_paths(monkeypatch)
+        prob = QpProblem(P=np.diag([1.0, 0.0]), q=[-1.0, 1.0], lower=[-2.0, -2.0],
+                         upper=[2.0, 2.0])
+        sol = solve(prob)
+        assert calls == ["_admm"] and sol.status == "optimal"
+        assert np.allclose(sol.x, [1.0, -2.0], atol=1e-8)
+
+    def test_unfactorable_free_block_falls_back_to_admm(self, monkeypatch):
+        prob = random_box_qp(np.random.default_rng(22), 8, infinite=0.0, pinned=0.0)
+        assert solve(prob).iterations > 1  # a free block smaller than P is factored
+        potrf = qp.dpotrf
+        monkeypatch.setattr(qp, "dpotrf", lambda a: potrf(a) if a.shape[0] == prob.n
+                            else (a, 1))
+        sol, ref = solve(prob), qp._admm(prob, QpSettings())
+        assert np.array_equal(sol.x, ref.x) and sol.iterations == ref.iterations
+
+
+class TestActiveSet:
+    def test_unconstrained_optimum_takes_one_iteration(self):
+        rng = np.random.default_rng(23)
+        prob = random_box_qp(rng, 5, infinite=1.0, pinned=0.0)
+        sol = solve(prob)
+        assert sol.status == "optimal" and sol.iterations == 1 and not sol.polished
+        assert np.allclose(sol.x, np.linalg.solve(prob.P, -prob.q), rtol=0, atol=1e-12)
+        assert np.all(sol.bound_duals == 0.0) and sol.eq_duals.shape == (0,)
+        assert np.isclose(sol.objective, 0.5 * sol.x @ prob.P @ sol.x + prob.q @ sol.x)
+
+    def test_pinned_variables_stay_pinned(self):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            prob = random_box_qp(rng, 7, pinned=0.5)
+            sol = solve(prob)
+            pinned = prob.lower == prob.upper
+            assert sol.status == "optimal"
+            assert np.array_equal(sol.x[pinned], prob.lower[pinned])
+            assert_box_kkt(prob, sol)
+
+    def test_every_bound_active(self):
+        # The linear term dominates: the minimizer is a vertex of the box.
+        rng = np.random.default_rng(25)
+        n = 6
+        b_mat = 0.1 * rng.standard_normal((n, n))
+        signs = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+        prob = QpProblem(P=b_mat @ b_mat.T + 0.1 * np.eye(n), q=100.0 * signs,
+                         lower=-np.ones(n), upper=np.ones(n))
+        sol = solve(prob)
+        assert sol.status == "optimal"
+        assert np.array_equal(sol.x, -signs)
+        assert np.all(sol.bound_duals != 0.0)
+        assert_box_kkt(prob, sol)
+
+    def test_infinite_bounds(self):
+        # Half-infinite boxes that bind on their finite side.
+        prob = QpProblem(P=np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]]),
+                         q=[4.0, -3.0, 1.0], lower=[-1.0, -np.inf, -np.inf],
+                         upper=[np.inf, 1.0, np.inf])
+        sol = solve(prob)
+        ref = qp._admm(prob, QpSettings())
+        assert sol.status == "optimal" and sol.x[0] == -1.0 and sol.x[1] == 1.0
+        assert np.max(np.abs(sol.x - ref.x)) < 1e-9
+        assert_box_kkt(prob, sol)
+
+    def test_random_box_sweep_matches_admm(self):
+        rng = np.random.default_rng(26)
+        worst, most = 0.0, 0
+        for _ in range(300):
+            prob = random_box_qp(rng, int(rng.integers(1, 31)))
+            sol, ref = solve(prob), qp._admm(prob, QpSettings())
+            assert sol.status == ref.status == "optimal"
+            assert_box_kkt(prob, sol)
+            worst = max(worst, float(np.max(np.abs(sol.x - ref.x))))
+            most = max(most, sol.iterations)
+        assert worst < 1e-8
+        assert most >= 5  # the sweep exercises adding and dropping bounds
+
+    def test_max_iter_stops_early_and_feasible(self):
+        rng = np.random.default_rng(27)
+        prob = next(p for p in (random_box_qp(rng, 10, infinite=0.0) for _ in range(50))
+                    if solve(p).iterations >= 3)
+        sol = solve(prob, QpSettings(max_iter=1))
+        assert sol.status == "max_iter" and sol.iterations == 1
+        assert np.all(sol.x >= prob.lower) and np.all(sol.x <= prob.upper)
+        assert projected_gradient_residual(prob, sol.x) > 1e-6
+
+    def test_bit_reproducible(self):
+        prob = random_box_qp(np.random.default_rng(28), 12)
+        a, b = solve(prob), solve(prob)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.bound_duals, b.bound_duals)
+        assert a.iterations == b.iterations and a.objective == b.objective
