@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite, ShapeError
-from .linalg import DEFAULT_RANK_TOL, chol_psd, is_psd, pinv, symmetrize
+from .linalg import DEFAULT_RANK_TOL, chol_psd, is_psd, pinv, read_only, symmetrize
 from .plant import StochasticLtiModel, build_block_operators
 from .trajectory import DataMatrix, SignalDims
 
@@ -152,7 +152,9 @@ class PredictiveModel:
     """Affine output predictor plus predictive covariance.
 
     ``M_u`` maps the stacked future input, ``M_ini`` maps the stacked past
-    window; the predicted output mean is M_u u_f + M_ini w_ini.
+    window; the predicted output mean is M_u u_f + M_ini w_ini. The arrays
+    are read-only copies, since the controllers keep set-up work per model
+    object (see :mod:`gdpc.control`).
     """
 
     M_u: np.ndarray  # (p*L_f, m*L_f)
@@ -160,9 +162,9 @@ class PredictiveModel:
     cov: np.ndarray  # (p*L_f, p*L_f) PSD
 
     def __post_init__(self):
-        object.__setattr__(self, "M_u", np.asarray(self.M_u, dtype=float))
-        object.__setattr__(self, "M_ini", np.asarray(self.M_ini, dtype=float))
-        object.__setattr__(self, "cov", symmetrize(self.cov))
+        object.__setattr__(self, "M_u", read_only(self.M_u))
+        object.__setattr__(self, "M_ini", read_only(self.M_ini))
+        object.__setattr__(self, "cov", read_only(symmetrize(self.cov)))
 
     def predict_mean(self, w_ini, u_f) -> np.ndarray:
         w_ini = np.asarray(w_ini, dtype=float).reshape(-1)
@@ -194,8 +196,11 @@ def estimate(dm: DataMatrix, subtract_mean: bool = False) -> GaussianBehavior:
     )
 
 
-def _pd_cholesky(cov, jitter: float = 0.0) -> np.ndarray:
-    """Cholesky factor, optionally retrying with relative jitter on failure."""
+def jittered_cholesky(cov, jitter: float = 0.0) -> np.ndarray:
+    """Lower Cholesky factor of ``cov``. If ``cov`` is not positive definite
+    and ``jitter`` is positive, the factor of cov + delta I with
+    delta = jitter * max(tr(cov)/k, 1) instead; otherwise
+    :class:`NotPositiveDefinite` propagates."""
     try:
         return chol_psd(cov)
     except NotPositiveDefinite:
@@ -220,7 +225,7 @@ def log_likelihood(gb: GaussianBehavior, samples, jitter: float = 0.0) -> float:
     k = gb.size
     if cols.shape[0] != k:
         raise ShapeError(f"samples must have {k} rows, got {cols.shape}")
-    chol = _pd_cholesky(gb.cov, jitter)
+    chol = jittered_cholesky(gb.cov, jitter)
     centered = cols - gb.mean[:, None]
     solved = np.linalg.solve(chol, centered)
     quad = np.sum(solved**2)
@@ -367,8 +372,8 @@ def kl_divergence(p: ConditionalGaussian, q: ConditionalGaussian, jitter: float 
     if p.mean.shape != q.mean.shape:
         raise ShapeError(f"dimension mismatch: {p.mean.shape} vs {q.mean.shape}")
     k = p.mean.shape[0]
-    chol_q = _pd_cholesky(q.cov, jitter)
-    chol_p = _pd_cholesky(p.cov, jitter)
+    chol_q = jittered_cholesky(q.cov, jitter)
+    chol_p = jittered_cholesky(p.cov, jitter)
     solved = np.linalg.solve(chol_q, chol_p)
     trace = np.sum(solved**2)
     diff = np.linalg.solve(chol_q, p.mean - q.mean)
@@ -381,7 +386,7 @@ def kl_divergence(p: ConditionalGaussian, q: ConditionalGaussian, jitter: float 
 def kl_mean_term(mean_a, mean_b, cov_b, jitter: float = 0.0) -> float:
     """The mean-shift part of the Gaussian KL divergence:
     0.5 * (a-b)^T cov_b^-1 (a-b)."""
-    chol = _pd_cholesky(symmetrize(cov_b), jitter)
+    chol = jittered_cholesky(symmetrize(cov_b), jitter)
     diff = np.linalg.solve(chol, np.asarray(mean_a, dtype=float) - np.asarray(mean_b, dtype=float))
     return float(0.5 * (diff @ diff))
 

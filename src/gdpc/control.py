@@ -28,23 +28,49 @@ phi = Lambda for spc and certainty equivalence, kappa Lambda / (kappa +
 Lambda) for optimistic (kappa = lam/2) and lam Lambda / (lam - Lambda) for
 robust: optimistic <= certainty equivalence <= robust, and both weights
 tend to Lambda as lam grows. Robust needs lam > max Lambda.
+
+Per-run set-up. In a receding-horizon run only the history window w_ini
+changes from one call to the next. Each controller is therefore a set-up,
+everything that does not depend on w_ini, and a step that forms the one
+w_ini-dependent vector and solves: the QP's linear term, or for spc with
+an output box and for deepc the equality right-hand side. The set-up
+holds the spectral factor, the output weight Z, M_u^T Z and the QP with
+its bounds, PSD proof and Cholesky factor; for deepc the LQ factor, the
+predictor and the QP, whose ADMM set-up (Ruiz scaling, first KKT
+factorization) is made by the first solve and shared by the later ones
+(:meth:`QpProblem.updated`). Each controller keeps its last set-up, keyed
+by the identity of the model (``pm`` or ``dm``) and of ``cp``, both held
+so that their ids cannot be reused, and by the equality of the parameters
+the set-up reads: lam and jitter, or deepc's regularizer, lambda_g and
+rank_tol. The QP settings reach only the solve. The arrays of
+PredictiveModel, DataMatrix and ControlProblem are read-only, so an
+in-place write raises instead of leaving a stale set-up; a different
+model is a different object. A step evaluates the expressions of a
+one-shot call with the constant parts computed once ((M_u^T Z) v is what
+M_u^T Z v evaluates), so its results are bit for bit those of a fresh
+set-up.
 """
 
-import logging
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .behavior import ConditionalGaussian, PredictiveModel, data_lq, lq_predictor
-# Not called here; benchmarks/tracing.py wraps control.predictive_model by name.
+from .behavior import (
+    ConditionalGaussian,
+    PredictiveModel,
+    data_lq,
+    jittered_cholesky,
+    lq_predictor,
+)
+# Not called here; benchmarks/tracing.py wraps control.predictive_model and
+# control.chol_psd by name.
 from .behavior import predictive_model  # noqa: F401
-from .errors import InfeasibleProblem, LambdaTooSmall, NotPositiveDefinite, ShapeError
-from .linalg import DEFAULT_RANK_TOL, chol_psd, is_psd, pinv, sym_eig, symmetrize
+from .errors import InfeasibleProblem, LambdaTooSmall, ShapeError
+from .linalg import chol_psd  # noqa: F401
+from .linalg import DEFAULT_RANK_TOL, is_psd, pinv, read_only, sym_eig, symmetrize
 from .qp import QpProblem, QpSettings, QpSolution, l1_epigraph, solve
 from .trajectory import DataMatrix, SignalDims
-
-logger = logging.getLogger(__name__)
 
 REGULARIZERS = ("proj2", "sq2", "l1")
 
@@ -57,7 +83,7 @@ class ControlProblem:
 
     ``Q`` weighs the stacked future output (PSD), ``R`` the stacked future
     input (PD). References and boxes are full-stack vectors; box entries may
-    be +-inf.
+    be +-inf. The arrays are read-only copies (see the module docstring).
     """
 
     dims: SignalDims
@@ -113,7 +139,7 @@ class ControlProblem:
             ("u_lower", u_lower), ("u_upper", u_upper),
             ("y_lower", y_lower), ("y_upper", y_upper),
         ):
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, None if value is None else read_only(value))
 
     @property
     def n_u(self) -> int:
@@ -204,6 +230,21 @@ def _run_qp(prob: QpProblem, settings: QpSettings | None) -> QpSolution:
     return sol
 
 
+# The last set-up of each controller: name -> (model, cp, params, step).
+_SETUPS: dict[str, tuple] = {}
+
+
+def _prepared(name: str, model, cp: ControlProblem, params: tuple, build):
+    """The step function of controller ``name``: the kept one if the last
+    set-up of that controller was for this ``model`` and ``cp`` object and
+    equal ``params``, else ``build()``, which then takes its place."""
+    kept = _SETUPS.get(name)
+    if kept is None or kept[0] is not model or kept[1] is not cp or kept[2] != params:
+        kept = (model, cp, params, build())
+        _SETUPS[name] = kept
+    return kept[3]
+
+
 @dataclass(frozen=True)
 class _Spectral:
     """cov = L L^T (``chol``) and L^T Q L = V diag(values) V^T, values
@@ -240,18 +281,10 @@ class _Spectral:
 
 
 def _cholesky(cov, jitter: float) -> tuple[np.ndarray, np.ndarray]:
-    """(L, L^-1) with L L^T the covariance, jittered if it is not PD."""
-    cov = symmetrize(cov)
-    k = cov.shape[0]
-    try:
-        chol = chol_psd(cov)
-    except NotPositiveDefinite:
-        if jitter <= 0.0:
-            raise
-        delta = jitter * max(np.trace(cov) / k, 1.0)
-        logger.info("predictive covariance not PD; applying jitter %.3e", delta)
-        chol = chol_psd(cov, shift=delta)
-    return chol, np.linalg.solve(chol, np.eye(k))
+    """(L, L^-1) with L L^T the covariance, jittered if it is not PD
+    (:func:`~gdpc.behavior.jittered_cholesky`)."""
+    chol = jittered_cholesky(cov, jitter)
+    return chol, np.linalg.solve(chol, np.eye(chol.shape[0]))
 
 
 def _precision(inv_chol) -> np.ndarray:
@@ -273,14 +306,43 @@ def _input_hessian(pm: PredictiveModel, cp: ControlProblem, z) -> np.ndarray:
     return symmetrize(cp.R + pm.M_u.T @ z @ pm.M_u)
 
 
-def _input_qp(pm: PredictiveModel, bias, cp: ControlProblem, z,
-              settings: QpSettings | None) -> QpSolution:
-    """Solve min ||u - u_ref||_R^2 + ||M_u u + bias - y_ref||_Z^2 over the
-    input box."""
-    lin = pm.M_u.T @ z @ (bias - cp.y_ref) - cp.R @ cp.u_ref
-    prob = QpProblem(P=2.0 * _input_hessian(pm, cp, z), q=2.0 * lin,
-                     lower=cp.u_lower, upper=cp.u_upper)
-    return _run_qp(prob, settings)
+def _input_qp(pm: PredictiveModel, cp: ControlProblem, z):
+    """Set-up of min ||u - u_ref||_R^2 + ||M_u u + bias - y_ref||_Z^2 over
+    the input box. Returns its step, (bias, settings) -> solution, which
+    forms only the linear term 2 (M_u^T Z (bias - y_ref) - R u_ref)."""
+    m_u_t_z = pm.M_u.T @ z
+    r_u_ref = cp.R @ cp.u_ref
+    template = QpProblem(P=2.0 * _input_hessian(pm, cp, z), q=np.zeros(cp.n_u),
+                         lower=cp.u_lower, upper=cp.u_upper)
+
+    def step(bias, settings):
+        lin = m_u_t_z @ (bias - cp.y_ref) - r_u_ref
+        return _run_qp(template.updated(q=2.0 * lin), settings)
+
+    return step
+
+
+def _spc_setup(pm: PredictiveModel, cp: ControlProblem):
+    """spc's set-up; its step maps (bias, settings) to the solution, whose
+    first n_u entries are the input."""
+    if not cp.has_output_box:
+        return _input_qp(pm, cp, cp.Q)
+    nu, ny = cp.n_u, cp.n_y
+    p_mat = np.zeros((nu + ny, nu + ny))
+    p_mat[:nu, :nu] = 2.0 * cp.R
+    p_mat[nu:, nu:] = 2.0 * cp.Q
+    q_vec = np.concatenate([-2.0 * cp.R @ cp.u_ref, -2.0 * cp.Q @ cp.y_ref])
+    a_eq = np.hstack([-pm.M_u, np.eye(ny)])
+    template = QpProblem(
+        P=p_mat, q=q_vec, A_eq=a_eq, b_eq=np.zeros(ny),
+        lower=np.concatenate([cp.u_lower, cp.y_lower]),
+        upper=np.concatenate([cp.u_upper, cp.y_upper]),
+    )
+
+    def step(bias, settings):
+        return _run_qp(template.updated(b_eq=bias), settings)
+
+    return step
 
 
 def spc(
@@ -290,23 +352,8 @@ def spc(
     output box forces them to stay as constrained variables)."""
     w = _check_w_ini(pm, w_ini)
     bias = pm.M_ini @ w
-    if not cp.has_output_box:
-        sol = _input_qp(pm, bias, cp, cp.Q, settings)
-        u = sol.x
-    else:
-        nu, ny = cp.n_u, cp.n_y
-        p_mat = np.zeros((nu + ny, nu + ny))
-        p_mat[:nu, :nu] = 2.0 * cp.R
-        p_mat[nu:, nu:] = 2.0 * cp.Q
-        q_vec = np.concatenate([-2.0 * cp.R @ cp.u_ref, -2.0 * cp.Q @ cp.y_ref])
-        a_eq = np.hstack([-pm.M_u, np.eye(ny)])
-        prob = QpProblem(
-            P=p_mat, q=q_vec, A_eq=a_eq, b_eq=bias,
-            lower=np.concatenate([cp.u_lower, cp.y_lower]),
-            upper=np.concatenate([cp.u_upper, cp.y_upper]),
-        )
-        sol = _run_qp(prob, settings)
-        u = sol.x[:nu]
+    sol = _prepared("spc", pm, cp, (), lambda: _spc_setup(pm, cp))(bias, settings)
+    u = sol.x[: cp.n_u]
     y_mean = pm.M_u @ u + bias
     return ControlResult(
         u_f=u,
@@ -337,6 +384,69 @@ def certainty_equivalence(
     """
     res = _spc(pm, w_ini, cp, settings)
     return replace(res, objective=res.objective + float(np.trace(cp.Q @ pm.cov)))
+
+
+def _deepc_setup(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g: float,
+                 rank_tol: float):
+    """deepc's set-up; its step maps (w_ini, settings) to (u, mean, cov,
+    objective, solution, g)."""
+    l_fac, basis = data_lq(dm)
+    pm, free_projector = lq_predictor(dm, l_fac, rank_tol)
+    raw = regularizer == "l1" and lambda_g > 0.0
+    data = dm.ordered if raw else l_fac
+    k = data.shape[1]
+    n_ini = dm.dims.q * dm.l_ini
+    nu, ny = cp.n_u, cp.n_y
+    n = k + nu + ny
+
+    p_mat = np.zeros((n, n))
+    p_mat[k : k + nu, k : k + nu] = 2.0 * cp.R
+    p_mat[k + nu :, k + nu :] = 2.0 * cp.Q
+    if lambda_g > 0.0 and regularizer == "proj2":
+        p_mat[:k, :k] = 2.0 * lambda_g * symmetrize(np.eye(k) - free_projector)
+    elif lambda_g > 0.0 and regularizer == "sq2":
+        p_mat[:k, :k] = 2.0 * lambda_g * np.eye(k)
+
+    q_vec = np.zeros(n)
+    q_vec[k : k + nu] = -2.0 * cp.R @ cp.u_ref
+    q_vec[k + nu :] = -2.0 * cp.Q @ cp.y_ref
+
+    a_eq = np.zeros((n_ini + nu + ny, n))
+    a_eq[:, :k] = data
+    a_eq[n_ini:, k:] = -np.eye(nu + ny)
+
+    y_lower = cp.y_lower if cp.has_output_box else np.full(ny, -np.inf)
+    y_upper = cp.y_upper if cp.has_output_box else np.full(ny, np.inf)
+    lower = np.concatenate([np.full(k, -np.inf), cp.u_lower, y_lower])
+    upper = np.concatenate([np.full(k, np.inf), cp.u_upper, y_upper])
+
+    template = QpProblem(P=p_mat, q=q_vec, A_eq=a_eq, b_eq=np.zeros(n_ini + nu + ny),
+                         lower=lower, upper=upper)
+    keep = None
+    if raw:
+        template, keep = l1_epigraph(template, lambda_g, np.arange(k))
+    # b_eq is [w_ini; 0], with the epigraph's zero rows appended for l1.
+    b_tail = np.zeros(template.n_eq - n_ini)
+    kernel_polish = pinv(l_fac, rank_tol) if lambda_g == 0.0 else None
+    reg_block = p_mat[:k, :k]
+
+    def step(w, settings):
+        sol = _run_qp(template.updated(b_eq=np.concatenate([w, b_tail])), settings)
+        x = sol.x if keep is None else sol.x[keep]
+        coords = x[:k]
+        u = x[k : k + nu]
+        y_mean = x[k + nu :]
+        if kernel_polish is not None:
+            coords = kernel_polish @ (l_fac @ coords)  # drop the kernel component
+        if raw:
+            g = coords
+            reg_term = lambda_g * float(np.abs(g).sum())
+        else:
+            g = basis @ coords
+            reg_term = 0.5 * float(coords @ reg_block @ coords)
+        return u, y_mean, pm.cov, cp.tracking_cost(u, y_mean) + reg_term, sol, g
+
+    return step
 
 
 def deepc(
@@ -373,6 +483,9 @@ def deepc(
     not rotation-invariant, so ``l1`` with ``lambda_g`` > 0 keeps the raw
     D-column g. The returned g has length D in every case, and the reported
     covariance is the predictive covariance computed from the same L.
+
+    Everything but the equality right-hand side [w_ini; 0] is set up once
+    per (dm, cp, regularizer, lambda_g, rank_tol); see the module docstring.
     """
     if regularizer not in REGULARIZERS:
         raise ValueError(f"regularizer must be one of {REGULARIZERS}, got {regularizer!r}")
@@ -385,65 +498,71 @@ def deepc(
     if cp.dims != dm.dims or cp.l_ini != dm.l_ini or cp.l_f != dm.l_f:
         raise ShapeError("control problem and data matrix disagree on dims/horizons")
 
-    l_fac, basis = data_lq(dm)
-    pm, free_projector = lq_predictor(dm, l_fac, rank_tol)
-    raw = regularizer == "l1" and lambda_g > 0.0
-    data = dm.ordered if raw else l_fac
-    k = data.shape[1]
-    nu, ny = cp.n_u, cp.n_y
-    n = k + nu + ny
-
-    p_mat = np.zeros((n, n))
-    p_mat[k : k + nu, k : k + nu] = 2.0 * cp.R
-    p_mat[k + nu :, k + nu :] = 2.0 * cp.Q
-    if lambda_g > 0.0 and regularizer == "proj2":
-        p_mat[:k, :k] = 2.0 * lambda_g * symmetrize(np.eye(k) - free_projector)
-    elif lambda_g > 0.0 and regularizer == "sq2":
-        p_mat[:k, :k] = 2.0 * lambda_g * np.eye(k)
-
-    q_vec = np.zeros(n)
-    q_vec[k : k + nu] = -2.0 * cp.R @ cp.u_ref
-    q_vec[k + nu :] = -2.0 * cp.Q @ cp.y_ref
-
-    a_eq = np.zeros((n_ini + nu + ny, n))
-    a_eq[:, :k] = data
-    a_eq[n_ini:, k:] = -np.eye(nu + ny)
-    b_eq = np.concatenate([w, np.zeros(nu + ny)])
-
-    y_lower = cp.y_lower if cp.has_output_box else np.full(ny, -np.inf)
-    y_upper = cp.y_upper if cp.has_output_box else np.full(ny, np.inf)
-    lower = np.concatenate([np.full(k, -np.inf), cp.u_lower, y_lower])
-    upper = np.concatenate([np.full(k, np.inf), cp.u_upper, y_upper])
-
-    prob = QpProblem(P=p_mat, q=q_vec, A_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper)
-    if raw:
-        prob, keep = l1_epigraph(prob, lambda_g, np.arange(k))
-        sol = _run_qp(prob, settings)
-        x = sol.x[keep]
-    else:
-        sol = _run_qp(prob, settings)
-        x = sol.x
-
-    coords = x[:k]
-    u = x[k : k + nu]
-    y_mean = x[k + nu :]
-    if lambda_g == 0.0:
-        coords = pinv(l_fac, rank_tol) @ (l_fac @ coords)  # drop the kernel component
-
-    if raw:
-        g = coords
-        reg_term = lambda_g * float(np.abs(g).sum())
-    else:
-        g = basis @ coords
-        reg_term = 0.5 * float(coords @ p_mat[:k, :k] @ coords)
+    step = _prepared("deepc", dm, cp, (regularizer, lambda_g, rank_tol),
+                     lambda: _deepc_setup(dm, cp, regularizer, lambda_g, rank_tol))
+    u, y_mean, cov, objective, sol, g = step(w, settings)
     return ControlResult(
         u_f=u,
-        y_pred=ConditionalGaussian(mean=y_mean, cov=pm.cov),
-        objective=cp.tracking_cost(u, y_mean) + reg_term,
+        y_pred=ConditionalGaussian(mean=y_mean, cov=cov),
+        objective=objective,
         solver=sol,
         lambda_effective=lambda_g,
         g=g,
     )
+
+
+def _optimistic_setup(pm: PredictiveModel, cp: ControlProblem, lam: float, jitter: float):
+    """optimistic's set-up; its step maps (bias, settings) to (u, mean,
+    objective, solution)."""
+    kappa = 0.5 * lam
+    nu = cp.n_u
+
+    if not cp.has_output_box:
+        spec = _spectral(pm.cov, cp.Q, jitter)
+        z = spec.weight(spec.optimistic_phi(lam))
+        input_qp = _input_qp(pm, cp, z)
+        ref_term = spec.values * (spec.w.T @ cp.y_ref)
+        denominator = spec.values + kappa
+
+        def step(bias, settings):
+            sol = input_qp(bias, settings)
+            u = sol.x
+            mu_hat = pm.M_u @ u + bias
+            mu = spec.unwhiten((ref_term + kappa * (spec.w.T @ mu_hat)) / denominator)
+            dev, du = mu_hat - cp.y_ref, u - cp.u_ref
+            return u, mu, float(dev @ z @ dev + du @ cp.R @ du), sol
+
+        return step
+
+    ny = cp.n_y
+    precision = _precision(_cholesky(pm.cov, jitter)[1])
+    p_mat = np.zeros((nu + ny, nu + ny))
+    p_mat[:nu, :nu] = 2.0 * (cp.R + kappa * pm.M_u.T @ precision @ pm.M_u)
+    p_mat[:nu, nu:] = -2.0 * kappa * pm.M_u.T @ precision
+    p_mat[nu:, :nu] = p_mat[:nu, nu:].T
+    p_mat[nu:, nu:] = 2.0 * (cp.Q + kappa * precision)
+    template = QpProblem(
+        P=symmetrize(p_mat), q=np.zeros(nu + ny),
+        lower=np.concatenate([cp.u_lower, cp.y_lower]),
+        upper=np.concatenate([cp.u_upper, cp.y_upper]),
+    )
+    # The linear term is [2 kappa M_u^T S bias - 2 R u_ref;
+    # -2 kappa S bias - 2 Q y_ref], S the precision.
+    tether_u = 2.0 * kappa * pm.M_u.T
+    tether_mu = -2.0 * kappa * precision
+    r_u_ref = 2.0 * cp.R @ cp.u_ref
+    q_y_ref = 2.0 * cp.Q @ cp.y_ref
+
+    def step(bias, settings):
+        q_vec = np.concatenate([tether_u @ (precision @ bias) - r_u_ref,
+                                tether_mu @ bias - q_y_ref])
+        sol = _run_qp(template.updated(q=q_vec), settings)
+        u = sol.x[:nu]
+        mu = sol.x[nu:]
+        diff = mu - (pm.M_u @ u + bias)
+        return u, mu, cp.tracking_cost(u, mu) + kappa * float(diff @ precision @ diff), sol
+
+    return step
 
 
 def optimistic(
@@ -466,44 +585,9 @@ def optimistic(
         raise ValueError(f"lam must be positive, got {lam}")
     w = _check_w_ini(pm, w_ini)
     bias = pm.M_ini @ w
-    kappa = 0.5 * lam
-    nu, ny = cp.n_u, cp.n_y
-
-    if not cp.has_output_box:
-        spec = _spectral(pm.cov, cp.Q, jitter)
-        z = spec.weight(spec.optimistic_phi(lam))
-        sol = _input_qp(pm, bias, cp, z, settings)
-        u = sol.x
-        mu_hat = pm.M_u @ u + bias
-        mu = spec.unwhiten(
-            (spec.values * (spec.w.T @ cp.y_ref) + kappa * (spec.w.T @ mu_hat))
-            / (spec.values + kappa)
-        )
-        dev, du = mu_hat - cp.y_ref, u - cp.u_ref
-        objective = float(dev @ z @ dev + du @ cp.R @ du)
-    else:
-        precision = _precision(_cholesky(pm.cov, jitter)[1])
-        p_mat = np.zeros((nu + ny, nu + ny))
-        p_mat[:nu, :nu] = 2.0 * (cp.R + kappa * pm.M_u.T @ precision @ pm.M_u)
-        p_mat[:nu, nu:] = -2.0 * kappa * pm.M_u.T @ precision
-        p_mat[nu:, :nu] = p_mat[:nu, nu:].T
-        p_mat[nu:, nu:] = 2.0 * (cp.Q + kappa * precision)
-        q_vec = np.concatenate(
-            [
-                2.0 * kappa * pm.M_u.T @ (precision @ bias) - 2.0 * cp.R @ cp.u_ref,
-                -2.0 * kappa * precision @ bias - 2.0 * cp.Q @ cp.y_ref,
-            ]
-        )
-        prob = QpProblem(
-            P=symmetrize(p_mat), q=q_vec,
-            lower=np.concatenate([cp.u_lower, cp.y_lower]),
-            upper=np.concatenate([cp.u_upper, cp.y_upper]),
-        )
-        sol = _run_qp(prob, settings)
-        u = sol.x[:nu]
-        mu = sol.x[nu:]
-        diff = mu - (pm.M_u @ u + bias)
-        objective = cp.tracking_cost(u, mu) + kappa * float(diff @ precision @ diff)
+    step = _prepared("optimistic", pm, cp, (lam, jitter),
+                     lambda: _optimistic_setup(pm, cp, lam, jitter))
+    u, mu, objective, sol = step(bias, settings)
     return ControlResult(
         u_f=u,
         y_pred=ConditionalGaussian(mean=mu, cov=pm.cov),
@@ -542,6 +626,36 @@ def lambda_threshold(pm: PredictiveModel, cp: ControlProblem,
     return LambdaThreshold(lambda0=lambda0, lambda_psd=lambda0)
 
 
+def _robust_setup(pm: PredictiveModel, cp: ControlProblem, lam: float, jitter: float):
+    """robust's set-up; raises :class:`LambdaTooSmall` below lambda0. Its
+    step maps (bias, settings) to (u, worst-case mean, objective,
+    solution)."""
+    spec = _spectral(pm.cov, cp.Q, jitter)
+    if lam < spec.lambda0 or lam <= 0.0:
+        raise LambdaTooSmall(f"lam={lam:g} below certified lambda0={spec.lambda0:g}",
+                             lambda0=spec.lambda0, lambda_psd=spec.lambda0)
+    # The lam-scale terms of the dual objective cancel exactly: the cost is
+    # ||mu_hat(u) - y_ref||_Z^2 + ||u - u_ref||_R^2 - y_ref' Q y_ref, with
+    # no catastrophic cancellation at large lam.
+    phi = spec.robust_phi(lam)
+    z = spec.weight(phi)
+    input_qp = _input_qp(pm, cp, z)
+    worst_gain = phi / lam
+    ref_cost = cp.y_ref @ cp.Q @ cp.y_ref
+
+    def step(bias, settings):
+        sol = input_qp(bias, settings)
+        u = sol.x
+        mu_hat = pm.M_u @ u + bias
+        dev = mu_hat - cp.y_ref
+        # The worst-case mean mu* = mu_hat + (lam*S - Q)^-1 Q (mu_hat - y_ref).
+        mu_star = mu_hat + spec.unwhiten(worst_gain * (spec.w.T @ dev))
+        du = u - cp.u_ref
+        return u, mu_star, float(dev @ z @ dev + du @ cp.R @ du - ref_cost), sol
+
+    return step
+
+
 def robust(
     pm: PredictiveModel,
     w_ini,
@@ -563,26 +677,9 @@ def robust(
     if cp.has_output_box:
         raise ShapeError("robust controller does not support output boxes")
     w = _check_w_ini(pm, w_ini)
-    spec = _spectral(pm.cov, cp.Q, jitter)
-    if lam < spec.lambda0 or lam <= 0.0:
-        raise LambdaTooSmall(f"lam={lam:g} below certified lambda0={spec.lambda0:g}",
-                             lambda0=spec.lambda0, lambda_psd=spec.lambda0)
-
-    bias = pm.M_ini @ w
-    # The lam-scale terms of the dual objective cancel exactly: the cost is
-    # ||mu_hat(u) - y_ref||_Z^2 + ||u - u_ref||_R^2 - y_ref' Q y_ref, with
-    # no catastrophic cancellation at large lam.
-    phi = spec.robust_phi(lam)
-    z = spec.weight(phi)
-    sol = _input_qp(pm, bias, cp, z, settings)
-    u = sol.x
-    mu_hat = pm.M_u @ u + bias
-    dev = mu_hat - cp.y_ref
-    # The worst-case mean mu* = mu_hat + (lam*S - Q)^-1 Q (mu_hat - y_ref).
-    mu_star = mu_hat + spec.unwhiten(phi / lam * (spec.w.T @ dev))
-
-    du = u - cp.u_ref
-    objective = float(dev @ z @ dev + du @ cp.R @ du - cp.y_ref @ cp.Q @ cp.y_ref)
+    step = _prepared("robust", pm, cp, (lam, jitter),
+                     lambda: _robust_setup(pm, cp, lam, jitter))
+    u, mu_star, objective, sol = step(pm.M_ini @ w, settings)
     return ControlResult(
         u_f=u,
         y_pred=ConditionalGaussian(mean=mu_star, cov=pm.cov),

@@ -11,6 +11,7 @@ apply the first input block, step the seeded plant, record.
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -374,15 +375,33 @@ def run_closed_loop(cfg: ExperimentConfig, seed: int | None = None,
     outputs.
     """
     _, dm, pm = identification_run(cfg)
-    return _closed_loop(cfg, dm, pm, seed, lam)
+    return _closed_loop(cfg, dm, pm, cfg.control_problem(), seed, lam)
 
 
-def _closed_loop(cfg: ExperimentConfig, dm, pm, seed: int | None,
-                 lam: float | None) -> RunRecord:
+def _gaussian_noise(rng: np.random.Generator, cov: np.ndarray):
+    """A function drawing ``rng.multivariate_normal(zeros, cov)`` bit for bit
+    and from the same stream, with ``cov`` factored once rather than per
+    draw: numpy's default method, F = U sqrt(s) from the SVD U diag(s) V^T
+    of cov, and its PSD check, which warns."""
+    cov = np.array(cov, dtype=float)
+    u, s, vh = np.linalg.svd(cov)
+    if not np.allclose(np.dot(vh.T * s, vh), cov, rtol=1e-8, atol=1e-8):
+        warnings.warn("covariance is not symmetric positive-semidefinite.",
+                      RuntimeWarning, stacklevel=2)
+    factor_t = (u * np.sqrt(s)).T
+    mean = np.zeros(cov.shape[0])
+
+    def draw():
+        return (mean + rng.standard_normal(mean.shape[0]).reshape(1, -1) @ factor_t)[0]
+
+    return draw
+
+
+def _closed_loop(cfg: ExperimentConfig, dm, pm, cp: ctl.ControlProblem,
+                 seed: int | None, lam: float | None) -> RunRecord:
     """The loop of :func:`run_closed_loop` on an identified data matrix and
-    predictor."""
+    predictor and a built control problem."""
     seed = cfg.run_seed if seed is None else seed
-    cp = cfg.control_problem()
     model = cfg.plant
     dims = model.dims
 
@@ -397,10 +416,11 @@ def _closed_loop(cfg: ExperimentConfig, dm, pm, seed: int | None,
     aborted = False
     abort_reason = None
 
+    draw_xi = _gaussian_noise(rng_xi, model.Sigma_xi)
+    draw_eta = _gaussian_noise(rng_eta, model.Sigma_eta)
+
     def noise():
-        xi = rng_xi.multivariate_normal(np.zeros(model.n), model.Sigma_xi)
-        eta = rng_eta.multivariate_normal(np.zeros(model.p), model.Sigma_eta)
-        return xi, eta
+        return draw_xi(), draw_eta()
 
     def snapshot():
         window = np.zeros(dims.q * cfg.l_ini)
@@ -475,10 +495,11 @@ def sweep_lambda(cfg: ExperimentConfig, grid=None) -> list[SweepCell]:
     """Monte-Carlo closed-loop cost over an ascending weight grid.
 
     Each cell repeats ``cfg.repetitions`` runs with seeds run_seed + r. The
-    data are identified once, since every run of the sweep identifies the
-    same data. Runs that raise a package error (infeasibility, threshold
-    violations) or abort are recorded as failed and the sweep continues;
-    any other exception propagates.
+    data are identified and the control problem is built once, since every
+    run of the sweep would build the same ones; the controller's set-up is
+    then made once per weight. Runs that raise a package error
+    (infeasibility, threshold violations) or abort are recorded as failed
+    and the sweep continues; any other exception propagates.
     """
     values = tuple(float(g) for g in (grid if grid is not None else cfg.lambda_grid))
     if not values:
@@ -486,13 +507,14 @@ def sweep_lambda(cfg: ExperimentConfig, grid=None) -> list[SweepCell]:
     if any(b < a for a, b in zip(values, values[1:])):
         raise ConfigError("lambda grid must be ascending")
     _, dm, pm = identification_run(cfg)
+    cp = cfg.control_problem()
     cells = []
     for lam in values:
         costs = []
         failed = 0
         for rep in range(cfg.repetitions):
             try:
-                rec = _closed_loop(cfg, dm, pm, cfg.run_seed + rep, lam)
+                rec = _closed_loop(cfg, dm, pm, cp, cfg.run_seed + rep, lam)
             except GdpcError:
                 failed += 1
                 continue

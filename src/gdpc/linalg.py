@@ -2,8 +2,9 @@
 
 Thin, contract-checked wrappers around LAPACK (via numpy/scipy): truncated
 pseudoinverse, symmetric eigendecomposition, Cholesky with shift, PSD test,
-and the discrete Lyapunov solve. All functions treat inputs as immutable and
-are safe to call concurrently.
+and the discrete Lyapunov solve; and the read-only copy the package's value
+types keep their arrays in. All functions treat inputs as immutable and are
+safe to call concurrently.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise InvalidMatrix(f"{name} must be 2-D, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
         raise InvalidMatrix(f"{name} contains non-finite entries")
+    return m
+
+
+def read_only(a) -> np.ndarray:
+    """A read-only float copy of ``a``. The package's value types keep their
+    arrays this way, so work cached against an object cannot go stale
+    through an in-place write."""
+    m = np.array(a, dtype=float)
+    m.flags.writeable = False
     return m
 
 

@@ -40,6 +40,18 @@ the KKT solve against that form.
 
 Infinite bounds are encoded internally by ADMM as the sentinel magnitude
 1e30; the active-set method uses them as they are.
+
+A :class:`QpProblem` keeps the work it has done on P. Its validation tries
+the Cholesky factorization first: success proves P positive definite, and
+the factor is what :func:`solve` dispatches on and the active-set method
+starts from; only a P that fails it gets the eigenvalue PSD test. ADMM's
+set-up (the Ruiz scalings, the scaled data and the first KKT
+factorization) is kept on the problem for the last settings it was made
+for. A receding-horizon controller changes only q or b_eq from one solve
+to the next: :meth:`QpProblem.updated` derives such a problem, checks only
+the new vector, shares the factor, and shares the ADMM set-up when q is
+unchanged, since that set-up never reads b_eq. The arrays of a problem are
+read-only copies, so none of this can go stale.
 """
 
 import warnings
@@ -50,15 +62,33 @@ from scipy.linalg import LinAlgWarning
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
 from .errors import ShapeError
-from .linalg import is_psd, matrix_rank, sym_eig, symmetrize
+from .linalg import is_psd, matrix_rank, read_only, sym_eig, symmetrize
 
 INFINITY_SENTINEL = 1e30
+
+
+def _finite_vector(value, size: int, name: str) -> np.ndarray:
+    """``value`` as a read-only vector; raises :class:`ShapeError` unless it
+    has length ``size`` and finite entries."""
+    v = np.asarray(value, dtype=float).reshape(-1)
+    if v.shape != (size,):
+        raise ShapeError(f"{name} must have length {size}, got {v.shape}")
+    if not np.isfinite(v).all():
+        raise ShapeError(f"{name} contains non-finite entries")
+    return read_only(v)
 
 
 @dataclass(frozen=True)
 class QpProblem:
     """Data of one convex QP. ``lower``/``upper`` accept +-inf entries; any
-    other non-finite entry raises :class:`ShapeError`."""
+    other non-finite entry raises :class:`ShapeError`. The arrays are
+    read-only copies.
+
+    A problem keeps the work it has done on P: the upper Cholesky factor
+    when P is positive definite, which is both the proof that P is PSD and
+    what :func:`solve` dispatches on, and ADMM's set-up for the last
+    settings it was solved with. :meth:`updated` derives a problem with a
+    new linear term or equality right-hand side that shares them."""
 
     P: np.ndarray
     q: np.ndarray
@@ -66,17 +96,24 @@ class QpProblem:
     b_eq: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
+    _p_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _admm_cache: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = symmetrize(self.P)
+        p = read_only(symmetrize(self.P))
         qv = np.asarray(self.q, dtype=float).reshape(-1)
         n = qv.shape[0]
         if p.shape != (n, n):
             raise ShapeError(f"P must be {(n, n)}, got {p.shape}")
         if not np.all(np.isfinite(qv)):
             raise ShapeError("q contains non-finite entries")
-        if not is_psd(p, 1e-8):
-            raise ShapeError("P must be positive semidefinite at tolerance 1e-8")
+        # A P that passes potrf is positive definite; only one that fails
+        # needs the eigenvalue test.
+        factor, info = dpotrf(p)
+        if info != 0:
+            factor = None
+            if not is_psd(p, 1e-8):
+                raise ShapeError("P must be positive semidefinite at tolerance 1e-8")
         a = np.zeros((0, n)) if self.A_eq is None else np.asarray(self.A_eq, dtype=float)
         b = np.zeros(0) if self.b_eq is None else np.asarray(self.b_eq, dtype=float).reshape(-1)
         if a.ndim != 2 or a.shape[1] != n or a.shape[0] != b.shape[0]:
@@ -91,8 +128,11 @@ class QpProblem:
             raise ShapeError("bounds contain NaN")
         if np.any(lo > hi):
             raise ShapeError("lower bound exceeds upper bound")
-        for name, value in (("P", p), ("q", qv), ("A_eq", a), ("b_eq", b),
-                            ("lower", lo), ("upper", hi)):
+        for name, value in (("P", p), ("q", read_only(qv)), ("A_eq", read_only(a)),
+                            ("b_eq", read_only(b)), ("lower", read_only(lo)),
+                            ("upper", read_only(hi)),
+                            ("_p_factor", None if factor is None else read_only(factor)),
+                            ("_admm_cache", {})):
             object.__setattr__(self, name, value)
 
     @property
@@ -102,6 +142,22 @@ class QpProblem:
     @property
     def n_eq(self) -> int:
         return self.A_eq.shape[0]
+
+    def updated(self, q=None, b_eq=None) -> "QpProblem":
+        """This problem with a new linear term and/or equality right-hand
+        side, of which only the new vectors are checked (length and
+        finiteness). The result shares P's Cholesky factor, and shares the
+        ADMM set-up too when ``q`` is unchanged, since that set-up (Ruiz
+        scaling, scaled data, first KKT factorization) reads P, q, A_eq and
+        the bounds but never b_eq."""
+        changes = {}
+        if q is not None:
+            changes.update(q=_finite_vector(q, self.n, "q"), _admm_cache={})
+        if b_eq is not None:
+            changes["b_eq"] = _finite_vector(b_eq, self.n_eq, "b_eq")
+        new = object.__new__(QpProblem)  # the validated fields, not re-validated
+        new.__dict__.update(self.__dict__, **changes)
+        return new
 
 
 @dataclass(frozen=True)
@@ -314,11 +370,9 @@ def _polish(prob, a_full, lo, hi, x, y, z, tol):
 
 def solve(prob: QpProblem, settings: QpSettings = QpSettings()) -> QpSolution:
     """Solve the QP: by the active-set method if it has no equality rows and
-    P passes a Cholesky factorization, by ADMM otherwise."""
-    if prob.n_eq == 0:
-        factor, info = dpotrf(prob.P)
-        if info == 0:
-            return _active_set(prob, factor, settings)
+    P passed its Cholesky factorization, by ADMM otherwise."""
+    if prob.n_eq == 0 and prob._p_factor is not None:
+        return _active_set(prob, prob._p_factor, settings)
     return _admm(prob, settings)
 
 
@@ -395,29 +449,47 @@ def _active_set(prob: QpProblem, factor: np.ndarray, settings: QpSettings) -> Qp
     )
 
 
-def _admm(prob: QpProblem, settings: QpSettings) -> QpSolution:
-    """Run the operator-splitting iteration until the unscaled KKT residuals
-    meet eps_abs/eps_rel, infeasibility is certified, or max_iter is hit."""
+def _admm_setup(prob: QpProblem, settings: QpSettings) -> tuple:
+    """What ADMM computes before its first iteration from P, q, A_eq, the
+    bounds and ``settings``: [A_eq; I], the Ruiz scalings d, e and e/c, the
+    scaled P, q and [A_eq; I], max |q|, the step sizes rho and the first
+    KKT factorization. None of it reads b_eq. Kept on the problem, and on
+    the problems :meth:`QpProblem.updated` derives from it with the same q,
+    for the last settings it was computed for; the arrays are read-only."""
+    cached = prob._admm_cache.get(settings)
+    if cached is not None:
+        return cached
     n, m_eq = prob.n, prob.n_eq
-    m = m_eq + n
     a_full = np.vstack([prob.A_eq, np.eye(n)])
-    lo = _clip_sentinel(np.concatenate([prob.b_eq, prob.lower]))
-    hi = _clip_sentinel(np.concatenate([prob.b_eq, prob.upper]))
-    eq_mask = np.zeros(m, dtype=bool)
-    eq_mask[:m_eq] = True
-    eq_mask[m_eq:] = lo[m_eq:] == hi[m_eq:]
+    eq_mask = np.ones(m_eq + n, dtype=bool)
+    eq_mask[m_eq:] = _clip_sentinel(prob.lower) == _clip_sentinel(prob.upper)
 
     d, e, c = _ruiz_equilibrate(prob.P, prob.q, a_full, settings.scaling_iters)
     ps = c * (d[:, None] * prob.P * d[None, :])
     qs = c * d * prob.q
     asc = e[:, None] * a_full * d[None, :]
-    los = _clip_sentinel(e * lo)
-    his = _clip_sentinel(e * hi)
-    e_over_c = e / c
     q_norm = float(np.abs(prob.q).max(initial=0.0))
-
     rho = _rho_vector(settings.rho, eq_mask)
     factor = _factor_kkt(ps, asc, settings.sigma, rho)
+    cached = (a_full, d, e, e / c, ps, qs, asc, q_norm, rho, factor)
+    for value in (*cached, *factor):
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    prob._admm_cache.clear()
+    prob._admm_cache[settings] = cached
+    return cached
+
+
+def _admm(prob: QpProblem, settings: QpSettings) -> QpSolution:
+    """Run the operator-splitting iteration until the unscaled KKT residuals
+    meet eps_abs/eps_rel, infeasibility is certified, or max_iter is hit."""
+    n, m_eq = prob.n, prob.n_eq
+    m = m_eq + n
+    a_full, d, e, e_over_c, ps, qs, asc, q_norm, rho, factor = _admm_setup(prob, settings)
+    lo = _clip_sentinel(np.concatenate([prob.b_eq, prob.lower]))
+    hi = _clip_sentinel(np.concatenate([prob.b_eq, prob.upper]))
+    los = _clip_sentinel(e * lo)
+    his = _clip_sentinel(e * hi)
 
     # state holds [x; z_relaxed] during an update and [x; z] between them;
     # x and z are views into it. rhs is the KKT right-hand side.

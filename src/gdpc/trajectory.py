@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, ShapeError, TooShort
-from .linalg import DEFAULT_RANK_TOL, matrix_rank
+from .linalg import DEFAULT_RANK_TOL, matrix_rank, read_only
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,9 @@ class DataMatrix:
     the permutation such that ``matrix[row_index]`` equals the
     [w_ini; u_f; y_f] ordering. Column order is chronological by window
     start (fixed for reproducibility; the estimators are permutation
-    invariant in the columns).
+    invariant in the columns). Both arrays are read-only, ``matrix`` a copy,
+    since deepc keeps set-up work per data matrix object (see
+    :mod:`gdpc.control`).
     """
 
     dims: SignalDims
@@ -91,7 +93,7 @@ class DataMatrix:
     row_index: np.ndarray = field(default=None)  # set in __post_init__
 
     def __post_init__(self):
-        w = np.asarray(self.matrix, dtype=float)
+        w = read_only(self.matrix)
         if self.l_ini < 1 or self.l_f < 1:
             raise ShapeError(f"window lengths must be >= 1, got L_ini={self.l_ini}, L_f={self.l_f}")
         expected_rows = self.dims.q * (self.l_ini + self.l_f)
@@ -99,10 +101,10 @@ class DataMatrix:
             raise ShapeError(f"data matrix must have {expected_rows} rows, got shape {w.shape}")
         if w.shape[1] < 1:
             raise ShapeError("data matrix must have at least one column")
+        row_index = block_row_permutation(self.dims, self.l_ini, self.l_f)
+        row_index.flags.writeable = False
         object.__setattr__(self, "matrix", w)
-        object.__setattr__(
-            self, "row_index", block_row_permutation(self.dims, self.l_ini, self.l_f)
-        )
+        object.__setattr__(self, "row_index", row_index)
 
     @property
     def window_length(self) -> int:

@@ -9,6 +9,7 @@ here first.
 """
 
 import copy
+import dataclasses
 import importlib.util
 import inspect
 import json
@@ -96,12 +97,13 @@ def test_one_timed_solve_per_step_with_unpackable_arguments(controller, workload
             assert args[3] == rec.steps[-1].lambda_effective
 
 
-def traced_children(tracing, cfg):
-    """The names of the direct child spans of each controller span."""
+def traced_children(tracing, run):
+    """The names of the direct child spans of each controller span, in call
+    order, while ``run()`` runs traced."""
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        harness.run_closed_loop(cfg)
+        run()
     finally:
         tracer.remove()
     spans = tracer.spans
@@ -110,21 +112,41 @@ def traced_children(tracing, cfg):
     return [[span[0] for span in spans if span[1] == i] for i in solves]
 
 
+def loop_children(tracing, cfg):
+    return traced_children(tracing, lambda: harness.run_closed_loop(cfg))
+
+
+def assert_first_solve_only(children, name, count):
+    """``name`` appears ``count`` times under a run's first controller span
+    (the one that builds the run's set-up) and never under the others."""
+    assert len(children) > 1
+    assert [c.count(name) for c in children] == [count] + [0] * (len(children) - 1)
+
+
 @pytest.mark.parametrize("controller,factorizations", [
     ("spc", 0), ("ce", 0), ("optimistic", 1), ("robust", 1),
 ])
 def test_traced_factorizations_per_solve(controller, factorizations, tracing):
-    for children in traced_children(tracing, short_loop_config(controller)):
-        assert children.count("linalg.chol_psd") == factorizations
-        assert children.count("linalg.sym_eig") == factorizations
-        assert "control.lambda_threshold" not in children
+    # Counted per run: the factorizations belong to the set-up.
+    children = loop_children(tracing, short_loop_config(controller))
+    assert_first_solve_only(children, "linalg.chol_psd", factorizations)
+    assert_first_solve_only(children, "linalg.sym_eig", factorizations)
+    assert not any("control.lambda_threshold" in c for c in children)
 
 
 def test_output_box_optimistic_needs_no_eigendecomposition(tracing):
     # The (u, mean) QP uses only the precision.
-    for children in traced_children(tracing, short_loop_config("optimistic", True)):
-        assert children.count("linalg.chol_psd") == 1
-        assert children.count("linalg.sym_eig") == 0
+    children = loop_children(tracing, short_loop_config("optimistic", True))
+    assert_first_solve_only(children, "linalg.chol_psd", 1)
+    assert_first_solve_only(children, "linalg.sym_eig", 0)
+
+
+def test_robust_sweep_factors_once_per_weight(tracing):
+    cfg = short_loop_config("robust")
+    cfg = dataclasses.replace(cfg, repetitions=2, lambda_grid=(1.0, 10.0, 100.0))
+    children = traced_children(tracing, lambda: harness.sweep_lambda(cfg))
+    assert len(children) == 3 * 2 * (cfg.run_steps - cfg.l_ini)
+    assert sum(c.count("linalg.chol_psd") for c in children) == len(cfg.lambda_grid)
 
 
 @pytest.mark.parametrize("controller", sorted(HARNESS_NAMES))

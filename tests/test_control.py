@@ -1,5 +1,7 @@
 """Tests for the five control formulations and their equivalences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import (
@@ -22,7 +24,7 @@ from gdpc.control import (
 from gdpc.errors import InfeasibleProblem, LambdaTooSmall, ShapeError
 from gdpc.linalg import pinv, sym_eig
 from gdpc.plant import simulate, step
-from gdpc.qp import QpProblem, solve
+from gdpc.qp import QpProblem, QpSettings, solve
 from gdpc.trajectory import SignalDims, build_data_matrix
 from gdpc.verify import _certainty_equivalence_oracle
 
@@ -596,3 +598,154 @@ class TestControlProblemValidation:
         ):
             assert np.all(res.u_f <= inst.cp.u_upper + 1e-6)
             assert np.all(res.u_f >= inst.cp.u_lower - 1e-6)
+
+
+def assert_same_result(a, b):
+    """Two ControlResults are equal bit for bit, solver fields included."""
+    for x, y in ((a.u_f, b.u_f), (a.y_pred.mean, b.y_pred.mean),
+                 (a.y_pred.cov, b.y_pred.cov), (a.solver.x, b.solver.x),
+                 (a.solver.bound_duals, b.solver.bound_duals),
+                 (a.solver.eq_duals, b.solver.eq_duals)):
+        assert x.tobytes() == y.tobytes() and x.shape == y.shape
+    assert (a.g is None) == (b.g is None)
+    if a.g is not None:
+        assert a.g.tobytes() == b.g.tobytes()
+    for name in ("objective", "lambda_effective"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+    for name in ("objective", "status", "primal_residual", "dual_residual",
+                 "iterations", "polished"):
+        assert getattr(a.solver, name) == getattr(b.solver, name), name
+
+
+class TestPerRunSetup:
+    """Each controller keeps its last set-up, keyed by the model and control
+    problem objects and the parameters the set-up reads. A call that reuses
+    it must return what a call on freshly built equal objects returns."""
+
+    @staticmethod
+    def check_sequence(call, calls, windows):
+        """Make the calls ``call(model, w_ini, cp, **kw)`` for each
+        (model, cp, kw) of ``calls`` in turn, each twice, then compare every
+        result with a call on fresh copies of its model and cp."""
+        results = []
+        for k, (model, cp, kw) in enumerate(calls):
+            w_ini = windows[k % len(windows)]
+            first = call(model, w_ini, cp, **kw)
+            assert_same_result(first, call(model, w_ini, cp, **kw))
+            results.append(first)
+        for k, ((model, cp, kw), first) in enumerate(zip(calls, results)):
+            w_ini = windows[k % len(windows)]
+            fresh = call(dataclasses.replace(model), w_ini, dataclasses.replace(cp), **kw)
+            assert_same_result(first, fresh)
+
+    @staticmethod
+    def instance(seed, **kw):
+        rng = np.random.default_rng(seed)
+        inst = random_control_instance(rng, with_input_box=True, **kw)
+        other = inst.w_ini + 0.3 * rng.standard_normal(inst.w_ini.shape)
+        return inst, [inst.w_ini, other]
+
+    @staticmethod
+    def other_cp(cp):
+        """An equal-shaped control problem with another output reference."""
+        return dataclasses.replace(cp, y_ref=cp.y_ref + 0.5)
+
+    @staticmethod
+    def singular_cov_model(pm, rng):
+        """``pm`` with a rank-one covariance, so the jitter takes effect."""
+        v = rng.standard_normal(pm.cov.shape[0])
+        return PredictiveModel(M_u=pm.M_u, M_ini=pm.M_ini, cov=np.outer(v, v))
+
+    def test_spc_and_ce(self):
+        for seed, box in ((40, False), (41, True)):
+            inst, windows = self.instance(seed, with_output_box=box)
+            pm, cp = inst.pm, inst.cp
+            pm2 = dataclasses.replace(pm, M_u=1.5 * pm.M_u)
+            cp2 = self.other_cp(cp)
+            calls = [(pm, cp, {}), (pm, cp, {"settings": QpSettings(max_iter=1)}),
+                     (pm, cp, {"settings": QpSettings(rho=1.0)}), (pm, cp, {}),
+                     (pm2, cp, {}), (pm, cp, {}), (pm, cp2, {}), (pm, cp, {})]
+            for call in (spc, certainty_equivalence):
+                self.check_sequence(call, calls, windows)
+
+    def test_deepc(self):
+        inst, windows = self.instance(42)
+        dm, cp = inst.dm, inst.cp
+        dm2 = dataclasses.replace(dm, matrix=1.5 * dm.matrix)
+        cp2 = self.other_cp(cp)
+        proj2 = {"regularizer": "proj2", "lambda_g": 5.0}
+        calls = [
+            (dm, cp, proj2),
+            (dm, cp, {"regularizer": "sq2", "lambda_g": 5.0}),
+            (dm, cp, proj2),
+            (dm, cp, {"regularizer": "proj2", "lambda_g": 50.0}),
+            (dm, cp, {"regularizer": "proj2", "lambda_g": 0.0}),
+            (dm, cp, {"regularizer": "l1", "lambda_g": 0.5}),
+            (dm, cp, {"regularizer": "proj2", "lambda_g": 0.0, "rank_tol": 1e-3}),
+            (dm, cp, {"regularizer": "proj2", "lambda_g": 0.0}),
+            (dm, cp, dict(proj2, settings=QpSettings(rho=1.0))),
+            (dm, cp, proj2),
+            (dm2, cp, proj2),
+            (dm, cp2, proj2),
+            (dm, cp, proj2),
+        ]
+        self.check_sequence(deepc, calls, windows)
+
+    def test_optimistic(self):
+        rng = np.random.default_rng(43)
+        for box in (False, True):
+            inst, windows = self.instance(44, with_output_box=box)
+            pm, cp = self.singular_cov_model(inst.pm, rng), inst.cp
+            pm2 = self.singular_cov_model(inst.pm, rng)
+            cp2 = self.other_cp(cp)
+            calls = [
+                (pm, cp, {"lam": 0.5}), (pm, cp, {"lam": 50.0}), (pm, cp, {"lam": 0.5}),
+                (pm, cp, {"lam": 0.5, "jitter": 1e-3}), (pm, cp, {"lam": 0.5}),
+                (pm, cp, {"lam": 0.5, "settings": QpSettings(max_iter=1)}),
+                (pm2, cp, {"lam": 0.5}), (pm, cp2, {"lam": 0.5}), (pm, cp, {"lam": 0.5}),
+            ]
+            self.check_sequence(optimistic, calls, windows)
+
+    def test_robust(self):
+        rng = np.random.default_rng(45)
+        inst, windows = self.instance(46)
+        pm, cp = self.singular_cov_model(inst.pm, rng), inst.cp
+        pm2 = dataclasses.replace(pm, M_u=1.5 * pm.M_u)
+        cp2 = self.other_cp(cp)
+        lam = 2.0 * max(lambda_threshold(pm, cp, jitter=1e-3).lambda0,
+                        lambda_threshold(pm, cp).lambda0)
+        calls = [
+            (pm, cp, {"lam": lam}), (pm, cp, {"lam": 5.0 * lam}), (pm, cp, {"lam": lam}),
+            (pm, cp, {"lam": lam, "jitter": 1e-3}), (pm, cp, {"lam": lam}),
+            (pm, cp, {"lam": lam, "settings": QpSettings(max_iter=1)}),
+            (pm2, cp, {"lam": lam}), (pm, cp2, {"lam": lam}), (pm, cp, {"lam": lam}),
+        ]
+        self.check_sequence(robust, calls, windows)
+
+    def test_failed_setup_is_not_kept(self):
+        inst, _ = self.instance(47)
+        lam0 = lambda_threshold(inst.pm, inst.cp).lambda0
+        ok = robust(inst.pm, inst.w_ini, inst.cp, 2.0 * lam0)
+        for _ in range(2):
+            with pytest.raises(LambdaTooSmall):
+                robust(inst.pm, inst.w_ini, inst.cp, 0.5 * lam0)
+        assert_same_result(ok, robust(inst.pm, inst.w_ini, inst.cp, 2.0 * lam0))
+
+    def test_in_place_writes_raise(self):
+        inst, _ = self.instance(48, with_output_box=True)
+        for array in (inst.pm.M_u, inst.pm.M_ini, inst.pm.cov, inst.dm.matrix,
+                      inst.dm.row_index, inst.cp.Q, inst.cp.R, inst.cp.u_ref,
+                      inst.cp.y_ref, inst.cp.u_lower, inst.cp.y_upper):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_constructors_copy_their_arrays(self):
+        m_u, cov = np.eye(2), np.eye(2)
+        pm = PredictiveModel(M_u=m_u, M_ini=np.zeros((2, 4)), cov=cov)
+        m_u[0, 0] = 5.0  # the caller's array stays writable and is not shared
+        assert pm.M_u[0, 0] == 1.0
+        q = np.eye(2)
+        cp = ControlProblem(dims=SignalDims(1, 1), l_ini=2, l_f=2, Q=q, R=np.eye(2),
+                            u_ref=np.zeros(2), y_ref=np.zeros(2))
+        q[1, 1] = 3.0
+        assert cp.Q[1, 1] == 1.0

@@ -417,3 +417,36 @@ class TestVerify:
             assert isinstance(check.residual, float)
             assert isinstance(check.tolerance, float)
         assert report.lines()[-1].startswith("suite=solver")
+
+
+def plant_noise_covariances():
+    example = load_config(EXAMPLE_CONFIG).plant
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 3))
+    b = rng.standard_normal((6, 2))
+    return {
+        "example_xi": example.Sigma_xi,
+        "example_eta": example.Sigma_eta,
+        "3x3_eta": 0.05**2 * a @ a.T,
+        "6_state_xi_rank_2": 0.02**2 * b @ b.T,
+    }
+
+
+class TestPlantNoise:
+    """The closed loop factors each noise covariance once per run; its draws
+    are rng.multivariate_normal's, bit for bit and from the same stream."""
+
+    @pytest.mark.parametrize("name", sorted(plant_noise_covariances()))
+    def test_draws_match_multivariate_normal(self, name):
+        cov = plant_noise_covariances()[name]
+        ours, numpy_rng = np.random.default_rng(8), np.random.default_rng(8)
+        draw = harness._gaussian_noise(ours, cov)
+        mean = np.zeros(cov.shape[0])
+        for _ in range(2000):
+            got, want = draw(), numpy_rng.multivariate_normal(mean, cov)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert ours.standard_normal() == numpy_rng.standard_normal()
+
+    def test_indefinite_covariance_warns_once(self):
+        with pytest.warns(RuntimeWarning, match="positive-semidefinite"):
+            harness._gaussian_noise(np.random.default_rng(0), np.diag([1.0, -1.0]))

@@ -1,5 +1,7 @@
 """Tests for the dense QP solvers: the active-set method and ADMM."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import record_solver_paths
@@ -209,6 +211,32 @@ class TestValidation:
     def test_rejects_nonfinite_cost(self):
         with pytest.raises(ShapeError):
             QpProblem(P=[[1.0]], q=[np.inf])
+
+    def test_cholesky_proves_a_definite_cost_psd(self, monkeypatch):
+        def no_eigenvalues(*args):
+            raise AssertionError("is_psd called")
+
+        monkeypatch.setattr(qp, "is_psd", no_eigenvalues)
+        b = np.random.default_rng(9).standard_normal((6, 6))
+        QpProblem(P=b @ b.T + 0.1 * np.eye(6), q=np.zeros(6))
+
+    def test_only_a_failed_cholesky_takes_the_eigenvalue_test(self, monkeypatch):
+        calls = []
+        is_psd = qp.is_psd
+        monkeypatch.setattr(qp, "is_psd", lambda *args: calls.append(1) or is_psd(*args))
+        QpProblem(P=np.diag([1.0, 0.0]), q=[0.0, 0.0])
+        assert calls == [1]
+        with pytest.raises(ShapeError):
+            QpProblem(P=np.diag([1.0, -1.0]), q=[0.0, 0.0])
+        assert calls == [1, 1]
+
+    def test_arrays_are_read_only_copies(self):
+        q, lower = np.zeros(2), -np.ones(2)
+        prob = QpProblem(P=np.eye(2), q=q, lower=lower)
+        q[0] = lower[0] = 5.0
+        assert prob.q[0] == 0.0 and prob.lower[0] == -1.0
+        for array in (prob.P, prob.q, prob.A_eq, prob.b_eq, prob.lower, prob.upper):
+            assert not array.flags.writeable
 
 
 class TestDeterminism:
@@ -528,3 +556,82 @@ class TestActiveSet:
         a, b = solve(prob), solve(prob)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.bound_duals, b.bound_duals)
         assert a.iterations == b.iterations and a.objective == b.objective
+
+
+def assert_same_solution(a, b):
+    for name in ("x", "eq_duals", "bound_duals"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    for name in ("objective", "status", "primal_residual", "dual_residual", "iterations",
+                 "polished"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+class TestUpdated:
+    """A derived problem solves like the same problem built afresh, and
+    reuses the P-dependent work that its vectors leave valid."""
+
+    @staticmethod
+    def count_scalings(monkeypatch):
+        calls = []
+        ruiz = qp._ruiz_equilibrate
+        monkeypatch.setattr(qp, "_ruiz_equilibrate",
+                            lambda *args: calls.append(1) or ruiz(*args))
+        return calls
+
+    def test_new_linear_term_of_a_box_qp(self):
+        rng = np.random.default_rng(30)
+        base = random_box_qp(rng, 9)
+        for _ in range(5):
+            q = 3.0 * rng.standard_normal(9)
+            fresh = QpProblem(P=base.P, q=q, lower=base.lower, upper=base.upper)
+            derived = base.updated(q=q)
+            assert derived._p_factor is base._p_factor
+            assert_same_solution(solve(derived), solve(fresh))
+
+    def test_new_right_hand_side_shares_the_admm_setup(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        base = random_equality_qp(rng, n=8, m=3)
+        solve(base)
+        calls = self.count_scalings(monkeypatch)
+        for _ in range(3):
+            b = rng.standard_normal(3)
+            got = solve(base.updated(b_eq=b))
+            assert calls == []
+            want = solve(QpProblem(P=base.P, q=base.q, A_eq=base.A_eq, b_eq=b))
+            assert calls == [1]
+            calls.clear()
+            assert_same_solution(got, want)
+
+    def test_new_linear_term_gets_its_own_admm_setup(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        base = random_equality_qp(rng, n=8, m=3)
+        solve(base)
+        calls = self.count_scalings(monkeypatch)
+        q = rng.standard_normal(8)
+        got = solve(base.updated(q=q, b_eq=base.b_eq))
+        assert calls == [1]
+        want = solve(QpProblem(P=base.P, q=q, A_eq=base.A_eq, b_eq=base.b_eq))
+        assert_same_solution(got, want)
+
+    def test_other_settings_set_up_again(self):
+        rng = np.random.default_rng(33)
+        base = random_equality_qp(rng, n=8, m=3)
+        b = rng.standard_normal(3)
+        fresh = QpProblem(P=base.P, q=base.q, A_eq=base.A_eq, b_eq=b)
+        for settings in (QpSettings(), QpSettings(rho=1.0, scaling_iters=3), QpSettings()):
+            assert_same_solution(solve(base.updated(b_eq=b), settings),
+                                 solve(dataclasses.replace(fresh), settings))
+
+    def test_checks_only_the_new_vector(self, monkeypatch):
+        base = random_equality_qp(np.random.default_rng(34), n=4, m=2)
+
+        def fail(*args):
+            raise AssertionError("P checked again")
+
+        monkeypatch.setattr(qp, "is_psd", fail)
+        monkeypatch.setattr(qp, "dpotrf", fail)
+        base.updated(q=np.ones(4), b_eq=np.ones(2))
+        for bad in ({"q": [1.0, np.nan, 0.0, 0.0]}, {"q": np.ones(3)},
+                    {"b_eq": [np.inf, 0.0]}, {"b_eq": np.ones(3)}):
+            with pytest.raises(ShapeError):
+                base.updated(**bad)
