@@ -133,14 +133,24 @@ class GaussianBehavior:
 
 @dataclass(frozen=True)
 class ConditionalGaussian:
-    """Predictive distribution of the dependent block given the free block."""
+    """Predictive distribution of the dependent block given the free block.
+
+    ``cov`` is kept as (cov + cov^T)/2. A read-only float array equal to its
+    transpose with finite entries, such as every :class:`PredictiveModel`'s
+    covariance, already is that matrix and is shared, not copied; any other
+    covariance is copied."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = symmetrize(self.cov)
+        cov = self.cov
+        if not (isinstance(cov, np.ndarray) and not cov.flags.writeable
+                and cov.dtype == np.float64 and cov.ndim == 2
+                and cov.shape[0] == cov.shape[1]
+                and (cov == cov.T).all() and np.isfinite(cov).all()):
+            cov = symmetrize(cov)
         if cov.shape[0] != mean.shape[0]:
             raise ShapeError(f"mean/cov size mismatch: {mean.shape} vs {cov.shape}")
         object.__setattr__(self, "mean", mean)

@@ -43,8 +43,9 @@ def _add_common_overrides(parser, plant=False):
     parser.add_argument("--jitter", type=float, default=None,
                         help="relative jitter for near-singular covariances")
     parser.add_argument("--eps-abs", type=float, default=None,
-                        help="ADMM absolute tolerance override (the box-only QPs are "
-                             "solved exactly by the active-set method)")
+                        help="absolute tolerance override: ADMM's, and that of the "
+                             "residual test an exact equality-constrained solve must "
+                             "pass (the box-only active-set solves are exact and ignore it)")
     if plant:
         parser.add_argument("--plant", default=None,
                             help="plant JSON file overriding the config's plant")

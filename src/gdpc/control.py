@@ -36,8 +36,11 @@ w_ini-dependent vector and solves: the QP's linear term, or for spc with
 an output box and for deepc the equality right-hand side. The set-up
 holds the spectral factor, the output weight Z, M_u^T Z and the QP with
 its bounds, PSD proof and Cholesky factor; for deepc the LQ factor, the
-predictor and the QP, whose ADMM set-up (Ruiz scaling, first KKT
-factorization) is made by the first solve and shared by the later ones
+predictor and the QP. The equality-constrained QPs (deepc, spc with an
+output box) go to :func:`~gdpc.qp.solve`'s exact dual active-set method
+when their KKT matrix is nonsingular, and to ADMM otherwise; the KKT
+factorization, or ADMM's set-up (Ruiz scaling, first KKT factorization),
+is made by the first solve and shared by the later ones
 (:meth:`QpProblem.updated`). Each controller keeps its last set-up, keyed
 by the identity of the model (``pm`` or ``dm``) and of ``cp``, both held
 so that their ids cannot be reused, and by the equality of the parameters

@@ -1,7 +1,9 @@
 """Self-contained dense convex QP solvers.
 
 Solves   min 0.5 x'Px + q'x   s.t.  A_eq x = b_eq,  lower <= x <= upper
-with one of two methods, chosen by :func:`solve` from the problem alone:
+with one of three methods, chosen by :func:`solve` from the problem alone:
+a nonsingular KKT system goes to an exact active-set method, anything else
+to ADMM.
 
 * A problem without equality rows whose P passes a Cholesky factorization
   (LAPACK potrf) goes to an exact primal active-set method
@@ -10,48 +12,70 @@ with one of two methods, chosen by :func:`solve` from the problem alone:
   minimizer in finitely many steps. The box-only controller QPs (spc,
   certainty equivalence, optimistic and robust, with or without an output
   box on optimistic) are of this kind: P >= 2R > 0.
-* Every other problem (equality rows, or a P that is only semidefinite)
-  goes to operator splitting on the consensus form l <= [A_eq; I] x <= u
-  (``_admm``), the OSQP iteration: deterministic Ruiz equilibration, a
-  regularized KKT factorization reused across iterations, over-relaxation,
-  deterministic step-size adaptation, divergence certificates for
-  infeasibility, and an active-set polish step that solves the reduced KKT
-  system once the active set has settled.
+* A problem with equality rows whose KKT matrix [P A_eq'; A_eq 0] is
+  nonsingular to working precision (LAPACK getrf, then a gecon reciprocal
+  condition number above size * eps) goes to an exact dual active-set
+  method (``_eq_active_set``), Goldfarb and Idnani's. It starts at the
+  equality-constrained minimizer, one solve with that factor, and adds the
+  violated bounds one by one, solving the free-block KKT system each time.
+  Its answer is returned only if it passes ADMM's own residual test at
+  ``eps_abs``/``eps_rel`` with bound multipliers of the right sign. spc's
+  QPs with an output box are of this kind, and so are deepc's but for the
+  1-norm epigraph and rank-deficient data at lambda_g = 0.
+* Every other problem goes to operator splitting on the consensus form
+  l <= [A_eq; I] x <= u (``_admm``), the OSQP iteration: deterministic Ruiz
+  equilibration, a regularized KKT factorization reused across iterations,
+  over-relaxation, deterministic step-size adaptation, divergence
+  certificates for infeasibility, and an active-set polish step that
+  solves the reduced KKT system once the active set has settled. These are
+  a P that is only semidefinite without equality rows, a singular KKT
+  matrix (rank-deficient A_eq, or P singular on the null space of A_eq, as
+  in the 1-norm epigraph), and every equality QP whose dual active-set
+  answer is infeasible, hits ``max_iter`` or fails the residual test.
 
-The active-set method reads only ``max_iter`` from :class:`QpSettings`; it
-reports ``iterations`` as the number of free-block solves, the bound
-multipliers -(Px + q) on the bounds it holds active, no equality duals and
-``polished`` False. ADMM reads every setting.
+The primal active-set method reads only ``max_iter`` from
+:class:`QpSettings`; it reports ``iterations`` as the number of free-block
+solves, the bound multipliers -(Px + q) on the bounds it holds active, no
+equality duals and ``polished`` False. The dual one reads ``max_iter``,
+``eps_abs`` and ``eps_rel``; it reports ``iterations`` as the number of
+working sets it solved on (1 when no bound is active), the equality and
+bound multipliers it carries and ``polished`` False. ADMM reads every
+setting.
 
-Both are bit-reproducible: the same problem and settings give the same
-bits on the same machine and libraries, since nothing is randomized. ADMM's
-kernels keep a stronger contract: every operation is the same elementwise
-IEEE operation, or the same LAPACK or BLAS call, as in the plain statement
-of the iteration; only where results are stored differs. Most controller
-QPs have 8 to 50 variables, so the per-call overhead of the Python
-wrappers, not the arithmetic, sets the time of a solve. Hence the KKT
-system is factored and solved by calling LAPACK's getrf/getrs directly,
-keeping the finiteness and ``info`` checks of
+All three are bit-reproducible: the same problem and settings give the
+same bits on the same machine and libraries, since nothing is randomized.
+ADMM's kernels keep a stronger contract: every operation is the same
+elementwise IEEE operation, or the same LAPACK or BLAS call, as in the
+plain statement of the iteration; only where results are stored differs.
+Most controller QPs have 8 to 50 variables, so the per-call overhead of the
+Python wrappers, not the arithmetic, sets the time of a solve. Hence the
+KKT systems are factored and solved by calling LAPACK's getrf/getrs
+directly, keeping the finiteness and ``info`` checks of
 ``scipy.linalg.lu_factor``/``lu_solve`` but not their argument handling,
-which costs several times the solve itself; the iterate update works in
+which costs several times the solve itself; ADMM's iterate update works in
 place; and Ruiz scaling reads magnitudes taken once. Each returns the bits
 of the plain form it replaces; ``tests/test_qp.py`` checks the scaling and
 the KKT solve against that form.
 
 Infinite bounds are encoded internally by ADMM as the sentinel magnitude
-1e30; the active-set method uses them as they are.
+1e30; the active-set methods use them as they are.
 
 A :class:`QpProblem` keeps the work it has done on P. Its validation tries
 the Cholesky factorization first: success proves P positive definite, and
-the factor is what :func:`solve` dispatches on and the active-set method
-starts from; only a P that fails it gets the eigenvalue PSD test. ADMM's
+the factor is what :func:`solve` dispatches box-only problems on and the
+primal active-set method starts from; only a P that fails it gets the
+eigenvalue PSD test. The factored KKT matrix of an equality problem (or
+the finding that it is singular) is made by its first solve, and ADMM's
 set-up (the Ruiz scalings, the scaled data and the first KKT
-factorization) is kept on the problem for the last settings it was made
-for. A receding-horizon controller changes only q or b_eq from one solve
-to the next: :meth:`QpProblem.updated` derives such a problem, checks only
-the new vector, shares the factor, and shares the ADMM set-up when q is
-unchanged, since that set-up never reads b_eq. The arrays of a problem are
-read-only copies, so none of this can go stale.
+factorization) is kept for the last settings it was made for. A
+receding-horizon controller changes only q or b_eq from one solve to the
+next: :meth:`QpProblem.updated` derives such a problem, checks only the new
+vector, shares the Cholesky factor and the KKT factor, which read neither
+vector, and shares the ADMM set-up when q is unchanged, since that set-up
+never reads b_eq. So deepc's step, and spc's with an output box, is one
+triangular solve with the run's KKT factor and a bound check when no bound
+is active. The arrays of a problem are read-only copies, so none of this
+can go stale.
 """
 
 import warnings
@@ -59,7 +83,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgWarning
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpotrf, dpotrs
 
 from .errors import ShapeError
 from .linalg import is_psd, matrix_rank, read_only, sym_eig, symmetrize
@@ -86,9 +110,11 @@ class QpProblem:
 
     A problem keeps the work it has done on P: the upper Cholesky factor
     when P is positive definite, which is both the proof that P is PSD and
-    what :func:`solve` dispatches on, and ADMM's set-up for the last
-    settings it was solved with. :meth:`updated` derives a problem with a
-    new linear term or equality right-hand side that shares them."""
+    what :func:`solve` dispatches box-only problems on; the LU factor of
+    the KKT matrix [P A_eq'; A_eq 0] when it is nonsingular, made by the
+    first solve; and ADMM's set-up for the last settings it was solved
+    with. :meth:`updated` derives a problem with a new linear term or
+    equality right-hand side that shares them."""
 
     P: np.ndarray
     q: np.ndarray
@@ -97,6 +123,7 @@ class QpProblem:
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
     _p_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _kkt: dict | None = field(default=None, init=False, repr=False, compare=False)
     _admm_cache: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -132,7 +159,7 @@ class QpProblem:
                             ("b_eq", read_only(b)), ("lower", read_only(lo)),
                             ("upper", read_only(hi)),
                             ("_p_factor", None if factor is None else read_only(factor)),
-                            ("_admm_cache", {})):
+                            ("_kkt", {}), ("_admm_cache", {})):
             object.__setattr__(self, name, value)
 
     @property
@@ -146,10 +173,11 @@ class QpProblem:
     def updated(self, q=None, b_eq=None) -> "QpProblem":
         """This problem with a new linear term and/or equality right-hand
         side, of which only the new vectors are checked (length and
-        finiteness). The result shares P's Cholesky factor, and shares the
-        ADMM set-up too when ``q`` is unchanged, since that set-up (Ruiz
-        scaling, scaled data, first KKT factorization) reads P, q, A_eq and
-        the bounds but never b_eq."""
+        finiteness). The result shares P's Cholesky factor and the KKT
+        factor, which read neither vector, and shares the ADMM set-up too
+        when ``q`` is unchanged, since that set-up (Ruiz scaling, scaled
+        data, first KKT factorization) reads P, q, A_eq and the bounds but
+        never b_eq."""
         changes = {}
         if q is not None:
             changes.update(q=_finite_vector(q, self.n, "q"), _admm_cache={})
@@ -369,11 +397,51 @@ def _polish(prob, a_full, lo, hi, x, y, z, tol):
 
 
 def solve(prob: QpProblem, settings: QpSettings = QpSettings()) -> QpSolution:
-    """Solve the QP: by the active-set method if it has no equality rows and
-    P passed its Cholesky factorization, by ADMM otherwise."""
-    if prob.n_eq == 0 and prob._p_factor is not None:
-        return _active_set(prob, prob._p_factor, settings)
+    """Solve the QP: by the primal active-set method if it has no equality
+    rows and P passed its Cholesky factorization; by the dual active-set
+    method if it has equality rows and a KKT matrix [P A_eq'; A_eq 0] that
+    is nonsingular to working precision, when its answer passes ADMM's
+    residual test; by ADMM otherwise."""
+    if prob.n_eq == 0:
+        if prob._p_factor is not None:
+            return _active_set(prob, prob._p_factor, settings)
+    else:
+        factor = _kkt_factor(prob)
+        if factor is not None:
+            sol = _eq_active_set(prob, factor, settings)
+            if sol.status == OPTIMAL:
+                return sol
     return _admm(prob, settings)
+
+
+def _nonsingular_lu(mat: np.ndarray):
+    """The LU factor (lu, piv) of the square ``mat``, or None when its
+    reciprocal 1-norm condition number (LAPACK gecon) is at most size * eps,
+    that is, when it is singular to working precision."""
+    lu, piv, info = dgetrf(mat)
+    if info != 0:
+        return None
+    rcond, info = dgecon(lu, float(np.abs(mat).sum(axis=0).max()))
+    if info != 0 or not rcond > mat.shape[0] * np.finfo(float).eps:
+        return None
+    return lu, piv
+
+
+def _kkt_factor(prob: QpProblem):
+    """The LU factor of [P A_eq'; A_eq 0] if it is nonsingular to working
+    precision, else None. Made by the first solve and kept, with [A_eq; I],
+    in ``prob._kkt``, which every problem :meth:`QpProblem.updated` derives
+    shares. A P with fewer than n - n_eq nonzero columns is not factored:
+    the first block column [P; A_eq] then has rank below n, at most the
+    number of those columns plus n_eq."""
+    kept = prob._kkt
+    if "factor" not in kept:
+        p, a, n, m = prob.P, prob.A_eq, prob.n, prob.n_eq
+        factor = None
+        if m <= n and np.count_nonzero(p.any(axis=0)) >= n - m:
+            factor = _nonsingular_lu(_free_block(p, a, np.arange(n)))
+        kept.update(factor=factor, a_full=read_only(np.vstack([a, np.eye(n)])))
+    return kept["factor"]
 
 
 def _active_set(prob: QpProblem, factor: np.ndarray, settings: QpSettings) -> QpSolution:
@@ -447,6 +515,138 @@ def _active_set(prob: QpProblem, factor: np.ndarray, settings: QpSettings) -> Qp
         dual_residual=float(np.abs(g + duals).max(initial=0.0)),
         iterations=it, eq_duals=np.zeros(0), bound_duals=duals,
     )
+
+
+def _eq_active_set(prob: QpProblem, factor, settings: QpSettings) -> QpSolution:
+    """Goldfarb-Idnani dual active-set method (Math. Prog. 27, 1983) on the
+    bounds of min 0.5 x'Px + q'x s.t. A_eq x = b_eq, lower <= x <= upper,
+    whose KKT matrix [P A_eq'; A_eq 0] is nonsingular; ``factor`` is its LU.
+
+    It starts at the equality-constrained minimizer with an empty working
+    set, so it needs no phase 1. Each iteration solves the free-block KKT
+    system [P_FF A_F'; A_F 0], the variables off the working set F, the
+    others held at their bounds. From a working set it has just reached it
+    solves for the minimizer and the multipliers and takes the bound the
+    minimizer violates most (lowest index on ties); none violated beyond
+    rounding, n eps max |x|, ends the method. That bound's multiplier is
+    then raised from zero, with the primal step and the multiplier change
+    per unit from the same system, until the bound holds and joins the
+    working set, or, first, until a working bound's multiplier falls to zero
+    (lowest index on ties) and that bound leaves; pinned variables (equal
+    bounds) never leave. A violated bound that no step can meet and no
+    working bound can free proves the problem infeasible.
+
+    The answer has status ``optimal`` only if it passes ADMM's residual test
+    (``eps_abs``/``eps_rel``) and every bound multiplier has the sign of its
+    bound; a multiplier on the wrong side by rounding, n eps (|P||x| + |q| +
+    |A_eq'||nu|), counts as zero. A free block singular to working precision,
+    a non-finite iterate or ``max_iter`` iterations end the method with
+    ``max_iter``, and a proven infeasibility with ``infeasible``. It reports
+    ``iterations`` as the number of working sets solved on, the equality
+    multipliers nu and the bound multipliers -(Px + q + A_eq' nu) on the
+    working set, and ``polished`` False.
+    """
+    p, q, a, b, lo, hi = prob.P, prob.q, prob.A_eq, prob.b_eq, prob.lower, prob.upper
+    n, m = prob.n, prob.n_eq
+    side = np.zeros(n)  # -1 for a working lower bound, +1 for an upper one
+    round_off = n * np.finfo(float).eps
+    x, nu, duals = np.zeros(n), np.zeros(m), np.zeros(n)  # duals: -(Px + q + A_eq' nu)
+    adding = None  # (index, side) of the bound whose multiplier is being raised
+    full, status, it = factor, MAX_ITER, 0
+    while it < settings.max_iter:
+        it += 1
+        free = side == 0.0
+        f = np.flatnonzero(free)
+        if it > 1:
+            factor = full if f.size == n else _nonsingular_lu(_free_block(p, a, f))
+            if factor is None:
+                break
+        if adding is None:
+            # The minimizer with the working bounds held.
+            if f.size == n:
+                rhs = np.concatenate([-q, b])
+            else:
+                x = np.where(side < 0.0, lo, hi)
+                x[f] = 0.0
+                rhs = np.concatenate([-(q + p @ x)[f], b - a @ x])
+            sol = dgetrs(factor[0], factor[1], rhs)[0]
+            if not np.isfinite(sol).all():
+                break
+            if f.size == n:
+                x, duals = sol[:n].copy(), np.zeros(n)
+            else:
+                x[f] = sol[: f.size]
+                duals = np.where(free, 0.0, -(p @ x + q + a.T @ sol[f.size :]))
+            nu = sol[f.size :]
+            violation = np.maximum(lo - x, x - hi)  # at most 0 on the working set
+            k = int(np.argmax(violation))
+            if not violation[k] > round_off * float(np.abs(x).max()):
+                status = OPTIMAL
+                break
+            adding = (k, -1.0 if x[k] < lo[k] else 1.0)
+            u = side * duals  # the multipliers' magnitudes, >= 0 but for rounding
+        k, s_k = adding
+        rhs = np.zeros(f.size + m)
+        rhs[np.searchsorted(f, k)] = -s_k
+        step = dgetrs(factor[0], factor[1], rhs)[0]
+        if not np.isfinite(step).all():
+            break
+        dx = np.zeros(n)
+        dx[f] = step[: f.size]
+        dnu = step[f.size :]
+        du = -side * (p @ dx + a.T @ dnu)  # zero off the working set
+        gap = lo[k] - x[k] if s_k < 0.0 else x[k] - hi[k]
+        rate = -s_k * dx[k]  # the decrease of the gap per unit multiplier
+        t_full = max(gap, 0.0) / rate if rate > 0.0 else np.inf
+        ratio = np.full(n, np.inf)
+        leaving = (du < 0.0) & (lo != hi)
+        ratio[leaving] = np.maximum(u[leaving], 0.0) / -du[leaving]
+        j = int(np.argmin(ratio))
+        t = min(t_full, ratio[j])
+        if t == np.inf:
+            status = INFEASIBLE
+            break
+        x += t * dx
+        if not np.isfinite(x).all():
+            break
+        nu = nu + t * dnu
+        u += t * du
+        if t_full <= ratio[j]:
+            side[k] = s_k
+            adding = None
+        else:
+            side[j] = u[j] = 0.0
+
+    if status == OPTIMAL:
+        wrong = side * duals < 0.0
+        wrong &= lo != hi
+        if wrong.any():
+            near = round_off * (np.abs(p) @ np.abs(x) + np.abs(q) + np.abs(a.T) @ np.abs(nu))
+            if np.any(wrong & (np.abs(duals) > near)):
+                status = MAX_ITER
+            duals[wrong] = 0.0
+    y = np.concatenate([nu, duals])
+    z = np.concatenate([b, _clip(x, lo, hi)])
+    r_p, r_d, s_p, s_d = _unscaled_residuals(prob, prob._kkt["a_full"], x, z, y,
+                                             float(np.abs(q).max(initial=0.0)))
+    if status == OPTIMAL and not (r_p <= settings.eps_abs + settings.eps_rel * s_p
+                                  and r_d <= settings.eps_abs + settings.eps_rel * s_d):
+        status = MAX_ITER
+    return QpSolution(
+        x=x, objective=float(0.5 * x @ p @ x + q @ x), status=status,
+        primal_residual=r_p, dual_residual=r_d, iterations=it,
+        eq_duals=nu, bound_duals=duals,
+    )
+
+
+def _free_block(p, a, f) -> np.ndarray:
+    """The KKT matrix [P_FF A_F'; A_F 0] of the variables ``f``."""
+    size, m = f.size, a.shape[0]
+    kkt = np.zeros((size + m, size + m))
+    kkt[:size, :size] = p[np.ix_(f, f)]
+    kkt[:size, size:] = a[:, f].T
+    kkt[size:, :size] = a[:, f]
+    return kkt
 
 
 def _admm_setup(prob: QpProblem, settings: QpSettings) -> tuple:

@@ -553,6 +553,10 @@ def _check_spectral_weights(rng) -> CheckResult:
 
 
 def _check_kkt_agreement(rng) -> CheckResult:
+    """``solve`` on strictly convex equality QPs, which it hands to the dual
+    active-set method and so answers from a factorization of the KKT
+    matrix, against two independent computations: numpy's solve of the same
+    KKT system and ``qp._admm``, which never factors it unregularized."""
     worst = 0.0
     for _ in range(50):
         n = int(rng.integers(2, 10))
@@ -566,11 +570,13 @@ def _check_kkt_agreement(rng) -> CheckResult:
         )
         kkt = np.block([[prob.P, prob.A_eq.T], [prob.A_eq, np.zeros((m, m))]])
         ref = np.linalg.solve(kkt, np.concatenate([-prob.q, prob.b_eq]))[:n]
-        sol = solve(prob)
-        if sol.status != "optimal":
-            return CheckResult("qp_matches_kkt_oracle", False, math.inf, 1e-6,
-                               detail=f"solver status {sol.status}")
-        worst = max(worst, float(np.max(np.abs(sol.x - ref))))
+        sol, admm = solve(prob), _admm(prob, QpSettings())
+        for got in (sol, admm):
+            if got.status != "optimal":
+                return CheckResult("qp_matches_kkt_oracle", False, math.inf, 1e-6,
+                                   detail=f"solver status {got.status}")
+        worst = max(worst, float(np.max(np.abs(sol.x - ref))),
+                    float(np.max(np.abs(sol.x - admm.x))))
     return CheckResult("qp_matches_kkt_oracle", worst <= 1e-6, worst, 1e-6)
 
 
@@ -583,15 +589,21 @@ def _check_soft_threshold(rng) -> CheckResult:
 
 
 def _check_scaling_invariance(rng) -> CheckResult:
+    """The minimizer of an equality QP does not move when P and q are scaled
+    together, by ``solve`` and by ``qp._admm``, whose Ruiz equilibration
+    sees different data in the two problems; and the two agree."""
     n = 6
     b_mat = rng.standard_normal((n, n))
     p = b_mat @ b_mat.T + 0.5 * np.eye(n)
     q = rng.standard_normal(n)
     a = rng.standard_normal((2, n))
     b = rng.standard_normal(2)
-    x1 = solve(QpProblem(P=p, q=q, A_eq=a, b_eq=b)).x
-    x2 = solve(QpProblem(P=9.0 * p, q=9.0 * q, A_eq=a, b_eq=b)).x
-    err = float(np.max(np.abs(x1 - x2)))
+    base = QpProblem(P=p, q=q, A_eq=a, b_eq=b)
+    scaled = QpProblem(P=9.0 * p, q=9.0 * q, A_eq=a, b_eq=b)
+    x1, x2 = solve(base).x, solve(scaled).x
+    y1, y2 = _admm(base, QpSettings()).x, _admm(scaled, QpSettings()).x
+    err = max(float(np.max(np.abs(x1 - x2))), float(np.max(np.abs(y1 - y2))),
+              float(np.max(np.abs(x1 - y1))))
     return CheckResult("qp_argmin_scaling_invariance", err <= 1e-6, err, 1e-6)
 
 

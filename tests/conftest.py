@@ -130,7 +130,7 @@ def fd_hessian(fun, x, h=1e-4):
 
 
 def record_solver_paths(monkeypatch):
-    """Patch qp's two solvers to append their names, in call order, to the
+    """Patch qp's three solvers to append their names, in call order, to the
     returned list."""
     calls = []
 
@@ -140,6 +140,6 @@ def record_solver_paths(monkeypatch):
             return fn(*args)
         return call
 
-    for name in ("_active_set", "_admm"):
+    for name in ("_active_set", "_eq_active_set", "_admm"):
         monkeypatch.setattr(qp, name, recorded(name, getattr(qp, name)))
     return calls

@@ -8,6 +8,7 @@ from conftest import random_stable_plant
 from gdpc.behavior import (
     ConditionalGaussian,
     GaussianBehavior,
+    PredictiveModel,
     condition,
     estimate,
     from_state_space,
@@ -17,8 +18,8 @@ from gdpc.behavior import (
     predictive_model,
     sample,
 )
-from gdpc.errors import NotPositiveDefinite, ShapeError
-from gdpc.linalg import matrix_rank, pinv
+from gdpc.errors import InvalidMatrix, NotPositiveDefinite, ShapeError
+from gdpc.linalg import matrix_rank, pinv, read_only, symmetrize
 from gdpc.plant import StochasticLtiModel, build_block_operators, simulate, step
 from gdpc.trajectory import SignalDims, assemble, build_data_matrix
 
@@ -249,6 +250,39 @@ class TestPredictiveModel:
         expected = dep @ pinv(free)
         assert np.allclose(np.hstack([pm.M_ini, pm.M_u]), expected, atol=1e-10)
         assert np.linalg.norm(pm.cov) <= 1e-10 * np.linalg.norm(col) ** 2
+
+
+class TestConditionalGaussianCovariance:
+    """The covariance is kept as (cov + cov^T)/2, shared when it already is
+    that matrix and read-only, copied otherwise."""
+
+    def test_a_model_covariance_is_shared_with_the_same_bits(self):
+        rng = np.random.default_rng(14)
+        pm = PredictiveModel(M_u=np.eye(4), M_ini=np.ones((4, 2)),
+                             cov=rng.standard_normal((4, 4)))
+        got = pm.predict(np.ones(2), np.ones(4))
+        assert got.cov is pm.cov
+        assert got.cov.tobytes() == symmetrize(pm.cov).tobytes()
+
+    def test_a_writable_covariance_is_copied(self):
+        cov = random_spd(np.random.default_rng(15), 3)
+        got = ConditionalGaussian(mean=np.zeros(3), cov=cov)
+        assert got.cov is not cov and np.array_equal(got.cov, cov)
+        cov[0, 0] = 99.0
+        assert got.cov[0, 0] != 99.0
+
+    def test_a_read_only_asymmetric_covariance_is_symmetrized(self):
+        cov = read_only([[1.0, 0.2], [0.4, 1.0]])
+        got = ConditionalGaussian(mean=np.zeros(2), cov=cov)
+        assert got.cov is not cov
+        assert np.array_equal(got.cov, symmetrize(cov)) and got.cov[0, 1] == got.cov[1, 0]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_read_only_non_finite_covariance_raises(self, bad):
+        cov = np.eye(2)
+        cov[0, 0] = bad
+        with pytest.raises(InvalidMatrix):
+            ConditionalGaussian(mean=np.zeros(2), cov=read_only(cov))
 
 
 def lstsq_predictor(dm):

@@ -152,9 +152,10 @@ def test_robust_sweep_factors_once_per_weight(tracing):
 @pytest.mark.parametrize("controller", sorted(HARNESS_NAMES))
 def test_box_only_qps_take_the_active_set(controller, tracing, monkeypatch):
     # control.solve is the name the tracer wraps for its qp.solve spans.
+    # deepc's QP has equality rows and a nonsingular KKT matrix.
     assert (control, "solve") in tracing.BINDINGS and control.solve is qp.solve
     paths = record_solver_paths(monkeypatch)
     rec = harness.run_closed_loop(short_loop_config(controller))
     planned = sum(1 for s in rec.steps if s.solver_status)
-    expected = "_admm" if controller == "deepc" else "_active_set"
+    expected = "_eq_active_set" if controller == "deepc" else "_active_set"
     assert paths == [expected] * planned and planned > 0

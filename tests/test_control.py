@@ -8,6 +8,7 @@ from conftest import (
     fd_hessian,
     random_control_instance,
     random_stable_plant,
+    record_solver_paths,
 )
 
 from gdpc.behavior import PredictiveModel, kl_mean_term, predictive_model
@@ -213,6 +214,33 @@ class TestDeepc:
         small = deepc(inst.dm, inst.w_ini, inst.cp, regularizer="l1", lambda_g=1e-3)
         large = deepc(inst.dm, inst.w_ini, inst.cp, regularizer="l1", lambda_g=10.0)
         assert np.abs(large.g).sum() < np.abs(small.g).sum()
+
+    def test_l1_epigraph_takes_admm(self, monkeypatch):
+        # P is zero on g and on the epigraph variables: a singular KKT matrix.
+        inst = random_control_instance(np.random.default_rng(11), d_factor_max=2)
+        paths = record_solver_paths(monkeypatch)
+        res = deepc(inst.dm, inst.w_ini, inst.cp, regularizer="l1", lambda_g=0.1)
+        assert paths == ["_admm"] and res.solver.status == "optimal"
+
+    def test_rank_deficient_data_without_regularizer_takes_admm(self, monkeypatch):
+        # Noiseless data: the LQ factor L of the data matrix is singular, so
+        # at lambda_g = 0 the KKT matrix is too.
+        model, dm, w_ini, _ = noiseless_instance(np.random.default_rng(5))
+        cp = ControlProblem.from_step_weights(model.dims, dm.l_ini, dm.l_f, q_diag=1.0,
+                                              r_diag=0.2, y_ref=0.8)
+        paths = record_solver_paths(monkeypatch)
+        res = deepc(dm, w_ini, cp, regularizer="proj2", lambda_g=0.0)
+        assert paths == ["_admm"] and res.solver.status == "optimal"
+
+    def test_full_rank_data_takes_the_exact_path(self, monkeypatch):
+        inst = random_control_instance(np.random.default_rng(12), d_factor_max=3,
+                                       with_input_box=True, with_output_box=True)
+        paths = record_solver_paths(monkeypatch)
+        for regularizer, lambda_g in (("proj2", 0.0), ("proj2", 2.0), ("sq2", 0.5)):
+            res = deepc(inst.dm, inst.w_ini, inst.cp, regularizer=regularizer,
+                        lambda_g=lambda_g)
+            assert res.solver.status == "optimal"
+        assert paths == ["_eq_active_set"] * 3
 
     def test_sq2_regularizer_in_row_space(self):
         rng = np.random.default_rng(10)

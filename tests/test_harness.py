@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import record_solver_paths
+
 from gdpc import control, harness, qp
 from gdpc.errors import ConfigError, LambdaTooSmall
 from gdpc.harness import (
@@ -268,6 +270,32 @@ class TestOutputBoxRegime:
             residual = np.max(np.abs(x - np.clip(x - (p_mat @ x + q_vec), lower, upper)))
             assert res.solver.status == "optimal"
             assert residual <= 1e-9 * max(1.0, float(np.max(np.abs(q_vec))))
+
+
+class TestEqualityConstrainedLoop:
+    def test_output_box_spc_takes_the_exact_path_and_matches_admm(self, monkeypatch):
+        # spc with an output box solves an equality-constrained (u, y) QP,
+        # here with the output bound active on most steps.
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        doc["control"].update(controller="spc", y_min=-3.0, y_max=0.95, u_min=-5.0,
+                              u_max=5.0, r=0.5)
+        doc["run"]["steps"] = 30
+        admm, solve, pairs = qp._admm, control.solve, []
+
+        def compared(prob, settings):
+            pairs.append((solve(prob, settings), admm(prob, settings)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(control, "solve", compared)
+        paths = record_solver_paths(monkeypatch)
+        rec = run_closed_loop(config_from_dict(doc))
+        planned = sum(1 for s in rec.steps if s.solver_status)
+        assert paths == ["_eq_active_set"] * planned and len(pairs) == planned > 0
+        assert max(sol.iterations for sol, _ in pairs) > 1  # bounds were added
+        for sol, ref in pairs:
+            assert sol.status == ref.status == "optimal"
+            scale = max(1.0, float(np.max(np.abs(ref.x))))
+            assert np.max(np.abs(sol.x - ref.x)) <= 1e-8 * scale
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
-"""Tests for the dense QP solvers: the active-set method and ADMM."""
+"""Tests for the dense QP solvers: the primal and dual active-set methods
+and ADMM."""
 
 import dataclasses
 
@@ -251,7 +252,7 @@ class TestDeterminism:
     def test_max_iter_status(self):
         rng = np.random.default_rng(8)
         prob = random_equality_qp(rng, n=8, m=3)
-        sol = solve(prob, QpSettings(max_iter=2, check_interval=1, polish=False))
+        sol = qp._admm(prob, QpSettings(max_iter=2, check_interval=1, polish=False))
         assert sol.status == "max_iter"
 
 
@@ -358,7 +359,7 @@ class TestBitIdentity:
         monkeypatch.setattr(qp, "_factor_kkt", singular_factor)
         rng = np.random.default_rng(14)
         with pytest.raises(ValueError, match="infs or NaNs"), np.errstate(all="ignore"):
-            solve(random_equality_qp(rng, n=4, m=2))
+            qp._admm(random_equality_qp(rng, n=4, m=2), QpSettings())
 
     def test_non_finite_constraint_data_raises(self):
         with pytest.raises(ValueError):
@@ -400,7 +401,7 @@ class TestPolishFallback:
         rng = np.random.default_rng(15)
         prob = random_equality_qp(rng, n=5, m=2)
         calls = self._fail_polish_factor(monkeypatch, prob, ValueError("singular"))
-        sol = solve(prob)
+        sol = qp._admm(prob, QpSettings())
         assert calls, "the polish factorization was not reached"
         assert sol.status == "optimal" and sol.polished
         x_ref, _ = kkt_oracle(prob.P, prob.q, prob.A_eq, prob.b_eq)
@@ -411,7 +412,7 @@ class TestPolishFallback:
         prob = random_equality_qp(rng, n=5, m=2)
         self._fail_polish_factor(monkeypatch, prob, TypeError("bug"))
         with pytest.raises(TypeError, match="bug"):
-            solve(prob)
+            qp._admm(prob, QpSettings())
 
 
 def random_box_qp(rng, n, infinite=0.2, pinned=0.1):
@@ -424,6 +425,28 @@ def random_box_qp(rng, n, infinite=0.2, pinned=0.1):
     pin = rng.uniform(size=n) < pinned
     lower[pin] = upper[pin] = rng.uniform(-1.0, 1.0, int(pin.sum()))
     return QpProblem(P=b_mat @ b_mat.T + 0.5 * np.eye(n), q=3.0 * rng.standard_normal(n),
+                     lower=lower, upper=upper)
+
+
+def random_eq_box_qp(rng, n, m, psd=False, infinite=0.2, pinned=0.1):
+    """A QP with m equality rows and a box that some interior point
+    satisfies, with infinite and equal bounds; P is positive definite, or
+    with ``psd`` of rank n - m, which A_eq generically makes up for."""
+    if psd:
+        c_mat = rng.standard_normal((n, n - m))
+        p = c_mat @ c_mat.T
+    else:
+        b_mat = rng.standard_normal((n, n))
+        p = b_mat @ b_mat.T + 0.5 * np.eye(n)
+    lower = rng.uniform(-2.0, -0.5, n)
+    upper = rng.uniform(0.5, 2.0, n)
+    lower[rng.uniform(size=n) < infinite] = -np.inf
+    upper[rng.uniform(size=n) < infinite] = np.inf
+    pin = rng.uniform(size=n) < pinned
+    lower[pin] = upper[pin] = rng.uniform(-0.5, 0.5, int(pin.sum()))
+    a = rng.standard_normal((m, n))
+    interior = np.where(pin, lower, rng.uniform(-0.5, 0.5, n))
+    return QpProblem(P=p, q=3.0 * rng.standard_normal(n), A_eq=a, b_eq=a @ interior,
                      lower=lower, upper=upper)
 
 
@@ -448,23 +471,70 @@ def assert_box_kkt(prob, sol, tol=1e-9):
 
 
 class TestDispatch:
-    """solve hands box-only QPs with a positive definite P to the active-set
-    method and every other QP to ADMM."""
+    """solve hands box-only QPs with a positive definite P to the primal
+    active-set method, QPs with equality rows and a nonsingular KKT matrix
+    to the dual one, and every other QP, or a dual active-set answer that is
+    not certified optimal, to ADMM."""
 
     def test_box_only_positive_definite_takes_the_active_set(self, monkeypatch):
         calls = record_solver_paths(monkeypatch)
         sol = solve(random_box_qp(np.random.default_rng(20), 6))
         assert calls == ["_active_set"] and sol.status == "optimal"
 
-    def test_equalities_take_admm(self, monkeypatch):
-        prob = random_equality_qp(np.random.default_rng(21), n=6, m=2)
+    def test_nonsingular_kkt_takes_the_exact_path(self, monkeypatch):
+        prob = random_eq_box_qp(np.random.default_rng(21), 8, 3)
+        factor = qp._kkt_factor(prob)
+        assert factor is not None
+        ref = qp._eq_active_set(prob, factor, QpSettings())
+        calls = record_solver_paths(monkeypatch)
+        sol = solve(prob)
+        assert calls == ["_eq_active_set"] and sol.status == "optimal"
+        assert_same_solution(sol, ref)
+
+    @pytest.mark.parametrize("case", ["rank_deficient_a", "p_singular_on_null_a"])
+    def test_singular_kkt_takes_admm(self, case, monkeypatch):
+        if case == "rank_deficient_a":  # the second row is twice the first
+            prob = QpProblem(P=np.eye(3), q=[1.0, 0.0, -1.0],
+                             A_eq=[[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]], b_eq=[1.0, 2.0],
+                             lower=[-2.0] * 3, upper=[2.0] * 3)
+        else:  # P is zero on x_1, which A_eq leaves free
+            prob = QpProblem(P=np.diag([1.0, 0.0, 1.0]), q=[0.0, 1.0, 0.0],
+                             A_eq=[[1.0, 0.0, 1.0]], b_eq=[1.0],
+                             lower=[-2.0] * 3, upper=[2.0] * 3)
+        assert qp._kkt_factor(prob) is None
         ref = qp._admm(prob, QpSettings())
         calls = record_solver_paths(monkeypatch)
         sol = solve(prob)
-        assert calls == ["_admm"]
+        assert calls == ["_admm"] and sol.status == "optimal"
+        assert_same_solution(sol, ref)
+
+    def test_failed_certificate_falls_back_to_admm(self, monkeypatch):
+        prob = random_eq_box_qp(np.random.default_rng(22), 8, 3)
+        ref = qp._admm(prob, QpSettings())
+        residuals, calls = qp._unscaled_residuals, []
+
+        def first_fails(*args):  # the dual active-set check is the first call
+            r_p, r_d, s_p, s_d = residuals(*args)
+            calls.append(1)
+            return r_p, r_d + (1.0 if len(calls) == 1 else 0.0), s_p, s_d
+
+        monkeypatch.setattr(qp, "_unscaled_residuals", first_fails)
+        paths = record_solver_paths(monkeypatch)
+        sol = solve(prob)
+        assert paths == ["_eq_active_set", "_admm"] and len(calls) > 1
+        assert_same_solution(sol, ref)
+
+    def test_infeasible_takes_admm(self, monkeypatch):
+        # x_0 + x_1 = 10 outside the box [-1, 1]^2.
+        prob = QpProblem(P=np.eye(2), q=[0.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[10.0],
+                         lower=[-1.0, -1.0], upper=[1.0, 1.0])
+        assert qp._eq_active_set(prob, qp._kkt_factor(prob),
+                                 QpSettings()).status == "infeasible"
+        paths = record_solver_paths(monkeypatch)
+        sol = solve(prob)
+        assert paths == ["_eq_active_set", "_admm"] and sol.status == "infeasible"
+        ref = qp._admm(prob, QpSettings())
         assert np.array_equal(sol.x, ref.x) and sol.iterations == ref.iterations
-        assert np.array_equal(sol.bound_duals, ref.bound_duals)
-        assert np.array_equal(sol.eq_duals, ref.eq_duals)
 
     def test_singular_cost_without_equalities_takes_admm(self, monkeypatch):
         calls = record_solver_paths(monkeypatch)
@@ -558,6 +628,108 @@ class TestActiveSet:
         assert a.iterations == b.iterations and a.objective == b.objective
 
 
+def assert_eq_kkt(prob, sol, tol=1e-9):
+    """Feasibility, the signs of the bound duals and stationarity of an
+    equality-constrained solution, with the duals the solver carried."""
+    x, y, nu = sol.x, sol.bound_duals, sol.eq_duals
+    assert np.all(x >= prob.lower) and np.all(x <= prob.upper)
+    scale = max(1.0, float(np.max(np.abs(prob.q))))
+    assert np.max(np.abs(prob.A_eq @ x - prob.b_eq)) <= tol * scale
+    assert np.max(np.abs(prob.P @ x + prob.q + prob.A_eq.T @ nu + y)) <= tol * scale
+    pinned = prob.lower == prob.upper
+    assert np.all(y[(x > prob.lower) & (x < prob.upper)] == 0.0)
+    assert np.all(y[(x == prob.lower) & ~pinned] <= 0.0)
+    assert np.all(y[(x == prob.upper) & ~pinned] >= 0.0)
+    assert sol.dual_residual <= tol * scale
+
+
+class TestEqActiveSet:
+    """The dual active-set method on its own, through qp._eq_active_set."""
+
+    @staticmethod
+    def run(prob, settings=QpSettings()):
+        factor = qp._kkt_factor(prob)
+        assert factor is not None
+        return qp._eq_active_set(prob, factor, settings)
+
+    def test_no_active_bound_takes_one_iteration(self):
+        prob = random_equality_qp(np.random.default_rng(40), n=8, m=3)
+        sol = self.run(prob)
+        x_ref, nu_ref = kkt_oracle(prob.P, prob.q, prob.A_eq, prob.b_eq)
+        assert sol.status == "optimal" and sol.iterations == 1 and not sol.polished
+        assert np.allclose(sol.x, x_ref, rtol=0, atol=1e-12)
+        assert np.allclose(sol.eq_duals, nu_ref, rtol=0, atol=1e-12)
+        assert np.all(sol.bound_duals == 0.0)
+        assert np.isclose(sol.objective, 0.5 * sol.x @ prob.P @ sol.x + prob.q @ sol.x)
+
+    def test_random_sweep_matches_admm(self):
+        rng = np.random.default_rng(41)
+        worst, most = 0.0, 0
+        for trial in range(300):
+            n = int(rng.integers(2, 21))
+            m = int(rng.integers(1, n // 2 + 2))
+            prob = random_eq_box_qp(rng, n, min(m, n - 1), psd=bool(trial % 2))
+            sol, ref = self.run(prob), qp._admm(prob, QpSettings())
+            assert sol.status == ref.status == "optimal"
+            assert_eq_kkt(prob, sol)
+            worst = max(worst, float(np.max(np.abs(sol.x - ref.x))))
+            most = max(most, sol.iterations)
+        assert worst < 1e-8
+        assert most >= 5  # the sweep exercises adding and dropping bounds
+
+    def test_pinned_variables_stay_pinned(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            prob = random_eq_box_qp(rng, 9, 2, pinned=0.4)
+            sol = self.run(prob)
+            pinned = prob.lower == prob.upper
+            assert sol.status == "optimal" and pinned.any()
+            assert np.array_equal(sol.x[pinned], prob.lower[pinned])
+            assert_eq_kkt(prob, sol)
+
+    def test_infinite_bounds(self):
+        # min 0.5||x||^2 + 4 x_0 - 3 x_1 s.t. x_0 + x_1 + x_2 = 0 with
+        # half-infinite boxes that bind on their finite sides.
+        prob = QpProblem(P=np.eye(3), q=[4.0, -3.0, 0.0], A_eq=[[1.0, 1.0, 1.0]],
+                         b_eq=[0.0], lower=[-1.0, -np.inf, -np.inf],
+                         upper=[np.inf, 1.0, np.inf])
+        sol, ref = self.run(prob), qp._admm(prob, QpSettings())
+        assert sol.status == "optimal" and sol.x[0] == -1.0 and sol.x[1] == 1.0
+        assert sol.bound_duals[0] < 0.0 < sol.bound_duals[1]
+        assert np.max(np.abs(sol.x - ref.x)) < 1e-9
+        assert_eq_kkt(prob, sol)
+
+    def test_carried_duals_match_admm(self):
+        rng = np.random.default_rng(43)
+        active = 0
+        for _ in range(20):
+            prob = random_eq_box_qp(rng, 10, 3, infinite=0.0, pinned=0.0)
+            sol, ref = self.run(prob), qp._admm(prob, QpSettings())
+            active += np.count_nonzero(sol.bound_duals)
+            scale = max(1.0, float(np.max(np.abs(prob.q))))
+            assert np.max(np.abs(sol.eq_duals - ref.eq_duals)) < 1e-6 * scale
+            assert np.max(np.abs(sol.bound_duals - ref.bound_duals)) < 1e-6 * scale
+            assert_eq_kkt(prob, sol)
+        assert active >= 10
+
+    def test_max_iter_falls_back_to_admm(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        prob = next(p for p in (random_eq_box_qp(rng, 10, 2, infinite=0.0)
+                                for _ in range(50)) if self.run(p).iterations >= 3)
+        settings = QpSettings(max_iter=1)
+        sol = self.run(prob, settings)
+        assert sol.status == "max_iter" and sol.iterations == 1
+        paths = record_solver_paths(monkeypatch)
+        solve(prob, settings)
+        assert paths == ["_eq_active_set", "_admm"]
+
+    def test_bit_reproducible(self):
+        prob = random_eq_box_qp(np.random.default_rng(45), 12, 4)
+        a, b = self.run(prob), self.run(prob)
+        assert a.iterations > 1
+        assert_same_solution(a, b)
+
+
 def assert_same_solution(a, b):
     for name in ("x", "eq_duals", "bound_duals"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
@@ -591,13 +763,14 @@ class TestUpdated:
     def test_new_right_hand_side_shares_the_admm_setup(self, monkeypatch):
         rng = np.random.default_rng(31)
         base = random_equality_qp(rng, n=8, m=3)
-        solve(base)
+        qp._admm(base, QpSettings())
         calls = self.count_scalings(monkeypatch)
         for _ in range(3):
             b = rng.standard_normal(3)
-            got = solve(base.updated(b_eq=b))
+            got = qp._admm(base.updated(b_eq=b), QpSettings())
             assert calls == []
-            want = solve(QpProblem(P=base.P, q=base.q, A_eq=base.A_eq, b_eq=b))
+            want = qp._admm(QpProblem(P=base.P, q=base.q, A_eq=base.A_eq, b_eq=b),
+                            QpSettings())
             assert calls == [1]
             calls.clear()
             assert_same_solution(got, want)
@@ -605,13 +778,33 @@ class TestUpdated:
     def test_new_linear_term_gets_its_own_admm_setup(self, monkeypatch):
         rng = np.random.default_rng(32)
         base = random_equality_qp(rng, n=8, m=3)
-        solve(base)
+        qp._admm(base, QpSettings())
         calls = self.count_scalings(monkeypatch)
         q = rng.standard_normal(8)
-        got = solve(base.updated(q=q, b_eq=base.b_eq))
+        got = qp._admm(base.updated(q=q, b_eq=base.b_eq), QpSettings())
         assert calls == [1]
-        want = solve(QpProblem(P=base.P, q=q, A_eq=base.A_eq, b_eq=base.b_eq))
+        want = qp._admm(QpProblem(P=base.P, q=q, A_eq=base.A_eq, b_eq=base.b_eq),
+                        QpSettings())
         assert_same_solution(got, want)
+
+    def test_kkt_factor_is_made_once_and_shared(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        base = random_eq_box_qp(rng, 8, 3)
+        size = base.n + base.n_eq
+        calls = []
+        lu = qp._nonsingular_lu
+        monkeypatch.setattr(qp, "_nonsingular_lu",
+                            lambda mat: calls.append(mat.shape[0]) or lu(mat))
+        derived = [base.updated(q=3.0 * rng.standard_normal(8)),
+                   base.updated(b_eq=base.b_eq + 0.1),
+                   base.updated(q=base.q + 1.0, b_eq=base.b_eq - 0.1)]
+        got = [solve(prob) for prob in derived]
+        assert calls.count(size) == 1
+        assert all(prob._kkt is base._kkt for prob in derived)
+        for prob, sol in zip(derived, got):
+            fresh = QpProblem(P=prob.P, q=prob.q, A_eq=prob.A_eq, b_eq=prob.b_eq,
+                              lower=prob.lower, upper=prob.upper)
+            assert_same_solution(sol, solve(fresh))
 
     def test_other_settings_set_up_again(self):
         rng = np.random.default_rng(33)
