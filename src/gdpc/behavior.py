@@ -321,8 +321,10 @@ def predictive_model(dm: DataMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> Pred
     Y_f (I - F^+ F) Y_f^T = L_Y (I - L_F^+ L_F) L_Y^T. Time is linear in D
     and memory O(D qL); no D x D matrix is formed. ``rank_tol`` truncates
     the pseudoinverse of L_F (relative to its largest singular value).
+    Only L is formed: the QR factorization of :func:`data_lq` runs without
+    accumulating Q.
     """
-    l_fac, _ = data_lq(dm)
+    l_fac = np.linalg.qr(dm.ordered.T, mode="r").T
     return lq_predictor(dm, l_fac, rank_tol)[0]
 
 

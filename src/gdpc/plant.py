@@ -162,15 +162,39 @@ def _sample_gaussian(rng, mean, cov, size=None):
     return mean + z @ scale.T
 
 
+def _input_sequence(model: StochasticLtiModel, u_policy, steps: int, rng_u) -> np.ndarray:
+    """The (steps, m) input array of a rollout, for every kind of policy."""
+    m = model.m
+    if callable(u_policy):
+        inputs = np.empty((steps, m))
+        for t in range(steps):
+            u = np.asarray(u_policy(t, rng_u), dtype=float)
+            if u.size != m:
+                raise ShapeError(f"u_policy(t={t}) must return shape {(m,)}, got {u.shape}")
+            inputs[t] = u.reshape(m)
+        return inputs
+    if np.isscalar(u_policy):
+        return float(u_policy) * rng_u.standard_normal((steps, m))
+    inputs = np.asarray(u_policy, dtype=float)
+    if inputs.size != steps * m:
+        raise ShapeError(f"input array must be {(steps, m)}, got shape {inputs.shape}")
+    return inputs.reshape(steps, m)
+
+
 def simulate(model: StochasticLtiModel, x0, u_policy, steps: int, seed) -> Trajectory:
     """Seeded rollout returning the recorded (u, y) trajectory.
 
     ``x0`` is either an exact state vector or an (mean, covariance) pair
     sampled once at the start. ``u_policy`` is a (steps, m) array, a scalar
     standard deviation for white-noise excitation, or a callable
-    ``(t, rng) -> u_t``. Separate seeded streams drive the initial state,
-    input, process noise, and measurement noise, so experiments can be
-    replayed component-wise.
+    ``(t, rng) -> u_t``. A callable sees only (t, rng), never the state: it
+    is called once for every t = 0..steps-1, in order, before the rollout.
+    Separate seeded streams drive the initial state, input, process noise,
+    and measurement noise, so experiments can be replayed component-wise.
+
+    Only the state recursion x_{t+1} = A x_t + B u_t + xi_t runs per sample;
+    the outputs of all samples are one product of the stored states. Raises
+    ``ShapeError`` if the inputs do not have ``steps`` rows of m values.
     """
     if steps < 1:
         raise ShapeError(f"steps must be >= 1, got {steps}")
@@ -190,23 +214,16 @@ def simulate(model: StochasticLtiModel, x0, u_policy, steps: int, seed) -> Traje
     else:
         x = np.asarray(x0, dtype=float).reshape(model.n)
 
-    if callable(u_policy):
-        inputs = None
-    elif np.isscalar(u_policy):
-        inputs = float(u_policy) * rng_u.standard_normal((steps, model.m))
-    else:
-        inputs = np.asarray(u_policy, dtype=float).reshape(steps, model.m)
-
+    inputs = _input_sequence(model, u_policy, steps, rng_u)
     xi_seq = _sample_gaussian(rng_xi, np.zeros(model.n), model.Sigma_xi, size=steps)
     eta_seq = _sample_gaussian(rng_eta, np.zeros(model.p), model.Sigma_eta, size=steps)
 
-    samples = np.empty((steps, model.m + model.p))
-    for t in range(steps):
-        u = np.asarray(u_policy(t, rng_u), dtype=float).reshape(model.m) if inputs is None else inputs[t]
-        x, y = step(model, x, u, xi_seq[t], eta_seq[t])
-        samples[t, : model.m] = u
-        samples[t, model.m :] = y
-    return Trajectory(dims=model.dims, samples=samples)
+    a, states = model.A, []
+    for bu, xi in zip(inputs @ model.B.T, xi_seq):
+        states.append(x)
+        x = a @ x + bu + xi
+    outputs = np.array(states) @ model.C.T + inputs @ model.D.T + eta_seq
+    return Trajectory(dims=model.dims, samples=np.hstack([inputs, outputs]))
 
 
 def stationary_state_covariance(model: StochasticLtiModel, input_cov) -> np.ndarray:

@@ -158,20 +158,25 @@ def window_trajectory(traj: Trajectory, window: int, mode: str = "hankel") -> np
 
     ``hankel`` emits all T-L+1 sliding windows (violates sample
     independence, standard practice); ``disjoint`` emits floor(T/L)
-    non-overlapping windows.
+    non-overlapping windows. Column j is the chronological stack of the
+    window starting at j (hankel) or j * window (disjoint). The result is a
+    new array; later writes to ``traj.samples`` do not reach it.
     """
     if window < 1:
         raise ShapeError(f"window must be >= 1, got {window}")
     if traj.length < window:
         raise TooShort(f"trajectory length {traj.length} < window {window}")
     if mode == "hankel":
-        starts = range(traj.length - window + 1)
+        stride = 1
     elif mode == "disjoint":
-        starts = range(0, traj.length - window + 1, window)
+        stride = window
     else:
         raise ValueError(f"unknown windowing mode {mode!r}")
-    cols = [traj.samples[s : s + window].reshape(-1) for s in starts]
-    return np.column_stack(cols)
+    # views[j, c, k] is channel c of sample j * stride + k.
+    views = np.lib.stride_tricks.sliding_window_view(traj.samples, window, axis=0)[::stride]
+    cols = np.empty((window * traj.dims.q, views.shape[0]))
+    cols.reshape(window, traj.dims.q, -1)[...] = views.transpose(2, 1, 0)
+    return cols
 
 
 def assemble(columns: np.ndarray, dims: SignalDims, l_ini: int, l_f: int) -> DataMatrix:

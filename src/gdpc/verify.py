@@ -26,7 +26,7 @@ from .behavior import (
     GaussianBehavior,
 )
 from .linalg import matrix_rank, pinv, spectral_radius, sym_eig, symmetrize
-from .plant import StochasticLtiModel
+from .plant import StochasticLtiModel, _sample_gaussian, simulate, step
 from .qp import QpProblem, QpSettings, _admm, l1_epigraph, solve
 from .trajectory import SignalDims, assemble
 
@@ -69,7 +69,6 @@ class VerifyReport:
 
 def _random_instance(rng, **kwargs):
     # Local import keeps the test-style generator out of library users' way.
-    from .plant import simulate
     from .trajectory import build_data_matrix
 
     n = int(rng.integers(1, 4))
@@ -245,6 +244,70 @@ def _check_deterministic_degeneration(rng) -> CheckResult:
         residual=offset / scale,
         tolerance=1e-8,
         detail=f"rank {rank} (target {d})",
+    )
+
+
+def _stepwise_rollout(model, x0, u_policy, steps, seed) -> np.ndarray:
+    """The samples of ``simulate(model, x0, u_policy, steps, seed)`` from a
+    per-sample ``step`` loop: the same four seeded streams and noise draws,
+    with the input of step t taken when step t runs."""
+    rng_x0, rng_u, rng_xi, rng_eta = [
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)]
+    if isinstance(x0, tuple):
+        x = _sample_gaussian(rng_x0, np.asarray(x0[0], dtype=float), x0[1])
+    else:
+        x = np.asarray(x0, dtype=float)
+    if np.isscalar(u_policy):
+        u_policy = float(u_policy) * rng_u.standard_normal((steps, model.m))
+    xi = _sample_gaussian(rng_xi, np.zeros(model.n), model.Sigma_xi, size=steps)
+    eta = _sample_gaussian(rng_eta, np.zeros(model.p), model.Sigma_eta, size=steps)
+    rows = []
+    for t in range(steps):
+        u = u_policy(t, rng_u) if callable(u_policy) else u_policy[t]
+        x, y = step(model, x, u, xi[t], eta[t])
+        rows.append(np.concatenate([np.asarray(u, dtype=float).reshape(model.m), y]))
+    return np.array(rows)
+
+
+def _check_simulate_recursion(rng) -> CheckResult:
+    """``simulate`` against a per-sample ``step`` rollout on random MIMO
+    plants (m, p <= 3) for array, scalar and callable input policies, from
+    an exact and from a sampled (mean, cov) initial state. Draws from a
+    child generator, so the checks after it see the parent stream they saw
+    before it existed."""
+    local = rng.spawn(1)[0]
+    worst, rollouts = 0.0, 0
+    for _ in range(6):
+        n, m, p = (int(k) for k in local.integers(1, 4, size=3))
+        steps = int(local.integers(1, 40))
+        a = local.standard_normal((n, n))
+        a *= 0.9 / max(spectral_radius(a), 1e-12)
+        xi_basis = local.standard_normal((n, n))
+        model = StochasticLtiModel(
+            A=a, B=local.standard_normal((n, m)), C=local.standard_normal((p, n)),
+            D=local.standard_normal((p, m)), Sigma_xi=0.1 * xi_basis @ xi_basis.T,
+            Sigma_eta=_spd(local, p, 0.1),
+        )
+        policies = (
+            local.standard_normal((steps, m)),
+            float(local.uniform(0.5, 2.0)),
+            lambda t, r, m=m: np.sin(0.3 * t + np.arange(m)) + r.standard_normal(m),
+        )
+        starts = (local.standard_normal(n), (local.standard_normal(n), _spd(local, n)))
+        for policy in policies:
+            for x0 in starts:
+                seed = int(local.integers(2**31))
+                got = simulate(model, x0, policy, steps, seed).samples
+                want = _stepwise_rollout(model, x0, policy, steps, seed)
+                scale = max(1.0, float(np.max(np.abs(want))))
+                worst = max(worst, float(np.max(np.abs(got - want))) / scale)
+                rollouts += 1
+    return CheckResult(
+        name="simulate_matches_stepwise_recursion",
+        passed=worst <= 1e-12,
+        residual=worst,
+        tolerance=1e-12,
+        detail=f"{rollouts} rollouts",
     )
 
 
@@ -679,6 +742,7 @@ _LEMMA_CHECKS = (
     _check_conditioning_regression,
     _check_state_space_covariance,
     _check_deterministic_degeneration,
+    _check_simulate_recursion,
 )
 _THEOREM_CHECKS = (
     _check_spc_ce_equivalence,

@@ -10,11 +10,13 @@ from gdpc.behavior import (
     GaussianBehavior,
     PredictiveModel,
     condition,
+    data_lq,
     estimate,
     from_state_space,
     interleave_permutation,
     kl_divergence,
     log_likelihood,
+    lq_predictor,
     predictive_model,
     sample,
 )
@@ -327,6 +329,16 @@ class TestLqRoute:
         assert np.allclose(fitted, coeff @ dm.free_block, rtol=0, atol=1e-9)
         assert np.allclose(fitted, dm.future_outputs, rtol=0, atol=1e-9)
         assert np.abs(pm.cov).max() <= 1e-12 and np.abs(cov).max() <= 1e-12
+
+    @pytest.mark.parametrize("steps", [2000, 15, 10])
+    def test_r_only_factor_is_the_lq_factor(self, steps):
+        # predictive_model factors R alone; deepc's data_lq also forms Q.
+        model = random_stable_plant(np.random.default_rng(33), n=2, m=1, p=1)
+        dm = build_data_matrix(simulate(model, np.zeros(2), 1.0, steps=steps, seed=33), 2, 4)
+        pm = predictive_model(dm)
+        ref, _ = lq_predictor(dm, data_lq(dm)[0])
+        for got, want in ((pm.M_ini, ref.M_ini), (pm.M_u, ref.M_u), (pm.cov, ref.cov)):
+            assert got.tobytes() == want.tobytes()
 
     def test_rank_tol_truncates_the_predictor(self):
         rng = np.random.default_rng(32)

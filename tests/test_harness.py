@@ -9,7 +9,7 @@ import pytest
 
 from conftest import record_solver_paths
 
-from gdpc import control, harness, qp
+from gdpc import control, harness, plant, qp
 from gdpc.errors import ConfigError, LambdaTooSmall
 from gdpc.harness import (
     config_from_dict,
@@ -415,6 +415,20 @@ class TestVerify:
         names = {c.name for c in report.checks}
         assert "projected_deepc_equals_optimistic" in names
         assert "robust_dual_bounds_sampled_ball" in names
+        assert "simulate_matches_stepwise_recursion" in names
+
+    def test_simulate_oracle_detects_a_shifted_noise_pairing(self, monkeypatch):
+        # simulate draws its noise through plant._sample_gaussian, the
+        # oracle through its own binding: pair step t with the noise of t+1.
+        sample_gaussian = plant._sample_gaussian
+
+        def shifted(rng, mean, cov, size=None):
+            draws = sample_gaussian(rng, mean, cov, size)
+            return draws if size is None else np.roll(draws, -1, axis=0)
+
+        monkeypatch.setattr(plant, "_sample_gaussian", shifted)
+        failed = {c.name for c in verify("lemmas", seed=0).checks if not c.passed}
+        assert "simulate_matches_stepwise_recursion" in failed
 
     def test_mutation_is_detected(self):
         report = verify("theorems", seed=1, mutate="flip_pred_cov_sign")

@@ -1,8 +1,12 @@
 """Tests for the stochastic LTI simulator and block trajectory operators."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from gdpc import harness, plant
 from gdpc.errors import ShapeError
 from gdpc.linalg import matrix_rank, spectral_radius
 from gdpc.plant import (
@@ -13,6 +17,9 @@ from gdpc.plant import (
     stationary_state_covariance,
     step,
 )
+from gdpc.verify import _stepwise_rollout
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.json"
 
 
 def random_stable_model(rng, n=3, m=1, p=1, noise=0.0, radius=0.85):
@@ -192,6 +199,100 @@ class TestSimulate:
         )
         with pytest.warns(UserWarning):
             simulate(model, [0.0], np.zeros((2, 1)), steps=2, seed=0)
+
+
+def policy_of_kind(kind, steps, m):
+    if kind == "array":
+        return np.random.default_rng(3).standard_normal((steps, m))
+    if kind == "scalar":
+        return 0.7
+    return lambda t, rng: np.cos(0.2 * t + np.arange(m)) + rng.standard_normal(m)
+
+
+def mimo_model():
+    rng = np.random.default_rng(12)
+    model = random_stable_model(rng, n=4, m=2, p=3, radius=0.9)
+    basis = rng.standard_normal((4, 2))  # a rank-2 process noise
+    return StochasticLtiModel(A=model.A, B=model.B, C=model.C, D=model.D,
+                              Sigma_xi=0.05 * basis @ basis.T, Sigma_eta=0.02 * np.eye(3))
+
+
+class TestRolloutRecursion:
+    """``simulate`` forms all inputs first and all outputs in one product;
+    the per-sample ``step`` rollout is the oracle."""
+
+    KINDS = ("array", "scalar", "callable")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("start", ("exact", "sampled"))
+    def test_mimo_matches_stepwise_rollout(self, kind, start):
+        model = mimo_model()
+        x0 = (np.full(4, 0.5) if start == "exact"
+              else (np.ones(4), stationary_state_covariance(model, np.eye(2))))
+        policy = policy_of_kind(kind, 50, 2)
+        got = simulate(model, x0, policy, steps=50, seed=31).samples
+        want = _stepwise_rollout(model, x0, policy, 50, 31)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_siso_stationary_start_is_bit_identical(self, kind):
+        model = default_benchmark()
+        x0 = (np.zeros(3), stationary_state_covariance(model, np.eye(1)))
+        policy = policy_of_kind(kind, 200, 1)
+        got = simulate(model, x0, policy, steps=200, seed=5).samples
+        assert got.tobytes() == _stepwise_rollout(model, x0, policy, 200, 5).tobytes()
+
+    def test_burn_in_run_is_the_tail_of_the_stepwise_rollout(self):
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        doc["data"]["initial"] = "burn_in"
+        cfg = harness.config_from_dict(doc, base_dir=str(EXAMPLE_CONFIG.parent))
+        traj, _, _ = harness.identification_run(cfg)
+        extra = 10 * cfg.plant.n
+        want = _stepwise_rollout(cfg.plant, np.zeros(cfg.plant.n), cfg.data_input_std,
+                                 cfg.data_steps + extra, cfg.data_seed)
+        assert traj.samples.tobytes() == want[extra:].tobytes()
+
+    def test_callable_is_called_once_per_step_in_order(self):
+        model = mimo_model()
+        calls = []
+
+        def policy(t, rng):
+            calls.append(t)
+            return rng.standard_normal(2)
+
+        traj = simulate(model, np.zeros(4), policy, steps=17, seed=2)
+        assert calls == list(range(17))
+        # The policy draws from the input stream only.
+        expected = np.random.default_rng(np.random.SeedSequence(2).spawn(4)[1])
+        assert np.array_equal(traj.inputs, expected.standard_normal((17, 2)))
+
+    def test_identification_makes_no_step_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(plant, "step", counted)
+        monkeypatch.setattr(harness, "step", counted)
+        traj, dm, _ = harness.identification_run(harness.load_config(EXAMPLE_CONFIG))
+        assert calls == []
+        assert traj.length == 400 and dm.n_columns == 390
+
+    @pytest.mark.parametrize("u_policy", [np.zeros((9, 2)), np.zeros((10, 3)), np.zeros(10)],
+                             ids=["too_few_rows", "too_many_columns", "flat_of_length_steps"])
+    def test_wrong_input_array_shape(self, u_policy):
+        with pytest.raises(ShapeError, match=r"input array must be \(10, 2\)"):
+            simulate(mimo_model(), np.zeros(4), u_policy, steps=10, seed=0)
+
+    def test_flat_array_of_the_right_size_is_accepted(self):
+        u = np.arange(20.0)
+        traj = simulate(mimo_model(), np.zeros(4), u, steps=10, seed=0)
+        assert np.array_equal(traj.inputs, u.reshape(10, 2))
+
+    def test_wrong_policy_output_shape(self):
+        with pytest.raises(ShapeError, match=r"u_policy\(t=0\) must return shape \(2,\)"):
+            simulate(mimo_model(), np.zeros(4), lambda t, rng: np.zeros(3), steps=10, seed=0)
 
 
 class TestDefaultBenchmark:

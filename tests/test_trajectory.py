@@ -87,6 +87,48 @@ class TestWindowing:
             window_trajectory(traj, 2, mode="sliding")
 
 
+def column_loop(samples, window, stride):
+    """The data matrix one column at a time: the window starting at each
+    multiple of ``stride``, flattened in time order."""
+    starts = range(0, samples.shape[0] - window + 1, stride)
+    return np.column_stack([samples[s : s + window].reshape(-1) for s in starts])
+
+
+class TestStridedWindowing:
+    """``window_trajectory`` reads the windows through one strided view."""
+
+    @pytest.mark.parametrize(
+        "length, window, mode",
+        [(40, 7, "hankel"), (40, 7, "disjoint"), (41, 5, "disjoint"), (12, 12, "hankel"),
+         (12, 12, "disjoint")],
+        ids=["hankel", "disjoint_exact_multiple", "disjoint_remainder", "hankel_L_eq_T",
+             "disjoint_L_eq_T"],
+    )
+    def test_equals_the_column_loop(self, length, window, mode):
+        dims = SignalDims(m=2, p=3)
+        samples = np.random.default_rng(length + window).standard_normal((length, dims.q))
+        traj = Trajectory(dims, samples)
+        got = window_trajectory(traj, window, mode)
+        want = column_loop(samples, window, 1 if mode == "hankel" else window)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_disjoint_drops_the_remainder(self):
+        # T - L + 1 = 10 starts, not a multiple of L = 4: starts 0, 4, 8.
+        traj = Trajectory(DIMS_SISO, np.arange(26.0).reshape(13, 2))
+        cols = window_trajectory(traj, 4, mode="disjoint")
+        assert cols.shape == (8, 3)
+        assert np.array_equal(cols[:, 2], traj.samples[8:12].reshape(-1))
+
+    @pytest.mark.parametrize("mode", ["hankel", "disjoint"])
+    def test_result_owns_its_memory(self, mode):
+        traj = Trajectory(DIMS_SISO, np.arange(20.0).reshape(10, 2))
+        cols = window_trajectory(traj, 3, mode)
+        before = cols.copy()
+        assert cols.flags.owndata and not np.shares_memory(cols, traj.samples)
+        traj.samples[:] = -1.0
+        assert np.array_equal(cols, before)
+
+
 class TestAssemble:
     def test_siso_two_step_blocks(self):
         col = np.array([[1.0], [2.0], [3.0], [4.0]])  # [u0, y0, u1, y1]
