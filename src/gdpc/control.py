@@ -35,8 +35,9 @@ everything that does not depend on w_ini, and a step that forms the one
 w_ini-dependent vector and solves: the QP's linear term, or for spc with
 an output box and for deepc the equality right-hand side. The set-up
 holds the spectral factor, the output weight Z, M_u^T Z and the QP with
-its bounds, PSD proof and Cholesky factor; for deepc the LQ factor, the
-predictor and the QP. The equality-constrained QPs (deepc, spc with an
+its bounds, PSD proof and Cholesky factor; for certainty equivalence
+also the trace term tr(Q cov); for deepc the LQ factor, the predictor and
+the QP. The equality-constrained QPs (deepc, spc with an
 output box) go to :func:`~gdpc.qp.solve`'s exact dual active-set method
 when their KKT matrix is nonsingular, and to ADMM otherwise; the KKT
 factorization, or ADMM's set-up (Ruiz scaling, first KKT factorization),
@@ -55,7 +56,7 @@ set-up.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,9 +239,10 @@ _SETUPS: dict[str, tuple] = {}
 
 
 def _prepared(name: str, model, cp: ControlProblem, params: tuple, build):
-    """The step function of controller ``name``: the kept one if the last
-    set-up of that controller was for this ``model`` and ``cp`` object and
-    equal ``params``, else ``build()``, which then takes its place."""
+    """The set-up of controller ``name`` (a step function, or for certainty
+    equivalence its trace term): the kept one if the last set-up of that
+    controller was for this ``model`` and ``cp`` object and equal
+    ``params``, else ``build()``, which then takes its place."""
     kept = _SETUPS.get(name)
     if kept is None or kept[0] is not model or kept[1] is not cp or kept[2] != params:
         kept = (model, cp, params, build())
@@ -385,8 +387,11 @@ def certainty_equivalence(
     ``verify`` checks this against the constrained (u, mean) QP solved
     directly.
     """
+    trace = _prepared("certainty_equivalence", pm, cp, (),
+                      lambda: float(np.trace(cp.Q @ pm.cov)))
     res = _spc(pm, w_ini, cp, settings)
-    return replace(res, objective=res.objective + float(np.trace(cp.Q @ pm.cov)))
+    return ControlResult(u_f=res.u_f, y_pred=res.y_pred, objective=res.objective + trace,
+                         solver=res.solver, lambda_effective=res.lambda_effective)
 
 
 def _deepc_setup(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g: float,

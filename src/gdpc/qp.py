@@ -9,9 +9,14 @@ to ADMM.
   (LAPACK potrf) goes to an exact primal active-set method
   (``_active_set``). It works on the bounds that hold with equality, one
   Cholesky solve of the free-variable block per iteration, and ends at the
-  minimizer in finitely many steps. The box-only controller QPs (spc,
+  minimizer in finitely many steps. When the unconstrained minimizer lies
+  strictly inside the box it is the answer, returned after that one solve
+  without the ratio and multiplier tests. The box-only controller QPs (spc,
   certainty equivalence, optimistic and robust, with or without an output
-  box on optimistic) are of this kind: P >= 2R > 0.
+  box on optimistic) are of this kind: P >= 2R > 0. Without an output box
+  their minimizer is often interior; on ``configs/example.json`` every one
+  is. A non-finite minimizer or step, or a free block that rounding makes
+  fail potrf, sends the problem to ADMM.
 * A problem with equality rows whose KKT matrix [P A_eq'; A_eq 0] is
   nonsingular to working precision (LAPACK getrf, then a gecon reciprocal
   condition number above size * eps) goes to an exact dual active-set
@@ -35,12 +40,12 @@ to ADMM.
 
 The primal active-set method reads only ``max_iter`` from
 :class:`QpSettings`; it reports ``iterations`` as the number of free-block
-solves, the bound multipliers -(Px + q) on the bounds it holds active, no
-equality duals and ``polished`` False. The dual one reads ``max_iter``,
-``eps_abs`` and ``eps_rel``; it reports ``iterations`` as the number of
-working sets it solved on (1 when no bound is active), the equality and
-bound multipliers it carries and ``polished`` False. ADMM reads every
-setting.
+solves (1 for an interior minimizer), the bound multipliers -(Px + q) on
+the bounds it holds active, no equality duals and ``polished`` False. The
+dual one reads ``max_iter``, ``eps_abs`` and ``eps_rel``; it reports
+``iterations`` as the number of working sets it solved on (1 when no bound
+is active), the equality and bound multipliers it carries and ``polished``
+False. ADMM reads every setting.
 
 All three are bit-reproducible: the same problem and settings give the
 same bits on the same machine and libraries, since nothing is randomized.
@@ -461,12 +466,30 @@ def _active_set(prob: QpProblem, factor: np.ndarray, settings: QpSettings) -> Qp
     A multiplier counts as wrong only beyond the rounding error of Px + q,
     n eps (|P||x| + |q|): a zero multiplier that rounds to the wrong sign
     would otherwise drop and re-add the same bound until max_iter.
+
+    A start that lies on no bound is the unconstrained minimizer itself, and
+    it is returned at once: that is the first iteration with its dead work
+    removed, since with an empty working set the step is zero, no bound
+    blocks it and no multiplier can be wrong. It reports what the loop
+    would: ``iterations`` 1, zero ``bound_duals``, ``primal_residual`` 0 and
+    ``dual_residual`` max |Px + q|. A non-finite unconstrained minimizer or
+    step (P nearly singular in working precision) goes to ``_admm``, as a
+    free block that fails potrf does, so no non-finite x is returned.
     """
     p, q, lo, hi = prob.P, prob.q, prob.lower, prob.upper
     n = prob.n
     x_unc = dpotrs(factor, -q)[0]
+    if not np.isfinite(x_unc).all():
+        return _admm(prob, settings)
     x = _clip(x_unc, lo, hi)
     at_lo, at_hi = x == lo, x == hi
+    if not (at_lo.any() or at_hi.any()):  # the first iteration, its dead work removed
+        g = p @ x_unc + q
+        return QpSolution(
+            x=x_unc, objective=float(0.5 * x_unc @ p @ x_unc + q @ x_unc), status=OPTIMAL,
+            primal_residual=0.0, dual_residual=float(np.abs(g).max(initial=0.0)),
+            iterations=1, eq_duals=np.zeros(0), bound_duals=np.zeros(n),
+        )
     round_off = n * np.finfo(float).eps
     status, it = MAX_ITER, 0
     while it < settings.max_iter:
@@ -483,6 +506,8 @@ def _active_set(prob: QpProblem, factor: np.ndarray, settings: QpSettings) -> Qp
         if f.size:
             xf = x[f]
             step = target - xf
+            if not np.isfinite(step).all():
+                return _admm(prob, settings)
             ratio = np.full(f.size, np.inf)
             down, up = step < 0.0, step > 0.0
             ratio[down] = (lo[f][down] - xf[down]) / step[down]

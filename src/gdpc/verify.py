@@ -108,6 +108,26 @@ def _random_instance(rng, **kwargs):
     return model, dm, pm, w_ini, cp
 
 
+# The fixed keys of the checks that draw from a child generator (_child).
+_CHILD_KEYS = {
+    "simulate_matches_stepwise_recursion": 0,
+    "spectral_weights_match_solve_forms": 1,
+    "box_qp_matches_independent_oracles": 2,
+}
+
+
+def _child(rng, name: str):
+    """A generator seeded from the suite's seed and the fixed key of check
+    ``name``: the generator ``rng.spawn`` would give as child number key.
+    Unlike ``rng.spawn``, it does not depend on how many checks spawned
+    before, so the check draws the same instances in every suite, and it
+    leaves ``rng`` as it was, so the checks after it do too."""
+    seq = rng.bit_generator.seed_seq
+    key = (*seq.spawn_key, _CHILD_KEYS[name])
+    return np.random.default_rng(np.random.SeedSequence(seq.entropy, spawn_key=key,
+                                                         pool_size=seq.pool_size))
+
+
 def _spd(rng, k, scale=1.0):
     b = rng.standard_normal((k, k))
     return scale * (b @ b.T + 0.1 * np.eye(k))
@@ -272,10 +292,9 @@ def _stepwise_rollout(model, x0, u_policy, steps, seed) -> np.ndarray:
 def _check_simulate_recursion(rng) -> CheckResult:
     """``simulate`` against a per-sample ``step`` rollout on random MIMO
     plants (m, p <= 3) for array, scalar and callable input policies, from
-    an exact and from a sampled (mean, cov) initial state. Draws from a
-    child generator, so the checks after it see the parent stream they saw
-    before it existed."""
-    local = rng.spawn(1)[0]
+    an exact and from a sampled (mean, cov) initial state. Draws from its
+    own child generator (``_child``)."""
+    local = _child(rng, "simulate_matches_stepwise_recursion")
     worst, rollouts = 0.0, 0
     for _ in range(6):
         n, m, p = (int(k) for k in local.integers(1, 4, size=3))
@@ -574,10 +593,9 @@ def _check_spectral_weights(rng) -> CheckResult:
     replaced:
     S = inv(L)^T inv(L), kappa S (Q + kappa S)^-1 Q (optimistic, kappa =
     lam/2), Q + Q (lam S - Q)^-1 Q (robust) and lambda0 = max eig(G Q G)
-    (1 + 1e-6) with G the symmetric square root of cov. Draws from a child
-    generator, so the checks after it see the instances they saw before it
-    existed."""
-    local = rng.spawn(1)[0]
+    (1 + 1e-6) with G the symmetric square root of cov. Draws from its own
+    child generator (``_child``)."""
+    local = _child(rng, "spectral_weights_match_solve_forms")
 
     def rel(a, b):
         return float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), 1e-300)
@@ -685,10 +703,14 @@ def _check_active_set_oracles(rng) -> CheckResult:
     optimistic's (u, mean) problem with a binding output box at lam 500 and
     1e4 (cond(P) 1e4 to 1e7), with the gradient formed from the model rather
     than from the QP data; and ``qp._admm`` on well-conditioned random boxes
-    with infinite and equal bounds. Draws from a child generator, so the
-    checks before it see the instances they saw before it existed."""
-    local = rng.spawn(1)[0]
+    with infinite and equal bounds, and on random boxes whose minimizer lies
+    inside. Both routes of the method are covered: the solves that return
+    the unconstrained minimizer at once (1 iteration, no active bound) and
+    the ones that run its loop are counted, and neither count may be 0.
+    Draws from its own child generator (``_child``)."""
+    local = _child(rng, "box_qp_matches_independent_oracles")
     worst_pg, worst_gap, statuses = 0.0, 0.0, set()
+    solutions = []
     for _ in range(4):
         _, _, pm, w_ini, cp = _random_instance(local, with_input_box=True)
         cp = replace(cp, y_lower=cp.y_ref - 3.0, y_upper=cp.y_ref - 0.05)
@@ -697,7 +719,7 @@ def _check_active_set_oracles(rng) -> CheckResult:
         upper = np.concatenate([cp.u_upper, cp.y_upper])
         for lam in (500.0, 1e4):
             res = ctl.optimistic(pm, w_ini, cp, lam)
-            statuses.add(res.solver.status)
+            solutions.append(res.solver)
             u, mu = res.u_f, res.y_pred.mean
             kappa = 0.5 * lam
             tether = np.linalg.solve(pm.cov, mu - pm.M_u @ u - bias)
@@ -711,6 +733,7 @@ def _check_active_set_oracles(rng) -> CheckResult:
             x = np.concatenate([u, mu])
             residual = float(np.max(np.abs(x - np.clip(x - grad, lower, upper))))
             worst_pg = max(worst_pg, residual / max(1.0, float(np.max(np.abs(q_vec)))))
+    problems = []
     for _ in range(30):
         n = int(local.integers(2, 13))
         b_mat = local.standard_normal((n, n))
@@ -720,19 +743,35 @@ def _check_active_set_oracles(rng) -> CheckResult:
         upper[local.uniform(size=n) < 0.2] = np.inf
         pinned = local.uniform(size=n) < 0.1
         lower[pinned] = upper[pinned] = 0.5
-        prob = QpProblem(P=b_mat @ b_mat.T + 0.5 * np.eye(n),
-                         q=3.0 * local.standard_normal(n), lower=lower, upper=upper)
+        problems.append(QpProblem(P=b_mat @ b_mat.T + 0.5 * np.eye(n),
+                                  q=3.0 * local.standard_normal(n), lower=lower, upper=upper))
+    for _ in range(10):  # the minimizer x_star inside the box
+        n = int(local.integers(2, 13))
+        b_mat = local.standard_normal((n, n))
+        p_mat = b_mat @ b_mat.T + 0.5 * np.eye(n)
+        lower = local.uniform(-2.0, -0.5, n)
+        upper = local.uniform(0.5, 2.0, n)
+        lower[local.uniform(size=n) < 0.2] = -np.inf
+        upper[local.uniform(size=n) < 0.2] = np.inf
+        x_star = local.uniform(-0.4, 0.4, n)
+        problems.append(QpProblem(P=p_mat, q=-p_mat @ x_star, lower=lower, upper=upper))
+    for prob in problems:
         sol, ref = solve(prob), _admm(prob, QpSettings())
-        statuses.update((sol.status, ref.status))
+        solutions.append(sol)
+        statuses.add(ref.status)
         worst_gap = max(worst_gap, float(np.max(np.abs(sol.x - ref.x))))
+    statuses.update(sol.status for sol in solutions)
+    exits = sum(1 for sol in solutions if sol.iterations == 1 and not sol.bound_duals.any())
+    loops = len(solutions) - exits
     residual = max(worst_pg / 1e-9, worst_gap / 1e-6)
     return CheckResult(
         name="box_qp_matches_independent_oracles",
-        passed=residual <= 1.0 and statuses == {"optimal"},
+        passed=residual <= 1.0 and statuses == {"optimal"} and exits > 0 and loops > 0,
         residual=residual,
         tolerance=1.0,
         detail=(f"projected gradient {worst_pg:.1e} (tol 1e-9), ADMM gap {worst_gap:.1e} "
-                f"(tol 1e-6), statuses {sorted(statuses)}"),
+                f"(tol 1e-6), statuses {sorted(statuses)}, interior exit {exits}, "
+                f"loop {loops}"),
     )
 
 

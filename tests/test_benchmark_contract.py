@@ -159,3 +159,24 @@ def test_box_only_qps_take_the_active_set(controller, tracing, monkeypatch):
     planned = sum(1 for s in rec.steps if s.solver_status)
     expected = "_eq_active_set" if controller == "deepc" else "_active_set"
     assert paths == [expected] * planned and planned > 0
+
+
+@pytest.mark.parametrize("controller", ["spc", "ce", "optimistic", "robust"])
+def test_example_qps_have_interior_minimizers(controller, monkeypatch):
+    # The QPs of loop_box: every one ends at its unconstrained minimizer,
+    # which _active_set returns after one solve, with no bound active.
+    solutions = []
+
+    def recorded(*args):
+        solutions.append(qp.solve(*args))
+        return solutions[-1]
+
+    monkeypatch.setattr(control, "solve", recorded)
+    with open(ROOT / "configs" / "example.json") as fh:
+        doc = json.load(fh)
+    doc["control"]["controller"] = controller
+    rec = harness.run_closed_loop(harness.config_from_dict(doc))
+    assert len(solutions) == sum(1 for s in rec.steps if s.solver_status) > 0
+    for sol in solutions:
+        assert sol.status == "optimal" and sol.iterations == 1
+        assert not sol.bound_duals.any()

@@ -451,6 +451,16 @@ class TestVerify:
         failed = {c.name for c in verify("solver", seed=0).checks if not c.passed}
         assert failed == {"box_qp_matches_independent_oracles"}
 
+    def test_child_generator_checks_read_the_same_in_every_suite(self):
+        # Each draws from a generator keyed by the seed and its own fixed
+        # key, not by how many checks drew one before it.
+        everything = {c.name: c for c in verify("all", seed=3).checks}
+        for suite, name in (("lemmas", "simulate_matches_stepwise_recursion"),
+                            ("theorems", "spectral_weights_match_solve_forms"),
+                            ("solver", "box_qp_matches_independent_oracles")):
+            alone = {c.name: c for c in verify(suite, seed=3).checks}
+            assert alone[name] == everything[name], suite
+
     def test_report_schema_stable(self):
         report = verify("solver", seed=0)
         for check in report.checks:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import record_solver_paths
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dpotrs
 
 from gdpc import qp
 from gdpc.errors import ShapeError
@@ -428,6 +429,18 @@ def random_box_qp(rng, n, infinite=0.2, pinned=0.1):
                      lower=lower, upper=upper)
 
 
+def random_interior_box_qp(rng, n, infinite=0.2):
+    """A strictly convex box-only QP whose minimizer lies inside the box,
+    with some infinite bounds."""
+    b_mat = rng.standard_normal((n, n))
+    p = b_mat @ b_mat.T + 0.5 * np.eye(n)
+    lower = rng.uniform(-2.0, -0.5, n)
+    upper = rng.uniform(0.5, 2.0, n)
+    lower[rng.uniform(size=n) < infinite] = -np.inf
+    upper[rng.uniform(size=n) < infinite] = np.inf
+    return QpProblem(P=p, q=-p @ rng.uniform(-0.4, 0.4, n), lower=lower, upper=upper)
+
+
 def random_eq_box_qp(rng, n, m, psd=False, infinite=0.2, pinned=0.1):
     """A QP with m equality rows and a box that some interior point
     satisfies, with infinite and equal bounds; P is positive definite, or
@@ -626,6 +639,103 @@ class TestActiveSet:
         a, b = solve(prob), solve(prob)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.bound_duals, b.bound_duals)
         assert a.iterations == b.iterations and a.objective == b.objective
+
+
+    def test_interior_minimizer_returns_at_once(self, monkeypatch):
+        # Minimizers strictly inside the box: the answer is the unconstrained
+        # solve, with no active bound and no loop iteration beyond the first.
+        rng = np.random.default_rng(29)
+        calls = record_solver_paths(monkeypatch)
+        for _ in range(200):
+            n = int(rng.integers(1, 21))
+            prob = random_interior_box_qp(rng, n)
+            ref = np.linalg.solve(prob.P, -prob.q)
+            sol = solve(prob)
+            assert sol.status == "optimal" and sol.iterations == 1 and not sol.polished
+            assert np.max(np.abs(sol.x - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert sol.bound_duals.tobytes() == np.zeros(n).tobytes()
+            assert sol.eq_duals.shape == (0,) and sol.primal_residual == 0.0
+            assert sol.dual_residual == np.max(np.abs(prob.P @ sol.x + prob.q))
+            assert sol.objective == float(0.5 * sol.x @ prob.P @ sol.x + prob.q @ sol.x)
+        assert calls == ["_active_set"] * 200
+
+    def test_minimizer_on_a_bound_takes_the_loop(self, monkeypatch):
+        # With P = I the unconstrained minimizer is -q exactly: x_0 lies on
+        # its lower bound, so the start has a working bound and the loop
+        # factors the free block {x_1}.
+        prob = QpProblem(P=np.eye(2), q=[1.0, -0.25], lower=[-1.0, -1.0], upper=[1.0, 1.0])
+        potrf, blocks = qp.dpotrf, []
+
+        def recorded(a):
+            blocks.append(a.shape[0])
+            return potrf(a)
+
+        monkeypatch.setattr(qp, "dpotrf", recorded)
+        sol = solve(prob)
+        assert blocks == [1]
+        assert sol.status == "optimal" and sol.iterations == 1
+        assert np.array_equal(sol.x, [-1.0, 0.25])
+        assert_box_kkt(prob, sol)
+
+    def test_start_on_a_bound_is_not_the_answer(self):
+        # The unconstrained minimizer (2, -0.5) leaves the box [-1, 1]^2; its
+        # clip (1, -0.5) is not the minimizer (1, 0.25), which the coupling
+        # in P moves once x_0 is held at its upper bound.
+        p = np.array([[2.0, 1.5], [1.5, 2.0]])
+        prob = QpProblem(P=p, q=-p @ [2.0, -0.5], lower=[-1.0, -1.0], upper=[1.0, 1.0])
+        sol = solve(prob)
+        assert sol.status == "optimal" and sol.iterations == 1
+        assert sol.x[0] == 1.0 and abs(sol.x[1] - 0.25) <= 1e-15
+        assert sol.bound_duals[0] > 0.0
+        assert_box_kkt(prob, sol)
+
+    def test_interior_exit_is_bit_reproducible(self):
+        prob = random_interior_box_qp(np.random.default_rng(30), 12)
+        a, b = solve(prob), solve(prob)
+        assert a.iterations == 1 and not a.bound_duals.any()
+        assert_same_solution(a, b)
+        assert_same_solution(a, solve(prob.updated(q=prob.q.copy())))
+
+    @pytest.mark.parametrize("case", ["free", "boxed", "all_nan"])
+    def test_non_finite_minimizer_goes_to_admm(self, case, monkeypatch):
+        # P passes potrf, yet the solve for -P^-1 q overflows.
+        if case == "all_nan":
+            # inf - inf in the triangular solves makes every entry NaN, so
+            # the clip touches no bound: only the finiteness test stops the
+            # start from being returned as the answer.
+            u = np.array([[1e-8, -1e10, 1e10], [0.0, 1e10, -1e10], [0.0, 0.0, 1e10]])
+            prob = QpProblem(P=u.T @ u, q=[-1e300, 0.0, 0.0], lower=-np.ones(3),
+                             upper=np.ones(3))
+        else:  # -P^-1 q is (nan, inf, -5e299)
+            box = dict(lower=-np.ones(3), upper=np.ones(3)) if case == "boxed" else {}
+            prob = QpProblem(P=1e-300 * np.eye(3), q=[1e10, -1e10, 0.5], **box)
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(dpotrs(prob._p_factor, -prob.q)[0]).all()
+            ref = qp._admm(prob, QpSettings())
+            calls = record_solver_paths(monkeypatch)
+            sol = solve(prob)
+        assert calls == ["_active_set", "_admm"]
+        if case == "free":  # ADMM certifies unboundedness, with a NaN objective
+            assert sol.status == ref.status == "infeasible"
+            assert np.array_equal(sol.x, ref.x) and sol.iterations == ref.iterations
+        else:
+            assert_same_solution(sol, ref)
+            assert sol.status == "optimal" and sol.iterations < 50000
+            assert np.all(np.isfinite(sol.x)) and np.all(np.abs(sol.x) <= 1.0 + 1e-8)
+
+    def test_non_finite_step_goes_to_admm(self, monkeypatch):
+        # The start (1, 2.4e293) is finite, but with x_0 held at its upper
+        # bound the free block's minimizer -(q_1 + P_10)/P_11 overflows.
+        b = 1e-151
+        prob = QpProblem(P=[[1.0, b], [b, 1e-300]], q=[-1e161, -1e10],
+                         lower=[-1.0, -np.inf], upper=[1.0, np.inf])
+        with np.errstate(all="ignore"):
+            ref = qp._admm(prob, QpSettings())
+            calls = record_solver_paths(monkeypatch)
+            sol = solve(prob)
+        assert calls == ["_active_set", "_admm"]
+        assert_same_solution(sol, ref)
+        assert np.all(np.isfinite(sol.x))
 
 
 def assert_eq_kkt(prob, sol, tol=1e-9):
