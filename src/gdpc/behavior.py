@@ -156,6 +156,16 @@ class ConditionalGaussian:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
+    @classmethod
+    def _of_model(cls, mean: np.ndarray, cov: np.ndarray) -> "ConditionalGaussian":
+        """The distribution with a 1-D float ``mean`` of matching length and a
+        :class:`PredictiveModel`'s covariance, which that model's
+        ``__post_init__`` has made read-only, symmetric and finite: both are
+        kept as they are, without the checks of ``__post_init__``."""
+        new = object.__new__(cls)
+        new.__dict__.update(mean=mean, cov=cov)
+        return new
+
 
 @dataclass(frozen=True)
 class PredictiveModel:

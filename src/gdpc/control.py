@@ -52,7 +52,11 @@ in-place write raises instead of leaving a stale set-up; a different
 model is a different object. A step evaluates the expressions of a
 one-shot call with the constant parts computed once ((M_u^T Z) v is what
 M_u^T Z v evaluates), so its results are bit for bit those of a fresh
-set-up.
+set-up. A step validates nothing that the set-up has: its QP is the
+set-up's with the new vector checked, and every step's predictive
+distribution shares the model's covariance, which PredictiveModel has made
+read-only, symmetric and finite, without checking it again
+(``ConditionalGaussian._of_model``).
 """
 
 import math
@@ -362,7 +366,7 @@ def spc(
     y_mean = pm.M_u @ u + bias
     return ControlResult(
         u_f=u,
-        y_pred=ConditionalGaussian(mean=y_mean, cov=pm.cov),
+        y_pred=ConditionalGaussian._of_model(y_mean, pm.cov),
         objective=cp.tracking_cost(u, y_mean),
         solver=sol,
         lambda_effective=math.inf,
@@ -511,7 +515,7 @@ def deepc(
     u, y_mean, cov, objective, sol, g = step(w, settings)
     return ControlResult(
         u_f=u,
-        y_pred=ConditionalGaussian(mean=y_mean, cov=cov),
+        y_pred=ConditionalGaussian._of_model(y_mean, cov),
         objective=objective,
         solver=sol,
         lambda_effective=lambda_g,
@@ -598,7 +602,7 @@ def optimistic(
     u, mu, objective, sol = step(bias, settings)
     return ControlResult(
         u_f=u,
-        y_pred=ConditionalGaussian(mean=mu, cov=pm.cov),
+        y_pred=ConditionalGaussian._of_model(mu, pm.cov),
         objective=objective,
         solver=sol,
         lambda_effective=lam,
@@ -690,7 +694,7 @@ def robust(
     u, mu_star, objective, sol = step(pm.M_ini @ w, settings)
     return ControlResult(
         u_f=u,
-        y_pred=ConditionalGaussian(mean=mu_star, cov=pm.cov),
+        y_pred=ConditionalGaussian._of_model(mu_star, pm.cov),
         objective=objective,
         solver=sol,
         lambda_effective=lam,

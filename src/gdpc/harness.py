@@ -207,6 +207,12 @@ def config_from_dict(doc: dict, base_dir: str = ".",
         )
     except TypeError as exc:
         raise ConfigError(f"invalid solver settings: {exc}") from None
+    if solver.max_iter < 1:
+        raise ConfigError(f"solver.max_iter must be at least 1, got {solver.max_iter}")
+    for key in ("eps_abs", "eps_rel"):
+        value = getattr(solver, key)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ConfigError(f"solver.{key} must be finite and non-negative, got {value}")
 
     def override(key, default):
         value = overrides.get(key)

@@ -15,8 +15,13 @@ to ADMM.
   certainty equivalence, optimistic and robust, with or without an output
   box on optimistic) are of this kind: P >= 2R > 0. Without an output box
   their minimizer is often interior; on ``configs/example.json`` every one
-  is. A non-finite minimizer or step, or a free block that rounding makes
-  fail potrf, sends the problem to ADMM.
+  is. With an output box on optimistic, bounds are always active and most
+  solves end after one or two iterations, so the iteration does only the
+  arithmetic of its statement: a step whose free-block minimizer lies in
+  the box is a full step without a ratio test, and the rounding threshold
+  of the multiplier test reads |P| from the problem. A non-finite minimizer
+  or step, or a free block that rounding makes fail potrf, sends the
+  problem to ADMM.
 * A problem with equality rows whose KKT matrix [P A_eq'; A_eq 0] is
   nonsingular to working precision (LAPACK getrf, then a gecon reciprocal
   condition number above size * eps) goes to an exact dual active-set
@@ -36,7 +41,10 @@ to ADMM.
   a P that is only semidefinite without equality rows, a singular KKT
   matrix (rank-deficient A_eq, or P singular on the null space of A_eq, as
   in the 1-norm epigraph), and every equality QP whose dual active-set
-  answer is infeasible, hits ``max_iter`` or fails the residual test.
+  answer is infeasible, hits ``max_iter`` or fails the residual test. An
+  infeasible verdict is confirmed by ADMM: for equality rows that meet the
+  box only at its boundary, rounding can make the dual method report the
+  problem infeasible while ADMM solves it to its tolerance.
 
 The primal active-set method reads only ``max_iter`` from
 :class:`QpSettings`; it reports ``iterations`` as the number of free-block
@@ -69,18 +77,19 @@ A :class:`QpProblem` keeps the work it has done on P. Its validation tries
 the Cholesky factorization first: success proves P positive definite, and
 the factor is what :func:`solve` dispatches box-only problems on and the
 primal active-set method starts from; only a P that fails it gets the
-eigenvalue PSD test. The factored KKT matrix of an equality problem (or
-the finding that it is singular) is made by its first solve, and ADMM's
-set-up (the Ruiz scalings, the scaled data and the first KKT
-factorization) is kept for the last settings it was made for. A
+eigenvalue PSD test. A box-only problem with that factor also keeps |P|
+for the primal method's rounding threshold. The factored KKT matrix of an
+equality problem (or the finding that it is singular) is made by its first
+solve, and ADMM's set-up (the Ruiz scalings, the scaled data and the first
+KKT factorization) is kept for the last settings it was made for. A
 receding-horizon controller changes only q or b_eq from one solve to the
 next: :meth:`QpProblem.updated` derives such a problem, checks only the new
-vector, shares the Cholesky factor and the KKT factor, which read neither
-vector, and shares the ADMM set-up when q is unchanged, since that set-up
-never reads b_eq. So deepc's step, and spc's with an output box, is one
-triangular solve with the run's KKT factor and a bound check when no bound
-is active. The arrays of a problem are read-only copies, so none of this
-can go stale.
+vector, shares the Cholesky factor, |P| and the KKT factor, which read
+neither vector, and shares the ADMM set-up when q is unchanged, since that
+set-up never reads b_eq. So deepc's step, and spc's with an output box, is
+one triangular solve with the run's KKT factor and a bound check when no
+bound is active. The arrays of a problem are read-only copies, so none of
+this can go stale.
 """
 
 import warnings
@@ -94,6 +103,7 @@ from .errors import ShapeError
 from .linalg import is_psd, matrix_rank, read_only, sym_eig, symmetrize
 
 INFINITY_SENTINEL = 1e30
+_EPS = np.finfo(float).eps
 
 
 def _finite_vector(value, size: int, name: str) -> np.ndarray:
@@ -115,10 +125,11 @@ class QpProblem:
 
     A problem keeps the work it has done on P: the upper Cholesky factor
     when P is positive definite, which is both the proof that P is PSD and
-    what :func:`solve` dispatches box-only problems on; the LU factor of
-    the KKT matrix [P A_eq'; A_eq 0] when it is nonsingular, made by the
-    first solve; and ADMM's set-up for the last settings it was solved
-    with. :meth:`updated` derives a problem with a new linear term or
+    what :func:`solve` dispatches box-only problems on; for such a problem
+    without equality rows, |P| for the primal active-set method; the LU
+    factor of the KKT matrix [P A_eq'; A_eq 0] when it is nonsingular, made
+    by the first solve; and ADMM's set-up for the last settings it was
+    solved with. :meth:`updated` derives a problem with a new linear term or
     equality right-hand side that shares them."""
 
     P: np.ndarray
@@ -128,6 +139,7 @@ class QpProblem:
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
     _p_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _abs_p: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _kkt: dict | None = field(default=None, init=False, repr=False, compare=False)
     _admm_cache: dict | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -164,6 +176,8 @@ class QpProblem:
                             ("b_eq", read_only(b)), ("lower", read_only(lo)),
                             ("upper", read_only(hi)),
                             ("_p_factor", None if factor is None else read_only(factor)),
+                            ("_abs_p", read_only(np.abs(p)) if factor is not None
+                             and a.shape[0] == 0 else None),
                             ("_kkt", {}), ("_admm_cache", {})):
             object.__setattr__(self, name, value)
 
@@ -178,7 +192,7 @@ class QpProblem:
     def updated(self, q=None, b_eq=None) -> "QpProblem":
         """This problem with a new linear term and/or equality right-hand
         side, of which only the new vectors are checked (length and
-        finiteness). The result shares P's Cholesky factor and the KKT
+        finiteness). The result shares P's Cholesky factor, |P| and the KKT
         factor, which read neither vector, and shares the ADMM set-up too
         when ``q`` is unchanged, since that set-up (Ruiz scaling, scaled
         data, first KKT factorization) reads P, q, A_eq and the bounds but
@@ -463,9 +477,20 @@ def _active_set(prob: QpProblem, factor: np.ndarray, settings: QpSettings) -> Qp
     variables (equal bounds) never leave. The method stops when no
     multiplier has a wrong sign, or after ``settings.max_iter`` iterations.
 
+    The ratio test is built only when the free block's minimizer leaves
+    [lo_f, hi_f]. A minimizer inside it is a full step: rounding is
+    monotone, so then no ratio (bound - x) / step falls below 1. A
+    minimizer outside it may still give a full step, where rounding makes
+    the least ratio exactly 1.
+
     A multiplier counts as wrong only beyond the rounding error of Px + q,
     n eps (|P||x| + |q|): a zero multiplier that rounds to the wrong sign
-    would otherwise drop and re-add the same bound until max_iter.
+    would otherwise drop and re-add the same bound until max_iter. |P| is
+    the problem's own (``prob._abs_p``), shared by every problem
+    :meth:`QpProblem.updated` derives; |q| is taken once per solve. The
+    gradient of the last multiplier test gives the reported multipliers
+    and ``dual_residual``; it is formed again only when no multiplier test
+    has seen the final x (a blocked step ended the last iteration).
 
     A start that lies on no bound is the unconstrained minimizer itself, and
     it is returned at once: that is the first iteration with its dead work
@@ -490,49 +515,53 @@ def _active_set(prob: QpProblem, factor: np.ndarray, settings: QpSettings) -> Qp
             primal_residual=0.0, dual_residual=float(np.abs(g).max(initial=0.0)),
             iterations=1, eq_duals=np.zeros(0), bound_duals=np.zeros(n),
         )
-    round_off = n * np.finfo(float).eps
-    status, it = MAX_ITER, 0
+    abs_q, round_off = np.abs(q), n * _EPS
+    g, status, it = None, MAX_ITER, 0  # g: Px + q at the current x, or None
     while it < settings.max_iter:
         it += 1
         free = ~(at_lo | at_hi)
-        f = np.flatnonzero(free)
-        if f.size == n:
-            target = x_unc
-        elif f.size:
-            sub, info = dpotrf(p[np.ix_(f, f)])
-            if info:  # a free block that rounding made not positive definite
-                return _admm(prob, settings)
-            target = dpotrs(sub, -(q + p @ np.where(free, 0.0, x))[f])[0]
+        f = free.nonzero()[0]
         if f.size:
+            if f.size == n:
+                target = x_unc
+            else:
+                sub, info = dpotrf(p[f[:, None], f])
+                if info:  # a free block that rounding made not positive definite
+                    return _admm(prob, settings)
+                target = dpotrs(sub, -(q + p @ np.where(free, 0.0, x))[f])[0]
             xf = x[f]
             step = target - xf
             if not np.isfinite(step).all():
                 return _admm(prob, settings)
-            ratio = np.full(f.size, np.inf)
-            down, up = step < 0.0, step > 0.0
-            ratio[down] = (lo[f][down] - xf[down]) / step[down]
-            ratio[up] = (hi[f][up] - xf[up]) / step[up]
-            j = int(np.argmin(ratio))
-            if ratio[j] < 1.0:
-                x[f] = _clip(xf + ratio[j] * step, lo[f], hi[f])
-                block = f[j]
-                if up[j]:
-                    x[block], at_hi[block] = hi[block], True
-                else:
-                    x[block], at_lo[block] = lo[block], True
-                continue
+            lo_f, hi_f = lo[f], hi[f]
+            if ((target < lo_f) | (target > hi_f)).any():  # else no ratio is below 1
+                ratio = np.full(f.size, np.inf)
+                down, up = step < 0.0, step > 0.0
+                ratio[down] = (lo_f[down] - xf[down]) / step[down]
+                ratio[up] = (hi_f[up] - xf[up]) / step[up]
+                j = int(ratio.argmin())
+                if ratio[j] < 1.0:
+                    x[f] = _clip(xf + ratio[j] * step, lo_f, hi_f)
+                    block = f[j]
+                    if up[j]:
+                        x[block], at_hi[block] = hi[block], True
+                    else:
+                        x[block], at_lo[block] = lo[block], True
+                    g = None
+                    continue
             x[f] = target
         g = p @ x + q
         wrong = np.where(at_lo, -g, g)
         wrong[~(at_lo ^ at_hi)] = 0.0  # free variables and pinned ones
-        wrong[wrong <= round_off * (np.abs(p) @ np.abs(x) + np.abs(q))] = 0.0
-        k = int(np.argmax(wrong))
+        wrong[wrong <= round_off * (prob._abs_p @ np.abs(x) + abs_q)] = 0.0
+        k = int(wrong.argmax())
         if wrong[k] == 0.0:
             status = OPTIMAL
             break
         at_lo[k] = at_hi[k] = False
 
-    g = p @ x + q
+    if g is None:
+        g = p @ x + q
     duals = np.where(at_lo | at_hi, -g, 0.0)
     return QpSolution(
         x=x, objective=float(0.5 * x @ p @ x + q @ x), status=status,
@@ -668,7 +697,7 @@ def _free_block(p, a, f) -> np.ndarray:
     """The KKT matrix [P_FF A_F'; A_F 0] of the variables ``f``."""
     size, m = f.size, a.shape[0]
     kkt = np.zeros((size + m, size + m))
-    kkt[:size, :size] = p[np.ix_(f, f)]
+    kkt[:size, :size] = p[f[:, None], f]
     kkt[:size, size:] = a[:, f].T
     kkt[size:, :size] = a[:, f]
     return kkt

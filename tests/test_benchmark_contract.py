@@ -18,7 +18,7 @@ import pathlib
 import pytest
 from conftest import record_solver_paths
 
-from gdpc import behavior, control, harness, qp, trajectory
+from gdpc import behavior, control, harness, linalg, qp, trajectory
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -180,3 +180,56 @@ def test_example_qps_have_interior_minimizers(controller, monkeypatch):
     for sol in solutions:
         assert sol.status == "optimal" and sol.iterations == 1
         assert not sol.bound_duals.any()
+
+
+VALIDATION = ("symmetrize", "is_psd", "chol_psd", "sym_eig", "pinv")
+
+
+@pytest.mark.parametrize("controller,output_box", [
+    ("spc", False), ("ce", False), ("deepc", False), ("optimistic", False),
+    ("robust", False), ("spc", True), ("optimistic", True),
+])
+def test_steps_after_the_first_do_no_validation(controller, output_box, monkeypatch):
+    # A step forms its vector and solves; the checks of the model, the
+    # weights and P, and P's factorization, belong to the run's set-up. The
+    # predictive distribution a step returns shares the model's covariance
+    # without checking it again.
+    steps, active = [], []  # per controller call, what it ran; the call under way
+
+    def noted(label, fn):
+        def call(*args, **kwargs):
+            if active:
+                active[-1].append(label(*args) if callable(label) else label)
+            return fn(*args, **kwargs)
+        return call
+
+    for module in (behavior, control, linalg, qp):
+        for name in VALIDATION:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, noted(name, getattr(module, name)))
+    for cls in (qp.QpProblem, behavior.ConditionalGaussian):
+        monkeypatch.setattr(cls, "__post_init__",
+                            noted(f"{cls.__name__}.__post_init__", cls.__post_init__))
+    monkeypatch.setattr(qp, "dpotrf", noted(lambda a: ("potrf", a.shape[0]), qp.dpotrf))
+    monkeypatch.setattr(control, "solve", noted(lambda prob, settings: ("qp", prob.n),
+                                                control.solve))
+    name = HARNESS_NAMES[controller]
+    controller_fn = getattr(control, name)
+
+    def started(*args, **kwargs):
+        steps.append([])
+        active.append(steps[-1])
+        try:
+            return controller_fn(*args, **kwargs)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(control, name, started)
+    harness.run_closed_loop(short_loop_config(controller, output_box))
+    assert len(steps) > 1  # spc's run with an output box ends infeasible at its second step
+    assert "QpProblem.__post_init__" in steps[0]
+    for ran in steps[1:]:
+        (qp_size,) = {entry[1] for entry in ran if isinstance(entry, tuple) and entry[0] == "qp"}
+        forbidden = (*VALIDATION, "QpProblem.__post_init__", "ConditionalGaussian.__post_init__",
+                     ("potrf", qp_size))
+        assert not [entry for entry in ran if entry in forbidden]

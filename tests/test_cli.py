@@ -121,6 +121,18 @@ class TestClosedLoop:
         assert summary["steps_recorded"] == 25
 
 
+    @pytest.mark.parametrize("solver", [{"max_iter": 0}, {"eps_rel": -1e-6}])
+    def test_bad_solver_setting_is_config_error(self, workdir, solver):
+        config = json.loads((workdir / "config.json").read_text())
+        config["solver"] = solver
+        path = workdir / "bad_solver.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli("closed-loop", "--config", str(path), "--out", str(workdir / "bad.csv"))
+        assert proc.returncode == 3
+        assert f"solver.{next(iter(solver))}" in proc.stderr
+        assert not (workdir / "bad.csv").exists()
+
+
 class TestPlantOverride:
     def test_plant_flag_changes_the_run(self, workdir):
         plant_path = workdir / "noisier.json"

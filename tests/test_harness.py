@@ -90,6 +90,23 @@ class TestConfig:
         assert load_config(EXAMPLE_CONFIG, overrides={"jitter": None}).jitter == 1e-9
         assert load_config(EXAMPLE_CONFIG, overrides={"jitter": 0.0}).jitter == 0.0
 
+    @pytest.mark.parametrize("key,value", [
+        ("max_iter", 0), ("max_iter", -5), ("eps_abs", -1e-8), ("eps_abs", float("inf")),
+        ("eps_abs", float("nan")), ("eps_rel", -1.0), ("eps_rel", float("inf")),
+    ])
+    def test_bad_solver_setting_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"solver.{key}"):
+            config_from_dict(base_doc(solver={key: value}))
+
+    def test_smallest_solver_settings_accepted(self):
+        cfg = config_from_dict(base_doc(solver={"max_iter": 1, "eps_abs": 0.0,
+                                                "eps_rel": 0.0}))
+        assert (cfg.solver.max_iter, cfg.solver.eps_abs, cfg.solver.eps_rel) == (1, 0.0, 0.0)
+
+    def test_bad_eps_abs_override_rejected(self):
+        with pytest.raises(ConfigError, match="solver.eps_abs"):
+            load_config(EXAMPLE_CONFIG, overrides={"eps_abs": -1.0})
+
     def test_zero_rank_tol_override_rejected(self):
         with pytest.raises(ConfigError, match="rank_tol"):
             load_config(EXAMPLE_CONFIG, overrides={"rank_tol": 0.0})

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import record_solver_paths
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from gdpc import qp
 from gdpc.errors import ShapeError
@@ -549,6 +549,26 @@ class TestDispatch:
         ref = qp._admm(prob, QpSettings())
         assert np.array_equal(sol.x, ref.x) and sol.iterations == ref.iterations
 
+    def test_infeasible_verdict_on_the_boundary_is_confirmed_by_admm(self, monkeypatch):
+        # The equality rows meet the box only at the vertex (x_0, x_1) =
+        # (upper_0, lower_1). Rounding puts the dual active-set start just
+        # outside the box, and it reports the problem infeasible; ADMM finds
+        # the vertex to its tolerance. Hence solve does not return the dual
+        # method's infeasible verdict without ADMM.
+        prob = QpProblem(
+            P=[[6.8495643405518845, -4.255645008295181], [-4.255645008295181, 3.3535288535774974]],
+            q=[-1.870344345329661, 5.565401768224767],
+            A_eq=[[0.5637183978511929, -0.8768244614121053],
+                  [0.4381916775171743, 0.390973621942198]],
+            b_eq=[2.0958487936125403, 0.4230639659948898],
+            lower=[-np.inf, -1.1245060114607974], upper=[1.968809994474803, np.inf])
+        assert qp._eq_active_set(prob, qp._kkt_factor(prob),
+                                 QpSettings()).status == "infeasible"
+        paths = record_solver_paths(monkeypatch)
+        sol = solve(prob)
+        assert paths == ["_eq_active_set", "_admm"] and sol.status == "optimal"
+        assert np.allclose(sol.x, [1.968809994474803, -1.1245060114607974], rtol=0, atol=1e-8)
+
     def test_singular_cost_without_equalities_takes_admm(self, monkeypatch):
         calls = record_solver_paths(monkeypatch)
         prob = QpProblem(P=np.diag([1.0, 0.0]), q=[-1.0, 1.0], lower=[-2.0, -2.0],
@@ -725,7 +745,10 @@ class TestActiveSet:
 
     def test_non_finite_step_goes_to_admm(self, monkeypatch):
         # The start (1, 2.4e293) is finite, but with x_0 held at its upper
-        # bound the free block's minimizer -(q_1 + P_10)/P_11 overflows.
+        # bound the free block's minimizer -(q_1 + P_10)/P_11 overflows to
+        # +inf. x_1 is unbounded above, so that target lies in its box: the
+        # finiteness test, not the in-box test that spares a full step its
+        # ratio test, must send it to ADMM.
         b = 1e-151
         prob = QpProblem(P=[[1.0, b], [b, 1e-300]], q=[-1e161, -1e10],
                          lower=[-1.0, -np.inf], upper=[1.0, np.inf])
@@ -736,6 +759,128 @@ class TestActiveSet:
         assert calls == ["_active_set", "_admm"]
         assert_same_solution(sol, ref)
         assert np.all(np.isfinite(sol.x))
+
+
+def reference_active_set(prob, factor, settings):
+    """The primal active-set iteration as first written: the ratio test on
+    every step, the free block through np.ix_, |P| and Px + q formed anew for
+    every multiplier test and once more for the answer. It is the oracle
+    for ``qp._active_set``, which must return the same bits."""
+    p, q, lo, hi = prob.P, prob.q, prob.lower, prob.upper
+    n = prob.n
+    x_unc = dpotrs(factor, -q)[0]
+    if not np.isfinite(x_unc).all():
+        return qp._admm(prob, settings)
+    x = np.minimum(np.maximum(x_unc, lo), hi)
+    at_lo, at_hi = x == lo, x == hi
+    if not (at_lo.any() or at_hi.any()):
+        g = p @ x_unc + q
+        return qp.QpSolution(
+            x=x_unc, objective=float(0.5 * x_unc @ p @ x_unc + q @ x_unc), status="optimal",
+            primal_residual=0.0, dual_residual=float(np.abs(g).max(initial=0.0)),
+            iterations=1, eq_duals=np.zeros(0), bound_duals=np.zeros(n),
+        )
+    round_off = n * np.finfo(float).eps
+    status, it = "max_iter", 0
+    while it < settings.max_iter:
+        it += 1
+        free = ~(at_lo | at_hi)
+        f = np.flatnonzero(free)
+        if f.size == n:
+            target = x_unc
+        elif f.size:
+            sub, info = dpotrf(p[np.ix_(f, f)])
+            if info:
+                return qp._admm(prob, settings)
+            target = dpotrs(sub, -(q + p @ np.where(free, 0.0, x))[f])[0]
+        if f.size:
+            xf = x[f]
+            step = target - xf
+            if not np.isfinite(step).all():
+                return qp._admm(prob, settings)
+            ratio = np.full(f.size, np.inf)
+            down, up = step < 0.0, step > 0.0
+            ratio[down] = (lo[f][down] - xf[down]) / step[down]
+            ratio[up] = (hi[f][up] - xf[up]) / step[up]
+            j = int(np.argmin(ratio))
+            if ratio[j] < 1.0:
+                x[f] = np.minimum(np.maximum(xf + ratio[j] * step, lo[f]), hi[f])
+                block = f[j]
+                if up[j]:
+                    x[block], at_hi[block] = hi[block], True
+                else:
+                    x[block], at_lo[block] = lo[block], True
+                continue
+            x[f] = target
+        g = p @ x + q
+        wrong = np.where(at_lo, -g, g)
+        wrong[~(at_lo ^ at_hi)] = 0.0
+        wrong[wrong <= round_off * (np.abs(p) @ np.abs(x) + np.abs(q))] = 0.0
+        k = int(np.argmax(wrong))
+        if wrong[k] == 0.0:
+            status = "optimal"
+            break
+        at_lo[k] = at_hi[k] = False
+
+    g = p @ x + q
+    duals = np.where(at_lo | at_hi, -g, 0.0)
+    return qp.QpSolution(
+        x=x, objective=float(0.5 * x @ p @ x + q @ x), status=status,
+        primal_residual=float(np.maximum(lo - x, x - hi).max(initial=0.0)),
+        dual_residual=float(np.abs(g + duals).max(initial=0.0)),
+        iterations=it, eq_duals=np.zeros(0), bound_duals=duals,
+    )
+
+
+class TestActiveSetOracle:
+    """qp._active_set against the reference iteration, field for field."""
+
+    @staticmethod
+    def both(prob, settings=QpSettings()):
+        return (qp._active_set(prob, prob._p_factor, settings),
+                reference_active_set(prob, prob._p_factor, settings))
+
+    def test_random_box_qps_match_the_reference(self):
+        # Active, pinned and infinite bounds; each problem is also cut short
+        # at every iteration count below its own, so that the answer after a
+        # blocking step and after a dropped bound is compared too.
+        rng = np.random.default_rng(36)
+        solved, iterations, cut = 0, [], 0
+        for _ in range(320):
+            n = int(rng.integers(1, 31))
+            prob = random_box_qp(rng, n, infinite=float(rng.choice([0.0, 0.2, 0.5])),
+                                 pinned=float(rng.choice([0.0, 0.1, 0.3])))
+            got, want = self.both(prob)
+            assert_same_solution(got, want)
+            solved += 1
+            iterations.append(got.iterations)
+            for max_iter in range(1, min(got.iterations, 4)):
+                assert_same_solution(*self.both(prob, QpSettings(max_iter=max_iter)))
+                cut += 1
+        assert solved >= 300 and cut >= 100
+        assert iterations.count(1) >= 30 and max(iterations) >= 5
+
+    def test_target_on_a_bound_takes_the_full_step(self):
+        # With x_0 held at its upper bound, the free block's minimizer
+        # -(q_1 + P_10) / P_11 is 1.0, exactly x_1's upper bound: the step
+        # ends there as a full step, and x_1 stays off the working set.
+        prob = QpProblem(P=[[2.0, 1.0], [1.0, 1.0]], q=[-4.0, -2.0], lower=[-1.0, -1.0],
+                         upper=[1.0, 1.0])
+        got, want = self.both(prob)
+        assert_same_solution(got, want)
+        assert got.status == "optimal" and got.iterations == 1
+        assert np.array_equal(got.x, [1.0, 1.0]) and np.array_equal(got.bound_duals, [1.0, 0.0])
+
+    def test_abs_p_is_shared_by_updated_problems_only(self):
+        base = random_box_qp(np.random.default_rng(37), 7)
+        derived = base.updated(q=np.ones(7))
+        fresh = QpProblem(P=base.P, q=base.q, lower=base.lower, upper=base.upper)
+        assert derived._abs_p is base._abs_p
+        assert fresh._abs_p is not base._abs_p
+        assert np.array_equal(fresh._abs_p, np.abs(base.P))
+        assert not base._abs_p.flags.writeable
+        assert_same_solution(solve(derived), solve(QpProblem(
+            P=base.P, q=np.ones(7), lower=base.lower, upper=base.upper)))
 
 
 def assert_eq_kkt(prob, sol, tol=1e-9):
