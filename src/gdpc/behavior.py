@@ -304,8 +304,9 @@ def lq_predictor(
     predictor is L_Y L_F^+ and the predictive covariance is the residual
     Gram matrix (L_Y - coeff L_F)(L_Y - coeff L_F)^T / D, which is PSD by
     construction. Singular values of L_F below ``rank_tol`` times the
-    largest are treated as zero. Also returns L_F^+ L_F, the projector onto
-    the free-block row space in the coordinates of L.
+    largest are treated as zero. Also returns L_F^+, from which deepc forms
+    its plan's combination vector (and, for its joint QP, the projector
+    L_F^+ L_F onto the free-block row space in the coordinates of L).
     """
     n_free = dm.free_rows.size
     l_free, l_out = l_fac[:n_free], l_fac[n_free:]
@@ -316,7 +317,7 @@ def lq_predictor(
     pm = PredictiveModel(
         M_u=coeff[:, n_ini:], M_ini=coeff[:, :n_ini], cov=resid @ resid.T / dm.n_columns
     )
-    return pm, free_pinv @ l_free
+    return pm, free_pinv
 
 
 def predictive_model(dm: DataMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> PredictiveModel:

@@ -10,9 +10,11 @@ output mean), subject to per-stack input boxes and optional output boxes.
   predictive distribution. It is spc's plan; the reported objective adds
   the constant trace term tr(Q cov).
 * ``deepc``: optimization over the data-combination vector g with a
-  regularizer (projected 2-norm, squared 2-norm, or 1-norm), solved in the
-  row-space coordinates of the data matrix's LQ factor except for the
-  1-norm.
+  regularizer (projected 2-norm, squared 2-norm, or 1-norm). With the
+  projected one, a positive weight and no output box, g is eliminated and
+  the input QP below is solved; otherwise the joint QP over g, the input and
+  the output, in the row-space coordinates of the data matrix's LQ factor
+  except for the 1-norm.
 * ``optimistic``: jointly picks the predicted mean inside a relative-entropy
   ball around the estimate to lower the expected cost (the regularized
   deepc problem in disguise for the projected regularizer).
@@ -21,7 +23,11 @@ output mean), subject to per-stack input boxes and optional output boxes.
 
 Without an output box, spc, certainty equivalence, optimistic and robust
 solve one input-space QP, min ||u - u_ref||_R^2 + ||M_u u + M_ini w_ini -
-y_ref||_Z^2 over the input box, and differ only in the output weight Z.
+y_ref||_Z^2 over the input box, and differ only in the output weight Z;
+so does deepc with the projected regularizer and lambda_g > 0, with
+Z = kappa Q (cov Q + kappa I)^-1, kappa = lambda_g / D, which is
+optimistic's weight at lam = 2 lambda_g / D formed without a Cholesky
+factor (see :func:`deepc`).
 With cov = L L^T (jittered if needed), L^T Q L = V diag(Lambda) V^T and
 W = L^-T V, the precision is W W^T and Z = W diag(phi) W^T with
 phi = Lambda for spc and certainty equivalence, kappa Lambda / (kappa +
@@ -33,12 +39,13 @@ Per-run set-up. In a receding-horizon run only the history window w_ini
 changes from one call to the next. Each controller is therefore a set-up,
 everything that does not depend on w_ini, and a step that forms the one
 w_ini-dependent vector and solves: the QP's linear term, or for spc with
-an output box and for deepc the equality right-hand side. The set-up
-holds the spectral factor, the output weight Z, M_u^T Z and the QP with
-its bounds, PSD proof and Cholesky factor; for certainty equivalence
+an output box and for deepc's joint QP the equality right-hand side. The
+set-up holds the spectral factor, the output weight Z, M_u^T Z and the QP
+with its bounds, PSD proof and Cholesky factor; for certainty equivalence
 also the trace term tr(Q cov); for deepc the LQ factor, the predictor and
-the QP. The equality-constrained QPs (deepc, spc with an
-output box) go to :func:`~gdpc.qp.solve`'s exact dual active-set method
+the QP, and for its eliminated form the maps that recover the mean and g.
+The equality-constrained QPs (deepc's joint QP, spc with an output box) go
+to :func:`~gdpc.qp.solve`'s exact dual active-set method
 when their KKT matrix is nonsingular, and to ADMM otherwise; the KKT
 factorization, or ADMM's set-up (Ruiz scaling, first KKT factorization),
 is made by the first solve and shared by the later ones
@@ -317,8 +324,10 @@ def _input_hessian(pm: PredictiveModel, cp: ControlProblem, z) -> np.ndarray:
 
 def _input_qp(pm: PredictiveModel, cp: ControlProblem, z):
     """Set-up of min ||u - u_ref||_R^2 + ||M_u u + bias - y_ref||_Z^2 over
-    the input box. Returns its step, (bias, settings) -> solution, which
-    forms only the linear term 2 (M_u^T Z (bias - y_ref) - R u_ref)."""
+    the input box, the QP of every controller without an output box but for
+    deepc's joint form (module docstring). Returns its step, (bias,
+    settings) -> solution, which forms only the linear term
+    2 (M_u^T Z (bias - y_ref) - R u_ref)."""
     m_u_t_z = pm.M_u.T @ z
     r_u_ref = cp.R @ cp.u_ref
     template = QpProblem(P=2.0 * _input_hessian(pm, cp, z), q=np.zeros(cp.n_u),
@@ -401,9 +410,53 @@ def certainty_equivalence(
 def _deepc_setup(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g: float,
                  rank_tol: float):
     """deepc's set-up; its step maps (w_ini, settings) to (u, mean, cov,
-    objective, solution, g)."""
+    objective, solution, g). proj2 with lambda_g > 0 and no output box
+    eliminates g and solves the input QP (:func:`_deepc_eliminated`); every
+    other case solves the joint (alpha, u, y) QP (:func:`_deepc_joint`)."""
+    if regularizer == "proj2" and lambda_g > 0.0 and not cp.has_output_box:
+        return _deepc_eliminated(dm, cp, lambda_g, rank_tol)
+    return _deepc_joint(dm, cp, regularizer, lambda_g, rank_tol)
+
+
+def _deepc_eliminated(dm: DataMatrix, cp: ControlProblem, lambda_g: float, rank_tol: float):
+    """deepc with proj2, lambda_g > 0 and no output box, as the input QP
+    with Z = kappa Q (cov Q + kappa I)^-1, kappa = lambda_g / D (see
+    :func:`deepc`). Its step recovers t = (Q cov + kappa I)^-1 Q e with
+    e = mu_hat - y_ref, the mean mu_hat - cov t and the combination vector
+    from alpha = L_F^+ [w_ini; u] - G^T t / D, G = L_Y - (L_Y L_F^+) L_F."""
     l_fac, basis = data_lq(dm)
-    pm, free_projector = lq_predictor(dm, l_fac, rank_tol)
+    pm, free_pinv = lq_predictor(dm, l_fac, rank_tol)
+    n_free = free_pinv.shape[1]
+    l_free, l_out = l_fac[:n_free], l_fac[n_free:]
+    d = dm.n_columns
+    resid_t_d = (l_out - (l_out @ free_pinv) @ l_free).T / d  # G^T / D
+    kappa = lambda_g / d
+    # (Q cov + kappa I)^-1 Q, where Q cov + kappa I has eigenvalues >= kappa.
+    gain = np.linalg.solve(cp.Q @ pm.cov + kappa * np.eye(cp.n_y), cp.Q)
+    z = symmetrize(kappa * gain)
+    input_qp = _input_qp(pm, cp, z)
+
+    def step(w, settings):
+        bias = pm.M_ini @ w
+        sol = input_qp(bias, settings)
+        u = sol.x
+        mu_hat = pm.M_u @ u + bias
+        dev = mu_hat - cp.y_ref
+        t = gain @ dev
+        alpha = free_pinv @ np.concatenate([w, u]) - resid_t_d @ t
+        du = u - cp.u_ref
+        return (u, mu_hat - pm.cov @ t, pm.cov, float(dev @ z @ dev + du @ cp.R @ du), sol,
+                basis @ alpha)
+
+    return step
+
+
+def _deepc_joint(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g: float,
+                 rank_tol: float):
+    """The joint (alpha, u, y) QP of :func:`deepc`, or (g, u, y) for l1
+    with lambda_g > 0; see :func:`_deepc_setup`."""
+    l_fac, basis = data_lq(dm)
+    pm, free_pinv = lq_predictor(dm, l_fac, rank_tol)
     raw = regularizer == "l1" and lambda_g > 0.0
     data = dm.ordered if raw else l_fac
     k = data.shape[1]
@@ -415,6 +468,7 @@ def _deepc_setup(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g:
     p_mat[k : k + nu, k : k + nu] = 2.0 * cp.R
     p_mat[k + nu :, k + nu :] = 2.0 * cp.Q
     if lambda_g > 0.0 and regularizer == "proj2":
+        free_projector = free_pinv @ l_fac[: free_pinv.shape[1]]
         p_mat[:k, :k] = 2.0 * lambda_g * symmetrize(np.eye(k) - free_projector)
     elif lambda_g > 0.0 and regularizer == "sq2":
         p_mat[:k, :k] = 2.0 * lambda_g * np.eye(k)
@@ -479,7 +533,8 @@ def deepc(
     g is removed afterwards (minimum-norm polish), since it is
     cost-invisible.
 
-    For proj2, sq2 and ``lambda_g`` = 0 the QP is solved in the row-space
+    For sq2, ``lambda_g`` = 0, and proj2 with an output box, the QP is
+    solved jointly over (alpha, u_f, y_f) in the row-space
     coordinates of the LQ factorization W = L Q^T (:func:`data_lq`), with
     k = min(D, qL) columns: g = Q alpha, the equality rows become L, the
     proj2 penalty becomes alpha^T (I - L_F^+ L_F) alpha and the sq2 penalty
@@ -496,8 +551,26 @@ def deepc(
     D-column g. The returned g has length D in every case, and the reported
     covariance is the predictive covariance computed from the same L.
 
-    Everything but the equality right-hand side [w_ini; 0] is set up once
-    per (dm, cp, regularizer, lambda_g, rank_tol); see the module docstring.
+    proj2 with ``lambda_g`` > 0 and no output box eliminates alpha, and
+    with it y, in closed form: this is the paper's result that regularized
+    DeePC is distributionally optimistic. Write G = L_Y - (L_Y L_F^+) L_F,
+    the fit's residual, so G G^T = D cov; let kappa = lambda_g / D and
+    e = mu_hat(u) - y_ref. Over the alpha with L_F alpha = [w_ini; u],
+    alpha = L_F^+ [w_ini; u] + beta with L_F beta = 0, the penalty is
+    lambda_g ||beta||^2 and y = mu_hat + G beta, and minimizing over beta
+    leaves ||e||_Z^2 with Z = kappa Q (cov Q + kappa I)^-1, the input QP of
+    the module docstring. Its minimizer is beta = -G^T t / D with
+    t = (Q cov + kappa I)^-1 Q e, so y = mu_hat - cov t. cov Q + kappa I is
+    invertible for every PSD cov and Q, so no Cholesky factor or jitter is
+    needed and noiseless data are exact. The reported objective is the
+    eliminated value ||e||_Z^2 + ||u - u_ref||_R^2. With ``rank_tol``
+    truncating L_F^+, this is the optimistic controller on the truncated
+    predictor, and the joint form differs from it in the truncated
+    directions. ``verify`` checks this form against the joint QP.
+
+    Everything but the history window (the input QP's linear term, or the
+    joint QP's equality right-hand side [w_ini; 0]) is set up once per (dm,
+    cp, regularizer, lambda_g, rank_tol); see the module docstring.
     """
     if regularizer not in REGULARIZERS:
         raise ValueError(f"regularizer must be one of {REGULARIZERS}, got {regularizer!r}")

@@ -13,15 +13,15 @@ to ADMM.
   strictly inside the box it is the answer, returned after that one solve
   without the ratio and multiplier tests. The box-only controller QPs (spc,
   certainty equivalence, optimistic and robust, with or without an output
-  box on optimistic) are of this kind: P >= 2R > 0. Without an output box
-  their minimizer is often interior; on ``configs/example.json`` every one
-  is. With an output box on optimistic, bounds are always active and most
-  solves end after one or two iterations, so the iteration does only the
-  arithmetic of its statement: a step whose free-block minimizer lies in
-  the box is a full step without a ratio test, and the rounding threshold
-  of the multiplier test reads |P| from the problem. A non-finite minimizer
-  or step, or a free block that rounding makes fail potrf, sends the
-  problem to ADMM.
+  box on optimistic, and deepc's eliminated form) are of this kind:
+  P >= 2R > 0. Without an output box their minimizer is often interior; on
+  ``configs/example.json`` every one is. With an output box on optimistic,
+  bounds are always active and most solves end after one or two
+  iterations, so the iteration does only the arithmetic of its statement:
+  a step whose free-block minimizer lies in the box is a full step without
+  a ratio test, and the rounding threshold of the multiplier test reads
+  |P| from the problem. A non-finite minimizer or step, or a free block
+  that rounding makes fail potrf, sends the problem to ADMM.
 * A problem with equality rows whose KKT matrix [P A_eq'; A_eq 0] is
   nonsingular to working precision (LAPACK getrf, then a gecon reciprocal
   condition number above size * eps) goes to an exact dual active-set
@@ -30,8 +30,9 @@ to ADMM.
   violated bounds one by one, solving the free-block KKT system each time.
   Its answer is returned only if it passes ADMM's own residual test at
   ``eps_abs``/``eps_rel`` with bound multipliers of the right sign. spc's
-  QPs with an output box are of this kind, and so are deepc's but for the
-  1-norm epigraph and rank-deficient data at lambda_g = 0.
+  QPs with an output box are of this kind, and so are deepc's joint QPs
+  (an output box, the squared 2-norm, or lambda_g = 0 on data of full
+  rank), but not its 1-norm epigraph.
 * Every other problem goes to operator splitting on the consensus form
   l <= [A_eq; I] x <= u (``_admm``), the OSQP iteration: deterministic Ruiz
   equilibration, a regularized KKT factorization reused across iterations,
@@ -44,7 +45,11 @@ to ADMM.
   answer is infeasible, hits ``max_iter`` or fails the residual test. An
   infeasible verdict is confirmed by ADMM: for equality rows that meet the
   box only at its boundary, rounding can make the dual method report the
-  problem infeasible while ADMM solves it to its tolerance.
+  problem infeasible while ADMM solves it to its tolerance. A polished
+  answer is kept only if its bound multipliers have their bounds' signs
+  beyond the dual method's rounding margin: the reduced KKT solve does not
+  constrain them, and where the active bounds are degenerate (a feasible
+  set that is a single point, say) it can give one the wrong sign.
 
 The primal active-set method reads only ``max_iter`` from
 :class:`QpSettings`; it reports ``iterations`` as the number of free-block
@@ -86,10 +91,10 @@ receding-horizon controller changes only q or b_eq from one solve to the
 next: :meth:`QpProblem.updated` derives such a problem, checks only the new
 vector, shares the Cholesky factor, |P| and the KKT factor, which read
 neither vector, and shares the ADMM set-up when q is unchanged, since that
-set-up never reads b_eq. So deepc's step, and spc's with an output box, is
-one triangular solve with the run's KKT factor and a bound check when no
-bound is active. The arrays of a problem are read-only copies, so none of
-this can go stale.
+set-up never reads b_eq. So the step of deepc's joint QP, and spc's with
+an output box, is one triangular solve with the run's KKT factor and a
+bound check when no bound is active. The arrays of a problem are read-only
+copies, so none of this can go stale.
 """
 
 import warnings
@@ -370,7 +375,9 @@ def _dual_infeasibility_certificate(prob, a_full, lo, hi, dx, eps):
 
 
 def _polish(prob, a_full, lo, hi, x, y, z, tol):
-    """Solve the reduced KKT system on the identified active set."""
+    """Solve the reduced KKT system on the identified active set. Returns
+    x, y and z with the side of each bound in that set (-1 lower, +1 upper,
+    0 none)."""
     n, m_eq = prob.n, prob.n_eq
     y_bounds = y[m_eq:]
     z_bounds = z[m_eq:]
@@ -412,7 +419,9 @@ def _polish(prob, a_full, lo, hi, x, y, z, tol):
     offset += low_idx.size
     y_pol[m_eq + up_idx] = nu[offset : offset + up_idx.size]
     z_pol = _clip(a_full @ x_pol, lo, hi)
-    return x_pol, y_pol, z_pol
+    side = np.zeros(n)
+    side[low_idx], side[up_idx] = -1.0, 1.0
+    return x_pol, y_pol, z_pol, side
 
 
 def solve(prob: QpProblem, settings: QpSettings = QpSettings()) -> QpSolution:
@@ -672,13 +681,10 @@ def _eq_active_set(prob: QpProblem, factor, settings: QpSettings) -> QpSolution:
             side[j] = u[j] = 0.0
 
     if status == OPTIMAL:
-        wrong = side * duals < 0.0
-        wrong &= lo != hi
-        if wrong.any():
-            near = round_off * (np.abs(p) @ np.abs(x) + np.abs(q) + np.abs(a.T) @ np.abs(nu))
-            if np.any(wrong & (np.abs(duals) > near)):
-                status = MAX_ITER
-            duals[wrong] = 0.0
+        wrong, beyond = _sign_test(prob, x, nu, duals, side)
+        if beyond:
+            status = MAX_ITER
+        duals[wrong] = 0.0
     y = np.concatenate([nu, duals])
     z = np.concatenate([b, _clip(x, lo, hi)])
     r_p, r_d, s_p, s_d = _unscaled_residuals(prob, prob._kkt["a_full"], x, z, y,
@@ -691,6 +697,19 @@ def _eq_active_set(prob: QpProblem, factor, settings: QpSettings) -> QpSolution:
         primal_residual=r_p, dual_residual=r_d, iterations=it,
         eq_duals=nu, bound_duals=duals,
     )
+
+
+def _sign_test(prob: QpProblem, x, nu, duals, side) -> tuple[np.ndarray, bool]:
+    """(wrong, beyond): the mask of the bound multipliers ``duals`` whose
+    sign is not their bound's (``side`` -1 lower, +1 upper, 0 none), pinned
+    variables (equal bounds) excepted, and whether one of them is wrong
+    beyond rounding, n eps (|P||x| + |q| + |A_eq'||nu|)."""
+    wrong = (side * duals < 0.0) & (prob.lower != prob.upper)
+    if not wrong.any():
+        return wrong, False
+    near = prob.n * _EPS * (np.abs(prob.P) @ np.abs(x) + np.abs(prob.q)
+                            + np.abs(prob.A_eq.T) @ np.abs(nu))
+    return wrong, bool(np.any(wrong & (np.abs(duals) > near)))
 
 
 def _free_block(p, a, f) -> np.ndarray:
@@ -764,15 +783,18 @@ def _admm(prob: QpProblem, settings: QpSettings) -> QpSolution:
         r_p, r_d, s_p, s_d = _unscaled_residuals(prob, a_full, xu, zu, yu, q_norm)
         best = (xu, yu, r_p, r_d, False)
         if settings.polish:
-            xp, yp, zp = _polish(prob, a_full, lo, hi, xu, yu, zu,
-                                 tol=max(settings.eps_abs * 100, 1e-10))
+            xp, yp, zp, side = _polish(prob, a_full, lo, hi, xu, yu, zu,
+                                       tol=max(settings.eps_abs * 100, 1e-10))
             rp_p, rd_p, sp_p, sd_p = _unscaled_residuals(prob, a_full, xp, zp, yp, q_norm)
-            # Polished candidate must itself respect the bounds.
+            # Polished candidate must itself respect the bounds, and its
+            # bound multipliers must have their bounds' signs: the reduced
+            # KKT solve does not constrain them.
             viol = max(
                 float((prob.lower - xp).max(initial=0.0)),
                 float((xp - prob.upper).max(initial=0.0)),
             )
-            if max(rp_p, viol) <= max(best[2], 1e-12) and rd_p <= max(best[3], 1e-12):
+            if (max(rp_p, viol) <= max(best[2], 1e-12) and rd_p <= max(best[3], 1e-12)
+                    and not _sign_test(prob, xp, yp[:m_eq], yp[m_eq:], side)[1]):
                 best = (xp, yp, max(rp_p, viol), rd_p, True)
                 s_p, s_d = sp_p, sd_p
         xu, yu, r_p, r_d, polished = best

@@ -25,7 +25,7 @@ from .behavior import (
     sample,
     GaussianBehavior,
 )
-from .linalg import matrix_rank, pinv, spectral_radius, sym_eig, symmetrize
+from .linalg import DEFAULT_RANK_TOL, matrix_rank, pinv, spectral_radius, sym_eig, symmetrize
 from .plant import StochasticLtiModel, _sample_gaussian, simulate, step
 from .qp import QpProblem, QpSettings, _admm, l1_epigraph, solve
 from .trajectory import SignalDims, assemble
@@ -33,6 +33,7 @@ from .trajectory import SignalDims, assemble
 SUITES = ("lemmas", "theorems", "solver", "all")
 
 MUTATE_PRED_COV = "flip_pred_cov_sign"
+MUTATE_KAPPA = "kappa_without_d"
 
 
 @dataclass(frozen=True)
@@ -67,20 +68,23 @@ class VerifyReport:
         return out
 
 
-def _random_instance(rng, **kwargs):
+def _random_instance(rng, with_input_box=False, sizes=None, noise_var=0.01):
+    """A random plant with n, m, p states, inputs and outputs (``sizes``, or
+    drawn), its data matrix and predictor from noise of variance
+    ``noise_var``, a history window and a tracking problem."""
     # Local import keeps the test-style generator out of library users' way.
     from .trajectory import build_data_matrix
 
-    n = int(rng.integers(1, 4))
-    m = int(rng.integers(1, 3))
-    p = int(rng.integers(1, 3))
+    if sizes is None:
+        sizes = tuple(int(rng.integers(1, hi)) for hi in (4, 3, 3))
+    n, m, p = sizes
     l_ini, l_f = 2, int(rng.integers(2, 5))
     a = rng.standard_normal((n, n))
     a *= 0.8 / max(spectral_radius(a), 1e-12)
     model = StochasticLtiModel(
         A=a, B=rng.standard_normal((n, m)), C=rng.standard_normal((p, n)),
         D=0.3 * rng.standard_normal((p, m)),
-        Sigma_xi=0.01 * np.eye(n), Sigma_eta=0.01 * np.eye(p),
+        Sigma_xi=noise_var * np.eye(n), Sigma_eta=noise_var * np.eye(p),
     )
     dims = SignalDims(m, p)
     window = l_ini + l_f
@@ -89,9 +93,8 @@ def _random_instance(rng, **kwargs):
                     seed=int(rng.integers(2**31)))
     dm = build_data_matrix(traj, l_ini, l_f)
     pm = predictive_model(dm)
-    with_box = kwargs.get("with_input_box", False)
     u_min = u_max = None
-    if with_box:
+    if with_input_box:
         half = rng.uniform(0.1, 0.5, size=m)
         u_min, u_max = -half, half
     cp = ctl.ControlProblem.from_step_weights(
@@ -113,6 +116,7 @@ _CHILD_KEYS = {
     "simulate_matches_stepwise_recursion": 0,
     "spectral_weights_match_solve_forms": 1,
     "box_qp_matches_independent_oracles": 2,
+    "deepc_elimination_matches_joint_qp": 3,
 }
 
 
@@ -418,6 +422,46 @@ def _check_deepc_optimistic_equivalence(rng, mutate=None) -> CheckResult:
         residual=worst,
         tolerance=1e-5,
         detail=f"kernel component of g: {g_hom_worst:.2e} (tol 1e-6)",
+    )
+
+
+def _check_deepc_elimination(rng, mutate=None) -> CheckResult:
+    """``deepc`` with proj2, lambda_g > 0 and no output box, which
+    eliminates g and solves the input QP, against the joint (alpha, u, y)
+    QP of ``control._deepc_joint`` on the same data: plan, mean and
+    objective to 1e-9 relative, g to 1e-7. Noisy instances of random size,
+    rank-deficient (noiseless) SISO and MIMO data and a 3x3 plant, each at
+    lambda_g from 1e-3 to 5e4. ``mutate`` ``"kappa_without_d"`` runs the
+    eliminated side at lambda_g D, that is with kappa = lambda_g instead of
+    lambda_g / D. Draws from its own child generator (``_child``)."""
+    local = _child(rng, "deepc_elimination_matches_joint_qp")
+
+    def rel(a, b):
+        return float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b))))
+
+    instances = [_random_instance(local, with_input_box=True) for _ in range(2)]
+    instances += [_random_instance(local, with_input_box=True, sizes=sizes, noise_var=var)
+                  for sizes, var in (((2, 1, 1), 0.0), ((2, 2, 2), 0.0), ((3, 3, 3), 0.01))]
+    worst, worst_g, statuses, eliminated = 0.0, 0.0, set(), True
+    for _, dm, _, w_ini, cp in instances:
+        for lambda_g in (1e-3, 0.5, 50.0, 5e4):
+            scaled = lambda_g * dm.n_columns if mutate == MUTATE_KAPPA else lambda_g
+            res = ctl.deepc(dm, w_ini, cp, "proj2", scaled)
+            u, y, _, objective, sol, g = ctl._deepc_joint(dm, cp, "proj2", lambda_g,
+                                                          DEFAULT_RANK_TOL)(w_ini, None)
+            statuses.update((sol.status, res.solver.status))
+            eliminated &= res.solver.x.size == cp.n_u
+            worst = max(worst, rel(res.u_f, u), rel(res.y_pred.mean, y),
+                        rel(res.objective, objective))
+            worst_g = max(worst_g, rel(res.g, g))
+    return CheckResult(
+        name="deepc_elimination_matches_joint_qp",
+        passed=(worst <= 1e-9 and worst_g <= 1e-7 and statuses == {"optimal"}
+                and eliminated),
+        residual=worst,
+        tolerance=1e-9,
+        detail=(f"g {worst_g:.1e} (tol 1e-7), statuses {sorted(statuses)}, "
+                f"input QP solved: {eliminated}"),
     )
 
 
@@ -786,6 +830,7 @@ _LEMMA_CHECKS = (
 _THEOREM_CHECKS = (
     _check_spc_ce_equivalence,
     _check_deepc_optimistic_equivalence,
+    _check_deepc_elimination,
     _check_robust_dual_bound,
     _check_hessian_finite_difference,
     _check_hessian_zero_weight,
@@ -795,6 +840,7 @@ _THEOREM_CHECKS = (
     _check_lambda_collapse,
     _check_spectral_weights,
 )
+_MUTABLE_CHECKS = (_check_deepc_optimistic_equivalence, _check_deepc_elimination)
 _SOLVER_CHECKS = (
     _check_kkt_agreement,
     _check_soft_threshold,
@@ -808,8 +854,10 @@ def verify(suite: str = "all", seed: int = 0, mutate: str | None = None) -> Veri
     """Run a certification suite and collect per-check pass/fail results.
 
     ``mutate`` (test hook): ``"flip_pred_cov_sign"`` corrupts the predictive
-    covariance inside the deepc/optimistic equivalence check, which must
-    then fail; used to confirm the suite has teeth.
+    covariance inside the deepc/optimistic equivalence check, and
+    ``"kappa_without_d"`` the weight of deepc's eliminated form inside the
+    elimination check; that check must then fail. Used to confirm the suite
+    has teeth.
     """
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}, got {suite!r}")
@@ -818,7 +866,7 @@ def verify(suite: str = "all", seed: int = 0, mutate: str | None = None) -> Veri
         selected += [(fn, {}) for fn in _LEMMA_CHECKS]
     if suite in ("theorems", "all"):
         selected += [
-            (fn, {"mutate": mutate} if fn is _check_deepc_optimistic_equivalence else {})
+            (fn, {"mutate": mutate} if fn in _MUTABLE_CHECKS else {})
             for fn in _THEOREM_CHECKS
         ]
     if suite in ("solver", "all"):

@@ -152,13 +152,13 @@ def test_robust_sweep_factors_once_per_weight(tracing):
 @pytest.mark.parametrize("controller", sorted(HARNESS_NAMES))
 def test_box_only_qps_take_the_active_set(controller, tracing, monkeypatch):
     # control.solve is the name the tracer wraps for its qp.solve spans.
-    # deepc's QP has equality rows and a nonsingular KKT matrix.
+    # deepc (proj2, lambda_g > 0, no output box) eliminates g and solves
+    # the same input QP as the others.
     assert (control, "solve") in tracing.BINDINGS and control.solve is qp.solve
     paths = record_solver_paths(monkeypatch)
     rec = harness.run_closed_loop(short_loop_config(controller))
     planned = sum(1 for s in rec.steps if s.solver_status)
-    expected = "_eq_active_set" if controller == "deepc" else "_active_set"
-    assert paths == [expected] * planned and planned > 0
+    assert paths == ["_active_set"] * planned and planned > 0
 
 
 @pytest.mark.parametrize("controller", ["spc", "ce", "optimistic", "robust"])

@@ -11,6 +11,7 @@ from conftest import (
     record_solver_paths,
 )
 
+from gdpc import control, qp
 from gdpc.behavior import PredictiveModel, kl_mean_term, predictive_model
 from gdpc.control import (
     ControlProblem,
@@ -303,7 +304,10 @@ class TestDeepcRowSpace:
             dm = self.data(model, columns, seed=columns)
             res = deepc(dm, w_ini, cp, regularizer, lambda_g=3.0)
             assert res.solver.status == "optimal"
-            assert res.solver.x.size == min(columns, rows) + cp.n_u + cp.n_y
+            if regularizer == "proj2":  # g eliminated: the input QP
+                assert res.solver.x.size == cp.n_u
+            else:
+                assert res.solver.x.size == min(columns, rows) + cp.n_u + cp.n_y
             assert res.g.shape == (columns,)
             full = dm.matrix
             kernel_part = res.g - pinv(full) @ (full @ res.g)
@@ -336,6 +340,57 @@ class TestDeepcRowSpace:
         truncated = deepc(dm, w_ini, cp, "proj2", lambda_g=3.0, rank_tol=0.5)
         assert np.array_equal(default.u_f, explicit.u_f)
         assert np.max(np.abs(truncated.u_f - default.u_f)) > 1e-6
+
+
+class TestDeepcElimination:
+    """proj2 with lambda_g > 0 and no output box eliminates g and solves the
+    input QP; every other case keeps the joint (alpha, u, y) QP."""
+
+    def test_proj2_without_output_box_solves_the_input_qp(self, monkeypatch):
+        # Neither the set-up nor a step factors a KKT matrix or tests a
+        # matrix for PSD by its eigenvalues: the input QP's P passes potrf.
+        inst = random_control_instance(np.random.default_rng(12), d_factor_max=3,
+                                       with_input_box=True)
+        paths = record_solver_paths(monkeypatch)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached")
+
+        for module, name in ((qp, "_kkt_factor"), (qp, "is_psd"), (control, "is_psd")):
+            monkeypatch.setattr(module, name, unreachable)
+        for shift in (0.0, 0.3, -0.3):
+            res = deepc(inst.dm, inst.w_ini + shift, inst.cp, "proj2", 2.0)
+            assert res.solver.status == "optimal" and res.solver.x.size == inst.cp.n_u
+        assert paths == ["_active_set"] * 3
+
+    @pytest.mark.parametrize("regularizer,lambda_g,output_box,path", [
+        ("proj2", 2.0, True, "_eq_active_set"),
+        ("sq2", 0.5, False, "_eq_active_set"),
+        ("l1", 0.1, False, "_admm"),
+        ("proj2", 0.0, False, "_eq_active_set"),
+    ])
+    def test_other_cases_keep_the_joint_qp(self, regularizer, lambda_g, output_box, path,
+                                           monkeypatch):
+        inst = random_control_instance(np.random.default_rng(12), d_factor_max=3,
+                                       with_input_box=True, with_output_box=output_box)
+        paths = record_solver_paths(monkeypatch)
+        res = deepc(inst.dm, inst.w_ini, inst.cp, regularizer, lambda_g)
+        assert paths == [path] and res.solver.status == "optimal"
+        k = min(inst.dm.n_columns, inst.dm.matrix.shape[0])
+        assert res.solver.x.size >= k + inst.cp.n_u + inst.cp.n_y
+
+    def test_noiseless_data_give_the_spc_plan(self):
+        # With zero predictive covariance Z is Q and the mean is mu_hat.
+        model, dm, w_ini, _ = noiseless_instance(np.random.default_rng(5))
+        cp = ControlProblem.from_step_weights(model.dims, dm.l_ini, dm.l_f, q_diag=1.0,
+                                              r_diag=0.2, y_ref=0.8, u_min=-0.5, u_max=0.5)
+        ref = spc(predictive_model(dm), w_ini, cp)
+        assert np.any(np.abs(ref.u_f) == 0.5)  # the box binds
+        for lambda_g in (1e-3, 0.5, 50.0, 5e4):
+            res = deepc(dm, w_ini, cp, "proj2", lambda_g)
+            for got, want in ((res.u_f, ref.u_f), (res.y_pred.mean, ref.y_pred.mean)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            assert res.objective == pytest.approx(ref.objective, rel=1e-12)
 
 
 class TestOptimistic:

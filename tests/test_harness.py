@@ -315,6 +315,40 @@ class TestEqualityConstrainedLoop:
             assert np.max(np.abs(sol.x - ref.x)) <= 1e-8 * scale
 
 
+class TestDeepcEliminationLoop:
+    def test_example_loop_matches_the_joint_qp(self, monkeypatch):
+        # deepc-proj2 without an output box eliminates g; the joint
+        # (alpha, u, y) QP, forced here, is the second computation.
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        doc["control"]["controller"] = "deepc"
+        cfg = config_from_dict(doc)
+        deepc, plans = control.deepc, []
+
+        def recorded(*args, **kwargs):
+            plans.append(deepc(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(control, "deepc", recorded)
+        paths = record_solver_paths(monkeypatch)
+        runs = [run_closed_loop(cfg)]
+        monkeypatch.setattr(control, "_deepc_setup", control._deepc_joint)
+        runs.append(run_closed_loop(cfg))
+        planned = sum(1 for s in runs[0].steps if s.solver_status)
+        assert paths == ["_active_set"] * planned + ["_eq_active_set"] * planned
+        assert len(plans) == 2 * planned > 0
+
+        def close(got, want):
+            want = np.atleast_1d(want)
+            return np.max(np.abs(got - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
+
+        for a, b in zip(runs[0].steps, runs[1].steps, strict=True):
+            assert a.t == b.t and close(a.u, b.u) and close(a.y, b.y)
+            assert close(a.stage_cost, b.stage_cost)
+        for a, b in zip(plans[:planned], plans[planned:]):
+            assert close(a.u_f, b.u_f) and close(a.y_pred.mean, b.y_pred.mean)
+            assert close(a.objective, b.objective) and close(a.g, b.g)
+
+
 class TestSweep:
     def test_single_point_reduces_to_repeated_runs(self):
         doc = base_doc()
@@ -431,6 +465,7 @@ class TestVerify:
         assert report.all_passed
         names = {c.name for c in report.checks}
         assert "projected_deepc_equals_optimistic" in names
+        assert "deepc_elimination_matches_joint_qp" in names
         assert "robust_dual_bounds_sampled_ball" in names
         assert "simulate_matches_stepwise_recursion" in names
 
@@ -455,6 +490,13 @@ class TestVerify:
             "deepc" in n for n in failed
         )
 
+    def test_elimination_check_detects_a_wrong_weight(self):
+        # kappa = lambda_g instead of lambda_g / D on the eliminated side.
+        assert verify("theorems", seed=0).all_passed
+        report = verify("theorems", seed=0, mutate="kappa_without_d")
+        failed = {c.name for c in report.checks if not c.passed}
+        assert failed == {"deepc_elimination_matches_joint_qp"}
+
     def test_box_qp_oracle_detects_an_early_stop(self, monkeypatch):
         assert verify("solver", seed=0).all_passed
         active_set = qp._active_set
@@ -474,6 +516,7 @@ class TestVerify:
         everything = {c.name: c for c in verify("all", seed=3).checks}
         for suite, name in (("lemmas", "simulate_matches_stepwise_recursion"),
                             ("theorems", "spectral_weights_match_solve_forms"),
+                            ("theorems", "deepc_elimination_matches_joint_qp"),
                             ("solver", "box_qp_matches_independent_oracles")):
             alone = {c.name: c for c in verify(suite, seed=3).checks}
             assert alone[name] == everything[name], suite

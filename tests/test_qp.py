@@ -416,6 +416,37 @@ class TestPolishFallback:
             qp._admm(prob, QpSettings())
 
 
+class TestPolishSigns:
+    @staticmethod
+    def single_point_qp(seed, n=12):
+        """n - 1 equality rows leave a line through x0, and x0 holds two
+        upper bounds that the line leaves the box through, one in each
+        direction: the feasible set is the single point x0. Its bound
+        multipliers are not unique, and the polish's reduced KKT solve,
+        which does not constrain their signs, can give one the wrong sign."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n - 1, n))
+        direction = np.linalg.svd(a)[2][-1]
+        x0 = rng.uniform(-0.5, 0.5, n)
+        x0[[direction.argmax(), direction.argmin()]] = 1.0
+        b_mat = rng.standard_normal((n, n))
+        prob = QpProblem(P=b_mat @ b_mat.T + 0.5 * np.eye(n), q=3.0 * rng.standard_normal(n),
+                         A_eq=a, b_eq=a @ x0, lower=-np.ones(n), upper=np.ones(n))
+        return prob, x0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_point_feasible_set_keeps_multiplier_signs(self, seed):
+        prob, x0 = self.single_point_qp(seed)
+        sol = qp._admm(prob, QpSettings())
+        assert sol.status == "optimal"
+        assert np.max(np.abs(sol.x - x0)) <= 1e-6
+        scale = max(1.0, float(np.max(np.abs(prob.q))))
+        # Only upper bounds hold at x0, so no multiplier may be negative.
+        assert np.all(sol.bound_duals >= -1e-9 * scale)
+        stationarity = prob.P @ sol.x + prob.q + prob.A_eq.T @ sol.eq_duals + sol.bound_duals
+        assert np.max(np.abs(stationarity)) <= 1e-6 * scale
+
+
 def random_box_qp(rng, n, infinite=0.2, pinned=0.1):
     """A strictly convex box-only QP with some infinite and some equal bounds."""
     b_mat = rng.standard_normal((n, n))
