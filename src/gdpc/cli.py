@@ -17,6 +17,8 @@ from .behavior import GaussianBehavior, condition, estimate
 from .errors import ConfigError, GdpcError, InfeasibleProblem, ParseError
 from .plant import StochasticLtiModel
 from .harness import (
+    CONTROLLER_NAMES,
+    _solve_controller,
     identification_run,
     load_config,
     run_closed_loop,
@@ -41,7 +43,8 @@ def _add_common_overrides(parser, plant=False):
     parser.add_argument("--rank-tol", type=float, default=None,
                         help="relative singular-value cutoff override")
     parser.add_argument("--jitter", type=float, default=None,
-                        help="relative jitter for near-singular covariances")
+                        help="relative jitter of robust's lambda0 and of optimistic's "
+                             "precision with an output box")
     parser.add_argument("--eps-abs", type=float, default=None,
                         help="absolute tolerance override: ADMM's, and that of the "
                              "residual test an exact equality-constrained solve must "
@@ -121,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ctl.add_argument("--config", required=True)
     p_ctl.add_argument(
-        "--controller", choices=("spc", "ce", "deepc", "optimistic", "robust"),
+        "--controller", choices=CONTROLLER_NAMES,
         default=None, help="override the controller named in the config",
     )
     p_ctl.add_argument("--out", default=None, help="optional JSON result path")
@@ -238,8 +241,6 @@ def _cmd_control(args) -> int:
     traj, dm, pm = identification_run(cfg)
     w_ini = traj.samples[-cfg.l_ini :].reshape(-1)
     cp = cfg.control_problem()
-    from .harness import _solve_controller
-
     result = _solve_controller(cfg, dm, pm, cp, w_ini)
     plan = result.u_f.reshape(cfg.l_f, cfg.dims.m)
     mean = result.y_pred.mean.reshape(cfg.l_f, cfg.dims.p)

@@ -23,26 +23,29 @@ output mean), subject to per-stack input boxes and optional output boxes.
 
 Without an output box, spc, certainty equivalence, optimistic and robust
 solve one input-space QP, min ||u - u_ref||_R^2 + ||M_u u + M_ini w_ini -
-y_ref||_Z^2 over the input box, and differ only in the output weight Z;
-so does deepc with the projected regularizer and lambda_g > 0, with
-Z = kappa Q (cov Q + kappa I)^-1, kappa = lambda_g / D, which is
-optimistic's weight at lam = 2 lambda_g / D formed without a Cholesky
-factor (see :func:`deepc`).
-With cov = L L^T (jittered if needed), L^T Q L = V diag(Lambda) V^T and
-W = L^-T V, the precision is W W^T and Z = W diag(phi) W^T with
-phi = Lambda for spc and certainty equivalence, kappa Lambda / (kappa +
-Lambda) for optimistic (kappa = lam/2) and lam Lambda / (lam - Lambda) for
-robust: optimistic <= certainty equivalence <= robust, and both weights
-tend to Lambda as lam grows. Robust needs lam > max Lambda.
+y_ref||_Z^2 over the input box, and differ only in the output weight Z: Q
+for spc and certainty equivalence, else Z(kappa) = kappa Q (cov Q + kappa
+I)^-1 with kappa = lam/2 for optimistic and -lam for robust, where Z(-lam)
+= Q + Q (lam S - Q)^-1 Q, S the precision; so does deepc with the projected
+regularizer, lambda_g > 0 and kappa = lambda_g / D (:func:`deepc`). One
+linear solve gives Z(kappa) and the mean mu_hat - cov (Q cov + kappa I)^-1
+Q (mu_hat - y_ref), optimistic's tethered or robust's worst-case mean
+(:func:`_tethered_input_qp`). In the spectral form cov = L L^T, L^T Q L =
+V diag(Lambda) V^T, W = L^-T V, Q is W diag(Lambda) W^T and Z(kappa) is
+W diag(kappa Lambda / (kappa + Lambda)) W^T: optimistic <= certainty
+equivalence <= robust, and robust needs lam > max Lambda. Only robust's
+lambda0 is computed in that form, from the jittered Cholesky factor; the
+jitter reaches nothing else but optimistic's precision with an output box.
+``verify`` checks Z and both controllers against the spectral form.
 
 Per-run set-up. In a receding-horizon run only the history window w_ini
 changes from one call to the next. Each controller is therefore a set-up,
 everything that does not depend on w_ini, and a step that forms the one
 w_ini-dependent vector and solves: the QP's linear term, or for spc with
 an output box and for deepc's joint QP the equality right-hand side. The
-set-up holds the spectral factor, the output weight Z, M_u^T Z and the QP
-with its bounds, PSD proof and Cholesky factor; for certainty equivalence
-also the trace term tr(Q cov); for deepc the LQ factor, the predictor and
+set-up holds the output weight Z, M_u^T Z and the QP with its bounds, PSD
+proof and Cholesky factor; for certainty equivalence also the trace term
+tr(Q cov); for optimistic and robust the map to the mean; for deepc the LQ factor, the predictor and
 the QP, and for its eliminated form the maps that recover the mean and g.
 The equality-constrained QPs (deepc's joint QP, spc with an output box) go
 to :func:`~gdpc.qp.solve`'s exact dual active-set method
@@ -261,60 +264,26 @@ def _prepared(name: str, model, cp: ControlProblem, params: tuple, build):
     return kept[3]
 
 
-@dataclass(frozen=True)
-class _Spectral:
-    """cov = L L^T (``chol``) and L^T Q L = V diag(values) V^T, values
-    descending, with W = L^-T V; see the module docstring."""
-
-    chol: np.ndarray
-    values: np.ndarray
-    vectors: np.ndarray
-    w: np.ndarray
-
-    @property
-    def lambda0(self) -> float:
-        return float(np.max(self.values, initial=0.0)) * (1.0 + 1e-6)
-
-    def weight(self, phi) -> np.ndarray:
-        """The output weight W diag(phi) W^T."""
-        return symmetrize((self.w * phi) @ self.w.T)
-
-    def unwhiten(self, v) -> np.ndarray:
-        return self.chol @ (self.vectors @ v)  # W^-T v = L V v
-
-    def optimistic_phi(self, lam: float) -> np.ndarray:
-        """kappa Lambda / (kappa + Lambda) with kappa = lam/2."""
-        kappa = 0.5 * lam
-        return kappa * self.values / (kappa + self.values)
-
-    def robust_phi(self, lam: float) -> np.ndarray:
-        """lam Lambda / (lam - Lambda); raises where lam*S - Q is singular."""
-        gap = lam - self.values
-        if np.any(gap == 0.0):
-            raise LambdaTooSmall(f"lam*precision - Q is singular at lam={lam:g}",
-                                 lambda0=lam)
-        return lam * self.values / gap
-
-
-def _cholesky(cov, jitter: float) -> tuple[np.ndarray, np.ndarray]:
-    """(L, L^-1) with L L^T the covariance, jittered if it is not PD
-    (:func:`~gdpc.behavior.jittered_cholesky`)."""
-    chol = jittered_cholesky(cov, jitter)
-    return chol, np.linalg.solve(chol, np.eye(chol.shape[0]))
-
-
-def _precision(inv_chol) -> np.ndarray:
-    """The precision L^-T L^-1."""
+def _precision(cov, jitter: float) -> np.ndarray:
+    """The precision L^-T L^-1 with L L^T the covariance, jittered if it is
+    not PD (:func:`~gdpc.behavior.jittered_cholesky`)."""
+    inv_chol = np.linalg.solve(jittered_cholesky(cov, jitter), np.eye(cov.shape[0]))
     return symmetrize(inv_chol.T @ inv_chol)
 
 
-def _spectral(cov, q, jitter: float = DEFAULT_JITTER) -> _Spectral:
-    """Spectral factor of the (jittered-if-needed) PD covariance and the
-    output weight Q: one Cholesky factorization and one eigendecomposition."""
-    chol, inv_chol = _cholesky(cov, jitter)
-    dec = sym_eig(chol.T @ q @ chol)
-    return _Spectral(chol=chol, values=dec.values, vectors=dec.vectors,
-                     w=inv_chol.T @ dec.vectors)
+def _lambda0(pm: PredictiveModel, cp: ControlProblem, jitter: float) -> float:
+    """max Lambda (1 + 1e-6), Lambda the eigenvalues of L^T Q L with L the
+    jittered Cholesky factor of the covariance (module docstring)."""
+    chol = jittered_cholesky(pm.cov, jitter)
+    return float(np.max(sym_eig(chol.T @ cp.Q @ chol).values, initial=0.0)) * (1.0 + 1e-6)
+
+
+def _tethered_weight(pm: PredictiveModel, cp: ControlProblem, kappa: float):
+    """(gain, Z(kappa)) with gain = (Q cov + kappa I)^-1 Q and Z(kappa) =
+    kappa gain (module docstring); Q cov + kappa I is invertible for kappa
+    > 0 and for kappa = -lam with lam > max Lambda."""
+    gain = np.linalg.solve(cp.Q @ pm.cov + kappa * np.eye(cp.n_y), cp.Q)
+    return gain, symmetrize(kappa * gain)
 
 
 def _input_hessian(pm: PredictiveModel, cp: ControlProblem, z) -> np.ndarray:
@@ -336,6 +305,27 @@ def _input_qp(pm: PredictiveModel, cp: ControlProblem, z):
     def step(bias, settings):
         lin = m_u_t_z @ (bias - cp.y_ref) - r_u_ref
         return _run_qp(template.updated(q=2.0 * lin), settings)
+
+    return step
+
+
+def _tethered_input_qp(pm: PredictiveModel, cp: ControlProblem, kappa: float):
+    """Set-up of the input QP with the weight Z(kappa) (module docstring),
+    shared by optimistic, robust and deepc's eliminated form. Its step maps
+    (bias, settings) to (u, mean, objective, solution, t): t = gain e with
+    e = mu_hat - y_ref, the mean mu_hat - cov t and the eliminated objective
+    ||e||_Z^2 + ||u - u_ref||_R^2."""
+    gain, z = _tethered_weight(pm, cp, kappa)
+    input_qp = _input_qp(pm, cp, z)
+
+    def step(bias, settings):
+        sol = input_qp(bias, settings)
+        u = sol.x
+        mu_hat = pm.M_u @ u + bias
+        dev = mu_hat - cp.y_ref
+        t = gain @ dev
+        du = u - cp.u_ref
+        return u, mu_hat - pm.cov @ t, float(dev @ z @ dev + du @ cp.R @ du), sol, t
 
     return step
 
@@ -420,33 +410,21 @@ def _deepc_setup(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g:
 
 def _deepc_eliminated(dm: DataMatrix, cp: ControlProblem, lambda_g: float, rank_tol: float):
     """deepc with proj2, lambda_g > 0 and no output box, as the input QP
-    with Z = kappa Q (cov Q + kappa I)^-1, kappa = lambda_g / D (see
-    :func:`deepc`). Its step recovers t = (Q cov + kappa I)^-1 Q e with
-    e = mu_hat - y_ref, the mean mu_hat - cov t and the combination vector
-    from alpha = L_F^+ [w_ini; u] - G^T t / D, G = L_Y - (L_Y L_F^+) L_F."""
+    with the weight Z(kappa), kappa = lambda_g / D (:func:`_tethered_input_qp`;
+    see :func:`deepc`). Its step recovers the combination vector from
+    alpha = L_F^+ [w_ini; u] - G^T t / D, G = L_Y - (L_Y L_F^+) L_F."""
     l_fac, basis = data_lq(dm)
     pm, free_pinv = lq_predictor(dm, l_fac, rank_tol)
     n_free = free_pinv.shape[1]
     l_free, l_out = l_fac[:n_free], l_fac[n_free:]
     d = dm.n_columns
     resid_t_d = (l_out - (l_out @ free_pinv) @ l_free).T / d  # G^T / D
-    kappa = lambda_g / d
-    # (Q cov + kappa I)^-1 Q, where Q cov + kappa I has eigenvalues >= kappa.
-    gain = np.linalg.solve(cp.Q @ pm.cov + kappa * np.eye(cp.n_y), cp.Q)
-    z = symmetrize(kappa * gain)
-    input_qp = _input_qp(pm, cp, z)
+    input_qp = _tethered_input_qp(pm, cp, lambda_g / d)
 
     def step(w, settings):
-        bias = pm.M_ini @ w
-        sol = input_qp(bias, settings)
-        u = sol.x
-        mu_hat = pm.M_u @ u + bias
-        dev = mu_hat - cp.y_ref
-        t = gain @ dev
+        u, mean, objective, sol, t = input_qp(pm.M_ini @ w, settings)
         alpha = free_pinv @ np.concatenate([w, u]) - resid_t_d @ t
-        du = u - cp.u_ref
-        return (u, mu_hat - pm.cov @ t, pm.cov, float(dev @ z @ dev + du @ cp.R @ du), sol,
-                basis @ alpha)
+        return u, mean, pm.cov, objective, sol, basis @ alpha
 
     return step
 
@@ -598,29 +576,14 @@ def deepc(
 
 def _optimistic_setup(pm: PredictiveModel, cp: ControlProblem, lam: float, jitter: float):
     """optimistic's set-up; its step maps (bias, settings) to (u, mean,
-    objective, solution)."""
+    objective, solution), and without an output box also t
+    (:func:`_tethered_input_qp`)."""
     kappa = 0.5 * lam
-    nu = cp.n_u
-
     if not cp.has_output_box:
-        spec = _spectral(pm.cov, cp.Q, jitter)
-        z = spec.weight(spec.optimistic_phi(lam))
-        input_qp = _input_qp(pm, cp, z)
-        ref_term = spec.values * (spec.w.T @ cp.y_ref)
-        denominator = spec.values + kappa
+        return _tethered_input_qp(pm, cp, kappa)
 
-        def step(bias, settings):
-            sol = input_qp(bias, settings)
-            u = sol.x
-            mu_hat = pm.M_u @ u + bias
-            mu = spec.unwhiten((ref_term + kappa * (spec.w.T @ mu_hat)) / denominator)
-            dev, du = mu_hat - cp.y_ref, u - cp.u_ref
-            return u, mu, float(dev @ z @ dev + du @ cp.R @ du), sol
-
-        return step
-
-    ny = cp.n_y
-    precision = _precision(_cholesky(pm.cov, jitter)[1])
+    nu, ny = cp.n_u, cp.n_y
+    precision = _precision(pm.cov, jitter)
     p_mat = np.zeros((nu + ny, nu + ny))
     p_mat[:nu, :nu] = 2.0 * (cp.R + kappa * pm.M_u.T @ precision @ pm.M_u)
     p_mat[:nu, nu:] = -2.0 * kappa * pm.M_u.T @ precision
@@ -661,18 +624,20 @@ def optimistic(
     """Jointly optimize the input and the predicted output mean, with the
     mean tethered to the estimate by lam/2 times its precision-weighted
     squared distance (the mean term of the relative entropy). Without an
-    output box the mean is eliminated (module docstring) and recovered as
-    L V (Lambda + kappa)^-1 (Lambda W^T y_ref + kappa W^T mu_hat); the
-    reported objective is then the eliminated value
-    ||mu_hat - y_ref||_Z^2 + ||u - u_ref||_R^2, which, unlike the tether
-    term, does not multiply a rounding-level difference by the precision."""
+    output box the mean is eliminated: the input QP with the weight Z(kappa),
+    kappa = lam/2, and the mean mu_hat - cov (Q cov + kappa I)^-1 Q (mu_hat
+    - y_ref) (module docstring), which needs no precision, so a singular
+    covariance needs no jitter. The reported objective is then the
+    eliminated value ||mu_hat - y_ref||_Z^2 + ||u - u_ref||_R^2, which,
+    unlike the tether term, does not multiply a rounding-level difference
+    by the precision. With an output box the (u, mean) QP uses the
+    precision of the covariance, jittered if it is not PD."""
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
-    w = _check_w_ini(pm, w_ini)
-    bias = pm.M_ini @ w
+    bias = pm.M_ini @ _check_w_ini(pm, w_ini)
     step = _prepared("optimistic", pm, cp, (lam, jitter),
                      lambda: _optimistic_setup(pm, cp, lam, jitter))
-    u, mu, objective, sol = step(bias, settings)
+    u, mu, objective, sol, *_ = step(bias, settings)
     return ControlResult(
         u_f=u,
         y_pred=ConditionalGaussian._of_model(mu, pm.cov),
@@ -682,17 +647,20 @@ def optimistic(
     )
 
 
-def hessian(pm: PredictiveModel, cp: ControlProblem, lam: float,
-            jitter: float = DEFAULT_JITTER) -> HessianReport:
+def hessian(pm: PredictiveModel, cp: ControlProblem, lam: float) -> HessianReport:
     """Input-space cost Hessian of the robust dual objective.
 
-    H = R + M_u^T Z M_u with Z = Q + Q (lam*S - Q)^-1 Q, S = cov^-1, in the
-    spectral form Z = W diag(lam Lambda / (lam - Lambda)) W^T. Exact for
-    every lam that is no eigenvalue Lambda (lam*S - Q invertible); at an
-    eigenvalue it raises :class:`LambdaTooSmall`.
+    H = R + M_u^T Z M_u with Z = Q + Q (lam*S - Q)^-1 Q, S = cov^-1, formed
+    as the weight Z(-lam) = lam Q (lam I - cov Q)^-1 of the module
+    docstring. Exact for every lam at which lam I - cov Q is invertible;
+    where a solve finds it singular it raises :class:`LambdaTooSmall`.
     """
-    spec = _spectral(pm.cov, cp.Q, jitter)
-    h = _input_hessian(pm, cp, spec.weight(spec.robust_phi(lam)))
+    try:
+        z = _tethered_weight(pm, cp, -lam)[1]
+    except np.linalg.LinAlgError:
+        raise LambdaTooSmall(f"lam*precision - Q is singular at lam={lam:g}",
+                             lambda0=lam) from None
+    h = _input_hessian(pm, cp, z)
     return HessianReport(matrix=h, psd=is_psd(h, 1e-10))
 
 
@@ -707,7 +675,7 @@ def lambda_threshold(pm: PredictiveModel, cp: ControlProblem,
     >= Lambda, so Z >= Q >= 0 and H = R + M_u^T Z M_u >= R > 0. ``verify``
     samples lambda_min(H - R) >= 0 as an independent check.
     """
-    lambda0 = _spectral(pm.cov, cp.Q, jitter).lambda0
+    lambda0 = _lambda0(pm, cp, jitter)
     return LambdaThreshold(lambda0=lambda0, lambda_psd=lambda0)
 
 
@@ -715,28 +683,21 @@ def _robust_setup(pm: PredictiveModel, cp: ControlProblem, lam: float, jitter: f
     """robust's set-up; raises :class:`LambdaTooSmall` below lambda0. Its
     step maps (bias, settings) to (u, worst-case mean, objective,
     solution)."""
-    spec = _spectral(pm.cov, cp.Q, jitter)
-    if lam < spec.lambda0 or lam <= 0.0:
-        raise LambdaTooSmall(f"lam={lam:g} below certified lambda0={spec.lambda0:g}",
-                             lambda0=spec.lambda0, lambda_psd=spec.lambda0)
-    # The lam-scale terms of the dual objective cancel exactly: the cost is
-    # ||mu_hat(u) - y_ref||_Z^2 + ||u - u_ref||_R^2 - y_ref' Q y_ref, with
-    # no catastrophic cancellation at large lam.
-    phi = spec.robust_phi(lam)
-    z = spec.weight(phi)
-    input_qp = _input_qp(pm, cp, z)
-    worst_gain = phi / lam
-    ref_cost = cp.y_ref @ cp.Q @ cp.y_ref
+    lambda0 = _lambda0(pm, cp, jitter)
+    if lam < lambda0 or lam <= 0.0:
+        raise LambdaTooSmall(f"lam={lam:g} below certified lambda0={lambda0:g}",
+                             lambda0=lambda0, lambda_psd=lambda0)
+    # The input QP with Z(-lam); its mean is the worst-case mean
+    # mu_hat + (lam*S - Q)^-1 Q (mu_hat - y_ref). The lam-scale terms of the
+    # dual objective cancel exactly: the cost is ||mu_hat(u) - y_ref||_Z^2
+    # + ||u - u_ref||_R^2 - y_ref' Q y_ref, with no catastrophic
+    # cancellation at large lam.
+    input_qp = _tethered_input_qp(pm, cp, -lam)
+    ref_cost = float(cp.y_ref @ cp.Q @ cp.y_ref)
 
     def step(bias, settings):
-        sol = input_qp(bias, settings)
-        u = sol.x
-        mu_hat = pm.M_u @ u + bias
-        dev = mu_hat - cp.y_ref
-        # The worst-case mean mu* = mu_hat + (lam*S - Q)^-1 Q (mu_hat - y_ref).
-        mu_star = mu_hat + spec.unwhiten(worst_gain * (spec.w.T @ dev))
-        du = u - cp.u_ref
-        return u, mu_star, float(dev @ z @ dev + du @ cp.R @ du - ref_cost), sol
+        u, mu_star, objective, sol, _ = input_qp(bias, settings)
+        return u, mu_star, objective - ref_cost, sol
 
     return step
 
@@ -755,9 +716,10 @@ def robust(
     Objective in the input:
         ||lam*S mu_hat(u) - Q y_ref||^2_{(lam*S - Q)^-1}
         - lam ||mu_hat(u)||^2_S + ||u - u_ref||^2_R,
-    with S the predictive precision. Requires lam >= lambda0, which makes
-    the Hessian positive definite; output boxes are not representable in
-    this eliminated form.
+    with S the predictive precision, solved as the input QP with the weight
+    Z(-lam) (module docstring). Requires lam >= lambda0, which makes the
+    Hessian positive definite; ``jitter`` reaches only lambda0. Output
+    boxes are not representable in this eliminated form.
     """
     if cp.has_output_box:
         raise ShapeError("robust controller does not support output boxes")

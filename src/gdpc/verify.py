@@ -32,7 +32,7 @@ from .trajectory import SignalDims, assemble
 
 SUITES = ("lemmas", "theorems", "solver", "all")
 
-MUTATE_PRED_COV = "flip_pred_cov_sign"
+MUTATE_COV = "double_pred_cov"
 MUTATE_KAPPA = "kappa_without_d"
 
 
@@ -132,6 +132,11 @@ def _child(rng, name: str):
                                                          pool_size=seq.pool_size))
 
 
+def _rel(a, b, floor=1.0) -> float:
+    """max |a - b| over max(floor, max |b|)."""
+    return float(np.max(np.abs(a - b))) / max(floor, float(np.max(np.abs(b))))
+
+
 def _spd(rng, k, scale=1.0):
     b = rng.standard_normal((k, k))
     return scale * (b @ b.T + 0.1 * np.eye(k))
@@ -140,7 +145,7 @@ def _spd(rng, k, scale=1.0):
 # ---------------------------------------------------------------- lemmas --
 
 
-def _check_mle_local_max(rng) -> CheckResult:
+def _check_sample_covariance_is_local_mle(rng) -> CheckResult:
     worst = -math.inf
     for _ in range(3):
         k = 4
@@ -167,7 +172,7 @@ def _check_mle_local_max(rng) -> CheckResult:
     )
 
 
-def _check_predictor_conditioning_identity(rng) -> CheckResult:
+def _check_predictor_equals_conditioned_estimate(rng) -> CheckResult:
     _, dm, pm, _, _ = _random_instance(rng)
     gb = estimate(dm)
     worst = 0.0
@@ -185,7 +190,7 @@ def _check_predictor_conditioning_identity(rng) -> CheckResult:
     )
 
 
-def _check_conditioning_regression(rng) -> CheckResult:
+def _check_conditioning_matches_monte_carlo_regression(rng) -> CheckResult:
     k, n_free, n_samp = 4, 2, 200_000
     cov = _spd(rng, k)
     mean = rng.standard_normal(k)
@@ -214,7 +219,7 @@ def _check_conditioning_regression(rng) -> CheckResult:
     )
 
 
-def _check_state_space_covariance(rng) -> CheckResult:
+def _check_state_space_window_covariance_monte_carlo(rng) -> CheckResult:
     n, m, p, window = 2, 1, 1, 3
     a = rng.standard_normal((n, n))
     a *= 0.75 / max(spectral_radius(a), 1e-12)
@@ -251,7 +256,7 @@ def _check_state_space_covariance(rng) -> CheckResult:
     )
 
 
-def _check_deterministic_degeneration(rng) -> CheckResult:
+def _check_singular_covariance_restricts_support(rng) -> CheckResult:
     k, d = 6, 2
     basis = rng.standard_normal((k, d))
     cov = basis @ _spd(rng, d) @ basis.T
@@ -293,7 +298,7 @@ def _stepwise_rollout(model, x0, u_policy, steps, seed) -> np.ndarray:
     return np.array(rows)
 
 
-def _check_simulate_recursion(rng) -> CheckResult:
+def _check_simulate_matches_stepwise_recursion(rng) -> CheckResult:
     """``simulate`` against a per-sample ``step`` rollout on random MIMO
     plants (m, p <= 3) for array, scalar and callable input policies, from
     an exact and from a sampled (mean, cov) initial state. Draws from its
@@ -361,7 +366,7 @@ def _certainty_equivalence_oracle(pm, w_ini, cp):
     return u, cp.tracking_cost(u, pm.M_u @ u + bias) + float(np.trace(cp.Q @ pm.cov))
 
 
-def _check_spc_ce_equivalence(rng) -> CheckResult:
+def _check_spc_equals_certainty_equivalence(rng) -> CheckResult:
     worst = 0.0
     for _ in range(10):
         _, dm, pm, w_ini, cp = _random_instance(rng)
@@ -390,28 +395,27 @@ def _lstsq_predictor(dm) -> PredictiveModel:
                            cov=resid @ resid.T / dm.n_columns)
 
 
-def _check_deepc_optimistic_equivalence(rng, mutate=None) -> CheckResult:
+def _check_projected_deepc_equals_optimistic(rng, mutate=None) -> CheckResult:
+    """deepc with proj2 against optimistic at lam = 2 lambda_g / D on the
+    least-squares predictor of ``_lstsq_predictor``: plan and Y_f g
+    against optimistic's mean, and the kernel component of g. Both
+    controllers form their weight in ``control._tethered_input_qp``, so
+    this compares the predictors and deepc's recovery of g, not two
+    computations of the weight; ``deepc_elimination_matches_joint_qp`` and
+    ``spectral_weights_match_solve_forms`` check the weight independently.
+    ``mutate`` ``"double_pred_cov"`` doubles optimistic's covariance."""
     worst = 0.0
     g_hom_worst = 0.0
     for _ in range(5):
         _, dm, _, w_ini, cp = _random_instance(rng, with_input_box=True)
         pm = _lstsq_predictor(dm)
-        if mutate == MUTATE_PRED_COV:
-            cov = pm.cov.copy()
-            if cov.shape[0] >= 2:
-                cov[0, 1] *= -1.0
-                cov[1, 0] *= -1.0
-            else:
-                cov *= 2.0
-            pm = type(pm)(M_u=pm.M_u, M_ini=pm.M_ini, cov=cov)
+        if mutate == MUTATE_COV:
+            pm = replace(pm, cov=2.0 * pm.cov)
         lambda_g = float(rng.uniform(0.5, 10.0))
         res_deepc = ctl.deepc(dm, w_ini, cp, "proj2", lambda_g)
         res_opt = ctl.optimistic(pm, w_ini, cp, lam=2.0 * lambda_g / dm.n_columns)
-        scale = max(1.0, float(np.max(np.abs(res_opt.u_f))))
-        worst = max(worst, float(np.max(np.abs(res_deepc.u_f - res_opt.u_f))) / scale)
-        y_g = dm.future_outputs @ res_deepc.g
-        yscale = max(1.0, float(np.max(np.abs(res_opt.y_pred.mean))))
-        worst = max(worst, float(np.max(np.abs(y_g - res_opt.y_pred.mean))) / yscale)
+        worst = max(worst, _rel(res_deepc.u_f, res_opt.u_f),
+                    _rel(dm.future_outputs @ res_deepc.g, res_opt.y_pred.mean))
         full = dm.matrix
         hom = res_deepc.g - pinv(full) @ (full @ res_deepc.g)
         g_hom_worst = max(g_hom_worst, float(np.linalg.norm(hom)))
@@ -425,7 +429,7 @@ def _check_deepc_optimistic_equivalence(rng, mutate=None) -> CheckResult:
     )
 
 
-def _check_deepc_elimination(rng, mutate=None) -> CheckResult:
+def _check_deepc_elimination_matches_joint_qp(rng, mutate=None) -> CheckResult:
     """``deepc`` with proj2, lambda_g > 0 and no output box, which
     eliminates g and solves the input QP, against the joint (alpha, u, y)
     QP of ``control._deepc_joint`` on the same data: plan, mean and
@@ -435,10 +439,6 @@ def _check_deepc_elimination(rng, mutate=None) -> CheckResult:
     eliminated side at lambda_g D, that is with kappa = lambda_g instead of
     lambda_g / D. Draws from its own child generator (``_child``)."""
     local = _child(rng, "deepc_elimination_matches_joint_qp")
-
-    def rel(a, b):
-        return float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b))))
-
     instances = [_random_instance(local, with_input_box=True) for _ in range(2)]
     instances += [_random_instance(local, with_input_box=True, sizes=sizes, noise_var=var)
                   for sizes, var in (((2, 1, 1), 0.0), ((2, 2, 2), 0.0), ((3, 3, 3), 0.01))]
@@ -451,9 +451,9 @@ def _check_deepc_elimination(rng, mutate=None) -> CheckResult:
                                                           DEFAULT_RANK_TOL)(w_ini, None)
             statuses.update((sol.status, res.solver.status))
             eliminated &= res.solver.x.size == cp.n_u
-            worst = max(worst, rel(res.u_f, u), rel(res.y_pred.mean, y),
-                        rel(res.objective, objective))
-            worst_g = max(worst_g, rel(res.g, g))
+            worst = max(worst, _rel(res.u_f, u), _rel(res.y_pred.mean, y),
+                        _rel(res.objective, objective))
+            worst_g = max(worst_g, _rel(res.g, g))
     return CheckResult(
         name="deepc_elimination_matches_joint_qp",
         passed=(worst <= 1e-9 and worst_g <= 1e-7 and statuses == {"optimal"}
@@ -465,7 +465,7 @@ def _check_deepc_elimination(rng, mutate=None) -> CheckResult:
     )
 
 
-def _check_robust_dual_bound(rng) -> CheckResult:
+def _check_robust_dual_bounds_sampled_ball(rng) -> CheckResult:
     worst = -math.inf
     for _ in range(5):
         _, dm, pm, w_ini, cp = _random_instance(rng)
@@ -497,7 +497,7 @@ def _check_robust_dual_bound(rng) -> CheckResult:
     )
 
 
-def _check_hessian_finite_difference(rng) -> CheckResult:
+def _check_robust_hessian_matches_finite_differences(rng) -> CheckResult:
     _, dm, pm, _, cp = _random_instance(rng)
     thr = ctl.lambda_threshold(pm, cp)
     lam = 2.0 * max(thr.lambda0, 1.0)
@@ -533,7 +533,7 @@ def _check_hessian_finite_difference(rng) -> CheckResult:
     )
 
 
-def _check_hessian_zero_weight(rng) -> CheckResult:
+def _check_hessian_reduces_to_input_weight_without_output_cost(rng) -> CheckResult:
     _, dm, pm, _, cp0 = _random_instance(rng)
     cp = ctl.ControlProblem(
         dims=cp0.dims, l_ini=cp0.l_ini, l_f=cp0.l_f,
@@ -565,9 +565,7 @@ def _check_hessian_large_lambda_limit(rng) -> CheckResult:
     )
 
 
-def _check_lambda_threshold(rng) -> CheckResult:
-    from .behavior import PredictiveModel
-
+def _check_lambda_threshold_certificates(rng) -> CheckResult:
     pm = PredictiveModel(M_u=[[1.0]], M_ini=[[0.0, 0.0]], cov=[[2.0]])
     cp = ctl.ControlProblem(dims=SignalDims(1, 1), l_ini=1, l_f=1,
                             Q=[[3.0]], R=[[1.0]], u_ref=[0.0], y_ref=[0.0])
@@ -586,7 +584,7 @@ def _check_lambda_threshold(rng) -> CheckResult:
     )
 
 
-def _check_hessian_dominates_input_weight(rng) -> CheckResult:
+def _check_hessian_dominates_input_weight_above_lambda0(rng) -> CheckResult:
     """lambda_psd = lambda0: for lam >= lambda0 the robust Hessian is at
     least R, checked by the eigenvalues of H - R on sampled instances."""
     worst = -math.inf
@@ -605,7 +603,7 @@ def _check_hessian_dominates_input_weight(rng) -> CheckResult:
     )
 
 
-def _check_lambda_collapse(rng) -> CheckResult:
+def _check_controllers_collapse_to_certainty_equivalence(rng) -> CheckResult:
     _, dm, pm, w_ini, cp = _random_instance(rng)
     ref = ctl.certainty_equivalence(pm, w_ini, cp)
     grid = [1e2, 1e4, 1e6, 1e8, 1e10]
@@ -631,39 +629,68 @@ def _check_lambda_collapse(rng) -> CheckResult:
     )
 
 
-def _check_spectral_weights(rng) -> CheckResult:
-    """The precision of ``control._precision``, and the output weights and
-    lambda0 of ``control._spectral``, against the solve-based forms they
-    replaced:
-    S = inv(L)^T inv(L), kappa S (Q + kappa S)^-1 Q (optimistic, kappa =
-    lam/2), Q + Q (lam S - Q)^-1 Q (robust) and lambda0 = max eig(G Q G)
-    (1 + 1e-6) with G the symmetric square root of cov. Draws from its own
-    child generator (``_child``)."""
+def _tethered_oracle(pm, w_ini, cp, kappa):
+    """(Z, u, mean, objective) of the input QP with the weight Z(kappa) =
+    kappa Q (cov Q + kappa I)^-1 of ``control``, in the spectral form: cov =
+    L L^T (numpy's Cholesky, so cov must be PD), L^T Q L = V diag(Lambda)
+    V^T, W = L^-T V, Z = W diag(kappa Lambda / (kappa + Lambda)) W^T and the
+    mean mu_hat - L V diag(Lambda / (kappa + Lambda)) W^T (mu_hat - y_ref).
+    Optimistic's at kappa = lam/2; robust's at kappa = -lam before it
+    subtracts y_ref' Q y_ref."""
+    chol = np.linalg.cholesky(pm.cov)
+    values, vectors = np.linalg.eigh(chol.T @ cp.Q @ chol)
+    w = np.linalg.solve(chol.T, vectors)
+    ratio = values / (kappa + values)
+    z = symmetrize((w * (kappa * ratio)) @ w.T)
+    bias = pm.M_ini @ w_ini
+    lin = pm.M_u.T @ z @ (bias - cp.y_ref) - cp.R @ cp.u_ref
+    u = solve(QpProblem(P=2.0 * (cp.R + pm.M_u.T @ z @ pm.M_u), q=2.0 * lin,
+                        lower=cp.u_lower, upper=cp.u_upper)).x
+    dev, du = pm.M_u @ u + bias - cp.y_ref, u - cp.u_ref
+    mean = dev + cp.y_ref - (chol @ vectors * ratio) @ (w.T @ dev)
+    return z, u, mean, float(dev @ z @ dev + du @ cp.R @ du)
+
+
+def _check_spectral_weights_match_solve_forms(rng) -> CheckResult:
+    """The weight of ``control._tethered_weight`` against the spectral form
+    (``_tethered_oracle``) and the precision forms kappa S (Q + kappa
+    S)^-1 Q (optimistic, kappa = lam/2) and Q + Q (lam S - Q)^-1 Q (robust,
+    kappa = -lam); ``control._precision`` against inv(L)^T inv(L) and lambda0
+    against max eig(G Q G) (1 + 1e-6), G the symmetric square root of cov,
+    all to 1e-9 relative. End to end, optimistic's and robust's plans, means
+    and objectives against ``_tethered_oracle``, to 1e-9 relative to
+    max(1, |oracle|). Noisy instances, with and without an input box; the
+    robust weights sit at lambda0 (1.001, 2, 10, 1e3), since at lambda0
+    itself lam I - cov Q is too ill-conditioned for two forms to agree to
+    1e-9. Draws from its own child generator (``_child``)."""
     local = _child(rng, "spectral_weights_match_solve_forms")
-
-    def rel(a, b):
-        return float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), 1e-300)
-
-    worst = {"precision": 0.0, "optimistic": 0.0, "robust": 0.0, "lambda0": 0.0}
-    for _ in range(5):
-        _, _, pm, _, cp = _random_instance(local)
-        spec = ctl._spectral(pm.cov, cp.Q)
-        inv_chol = np.linalg.inv(np.linalg.cholesky(symmetrize(pm.cov)))
+    worst = dict.fromkeys(("precision", "lambda0", "weights", "controllers"), 0.0)
+    for k in range(6):
+        _, _, pm, w_ini, cp = _random_instance(local, with_input_box=k % 2 == 1)
+        inv_chol = np.linalg.inv(np.linalg.cholesky(pm.cov))
         precision = inv_chol.T @ inv_chol
         dec = sym_eig(pm.cov)
         root = dec.vectors * np.sqrt(np.clip(dec.values, 0.0, None))
         lambda0 = float(np.max(np.linalg.eigvalsh(root.T @ cp.Q @ root))) * (1.0 + 1e-6)
-        inv_l = ctl._cholesky(pm.cov, ctl.DEFAULT_JITTER)[1]
-        worst["precision"] = max(worst["precision"], rel(ctl._precision(inv_l), precision))
-        worst["lambda0"] = max(worst["lambda0"], rel(spec.lambda0, lambda0))
-        for lam in (0.2, 1.0, 10.0, 500.0, 1e4):
-            kappa = 0.5 * lam
-            z = kappa * precision @ np.linalg.solve(cp.Q + kappa * precision, cp.Q)
-            worst["optimistic"] = max(worst["optimistic"],
-                                      rel(spec.weight(spec.optimistic_phi(lam)), z))
-        for lam in lambda0 * np.array([1.001, 2.0, 10.0, 1e3]):
-            z = cp.Q + cp.Q @ np.linalg.solve(lam * precision - cp.Q, cp.Q)
-            worst["robust"] = max(worst["robust"], rel(spec.weight(spec.robust_phi(lam)), z))
+        worst["precision"] = max(worst["precision"], _rel(
+            ctl._precision(pm.cov, ctl.DEFAULT_JITTER), precision, 1e-300))
+        worst["lambda0"] = max(worst["lambda0"],
+                               _rel(ctl.lambda_threshold(pm, cp).lambda0, lambda0, 1e-300))
+        weights = [(lam, 0.5 * lam, ctl.optimistic, 0.0,
+                    0.5 * lam * precision @ np.linalg.solve(cp.Q + 0.5 * lam * precision, cp.Q))
+                   for lam in (1e-3, 0.2, 1.0, 10.0, 500.0, 1e4)]
+        weights += [(lam, -lam, ctl.robust, float(cp.y_ref @ cp.Q @ cp.y_ref),
+                     cp.Q + cp.Q @ np.linalg.solve(lam * precision - cp.Q, cp.Q))
+                    for lam in lambda0 * np.array([1.001, 2.0, 10.0, 1e3])]
+        for lam, kappa, controller, ref_cost, solved in weights:
+            z, u, mean, objective = _tethered_oracle(pm, w_ini, cp, kappa)
+            weight = ctl._tethered_weight(pm, cp, kappa)[1]
+            worst["weights"] = max(worst["weights"], _rel(weight, solved, 1e-300),
+                                   _rel(weight, z, 1e-300))
+            res = controller(pm, w_ini, cp, lam)
+            worst["controllers"] = max(worst["controllers"], _rel(res.u_f, u),
+                                       _rel(res.y_pred.mean, mean),
+                                       _rel(res.objective, objective - ref_cost))
     residual = max(worst.values())
     return CheckResult(
         name="spectral_weights_match_solve_forms",
@@ -677,7 +704,7 @@ def _check_spectral_weights(rng) -> CheckResult:
 # ---------------------------------------------------------------- solver --
 
 
-def _check_kkt_agreement(rng) -> CheckResult:
+def _check_qp_matches_kkt_oracle(rng) -> CheckResult:
     """``solve`` on strictly convex equality QPs, which it hands to the dual
     active-set method and so answers from a factorization of the KKT
     matrix, against two independent computations: numpy's solve of the same
@@ -705,7 +732,7 @@ def _check_kkt_agreement(rng) -> CheckResult:
     return CheckResult("qp_matches_kkt_oracle", worst <= 1e-6, worst, 1e-6)
 
 
-def _check_soft_threshold(rng) -> CheckResult:
+def _check_l1_soft_threshold_exact(rng) -> CheckResult:
     base = QpProblem(P=[[1.0]], q=[-3.0])
     aug, idx = l1_epigraph(base, weight=1.0, selector=[0])
     sol = solve(aug)
@@ -713,7 +740,7 @@ def _check_soft_threshold(rng) -> CheckResult:
     return CheckResult("l1_soft_threshold_exact", err <= 1e-6, err, 1e-6)
 
 
-def _check_scaling_invariance(rng) -> CheckResult:
+def _check_qp_argmin_scaling_invariance(rng) -> CheckResult:
     """The minimizer of an equality QP does not move when P and q are scaled
     together, by ``solve`` and by ``qp._admm``, whose Ruiz equilibration
     sees different data in the two problems; and the two agree."""
@@ -732,7 +759,7 @@ def _check_scaling_invariance(rng) -> CheckResult:
     return CheckResult("qp_argmin_scaling_invariance", err <= 1e-6, err, 1e-6)
 
 
-def _check_box_projection(rng) -> CheckResult:
+def _check_qp_box_projection_exact(rng) -> CheckResult:
     n = 6
     c = 2.0 * rng.standard_normal(n)
     sol = solve(QpProblem(P=np.eye(n), q=-c, lower=-np.ones(n), upper=np.ones(n)))
@@ -740,7 +767,7 @@ def _check_box_projection(rng) -> CheckResult:
     return CheckResult("qp_box_projection_exact", err <= 1e-7, err, 1e-7)
 
 
-def _check_active_set_oracles(rng) -> CheckResult:
+def _check_box_qp_matches_independent_oracles(rng) -> CheckResult:
     """Box-only QPs, which ``solve`` hands to its active-set method, against
     two independent oracles: the projected-gradient residual
     ||x - clip(x - grad)||_inf, zero exactly at the minimizer, of
@@ -820,44 +847,47 @@ def _check_active_set_oracles(rng) -> CheckResult:
 
 
 _LEMMA_CHECKS = (
-    _check_mle_local_max,
-    _check_predictor_conditioning_identity,
-    _check_conditioning_regression,
-    _check_state_space_covariance,
-    _check_deterministic_degeneration,
-    _check_simulate_recursion,
+    _check_sample_covariance_is_local_mle,
+    _check_predictor_equals_conditioned_estimate,
+    _check_conditioning_matches_monte_carlo_regression,
+    _check_state_space_window_covariance_monte_carlo,
+    _check_singular_covariance_restricts_support,
+    _check_simulate_matches_stepwise_recursion,
 )
 _THEOREM_CHECKS = (
-    _check_spc_ce_equivalence,
-    _check_deepc_optimistic_equivalence,
-    _check_deepc_elimination,
-    _check_robust_dual_bound,
-    _check_hessian_finite_difference,
-    _check_hessian_zero_weight,
+    _check_spc_equals_certainty_equivalence,
+    _check_projected_deepc_equals_optimistic,
+    _check_deepc_elimination_matches_joint_qp,
+    _check_robust_dual_bounds_sampled_ball,
+    _check_robust_hessian_matches_finite_differences,
+    _check_hessian_reduces_to_input_weight_without_output_cost,
     _check_hessian_large_lambda_limit,
-    _check_lambda_threshold,
-    _check_hessian_dominates_input_weight,
-    _check_lambda_collapse,
-    _check_spectral_weights,
+    _check_lambda_threshold_certificates,
+    _check_hessian_dominates_input_weight_above_lambda0,
+    _check_controllers_collapse_to_certainty_equivalence,
+    _check_spectral_weights_match_solve_forms,
 )
-_MUTABLE_CHECKS = (_check_deepc_optimistic_equivalence, _check_deepc_elimination)
+_MUTABLE_CHECKS = (_check_projected_deepc_equals_optimistic,
+                   _check_deepc_elimination_matches_joint_qp)
 _SOLVER_CHECKS = (
-    _check_kkt_agreement,
-    _check_soft_threshold,
-    _check_scaling_invariance,
-    _check_box_projection,
-    _check_active_set_oracles,
+    _check_qp_matches_kkt_oracle,
+    _check_l1_soft_threshold_exact,
+    _check_qp_argmin_scaling_invariance,
+    _check_qp_box_projection_exact,
+    _check_box_qp_matches_independent_oracles,
 )
 
 
 def verify(suite: str = "all", seed: int = 0, mutate: str | None = None) -> VerifyReport:
     """Run a certification suite and collect per-check pass/fail results.
 
-    ``mutate`` (test hook): ``"flip_pred_cov_sign"`` corrupts the predictive
-    covariance inside the deepc/optimistic equivalence check, and
+    ``mutate`` (test hook): ``"double_pred_cov"`` doubles optimistic's
+    predictive covariance inside the deepc/optimistic equivalence check, and
     ``"kappa_without_d"`` the weight of deepc's eliminated form inside the
     elimination check; that check must then fail. Used to confirm the suite
-    has teeth.
+    has teeth. A check that raises fails with an infinite residual, under
+    the name it reports when it runs: its function's name without the
+    ``_check_`` prefix.
     """
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}, got {suite!r}")

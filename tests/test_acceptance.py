@@ -80,6 +80,14 @@ class TestC01SpcEqualsCertaintyEquivalence:
 
 class TestC02DeepcOptimisticEquivalence:
     def test_c02_matching_minimizers_and_no_kernel_component(self):
+        """deepc and optimistic here share the predictor (``lq_predictor``)
+        and the weight kappa Q (cov Q + kappa I)^-1
+        (``control._tethered_input_qp``), so their plans agree by
+        construction; what this checks on its own is deepc's g (Y_f g
+        against optimistic's mean, and its kernel component). verify's
+        ``deepc_elimination_matches_joint_qp`` (against the joint QP) and
+        ``spectral_weights_match_solve_forms`` (against the spectral form)
+        check the weight independently."""
         rng = np.random.default_rng(202)
         worst_u, worst_mu, worst_hom = 0.0, 0.0, 0.0
         boxes_active = 0

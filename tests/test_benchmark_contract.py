@@ -124,10 +124,12 @@ def assert_first_solve_only(children, name, count):
 
 
 @pytest.mark.parametrize("controller,factorizations", [
-    ("spc", 0), ("ce", 0), ("optimistic", 1), ("robust", 1),
+    ("spc", 0), ("ce", 0), ("optimistic", 0), ("robust", 1),
 ])
 def test_traced_factorizations_per_solve(controller, factorizations, tracing):
-    # Counted per run: the factorizations belong to the set-up.
+    # Counted per run: the factorizations belong to the set-up. Without an
+    # output box optimistic forms its weight by one linear solve; robust
+    # factors once for lambda0.
     children = loop_children(tracing, short_loop_config(controller))
     assert_first_solve_only(children, "linalg.chol_psd", factorizations)
     assert_first_solve_only(children, "linalg.sym_eig", factorizations)

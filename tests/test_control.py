@@ -426,6 +426,37 @@ class TestOptimistic:
                 active += 1
         assert active >= 2  # the boxes do bite on a fair share of draws
 
+    def test_rank_one_covariance_needs_no_jitter(self):
+        # cov = v v^T confines the mean to mu_hat + v s, at the tether
+        # kappa s^2 (v^T (v v^T)^+ v = 1). Without an output box optimistic
+        # needs no precision, so it solves with jitter 0; the oracle is the
+        # (u, s) QP under the input box.
+        rng = np.random.default_rng(26)
+        for _ in range(5):
+            inst = random_control_instance(rng, with_input_box=True)
+            cp, nu = inst.cp, inst.cp.n_u
+            v = rng.standard_normal(cp.n_y)
+            pm = PredictiveModel(M_u=inst.pm.M_u, M_ini=inst.pm.M_ini, cov=np.outer(v, v))
+            bias = pm.M_ini @ inst.w_ini
+            a = np.hstack([pm.M_u, v[:, None]])
+            for lam in (0.5, 50.0):
+                kappa = 0.5 * lam
+                res = optimistic(pm, inst.w_ini, cp, lam, jitter=0.0)
+                p_mat = a.T @ cp.Q @ a
+                p_mat[:nu, :nu] += cp.R
+                p_mat[nu, nu] += kappa
+                q_vec = a.T @ cp.Q @ (bias - cp.y_ref)
+                q_vec[:nu] -= cp.R @ cp.u_ref
+                x = solve(QpProblem(P=2.0 * p_mat, q=2.0 * q_vec,
+                                    lower=np.append(cp.u_lower, -np.inf),
+                                    upper=np.append(cp.u_upper, np.inf))).x
+                u, mean = x[:nu], a @ x + bias
+                objective = cp.tracking_cost(u, mean) + kappa * x[nu] ** 2
+                assert np.max(np.abs(res.u_f - u)) < 1e-9
+                assert np.max(np.abs(res.y_pred.mean - mean)) < 1e-9 * max(
+                    1.0, np.max(np.abs(mean)))
+                assert res.objective == pytest.approx(objective, rel=1e-9, abs=1e-12)
+
     def test_zero_output_weight_keeps_estimated_mean(self):
         rng = np.random.default_rng(13)
         inst = random_control_instance(rng)

@@ -1,7 +1,9 @@
 """Tests for experiment configs, the closed-loop harness, sweeps, and verify."""
 
 import dataclasses
+import importlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,9 @@ from gdpc.harness import (
 )
 from gdpc.plant import default_benchmark
 from gdpc.verify import verify
+
+# The module itself: the package binds gdpc.verify to the function.
+verify_module = importlib.import_module("gdpc.verify")
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.json"
 
@@ -483,12 +488,43 @@ class TestVerify:
         assert "simulate_matches_stepwise_recursion" in failed
 
     def test_mutation_is_detected(self):
-        report = verify("theorems", seed=1, mutate="flip_pred_cov_sign")
-        assert not report.all_passed
-        failed = {c.name for c in report.checks if not c.passed}
-        assert "projected_deepc_equals_optimistic" in failed or any(
-            "deepc" in n for n in failed
-        )
+        # A doubled covariance stays PSD, so the check runs and fails by its
+        # residual rather than by raising.
+        report = verify("theorems", seed=1, mutate="double_pred_cov")
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["projected_deepc_equals_optimistic"]
+        assert math.isfinite(failed[0].residual)
+        assert failed[0].residual > failed[0].tolerance
+
+    def test_raising_check_keeps_its_name(self, monkeypatch):
+        # A check that raises is reported under the name it has when it
+        # passes, and every check's name is its function's.
+        passing = [c.name for c in verify("all", seed=0).checks]
+        assert passing == [fn.__name__.removeprefix("_check_") for fn in (
+            *verify_module._LEMMA_CHECKS, *verify_module._THEOREM_CHECKS,
+            *verify_module._SOLVER_CHECKS)]
+
+        def broken(dm):
+            raise RuntimeError("predictor bug")
+
+        monkeypatch.setattr(verify_module, "_lstsq_predictor", broken)
+        failed = [c for c in verify("theorems", seed=0).checks if not c.passed]
+        assert [c.name for c in failed] == ["projected_deepc_equals_optimistic"]
+        assert failed[0].residual == math.inf
+        assert failed[0].detail == "raised RuntimeError: predictor bug"
+
+    def test_spectral_oracle_detects_a_perturbed_kappa(self, monkeypatch):
+        # The weight of optimistic, robust and deepc's eliminated form, built
+        # with kappa 1e-6 too large: the end-to-end comparison with the
+        # spectral oracle fails (the direct weight comparisons call
+        # control._tethered_weight and still pass).
+        tethered = control._tethered_input_qp
+        monkeypatch.setattr(control, "_tethered_input_qp", lambda pm, cp, kappa:
+                            tethered(pm, cp, kappa * (1.0 + 1e-6)))
+        checks = {c.name: c for c in verify("theorems", seed=0).checks}
+        spectral = checks["spectral_weights_match_solve_forms"]
+        assert not spectral.passed
+        assert 1e-6 < spectral.residual < math.inf
 
     def test_elimination_check_detects_a_wrong_weight(self):
         # kappa = lambda_g instead of lambda_g / D on the eliminated side.
