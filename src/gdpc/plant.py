@@ -6,6 +6,13 @@ length-L output stack as
     y = O_L x_t + T_u u + T_xi xi + eta,
 with O_L the extended observability matrix and T_u / T_xi the lower block
 triangular input/noise Toeplitz maps (T_xi is T_u built with B = I, D = 0).
+
+A recorded run (``simulate``) has no per-sample Python loop: its states
+solve the unit lower block-bidiagonal system x_0 = start,
+x_{t+1} - A x_t = B u_t + xi_t by one banded forward substitution (LAPACK
+``dtbtrs``, 2n^2 doubles of band per sample), which matches the stepwise
+recursion to rounding, not bit for bit. ``step`` is the closed loop's
+per-sample update.
 """
 
 import json
@@ -13,6 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import ShapeError
 from .linalg import as_matrix, is_psd, lyap_discrete, spectral_radius, symmetrize
@@ -150,16 +158,64 @@ def step(model: StochasticLtiModel, x, u, xi=None, eta=None):
     return x_next, y
 
 
+def _gaussian_scale(cov, name="covariance") -> np.ndarray:
+    """A factor F with F F^T = cov from its eigendecomposition, tolerating
+    singular covariances. Raises ``ShapeError`` naming ``name`` if cov is not
+    positive semidefinite by ``is_psd``'s relative rule at 1e-8."""
+    vals, vecs = np.linalg.eigh(symmetrize(cov))
+    if vals[0] < -1e-8 * max(1.0, abs(vals[-1])):
+        raise ShapeError(f"{name} must be positive semidefinite, "
+                         f"smallest eigenvalue {vals[0]:.3g}")
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+
+
 def _sample_gaussian(rng, mean, cov, size=None):
     """Draw from N(mean, cov) tolerating singular covariances."""
-    cov = symmetrize(cov)
-    vals, vecs = np.linalg.eigh(cov)
-    scale = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    scale = _gaussian_scale(cov)
     if size is None:
-        z = rng.standard_normal(cov.shape[0])
+        z = rng.standard_normal(scale.shape[0])
         return mean + scale @ z
-    z = rng.standard_normal((size, cov.shape[0]))
+    z = rng.standard_normal((size, scale.shape[0]))
     return mean + z @ scale.T
+
+
+def _initial_state(model: StochasticLtiModel, x0, rng) -> np.ndarray:
+    """The start state of a rollout: ``x0`` itself, or one draw from a
+    (mean, cov) pair. Raises ``ShapeError`` naming the bad part of ``x0``."""
+    n = model.n
+    if not isinstance(x0, tuple):
+        x = np.asarray(x0, dtype=float)
+        if x.size != n:
+            raise ShapeError(f"x0 must have {n} entries, got shape {x.shape}")
+        return x.reshape(n)
+    if len(x0) != 2:
+        raise ShapeError(f"x0 must be a state or a (mean, cov) pair, got {len(x0)} items")
+    mean, cov = (np.asarray(v, dtype=float) for v in x0)
+    if mean.size != n:
+        raise ShapeError(f"x0 mean must have {n} entries, got shape {mean.shape}")
+    if cov.shape != (n, n):
+        raise ShapeError(f"x0 cov must be {(n, n)}, got {cov.shape}")
+    return mean.reshape(n) + _gaussian_scale(cov, "x0 cov") @ rng.standard_normal(n)
+
+
+def _state_rollout(a: np.ndarray, start: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """The (steps, n) states x_0 = start, x_{t+1} = A x_t + drive_t.
+
+    They solve one unit lower block-bidiagonal system by forward
+    substitution: block column t of the band holds I and -A below it, stored
+    as ``ab[n + i - j, t n + j] = -A[i, j]`` (kd = 2n - 1, unit diagonal not
+    stored). The last row of ``drive`` is not used.
+    """
+    n, steps = a.shape[0], drive.shape[0]
+    pattern = np.zeros((2 * n, n))
+    i, j = np.indices((n, n))
+    pattern[n + i - j, j] = -a
+    ab = np.tile(pattern.T, (steps, 1)).T  # Fortran order, as LAPACK reads it
+    rhs = np.concatenate([start, drive[:-1].ravel()])[:, None]
+    states, info = dtbtrs(ab, rhs, uplo="L", diag="U", overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal tbtrs")
+    return states.reshape(steps, n)
 
 
 def _input_sequence(model: StochasticLtiModel, u_policy, steps: int, rng_u) -> np.ndarray:
@@ -192,9 +248,13 @@ def simulate(model: StochasticLtiModel, x0, u_policy, steps: int, seed) -> Traje
     Separate seeded streams drive the initial state, input, process noise,
     and measurement noise, so experiments can be replayed component-wise.
 
-    Only the state recursion x_{t+1} = A x_t + B u_t + xi_t runs per sample;
-    the outputs of all samples are one product of the stored states. Raises
-    ``ShapeError`` if the inputs do not have ``steps`` rows of m values.
+    Nothing runs per sample in Python. The states of the recursion
+    x_{t+1} = A x_t + B u_t + xi_t come from one banded forward substitution
+    (``_state_rollout``, 2n^2 doubles per sample), and the outputs of all
+    samples are one product of those states. They match the stepwise
+    recursion to rounding, not bit for bit. Raises ``ShapeError`` if the
+    inputs do not have ``steps`` rows of m values, or if ``x0`` is a state or
+    mean of the wrong length, or a cov of the wrong shape or not PSD.
     """
     if steps < 1:
         raise ShapeError(f"steps must be >= 1, got {steps}")
@@ -208,21 +268,13 @@ def simulate(model: StochasticLtiModel, x0, u_policy, steps: int, seed) -> Traje
             stacklevel=2,
         )
 
-    if isinstance(x0, tuple):
-        mean, cov = x0
-        x = _sample_gaussian(rng_x0, np.asarray(mean, dtype=float).reshape(model.n), cov)
-    else:
-        x = np.asarray(x0, dtype=float).reshape(model.n)
-
+    start = _initial_state(model, x0, rng_x0)
     inputs = _input_sequence(model, u_policy, steps, rng_u)
     xi_seq = _sample_gaussian(rng_xi, np.zeros(model.n), model.Sigma_xi, size=steps)
     eta_seq = _sample_gaussian(rng_eta, np.zeros(model.p), model.Sigma_eta, size=steps)
 
-    a, states = model.A, []
-    for bu, xi in zip(inputs @ model.B.T, xi_seq):
-        states.append(x)
-        x = a @ x + bu + xi
-    outputs = np.array(states) @ model.C.T + inputs @ model.D.T + eta_seq
+    states = _state_rollout(model.A, start, inputs @ model.B.T + xi_seq)
+    outputs = states @ model.C.T + inputs @ model.D.T + eta_seq
     return Trajectory(dims=model.dims, samples=np.hstack([inputs, outputs]))
 
 

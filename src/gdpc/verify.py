@@ -301,21 +301,36 @@ def _stepwise_rollout(model, x0, u_policy, steps, seed) -> np.ndarray:
 def _check_simulate_matches_stepwise_recursion(rng) -> CheckResult:
     """``simulate`` against a per-sample ``step`` rollout on random MIMO
     plants (m, p <= 3) for array, scalar and callable input policies, from
-    an exact and from a sampled (mean, cov) initial state. Draws from its
-    own child generator (``_child``)."""
+    an exact and from a sampled (mean, cov) initial state, then on one long
+    (2 000 samples) run of a slow plant (spectral radius 0.995), where the
+    banded forward substitution's rounding has the longest memory. Draws
+    from its own child generator (``_child``)."""
     local = _child(rng, "simulate_matches_stepwise_recursion")
     worst, rollouts = 0.0, 0
-    for _ in range(6):
-        n, m, p = (int(k) for k in local.integers(1, 4, size=3))
-        steps = int(local.integers(1, 40))
+
+    def random_model(n, m, p, radius):
         a = local.standard_normal((n, n))
-        a *= 0.9 / max(spectral_radius(a), 1e-12)
+        a *= radius / max(spectral_radius(a), 1e-12)
         xi_basis = local.standard_normal((n, n))
-        model = StochasticLtiModel(
+        return StochasticLtiModel(
             A=a, B=local.standard_normal((n, m)), C=local.standard_normal((p, n)),
             D=local.standard_normal((p, m)), Sigma_xi=0.1 * xi_basis @ xi_basis.T,
             Sigma_eta=_spd(local, p, 0.1),
         )
+
+    def compare(model, x0, policy, steps):
+        nonlocal worst, rollouts
+        seed = int(local.integers(2**31))
+        got = simulate(model, x0, policy, steps, seed).samples
+        want = _stepwise_rollout(model, x0, policy, steps, seed)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        worst = max(worst, float(np.max(np.abs(got - want))) / scale)
+        rollouts += 1
+
+    for _ in range(6):
+        n, m, p = (int(k) for k in local.integers(1, 4, size=3))
+        steps = int(local.integers(1, 40))
+        model = random_model(n, m, p, 0.9)
         policies = (
             local.standard_normal((steps, m)),
             float(local.uniform(0.5, 2.0)),
@@ -324,12 +339,8 @@ def _check_simulate_matches_stepwise_recursion(rng) -> CheckResult:
         starts = (local.standard_normal(n), (local.standard_normal(n), _spd(local, n)))
         for policy in policies:
             for x0 in starts:
-                seed = int(local.integers(2**31))
-                got = simulate(model, x0, policy, steps, seed).samples
-                want = _stepwise_rollout(model, x0, policy, steps, seed)
-                scale = max(1.0, float(np.max(np.abs(want))))
-                worst = max(worst, float(np.max(np.abs(got - want))) / scale)
-                rollouts += 1
+                compare(model, x0, policy, steps)
+    compare(random_model(4, 2, 2, 0.995), local.standard_normal(4), 1.0, 2000)
     return CheckResult(
         name="simulate_matches_stepwise_recursion",
         passed=worst <= 1e-12,

@@ -217,9 +217,16 @@ def mimo_model():
                               Sigma_xi=0.05 * basis @ basis.T, Sigma_eta=0.02 * np.eye(3))
 
 
+def assert_matches_stepwise(got, want):
+    """The banded forward substitution sums in another order than the
+    per-sample recursion: agreement to a tolerance fixed from float64."""
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestRolloutRecursion:
-    """``simulate`` forms all inputs first and all outputs in one product;
-    the per-sample ``step`` rollout is the oracle."""
+    """``simulate`` forms all inputs first, all states by one banded forward
+    substitution and all outputs in one product; the per-sample ``step``
+    rollout is the oracle."""
 
     KINDS = ("array", "scalar", "callable")
 
@@ -231,16 +238,15 @@ class TestRolloutRecursion:
               else (np.ones(4), stationary_state_covariance(model, np.eye(2))))
         policy = policy_of_kind(kind, 50, 2)
         got = simulate(model, x0, policy, steps=50, seed=31).samples
-        want = _stepwise_rollout(model, x0, policy, 50, 31)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert_matches_stepwise(got, _stepwise_rollout(model, x0, policy, 50, 31))
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_siso_stationary_start_is_bit_identical(self, kind):
+    def test_siso_stationary_start_matches_stepwise_rollout(self, kind):
         model = default_benchmark()
         x0 = (np.zeros(3), stationary_state_covariance(model, np.eye(1)))
         policy = policy_of_kind(kind, 200, 1)
         got = simulate(model, x0, policy, steps=200, seed=5).samples
-        assert got.tobytes() == _stepwise_rollout(model, x0, policy, 200, 5).tobytes()
+        assert_matches_stepwise(got, _stepwise_rollout(model, x0, policy, 200, 5))
 
     def test_burn_in_run_is_the_tail_of_the_stepwise_rollout(self):
         doc = json.loads(EXAMPLE_CONFIG.read_text())
@@ -250,7 +256,35 @@ class TestRolloutRecursion:
         extra = 10 * cfg.plant.n
         want = _stepwise_rollout(cfg.plant, np.zeros(cfg.plant.n), cfg.data_input_std,
                                  cfg.data_steps + extra, cfg.data_seed)
-        assert traj.samples.tobytes() == want[extra:].tobytes()
+        assert_matches_stepwise(traj.samples, want[extra:])
+
+    @pytest.mark.parametrize("radius", (0.99, 0.999))
+    @pytest.mark.parametrize("n", (1, 3, 8))
+    def test_long_slow_run_matches_stepwise_rollout(self, n, radius):
+        model = random_stable_model(np.random.default_rng(n), n=n, m=2, p=2,
+                                    noise=0.1, radius=radius)
+        x0 = np.ones(n)
+        got = simulate(model, x0, 1.0, steps=4010, seed=7).samples
+        assert_matches_stepwise(got, _stepwise_rollout(model, x0, 1.0, 4010, 7))
+
+    def test_unstable_run_warns_grows_and_matches_stepwise_rollout(self):
+        model = random_stable_model(np.random.default_rng(8), n=3, noise=0.01, radius=1.02)
+        x0, u = np.ones(3), np.zeros((100, 1))
+        with pytest.warns(UserWarning, match="spectral radius 1.02"):
+            got = simulate(model, x0, u, steps=100, seed=4).samples
+        want = _stepwise_rollout(model, x0, u, 100, 4)
+        assert_matches_stepwise(got, want)
+        assert np.abs(want[-20:, 1]).max() > 2 * np.abs(want[:20, 1]).max()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("steps", (1, 2))
+    def test_one_and_two_block_columns(self, steps, kind):
+        model = mimo_model()
+        x0 = (np.ones(4), stationary_state_covariance(model, np.eye(2)))
+        policy = policy_of_kind(kind, steps, 2)
+        got = simulate(model, x0, policy, steps=steps, seed=3).samples
+        assert got.shape == (steps, 5)
+        assert_matches_stepwise(got, _stepwise_rollout(model, x0, policy, steps, 3))
 
     def test_callable_is_called_once_per_step_in_order(self):
         model = mimo_model()
@@ -289,6 +323,17 @@ class TestRolloutRecursion:
         u = np.arange(20.0)
         traj = simulate(mimo_model(), np.zeros(4), u, steps=10, seed=0)
         assert np.array_equal(traj.inputs, u.reshape(10, 2))
+
+    @pytest.mark.parametrize("x0, message", [
+        (np.zeros(3), r"x0 must have 4 entries, got shape \(3,\)"),
+        ((np.zeros(5), np.eye(4)), r"x0 mean must have 4 entries, got shape \(5,\)"),
+        ((np.zeros(4), np.eye(3)), r"x0 cov must be \(4, 4\), got \(3, 3\)"),
+        ((np.zeros(4), -np.eye(4)), r"x0 cov must be positive semidefinite"),
+        ((np.zeros(4),), r"x0 must be a state or a \(mean, cov\) pair, got 1 items"),
+    ], ids=["state_length", "mean_length", "cov_shape", "cov_not_psd", "pair_length"])
+    def test_bad_initial_state(self, x0, message):
+        with pytest.raises(ShapeError, match=message):
+            simulate(mimo_model(), x0, np.zeros((10, 2)), steps=10, seed=0)
 
     def test_wrong_policy_output_shape(self):
         with pytest.raises(ShapeError, match=r"u_policy\(t=0\) must return shape \(2,\)"):
