@@ -6,7 +6,10 @@ estimate for zero-mean i.i.d. columns and full-row-rank W); conditioning on
 a "free" index set yields the Gaussian predictive distribution; the
 predictive model extracts the affine predictor (input map, history map) and
 the predictive covariance used by all controllers, from one LQ factorization
-of the data matrix. A behavior can also be
+of the data matrix, computed in place on one copy of the data. In that
+square-root form, conditioning is one triangular inverse of the free
+block's factor whenever the data certify its full rank, and an SVD
+pseudoinverse otherwise. A behavior can also be
 constructed directly from a stochastic state-space model, which is the
 forward map the Monte-Carlo oracles certify.
 """
@@ -16,9 +19,18 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr, dtrtri
 
-from .errors import NotPositiveDefinite, ShapeError
-from .linalg import DEFAULT_RANK_TOL, chol_psd, is_psd, pinv, read_only, symmetrize
+from .errors import InvalidMatrix, NotPositiveDefinite, ShapeError
+from .linalg import (
+    DEFAULT_RANK_TOL,
+    check_rank_tol,
+    chol_psd,
+    is_psd,
+    pinv,
+    read_only,
+    symmetrize,
+)
 from .plant import StochasticLtiModel, build_block_operators
 from .trajectory import DataMatrix, SignalDims
 
@@ -281,6 +293,29 @@ def condition(gb: GaussianBehavior, free_index, free_value) -> ConditionalGaussi
     return ConditionalGaussian(mean=mean, cov=cov)
 
 
+def _check_lapack(info: int, routine: str) -> None:
+    if info != 0:
+        raise InvalidMatrix(f"{routine} failed with info={info}")
+
+
+def _qr_in_place(dm: DataMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR of the transposed ordered data matrix, by LAPACK's
+    ``dgeqrf`` on the fresh Fortran-order copy ``dm.ordered.T``, which it
+    overwrites: R is in the upper triangle of its first min(D, qL) rows,
+    the reflectors below it and their scalars in ``tau``. The work array
+    has LAPACK's optimal size, so the blocked algorithm runs."""
+    a = dm.ordered.T
+    work, _ = dgeqrf_lwork(*a.shape)
+    qr, tau, _, info = dgeqrf(a, lwork=int(work), overwrite_a=1)
+    _check_lapack(info, "dgeqrf")
+    return qr, tau
+
+
+def _lower_factor(qr: np.ndarray) -> np.ndarray:
+    """L = R^T, (qL, k), from the output of :func:`_qr_in_place`."""
+    return np.triu(qr[: qr.shape[1]]).T
+
+
 def data_lq(dm: DataMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Economy LQ factorization [W_p; U_f; Y_f] = L Q^T of the data matrix.
 
@@ -288,11 +323,19 @@ def data_lq(dm: DataMatrix) -> tuple[np.ndarray, np.ndarray]:
     orthonormal columns, and k = min(D, qL). Computed as the QR
     factorization of the transposed ordered data matrix (the LQ step of
     subspace identification), so no Gram matrix is formed and the condition
-    number is not squared. Every quantity the predictor and deepc need
-    depends on the data only through L.
+    number is not squared. The factorization runs in place on one copy of
+    the data (:func:`_qr_in_place`), and LAPACK's ``dorgqr`` then forms Q
+    from the reflectors in the same buffer, after L has been read out.
+    Every quantity the predictor and deepc need depends on the data only
+    through L.
     """
-    basis, upper = np.linalg.qr(dm.ordered.T)
-    return upper.T, basis
+    qr, tau = _qr_in_place(dm)
+    l_fac = _lower_factor(qr)
+    reflectors = qr[:, : tau.size]
+    _, work, _ = dorgqr(reflectors, tau, lwork=-1, overwrite_a=1)
+    basis, _, info = dorgqr(reflectors, tau, lwork=int(work[0]), overwrite_a=1)
+    _check_lapack(info, "dorgqr")
+    return l_fac, basis
 
 
 def lq_predictor(
@@ -307,17 +350,51 @@ def lq_predictor(
     largest are treated as zero. Also returns L_F^+, from which deepc forms
     its plan's combination vector (and, for its joint QP, the projector
     L_F^+ L_F onto the free-block row space in the coordinates of L).
+
+    With n_f free rows and D >= n_f, L_F = [L_11 0] with L_11 square and
+    lower triangular. When LAPACK's ``dtrtri`` inverts L_11 to a finite
+    matrix and ||L_11||_F ||L_11^-1||_F ``rank_tol`` < 1, the product
+    bounds sigma_max / sigma_min, so ``rank_tol`` cuts nothing and
+    L_F^+ = [L_11^-1; 0] exactly: the predictor is L_Y[:, :n_f] L_11^-1
+    and, since the residual's first n_f columns vanish, the covariance is
+    L_YY L_YY^T / D with L_YY = L[n_f:, n_f:] (the L_33 step of subspace
+    identification). Otherwise, for rank-deficient data, fewer columns
+    than free rows or a truncating ``rank_tol``, L_F^+ is the SVD
+    pseudoinverse :func:`gdpc.linalg.pinv`.
     """
+    check_rank_tol(rank_tol)
     n_free = dm.free_rows.size
     l_free, l_out = l_fac[:n_free], l_fac[n_free:]
-    free_pinv = pinv(l_free, rank_tol)
-    coeff = l_out @ free_pinv
-    resid = l_out - coeff @ l_free
     n_ini = dm.dims.q * dm.l_ini
+    inverse = None
+    if l_fac.shape[1] >= n_free:
+        inverse = _triangular_inverse(l_free[:, :n_free], rank_tol)
+    if inverse is not None:
+        coeff = l_out[:, :n_free] @ inverse
+        tail = l_out[:, n_free:]
+        free_pinv = np.zeros((l_fac.shape[1], n_free))
+        free_pinv[:n_free] = inverse
+    else:
+        free_pinv = pinv(l_free, rank_tol)
+        coeff = l_out @ free_pinv
+        tail = l_out - coeff @ l_free
     pm = PredictiveModel(
-        M_u=coeff[:, n_ini:], M_ini=coeff[:, :n_ini], cov=resid @ resid.T / dm.n_columns
+        M_u=coeff[:, n_ini:], M_ini=coeff[:, :n_ini], cov=tail @ tail.T / dm.n_columns
     )
     return pm, free_pinv
+
+
+def _triangular_inverse(lower: np.ndarray, rank_tol: float) -> np.ndarray | None:
+    """The inverse of the square lower-triangular ``lower`` by ``dtrtri``,
+    or None unless it is finite and ||lower||_F ||inverse||_F ``rank_tol``
+    < 1, which certifies that every singular value exceeds ``rank_tol``
+    times the largest."""
+    inverse, info = dtrtri(lower, lower=1)
+    if info != 0 or not np.isfinite(inverse).all():
+        return None
+    if np.linalg.norm(lower) * np.linalg.norm(inverse) * rank_tol >= 1.0:
+        return None
+    return inverse
 
 
 def predictive_model(dm: DataMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> PredictiveModel:
@@ -331,12 +408,12 @@ def predictive_model(dm: DataMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> Pred
     F^+ = Q L_F^+ gives Y_f F^+ = L_Y L_F^+, and
     Y_f (I - F^+ F) Y_f^T = L_Y (I - L_F^+ L_F) L_Y^T. Time is linear in D
     and memory O(D qL); no D x D matrix is formed. ``rank_tol`` truncates
-    the pseudoinverse of L_F (relative to its largest singular value).
-    Only L is formed: the QR factorization of :func:`data_lq` runs without
-    accumulating Q.
+    the pseudoinverse of L_F (relative to its largest singular value); when
+    it provably truncates nothing, L_F^+ is the triangular inverse of
+    :func:`lq_predictor`. Only L is formed: the in-place QR factorization
+    of :func:`data_lq` runs without accumulating Q.
     """
-    l_fac = np.linalg.qr(dm.ordered.T, mode="r").T
-    return lq_predictor(dm, l_fac, rank_tol)[0]
+    return lq_predictor(dm, _lower_factor(_qr_in_place(dm)[0]), rank_tol)[0]
 
 
 def from_state_space(

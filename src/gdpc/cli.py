@@ -19,6 +19,7 @@ from .plant import StochasticLtiModel
 from .harness import (
     CONTROLLER_NAMES,
     _solve_controller,
+    check_weights,
     identification_run,
     load_config,
     run_closed_loop,
@@ -238,6 +239,7 @@ def _cmd_control(args) -> int:
     cfg = _load_config_with_plant(args)
     if args.controller is not None:
         cfg = dataclasses.replace(cfg, controller=args.controller)
+        check_weights(cfg.controller, (cfg.lam, *cfg.lambda_grid))
     traj, dm, pm = identification_run(cfg)
     w_ini = traj.samples[-cfg.l_ini :].reshape(-1)
     cp = cfg.control_problem()

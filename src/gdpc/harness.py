@@ -95,6 +95,19 @@ def _per_channel(raw, count, name, allow_none=False):
     return arr
 
 
+def check_weights(controller: str, weights) -> None:
+    """Raise :class:`ConfigError` unless every weight is one the controller
+    accepts: finite, and positive for optimistic and robust (lambda) or
+    non-negative for deepc (lambda_g). spc and ce read no weight."""
+    for value in weights:
+        if not math.isfinite(value):
+            raise ConfigError(f"weight lambda must be finite, got {value}")
+        if controller in ("optimistic", "robust") and not value > 0.0:
+            raise ConfigError(f"{controller} needs a weight lambda > 0, got {value}")
+        if controller == "deepc" and not value >= 0.0:
+            raise ConfigError(f"deepc needs a weight lambda >= 0, got {value}")
+
+
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     try:
         with open(path) as fh:
@@ -188,6 +201,8 @@ def config_from_dict(doc: dict, base_dir: str = ".",
     if not isinstance(grid, (list, tuple)):
         raise ConfigError("control.lambda_grid must be a list")
     lam = float(control.get("lambda", 1.0))
+    grid = tuple(float(g) for g in grid)
+    check_weights(controller, (lam, *grid))
 
     run_steps = int(run.get("steps", 30))
     if run_steps <= l_ini:
@@ -242,7 +257,7 @@ def config_from_dict(doc: dict, base_dir: str = ".",
         y_min=y_min,
         y_max=y_max,
         lam=lam,
-        lambda_grid=tuple(float(g) for g in grid),
+        lambda_grid=grid,
         regularizer=regularizer,
         run_steps=run_steps,
         repetitions=repetitions,
@@ -512,6 +527,7 @@ def sweep_lambda(cfg: ExperimentConfig, grid=None) -> list[SweepCell]:
         raise ConfigError("sweep requires a non-empty lambda grid")
     if any(b < a for a, b in zip(values, values[1:])):
         raise ConfigError("lambda grid must be ascending")
+    check_weights(cfg.controller, values)
     _, dm, pm = identification_run(cfg)
     cp = cfg.control_problem()
     cells = []

@@ -58,6 +58,12 @@ class SymEig:
     vectors: np.ndarray
 
 
+def check_rank_tol(rank_tol: float) -> None:
+    """Raise ValueError unless the relative rank cutoff lies in (0, 1)."""
+    if not 0.0 < rank_tol < 1.0:
+        raise ValueError(f"rank_tol must be in (0, 1), got {rank_tol}")
+
+
 def pinv(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with relative rank truncation.
 
@@ -66,8 +72,7 @@ def pinv(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     package-wide numerical-rank tolerance.
     """
     m = as_matrix(a, "pinv input")
-    if not 0.0 < rank_tol < 1.0:
-        raise ValueError(f"rank_tol must be in (0, 1), got {rank_tol}")
+    check_rank_tol(rank_tol)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]))

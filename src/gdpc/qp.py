@@ -46,10 +46,12 @@ to ADMM.
   infeasible verdict is confirmed by ADMM: for equality rows that meet the
   box only at its boundary, rounding can make the dual method report the
   problem infeasible while ADMM solves it to its tolerance. A polished
-  answer is kept only if its bound multipliers have their bounds' signs
+  answer is kept only if it attains every bound it holds active, to the
+  polish tolerance, and its bound multipliers have their bounds' signs
   beyond the dual method's rounding margin: the reduced KKT solve does not
   constrain them, and where the active bounds are degenerate (a feasible
-  set that is a single point, say) it can give one the wrong sign.
+  set that is a single point, say) it can give one the wrong sign; on an
+  ill-conditioned P it can leave an active coordinate off its bound.
 
 The primal active-set method reads only ``max_iter`` from
 :class:`QpSettings`; it reports ``iterations`` as the number of free-block
@@ -783,17 +785,22 @@ def _admm(prob: QpProblem, settings: QpSettings) -> QpSolution:
         r_p, r_d, s_p, s_d = _unscaled_residuals(prob, a_full, xu, zu, yu, q_norm)
         best = (xu, yu, r_p, r_d, False)
         if settings.polish:
-            xp, yp, zp, side = _polish(prob, a_full, lo, hi, xu, yu, zu,
-                                       tol=max(settings.eps_abs * 100, 1e-10))
+            tol = max(settings.eps_abs * 100, 1e-10)
+            xp, yp, zp, side = _polish(prob, a_full, lo, hi, xu, yu, zu, tol=tol)
             rp_p, rd_p, sp_p, sd_p = _unscaled_residuals(prob, a_full, xp, zp, yp, q_norm)
-            # Polished candidate must itself respect the bounds, and its
-            # bound multipliers must have their bounds' signs: the reduced
-            # KKT solve does not constrain them.
+            # Polished candidate must itself respect the bounds, attain
+            # every bound it holds active, and its bound multipliers must
+            # have their bounds' signs: the reduced KKT solve ensures none
+            # of these.
             viol = max(
                 float((prob.lower - xp).max(initial=0.0)),
                 float((xp - prob.upper).max(initial=0.0)),
             )
+            active = side != 0.0
+            bound = np.where(side < 0.0, prob.lower, prob.upper)
+            off_bound = float(np.abs(xp[active] - bound[active]).max(initial=0.0))
             if (max(rp_p, viol) <= max(best[2], 1e-12) and rd_p <= max(best[3], 1e-12)
+                    and off_bound <= tol
                     and not _sign_test(prob, xp, yp[:m_eq], yp[m_eq:], side)[1]):
                 best = (xp, yp, max(rp_p, viol), rd_p, True)
                 s_p, s_d = sp_p, sd_p

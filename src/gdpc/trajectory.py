@@ -81,9 +81,9 @@ class DataMatrix:
     the permutation such that ``matrix[row_index]`` equals the
     [w_ini; u_f; y_f] ordering. Column order is chronological by window
     start (fixed for reproducibility; the estimators are permutation
-    invariant in the columns). Both arrays are read-only, ``matrix`` a copy,
-    since deepc keeps set-up work per data matrix object (see
-    :mod:`gdpc.control`).
+    invariant in the columns). Every entry must be finite. Both arrays are
+    read-only, ``matrix`` a copy, since deepc keeps set-up work per data
+    matrix object (see :mod:`gdpc.control`).
     """
 
     dims: SignalDims
@@ -101,6 +101,8 @@ class DataMatrix:
             raise ShapeError(f"data matrix must have {expected_rows} rows, got shape {w.shape}")
         if w.shape[1] < 1:
             raise ShapeError("data matrix must have at least one column")
+        if not np.isfinite(w).all():
+            raise ShapeError("data matrix contains non-finite entries")
         row_index = block_row_permutation(self.dims, self.l_ini, self.l_f)
         row_index.flags.writeable = False
         object.__setattr__(self, "matrix", w)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import random_stable_plant
 
+from gdpc import behavior
 from gdpc.behavior import (
     ConditionalGaussian,
     GaussianBehavior,
@@ -296,9 +297,41 @@ def lstsq_predictor(dm):
     return coeff, resid @ resid.T / dm.n_columns
 
 
+def svd_lq_predictor(dm, l_fac, rank_tol=1e-10):
+    """(coefficients, covariance, L_F^+) of the predictor on the LQ factor
+    through the SVD pseudoinverse of L_F, for every kind of data."""
+    n_free = dm.free_rows.size
+    l_free, l_out = l_fac[:n_free], l_fac[n_free:]
+    free_pinv = pinv(l_free, rank_tol)
+    coeff = l_out @ free_pinv
+    resid = l_out - coeff @ l_free
+    return coeff, resid @ resid.T / dm.n_columns, free_pinv
+
+
+def count_pinv_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(behavior, "pinv", counted)
+    return calls
+
+
+def noiseless_data(l_ini, l_f, steps=120):
+    """Noiseless data of acceptance check C09's order-2 SISO plant. Its free
+    block [W_p; U_f] has full row rank for L_ini = 2 = n and rank
+    L_ini + L_f + 2, one less than its rows, for L_ini = 3."""
+    model = random_stable_plant(np.random.default_rng(909), n=2, m=1, p=1, noise_std=0.0)
+    traj = simulate(model, np.zeros(2), 1.0, steps=l_ini + l_f + steps, seed=13)
+    return build_data_matrix(traj, l_ini, l_f)
+
+
 class TestLqRoute:
     """predictive_model through the LQ factor against an independent lstsq
-    fit, on tall, wide and noiseless rank-deficient data."""
+    fit, on tall, wide and noiseless rank-deficient data; and the two
+    routes of lq_predictor to L_F^+, the triangular inverse and the SVD."""
 
     # D = 1995 (tall), D = 10 (fewer columns than the 12 rows) and D = 5
     # (fewer than the 8 free rows, where lstsq returns the minimum-norm fit).
@@ -339,6 +372,65 @@ class TestLqRoute:
         ref, _ = lq_predictor(dm, data_lq(dm)[0])
         for got, want in ((pm.M_ini, ref.M_ini), (pm.M_u, ref.M_u), (pm.cov, ref.cov)):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m,p,n", [(1, 1, 2), (3, 3, 4)])
+    def test_tall_noisy_data_takes_the_triangular_inverse(self, m, p, n, monkeypatch):
+        model = random_stable_plant(np.random.default_rng(34), n=n, m=m, p=p)
+        dm = build_data_matrix(simulate(model, np.zeros(n), 1.0, steps=600, seed=34), 3, 4)
+        l_fac = data_lq(dm)[0]
+        coeff, cov, free_pinv = svd_lq_predictor(dm, l_fac)
+        calls = count_pinv_calls(monkeypatch)
+        pm, got_pinv = lq_predictor(dm, l_fac)
+        assert calls == []
+        n_free, n_ini = dm.free_rows.size, dm.dims.q * dm.l_ini
+        # L_F^+ = [L_11^-1; 0], exactly zero below the triangular block.
+        assert not got_pinv[n_free:].any()
+        for got, want in ((pm.M_ini, coeff[:, :n_ini]), (pm.M_u, coeff[:, n_ini:]),
+                          (pm.cov, cov), (got_pinv, free_pinv)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", ["noiseless", "wide", "truncating"])
+    def test_svd_route_keeps_its_results(self, case, monkeypatch):
+        rank_tol = 1e-10
+        if case == "noiseless":  # L_F rank-deficient: L_ini 3 > n 2
+            dm = noiseless_data(3, 3)
+            assert matrix_rank(dm.free_block) < dm.free_rows.size
+        elif case == "wide":  # D = 5 < n_f = 8
+            model = random_stable_plant(np.random.default_rng(31), n=2, m=1, p=1)
+            dm = build_data_matrix(simulate(model, np.zeros(2), 1.0, steps=10, seed=31), 2, 4)
+            assert dm.n_columns == 5 < dm.free_rows.size == 8
+        else:  # a rank_tol that cuts nonzero singular values of L_F
+            rng = np.random.default_rng(32)
+            cols = sample(make_behavior(random_spd(rng, 6), window=3), 200, seed=3)
+            dm, rank_tol = assemble(cols, DIMS_SISO, 1, 2), 0.9
+        l_fac = data_lq(dm)[0]
+        coeff, cov, free_pinv = svd_lq_predictor(dm, l_fac, rank_tol)
+        calls = count_pinv_calls(monkeypatch)
+        pm, got_pinv = lq_predictor(dm, l_fac, rank_tol)
+        assert calls == [(dm.free_rows.size, l_fac.shape[1])]
+        n_ini = dm.dims.q * dm.l_ini
+        for got, want in ((pm.M_ini, coeff[:, :n_ini]), (pm.M_u, coeff[:, n_ini:]),
+                          (pm.cov, symmetrize(cov)), (got_pinv, free_pinv)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_noiseless_full_rank_free_block_takes_the_triangular_inverse(self, monkeypatch):
+        # C09's data: W is rank-deficient, but with L_ini = n its free block
+        # is not, and the certificate holds; the fit is exact to rounding.
+        dm = noiseless_data(2, 3)
+        assert matrix_rank(dm.matrix) < dm.matrix.shape[0]
+        calls = count_pinv_calls(monkeypatch)
+        pm = predictive_model(dm)
+        assert calls == []
+        fitted = np.hstack([pm.M_ini, pm.M_u]) @ dm.free_block
+        assert np.allclose(fitted, dm.future_outputs, rtol=0, atol=1e-9)
+        assert np.abs(pm.cov).max() <= 1e-12
+
+    @pytest.mark.parametrize("rank_tol", [0.0, -1.0, 1.0])
+    def test_rank_tol_is_checked_on_the_triangular_route(self, rank_tol):
+        model = random_stable_plant(np.random.default_rng(35), n=2, m=1, p=1)
+        dm = build_data_matrix(simulate(model, np.zeros(2), 1.0, steps=300, seed=35), 2, 4)
+        with pytest.raises(ValueError, match="rank_tol"):
+            predictive_model(dm, rank_tol)
 
     def test_rank_tol_truncates_the_predictor(self):
         rng = np.random.default_rng(32)

@@ -106,6 +106,17 @@ class TestControl:
         assert len(doc["u_f"]) == 5
 
 
+    def test_controller_override_checks_the_weight(self, workdir):
+        # deepc accepts lambda 0 (no regularization); optimistic does not.
+        config = json.loads((workdir / "config.json").read_text())
+        config["control"].update(controller="deepc", lambda_grid=[], **{"lambda": 0.0})
+        path = workdir / "zero_weight.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli("control", "--config", str(path), "--controller", "optimistic")
+        assert proc.returncode == 3
+        assert "lambda > 0" in proc.stderr and "Traceback" not in proc.stderr
+
+
 class TestClosedLoop:
     def test_byte_identical_reruns(self, workdir):
         out_a = workdir / "run_a.csv"

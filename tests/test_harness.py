@@ -118,6 +118,38 @@ class TestConfig:
         cfg = load_config(EXAMPLE_CONFIG, overrides={"rank_tol": 0.5})
         assert cfg.rank_tol == 0.5
 
+    @pytest.mark.parametrize("controller,lam", [
+        ("optimistic", -1.0), ("optimistic", 0.0), ("robust", float("nan")),
+        ("robust", 0.0), ("deepc", -2.0), ("deepc", float("inf")), ("spc", float("nan")),
+    ])
+    def test_bad_weight_rejected(self, controller, lam):
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        doc["control"].update(controller=controller, **{"lambda": lam})
+        with pytest.raises(ConfigError, match="lambda"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("controller,grid", [
+        ("optimistic", [0.5, float("inf")]), ("robust", [0.0, 1.0]),
+        ("deepc", [-1.0, 5.0]), ("optimistic", [float("nan")]),
+    ])
+    def test_bad_grid_entry_rejected(self, controller, grid):
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        doc["control"].update(controller=controller, lambda_grid=grid)
+        with pytest.raises(ConfigError, match="lambda"):
+            config_from_dict(doc)
+
+    def test_smallest_weights_accepted(self):
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        doc["control"].update(controller="deepc", lambda_grid=[0.0, 1.0], **{"lambda": 0.0})
+        cfg = config_from_dict(doc)
+        assert cfg.lam == 0.0 and cfg.lambda_grid == (0.0, 1.0)
+
+    def test_bad_weight_in_explicit_sweep_grid_rejected(self):
+        cfg = config_from_dict(base_doc(control={"controller": "robust", "q": 1.0,
+                                                 "r": 0.05, "y_ref": 1.0}))
+        with pytest.raises(ConfigError, match="lambda"):
+            sweep_lambda(cfg, [-1.0, 1.0])
+
     def test_data_initial_modes(self):
         doc = base_doc()
         doc["data"]["initial"] = "burn_in"

@@ -446,6 +446,21 @@ class TestPolishSigns:
         stationarity = prob.P @ sol.x + prob.q + prob.A_eq.T @ sol.eq_duals + sol.bound_duals
         assert np.max(np.abs(stationarity)) <= 1e-6 * scale
 
+    def test_polish_that_misses_an_active_bound_is_rejected(self):
+        # cond(P) is so large that the polish's reduced KKT solve returns
+        # x = 0 with x_0 held at its upper bound; the unpolished iterate,
+        # near e_1 with an objective near -1e300, is the answer.
+        u = np.array([[1e-8, -1e10, 1e10], [0.0, 1e10, -1e10], [0.0, 0.0, 1e10]])
+        prob = QpProblem(P=u.T @ u, q=[-1e300, 0.0, 0.0], lower=-np.ones(3),
+                         upper=np.ones(3))
+        with np.errstate(all="ignore"):
+            sol = qp._admm(prob, QpSettings())
+            raw = qp._admm(prob, QpSettings(polish=False))
+        assert sol.status == "optimal" and not sol.polished
+        assert np.max(np.abs(sol.x - [1.0, 0.0, 0.0])) <= 1e-8
+        assert sol.objective < -0.99e300
+        assert_same_solution(sol, raw)
+
 
 def random_box_qp(rng, n, infinite=0.2, pinned=0.1):
     """A strictly convex box-only QP with some infinite and some equal bounds."""

@@ -259,3 +259,12 @@ class TestDataMatrixValidation:
     def test_trajectory_validation(self):
         with pytest.raises(ShapeError):
             Trajectory(DIMS_SISO, np.array([[1.0, np.inf]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # One non-finite column is caught when the data matrix is made, not
+        # later by each estimator in its own way.
+        cols = np.ones((4, 3))
+        cols[:, 1] = bad
+        with pytest.raises(ShapeError, match="non-finite"):
+            assemble(cols, DIMS_SISO, 1, 1)
