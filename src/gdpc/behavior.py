@@ -348,8 +348,8 @@ def lq_predictor(
     Gram matrix (L_Y - coeff L_F)(L_Y - coeff L_F)^T / D, which is PSD by
     construction. Singular values of L_F below ``rank_tol`` times the
     largest are treated as zero. Also returns L_F^+, from which deepc forms
-    its plan's combination vector (and, for its joint QP, the projector
-    L_F^+ L_F onto the free-block row space in the coordinates of L).
+    the fit's residual L_Y - (L_Y L_F^+) L_F and its plan's combination
+    vector.
 
     With n_f free rows and D >= n_f, L_F = [L_11 0] with L_11 square and
     lower triangular. When LAPACK's ``dtrtri`` inverts L_11 to a finite

@@ -10,11 +10,12 @@ output mean), subject to per-stack input boxes and optional output boxes.
   predictive distribution. It is spc's plan; the reported objective adds
   the constant trace term tr(Q cov).
 * ``deepc``: optimization over the data-combination vector g with a
-  regularizer (projected 2-norm, squared 2-norm, or 1-norm). With the
-  projected one, a positive weight and no output box, g is eliminated and
-  the input QP below is solved; otherwise the joint QP over g, the input and
-  the output, in the row-space coordinates of the data matrix's LQ factor
-  except for the 1-norm.
+  regularizer (projected 2-norm, squared 2-norm, or 1-norm). g acts only
+  through the predictor and the directions s of the fit's residual, so
+  every case but the 1-norm with a positive weight solves the (u, s, y) QP
+  that spc solves with an output box (:func:`_deepc_usy`), or, with the
+  projected one, a positive weight and no output box, the input QP below
+  with s eliminated. The 1-norm with a positive weight keeps the raw g.
 * ``optimistic``: jointly picks the predicted mean inside a relative-entropy
   ball around the estimate to lower the expected cost (the regularized
   deepc problem in disguise for the projected regularizer).
@@ -40,28 +41,26 @@ jitter reaches nothing else but optimistic's precision with an output box.
 
 Per-run set-up. In a receding-horizon run only the history window w_ini
 changes from one call to the next. Each controller is therefore a set-up,
-everything that does not depend on w_ini, and a step that forms the one
-w_ini-dependent vector and solves: the QP's linear term, or for spc with
-an output box and for deepc's joint QP the equality right-hand side. The
-set-up holds the output weight Z, M_u^T Z and the QP with its bounds, PSD
-proof and Cholesky factor; for certainty equivalence also the trace term
-tr(Q cov); for optimistic and robust the map to the mean; for deepc the LQ factor, the predictor and
-the QP, and for its eliminated form the maps that recover the mean and g.
-The equality-constrained QPs (deepc's joint QP, spc with an output box) go
-to :func:`~gdpc.qp.solve`'s exact dual active-set method
-when their KKT matrix is nonsingular, and to ADMM otherwise; the KKT
-factorization, or ADMM's set-up (Ruiz scaling, first KKT factorization),
-is made by the first solve and shared by the later ones
-(:meth:`QpProblem.updated`). Each controller keeps its last set-up, keyed
-by the identity of the model (``pm`` or ``dm``) and of ``cp``, both held
-so that their ids cannot be reused, and by the equality of the parameters
-the set-up reads: lam and jitter, or deepc's regularizer, lambda_g and
-rank_tol. The QP settings reach only the solve. The arrays of
-PredictiveModel, DataMatrix and ControlProblem are read-only, so an
-in-place write raises instead of leaving a stale set-up; a different
-model is a different object. A step evaluates the expressions of a
-one-shot call with the constant parts computed once ((M_u^T Z) v is what
-M_u^T Z v evaluates), so its results are bit for bit those of a fresh
+everything that does not depend on w_ini, and a step that forms the
+w_ini-dependent vectors and solves: the QP's linear term, or the equality
+right-hand side of the (u, s, y) QP (with sq2 also the linear term) and of
+deepc's 1-norm QP. The set-up holds the output weight Z, M_u^T Z and the
+QP with its bounds, PSD proof and Cholesky factor; for certainty
+equivalence also tr(Q cov); for optimistic and robust the map to the mean;
+for deepc the LQ factor, the predictor and the maps to the mean and g. The
+equality-constrained QPs go to :func:`~gdpc.qp.solve`'s exact dual
+active-set method when their KKT matrix is nonsingular, and to ADMM
+otherwise; the KKT factorization, or ADMM's set-up, is made by the first
+solve and shared by the later ones (:meth:`QpProblem.updated`). Each
+controller keeps its last set-up, keyed by the identity of the model (``pm``
+or ``dm``) and of ``cp``, both held so that their ids cannot be reused, and
+by the equality of the parameters the set-up reads: lam and jitter, or
+deepc's regularizer, lambda_g and rank_tol. The QP settings reach only the
+solve. The arrays of PredictiveModel, DataMatrix and ControlProblem are
+read-only, so an in-place write raises instead of leaving a stale set-up;
+a different model is a different object. A step evaluates the expressions
+of a one-shot call with the constant parts computed once ((M_u^T Z) v is
+what M_u^T Z v evaluates), so its results are bit for bit those of a fresh
 set-up. A step validates nothing that the set-up has: its QP is the
 set-up's with the new vector checked, and every step's predictive
 distribution shares the model's covariance, which PredictiveModel has made
@@ -80,13 +79,13 @@ from .behavior import (
     data_lq,
     jittered_cholesky,
     lq_predictor,
+    predictive_model,
 )
-# Not called here; benchmarks/tracing.py wraps control.predictive_model and
-# control.chol_psd by name.
-from .behavior import predictive_model  # noqa: F401
 from .errors import InfeasibleProblem, LambdaTooSmall, ShapeError
-from .linalg import chol_psd  # noqa: F401
-from .linalg import DEFAULT_RANK_TOL, is_psd, pinv, read_only, sym_eig, symmetrize
+# Not called here; benchmarks/tracing.py wraps control.chol_psd and
+# control.pinv by name.
+from .linalg import chol_psd, pinv  # noqa: F401
+from .linalg import DEFAULT_RANK_TOL, is_psd, read_only, sym_eig, symmetrize
 from .qp import QpProblem, QpSettings, QpSolution, l1_epigraph, solve
 from .trajectory import DataMatrix, SignalDims
 
@@ -294,7 +293,7 @@ def _input_hessian(pm: PredictiveModel, cp: ControlProblem, z) -> np.ndarray:
 def _input_qp(pm: PredictiveModel, cp: ControlProblem, z):
     """Set-up of min ||u - u_ref||_R^2 + ||M_u u + bias - y_ref||_Z^2 over
     the input box, the QP of every controller without an output box but for
-    deepc's joint form (module docstring). Returns its step, (bias,
+    deepc's other forms (module docstring). Returns its step, (bias,
     settings) -> solution, which forms only the linear term
     2 (M_u^T Z (bias - y_ref) - R u_ref)."""
     m_u_t_z = pm.M_u.T @ z
@@ -330,27 +329,34 @@ def _tethered_input_qp(pm: PredictiveModel, cp: ControlProblem, kappa: float):
     return step
 
 
+def _tracking_qp(cp: ControlProblem, head, a_eq, u_weight=None) -> QpProblem:
+    """The QP over x = (v, u, y): min 0.5 v^T head v + ||u - u_ref||_R^2
+    + ||y - y_ref||_Q^2 subject to A_eq x = b_eq, the input box on u and the
+    output box, if any, on y, with v free and b_eq zero for a step to
+    replace. spc's with an output box has no v; deepc's v is s
+    (:func:`_deepc_usy`, whose ``u_weight`` replaces R in the u block for
+    sq2) or, for l1, g (:func:`_deepc_l1`)."""
+    k, nu, ny = head.shape[0], cp.n_u, cp.n_y
+    p_mat = np.zeros((k + nu + ny, k + nu + ny))
+    p_mat[:k, :k] = head
+    p_mat[k : k + nu, k : k + nu] = 2.0 * (cp.R if u_weight is None else u_weight)
+    p_mat[k + nu :, k + nu :] = 2.0 * cp.Q
+    q_vec = np.concatenate([np.zeros(k), -2.0 * cp.R @ cp.u_ref, -2.0 * cp.Q @ cp.y_ref])
+    free = np.full(k, np.inf)
+    y_lower = cp.y_lower if cp.has_output_box else np.full(ny, -np.inf)
+    y_upper = cp.y_upper if cp.has_output_box else np.full(ny, np.inf)
+    return QpProblem(P=p_mat, q=q_vec, A_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]),
+                     lower=np.concatenate([-free, cp.u_lower, y_lower]),
+                     upper=np.concatenate([free, cp.u_upper, y_upper]))
+
+
 def _spc_setup(pm: PredictiveModel, cp: ControlProblem):
     """spc's set-up; its step maps (bias, settings) to the solution, whose
     first n_u entries are the input."""
     if not cp.has_output_box:
         return _input_qp(pm, cp, cp.Q)
-    nu, ny = cp.n_u, cp.n_y
-    p_mat = np.zeros((nu + ny, nu + ny))
-    p_mat[:nu, :nu] = 2.0 * cp.R
-    p_mat[nu:, nu:] = 2.0 * cp.Q
-    q_vec = np.concatenate([-2.0 * cp.R @ cp.u_ref, -2.0 * cp.Q @ cp.y_ref])
-    a_eq = np.hstack([-pm.M_u, np.eye(ny)])
-    template = QpProblem(
-        P=p_mat, q=q_vec, A_eq=a_eq, b_eq=np.zeros(ny),
-        lower=np.concatenate([cp.u_lower, cp.y_lower]),
-        upper=np.concatenate([cp.u_upper, cp.y_upper]),
-    )
-
-    def step(bias, settings):
-        return _run_qp(template.updated(b_eq=bias), settings)
-
-    return step
+    template = _tracking_qp(cp, np.zeros((0, 0)), np.hstack([-pm.M_u, np.eye(cp.n_y)]))
+    return lambda bias, settings: _run_qp(template.updated(b_eq=bias), settings)
 
 
 def spc(
@@ -400,12 +406,15 @@ def certainty_equivalence(
 def _deepc_setup(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g: float,
                  rank_tol: float):
     """deepc's set-up; its step maps (w_ini, settings) to (u, mean, cov,
-    objective, solution, g). proj2 with lambda_g > 0 and no output box
-    eliminates g and solves the input QP (:func:`_deepc_eliminated`); every
-    other case solves the joint (alpha, u, y) QP (:func:`_deepc_joint`)."""
-    if regularizer == "proj2" and lambda_g > 0.0 and not cp.has_output_box:
+    objective, solution, g). l1 with lambda_g > 0 solves the raw (g, u, y)
+    QP (:func:`_deepc_l1`); proj2 with lambda_g > 0 and no output box
+    eliminates s and solves the input QP (:func:`_deepc_eliminated`); every
+    other case solves the (u, s, y) QP (:func:`_deepc_usy`)."""
+    if lambda_g > 0.0 and regularizer == "l1":
+        return _deepc_l1(dm, cp, lambda_g, rank_tol)
+    if lambda_g > 0.0 and regularizer == "proj2" and not cp.has_output_box:
         return _deepc_eliminated(dm, cp, lambda_g, rank_tol)
-    return _deepc_joint(dm, cp, regularizer, lambda_g, rank_tol)
+    return _deepc_usy(dm, cp, regularizer, lambda_g, rank_tol)
 
 
 def _deepc_eliminated(dm: DataMatrix, cp: ControlProblem, lambda_g: float, rank_tol: float):
@@ -429,66 +438,64 @@ def _deepc_eliminated(dm: DataMatrix, cp: ControlProblem, lambda_g: float, rank_
     return step
 
 
-def _deepc_joint(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g: float,
-                 rank_tol: float):
-    """The joint (alpha, u, y) QP of :func:`deepc`, or (g, u, y) for l1
-    with lambda_g > 0; see :func:`_deepc_setup`."""
+def _deepc_usy(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g: float,
+               rank_tol: float):
+    """deepc as the QP over (u, s, y) (see :func:`deepc`), x = (s, u, y) in
+    :func:`_tracking_qp`. G_r and V_r come from the SVD of the residual
+    G = L_Y - (L_Y L_F^+) L_F cut at ``rank_tol`` max |L|; cut relative to
+    G itself, it would keep noiseless data's rounding noise. sq2 adds
+    lambda_g P_u^T P_u to the u block and 2 lambda_g P_u^T P_w w_ini to its
+    linear term, [P_w P_u] = L_F^+."""
     l_fac, basis = data_lq(dm)
     pm, free_pinv = lq_predictor(dm, l_fac, rank_tol)
-    raw = regularizer == "l1" and lambda_g > 0.0
-    data = dm.ordered if raw else l_fac
-    k = data.shape[1]
-    n_ini = dm.dims.q * dm.l_ini
-    nu, ny = cp.n_u, cp.n_y
-    n = k + nu + ny
+    n_free = free_pinv.shape[1]
+    l_free, l_out = l_fac[:n_free], l_fac[n_free:]
+    left, sing, right_t = np.linalg.svd(l_out - (l_out @ free_pinv) @ l_free,
+                                        full_matrices=False)
+    r = int(np.count_nonzero(sing > rank_tol * np.max(np.abs(l_fac))))
+    nu, n_ini = cp.n_u, dm.dims.q * dm.l_ini
+    sq2 = regularizer == "sq2" and lambda_g > 0.0
+    p_w, p_u = free_pinv[:, :n_ini], free_pinv[:, n_ini:]
+    template = _tracking_qp(
+        cp, 2.0 * lambda_g * np.eye(r), np.hstack([-left[:, :r] * sing[:r], -pm.M_u,
+                                                   np.eye(cp.n_y)]),
+        u_weight=symmetrize(cp.R + lambda_g * p_u.T @ p_u) if sq2 else None)
+    q_map = np.zeros((template.n, n_ini))
+    q_map[r : r + nu] = 2.0 * lambda_g * p_u.T @ p_w
 
-    p_mat = np.zeros((n, n))
-    p_mat[k : k + nu, k : k + nu] = 2.0 * cp.R
-    p_mat[k + nu :, k + nu :] = 2.0 * cp.Q
-    if lambda_g > 0.0 and regularizer == "proj2":
-        free_projector = free_pinv @ l_fac[: free_pinv.shape[1]]
-        p_mat[:k, :k] = 2.0 * lambda_g * symmetrize(np.eye(k) - free_projector)
-    elif lambda_g > 0.0 and regularizer == "sq2":
-        p_mat[:k, :k] = 2.0 * lambda_g * np.eye(k)
+    def step(w, settings):
+        prob = template.updated(b_eq=pm.M_ini @ w)
+        if sq2:
+            prob = prob.updated(q=template.q + q_map @ w)
+        sol = _run_qp(prob, settings)
+        s, u, y = sol.x[:r], sol.x[r : r + nu], sol.x[r + nu :]
+        fit = free_pinv @ np.concatenate([w, u])  # L_F^+ [w_ini; u]
+        objective = cp.tracking_cost(u, y) + lambda_g * float(s @ s + (fit @ fit if sq2 else 0.0))
+        return u, y, pm.cov, objective, sol, basis @ (fit + right_t[:r].T @ s)  # V_r s
 
-    q_vec = np.zeros(n)
-    q_vec[k : k + nu] = -2.0 * cp.R @ cp.u_ref
-    q_vec[k + nu :] = -2.0 * cp.Q @ cp.y_ref
+    return step
 
-    a_eq = np.zeros((n_ini + nu + ny, n))
-    a_eq[:, :k] = data
-    a_eq[n_ini:, k:] = -np.eye(nu + ny)
 
-    y_lower = cp.y_lower if cp.has_output_box else np.full(ny, -np.inf)
-    y_upper = cp.y_upper if cp.has_output_box else np.full(ny, np.inf)
-    lower = np.concatenate([np.full(k, -np.inf), cp.u_lower, y_lower])
-    upper = np.concatenate([np.full(k, np.inf), cp.u_upper, y_upper])
-
-    template = QpProblem(P=p_mat, q=q_vec, A_eq=a_eq, b_eq=np.zeros(n_ini + nu + ny),
-                         lower=lower, upper=upper)
-    keep = None
-    if raw:
-        template, keep = l1_epigraph(template, lambda_g, np.arange(k))
-    # b_eq is [w_ini; 0], with the epigraph's zero rows appended for l1.
+def _deepc_l1(dm: DataMatrix, cp: ControlProblem, lambda_g: float, rank_tol: float):
+    """deepc with l1 and lambda_g > 0 (see :func:`deepc`): the QP over the
+    raw D-column g, u and y (:func:`_tracking_qp`) with the equality rows
+    W g = [w_ini; u; y] and the 1-norm through an epigraph
+    (:func:`~gdpc.qp.l1_epigraph`)."""
+    pm = predictive_model(dm, rank_tol)
+    d, n_ini = dm.n_columns, dm.dims.q * dm.l_ini
+    a_eq = np.zeros((n_ini + cp.n_u + cp.n_y, d + cp.n_u + cp.n_y))
+    a_eq[:, :d] = dm.ordered
+    a_eq[n_ini:, d:] = -np.eye(cp.n_u + cp.n_y)
+    template, keep = l1_epigraph(_tracking_qp(cp, np.zeros((d, d)), a_eq), lambda_g,
+                                 np.arange(d))
+    # b_eq is [w_ini; 0], with the epigraph's zero rows appended.
     b_tail = np.zeros(template.n_eq - n_ini)
-    kernel_polish = pinv(l_fac, rank_tol) if lambda_g == 0.0 else None
-    reg_block = p_mat[:k, :k]
 
     def step(w, settings):
         sol = _run_qp(template.updated(b_eq=np.concatenate([w, b_tail])), settings)
-        x = sol.x if keep is None else sol.x[keep]
-        coords = x[:k]
-        u = x[k : k + nu]
-        y_mean = x[k + nu :]
-        if kernel_polish is not None:
-            coords = kernel_polish @ (l_fac @ coords)  # drop the kernel component
-        if raw:
-            g = coords
-            reg_term = lambda_g * float(np.abs(g).sum())
-        else:
-            g = basis @ coords
-            reg_term = 0.5 * float(coords @ reg_block @ coords)
-        return u, y_mean, pm.cov, cp.tracking_cost(u, y_mean) + reg_term, sol, g
+        x = sol.x[keep]
+        g, u, y = x[:d], x[d : d + cp.n_u], x[d + cp.n_u :]
+        return u, y, pm.cov, cp.tracking_cost(u, y) + lambda_g * float(np.abs(g).sum()), sol, g
 
     return step
 
@@ -504,56 +511,46 @@ def deepc(
 ) -> ControlResult:
     """Data-combination control: decision variables (g, u_f, y_f) tied to
     the data matrix through [w_ini; u_f; y_f] = W g, W = [W_p; U_f; Y_f].
+    ``proj2`` penalizes lambda_g ||g_perp||^2, g_perp the component of g off
+    the row space of F = [W_p; U_f]; ``sq2`` lambda_g ||g||^2; ``l1``
+    lambda_g ||g||_1.
 
-    ``proj2`` penalizes the component of g orthogonal to the row space of
-    F = [W_p; U_f]; ``sq2`` the full squared norm; ``l1`` the 1-norm through
-    an epigraph reformulation. With ``lambda_g`` = 0 the kernel component of
-    g is removed afterwards (minimum-norm polish), since it is
-    cost-invisible.
+    With W = L Q^T (:func:`data_lq`), L_F and L_Y the free and output rows
+    of L, the 2-norms make g = Q alpha, and alpha = L_F^+ [w_ini; u] + beta
+    with L_F beta = 0, so y = mu_hat(u) + G beta, mu_hat the predictor's
+    mean and G = L_Y - (L_Y L_F^+) L_F the fit's residual (G G^T = D cov).
+    proj2's penalty is lambda_g ||beta||^2; sq2 adds the orthogonal
+    lambda_g ||L_F^+ [w_ini; u]||^2. Only beta's part in the row space of G
+    moves y, so beta = V_r s and y = mu_hat + G_r s, with the SVD of G cut
+    at ``rank_tol`` max |L| (:func:`_deepc_usy`): a QP over (u, s, y)
+    whatever D is, and on noiseless data (r = 0) spc's (u, y) QP. It reports
+    g = Q (L_F^+ [w_ini; u] + V_r s), the minimum-norm g of its
+    (w_ini, u, y), and the tracking cost plus lambda_g ||s||^2 (plus sq2's
+    term). With ``lambda_g`` = 0 every regularizer solves it. w_ini enters
+    only through the predictor: a window off the data's subspace is fitted
+    by least squares, not rejected.
 
-    For sq2, ``lambda_g`` = 0, and proj2 with an output box, the QP is
-    solved jointly over (alpha, u_f, y_f) in the row-space
-    coordinates of the LQ factorization W = L Q^T (:func:`data_lq`), with
-    k = min(D, qL) columns: g = Q alpha, the equality rows become L, the
-    proj2 penalty becomes alpha^T (I - L_F^+ L_F) alpha and the sq2 penalty
-    alpha^T alpha. This is exact. Write any g as g = Q alpha + g_perp with
-    Q^T g_perp = 0. Then W g_perp = L Q^T g_perp = 0, so g_perp leaves the
-    constraints and the tracking cost unchanged. Since F^+ F = Q L_F^+ L_F Q^T
-    annihilates g_perp, the proj2 penalty is
-    alpha^T (I - L_F^+ L_F) alpha + ||g_perp||^2 and the sq2 penalty
-    ||alpha||^2 + ||g_perp||^2, so g_perp = 0 at the optimum. The QP thus
-    has k + n_u + n_y variables whatever D is. The polish for
-    ``lambda_g`` = 0 is alpha <- L^+ L alpha, which is g <- W^+ W g.
-    ``rank_tol`` truncates the pseudoinverses of L_F and L. The 1-norm is
-    not rotation-invariant, so ``l1`` with ``lambda_g`` > 0 keeps the raw
-    D-column g. The returned g has length D in every case, and the reported
-    covariance is the predictive covariance computed from the same L.
+    proj2 with ``lambda_g`` > 0 and no output box eliminates s in closed
+    form, the paper's result that regularized DeePC is distributionally
+    optimistic: with kappa = lambda_g / D and e = mu_hat(u) - y_ref,
+    minimizing over beta leaves ||e||_Z^2, Z = kappa Q (cov Q + kappa I)^-1,
+    the input QP of the module docstring, at beta = -G^T t / D with
+    t = (Q cov + kappa I)^-1 Q e, and y = mu_hat - cov t. cov Q + kappa I is
+    invertible for every PSD cov and Q, so noiseless data are exact with no
+    jitter. The reported objective is ||e||_Z^2 + ||u - u_ref||_R^2.
 
-    proj2 with ``lambda_g`` > 0 and no output box eliminates alpha, and
-    with it y, in closed form: this is the paper's result that regularized
-    DeePC is distributionally optimistic. Write G = L_Y - (L_Y L_F^+) L_F,
-    the fit's residual, so G G^T = D cov; let kappa = lambda_g / D and
-    e = mu_hat(u) - y_ref. Over the alpha with L_F alpha = [w_ini; u],
-    alpha = L_F^+ [w_ini; u] + beta with L_F beta = 0, the penalty is
-    lambda_g ||beta||^2 and y = mu_hat + G beta, and minimizing over beta
-    leaves ||e||_Z^2 with Z = kappa Q (cov Q + kappa I)^-1, the input QP of
-    the module docstring. Its minimizer is beta = -G^T t / D with
-    t = (Q cov + kappa I)^-1 Q e, so y = mu_hat - cov t. cov Q + kappa I is
-    invertible for every PSD cov and Q, so no Cholesky factor or jitter is
-    needed and noiseless data are exact. The reported objective is the
-    eliminated value ||e||_Z^2 + ||u - u_ref||_R^2. With ``rank_tol``
-    truncating L_F^+, this is the optimistic controller on the truncated
-    predictor, and the joint form differs from it in the truncated
-    directions. ``verify`` checks this form against the joint QP.
-
-    Everything but the history window (the input QP's linear term, or the
-    joint QP's equality right-hand side [w_ini; 0]) is set up once per (dm,
-    cp, regularizer, lambda_g, rank_tol); see the module docstring.
+    ``l1`` with ``lambda_g`` > 0 keeps the raw D-column g, since the 1-norm
+    is not rotation-invariant (:func:`_deepc_l1`). g has length D in every
+    case, and the covariance is the predictive one from the same L.
+    ``rank_tol`` truncates L_F^+, whose dropped directions join G.
+    ``verify`` checks both forms against a joint QP in the data's row-space
+    coordinates. Everything but w_ini is set up once per (dm, cp,
+    regularizer, lambda_g, rank_tol); see the module docstring.
     """
     if regularizer not in REGULARIZERS:
         raise ValueError(f"regularizer must be one of {REGULARIZERS}, got {regularizer!r}")
-    if lambda_g < 0.0:
-        raise ValueError(f"lambda_g must be nonnegative, got {lambda_g}")
+    if not (math.isfinite(lambda_g) and lambda_g >= 0.0):
+        raise ValueError(f"lambda_g must be finite and nonnegative, got {lambda_g}")
     w = np.asarray(w_ini, dtype=float).reshape(-1)
     n_ini = dm.dims.q * dm.l_ini
     if w.shape[0] != n_ini:
@@ -632,8 +629,8 @@ def optimistic(
     unlike the tether term, does not multiply a rounding-level difference
     by the precision. With an output box the (u, mean) QP uses the
     precision of the covariance, jittered if it is not PD."""
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     bias = pm.M_ini @ _check_w_ini(pm, w_ini)
     step = _prepared("optimistic", pm, cp, (lam, jitter),
                      lambda: _optimistic_setup(pm, cp, lam, jitter))
@@ -721,6 +718,8 @@ def robust(
     Hessian positive definite; ``jitter`` reaches only lambda0. Output
     boxes are not representable in this eliminated form.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     if cp.has_output_box:
         raise ShapeError("robust controller does not support output boxes")
     w = _check_w_ini(pm, w_ini)

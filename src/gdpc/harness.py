@@ -82,12 +82,28 @@ class ExperimentConfig:
         )
 
 
+def _number(raw, kind, name):
+    """``kind(raw)``, for ``kind`` float or int, or :class:`ConfigError`
+    naming the config key ``name``; a float with a fraction is not an int."""
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or (kind is int and isinstance(raw, float) and raw != value):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {noun}, got {raw!r}")
+    return value
+
+
 def _per_channel(raw, count, name, allow_none=False):
     if raw is None:
         if allow_none:
             return None
         raise ConfigError(f"{name} is required")
-    arr = np.atleast_1d(np.asarray(raw, dtype=float))
+    try:
+        arr = np.atleast_1d(np.asarray(raw, dtype=float))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number or a list of numbers, got {raw!r}") from None
     if arr.size == 1:
         arr = np.full(count, float(arr[0]))
     if arr.shape != (count,):
@@ -156,14 +172,14 @@ def config_from_dict(doc: dict, base_dir: str = ".",
         solver_doc["eps_abs"] = overrides["eps_abs"]
 
     try:
-        l_ini = int(horizons["L_ini"])
-        l_f = int(horizons["L_f"])
+        l_ini = _number(horizons["L_ini"], int, "horizons.L_ini")
+        l_f = _number(horizons["L_f"], int, "horizons.L_f")
     except KeyError as exc:
         raise ConfigError(f"horizons missing key {exc}") from None
     if l_ini < 1 or l_f < 1:
         raise ConfigError("horizons must be at least 1")
 
-    data_steps = int(data.get("steps", 40 * (l_ini + l_f)))
+    data_steps = _number(data.get("steps", 40 * (l_ini + l_f)), int, "data.steps")
     if data_steps < l_ini + l_f:
         raise ConfigError("data.steps shorter than one window")
     data_mode = data.get("mode", "hankel")
@@ -200,28 +216,25 @@ def config_from_dict(doc: dict, base_dir: str = ".",
     grid = control.get("lambda_grid", [])
     if not isinstance(grid, (list, tuple)):
         raise ConfigError("control.lambda_grid must be a list")
-    lam = float(control.get("lambda", 1.0))
-    grid = tuple(float(g) for g in grid)
+    lam = _number(control.get("lambda", 1.0), float, "control.lambda")
+    grid = tuple(_number(g, float, "control.lambda_grid") for g in grid)
     check_weights(controller, (lam, *grid))
 
-    run_steps = int(run.get("steps", 30))
+    run_steps = _number(run.get("steps", 30), int, "run.steps")
     if run_steps <= l_ini:
         raise ConfigError("run.steps must exceed horizons.L_ini")
-    repetitions = int(run.get("repetitions", 1))
+    repetitions = _number(run.get("repetitions", 1), int, "run.repetitions")
     if repetitions < 1:
         raise ConfigError("run.repetitions must be >= 1")
-    apply_steps = int(run.get("apply_steps", 1))
+    apply_steps = _number(run.get("apply_steps", 1), int, "run.apply_steps")
     if not 1 <= apply_steps <= l_f:
         raise ConfigError("run.apply_steps must be in [1, L_f]")
 
-    try:
-        solver = QpSettings(
-            eps_abs=float(solver_doc.get("eps_abs", 1e-8)),
-            eps_rel=float(solver_doc.get("eps_rel", 1e-8)),
-            max_iter=int(solver_doc.get("max_iter", 50000)),
-        )
-    except TypeError as exc:
-        raise ConfigError(f"invalid solver settings: {exc}") from None
+    solver = QpSettings(
+        eps_abs=_number(solver_doc.get("eps_abs", 1e-8), float, "solver.eps_abs"),
+        eps_rel=_number(solver_doc.get("eps_rel", 1e-8), float, "solver.eps_rel"),
+        max_iter=_number(solver_doc.get("max_iter", 50000), int, "solver.max_iter"),
+    )
     if solver.max_iter < 1:
         raise ConfigError(f"solver.max_iter must be at least 1, got {solver.max_iter}")
     for key in ("eps_abs", "eps_rel"):
@@ -231,7 +244,7 @@ def config_from_dict(doc: dict, base_dir: str = ".",
 
     def override(key, default):
         value = overrides.get(key)
-        return float(doc.get(key, default) if value is None else value)
+        return _number(doc.get(key, default) if value is None else value, float, key)
 
     rank_tol = override("rank_tol", 1e-10)
     jitter = override("jitter", 1e-9)
@@ -242,8 +255,8 @@ def config_from_dict(doc: dict, base_dir: str = ".",
         plant=plant,
         data_steps=data_steps,
         data_mode=data_mode,
-        data_input_std=float(data.get("input_std", 1.0)),
-        data_seed=int(data.get("seed", 0)),
+        data_input_std=_number(data.get("input_std", 1.0), float, "data.input_std"),
+        data_seed=_number(data.get("seed", 0), int, "data.seed"),
         data_initial=data_initial,
         l_ini=l_ini,
         l_f=l_f,
@@ -261,7 +274,7 @@ def config_from_dict(doc: dict, base_dir: str = ".",
         regularizer=regularizer,
         run_steps=run_steps,
         repetitions=repetitions,
-        run_seed=int(run.get("seed", 0)),
+        run_seed=_number(run.get("seed", 0), int, "run.seed"),
         apply_steps=apply_steps,
         solver=solver,
         rank_tol=rank_tol,

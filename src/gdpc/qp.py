@@ -29,10 +29,10 @@ to ADMM.
   equality-constrained minimizer, one solve with that factor, and adds the
   violated bounds one by one, solving the free-block KKT system each time.
   Its answer is returned only if it passes ADMM's own residual test at
-  ``eps_abs``/``eps_rel`` with bound multipliers of the right sign. spc's
-  QPs with an output box are of this kind, and so are deepc's joint QPs
-  (an output box, the squared 2-norm, or lambda_g = 0 on data of full
-  rank), but not its 1-norm epigraph.
+  ``eps_abs``/``eps_rel`` with bound multipliers of the right sign. The
+  (u, s, y) QPs of spc with an output box and of deepc (an output box, the
+  squared 2-norm, or lambda_g = 0) are of this kind, but not deepc's
+  1-norm epigraph.
 * Every other problem goes to operator splitting on the consensus form
   l <= [A_eq; I] x <= u (``_admm``), the OSQP iteration: deterministic Ruiz
   equilibration, a regularized KKT factorization reused across iterations,
@@ -93,8 +93,8 @@ receding-horizon controller changes only q or b_eq from one solve to the
 next: :meth:`QpProblem.updated` derives such a problem, checks only the new
 vector, shares the Cholesky factor, |P| and the KKT factor, which read
 neither vector, and shares the ADMM set-up when q is unchanged, since that
-set-up never reads b_eq. So the step of deepc's joint QP, and spc's with
-an output box, is one triangular solve with the run's KKT factor and a
+set-up never reads b_eq. So the step of the (u, s, y) QP of deepc and of
+spc with an output box is one triangular solve with the run's KKT factor and a
 bound check when no bound is active. The arrays of a problem are read-only
 copies, so none of this can go stale.
 """

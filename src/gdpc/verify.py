@@ -16,7 +16,9 @@ import numpy as np
 from . import control as ctl
 from .behavior import (
     PredictiveModel,
+    data_lq,
     estimate,
+    lq_predictor,
     kl_mean_term,
     log_likelihood,
     predictive_model,
@@ -440,39 +442,121 @@ def _check_projected_deepc_equals_optimistic(rng, mutate=None) -> CheckResult:
     )
 
 
+def _joint_deepc(dm, cp, regularizer, lambda_g, rank_tol=DEFAULT_RANK_TOL):
+    """deepc with proj2 or sq2 as the joint QP over (beta, u, y), beta the
+    coordinates of g in the row space of the data. With the LQ factor
+    W = L Q^T and the SVD of L cut at ``rank_tol`` times its largest
+    singular value, L ~ U_t S_t V_t^T, g = Q V_t beta and W g = z =
+    [w_ini; u; y] reads beta = S_t^-1 U_t^T z and N^T z = 0, N spanning the
+    complement of U_t. Those are the equality rows, the second reduced by
+    an SVD of its (u, y) columns, cut at ``rank_tol``, to the independent
+    ones in (u, y) (on noiseless data the dropped rows tie w_ini alone).
+    The penalty is lambda_g ||(I - L_F^+ L_F) V_t beta||^2 (proj2) or
+    lambda_g ||beta||^2 (sq2).
+    Without the cuts, noiseless data's rounding-noise directions would leave
+    y free at no cost. ``control.deepc`` parametrizes g by the predictor and
+    the fit's residual instead, so this is a second computation. Returns the
+    set-up's step, (w_ini, settings) -> (u, mean, cov, objective, solution,
+    g), in the form of ``control._deepc_setup``."""
+    l_fac, basis = data_lq(dm)
+    pm, free_pinv = lq_predictor(dm, l_fac, rank_tol)
+    n_free, n_ini, nu, ny = free_pinv.shape[1], dm.dims.q * dm.l_ini, cp.n_u, cp.n_y
+    left, sing, right_t = np.linalg.svd(l_fac)
+    t = int(np.count_nonzero(sing > rank_tol * sing[0]))
+    to_beta = left[:, :t].T / sing[:t, None]  # z -> beta
+    comp = left[:, t:].T  # N^T, orthonormal rows
+    rows, row_sing, _ = np.linalg.svd(comp[:, n_ini:], full_matrices=False)
+    comp = rows[:, row_sing > rank_tol].T @ comp
+    a_eq = np.block([[np.eye(t), -to_beta[:, n_ini:]],
+                     [np.zeros((comp.shape[0], t)), comp[:, n_ini:]]])
+    b_map = np.vstack([to_beta[:, :n_ini], -comp[:, :n_ini]])
+    # Subtract from the beta rows the complement rows times T, which takes
+    # out the part of their y coefficients that the complement rows fix.
+    # That part, 1/S_t-sized on data with a weakly excited direction, would
+    # make the KKT matrix ill-conditioned; the feasible set is unchanged.
+    shift = -to_beta[:, n_ini + nu :] @ pinv(comp[:, n_ini + nu :])  # T
+    a_eq[:t] -= shift @ a_eq[t:]
+    b_map[:t] -= shift @ b_map[t:]
+    if regularizer == "proj2":
+        off_free = right_t[:t].T - free_pinv @ (l_fac[:n_free] @ right_t[:t].T)
+        reg_block = lambda_g * symmetrize(off_free.T @ off_free)
+    else:
+        reg_block = lambda_g * np.eye(t)
+    p_mat = np.zeros((t + nu + ny, t + nu + ny))
+    p_mat[:t, :t] = 2.0 * reg_block
+    p_mat[t : t + nu, t : t + nu] = 2.0 * cp.R
+    p_mat[t + nu :, t + nu :] = 2.0 * cp.Q
+    q_vec = np.concatenate([np.zeros(t), -2.0 * cp.R @ cp.u_ref, -2.0 * cp.Q @ cp.y_ref])
+    y_lower = cp.y_lower if cp.has_output_box else np.full(ny, -np.inf)
+    y_upper = cp.y_upper if cp.has_output_box else np.full(ny, np.inf)
+    template = QpProblem(P=p_mat, q=q_vec, A_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]),
+                         lower=np.concatenate([np.full(t, -np.inf), cp.u_lower, y_lower]),
+                         upper=np.concatenate([np.full(t, np.inf), cp.u_upper, y_upper]))
+
+    def step(w, settings):
+        sol = ctl._run_qp(template.updated(b_eq=b_map @ w), settings)
+        beta, u, y = sol.x[:t], sol.x[t : t + nu], sol.x[t + nu :]
+        objective = cp.tracking_cost(u, y) + float(beta @ reg_block @ beta)
+        return u, y, pm.cov, objective, sol, basis @ (right_t[:t].T @ beta)
+
+    return step
+
+
+def _binding_output_box(pm, w_ini, cp):
+    """``cp`` with an output box that spc's unboxed plan violates and that
+    the mean of u = 0 meets strictly: each bound halfway between the two
+    means where they differ, else 1 beyond the mean of u = 0. u = 0 lies in
+    the input box of ``_random_instance``, so every deepc form is feasible."""
+    free = pm.M_ini @ w_ini
+    planned = ctl.spc(pm, w_ini, cp).y_pred.mean
+    mid = 0.5 * (free + planned)
+    return replace(cp, y_lower=np.where(planned < free, mid, free - 1.0),
+                   y_upper=np.where(planned > free, mid, free + 1.0))
+
+
 def _check_deepc_elimination_matches_joint_qp(rng, mutate=None) -> CheckResult:
-    """``deepc`` with proj2, lambda_g > 0 and no output box, which
-    eliminates g and solves the input QP, against the joint (alpha, u, y)
-    QP of ``control._deepc_joint`` on the same data: plan, mean and
-    objective to 1e-9 relative, g to 1e-7. Noisy instances of random size,
+    """``deepc`` with proj2 and sq2 against the joint (beta, u, y) QP of
+    ``_joint_deepc`` on the same data: plan, mean and objective to 1e-9
+    relative, g to 1e-7. deepc solves the input QP for proj2 with lambda_g
+    > 0 and no output box, and the (u, s, y) QP otherwise; each case's QP
+    size is checked against its route. Noisy instances of random size,
     rank-deficient (noiseless) SISO and MIMO data and a 3x3 plant, each at
-    lambda_g from 1e-3 to 5e4. ``mutate`` ``"kappa_without_d"`` runs the
-    eliminated side at lambda_g D, that is with kappa = lambda_g instead of
-    lambda_g / D. Draws from its own child generator (``_child``)."""
+    lambda_g 0 and from 1e-3 to 5e4, without and with a binding output box
+    (``_binding_output_box``). ``mutate`` ``"kappa_without_d"`` runs deepc
+    at lambda_g D, which for the eliminated side is kappa = lambda_g instead
+    of lambda_g / D. Draws from its own child generator (``_child``)."""
     local = _child(rng, "deepc_elimination_matches_joint_qp")
     instances = [_random_instance(local, with_input_box=True) for _ in range(2)]
     instances += [_random_instance(local, with_input_box=True, sizes=sizes, noise_var=var)
                   for sizes, var in (((2, 1, 1), 0.0), ((2, 2, 2), 0.0), ((3, 3, 3), 0.01))]
-    worst, worst_g, statuses, eliminated = 0.0, 0.0, set(), True
-    for _, dm, _, w_ini, cp in instances:
-        for lambda_g in (1e-3, 0.5, 50.0, 5e4):
-            scaled = lambda_g * dm.n_columns if mutate == MUTATE_KAPPA else lambda_g
-            res = ctl.deepc(dm, w_ini, cp, "proj2", scaled)
-            u, y, _, objective, sol, g = ctl._deepc_joint(dm, cp, "proj2", lambda_g,
-                                                          DEFAULT_RANK_TOL)(w_ini, None)
-            statuses.update((sol.status, res.solver.status))
-            eliminated &= res.solver.x.size == cp.n_u
-            worst = max(worst, _rel(res.u_f, u), _rel(res.y_pred.mean, y),
-                        _rel(res.objective, objective))
-            worst_g = max(worst_g, _rel(res.g, g))
+    worst, worst_g, statuses, routed, binding = 0.0, 0.0, set(), True, 0
+    for _, dm, pm, w_ini, cp in instances:
+        for problem in (cp, _binding_output_box(pm, w_ini, cp)):
+            for regularizer in ("proj2", "sq2"):
+                for lambda_g in (0.0, 1e-3, 0.5, 50.0, 5e4):
+                    scaled = lambda_g * dm.n_columns if mutate == MUTATE_KAPPA else lambda_g
+                    res = ctl.deepc(dm, w_ini, problem, regularizer, scaled)
+                    u, y, _, objective, sol, g = _joint_deepc(
+                        dm, problem, regularizer, lambda_g)(w_ini, None)
+                    statuses.update((sol.status, res.solver.status))
+                    eliminated = (regularizer == "proj2" and lambda_g > 0.0
+                                  and not problem.has_output_box)
+                    size = res.solver.x.size - problem.n_u
+                    routed &= size == 0 if eliminated else problem.n_y <= size <= 2 * problem.n_y
+                    if problem.has_output_box:
+                        binding += bool(np.any(res.y_pred.mean >= problem.y_upper)
+                                        or np.any(res.y_pred.mean <= problem.y_lower))
+                    worst = max(worst, _rel(res.u_f, u), _rel(res.y_pred.mean, y),
+                                _rel(res.objective, objective))
+                    worst_g = max(worst_g, _rel(res.g, g))
     return CheckResult(
         name="deepc_elimination_matches_joint_qp",
         passed=(worst <= 1e-9 and worst_g <= 1e-7 and statuses == {"optimal"}
-                and eliminated),
+                and routed and binding > 0),
         residual=worst,
         tolerance=1e-9,
         detail=(f"g {worst_g:.1e} (tol 1e-7), statuses {sorted(statuses)}, "
-                f"input QP solved: {eliminated}"),
+                f"QP sizes match the routes: {routed}, output box binds in {binding} solves"),
     )
 
 
@@ -894,8 +978,9 @@ def verify(suite: str = "all", seed: int = 0, mutate: str | None = None) -> Veri
 
     ``mutate`` (test hook): ``"double_pred_cov"`` doubles optimistic's
     predictive covariance inside the deepc/optimistic equivalence check, and
-    ``"kappa_without_d"`` the weight of deepc's eliminated form inside the
-    elimination check; that check must then fail. Used to confirm the suite
+    ``"kappa_without_d"`` runs deepc at lambda_g D inside the elimination
+    check (for its eliminated form, kappa = lambda_g instead of
+    lambda_g / D); that check must then fail. Used to confirm the suite
     has teeth. A check that raises fails with an infinite residual, under
     the name it reports when it runs: its function's name without the
     ``_check_`` prefix.

@@ -143,6 +143,25 @@ class TestClosedLoop:
         assert f"solver.{next(iter(solver))}" in proc.stderr
         assert not (workdir / "bad.csv").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("control.lambda", "abc"), ("run.steps", "ten"), ("control.q", "x"),
+        ("horizons.L_f", "8.5"), ("rank_tol", "tiny"), ("data.seed", "s"),
+        ("run.steps", 20.5),
+    ])
+    def test_non_numeric_value_is_config_error(self, workdir, key, value):
+        config = json.loads((workdir / "config.json").read_text())
+        *sections, name = key.split(".")
+        target = config
+        for section in sections:
+            target = target[section]
+        target[name] = value
+        path = workdir / "non_numeric.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli("closed-loop", "--config", str(path), "--out", str(workdir / "bad.csv"))
+        assert proc.returncode == 3, proc.stderr
+        assert key in proc.stderr and "Traceback" not in proc.stderr
+        assert not (workdir / "bad.csv").exists()
+
 
 class TestPlantOverride:
     def test_plant_flag_changes_the_run(self, workdir):

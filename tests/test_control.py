@@ -23,12 +23,12 @@ from gdpc.control import (
     robust,
     spc,
 )
-from gdpc.errors import InfeasibleProblem, LambdaTooSmall, ShapeError
+from gdpc.errors import LambdaTooSmall, ShapeError
 from gdpc.linalg import pinv, sym_eig
 from gdpc.plant import simulate, step
 from gdpc.qp import QpProblem, QpSettings, solve
 from gdpc.trajectory import SignalDims, build_data_matrix
-from gdpc.verify import _certainty_equivalence_oracle
+from gdpc.verify import _binding_output_box, _certainty_equivalence_oracle
 
 
 def scalar_model_pm(cov=2.0, gain=1.0):
@@ -199,16 +199,6 @@ class TestDeepc:
         ref = spc(inst.pm, inst.w_ini, inst.cp)
         assert np.max(np.abs(res.u_f - ref.u_f)) < 1e-4
 
-    def test_inconsistent_history_infeasible_without_regularizer(self):
-        # Needs n < p * L_ini so the past-window block is rank deficient and
-        # a generic history falls outside its image.
-        rng = np.random.default_rng(8)
-        model, dm, w_ini, _ = noiseless_instance(rng, l_ini=4, l_f=2)
-        cp = ControlProblem.from_step_weights(model.dims, dm.l_ini, dm.l_f)
-        bad_w_ini = w_ini + rng.standard_normal(w_ini.size)  # off the subspace
-        with pytest.raises(InfeasibleProblem):
-            deepc(dm, bad_w_ini, cp, regularizer="proj2", lambda_g=0.0)
-
     def test_l1_regularizer_runs_and_shrinks(self):
         rng = np.random.default_rng(9)
         inst = random_control_instance(rng, d_factor_max=2)
@@ -216,21 +206,38 @@ class TestDeepc:
         large = deepc(inst.dm, inst.w_ini, inst.cp, regularizer="l1", lambda_g=10.0)
         assert np.abs(large.g).sum() < np.abs(small.g).sum()
 
-    def test_l1_epigraph_takes_admm(self, monkeypatch):
-        # P is zero on g and on the epigraph variables: a singular KKT matrix.
-        inst = random_control_instance(np.random.default_rng(11), d_factor_max=2)
-        paths = record_solver_paths(monkeypatch)
-        res = deepc(inst.dm, inst.w_ini, inst.cp, regularizer="l1", lambda_g=0.1)
-        assert paths == ["_admm"] and res.solver.status == "optimal"
+    def test_inconsistent_history_without_regularizer_is_fitted(self):
+        # Needs n < p * L_ini so the past-window block is rank deficient and
+        # a generic history falls outside its image. The window enters
+        # through the predictor alone, so it is fitted by least squares, as
+        # spc fits it, rather than found infeasible.
+        rng = np.random.default_rng(8)
+        model, dm, w_ini, _ = noiseless_instance(rng, l_ini=4, l_f=2)
+        cp = ControlProblem.from_step_weights(model.dims, dm.l_ini, dm.l_f)
+        bad_w_ini = w_ini + rng.standard_normal(w_ini.size)  # off the subspace
+        res = deepc(dm, bad_w_ini, cp, regularizer="proj2", lambda_g=0.0)
+        ref = spc(predictive_model(dm), bad_w_ini, cp)
+        assert res.solver.status == "optimal"
+        scale = max(1.0, float(np.max(np.abs(ref.u_f))))
+        assert np.max(np.abs(res.u_f - ref.u_f)) <= 1e-12 * scale
 
-    def test_rank_deficient_data_without_regularizer_takes_admm(self, monkeypatch):
-        # Noiseless data: the LQ factor L of the data matrix is singular, so
-        # at lambda_g = 0 the KKT matrix is too.
+    def test_rank_deficient_data_without_regularizer_takes_the_exact_path(self, monkeypatch):
+        # Noiseless data: the LQ factor L of the data matrix is singular, but
+        # the fit's residual is cut to r = 0, so at lambda_g = 0 the QP is
+        # spc's (u, y) QP and its KKT matrix is not singular.
         model, dm, w_ini, _ = noiseless_instance(np.random.default_rng(5))
         cp = ControlProblem.from_step_weights(model.dims, dm.l_ini, dm.l_f, q_diag=1.0,
                                               r_diag=0.2, y_ref=0.8)
         paths = record_solver_paths(monkeypatch)
         res = deepc(dm, w_ini, cp, regularizer="proj2", lambda_g=0.0)
+        assert paths == ["_eq_active_set"] and res.solver.status == "optimal"
+        assert res.solver.x.size == cp.n_u + cp.n_y
+
+    def test_l1_epigraph_takes_admm(self, monkeypatch):
+        # P is zero on g and on the epigraph variables: a singular KKT matrix.
+        inst = random_control_instance(np.random.default_rng(11), d_factor_max=2)
+        paths = record_solver_paths(monkeypatch)
+        res = deepc(inst.dm, inst.w_ini, inst.cp, regularizer="l1", lambda_g=0.1)
         assert paths == ["_admm"] and res.solver.status == "optimal"
 
     def test_full_rank_data_takes_the_exact_path(self, monkeypatch):
@@ -306,8 +313,9 @@ class TestDeepcRowSpace:
             assert res.solver.status == "optimal"
             if regularizer == "proj2":  # g eliminated: the input QP
                 assert res.solver.x.size == cp.n_u
-            else:
-                assert res.solver.x.size == min(columns, rows) + cp.n_u + cp.n_y
+            else:  # (s, u, y), s in the r = n_y - (rows - k) residual directions
+                r = cp.n_y - max(0, rows - columns)
+                assert res.solver.x.size == cp.n_u + r + cp.n_y
             assert res.g.shape == (columns,)
             full = dm.matrix
             kernel_part = res.g - pinv(full) @ (full @ res.g)
@@ -344,7 +352,9 @@ class TestDeepcRowSpace:
 
 class TestDeepcElimination:
     """proj2 with lambda_g > 0 and no output box eliminates g and solves the
-    input QP; every other case keeps the joint (alpha, u, y) QP."""
+    input QP; l1 with lambda_g > 0 keeps the raw (g, u, y) QP; every other
+    case solves the joint QP over (s, u, y), s the coordinates of the fit's
+    residual directions."""
 
     def test_proj2_without_output_box_solves_the_input_qp(self, monkeypatch):
         # Neither the set-up nor a step factors a KKT matrix or tests a
@@ -376,8 +386,42 @@ class TestDeepcElimination:
         paths = record_solver_paths(monkeypatch)
         res = deepc(inst.dm, inst.w_ini, inst.cp, regularizer, lambda_g)
         assert paths == [path] and res.solver.status == "optimal"
-        k = min(inst.dm.n_columns, inst.dm.matrix.shape[0])
-        assert res.solver.x.size >= k + inst.cp.n_u + inst.cp.n_y
+        nu, ny, d = inst.cp.n_u, inst.cp.n_y, inst.dm.n_columns
+        if regularizer == "l1":  # g, u, y and the epigraph's two halves of g
+            assert res.solver.x.size == 3 * d + nu + ny
+            return
+        # Noisy data with D >= qL: the residual G has full rank, r = n_y.
+        assert res.solver.x.size == nu + 2 * ny
+        s = res.solver.x[:ny]
+        free = inst.dm.free_block
+        off_free = res.g - pinv(free) @ (free @ res.g)  # the part of g proj2 penalizes
+        assert np.linalg.norm(off_free) == pytest.approx(np.linalg.norm(s), rel=1e-9, abs=1e-12)
+        assert np.allclose(inst.dm.future_outputs @ res.g, res.y_pred.mean, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("regularizer", ["proj2", "sq2", "l1"])
+    def test_zero_weight_on_noiseless_data_is_spc(self, regularizer, monkeypatch):
+        # On noiseless data the fit's residual is rounding noise, cut to
+        # r = 0, so deepc at lambda_g = 0 solves spc's QP: no ADMM, spc's
+        # plan. The history window enters through the predictor alone, so a
+        # window off the data's subspace (n < p L_ini, the second instance)
+        # is fitted by least squares rather than found infeasible.
+        paths = record_solver_paths(monkeypatch)
+        for seed, l_ini, l_f, offset in ((5, 2, 3, 0.0), (8, 4, 2, 1.0)):
+            rng = np.random.default_rng(seed)
+            model, dm, w_ini, _ = noiseless_instance(rng, l_ini=l_ini, l_f=l_f)
+            w_ini = w_ini + offset * rng.standard_normal(w_ini.size)
+            pm = predictive_model(dm)
+            cp = ControlProblem.from_step_weights(model.dims, l_ini, l_f, q_diag=1.0,
+                                                  r_diag=0.2, y_ref=0.8, u_min=-0.5,
+                                                  u_max=0.5)
+            for problem in (cp, _binding_output_box(pm, w_ini, cp)):
+                ref = spc(pm, w_ini, problem)
+                res = deepc(dm, w_ini, problem, regularizer, 0.0)
+                assert res.solver.status == "optimal"
+                assert res.solver.x.size == problem.n_u + problem.n_y
+                scale = max(1.0, float(np.max(np.abs(ref.u_f))))
+                assert np.max(np.abs(res.u_f - ref.u_f)) <= 1e-12 * scale
+        assert paths and "_admm" not in paths
 
     def test_noiseless_data_give_the_spc_plan(self):
         # With zero predictive covariance Z is Q and the mean is mu_hat.
@@ -712,6 +756,19 @@ class TestControlProblemValidation:
         ):
             assert np.all(res.u_f <= inst.cp.u_upper + 1e-6)
             assert np.all(res.u_f >= inst.cp.u_lower - 1e-6)
+
+
+@pytest.mark.parametrize("controller,weight", [
+    ("deepc", np.nan), ("deepc", np.inf), ("optimistic", np.nan), ("optimistic", np.inf),
+    ("robust", np.nan), ("robust", np.inf), ("robust", -np.inf),
+])
+def test_non_finite_weights_are_rejected(controller, weight):
+    inst = random_control_instance(np.random.default_rng(16))
+    with pytest.raises(ValueError, match="finite"):
+        if controller == "deepc":
+            deepc(inst.dm, inst.w_ini, inst.cp, "proj2", weight)
+        else:
+            getattr(control, controller)(inst.pm, inst.w_ini, inst.cp, weight)
 
 
 def assert_same_result(a, b):

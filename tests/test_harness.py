@@ -21,7 +21,7 @@ from gdpc.harness import (
     sweep_lambda,
 )
 from gdpc.plant import default_benchmark
-from gdpc.verify import verify
+from gdpc.verify import _joint_deepc, verify
 
 # The module itself: the package binds gdpc.verify to the function.
 verify_module = importlib.import_module("gdpc.verify")
@@ -354,8 +354,8 @@ class TestEqualityConstrainedLoop:
 
 class TestDeepcEliminationLoop:
     def test_example_loop_matches_the_joint_qp(self, monkeypatch):
-        # deepc-proj2 without an output box eliminates g; the joint
-        # (alpha, u, y) QP, forced here, is the second computation.
+        # deepc-proj2 without an output box eliminates g; the joint QP of
+        # verify, forced here, is the second computation.
         doc = json.loads(EXAMPLE_CONFIG.read_text())
         doc["control"]["controller"] = "deepc"
         cfg = config_from_dict(doc)
@@ -368,7 +368,7 @@ class TestDeepcEliminationLoop:
         monkeypatch.setattr(control, "deepc", recorded)
         paths = record_solver_paths(monkeypatch)
         runs = [run_closed_loop(cfg)]
-        monkeypatch.setattr(control, "_deepc_setup", control._deepc_joint)
+        monkeypatch.setattr(control, "_deepc_setup", _joint_deepc)
         runs.append(run_closed_loop(cfg))
         planned = sum(1 for s in runs[0].steps if s.solver_status)
         assert paths == ["_active_set"] * planned + ["_eq_active_set"] * planned
