@@ -44,8 +44,8 @@ def _add_common_overrides(parser, plant=False):
     parser.add_argument("--rank-tol", type=float, default=None,
                         help="relative singular-value cutoff override")
     parser.add_argument("--jitter", type=float, default=None,
-                        help="relative jitter of robust's lambda0 and of optimistic's "
-                             "precision with an output box")
+                        help="relative jitter of optimistic's precision with an "
+                             "output box, the only place jitter is applied")
     parser.add_argument("--eps-abs", type=float, default=None,
                         help="absolute tolerance override: ADMM's, and that of the "
                              "residual test an exact equality-constrained solve must "

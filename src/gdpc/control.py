@@ -34,10 +34,12 @@ Q (mu_hat - y_ref), optimistic's tethered or robust's worst-case mean
 (:func:`_tethered_input_qp`). In the spectral form cov = L L^T, L^T Q L =
 V diag(Lambda) V^T, W = L^-T V, Q is W diag(Lambda) W^T and Z(kappa) is
 W diag(kappa Lambda / (kappa + Lambda)) W^T: optimistic <= certainty
-equivalence <= robust, and robust needs lam > max Lambda. Only robust's
-lambda0 is computed in that form, from the jittered Cholesky factor; the
-jitter reaches nothing else but optimistic's precision with an output box.
-``verify`` checks Z and both controllers against the spectral form.
+equivalence <= robust, and robust needs lam > max Lambda. max Lambda is
+the same for every square root L of cov, so robust's lambda0 takes it from
+the one of cov's eigendecomposition (:func:`~gdpc.linalg.psd_factor`),
+which a singular covariance has too: it needs no jitter. The jitter
+reaches only optimistic's precision with an output box. ``verify`` checks
+Z and both controllers against the spectral form.
 
 Per-run set-up. In a receding-horizon run only the history window w_ini
 changes from one call to the next. Each controller is therefore a set-up,
@@ -50,18 +52,18 @@ equivalence also tr(Q cov); for optimistic and robust the map to the mean;
 for deepc the LQ factor, the predictor and the maps to the mean and g. The
 equality-constrained QPs go to :func:`~gdpc.qp.solve`'s exact dual
 active-set method when their KKT matrix is nonsingular, and to ADMM
-otherwise; the KKT factorization, or ADMM's set-up, is made by the first
-solve and shared by the later ones (:meth:`QpProblem.updated`). Each
-controller keeps its last set-up, keyed by the identity of the model (``pm``
-or ``dm``) and of ``cp``, both held so that their ids cannot be reused, and
-by the equality of the parameters the set-up reads: lam and jitter, or
-deepc's regularizer, lambda_g and rank_tol. The QP settings reach only the
-solve. The arrays of PredictiveModel, DataMatrix and ControlProblem are
-read-only, so an in-place write raises instead of leaving a stale set-up;
-a different model is a different object. A step evaluates the expressions
-of a one-shot call with the constant parts computed once ((M_u^T Z) v is
-what M_u^T Z v evaluates), so its results are bit for bit those of a fresh
-set-up. A step validates nothing that the set-up has: its QP is the
+otherwise; the KKT factorization is made by the first solve and shared by
+the later ones (:meth:`QpProblem.updated`), while ADMM sets up afresh at
+every solve. Each controller keeps its last set-up, keyed by the identity
+of the model (``pm`` or ``dm``) and of ``cp``, both held so that their ids
+cannot be reused, and by the equality of the parameters the set-up reads:
+lam (and optimistic's jitter), or deepc's regularizer, lambda_g and
+rank_tol. The QP settings reach only the solve. The arrays of
+PredictiveModel, DataMatrix and ControlProblem are read-only, so an
+in-place write raises instead of leaving a stale set-up; a different model
+is a different object. A step evaluates the expressions of a one-shot call
+with the constant parts computed once ((M_u^T Z) v is what M_u^T Z v
+evaluates), so its results are bit for bit those of a fresh set-up. A step validates nothing that the set-up has: its QP is the
 set-up's with the new vector checked, and every step's predictive
 distribution shares the model's covariance, which PredictiveModel has made
 read-only, symmetric and finite, without checking it again
@@ -85,7 +87,7 @@ from .errors import InfeasibleProblem, LambdaTooSmall, ShapeError
 # Not called here; benchmarks/tracing.py wraps control.chol_psd and
 # control.pinv by name.
 from .linalg import chol_psd, pinv  # noqa: F401
-from .linalg import DEFAULT_RANK_TOL, is_psd, read_only, sym_eig, symmetrize
+from .linalg import DEFAULT_RANK_TOL, is_psd, psd_factor, read_only, sym_eig, symmetrize
 from .qp import QpProblem, QpSettings, QpSolution, l1_epigraph, solve
 from .trajectory import DataMatrix, SignalDims
 
@@ -270,11 +272,11 @@ def _precision(cov, jitter: float) -> np.ndarray:
     return symmetrize(inv_chol.T @ inv_chol)
 
 
-def _lambda0(pm: PredictiveModel, cp: ControlProblem, jitter: float) -> float:
-    """max Lambda (1 + 1e-6), Lambda the eigenvalues of L^T Q L with L the
-    jittered Cholesky factor of the covariance (module docstring)."""
-    chol = jittered_cholesky(pm.cov, jitter)
-    return float(np.max(sym_eig(chol.T @ cp.Q @ chol).values, initial=0.0)) * (1.0 + 1e-6)
+def _lambda0(pm: PredictiveModel, cp: ControlProblem) -> float:
+    """max Lambda (1 + 1e-6), Lambda the eigenvalues of F^T Q F with F F^T
+    the covariance (module docstring)."""
+    root = psd_factor(pm.cov)
+    return float(np.max(sym_eig(root.T @ cp.Q @ root).values, initial=0.0)) * (1.0 + 1e-6)
 
 
 def _tethered_weight(pm: PredictiveModel, cp: ControlProblem, kappa: float):
@@ -417,17 +419,26 @@ def _deepc_setup(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g:
     return _deepc_usy(dm, cp, regularizer, lambda_g, rank_tol)
 
 
-def _deepc_eliminated(dm: DataMatrix, cp: ControlProblem, lambda_g: float, rank_tol: float):
-    """deepc with proj2, lambda_g > 0 and no output box, as the input QP
-    with the weight Z(kappa), kappa = lambda_g / D (:func:`_tethered_input_qp`;
-    see :func:`deepc`). Its step recovers the combination vector from
-    alpha = L_F^+ [w_ini; u] - G^T t / D, G = L_Y - (L_Y L_F^+) L_F."""
+def _deepc_residual(dm: DataMatrix, rank_tol: float):
+    """What deepc's 2-norm forms share (see :func:`deepc`): the data's LQ
+    factor L and basis Q (:func:`data_lq`), the predictor, L_F^+ and the
+    fit's residual G = L_Y - (L_Y L_F^+) L_F, L_F and L_Y the free and
+    output rows of L."""
     l_fac, basis = data_lq(dm)
     pm, free_pinv = lq_predictor(dm, l_fac, rank_tol)
     n_free = free_pinv.shape[1]
     l_free, l_out = l_fac[:n_free], l_fac[n_free:]
+    return l_fac, basis, pm, free_pinv, l_out - (l_out @ free_pinv) @ l_free
+
+
+def _deepc_eliminated(dm: DataMatrix, cp: ControlProblem, lambda_g: float, rank_tol: float):
+    """deepc with proj2, lambda_g > 0 and no output box, as the input QP
+    with the weight Z(kappa), kappa = lambda_g / D (:func:`_tethered_input_qp`;
+    see :func:`deepc`). Its step recovers the combination vector from
+    alpha = L_F^+ [w_ini; u] - G^T t / D (:func:`_deepc_residual`)."""
+    _, basis, pm, free_pinv, resid = _deepc_residual(dm, rank_tol)
     d = dm.n_columns
-    resid_t_d = (l_out - (l_out @ free_pinv) @ l_free).T / d  # G^T / D
+    resid_t_d = resid.T / d  # G^T / D
     input_qp = _tethered_input_qp(pm, cp, lambda_g / d)
 
     def step(w, settings):
@@ -441,17 +452,13 @@ def _deepc_eliminated(dm: DataMatrix, cp: ControlProblem, lambda_g: float, rank_
 def _deepc_usy(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g: float,
                rank_tol: float):
     """deepc as the QP over (u, s, y) (see :func:`deepc`), x = (s, u, y) in
-    :func:`_tracking_qp`. G_r and V_r come from the SVD of the residual
-    G = L_Y - (L_Y L_F^+) L_F cut at ``rank_tol`` max |L|; cut relative to
+    :func:`_tracking_qp`. G_r and V_r come from the SVD of the residual G
+    (:func:`_deepc_residual`) cut at ``rank_tol`` max |L|; cut relative to
     G itself, it would keep noiseless data's rounding noise. sq2 adds
     lambda_g P_u^T P_u to the u block and 2 lambda_g P_u^T P_w w_ini to its
     linear term, [P_w P_u] = L_F^+."""
-    l_fac, basis = data_lq(dm)
-    pm, free_pinv = lq_predictor(dm, l_fac, rank_tol)
-    n_free = free_pinv.shape[1]
-    l_free, l_out = l_fac[:n_free], l_fac[n_free:]
-    left, sing, right_t = np.linalg.svd(l_out - (l_out @ free_pinv) @ l_free,
-                                        full_matrices=False)
+    l_fac, basis, pm, free_pinv, resid = _deepc_residual(dm, rank_tol)
+    left, sing, right_t = np.linalg.svd(resid, full_matrices=False)
     r = int(np.count_nonzero(sing > rank_tol * np.max(np.abs(l_fac))))
     nu, n_ini = cp.n_u, dm.dims.q * dm.l_ini
     sq2 = regularizer == "sq2" and lambda_g > 0.0
@@ -661,26 +668,27 @@ def hessian(pm: PredictiveModel, cp: ControlProblem, lam: float) -> HessianRepor
     return HessianReport(matrix=h, psd=is_psd(h, 1e-10))
 
 
-def lambda_threshold(pm: PredictiveModel, cp: ControlProblem,
-                     jitter: float = DEFAULT_JITTER) -> LambdaThreshold:
+def lambda_threshold(pm: PredictiveModel, cp: ControlProblem) -> LambdaThreshold:
     """Certified weights for the robust controller.
 
     ``lambda0`` is the smallest weight making lam*cov^-1 - Q positive
-    definite, max Lambda (module docstring) inflated by 1e-6. ``lambda_psd``,
+    definite, max Lambda (module docstring) inflated by 1e-6. It is exact
+    for a singular covariance too: max Lambda is the largest eigenvalue of
+    F^T Q F for any F with F F^T = cov, and no jitter enters. ``lambda_psd``,
     the smallest weight >= lambda0 at which the input-space Hessian is PSD,
     is lambda0 itself: for lam > max Lambda, lam Lambda / (lam - Lambda)
     >= Lambda, so Z >= Q >= 0 and H = R + M_u^T Z M_u >= R > 0. ``verify``
     samples lambda_min(H - R) >= 0 as an independent check.
     """
-    lambda0 = _lambda0(pm, cp, jitter)
+    lambda0 = _lambda0(pm, cp)
     return LambdaThreshold(lambda0=lambda0, lambda_psd=lambda0)
 
 
-def _robust_setup(pm: PredictiveModel, cp: ControlProblem, lam: float, jitter: float):
+def _robust_setup(pm: PredictiveModel, cp: ControlProblem, lam: float):
     """robust's set-up; raises :class:`LambdaTooSmall` below lambda0. Its
     step maps (bias, settings) to (u, worst-case mean, objective,
     solution)."""
-    lambda0 = _lambda0(pm, cp, jitter)
+    lambda0 = _lambda0(pm, cp)
     if lam < lambda0 or lam <= 0.0:
         raise LambdaTooSmall(f"lam={lam:g} below certified lambda0={lambda0:g}",
                              lambda0=lambda0, lambda_psd=lambda0)
@@ -705,7 +713,6 @@ def robust(
     cp: ControlProblem,
     lam: float,
     settings: QpSettings | None = None,
-    jitter: float = DEFAULT_JITTER,
 ) -> ControlResult:
     """Minimize the dual upper bound on the worst-case expected cost over
     the relative-entropy ball.
@@ -715,16 +722,16 @@ def robust(
         - lam ||mu_hat(u)||^2_S + ||u - u_ref||^2_R,
     with S the predictive precision, solved as the input QP with the weight
     Z(-lam) (module docstring). Requires lam >= lambda0, which makes the
-    Hessian positive definite; ``jitter`` reaches only lambda0. Output
-    boxes are not representable in this eliminated form.
+    Hessian positive definite (:func:`lambda_threshold`). Neither lambda0
+    nor the QP takes a Cholesky factor or jitter, so a singular covariance
+    is exact. Output boxes are not representable in this eliminated form.
     """
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     if cp.has_output_box:
         raise ShapeError("robust controller does not support output boxes")
     w = _check_w_ini(pm, w_ini)
-    step = _prepared("robust", pm, cp, (lam, jitter),
-                     lambda: _robust_setup(pm, cp, lam, jitter))
+    step = _prepared("robust", pm, cp, (lam,), lambda: _robust_setup(pm, cp, lam))
     u, mu_star, objective, sol = step(pm.M_ini @ w, settings)
     return ControlResult(
         u_f=u,

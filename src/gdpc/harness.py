@@ -394,7 +394,7 @@ def _solve_controller(cfg: ExperimentConfig, dm, pm, cp, w_ini, lam=None):
     if cfg.controller == "optimistic":
         return ctl.optimistic(pm, w_ini, cp, lam, cfg.solver, jitter=cfg.jitter)
     if cfg.controller == "robust":
-        return ctl.robust(pm, w_ini, cp, lam, cfg.solver, jitter=cfg.jitter)
+        return ctl.robust(pm, w_ini, cp, lam, cfg.solver)
     raise ConfigError(f"unknown controller {cfg.controller!r}")
 
 

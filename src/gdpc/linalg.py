@@ -1,10 +1,10 @@
 """Dense linear-algebra kernels the rest of the package builds on.
 
 Thin, contract-checked wrappers around LAPACK (via numpy/scipy): truncated
-pseudoinverse, symmetric eigendecomposition, Cholesky with shift, PSD test,
-and the discrete Lyapunov solve; and the read-only copy the package's value
-types keep their arrays in. All functions treat inputs as immutable and are
-safe to call concurrently.
+pseudoinverse, symmetric eigendecomposition, Cholesky with shift, a square
+root of a semidefinite matrix, PSD test, and the discrete Lyapunov solve;
+and the read-only copy the package's value types keep their arrays in. All
+functions treat inputs as immutable and are safe to call concurrently.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 from scipy.linalg.lapack import dpotrf
 
-from .errors import InvalidMatrix, NotPositiveDefinite, UnstableSystem
+from .errors import InvalidMatrix, NotPositiveDefinite, ShapeError, UnstableSystem
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -117,6 +117,18 @@ def chol_psd(s, shift: float = 0.0) -> np.ndarray:
             pivot=int(info) - 1,
         )
     return np.tril(c)
+
+
+def psd_factor(cov, name: str = "covariance") -> np.ndarray:
+    """A factor F with F F^T = cov from its eigendecomposition, tolerating
+    singular covariances: F = V diag(sqrt(max(d, 0))). Raises ``ShapeError``
+    naming ``name`` if cov is not positive semidefinite by ``is_psd``'s
+    relative rule at 1e-8."""
+    vals, vecs = np.linalg.eigh(symmetrize(cov))
+    if vals[0] < -1e-8 * max(1.0, abs(vals[-1])):
+        raise ShapeError(f"{name} must be positive semidefinite, "
+                         f"smallest eigenvalue {vals[0]:.3g}")
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
 def is_psd(s, tol: float = 1e-10) -> bool:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
 from .errors import ShapeError
-from .linalg import as_matrix, is_psd, lyap_discrete, spectral_radius, symmetrize
+from .linalg import as_matrix, is_psd, lyap_discrete, psd_factor, spectral_radius, symmetrize
 from .trajectory import SignalDims, Trajectory
 
 
@@ -158,20 +158,9 @@ def step(model: StochasticLtiModel, x, u, xi=None, eta=None):
     return x_next, y
 
 
-def _gaussian_scale(cov, name="covariance") -> np.ndarray:
-    """A factor F with F F^T = cov from its eigendecomposition, tolerating
-    singular covariances. Raises ``ShapeError`` naming ``name`` if cov is not
-    positive semidefinite by ``is_psd``'s relative rule at 1e-8."""
-    vals, vecs = np.linalg.eigh(symmetrize(cov))
-    if vals[0] < -1e-8 * max(1.0, abs(vals[-1])):
-        raise ShapeError(f"{name} must be positive semidefinite, "
-                         f"smallest eigenvalue {vals[0]:.3g}")
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
 def _sample_gaussian(rng, mean, cov, size=None):
     """Draw from N(mean, cov) tolerating singular covariances."""
-    scale = _gaussian_scale(cov)
+    scale = psd_factor(cov)
     if size is None:
         z = rng.standard_normal(scale.shape[0])
         return mean + scale @ z
@@ -195,7 +184,7 @@ def _initial_state(model: StochasticLtiModel, x0, rng) -> np.ndarray:
         raise ShapeError(f"x0 mean must have {n} entries, got shape {mean.shape}")
     if cov.shape != (n, n):
         raise ShapeError(f"x0 cov must be {(n, n)}, got {cov.shape}")
-    return mean.reshape(n) + _gaussian_scale(cov, "x0 cov") @ rng.standard_normal(n)
+    return mean.reshape(n) + psd_factor(cov, "x0 cov") @ rng.standard_normal(n)
 
 
 def _state_rollout(a: np.ndarray, start: np.ndarray, drive: np.ndarray) -> np.ndarray:

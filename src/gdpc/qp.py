@@ -87,13 +87,12 @@ primal active-set method starts from; only a P that fails it gets the
 eigenvalue PSD test. A box-only problem with that factor also keeps |P|
 for the primal method's rounding threshold. The factored KKT matrix of an
 equality problem (or the finding that it is singular) is made by its first
-solve, and ADMM's set-up (the Ruiz scalings, the scaled data and the first
-KKT factorization) is kept for the last settings it was made for. A
+solve. ADMM keeps nothing: it makes its set-up (the Ruiz scalings, the
+scaled data and the first KKT factorization) at every solve. A
 receding-horizon controller changes only q or b_eq from one solve to the
 next: :meth:`QpProblem.updated` derives such a problem, checks only the new
-vector, shares the Cholesky factor, |P| and the KKT factor, which read
-neither vector, and shares the ADMM set-up when q is unchanged, since that
-set-up never reads b_eq. So the step of the (u, s, y) QP of deepc and of
+vector, and shares the Cholesky factor, |P| and the KKT factor, none of
+which reads either vector. So the step of the (u, s, y) QP of deepc and of
 spc with an output box is one triangular solve with the run's KKT factor and a
 bound check when no bound is active. The arrays of a problem are read-only
 copies, so none of this can go stale.
@@ -135,9 +134,8 @@ class QpProblem:
     what :func:`solve` dispatches box-only problems on; for such a problem
     without equality rows, |P| for the primal active-set method; the LU
     factor of the KKT matrix [P A_eq'; A_eq 0] when it is nonsingular, made
-    by the first solve; and ADMM's set-up for the last settings it was
-    solved with. :meth:`updated` derives a problem with a new linear term or
-    equality right-hand side that shares them."""
+    by the first solve. :meth:`updated` derives a problem with a new linear
+    term or equality right-hand side that shares them."""
 
     P: np.ndarray
     q: np.ndarray
@@ -148,7 +146,6 @@ class QpProblem:
     _p_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _abs_p: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _kkt: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _admm_cache: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = read_only(symmetrize(self.P))
@@ -185,7 +182,7 @@ class QpProblem:
                             ("_p_factor", None if factor is None else read_only(factor)),
                             ("_abs_p", read_only(np.abs(p)) if factor is not None
                              and a.shape[0] == 0 else None),
-                            ("_kkt", {}), ("_admm_cache", {})):
+                            ("_kkt", {})):
             object.__setattr__(self, name, value)
 
     @property
@@ -200,13 +197,10 @@ class QpProblem:
         """This problem with a new linear term and/or equality right-hand
         side, of which only the new vectors are checked (length and
         finiteness). The result shares P's Cholesky factor, |P| and the KKT
-        factor, which read neither vector, and shares the ADMM set-up too
-        when ``q`` is unchanged, since that set-up (Ruiz scaling, scaled
-        data, first KKT factorization) reads P, q, A_eq and the bounds but
-        never b_eq."""
+        factor, none of which reads either vector."""
         changes = {}
         if q is not None:
-            changes.update(q=_finite_vector(q, self.n, "q"), _admm_cache={})
+            changes["q"] = _finite_vector(q, self.n, "q")
         if b_eq is not None:
             changes["b_eq"] = _finite_vector(b_eq, self.n_eq, "b_eq")
         new = object.__new__(QpProblem)  # the validated fields, not re-validated
@@ -724,43 +718,23 @@ def _free_block(p, a, f) -> np.ndarray:
     return kkt
 
 
-def _admm_setup(prob: QpProblem, settings: QpSettings) -> tuple:
-    """What ADMM computes before its first iteration from P, q, A_eq, the
-    bounds and ``settings``: [A_eq; I], the Ruiz scalings d, e and e/c, the
-    scaled P, q and [A_eq; I], max |q|, the step sizes rho and the first
-    KKT factorization. None of it reads b_eq. Kept on the problem, and on
-    the problems :meth:`QpProblem.updated` derives from it with the same q,
-    for the last settings it was computed for; the arrays are read-only."""
-    cached = prob._admm_cache.get(settings)
-    if cached is not None:
-        return cached
+def _admm(prob: QpProblem, settings: QpSettings) -> QpSolution:
+    """Run the operator-splitting iteration until the unscaled KKT residuals
+    meet eps_abs/eps_rel, infeasibility is certified, or max_iter is hit."""
     n, m_eq = prob.n, prob.n_eq
+    m = m_eq + n
     a_full = np.vstack([prob.A_eq, np.eye(n)])
-    eq_mask = np.ones(m_eq + n, dtype=bool)
+    eq_mask = np.ones(m, dtype=bool)
     eq_mask[m_eq:] = _clip_sentinel(prob.lower) == _clip_sentinel(prob.upper)
 
     d, e, c = _ruiz_equilibrate(prob.P, prob.q, a_full, settings.scaling_iters)
+    e_over_c = e / c
     ps = c * (d[:, None] * prob.P * d[None, :])
     qs = c * d * prob.q
     asc = e[:, None] * a_full * d[None, :]
     q_norm = float(np.abs(prob.q).max(initial=0.0))
     rho = _rho_vector(settings.rho, eq_mask)
     factor = _factor_kkt(ps, asc, settings.sigma, rho)
-    cached = (a_full, d, e, e / c, ps, qs, asc, q_norm, rho, factor)
-    for value in (*cached, *factor):
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    prob._admm_cache.clear()
-    prob._admm_cache[settings] = cached
-    return cached
-
-
-def _admm(prob: QpProblem, settings: QpSettings) -> QpSolution:
-    """Run the operator-splitting iteration until the unscaled KKT residuals
-    meet eps_abs/eps_rel, infeasibility is certified, or max_iter is hit."""
-    n, m_eq = prob.n, prob.n_eq
-    m = m_eq + n
-    a_full, d, e, e_over_c, ps, qs, asc, q_norm, rho, factor = _admm_setup(prob, settings)
     lo = _clip_sentinel(np.concatenate([prob.b_eq, prob.lower]))
     hi = _clip_sentinel(np.concatenate([prob.b_eq, prob.upper]))
     los = _clip_sentinel(e * lo)

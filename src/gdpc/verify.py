@@ -765,7 +765,7 @@ def _check_spectral_weights_match_solve_forms(rng) -> CheckResult:
         inv_chol = np.linalg.inv(np.linalg.cholesky(pm.cov))
         precision = inv_chol.T @ inv_chol
         dec = sym_eig(pm.cov)
-        root = dec.vectors * np.sqrt(np.clip(dec.values, 0.0, None))
+        root = (dec.vectors * np.sqrt(np.clip(dec.values, 0.0, None))) @ dec.vectors.T
         lambda0 = float(np.max(np.linalg.eigvalsh(root.T @ cp.Q @ root))) * (1.0 + 1e-6)
         worst["precision"] = max(worst["precision"], _rel(
             ctl._precision(pm.cov, ctl.DEFAULT_JITTER), precision, 1e-300))

@@ -76,6 +76,12 @@ def test_controllers_keep_their_positional_arguments(workloads):
         assert tuple(params[: len(POSITIONAL[name])]) == POSITIONAL[name], name
 
 
+def test_optimistic_keeps_its_jitter():
+    # LoopDeepc._check_solve calls control.optimistic(..., jitter=cfg.jitter).
+    assert "jitter" in inspect.signature(control.optimistic).parameters
+    assert "jitter" in {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+
+
 @pytest.mark.parametrize("controller", sorted(HARNESS_NAMES))
 def test_one_timed_solve_per_step_with_unpackable_arguments(controller, workloads,
                                                             monkeypatch):
@@ -129,9 +135,10 @@ def assert_first_solve_only(children, name, count):
 def test_traced_factorizations_per_solve(controller, factorizations, tracing):
     # Counted per run: the factorizations belong to the set-up. Without an
     # output box optimistic forms its weight by one linear solve; robust
-    # factors once for lambda0.
+    # takes one eigendecomposition for lambda0, of F^T Q F with F from the
+    # covariance's own, and no Cholesky factor.
     children = loop_children(tracing, short_loop_config(controller))
-    assert_first_solve_only(children, "linalg.chol_psd", factorizations)
+    assert_first_solve_only(children, "linalg.chol_psd", 0)
     assert_first_solve_only(children, "linalg.sym_eig", factorizations)
     assert not any("control.lambda_threshold" in c for c in children)
 
@@ -148,7 +155,8 @@ def test_robust_sweep_factors_once_per_weight(tracing):
     cfg = dataclasses.replace(cfg, repetitions=2, lambda_grid=(1.0, 10.0, 100.0))
     children = traced_children(tracing, lambda: harness.sweep_lambda(cfg))
     assert len(children) == 3 * 2 * (cfg.run_steps - cfg.l_ini)
-    assert sum(c.count("linalg.chol_psd") for c in children) == len(cfg.lambda_grid)
+    assert sum(c.count("linalg.sym_eig") for c in children) == len(cfg.lambda_grid)
+    assert not any("linalg.chol_psd" in c for c in children)
 
 
 @pytest.mark.parametrize("controller", sorted(HARNESS_NAMES))

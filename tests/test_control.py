@@ -726,6 +726,30 @@ class TestLambdaThreshold:
         probe = max(thr.lambda_psd, thr.lambda0) * (1.0 + 1e-6)
         assert hessian(inst.pm, inst.cp, probe).psd
 
+    def test_rank_one_covariance_is_exact(self):
+        # cov = v v^T has no Cholesky factor, but max eig(F^T Q F) = v^T Q v
+        # for every F F^T = cov. At 2 lambda0 robust's weight is
+        # Z = Q + (Q v)(Q v)^T / (lam - v^T Q v), and the plan minimizes
+        # ||u - u_ref||_R^2 + ||M_u u + bias - y_ref||_Z^2 in closed form.
+        rng = np.random.default_rng(27)
+        for _ in range(5):
+            inst = random_control_instance(rng)
+            cp = inst.cp
+            v = rng.standard_normal(cp.n_y)
+            pm = PredictiveModel(M_u=inst.pm.M_u, M_ini=inst.pm.M_ini, cov=np.outer(v, v))
+            thr = lambda_threshold(pm, cp)
+            exact = (1.0 + 1e-6) * float(v @ cp.Q @ v)
+            assert abs(thr.lambda0 - exact) <= 1e-12 * exact
+            lam = 2.0 * thr.lambda0
+            res = robust(pm, inst.w_ini, cp, lam)
+            assert res.solver.status == "optimal"
+            qv = cp.Q @ v
+            z = cp.Q + np.outer(qv, qv) / (lam - v @ qv)
+            bias = pm.M_ini @ inst.w_ini
+            u = np.linalg.solve(cp.R + pm.M_u.T @ z @ pm.M_u,
+                                cp.R @ cp.u_ref - pm.M_u.T @ z @ (bias - cp.y_ref))
+            assert np.max(np.abs(res.u_f - u)) < 1e-9 * max(1.0, np.max(np.abs(u)))
+
 
 class TestControlProblemValidation:
     def test_requires_positive_definite_input_weight(self):
@@ -823,7 +847,8 @@ class TestPerRunSetup:
 
     @staticmethod
     def singular_cov_model(pm, rng):
-        """``pm`` with a rank-one covariance, so the jitter takes effect."""
+        """``pm`` with a rank-one covariance, on which optimistic's output-box
+        precision takes its jitter."""
         v = rng.standard_normal(pm.cov.shape[0])
         return PredictiveModel(M_u=pm.M_u, M_ini=pm.M_ini, cov=np.outer(v, v))
 
@@ -883,11 +908,10 @@ class TestPerRunSetup:
         pm, cp = self.singular_cov_model(inst.pm, rng), inst.cp
         pm2 = dataclasses.replace(pm, M_u=1.5 * pm.M_u)
         cp2 = self.other_cp(cp)
-        lam = 2.0 * max(lambda_threshold(pm, cp, jitter=1e-3).lambda0,
-                        lambda_threshold(pm, cp).lambda0)
+        lam = 2.0 * lambda_threshold(pm, cp).lambda0
         calls = [
             (pm, cp, {"lam": lam}), (pm, cp, {"lam": 5.0 * lam}), (pm, cp, {"lam": lam}),
-            (pm, cp, {"lam": lam, "jitter": 1e-3}), (pm, cp, {"lam": lam}),
+            (pm, cp, {"lam": 1.5 * lam}), (pm, cp, {"lam": lam}),
             (pm, cp, {"lam": lam, "settings": QpSettings(max_iter=1)}),
             (pm2, cp, {"lam": lam}), (pm, cp2, {"lam": lam}), (pm, cp, {"lam": lam}),
         ]

@@ -1043,14 +1043,6 @@ class TestUpdated:
     """A derived problem solves like the same problem built afresh, and
     reuses the P-dependent work that its vectors leave valid."""
 
-    @staticmethod
-    def count_scalings(monkeypatch):
-        calls = []
-        ruiz = qp._ruiz_equilibrate
-        monkeypatch.setattr(qp, "_ruiz_equilibrate",
-                            lambda *args: calls.append(1) or ruiz(*args))
-        return calls
-
     def test_new_linear_term_of_a_box_qp(self):
         rng = np.random.default_rng(30)
         base = random_box_qp(rng, 9)
@@ -1060,33 +1052,6 @@ class TestUpdated:
             derived = base.updated(q=q)
             assert derived._p_factor is base._p_factor
             assert_same_solution(solve(derived), solve(fresh))
-
-    def test_new_right_hand_side_shares_the_admm_setup(self, monkeypatch):
-        rng = np.random.default_rng(31)
-        base = random_equality_qp(rng, n=8, m=3)
-        qp._admm(base, QpSettings())
-        calls = self.count_scalings(monkeypatch)
-        for _ in range(3):
-            b = rng.standard_normal(3)
-            got = qp._admm(base.updated(b_eq=b), QpSettings())
-            assert calls == []
-            want = qp._admm(QpProblem(P=base.P, q=base.q, A_eq=base.A_eq, b_eq=b),
-                            QpSettings())
-            assert calls == [1]
-            calls.clear()
-            assert_same_solution(got, want)
-
-    def test_new_linear_term_gets_its_own_admm_setup(self, monkeypatch):
-        rng = np.random.default_rng(32)
-        base = random_equality_qp(rng, n=8, m=3)
-        qp._admm(base, QpSettings())
-        calls = self.count_scalings(monkeypatch)
-        q = rng.standard_normal(8)
-        got = qp._admm(base.updated(q=q, b_eq=base.b_eq), QpSettings())
-        assert calls == [1]
-        want = qp._admm(QpProblem(P=base.P, q=q, A_eq=base.A_eq, b_eq=base.b_eq),
-                        QpSettings())
-        assert_same_solution(got, want)
 
     def test_kkt_factor_is_made_once_and_shared(self, monkeypatch):
         rng = np.random.default_rng(35)
