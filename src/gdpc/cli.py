@@ -77,6 +77,17 @@ def _load_config_with_plant(args):
     return cfg
 
 
+def _seed(text: str) -> int:
+    """An argparse type: a non-negative integer, as a seed must be."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gdpc",
@@ -162,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Prints one PASS/FAIL line per check; exits 4 on any failure.",
     )
     p_ver.add_argument("--suite", choices=SUITES, default="all")
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_seed, default=0)
     _add_common_overrides(p_ver)
 
     return parser

@@ -5,7 +5,15 @@ the identification data run, horizons, the control problem, and the
 closed-loop settings. ``run_closed_loop`` freezes the identified predictor
 once (offline identification), then runs the receding-horizon loop:
 assemble the measured history window, solve the configured controller,
-apply the first input block, step the seeded plant, record.
+apply the first input block, step the seeded plant.
+
+A step does no more than that. Each noise covariance is factored once per
+``run_closed_loop`` or ``sweep_lambda`` call, and a run draws each noise
+stream for all its steps before the loop, bit for bit the per-step
+``multivariate_normal`` draws. The plant advances by ``plant.step``'s
+expressions inline, without its per-call argument checks; the samples go
+into one preallocated array whose rows are the history windows, and the
+step records are built from that array after the loop.
 """
 
 import json
@@ -24,8 +32,9 @@ from .plant import (
     default_benchmark,
     simulate,
     stationary_state_covariance,
-    step,
 )
+# Not called here; benchmarks/tracing.py wraps harness.step by name.
+from .plant import step  # noqa: F401
 from .qp import QpSettings
 from .trajectory import SignalDims, build_data_matrix
 
@@ -84,9 +93,10 @@ class ExperimentConfig:
 
 def _number(raw, kind, name):
     """``kind(raw)``, for ``kind`` float or int, or :class:`ConfigError`
-    naming the config key ``name``; a float with a fraction is not an int."""
+    naming the config key ``name``; a float with a fraction is not an int,
+    and a boolean is not a number."""
     try:
-        value = kind(raw)
+        value = None if isinstance(raw, bool) else kind(raw)
     except (TypeError, ValueError, OverflowError):
         value = None
     if value is None or (kind is int and isinstance(raw, float) and raw != value):
@@ -95,19 +105,40 @@ def _number(raw, kind, name):
     return value
 
 
-def _per_channel(raw, count, name, allow_none=False):
+def _seed(raw, name):
+    """A non-negative integer seed, as ``np.random.SeedSequence`` takes, or
+    :class:`ConfigError` naming the config key ``name``."""
+    value = _number(raw, int, name)
+    if value < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {value}")
+    return value
+
+
+def _per_channel(raw, count, name, bound=False):
+    """A ``count``-vector from a number or a list, or :class:`ConfigError`
+    naming the config key ``name``. Every entry must be finite, except for a
+    ``bound``: that may be absent (None) and its entries may be infinite,
+    which leaves a channel unbounded, but not NaN."""
     if raw is None:
-        if allow_none:
+        if bound:
             return None
         raise ConfigError(f"{name} is required")
+    entries = raw if isinstance(raw, list) else [raw]
     try:
-        arr = np.atleast_1d(np.asarray(raw, dtype=float))
+        arr = (None if any(isinstance(v, bool) for v in entries)
+               else np.atleast_1d(np.asarray(raw, dtype=float)))
     except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number or a list of numbers, got {raw!r}") from None
+        arr = None
+    if arr is None:
+        raise ConfigError(f"{name} must be a number or a list of numbers, got {raw!r}")
     if arr.size == 1:
         arr = np.full(count, float(arr[0]))
     if arr.shape != (count,):
         raise ConfigError(f"{name} must be a scalar or a list of {count} values")
+    if bound and np.any(np.isnan(arr)):
+        raise ConfigError(f"{name} must not be NaN, got {raw!r}")
+    if not (bound or np.all(np.isfinite(arr))):
+        raise ConfigError(f"{name} must be finite, got {raw!r}")
     return arr
 
 
@@ -199,17 +230,14 @@ def config_from_dict(doc: dict, base_dir: str = ".",
         raise ConfigError(f"unknown regularizer {regularizer!r}")
 
     dims = plant.dims
-    try:
-        q_diag = _per_channel(control.get("q", 1.0), dims.p, "control.q")
-        r_diag = _per_channel(control.get("r", 0.1), dims.m, "control.r")
-        u_ref = _per_channel(control.get("u_ref", 0.0), dims.m, "control.u_ref")
-        y_ref = _per_channel(control.get("y_ref", 0.0), dims.p, "control.y_ref")
-        u_min = _per_channel(control.get("u_min"), dims.m, "control.u_min", allow_none=True)
-        u_max = _per_channel(control.get("u_max"), dims.m, "control.u_max", allow_none=True)
-        y_min = _per_channel(control.get("y_min"), dims.p, "control.y_min", allow_none=True)
-        y_max = _per_channel(control.get("y_max"), dims.p, "control.y_max", allow_none=True)
-    except ConfigError:
-        raise
+    q_diag = _per_channel(control.get("q", 1.0), dims.p, "control.q")
+    r_diag = _per_channel(control.get("r", 0.1), dims.m, "control.r")
+    u_ref = _per_channel(control.get("u_ref", 0.0), dims.m, "control.u_ref")
+    y_ref = _per_channel(control.get("y_ref", 0.0), dims.p, "control.y_ref")
+    u_min = _per_channel(control.get("u_min"), dims.m, "control.u_min", bound=True)
+    u_max = _per_channel(control.get("u_max"), dims.m, "control.u_max", bound=True)
+    y_min = _per_channel(control.get("y_min"), dims.p, "control.y_min", bound=True)
+    y_max = _per_channel(control.get("y_max"), dims.p, "control.y_max", bound=True)
     if np.any(q_diag < 0) or np.any(r_diag <= 0):
         raise ConfigError("control.q must be >= 0 and control.r must be > 0")
 
@@ -219,6 +247,13 @@ def config_from_dict(doc: dict, base_dir: str = ".",
     lam = _number(control.get("lambda", 1.0), float, "control.lambda")
     grid = tuple(_number(g, float, "control.lambda_grid") for g in grid)
     check_weights(controller, (lam, *grid))
+
+    data_input_std = _number(data.get("input_std", 1.0), float, "data.input_std")
+    if not (math.isfinite(data_input_std) and data_input_std >= 0.0):
+        raise ConfigError(
+            f"data.input_std must be finite and non-negative, got {data_input_std}")
+    data_seed = _seed(data.get("seed", 0), "data.seed")
+    run_seed = _seed(run.get("seed", 0), "run.seed")
 
     run_steps = _number(run.get("steps", 30), int, "run.steps")
     if run_steps <= l_ini:
@@ -255,8 +290,8 @@ def config_from_dict(doc: dict, base_dir: str = ".",
         plant=plant,
         data_steps=data_steps,
         data_mode=data_mode,
-        data_input_std=_number(data.get("input_std", 1.0), float, "data.input_std"),
-        data_seed=_number(data.get("seed", 0), int, "data.seed"),
+        data_input_std=data_input_std,
+        data_seed=data_seed,
         data_initial=data_initial,
         l_ini=l_ini,
         l_f=l_f,
@@ -274,7 +309,7 @@ def config_from_dict(doc: dict, base_dir: str = ".",
         regularizer=regularizer,
         run_steps=run_steps,
         repetitions=repetitions,
-        run_seed=_number(run.get("seed", 0), int, "run.seed"),
+        run_seed=run_seed,
         apply_steps=apply_steps,
         solver=solver,
         rank_tol=rank_tol,
@@ -409,110 +444,122 @@ def run_closed_loop(cfg: ExperimentConfig, seed: int | None = None,
     outputs.
     """
     _, dm, pm = identification_run(cfg)
-    return _closed_loop(cfg, dm, pm, cfg.control_problem(), seed, lam)
+    return _closed_loop(cfg, dm, pm, cfg.control_problem(), _noise_factors(cfg.plant),
+                        seed, lam)
 
 
-def _gaussian_noise(rng: np.random.Generator, cov: np.ndarray):
-    """A function drawing ``rng.multivariate_normal(zeros, cov)`` bit for bit
-    and from the same stream, with ``cov`` factored once rather than per
-    draw: numpy's default method, F = U sqrt(s) from the SVD U diag(s) V^T
-    of cov, and its PSD check, which warns."""
+def _noise_factor(cov: np.ndarray) -> np.ndarray:
+    """F^T for numpy's default ``multivariate_normal`` method: F = U sqrt(s)
+    from the SVD U diag(s) V^T of ``cov``, after its PSD check, which warns."""
     cov = np.array(cov, dtype=float)
     u, s, vh = np.linalg.svd(cov)
     if not np.allclose(np.dot(vh.T * s, vh), cov, rtol=1e-8, atol=1e-8):
         warnings.warn("covariance is not symmetric positive-semidefinite.",
                       RuntimeWarning, stacklevel=2)
-    factor_t = (u * np.sqrt(s)).T
-    mean = np.zeros(cov.shape[0])
+    return (u * np.sqrt(s)).T
 
-    def draw():
-        return (mean + rng.standard_normal(mean.shape[0]).reshape(1, -1) @ factor_t)[0]
 
-    return draw
+def _noise_factors(model: StochasticLtiModel) -> tuple[np.ndarray, np.ndarray]:
+    """The process and measurement noise factors of ``model``."""
+    return _noise_factor(model.Sigma_xi), _noise_factor(model.Sigma_eta)
+
+
+def _gaussian_draws(rng: np.random.Generator, factor_t: np.ndarray, steps: int) -> np.ndarray:
+    """``steps`` rows, each ``rng.multivariate_normal(zeros, cov)`` bit for bit
+    and from the same stream, for ``factor_t = _noise_factor(cov)``.
+
+    Each row is its own (1, k) @ (k, k) product, numpy's per-draw product,
+    stacked; one (steps, k) @ (k, k) product rounds some rows differently.
+    """
+    k = factor_t.shape[0]
+    z = rng.standard_normal((steps, k))
+    return np.zeros(k) + (z[:, None, :] @ factor_t)[:, 0]
 
 
 def _closed_loop(cfg: ExperimentConfig, dm, pm, cp: ctl.ControlProblem,
+                 noise_factors: tuple[np.ndarray, np.ndarray],
                  seed: int | None, lam: float | None) -> RunRecord:
     """The loop of :func:`run_closed_loop` on an identified data matrix and
-    predictor and a built control problem."""
+    predictor, a built control problem and the plant's noise factors.
+
+    A step is the controller call and a few vector operations: the noise of
+    the run is drawn before it, the samples go into one preallocated array,
+    and the records are built from that array after it.
+    """
     seed = cfg.run_seed if seed is None else seed
     model = cfg.plant
     dims = model.dims
+    m, l_ini, steps = dims.m, cfg.l_ini, cfg.run_steps
+    a, b, c, d = model.A, model.B, model.C, model.D
 
     ss = np.random.SeedSequence(seed)
     rng_warm, rng_xi, rng_eta = [np.random.default_rng(s) for s in ss.spawn(3)]
-    u_ref_step = cfg.u_ref
-    y_ref_step = cfg.y_ref
+    xi_seq = _gaussian_draws(rng_xi, noise_factors[0], steps)
+    eta_seq = _gaussian_draws(rng_eta, noise_factors[1], steps)
+    warm_up = np.clip(cfg.data_input_std * rng_warm.standard_normal((l_ini, m)),
+                      cp.u_lower[:m], cp.u_upper[:m])
 
+    # Row l_ini + t holds sample t, (u_t, y_t); the zero rows before sample 0
+    # pad the warm-up's history windows, so rows t..t+l_ini-1 are w_ini at t.
+    samples = np.zeros((l_ini + steps, dims.q))
+    iterations = [0] * steps
+    lam_eff = [math.nan] * steps
+    status = [""] * steps  # "" on warm-up and carried multi-step rows
     x = np.zeros(model.n)
-    history: list[np.ndarray] = []
-    records: list[StepRecord] = []
+
+    def apply(t, u):
+        # plant.step's update, on arrays of the right shape already.
+        nonlocal x
+        samples[l_ini + t, m:] = c @ x + d @ u + eta_seq[t]
+        samples[l_ini + t, :m] = u
+        x = a @ x + b @ u + xi_seq[t]
+
+    for t in range(l_ini):
+        apply(t, warm_up[t])
+
+    t = l_ini
     aborted = False
     abort_reason = None
-
-    draw_xi = _gaussian_noise(rng_xi, model.Sigma_xi)
-    draw_eta = _gaussian_noise(rng_eta, model.Sigma_eta)
-
-    def noise():
-        return draw_xi(), draw_eta()
-
-    def snapshot():
-        window = np.zeros(dims.q * cfg.l_ini)
-        tail = history[-cfg.l_ini :]
-        if tail:
-            stacked = np.concatenate(tail)
-            window[-stacked.size :] = stacked
-        return window
-
-    def record(t, w_ini, u, y, iterations, lam_eff, status=""):
-        du = u - u_ref_step
-        dy = y - y_ref_step
-        stage = float(du @ (cfg.r_diag * du) + dy @ (cfg.q_diag * dy))
-        records.append(
-            StepRecord(
-                t=t, w_ini=w_ini, u=u.copy(), y=y.copy(),
-                stage_cost=stage, solver_iterations=iterations,
-                lambda_effective=lam_eff, solver_status=status,
-            )
-        )
-
-    t = 0
-    while t < cfg.l_ini:
-        w_snapshot = snapshot()
-        u = np.clip(cfg.data_input_std * rng_warm.standard_normal(dims.m),
-                    cp.u_lower[: dims.m], cp.u_upper[: dims.m])
-        xi, eta = noise()
-        x, y = step(model, x, u, xi, eta)
-        history.append(np.concatenate([u, y]))
-        record(t, w_snapshot, u, y, 0, math.nan)
-        t += 1
-
-    while t < cfg.run_steps:
-        w_ini = np.concatenate(history[-cfg.l_ini :])
+    while t < steps:
+        w_ini = samples[t : t + l_ini].flatten()
         try:
             result = _solve_controller(cfg, dm, pm, cp, w_ini, lam=lam)
         except InfeasibleProblem as exc:
             aborted = True
             abort_reason = f"controller infeasible at t={t}: {exc}"
             break
-        plan = result.u_f.reshape(cfg.l_f, dims.m)
-        for k in range(min(cfg.apply_steps, cfg.run_steps - t)):
-            u = plan[k]
-            xi, eta = noise()
-            x, y = step(model, x, u, xi, eta)
-            history.append(np.concatenate([u, y]))
-            record(
-                t, w_ini if k == 0 else np.concatenate(history[-cfg.l_ini - 1 : -1]),
-                u, y,
-                result.solver.iterations if k == 0 else 0,
-                result.lambda_effective,
-                status=result.solver.status if k == 0 else "",
-            )
+        iterations[t] = result.solver.iterations
+        status[t] = result.solver.status
+        plan = result.u_f.reshape(cfg.l_f, m)
+        for u in plan[: min(cfg.apply_steps, steps - t)]:
+            lam_eff[t] = result.lambda_effective
+            apply(t, u)
             t += 1
 
     return RunRecord(
-        dims=dims, l_ini=cfg.l_ini, controller=cfg.controller, seed=seed,
-        steps=tuple(records), aborted=aborted, abort_reason=abort_reason,
+        dims=dims, l_ini=l_ini, controller=cfg.controller, seed=seed,
+        steps=_step_records(cfg, samples[: l_ini + t], iterations, lam_eff, status),
+        aborted=aborted, abort_reason=abort_reason,
+    )
+
+
+def _step_records(cfg: ExperimentConfig, samples: np.ndarray, iterations, lam_eff,
+                  status) -> tuple[StepRecord, ...]:
+    """The records of the steps whose samples follow ``samples``' l_ini
+    padding rows. A stage cost is ``du @ (r du) + dy @ (q dy)``, its two dot
+    products stacked one per step."""
+    m, l_ini = cfg.dims.m, cfg.l_ini
+    count = samples.shape[0] - l_ini
+    windows = np.hstack([samples[j : j + count] for j in range(l_ini)])
+    u, y = samples[l_ini:, :m].copy(), samples[l_ini:, m:].copy()
+    du, dy = u - cfg.u_ref, y - cfg.y_ref
+    stage = ((du[:, None, :] @ (cfg.r_diag * du)[:, :, None])[:, 0, 0]
+             + (dy[:, None, :] @ (cfg.q_diag * dy)[:, :, None])[:, 0, 0]).tolist()
+    return tuple(
+        StepRecord(t=t, w_ini=windows[t], u=u[t], y=y[t], stage_cost=stage[t],
+                   solver_iterations=iterations[t], lambda_effective=lam_eff[t],
+                   solver_status=status[t])
+        for t in range(count)
     )
 
 
@@ -543,13 +590,14 @@ def sweep_lambda(cfg: ExperimentConfig, grid=None) -> list[SweepCell]:
     check_weights(cfg.controller, values)
     _, dm, pm = identification_run(cfg)
     cp = cfg.control_problem()
+    noise_factors = _noise_factors(cfg.plant)
     cells = []
     for lam in values:
         costs = []
         failed = 0
         for rep in range(cfg.repetitions):
             try:
-                rec = _closed_loop(cfg, dm, pm, cp, cfg.run_seed + rep, lam)
+                rec = _closed_loop(cfg, dm, pm, cp, noise_factors, cfg.run_seed + rep, lam)
             except GdpcError:
                 failed += 1
                 continue

@@ -11,8 +11,8 @@ A recorded run (``simulate``) has no per-sample Python loop: its states
 solve the unit lower block-bidiagonal system x_0 = start,
 x_{t+1} - A x_t = B u_t + xi_t by one banded forward substitution (LAPACK
 ``dtbtrs``, 2n^2 doubles of band per sample), which matches the stepwise
-recursion to rounding, not bit for bit. ``step`` is the closed loop's
-per-sample update.
+recursion to rounding, not bit for bit. ``step`` is one exact per-sample
+update; the closed loop applies its expressions inline.
 """
 
 import json
@@ -148,7 +148,12 @@ def build_block_operators(model: StochasticLtiModel, window: int) -> BlockOperat
 
 
 def step(model: StochasticLtiModel, x, u, xi=None, eta=None):
-    """One exact plant update; returns (x_next, y)."""
+    """One exact plant update; returns (x_next, y).
+
+    ``harness._closed_loop`` applies these two expressions inline on arrays
+    of the right shape, without the conversions here, so a change to them
+    must be made there too.
+    """
     x = np.asarray(x, dtype=float).reshape(model.n)
     u = np.asarray(u, dtype=float).reshape(model.m)
     xi = np.zeros(model.n) if xi is None else np.asarray(xi, dtype=float).reshape(model.n)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests driven through a subprocess (real exit codes)."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -146,7 +147,10 @@ class TestClosedLoop:
     @pytest.mark.parametrize("key,value", [
         ("control.lambda", "abc"), ("run.steps", "ten"), ("control.q", "x"),
         ("horizons.L_f", "8.5"), ("rank_tol", "tiny"), ("data.seed", "s"),
-        ("run.steps", 20.5),
+        ("run.steps", 20.5), ("horizons.L_ini", True), ("control.lambda", False),
+        ("control.q", math.inf), ("control.y_ref", math.inf), ("control.r", [math.nan]),
+        ("control.u_max", math.nan), ("data.input_std", -1.0), ("data.input_std", math.inf),
+        ("data.seed", -1), ("run.seed", -1),
     ])
     def test_non_numeric_value_is_config_error(self, workdir, key, value):
         config = json.loads((workdir / "config.json").read_text())
@@ -205,3 +209,9 @@ class TestVerifyCommand:
     def test_bad_suite_rejected_by_argparse(self):
         proc = run_cli("verify", "--suite", "everything")
         assert proc.returncode == 2  # argparse usage error
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_rejected_by_argparse(self, seed):
+        proc = run_cli("verify", "--suite", "solver", "--seed", seed)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "--seed" in proc.stderr and "Traceback" not in proc.stderr

@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import record_solver_paths
+from conftest import random_stable_plant, record_solver_paths
 
 from gdpc import control, harness, plant, qp
-from gdpc.errors import ConfigError, LambdaTooSmall
+from gdpc.errors import ConfigError, InfeasibleProblem, LambdaTooSmall
 from gdpc.harness import (
     config_from_dict,
     load_config,
@@ -165,6 +165,17 @@ class TestConfig:
         assert not np.array_equal(traj_b.samples, traj_s.samples)
         doc["data"]["initial"] = "warm"
         with pytest.raises(ConfigError):
+            config_from_dict(doc)
+
+    def test_infinite_bound_and_zero_input_std_accepted(self):
+        doc = base_doc()
+        doc["control"].update(u_min=-math.inf, u_max=[math.inf], y_max=2.0)
+        doc["data"]["input_std"] = 0.0
+        cfg = config_from_dict(json.loads(json.dumps(doc)))
+        assert cfg.u_min[0] == -math.inf and cfg.u_max[0] == math.inf
+        assert cfg.data_input_std == 0.0
+        doc["control"]["u_max"] = [math.nan]
+        with pytest.raises(ConfigError, match="control.u_max"):
             config_from_dict(doc)
 
 
@@ -613,20 +624,132 @@ def plant_noise_covariances():
 
 
 class TestPlantNoise:
-    """The closed loop factors each noise covariance once per run; its draws
-    are rng.multivariate_normal's, bit for bit and from the same stream."""
+    """The closed loop factors each noise covariance once and draws a run's
+    noise at once; its rows are rng.multivariate_normal's, bit for bit and
+    from the same stream."""
 
     @pytest.mark.parametrize("name", sorted(plant_noise_covariances()))
     def test_draws_match_multivariate_normal(self, name):
         cov = plant_noise_covariances()[name]
         ours, numpy_rng = np.random.default_rng(8), np.random.default_rng(8)
-        draw = harness._gaussian_noise(ours, cov)
+        draws = harness._gaussian_draws(ours, harness._noise_factor(cov), 2000)
         mean = np.zeros(cov.shape[0])
-        for _ in range(2000):
-            got, want = draw(), numpy_rng.multivariate_normal(mean, cov)
+        for got in draws:
+            want = numpy_rng.multivariate_normal(mean, cov)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert ours.standard_normal() == numpy_rng.standard_normal()
 
     def test_indefinite_covariance_warns_once(self):
-        with pytest.warns(RuntimeWarning, match="positive-semidefinite"):
-            harness._gaussian_noise(np.random.default_rng(0), np.diag([1.0, -1.0]))
+        with pytest.warns(RuntimeWarning, match="positive-semidefinite") as caught:
+            harness._noise_factor(np.diag([1.0, -1.0]))
+        assert len(caught) == 1
+
+
+def stepwise_closed_loop(cfg, seed=None):
+    """run_closed_loop as a loop of single steps: a multivariate_normal draw
+    per noise stream and a plant.step per step, the history a list of
+    samples, and each record built as its step is taken."""
+    seed = cfg.run_seed if seed is None else seed
+    _, dm, pm = harness.identification_run(cfg)
+    cp = cfg.control_problem()
+    model = cfg.plant
+    dims = model.dims
+    rng_warm, rng_xi, rng_eta = [
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+    x = np.zeros(model.n)
+    history, records = [], []
+
+    def advance(u):
+        nonlocal x
+        xi = rng_xi.multivariate_normal(np.zeros(model.n), model.Sigma_xi)
+        eta = rng_eta.multivariate_normal(np.zeros(model.p), model.Sigma_eta)
+        x, y = plant.step(model, x, u, xi, eta)
+        history.append(np.concatenate([u, y]))
+        return y
+
+    def record(t, w_ini, u, y, iterations, lam_eff, status=""):
+        du, dy = u - cfg.u_ref, y - cfg.y_ref
+        records.append(harness.StepRecord(
+            t=t, w_ini=w_ini, u=u.copy(), y=y.copy(),
+            stage_cost=float(du @ (cfg.r_diag * du) + dy @ (cfg.q_diag * dy)),
+            solver_iterations=iterations, lambda_effective=lam_eff, solver_status=status))
+
+    for t in range(cfg.l_ini):
+        window = np.zeros(dims.q * cfg.l_ini)
+        if history:
+            window[-dims.q * t:] = np.concatenate(history)
+        u = np.clip(cfg.data_input_std * rng_warm.standard_normal(dims.m),
+                    cp.u_lower[: dims.m], cp.u_upper[: dims.m])
+        record(t, window, u, advance(u), 0, math.nan)
+    t, aborted, reason = cfg.l_ini, False, None
+    while t < cfg.run_steps:
+        w_ini = np.concatenate(history[-cfg.l_ini:])
+        try:
+            result = harness._solve_controller(cfg, dm, pm, cp, w_ini)
+        except InfeasibleProblem as exc:
+            aborted, reason = True, f"controller infeasible at t={t}: {exc}"
+            break
+        plan = result.u_f.reshape(cfg.l_f, dims.m)
+        for k in range(min(cfg.apply_steps, cfg.run_steps - t)):
+            window = w_ini if k == 0 else np.concatenate(history[-cfg.l_ini:])
+            y = advance(plan[k])
+            record(t, window, plan[k], y, result.solver.iterations if k == 0 else 0,
+                   result.lambda_effective, result.solver.status if k == 0 else "")
+            t += 1
+    return harness.RunRecord(dims=dims, l_ini=cfg.l_ini, controller=cfg.controller,
+                             seed=seed, steps=tuple(records), aborted=aborted,
+                             abort_reason=reason)
+
+
+def dense_noise_plant():
+    """A stable 6-state, 3-input, 3-output plant whose process noise has
+    rank 2 and whose measurement noise is dense."""
+    covs = plant_noise_covariances()
+    model = random_stable_plant(np.random.default_rng(12), n=6, m=3, p=3)
+    return dataclasses.replace(model, Sigma_xi=covs["6_state_xi_rank_2"],
+                               Sigma_eta=covs["3x3_eta"])
+
+
+ORACLE_WEIGHTS = {"spc": {}, "ce": {}, "deepc": {"lambda": 50.0},
+                  "optimistic": {"lambda": 50.0}, "robust": {"lambda": 50.0}}
+
+
+class TestStepwiseOracle:
+    """run_closed_loop draws a run's noise at once, steps the plant inline and
+    builds its records at the end; its CSV is the stepwise loop's, byte for
+    byte."""
+
+    @staticmethod
+    def assert_same_run(doc):
+        cfg = config_from_dict(doc)
+        got, want = run_closed_loop(cfg), stepwise_closed_loop(cfg)
+        assert got.to_csv_bytes() == want.to_csv_bytes()
+        assert (got.aborted, got.abort_reason) == (want.aborted, want.abort_reason)
+        assert got.summary_dict() == want.summary_dict()
+        return got
+
+    @pytest.mark.parametrize("apply_steps", [1, 3])
+    @pytest.mark.parametrize("controller", harness.CONTROLLER_NAMES)
+    def test_example_config(self, controller, apply_steps):
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        doc["control"].update(controller=controller, **ORACLE_WEIGHTS[controller])
+        doc["run"]["apply_steps"] = apply_steps
+        assert not self.assert_same_run(doc).aborted
+
+    @pytest.mark.parametrize("controller", ["spc", "deepc", "optimistic"])
+    def test_output_box(self, controller):
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        doc["control"].update(controller=controller, y_min=-3.0, y_max=0.95,
+                              **ORACLE_WEIGHTS[controller])
+        doc["run"]["apply_steps"] = 3
+        # spc cannot keep this output box: its run aborts infeasible.
+        assert self.assert_same_run(doc).aborted == (controller == "spc")
+
+    @pytest.mark.parametrize("controller", harness.CONTROLLER_NAMES)
+    def test_dense_and_rank_deficient_noise(self, controller):
+        doc = base_doc(plant=dense_noise_plant().to_json_dict())
+        doc["data"]["steps"] = 300
+        doc["control"] = {"controller": controller, "q": 1.0, "r": 0.05, "y_ref": 1.0,
+                          "u_min": -3.0, "u_max": 3.0, **ORACLE_WEIGHTS[controller]}
+        doc["run"] = {"steps": 30, "seed": 4, "apply_steps": 2}
+        assert not self.assert_same_run(doc).aborted
