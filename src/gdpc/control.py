@@ -63,11 +63,18 @@ PredictiveModel, DataMatrix and ControlProblem are read-only, so an
 in-place write raises instead of leaving a stale set-up; a different model
 is a different object. A step evaluates the expressions of a one-shot call
 with the constant parts computed once ((M_u^T Z) v is what M_u^T Z v
-evaluates), so its results are bit for bit those of a fresh set-up. A step validates nothing that the set-up has: its QP is the
-set-up's with the new vector checked, and every step's predictive
+evaluates), so its results are bit for bit those of a fresh set-up.
+
+A step checks what depends on its call, w_ini's length and finiteness and
+the QP's new vector, and validates nothing that the set-up has: its QP is
+the set-up's with the new vector checked, and every step's predictive
 distribution shares the model's covariance, which PredictiveModel has made
 read-only, symmetric and finite, without checking it again
-(``ConditionalGaussian._of_model``).
+(``ConditionalGaussian._of_model``). The result is built from those
+checked parts without the dataclass ``__init__``
+(``ControlResult._of_parts``), as the solver's is; certainty equivalence
+takes spc's result with only the objective replaced, and spc forms its
+objective from the deviations it holds (``ControlProblem._deviation_cost``).
 """
 
 import math
@@ -203,8 +210,13 @@ class ControlProblem:
         )
 
     def tracking_cost(self, u_f, y_f) -> float:
-        du = np.asarray(u_f, dtype=float).reshape(-1) - self.u_ref
-        dy = np.asarray(y_f, dtype=float).reshape(-1) - self.y_ref
+        return self._deviation_cost(np.asarray(u_f, dtype=float).reshape(-1) - self.u_ref,
+                                    np.asarray(y_f, dtype=float).reshape(-1) - self.y_ref)
+
+    def _deviation_cost(self, du, dy) -> float:
+        """||du||_R^2 + ||dy||_Q^2 for the 1-D float deviations du = u_f -
+        u_ref and dy = y_f - y_ref: :meth:`tracking_cost` without its
+        conversions, for a controller that holds them."""
         return float(du @ self.R @ du + dy @ self.Q @ dy)
 
 
@@ -216,6 +228,17 @@ class ControlResult:
     solver: QpSolution
     lambda_effective: float
     g: np.ndarray | None = None
+
+    @classmethod
+    def _of_parts(cls, u_f, y_pred, objective, solver, lambda_effective,
+                  g=None) -> "ControlResult":
+        """The result of parts a controller has formed from checked inputs,
+        built without the dataclass ``__init__`` (module docstring); the
+        object is as frozen as one built by it."""
+        new = object.__new__(cls)
+        new.__dict__.update(u_f=u_f, y_pred=y_pred, objective=objective, solver=solver,
+                            lambda_effective=lambda_effective, g=g)
+        return new
 
 
 @dataclass(frozen=True)
@@ -233,12 +256,14 @@ class LambdaThreshold:
     lambda_psd: float
 
 
-def _check_w_ini(pm: PredictiveModel, w_ini) -> np.ndarray:
+def _check_w_ini(w_ini, size: int) -> np.ndarray:
+    """``w_ini`` as a 1-D float vector; raises :class:`ShapeError` unless it
+    has length ``size`` and finite entries."""
     w = np.asarray(w_ini, dtype=float).reshape(-1)
-    if w.shape[0] != pm.M_ini.shape[1]:
-        raise ShapeError(
-            f"w_ini must have length {pm.M_ini.shape[1]}, got {w.shape[0]}"
-        )
+    if w.shape[0] != size:
+        raise ShapeError(f"w_ini must have length {size}, got {w.shape[0]}")
+    if not np.isfinite(w).all():
+        raise ShapeError("w_ini contains non-finite entries")
     return w
 
 
@@ -366,18 +391,13 @@ def spc(
 ) -> ControlResult:
     """Deterministic predictor-based control (outputs eliminated unless an
     output box forces them to stay as constrained variables)."""
-    w = _check_w_ini(pm, w_ini)
-    bias = pm.M_ini @ w
+    bias = pm.M_ini @ _check_w_ini(w_ini, pm.M_ini.shape[1])
     sol = _prepared("spc", pm, cp, (), lambda: _spc_setup(pm, cp))(bias, settings)
     u = sol.x[: cp.n_u]
     y_mean = pm.M_u @ u + bias
-    return ControlResult(
-        u_f=u,
-        y_pred=ConditionalGaussian._of_model(y_mean, pm.cov),
-        objective=cp.tracking_cost(u, y_mean),
-        solver=sol,
-        lambda_effective=math.inf,
-    )
+    return ControlResult._of_parts(
+        u, ConditionalGaussian._of_model(y_mean, pm.cov),
+        cp._deviation_cost(u - cp.u_ref, y_mean - cp.y_ref), sol, math.inf)
 
 
 # spc as defined here, for certainty_equivalence: a caller that rebinds the
@@ -401,8 +421,8 @@ def certainty_equivalence(
     trace = _prepared("certainty_equivalence", pm, cp, (),
                       lambda: float(np.trace(cp.Q @ pm.cov)))
     res = _spc(pm, w_ini, cp, settings)
-    return ControlResult(u_f=res.u_f, y_pred=res.y_pred, objective=res.objective + trace,
-                         solver=res.solver, lambda_effective=res.lambda_effective)
+    return ControlResult._of_parts(res.u_f, res.y_pred, res.objective + trace, res.solver,
+                                   res.lambda_effective)
 
 
 def _deepc_setup(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g: float,
@@ -558,24 +578,15 @@ def deepc(
         raise ValueError(f"regularizer must be one of {REGULARIZERS}, got {regularizer!r}")
     if not (math.isfinite(lambda_g) and lambda_g >= 0.0):
         raise ValueError(f"lambda_g must be finite and nonnegative, got {lambda_g}")
-    w = np.asarray(w_ini, dtype=float).reshape(-1)
-    n_ini = dm.dims.q * dm.l_ini
-    if w.shape[0] != n_ini:
-        raise ShapeError(f"w_ini must have length {n_ini}, got {w.shape[0]}")
+    w = _check_w_ini(w_ini, dm.dims.q * dm.l_ini)
     if cp.dims != dm.dims or cp.l_ini != dm.l_ini or cp.l_f != dm.l_f:
         raise ShapeError("control problem and data matrix disagree on dims/horizons")
 
     step = _prepared("deepc", dm, cp, (regularizer, lambda_g, rank_tol),
                      lambda: _deepc_setup(dm, cp, regularizer, lambda_g, rank_tol))
     u, y_mean, cov, objective, sol, g = step(w, settings)
-    return ControlResult(
-        u_f=u,
-        y_pred=ConditionalGaussian._of_model(y_mean, cov),
-        objective=objective,
-        solver=sol,
-        lambda_effective=lambda_g,
-        g=g,
-    )
+    return ControlResult._of_parts(u, ConditionalGaussian._of_model(y_mean, cov), objective, sol,
+                                   lambda_g, g)
 
 
 def _optimistic_setup(pm: PredictiveModel, cp: ControlProblem, lam: float, jitter: float):
@@ -638,17 +649,14 @@ def optimistic(
     precision of the covariance, jittered if it is not PD."""
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be finite and positive, got {lam}")
-    bias = pm.M_ini @ _check_w_ini(pm, w_ini)
+    if not (math.isfinite(jitter) and jitter >= 0.0):
+        raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
+    bias = pm.M_ini @ _check_w_ini(w_ini, pm.M_ini.shape[1])
     step = _prepared("optimistic", pm, cp, (lam, jitter),
                      lambda: _optimistic_setup(pm, cp, lam, jitter))
     u, mu, objective, sol, *_ = step(bias, settings)
-    return ControlResult(
-        u_f=u,
-        y_pred=ConditionalGaussian._of_model(mu, pm.cov),
-        objective=objective,
-        solver=sol,
-        lambda_effective=lam,
-    )
+    return ControlResult._of_parts(u, ConditionalGaussian._of_model(mu, pm.cov), objective, sol,
+                                   lam)
 
 
 def hessian(pm: PredictiveModel, cp: ControlProblem, lam: float) -> HessianReport:
@@ -730,13 +738,8 @@ def robust(
         raise ValueError(f"lam must be finite, got {lam}")
     if cp.has_output_box:
         raise ShapeError("robust controller does not support output boxes")
-    w = _check_w_ini(pm, w_ini)
+    w = _check_w_ini(w_ini, pm.M_ini.shape[1])
     step = _prepared("robust", pm, cp, (lam,), lambda: _robust_setup(pm, cp, lam))
     u, mu_star, objective, sol = step(pm.M_ini @ w, settings)
-    return ControlResult(
-        u_f=u,
-        y_pred=ConditionalGaussian._of_model(mu_star, pm.cov),
-        objective=objective,
-        solver=sol,
-        lambda_effective=lam,
-    )
+    return ControlResult._of_parts(u, ConditionalGaussian._of_model(mu_star, pm.cov), objective,
+                                   sol, lam)

@@ -285,6 +285,8 @@ def config_from_dict(doc: dict, base_dir: str = ".",
     jitter = override("jitter", 1e-9)
     if not 0.0 < rank_tol < 1.0:
         raise ConfigError("rank_tol must be in (0, 1)")
+    if not (math.isfinite(jitter) and jitter >= 0.0):
+        raise ConfigError(f"jitter must be finite and non-negative, got {jitter}")
 
     return ExperimentConfig(
         plant=plant,

@@ -11,17 +11,18 @@ to ADMM.
   Cholesky solve of the free-variable block per iteration, and ends at the
   minimizer in finitely many steps. When the unconstrained minimizer lies
   strictly inside the box it is the answer, returned after that one solve
-  without the ratio and multiplier tests. The box-only controller QPs (spc,
-  certainty equivalence, optimistic and robust, with or without an output
-  box on optimistic, and deepc's eliminated form) are of this kind:
-  P >= 2R > 0. Without an output box their minimizer is often interior; on
-  ``configs/example.json`` every one is. With an output box on optimistic,
-  bounds are always active and most solves end after one or two
-  iterations, so the iteration does only the arithmetic of its statement:
-  a step whose free-block minimizer lies in the box is a full step without
-  a ratio test, and the rounding threshold of the multiplier test reads
-  |P| from the problem. A non-finite minimizer or step, or a free block
-  that rounding makes fail potrf, sends the problem to ADMM.
+  without the ratio and multiplier tests; one comparison, lower < x < upper
+  in every entry, decides it, and NaN and +-inf fail it. The box-only
+  controller QPs (spc, certainty equivalence, optimistic and robust, with
+  or without an output box on optimistic, and deepc's eliminated form) are
+  of this kind: P >= 2R > 0. Without an output box their minimizer is
+  often interior; on ``configs/example.json`` every one is. With an output
+  box on optimistic, bounds are always active and most solves end after
+  one or two iterations, so the iteration does only the arithmetic of its
+  statement: a step whose free-block minimizer lies in the box is a full
+  step without a ratio test, and the rounding threshold of the multiplier
+  test reads |P| from the problem. A non-finite minimizer or step, or a
+  free block that rounding makes fail potrf, sends the problem to ADMM.
 * A problem with equality rows whose KKT matrix [P A_eq'; A_eq 0] is
   nonsingular to working precision (LAPACK getrf, then a gecon reciprocal
   condition number above size * eps) goes to an exact dual active-set
@@ -73,9 +74,11 @@ KKT systems are factored and solved by calling LAPACK's getrf/getrs
 directly, keeping the finiteness and ``info`` checks of
 ``scipy.linalg.lu_factor``/``lu_solve`` but not their argument handling,
 which costs several times the solve itself; ADMM's iterate update works in
-place; and Ruiz scaling reads magnitudes taken once. Each returns the bits
-of the plain form it replaces; ``tests/test_qp.py`` checks the scaling and
-the KKT solve against that form.
+place; Ruiz scaling reads magnitudes taken once; and the primal method
+builds its :class:`QpSolution` from the fields it has formed, without the
+dataclass ``__init__``. Each returns the bits of the plain form it
+replaces; ``tests/test_qp.py`` checks the scaling, the KKT solve and the
+primal method against that form.
 
 Infinite bounds are encoded internally by ADMM as the sentinel magnitude
 1e30; the active-set methods use them as they are.
@@ -198,13 +201,13 @@ class QpProblem:
         side, of which only the new vectors are checked (length and
         finiteness). The result shares P's Cholesky factor, |P| and the KKT
         factor, none of which reads either vector."""
-        changes = {}
-        if q is not None:
-            changes["q"] = _finite_vector(q, self.n, "q")
-        if b_eq is not None:
-            changes["b_eq"] = _finite_vector(b_eq, self.n_eq, "b_eq")
         new = object.__new__(QpProblem)  # the validated fields, not re-validated
-        new.__dict__.update(self.__dict__, **changes)
+        fields = new.__dict__
+        fields.update(self.__dict__)
+        if q is not None:
+            fields["q"] = _finite_vector(q, self.n, "q")
+        if b_eq is not None:
+            fields["b_eq"] = _finite_vector(b_eq, self.n_eq, "b_eq")
         return new
 
 
@@ -234,6 +237,21 @@ class QpSolution:
     eq_duals: np.ndarray = field(default=None)
     bound_duals: np.ndarray = field(default=None)
     polished: bool = False
+
+    @classmethod
+    def _of_active_set(cls, x, objective, status, primal_residual, dual_residual,
+                       iterations, bound_duals) -> "QpSolution":
+        """The primal active-set method's solution, of fields it has formed:
+        no equality duals and not polished. Built without the dataclass
+        ``__init__``, whose per-field ``object.__setattr__`` is a sizeable
+        share of an interior solve's time; the object is as frozen as one
+        built by it."""
+        new = object.__new__(cls)
+        new.__dict__.update(x=x, objective=objective, status=status,
+                            primal_residual=primal_residual, dual_residual=dual_residual,
+                            iterations=iterations, eq_duals=np.zeros(0),
+                            bound_duals=bound_duals, polished=False)
+        return new
 
 OPTIMAL = "optimal"
 MAX_ITER = "max_iter"
@@ -497,29 +515,32 @@ def _active_set(prob: QpProblem, factor: np.ndarray, settings: QpSettings) -> Qp
     and ``dual_residual``; it is formed again only when no multiplier test
     has seen the final x (a blocked step ended the last iteration).
 
-    A start that lies on no bound is the unconstrained minimizer itself, and
-    it is returned at once: that is the first iteration with its dead work
-    removed, since with an empty working set the step is zero, no bound
+    An unconstrained minimizer strictly inside the box is returned at once,
+    decided by one comparison right after the solve, lower < x_unc < upper
+    in every entry. NaN and +-inf fail it, so it also proves x_unc finite.
+    That is the first iteration with its dead work removed: the start lies
+    on no bound, so with an empty working set the step is zero, no bound
     blocks it and no multiplier can be wrong. It reports what the loop
     would: ``iterations`` 1, zero ``bound_duals``, ``primal_residual`` 0 and
-    ``dual_residual`` max |Px + q|. A non-finite unconstrained minimizer or
-    step (P nearly singular in working precision) goes to ``_admm``, as a
-    free block that fails potrf does, so no non-finite x is returned.
+    ``dual_residual`` max |Px + q|. A finite minimizer that fails the
+    comparison lies on or beyond a bound (on one with equal bounds too), so
+    its clip starts the loop with that bound working. A non-finite
+    unconstrained minimizer or step (P nearly singular in working precision)
+    goes to ``_admm``, as a free block that fails potrf does, so no
+    non-finite x is returned.
     """
     p, q, lo, hi = prob.P, prob.q, prob.lower, prob.upper
     n = prob.n
     x_unc = dpotrs(factor, -q)[0]
+    if ((lo < x_unc) & (x_unc < hi)).all():  # the first iteration, its dead work removed
+        g = p @ x_unc + q
+        return QpSolution._of_active_set(
+            x_unc, float(0.5 * x_unc @ p @ x_unc + q @ x_unc), OPTIMAL,
+            0.0, float(np.abs(g).max(initial=0.0)), 1, np.zeros(n))
     if not np.isfinite(x_unc).all():
         return _admm(prob, settings)
-    x = _clip(x_unc, lo, hi)
+    x = _clip(x_unc, lo, hi)  # on a bound, since x_unc is finite and not inside
     at_lo, at_hi = x == lo, x == hi
-    if not (at_lo.any() or at_hi.any()):  # the first iteration, its dead work removed
-        g = p @ x_unc + q
-        return QpSolution(
-            x=x_unc, objective=float(0.5 * x_unc @ p @ x_unc + q @ x_unc), status=OPTIMAL,
-            primal_residual=0.0, dual_residual=float(np.abs(g).max(initial=0.0)),
-            iterations=1, eq_duals=np.zeros(0), bound_duals=np.zeros(n),
-        )
     abs_q, round_off = np.abs(q), n * _EPS
     g, status, it = None, MAX_ITER, 0  # g: Px + q at the current x, or None
     while it < settings.max_iter:
@@ -568,12 +589,10 @@ def _active_set(prob: QpProblem, factor: np.ndarray, settings: QpSettings) -> Qp
     if g is None:
         g = p @ x + q
     duals = np.where(at_lo | at_hi, -g, 0.0)
-    return QpSolution(
-        x=x, objective=float(0.5 * x @ p @ x + q @ x), status=status,
-        primal_residual=float(np.maximum(lo - x, x - hi).max(initial=0.0)),
-        dual_residual=float(np.abs(g + duals).max(initial=0.0)),
-        iterations=it, eq_duals=np.zeros(0), bound_duals=duals,
-    )
+    return QpSolution._of_active_set(
+        x, float(0.5 * x @ p @ x + q @ x), status,
+        float(np.maximum(lo - x, x - hi).max(initial=0.0)),
+        float(np.abs(g + duals).max(initial=0.0)), it, duals)
 
 
 def _eq_active_set(prob: QpProblem, factor, settings: QpSettings) -> QpSolution:

@@ -1,5 +1,6 @@
 """Shared instance generators and finite-difference oracles."""
 
+import dataclasses
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -143,3 +144,20 @@ def record_solver_paths(monkeypatch):
     for name in ("_active_set", "_eq_active_set", "_admm"):
         monkeypatch.setattr(qp, name, recorded(name, getattr(qp, name)))
     return calls
+
+
+def assert_same_fields(got, want):
+    """``got`` holds exactly the dataclass fields ``want`` holds, each of the
+    same type and value (arrays bit for bit, with shape and dtype), and is
+    frozen like it."""
+    assert type(got) is type(want)
+    assert vars(got).keys() == vars(want).keys()
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b), f.name
+        if isinstance(a, np.ndarray):
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), f.name
+        else:
+            assert a is b or a == b, f.name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(got, f.name, b)

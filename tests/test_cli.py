@@ -133,6 +133,14 @@ class TestClosedLoop:
         assert summary["steps_recorded"] == 25
 
 
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_bad_jitter_flag_is_config_error(self, workdir, value):
+        proc = run_cli("closed-loop", "--config", str(workdir / "config.json"),
+                       f"--jitter={value}", "--out", str(workdir / "bad.csv"))
+        assert proc.returncode == 3, proc.stderr
+        assert "jitter" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (workdir / "bad.csv").exists()
+
     @pytest.mark.parametrize("solver", [{"max_iter": 0}, {"eps_rel": -1e-6}])
     def test_bad_solver_setting_is_config_error(self, workdir, solver):
         config = json.loads((workdir / "config.json").read_text())
@@ -150,7 +158,8 @@ class TestClosedLoop:
         ("run.steps", 20.5), ("horizons.L_ini", True), ("control.lambda", False),
         ("control.q", math.inf), ("control.y_ref", math.inf), ("control.r", [math.nan]),
         ("control.u_max", math.nan), ("data.input_std", -1.0), ("data.input_std", math.inf),
-        ("data.seed", -1), ("run.seed", -1),
+        ("data.seed", -1), ("run.seed", -1), ("jitter", -1.0), ("jitter", math.nan),
+        ("jitter", math.inf),
     ])
     def test_non_numeric_value_is_config_error(self, workdir, key, value):
         config = json.loads((workdir / "config.json").read_text())

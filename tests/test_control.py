@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import (
+    assert_same_fields,
     fd_hessian,
     random_control_instance,
     random_stable_plant,
@@ -15,6 +16,7 @@ from gdpc import control, qp
 from gdpc.behavior import PredictiveModel, kl_mean_term, predictive_model
 from gdpc.control import (
     ControlProblem,
+    ControlResult,
     certainty_equivalence,
     deepc,
     hessian,
@@ -23,7 +25,7 @@ from gdpc.control import (
     robust,
     spc,
 )
-from gdpc.errors import LambdaTooSmall, ShapeError
+from gdpc.errors import InfeasibleProblem, LambdaTooSmall, ShapeError
 from gdpc.linalg import pinv, sym_eig
 from gdpc.plant import simulate, step
 from gdpc.qp import QpProblem, QpSettings, solve
@@ -785,14 +787,80 @@ class TestControlProblemValidation:
 @pytest.mark.parametrize("controller,weight", [
     ("deepc", np.nan), ("deepc", np.inf), ("optimistic", np.nan), ("optimistic", np.inf),
     ("robust", np.nan), ("robust", np.inf), ("robust", -np.inf),
+    ("optimistic_jitter", -1.0), ("optimistic_jitter", np.nan), ("optimistic_jitter", np.inf),
 ])
 def test_non_finite_weights_are_rejected(controller, weight):
     inst = random_control_instance(np.random.default_rng(16))
     with pytest.raises(ValueError, match="finite"):
         if controller == "deepc":
             deepc(inst.dm, inst.w_ini, inst.cp, "proj2", weight)
+        elif controller == "optimistic_jitter":  # the weight is optimistic's jitter
+            optimistic(inst.pm, inst.w_ini, inst.cp, 1.0, jitter=weight)
         else:
             getattr(control, controller)(inst.pm, inst.w_ini, inst.cp, weight)
+
+
+def call_controller(name, inst, w_ini):
+    """One call of controller ``name`` (deepc as deepc-<regularizer>) on
+    ``inst`` with the history window ``w_ini``; optimistic and robust at
+    twice the robust threshold, deepc at lambda_g 1."""
+    lam = 2.0 * max(lambda_threshold(inst.pm, inst.cp).lambda0, 1.0)
+    if name.startswith("deepc"):
+        return deepc(inst.dm, w_ini, inst.cp, name.split("-")[1], 1.0)
+    if name in ("optimistic", "robust"):
+        return getattr(control, name)(inst.pm, w_ini, inst.cp, lam)
+    return {"spc": spc, "ce": certainty_equivalence}[name](inst.pm, w_ini, inst.cp)
+
+
+CONTROLLER_CALLS = ("spc", "ce", "optimistic", "robust", "deepc-proj2", "deepc-sq2")
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("controller", CONTROLLER_CALLS)
+def test_non_finite_w_ini_is_named(controller, entry):
+    inst = random_control_instance(np.random.default_rng(17), with_input_box=True)
+    w_ini = inst.w_ini.copy()
+    w_ini[-1] = entry
+    with pytest.raises(ShapeError, match="w_ini contains non-finite entries"):
+        call_controller(controller, inst, w_ini)
+
+
+class TestResultsFromCheckedParts:
+    """A ControlResult is built from its parts without the dataclass
+    __init__; it must hold what that __init__ would and stay frozen."""
+
+    @pytest.mark.parametrize("controller,output_box", [
+        (name, box) for name in CONTROLLER_CALLS + ("deepc-l1",) for box in (False, True)
+        if not (box and name == "robust")  # robust has no output-box form
+    ])
+    def test_result_is_the_dataclass_built_one(self, controller, output_box):
+        inst = random_control_instance(np.random.default_rng(18), with_input_box=True,
+                                       with_output_box=output_box)
+        res = call_controller(controller, inst, inst.w_ini)
+        built = ControlResult(**{f.name: getattr(res, f.name)
+                                 for f in dataclasses.fields(ControlResult)})
+        assert_same_fields(res, built)
+        assert type(res.objective) is float and (res.g is None) == (controller[:5] != "deepc")
+
+    @pytest.mark.parametrize("output_box", [False, True])
+    def test_spc_objective_is_the_tracking_cost(self, output_box):
+        # Bit for bit: spc forms it from its deviations with tracking_cost's
+        # expressions, and certainty equivalence adds tr(Q cov).
+        solved = 0
+        for seed in range(8):
+            inst = random_control_instance(np.random.default_rng(seed), with_input_box=True,
+                                           with_output_box=output_box)
+            try:
+                res = spc(inst.pm, inst.w_ini, inst.cp)
+            except InfeasibleProblem:  # a random output box the input box cannot meet
+                continue
+            cost = inst.cp.tracking_cost(res.u_f, res.y_pred.mean)
+            assert res.objective == cost
+            ce = certainty_equivalence(inst.pm, inst.w_ini, inst.cp)
+            assert ce.objective == cost + float(np.trace(inst.cp.Q @ inst.pm.cov))
+            assert ce.u_f.tobytes() == res.u_f.tobytes()
+            solved += 1
+        assert solved >= 4
 
 
 def assert_same_result(a, b):

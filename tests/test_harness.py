@@ -95,6 +95,13 @@ class TestConfig:
         assert load_config(EXAMPLE_CONFIG, overrides={"jitter": None}).jitter == 1e-9
         assert load_config(EXAMPLE_CONFIG, overrides={"jitter": 0.0}).jitter == 0.0
 
+    @pytest.mark.parametrize("value", [-1.0, -1e-12, float("nan"), float("inf")])
+    def test_bad_jitter_rejected(self, value):
+        with pytest.raises(ConfigError, match="jitter"):
+            config_from_dict(base_doc(jitter=value))
+        with pytest.raises(ConfigError, match="jitter"):
+            load_config(EXAMPLE_CONFIG, overrides={"jitter": value})
+
     @pytest.mark.parametrize("key,value", [
         ("max_iter", 0), ("max_iter", -5), ("eps_abs", -1e-8), ("eps_abs", float("inf")),
         ("eps_abs", float("nan")), ("eps_rel", -1.0), ("eps_rel", float("inf")),

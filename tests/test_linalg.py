@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning, solve_discrete_lyapunov
 
 from gdpc.errors import InvalidMatrix, NotPositiveDefinite, UnstableSystem
 from gdpc.linalg import (
@@ -12,7 +13,9 @@ from gdpc.linalg import (
     pinv,
     spectral_radius,
     sym_eig,
+    symmetrize,
 )
+from gdpc.plant import default_benchmark, stationary_state_covariance
 
 
 def random_matrix_of_rank(rng, rows, cols, rank):
@@ -163,6 +166,58 @@ class TestLyapDiscrete:
     def test_unstable_rejected(self):
         with pytest.raises(UnstableSystem):
             lyap_discrete(np.array([[1.0]]), np.array([[1.0]]))
+
+    @staticmethod
+    def scipy_solution(a, qc):
+        """The oracle: scipy's solve of the same symmetrized equation, with
+        the same final symmetrization."""
+        s = solve_discrete_lyapunov(a, symmetrize(qc))
+        return 0.5 * (s + s.T)
+
+    def test_bit_equal_to_scipy_for_a_general_a(self):
+        # The direct method, I - A kron A by one gesv call, on every size
+        # below scipy's switch to its bilinear method, and from 10 on
+        # scipy's own call.
+        rng = np.random.default_rng(41)
+        for n in (*range(1, 10), 10, 12):
+            for _ in range(3 if n >= 10 else 40):
+                a = rng.standard_normal((n, n))
+                a *= rng.uniform(0.1, 0.97) / spectral_radius(a)
+                b = rng.standard_normal((n, n))
+                qc = b @ b.T
+                assert lyap_discrete(a, qc).tobytes() == self.scipy_solution(a, qc).tobytes()
+        model = default_benchmark()
+        qc = model.B @ model.B.T + model.Sigma_xi
+        assert stationary_state_covariance(model, np.eye(1)).tobytes() == \
+            self.scipy_solution(model.A, qc).tobytes()
+
+    @pytest.mark.parametrize("structure", ["diagonal", "lower", "symmetric"])
+    def test_structured_a_agrees_with_scipy_to_rounding(self, structure):
+        # scipy's solve detects the structure of I - A kron A and may take
+        # another LAPACK routine; both solve the same system.
+        rng = np.random.default_rng(42)
+        for n in range(1, 10):
+            a = rng.standard_normal((n, n))
+            a = {"diagonal": np.diag(np.diag(a)), "lower": np.tril(a), "symmetric": a + a.T}[
+                structure]
+            a *= 0.9 / max(spectral_radius(a), 1e-12)
+            b = rng.standard_normal((n, n))
+            qc = b @ b.T
+            s = lyap_discrete(a, qc)
+            want = self.scipy_solution(a, qc)
+            assert np.max(np.abs(s - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_ill_conditioned_system_warns_like_scipy(self):
+        a = np.array([[0.5, 1e4], [0.0, 0.5]])
+        with pytest.warns(LinAlgWarning, match="ill-conditioned") as seen:
+            s = lyap_discrete(a, np.eye(2))
+        assert len(seen) == 1
+        with pytest.warns(LinAlgWarning, match="ill-conditioned"):
+            want = self.scipy_solution(a, np.eye(2))
+        assert s.tobytes() == want.tobytes()
+
+    def test_empty_state(self):
+        assert lyap_discrete(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
 
 
 class TestRank:

@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import record_solver_paths
+from conftest import assert_same_fields, record_solver_paths
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
@@ -927,6 +927,104 @@ class TestActiveSetOracle:
         assert not base._abs_p.flags.writeable
         assert_same_solution(solve(derived), solve(QpProblem(
             P=base.P, q=np.ones(7), lower=base.lower, upper=base.upper)))
+
+
+class TestInteriorExit:
+    """The interior exit is decided by lower < x_unc < upper alone. A
+    minimizer on a bound, on a pinned variable or not finite fails it and
+    keeps the route and the answer of the reference iteration, whose exit
+    tests finiteness, clips and compares with the bounds."""
+
+    @pytest.mark.parametrize("case", ["on_lower", "on_upper", "pinned_at_minimizer",
+                                      "signed_zero"])
+    def test_minimizer_on_a_bound_takes_the_loop(self, case, monkeypatch):
+        # With P = I the unconstrained minimizer is -q exactly, and x_0 lies
+        # on a bound of its own: the loop factors the free block {x_1}.
+        q, lower, upper = {
+            "on_lower": ([1.0, -0.25], [-1.0, -1.0], [1.0, 1.0]),
+            "on_upper": ([-1.0, -0.25], [-1.0, -1.0], [1.0, 1.0]),
+            "pinned_at_minimizer": ([-0.5, -0.25], [0.5, -1.0], [0.5, 1.0]),
+            "signed_zero": ([0.0, -0.25], [0.0, -1.0], [1.0, 1.0]),  # x_0 is -0.0
+        }[case]
+        prob = QpProblem(P=np.eye(2), q=q, lower=lower, upper=upper)
+        want = reference_active_set(prob, prob._p_factor, QpSettings())
+        potrf, blocks = qp.dpotrf, []
+
+        def recorded(a):
+            blocks.append(a.shape[0])
+            return potrf(a)
+
+        monkeypatch.setattr(qp, "dpotrf", recorded)
+        calls = record_solver_paths(monkeypatch)
+        got = solve(prob)
+        assert calls == ["_active_set"] and blocks == [1]
+        assert_same_solution(got, want)
+        assert got.status == "optimal" and got.iterations == 1
+        assert_box_kkt(prob, got)
+
+    @pytest.mark.parametrize("case", ["nan_and_inf_boxed", "inf_unbounded", "all_nan",
+                                      "inf_clipped_to_a_bound"])
+    def test_non_finite_minimizer_keeps_its_route(self, case, monkeypatch):
+        if case == "inf_clipped_to_a_bound":
+            # -P^-1 q is (inf, -0.5): its clip (1, -0.5) is a finite start
+            # from which the loop would run, but a non-finite minimizer
+            # goes to ADMM.
+            prob = QpProblem(P=np.diag([1e-300, 1.0]), q=[-1e10, 0.5], lower=-np.ones(2),
+                             upper=np.ones(2))
+        elif case == "all_nan":  # inf - inf in the triangular solves
+            u = np.array([[1e-8, -1e10, 1e10], [0.0, 1e10, -1e10], [0.0, 0.0, 1e10]])
+            prob = QpProblem(P=u.T @ u, q=[-1e300, 0.0, 0.0], lower=-np.ones(3),
+                             upper=np.ones(3))
+        elif case == "nan_and_inf_boxed":  # -P^-1 q is (nan, inf, -5e299)
+            prob = QpProblem(P=1e-300 * np.eye(3), q=[1e10, -1e10, 0.5], lower=-np.ones(3),
+                             upper=np.ones(3))
+        else:  # -P^-1 q is (inf, -5e299), x_0 unbounded: inf < inf fails
+            prob = QpProblem(P=1e-300 * np.eye(2), q=[-1e10, 0.5],
+                             lower=[-np.inf, -1.0], upper=[np.inf, 1.0])
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(dpotrs(prob._p_factor, -prob.q)[0]).all()
+            want = reference_active_set(prob, prob._p_factor, QpSettings())
+            calls = record_solver_paths(monkeypatch)
+            got = solve(prob)
+        assert calls == ["_active_set", "_admm"]
+        assert got.status == want.status
+        assert got.x.tobytes() == want.x.tobytes() and got.iterations == want.iterations
+        assert got.bound_duals.tobytes() == want.bound_duals.tobytes()
+
+    def test_random_interior_and_boundary_minimizers_match_the_reference(self):
+        # Minimizers on bounds and pinned variables drawn on purpose: a few
+        # coordinates of a random interior minimizer moved onto a bound.
+        rng = np.random.default_rng(39)
+        routes = {"interior": 0, "loop": 0}
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            b_mat = rng.standard_normal((n, n))
+            p = b_mat @ b_mat.T + 0.5 * np.eye(n)
+            target = rng.uniform(-0.5, 0.5, n)
+            lower, upper = rng.uniform(-2.0, -1.0, n), rng.uniform(1.0, 2.0, n)
+            x_unc = dpotrs(dpotrf(p)[0], p @ target)[0]
+            moved = rng.uniform(size=n) < 0.3
+            side = rng.uniform(size=n)
+            lower[moved & (side < 0.4)] = x_unc[moved & (side < 0.4)]
+            upper[moved & (side > 0.6)] = x_unc[moved & (side > 0.6)]
+            pin = moved & (side >= 0.4) & (side <= 0.6)
+            lower[pin] = upper[pin] = x_unc[pin]
+            prob = QpProblem(P=p, q=-p @ target, lower=lower, upper=upper)
+            assert np.all((x_unc == prob.lower) | (x_unc == prob.upper) | ~moved)
+            got = solve(prob)
+            want = reference_active_set(prob, prob._p_factor, QpSettings())
+            assert_same_solution(got, want)
+            routes["loop" if moved.any() else "interior"] += 1
+        assert min(routes.values()) >= 50
+
+    @pytest.mark.parametrize("interior", [True, False])
+    def test_solution_is_the_dataclass_built_one(self, interior):
+        # The reference builds its QpSolution through the dataclass __init__.
+        rng = np.random.default_rng(40)
+        prob = random_interior_box_qp(rng, 9) if interior else random_box_qp(rng, 9, pinned=0.3)
+        got = solve(prob)
+        assert (got.iterations == 1 and not got.bound_duals.any()) == interior
+        assert_same_fields(got, reference_active_set(prob, prob._p_factor, QpSettings()))
 
 
 def assert_eq_kkt(prob, sol, tol=1e-9):
