@@ -24,6 +24,7 @@ from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr, dtrtri
 from .errors import InvalidMatrix, NotPositiveDefinite, ShapeError
 from .linalg import (
     DEFAULT_RANK_TOL,
+    as_matrix,
     check_rank_tol,
     chol_psd,
     is_psd,
@@ -184,9 +185,11 @@ class PredictiveModel:
     """Affine output predictor plus predictive covariance.
 
     ``M_u`` maps the stacked future input, ``M_ini`` maps the stacked past
-    window; the predicted output mean is M_u u_f + M_ini w_ini. The arrays
-    are read-only copies, since the controllers keep set-up work per model
-    object (see :mod:`gdpc.control`).
+    window; the predicted output mean is M_u u_f + M_ini w_ini. The three
+    arrays must be finite matrices with equal row counts, and ``cov`` must
+    pass the PSD test of :class:`GaussianBehavior` (tolerance 1e-8). The
+    arrays are read-only copies, since the controllers keep set-up work per
+    model object (see :mod:`gdpc.control`).
     """
 
     M_u: np.ndarray  # (p*L_f, m*L_f)
@@ -194,9 +197,18 @@ class PredictiveModel:
     cov: np.ndarray  # (p*L_f, p*L_f) PSD
 
     def __post_init__(self):
-        object.__setattr__(self, "M_u", read_only(self.M_u))
-        object.__setattr__(self, "M_ini", read_only(self.M_ini))
-        object.__setattr__(self, "cov", read_only(symmetrize(self.cov)))
+        m_u = read_only(as_matrix(self.M_u, "M_u"))
+        m_ini = read_only(as_matrix(self.M_ini, "M_ini"))
+        cov = read_only(symmetrize(self.cov))  # square and finite, or InvalidMatrix
+        rows = cov.shape[0]
+        if m_u.shape[0] != rows or m_ini.shape[0] != rows:
+            raise ShapeError(f"M_u, M_ini and cov must have equal row counts, got "
+                             f"{m_u.shape[0]}, {m_ini.shape[0]} and {rows}")
+        if not is_psd(cov, 1e-8):
+            raise NotPositiveDefinite("predictive covariance is not PSD at tolerance 1e-8")
+        object.__setattr__(self, "M_u", m_u)
+        object.__setattr__(self, "M_ini", m_ini)
+        object.__setattr__(self, "cov", cov)
 
     def predict_mean(self, w_ini, u_f) -> np.ndarray:
         w_ini = np.asarray(w_ini, dtype=float).reshape(-1)

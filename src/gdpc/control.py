@@ -108,8 +108,9 @@ class ControlProblem:
     """Horizons, stacked weights, references, and constraint boxes.
 
     ``Q`` weighs the stacked future output (PSD), ``R`` the stacked future
-    input (PD). References and boxes are full-stack vectors; box entries may
-    be +-inf. The arrays are read-only copies (see the module docstring).
+    input (PD). References and boxes are full-stack vectors; references must
+    be finite, and box entries may be +-inf but not NaN. The arrays are
+    read-only copies (see the module docstring).
     """
 
     dims: SignalDims
@@ -142,22 +143,28 @@ class ControlProblem:
             raise ShapeError(
                 f"references must have lengths {nu}/{ny}, got {u_ref.shape}/{y_ref.shape}"
             )
+        for name, ref in (("u_ref", u_ref), ("y_ref", y_ref)):
+            if not np.isfinite(ref).all():
+                raise ShapeError(f"{name} contains non-finite entries")
 
-        def box(value, size, default):
+        def box(name, size, default):
+            value = getattr(self, name)
             if value is None:
                 return np.full(size, default)
             arr = np.asarray(value, dtype=float).reshape(-1)
             if arr.shape != (size,):
-                raise ShapeError(f"box must have length {size}, got {arr.shape}")
+                raise ShapeError(f"{name} must have length {size}, got {arr.shape}")
+            if np.isnan(arr).any():
+                raise ShapeError(f"{name} contains NaN")
             return arr
 
-        u_lower = box(self.u_lower, nu, -np.inf)
-        u_upper = box(self.u_upper, nu, np.inf)
+        u_lower = box("u_lower", nu, -np.inf)
+        u_upper = box("u_upper", nu, np.inf)
         if np.any(u_lower > u_upper):
             raise ShapeError("u_lower exceeds u_upper")
         has_y_box = self.y_lower is not None or self.y_upper is not None
-        y_lower = box(self.y_lower, ny, -np.inf) if has_y_box else None
-        y_upper = box(self.y_upper, ny, np.inf) if has_y_box else None
+        y_lower = box("y_lower", ny, -np.inf) if has_y_box else None
+        y_upper = box("y_upper", ny, np.inf) if has_y_box else None
         if has_y_box and np.any(y_lower > y_upper):
             raise ShapeError("y_lower exceeds y_upper")
         for name, value in (

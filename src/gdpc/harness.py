@@ -142,6 +142,35 @@ def _per_channel(raw, count, name, bound=False):
     return arr
 
 
+# The keys config_from_dict reads: at the top level (None) and in each
+# section but the plant, which StochasticLtiModel parses.
+_CONFIG_KEYS = {
+    None: {"schema", "plant", "data", "horizons", "control", "run", "solver",
+           "rank_tol", "jitter"},
+    "data": {"steps", "mode", "initial", "input_std", "seed"},
+    "horizons": {"L_ini", "L_f"},
+    "control": {"controller", "regularizer", "q", "r", "u_ref", "y_ref", "u_min",
+                "u_max", "y_min", "y_max", "lambda", "lambda_grid"},
+    "run": {"steps", "repetitions", "seed", "apply_steps"},
+    "solver": {"eps_abs", "eps_rel", "max_iter"},
+}
+
+
+def _section(doc: dict, name: str | None) -> dict:
+    """The config object ``doc[name]`` ({} if absent), or ``doc`` itself for
+    ``name`` None; :class:`ConfigError` if it is not an object or has a key
+    that the config does not read, naming each such key."""
+    section = doc if name is None else doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = sorted(set(section) - _CONFIG_KEYS[name])
+    if unknown:
+        prefix = "" if name is None else f"{name}."
+        raise ConfigError("unknown config key(s): "
+                          + ", ".join(prefix + str(key) for key in unknown))
+    return section
+
+
 def check_weights(controller: str, weights) -> None:
     """Raise :class:`ConfigError` unless every weight is one the controller
     accepts: finite, and positive for optimistic and robust (lambda) or
@@ -174,6 +203,7 @@ def config_from_dict(doc: dict, base_dir: str = ".",
     schema = doc.get("schema")
     if schema != 1:
         raise ConfigError(f"unsupported config schema {schema!r} (expected 1)")
+    _section(doc, None)
     overrides = overrides or {}
 
     plant_doc = doc.get("plant")
@@ -193,12 +223,11 @@ def config_from_dict(doc: dict, base_dir: str = ".",
     except Exception as exc:
         raise ConfigError(f"invalid plant description: {exc}") from None
 
-    data = doc.get("data", {})
-    horizons = doc.get("horizons", {})
-
-    control = doc.get("control", {})
-    run = doc.get("run", {})
-    solver_doc = dict(doc.get("solver", {}))
+    data = _section(doc, "data")
+    horizons = _section(doc, "horizons")
+    control = _section(doc, "control")
+    run = _section(doc, "run")
+    solver_doc = dict(_section(doc, "solver"))
     if "eps_abs" in overrides and overrides["eps_abs"] is not None:
         solver_doc["eps_abs"] = overrides["eps_abs"]
 
@@ -435,9 +464,10 @@ def _solve_controller(cfg: ExperimentConfig, dm, pm, cp, w_ini, lam=None):
     raise ConfigError(f"unknown controller {cfg.controller!r}")
 
 
-def run_closed_loop(cfg: ExperimentConfig, seed: int | None = None,
-                    lam: float | None = None) -> RunRecord:
-    """Receding-horizon loop with the frozen identified predictor.
+def run_closed_loop(cfg: ExperimentConfig) -> RunRecord:
+    """Receding-horizon loop with the frozen identified predictor, seeded by
+    ``cfg.run_seed`` and weighted by ``cfg.lam``; another seed or weight is
+    another config, ``dataclasses.replace(cfg, run_seed=..., lam=...)``.
 
     The first L_ini steps apply seeded excitation input (warm-up), clipped
     to the input box, so a full measured history window exists; afterwards
@@ -447,7 +477,7 @@ def run_closed_loop(cfg: ExperimentConfig, seed: int | None = None,
     """
     _, dm, pm = identification_run(cfg)
     return _closed_loop(cfg, dm, pm, cfg.control_problem(), _noise_factors(cfg.plant),
-                        seed, lam)
+                        cfg.run_seed, cfg.lam)
 
 
 def _noise_factor(cov: np.ndarray) -> np.ndarray:
@@ -480,15 +510,15 @@ def _gaussian_draws(rng: np.random.Generator, factor_t: np.ndarray, steps: int) 
 
 def _closed_loop(cfg: ExperimentConfig, dm, pm, cp: ctl.ControlProblem,
                  noise_factors: tuple[np.ndarray, np.ndarray],
-                 seed: int | None, lam: float | None) -> RunRecord:
+                 seed: int, lam: float) -> RunRecord:
     """The loop of :func:`run_closed_loop` on an identified data matrix and
-    predictor, a built control problem and the plant's noise factors.
+    predictor, a built control problem and the plant's noise factors, with
+    the run's seed and weight.
 
     A step is the controller call and a few vector operations: the noise of
     the run is drawn before it, the samples go into one preallocated array,
     and the records are built from that array after it.
     """
-    seed = cfg.run_seed if seed is None else seed
     model = cfg.plant
     dims = model.dims
     m, l_ini, steps = dims.m, cfg.l_ini, cfg.run_steps

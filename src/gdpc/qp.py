@@ -61,7 +61,10 @@ the bounds it holds active, no equality duals and ``polished`` False. The
 dual one reads ``max_iter``, ``eps_abs`` and ``eps_rel``; it reports
 ``iterations`` as the number of working sets it solved on (1 when no bound
 is active), the equality and bound multipliers it carries and ``polished``
-False. ADMM reads every setting.
+False. ADMM reads all three; its tuning (step size, regularization,
+relaxation, Ruiz passes, check and adaptation intervals, infeasibility
+tolerance) is fixed in the module constants ``_RHO`` to
+``_ADAPTIVE_RHO_INTERVAL``, and it always attempts its polish.
 
 All three are bit-reproducible: the same problem and settings give the
 same bits on the same machine and libraries, since nothing is randomized.
@@ -113,6 +116,20 @@ from .linalg import is_psd, matrix_rank, read_only, sym_eig, symmetrize
 
 INFINITY_SENTINEL = 1e30
 _EPS = np.finfo(float).eps
+
+# ADMM's tuning. The step size, the regularization, the relaxation, the
+# Ruiz passes and the check interval are OSQP's defaults (Stellato et al.,
+# "OSQP: an operator splitting solver for quadratic programs", Math. Prog.
+# Comp. 12, 2020); OSQP's infeasibility tolerance is 1e-4, it picks its
+# adaptation interval from its set-up time, and it does not polish by
+# default, where ADMM here always attempts its polish.
+_RHO = 0.1  # initial step size
+_SIGMA = 1e-6  # regularization of P in the KKT matrix
+_ALPHA = 1.6  # over-relaxation
+_EPS_INFEASIBLE = 1e-7  # tolerance of the infeasibility certificates
+_CHECK_INTERVAL = 25  # iterations between residual checks
+_SCALING_ITERS = 10  # Ruiz equilibration passes
+_ADAPTIVE_RHO_INTERVAL = 100  # iterations between step-size adaptations
 
 
 def _finite_vector(value, size: int, name: str) -> np.ndarray:
@@ -213,17 +230,17 @@ class QpProblem:
 
 @dataclass(frozen=True)
 class QpSettings:
+    """What a caller sets of a solve: ``eps_abs`` and ``eps_rel``, the
+    absolute and relative tolerances of the residual test that ADMM stops on
+    and that the dual active-set method's answer must pass (the primal
+    active-set method is exact and reads neither); and ``max_iter``, the
+    iteration cap of all three methods (free-block solves, working sets and
+    ADMM iterations). ADMM's tuning is fixed: see ``_RHO`` and the constants
+    after it."""
+
     eps_abs: float = 1e-8
     eps_rel: float = 1e-8
     max_iter: int = 50000
-    rho: float = 0.1
-    sigma: float = 1e-6
-    alpha: float = 1.6
-    eps_infeasible: float = 1e-7
-    check_interval: int = 25
-    scaling_iters: int = 10
-    adaptive_rho_interval: int = 100
-    polish: bool = True
 
 
 @dataclass(frozen=True)
@@ -746,14 +763,14 @@ def _admm(prob: QpProblem, settings: QpSettings) -> QpSolution:
     eq_mask = np.ones(m, dtype=bool)
     eq_mask[m_eq:] = _clip_sentinel(prob.lower) == _clip_sentinel(prob.upper)
 
-    d, e, c = _ruiz_equilibrate(prob.P, prob.q, a_full, settings.scaling_iters)
+    d, e, c = _ruiz_equilibrate(prob.P, prob.q, a_full, _SCALING_ITERS)
     e_over_c = e / c
     ps = c * (d[:, None] * prob.P * d[None, :])
     qs = c * d * prob.q
     asc = e[:, None] * a_full * d[None, :]
     q_norm = float(np.abs(prob.q).max(initial=0.0))
-    rho = _rho_vector(settings.rho, eq_mask)
-    factor = _factor_kkt(ps, asc, settings.sigma, rho)
+    rho = _rho_vector(_RHO, eq_mask)
+    factor = _factor_kkt(ps, asc, _SIGMA, rho)
     lo = _clip_sentinel(np.concatenate([prob.b_eq, prob.lower]))
     hi = _clip_sentinel(np.concatenate([prob.b_eq, prob.upper]))
     los = _clip_sentinel(e * lo)
@@ -776,28 +793,24 @@ def _admm(prob: QpProblem, settings: QpSettings) -> QpSolution:
     def try_finish(xb, zb, yb, iters, status_if_bad):
         xu, zu, yu = unscale(xb, zb, yb)
         r_p, r_d, s_p, s_d = _unscaled_residuals(prob, a_full, xu, zu, yu, q_norm)
-        best = (xu, yu, r_p, r_d, False)
-        if settings.polish:
-            tol = max(settings.eps_abs * 100, 1e-10)
-            xp, yp, zp, side = _polish(prob, a_full, lo, hi, xu, yu, zu, tol=tol)
-            rp_p, rd_p, sp_p, sd_p = _unscaled_residuals(prob, a_full, xp, zp, yp, q_norm)
-            # Polished candidate must itself respect the bounds, attain
-            # every bound it holds active, and its bound multipliers must
-            # have their bounds' signs: the reduced KKT solve ensures none
-            # of these.
-            viol = max(
-                float((prob.lower - xp).max(initial=0.0)),
-                float((xp - prob.upper).max(initial=0.0)),
-            )
-            active = side != 0.0
-            bound = np.where(side < 0.0, prob.lower, prob.upper)
-            off_bound = float(np.abs(xp[active] - bound[active]).max(initial=0.0))
-            if (max(rp_p, viol) <= max(best[2], 1e-12) and rd_p <= max(best[3], 1e-12)
-                    and off_bound <= tol
-                    and not _sign_test(prob, xp, yp[:m_eq], yp[m_eq:], side)[1]):
-                best = (xp, yp, max(rp_p, viol), rd_p, True)
-                s_p, s_d = sp_p, sd_p
-        xu, yu, r_p, r_d, polished = best
+        tol = max(settings.eps_abs * 100, 1e-10)
+        xp, yp, zp, side = _polish(prob, a_full, lo, hi, xu, yu, zu, tol=tol)
+        rp_p, rd_p, sp_p, sd_p = _unscaled_residuals(prob, a_full, xp, zp, yp, q_norm)
+        # The polished candidate must itself respect the bounds, attain every
+        # bound it holds active, and its bound multipliers must have their
+        # bounds' signs: the reduced KKT solve ensures none of these.
+        viol = max(
+            float((prob.lower - xp).max(initial=0.0)),
+            float((xp - prob.upper).max(initial=0.0)),
+        )
+        active = side != 0.0
+        bound = np.where(side < 0.0, prob.lower, prob.upper)
+        off_bound = float(np.abs(xp[active] - bound[active]).max(initial=0.0))
+        polished = bool(max(rp_p, viol) <= max(r_p, 1e-12) and rd_p <= max(r_d, 1e-12)
+                        and off_bound <= tol
+                        and not _sign_test(prob, xp, yp[:m_eq], yp[m_eq:], side)[1])
+        if polished:
+            xu, yu, r_p, r_d, s_p, s_d = xp, yp, max(rp_p, viol), rd_p, sp_p, sd_p
         eps_p = settings.eps_abs + settings.eps_rel * s_p
         eps_d = settings.eps_abs + settings.eps_rel * s_d
         status = OPTIMAL if (r_p <= eps_p and r_d <= eps_d) else status_if_bad
@@ -808,22 +821,20 @@ def _admm(prob: QpProblem, settings: QpSettings) -> QpSolution:
             eq_duals=yu[:m_eq], bound_duals=yu[m_eq:], polished=polished,
         )
 
-    sigma = settings.sigma
-    alpha = settings.alpha
-    beta = 1.0 - alpha
+    beta = 1.0 - _ALPHA
     iters_done = settings.max_iter
     for it in range(1, settings.max_iter + 1):
         # Each line computes, elementwise, what its comment states, with
         # the same roundings; a + b and a * b are commutative in IEEE.
         y_rho = y / rho
-        np.subtract(sigma * x, qs, out=rhs_x)
+        np.subtract(_SIGMA * x, qs, out=rhs_x)
         np.subtract(z, y_rho, out=rhs_z)
         sol = _lu_solve(factor, rhs)  # [x_tilde; nu]
         nu = sol[n:]
         nu -= y
         nu /= rho
         nu += z  # z_tilde = z + (nu - y) / rho
-        sol *= alpha
+        sol *= _ALPHA
         state *= beta
         state += sol  # [x; z_relaxed] = alpha [x_tilde; z_tilde] + (1 - alpha) [x; z]
         z_new = _clip(z + y_rho, los, his)  # z_relaxed + y / rho, projected
@@ -832,15 +843,13 @@ def _admm(prob: QpProblem, settings: QpSettings) -> QpSolution:
         y += z  # y + rho (z_relaxed - z_new)
         z[:] = z_new
 
-        if it % settings.check_interval == 0 or it == settings.max_iter:
+        if it % _CHECK_INTERVAL == 0 or it == settings.max_iter:
             xu, zu, yu = unscale(x, z, y)
             r_p, r_d, s_p, s_d = _unscaled_residuals(prob, a_full, xu, zu, yu, q_norm)
             eps_p = settings.eps_abs + settings.eps_rel * s_p
             eps_d = settings.eps_abs + settings.eps_rel * s_d
             trigger = max(100.0 * settings.eps_abs, 1e-7)
-            if (r_p <= eps_p and r_d <= eps_d) or (
-                settings.polish and r_p <= trigger and r_d <= trigger
-            ):
+            if (r_p <= eps_p and r_d <= eps_d) or (r_p <= trigger and r_d <= trigger):
                 candidate = try_finish(x, z, y, it, MAX_ITER)
                 if candidate.status == OPTIMAL:
                     return candidate
@@ -849,7 +858,7 @@ def _admm(prob: QpProblem, settings: QpSettings) -> QpSolution:
             # primal (dual) residual itself refuses to converge; otherwise a
             # vanishing delta can alias into a spurious certificate.
             if r_p > 10.0 * eps_p and _primal_infeasibility_certificate(
-                a_full, lo, hi, e_over_c * (y - y_check_prev), settings.eps_infeasible
+                a_full, lo, hi, e_over_c * (y - y_check_prev), _EPS_INFEASIBLE
             ):
                 return QpSolution(
                     x=xu, objective=np.nan, status=INFEASIBLE,
@@ -857,7 +866,7 @@ def _admm(prob: QpProblem, settings: QpSettings) -> QpSolution:
                     eq_duals=yu[:m_eq], bound_duals=yu[m_eq:],
                 )
             if r_d > 10.0 * eps_d and _dual_infeasibility_certificate(
-                prob, a_full, lo, hi, d * (x - x_check_prev), settings.eps_infeasible
+                prob, a_full, lo, hi, d * (x - x_check_prev), _EPS_INFEASIBLE
             ):
                 return QpSolution(
                     x=xu, objective=np.nan, status=INFEASIBLE,
@@ -867,14 +876,14 @@ def _admm(prob: QpProblem, settings: QpSettings) -> QpSolution:
             x_check_prev = x.copy()
             y_check_prev = y.copy()
 
-            if it % settings.adaptive_rho_interval == 0 and it < settings.max_iter:
+            if it % _ADAPTIVE_RHO_INTERVAL == 0 and it < settings.max_iter:
                 num = r_p / max(s_p, 1e-12)
                 den = r_d / max(s_d, 1e-12)
                 if num > 1e-14 and den > 1e-14:
                     ratio = np.sqrt(num / den)
                     if ratio > 5.0 or ratio < 0.2:
                         rho = _clip(rho * ratio, 1e-6, 1e6)
-                        factor = _factor_kkt(ps, asc, sigma, rho)
+                        factor = _factor_kkt(ps, asc, _SIGMA, rho)
 
     return try_finish(x, z, y, iters_done, MAX_ITER)
 

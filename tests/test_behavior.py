@@ -23,7 +23,13 @@ from gdpc.behavior import (
 )
 from gdpc.errors import InvalidMatrix, NotPositiveDefinite, ShapeError
 from gdpc.linalg import matrix_rank, pinv, read_only, symmetrize
-from gdpc.plant import StochasticLtiModel, build_block_operators, simulate, step
+from gdpc.plant import (
+    StochasticLtiModel,
+    build_block_operators,
+    default_benchmark,
+    simulate,
+    step,
+)
 from gdpc.trajectory import SignalDims, assemble, build_data_matrix
 
 DIMS_SISO = SignalDims(1, 1)
@@ -255,14 +261,33 @@ class TestPredictiveModel:
         assert np.linalg.norm(pm.cov) <= 1e-10 * np.linalg.norm(col) ** 2
 
 
+class TestPredictiveModelValidation:
+    def test_rejects_row_counts_that_disagree(self):
+        with pytest.raises(ShapeError, match="row counts"):
+            PredictiveModel(M_u=np.eye(3), M_ini=np.zeros((5, 2)), cov=np.eye(4))
+        with pytest.raises(ShapeError, match="row counts"):
+            PredictiveModel(M_u=np.eye(4), M_ini=np.zeros((3, 2)), cov=np.eye(4))
+
+    def test_rejects_a_covariance_that_is_not_square(self):
+        with pytest.raises(InvalidMatrix):
+            PredictiveModel(M_u=np.eye(3), M_ini=np.zeros((3, 2)), cov=np.eye(3, 4))
+
+    def test_rejects_a_covariance_that_is_not_psd(self):
+        traj = simulate(default_benchmark(), np.zeros(3), 1.0, steps=200, seed=7)
+        pm = predictive_model(build_data_matrix(traj, 3, 8))
+        with pytest.raises(NotPositiveDefinite, match="predictive covariance"):
+            PredictiveModel(M_u=pm.M_u, M_ini=pm.M_ini, cov=-np.eye(8))
+
+
 class TestConditionalGaussianCovariance:
     """The covariance is kept as (cov + cov^T)/2, shared when it already is
     that matrix and read-only, copied otherwise."""
 
     def test_a_model_covariance_is_shared_with_the_same_bits(self):
         rng = np.random.default_rng(14)
+        skew = rng.standard_normal((4, 4))  # an input that (cov + cov^T)/2 changes
         pm = PredictiveModel(M_u=np.eye(4), M_ini=np.ones((4, 2)),
-                             cov=rng.standard_normal((4, 4)))
+                             cov=random_spd(rng, 4) + skew - skew.T)
         got = pm.predict(np.ones(2), np.ones(4))
         assert got.cov is pm.cov
         assert got.cov.tobytes() == symmetrize(pm.cov).tobytes()

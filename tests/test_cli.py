@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ import pytest
 from gdpc.behavior import GaussianBehavior
 from gdpc.plant import default_benchmark, simulate
 from gdpc.trajectory import SignalDims, save_csv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args, cwd=None):
@@ -173,6 +176,22 @@ class TestClosedLoop:
         proc = run_cli("closed-loop", "--config", str(path), "--out", str(workdir / "bad.csv"))
         assert proc.returncode == 3, proc.stderr
         assert key in proc.stderr and "Traceback" not in proc.stderr
+        assert not (workdir / "bad.csv").exists()
+
+    # Misspelt or unread keys at each level of configs/example.json.
+    @pytest.mark.parametrize("section,key,value", [
+        ("control", "lamda", 5), ("solver", "rho", 1), ("run", "stepz", 3),
+        (None, "jiter", 1e-9),
+    ])
+    def test_unknown_key_is_config_error(self, workdir, section, key, value):
+        config = json.loads((ROOT / "configs" / "example.json").read_text())
+        (config if section is None else config[section])[key] = value
+        path = workdir / "unknown_key.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli("closed-loop", "--config", str(path), "--out", str(workdir / "bad.csv"))
+        assert proc.returncode == 3, proc.stderr
+        name = key if section is None else f"{section}.{key}"
+        assert name in proc.stderr and "Traceback" not in proc.stderr
         assert not (workdir / "bad.csv").exists()
 
 

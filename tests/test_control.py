@@ -768,6 +768,21 @@ class TestControlProblemValidation:
                 Q=[[-1.0]], R=[[1.0]], u_ref=[0.0], y_ref=[0.0],
             )
 
+    @pytest.mark.parametrize("kw,name", [
+        ({"y_ref": np.nan}, "y_ref"), ({"u_ref": np.inf}, "u_ref"),
+        ({"y_ref": -np.inf}, "y_ref"), ({"u_min": np.nan}, "u_lower"),
+        ({"u_max": np.nan}, "u_upper"), ({"y_min": np.nan}, "y_lower"),
+        ({"y_max": np.nan}, "y_upper"),
+    ])
+    def test_non_finite_reference_or_nan_bound_is_named(self, kw, name):
+        with pytest.raises(ShapeError, match=name):
+            ControlProblem.from_step_weights(SignalDims(1, 1), 3, 8, **kw)
+
+    def test_infinite_bounds_are_allowed(self):
+        cp = ControlProblem.from_step_weights(SignalDims(1, 1), 3, 8, u_min=-np.inf,
+                                              u_max=np.inf, y_min=-np.inf, y_max=np.inf)
+        assert np.all(cp.u_lower == -np.inf) and np.all(cp.y_upper == np.inf)
+
     def test_box_constraints_respected_across_controllers(self):
         rng = np.random.default_rng(24)
         inst = random_control_instance(rng, with_input_box=True)
@@ -927,7 +942,7 @@ class TestPerRunSetup:
             pm2 = dataclasses.replace(pm, M_u=1.5 * pm.M_u)
             cp2 = self.other_cp(cp)
             calls = [(pm, cp, {}), (pm, cp, {"settings": QpSettings(max_iter=1)}),
-                     (pm, cp, {"settings": QpSettings(rho=1.0)}), (pm, cp, {}),
+                     (pm, cp, {"settings": QpSettings(eps_abs=1e-6)}), (pm, cp, {}),
                      (pm2, cp, {}), (pm, cp, {}), (pm, cp2, {}), (pm, cp, {})]
             for call in (spc, certainty_equivalence):
                 self.check_sequence(call, calls, windows)
@@ -947,7 +962,7 @@ class TestPerRunSetup:
             (dm, cp, {"regularizer": "l1", "lambda_g": 0.5}),
             (dm, cp, {"regularizer": "proj2", "lambda_g": 0.0, "rank_tol": 1e-3}),
             (dm, cp, {"regularizer": "proj2", "lambda_g": 0.0}),
-            (dm, cp, dict(proj2, settings=QpSettings(rho=1.0))),
+            (dm, cp, dict(proj2, settings=QpSettings(eps_abs=1e-6))),
             (dm, cp, proj2),
             (dm2, cp, proj2),
             (dm, cp2, proj2),

@@ -63,6 +63,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("section", ["data", "horizons", "control", "run", "solver"])
+    def test_unknown_key_is_named(self, section):
+        doc = base_doc()
+        doc.setdefault(section, {})["extra"] = 1
+        with pytest.raises(ConfigError, match=rf"{section}\.extra"):
+            config_from_dict(doc)
+
+    def test_section_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="run must be a JSON object"):
+            config_from_dict(base_doc(run=[40]))
+
     def test_channel_spec_length_checked(self):
         doc = base_doc()
         doc["control"] = {"controller": "spc", "q": [1.0, 2.0]}  # p = 1
@@ -206,7 +217,7 @@ class TestClosedLoop:
         a = run_closed_loop(cfg).to_csv_bytes()
         b = run_closed_loop(cfg).to_csv_bytes()
         assert a == b
-        c = run_closed_loop(cfg, seed=999).to_csv_bytes()
+        c = run_closed_loop(dataclasses.replace(cfg, run_seed=999)).to_csv_bytes()
         assert a != c
 
     def test_cost_accounting_identity(self):
@@ -287,7 +298,7 @@ class TestClosedLoop:
     def test_warm_up_inputs_stay_in_the_box(self):
         # Run seed 44 draws u = -3.299 at t = 1, below u_min = -3.
         cfg = load_config(EXAMPLE_CONFIG)
-        rec = run_closed_loop(cfg, seed=44)
+        rec = run_closed_loop(dataclasses.replace(cfg, run_seed=44))
         u = np.array([s.u for s in rec.steps])
         assert np.all(u >= cfg.u_min) and np.all(u <= cfg.u_max)
         assert np.min(u[: cfg.l_ini]) == cfg.u_min[0]
@@ -411,7 +422,8 @@ class TestSweep:
                           "y_ref": 1.0, "lambda": 50.0}
         cfg = config_from_dict(doc)
         cells = sweep_lambda(cfg, [50.0])
-        costs = [run_closed_loop(cfg, seed=cfg.run_seed + r, lam=50.0).realized_cost
+        costs = [run_closed_loop(dataclasses.replace(cfg, run_seed=cfg.run_seed + r,
+                                                     lam=50.0)).realized_cost
                  for r in range(cfg.repetitions)]
         assert cells[0].runs_ok == cfg.repetitions
         assert cells[0].mean_cost == pytest.approx(np.mean(costs), abs=1e-12)
@@ -438,10 +450,9 @@ class TestSweep:
         spc_doc["run"] = doc["run"]
         spc_doc["control"] = {"controller": "spc", "q": 1.0, "r": 0.05, "y_ref": 1.0}
         spc_cfg = config_from_dict(spc_doc)
-        spc_costs = [
-            run_closed_loop(spc_cfg, seed=spc_cfg.run_seed + r).realized_cost
-            for r in range(spc_cfg.repetitions)
-        ]
+        spc_runs = [dataclasses.replace(spc_cfg, run_seed=spc_cfg.run_seed + r)
+                    for r in range(spc_cfg.repetitions)]
+        spc_costs = [run_closed_loop(run_cfg).realized_cost for run_cfg in spc_runs]
         assert cell.mean_cost == pytest.approx(np.mean(spc_costs), rel=1e-4)
 
     def test_failed_cells_recorded_and_sweep_continues(self):
@@ -467,8 +478,8 @@ class TestSweep:
             costs = []
             for rep in range(cfg.repetitions):
                 try:
-                    costs.append(run_closed_loop(cfg, seed=cfg.run_seed + rep,
-                                                 lam=lam).realized_cost)
+                    run_cfg = dataclasses.replace(cfg, run_seed=cfg.run_seed + rep, lam=lam)
+                    costs.append(run_closed_loop(run_cfg).realized_cost)
                 except LambdaTooSmall:  # the weight below the threshold
                     pass
             expected.append((len(costs), cfg.repetitions - len(costs),

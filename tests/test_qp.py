@@ -241,6 +241,20 @@ class TestValidation:
             assert not array.flags.writeable
 
 
+def reject_polish(monkeypatch):
+    """Make ADMM's polish return a candidate that its checks reject, x moved
+    far off the constraints, so that ADMM answers with its own iterate.
+    Returns the list that each polish call appends to."""
+    calls = []
+
+    def far_off(prob, a_full, lo, hi, x, y, z, tol):
+        calls.append(tol)
+        return x + 1e6, y, z, np.zeros(prob.n)
+
+    monkeypatch.setattr(qp, "_polish", far_off)
+    return calls
+
+
 class TestDeterminism:
     def test_bit_reproducible(self):
         rng = np.random.default_rng(7)
@@ -250,10 +264,14 @@ class TestDeterminism:
         assert np.array_equal(a.x, b.x)
         assert a.iterations == b.iterations
 
-    def test_max_iter_status(self):
+    def test_max_iter_status(self, monkeypatch):
+        # ADMM polishes this QP to optimal after any number of iterations;
+        # with its polish rejected, two iterations leave it short.
         rng = np.random.default_rng(8)
         prob = random_equality_qp(rng, n=8, m=3)
-        sol = qp._admm(prob, QpSettings(max_iter=2, check_interval=1, polish=False))
+        polish_calls = reject_polish(monkeypatch)
+        sol = qp._admm(prob, QpSettings(max_iter=2))
+        assert polish_calls and not sol.polished
         assert sol.status == "max_iter"
 
 
@@ -446,7 +464,7 @@ class TestPolishSigns:
         stationarity = prob.P @ sol.x + prob.q + prob.A_eq.T @ sol.eq_duals + sol.bound_duals
         assert np.max(np.abs(stationarity)) <= 1e-6 * scale
 
-    def test_polish_that_misses_an_active_bound_is_rejected(self):
+    def test_polish_that_misses_an_active_bound_is_rejected(self, monkeypatch):
         # cond(P) is so large that the polish's reduced KKT solve returns
         # x = 0 with x_0 held at its upper bound; the unpolished iterate,
         # near e_1 with an objective near -1e300, is the answer.
@@ -455,7 +473,9 @@ class TestPolishSigns:
                          upper=np.ones(3))
         with np.errstate(all="ignore"):
             sol = qp._admm(prob, QpSettings())
-            raw = qp._admm(prob, QpSettings(polish=False))
+            polish_calls = reject_polish(monkeypatch)
+            raw = qp._admm(prob, QpSettings())
+        assert polish_calls and not raw.polished
         assert sol.status == "optimal" and not sol.polished
         assert np.max(np.abs(sol.x - [1.0, 0.0, 0.0])) <= 1e-8
         assert sol.objective < -0.99e300
@@ -1175,7 +1195,7 @@ class TestUpdated:
         base = random_equality_qp(rng, n=8, m=3)
         b = rng.standard_normal(3)
         fresh = QpProblem(P=base.P, q=base.q, A_eq=base.A_eq, b_eq=b)
-        for settings in (QpSettings(), QpSettings(rho=1.0, scaling_iters=3), QpSettings()):
+        for settings in (QpSettings(), QpSettings(eps_abs=1e-6, max_iter=1), QpSettings()):
             assert_same_solution(solve(base.updated(b_eq=b), settings),
                                  solve(dataclasses.replace(fresh), settings))
 
