@@ -25,11 +25,10 @@ cp = control.ControlProblem.from_step_weights(
     y_ref=1.0, u_min=-2.0, u_max=2.0,
 )
 
-thresholds = control.lambda_threshold(pm, cp)
-print(f"certified robust weights: lambda0 = {thresholds.lambda0:.4g}, "
-      f"lambda_psd = {thresholds.lambda_psd:.4g}")
+lambda0 = control.lambda_threshold(pm, cp)
+print(f"certified robust weight threshold: lambda0 = {lambda0:.4g}")
 
-lam = 4.0 * max(thresholds.lambda0, 1.0)
+lam = 4.0 * max(lambda0, 1.0)
 lambda_g = lam * dm.n_columns / 2.0  # the matching data-combination weight
 
 results = {

@@ -27,9 +27,9 @@ for name, lam in [("spc", None), ("ce", None), ("deepc", 20.0),
     print(f"{name:<12}  {record.realized_cost:.4f}")
 
 print("\noptimistic-weight sweep (5 seeds per cell):")
-doc = {**BASE, "control": dict(BASE["control"], controller="optimistic")}
-cfg = config_from_dict(doc)
-cells = sweep_lambda(cfg, [1.0, 10.0, 100.0, 1e4, 1e8])
+doc = {**BASE, "control": dict(BASE["control"], controller="optimistic",
+                               lambda_grid=[1.0, 10.0, 100.0, 1e4, 1e8])}
+cells = sweep_lambda(config_from_dict(doc))
 print("lambda      mean cost    std       ok/failed")
 for c in cells:
     print(f"{c.lam:9.0e}  {c.mean_cost:9.4f}  {c.std_cost:8.4f}   {c.runs_ok}/{c.runs_failed}")

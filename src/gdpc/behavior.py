@@ -122,6 +122,14 @@ class GaussianBehavior:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GaussianBehavior":
+        """The behavior of a :meth:`to_json_dict` document; :class:`ShapeError`
+        for another schema, a missing key or a key it does not read."""
+        schema = data.get("schema") if isinstance(data, dict) else None
+        if schema != 1:
+            raise ShapeError(f"unsupported behavior schema {schema!r} (expected 1)")
+        unknown = sorted(set(data) - {"schema", "dims", "L", "mean", "cov", "ordering"})
+        if unknown:
+            raise ShapeError("unknown behavior key(s): " + ", ".join(map(str, unknown)))
         try:
             dims = SignalDims(m=int(data["dims"]["m"]), p=int(data["dims"]["p"]))
             return cls(

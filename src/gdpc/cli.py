@@ -3,25 +3,27 @@
 Subcommands: identify, predict, control, closed-loop, sweep, verify.
 Exit codes: 0 success, 2 controller/QP infeasibility, 3 configuration
 error, 4 verification failure.
+
+Each config flag sets one key of the config document, which
+``harness.config_from_dict`` then parses and checks once (``_CONFIG_FLAGS``).
 """
 
 import argparse
 import csv
-import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
 
 from .behavior import GaussianBehavior, condition, estimate
 from .errors import ConfigError, GdpcError, InfeasibleProblem, ParseError
-from .plant import StochasticLtiModel
 from .harness import (
     CONTROLLER_NAMES,
     _solve_controller,
-    check_weights,
+    config_from_dict,
     identification_run,
-    load_config,
+    read_config,
     run_closed_loop,
     sweep_csv_bytes,
     sweep_lambda,
@@ -40,41 +42,56 @@ EXIT_CONFIG = 3
 EXIT_VERIFY = 4
 
 
-def _add_common_overrides(parser, plant=False):
-    parser.add_argument("--rank-tol", type=float, default=None,
-                        help="relative singular-value cutoff override")
-    parser.add_argument("--jitter", type=float, default=None,
-                        help="relative jitter of optimistic's precision with an "
-                             "output box, the only place jitter is applied")
-    parser.add_argument("--eps-abs", type=float, default=None,
-                        help="absolute tolerance override: ADMM's, and that of the "
-                             "residual test an exact equality-constrained solve must "
-                             "pass (the box-only active-set solves are exact and ignore it)")
-    if plant:
-        parser.add_argument("--plant", default=None,
-                            help="plant JSON file overriding the config's plant")
+def _plant_file(path: str) -> dict:
+    """An argparse type: the config's plant section naming the file."""
+    return {"file": os.path.abspath(path)}
 
 
-def _overrides(args) -> dict:
-    return {
-        "rank_tol": getattr(args, "rank_tol", None),
-        "jitter": getattr(args, "jitter", None),
-        "eps_abs": getattr(args, "eps_abs", None),
-    }
+def _grid(text: str) -> list[str]:
+    """An argparse type: the comma-separated entries of a weight grid, which
+    the config parser reads as numbers."""
+    return [v for v in text.split(",") if v.strip()]
 
 
-def _load_config_with_plant(args):
-    cfg = load_config(args.config, overrides=_overrides(args))
-    plant_path = getattr(args, "plant", None)
-    if plant_path is not None:
-        try:
-            model = StochasticLtiModel.load_json(plant_path)
-        except FileNotFoundError:
-            raise ConfigError(f"plant file not found: {plant_path}") from None
-        except Exception as exc:
-            raise ConfigError(f"invalid plant file {plant_path}: {exc}") from None
-        cfg = dataclasses.replace(cfg, plant=model)
-    return cfg
+# Each config flag: the config key that its value is set at, and its
+# argparse keywords. A subcommand takes the flags whose values it reads.
+_CONFIG_FLAGS = {
+    "--rank-tol": ("rank_tol", dict(type=float, help="relative singular-value cutoff")),
+    "--jitter": ("jitter", dict(
+        type=float, help="relative jitter of optimistic's precision with an output box, "
+                         "the only place jitter is applied")),
+    "--eps-abs": ("solver.eps_abs", dict(
+        type=float, help="absolute tolerance: ADMM's, and that of the residual test an "
+                         "exact equality-constrained solve must pass; the box-only "
+                         "active-set solves are exact and ignore it")),
+    "--plant": ("plant", dict(type=_plant_file, help="plant JSON file")),
+    "--controller": ("control.controller", dict(choices=CONTROLLER_NAMES,
+                                                help="controller to solve")),
+    "--grid": ("control.lambda_grid", dict(type=_grid, help="comma-separated ascending weights")),
+}
+_RUN_FLAGS = ("--rank-tol", "--jitter", "--eps-abs", "--plant")
+
+
+def _add_config_flags(parser, *flags):
+    for flag in flags:
+        key, kwargs = _CONFIG_FLAGS[flag]
+        help_text = f"{kwargs['help']} (sets {key})"
+        parser.add_argument(flag, default=None, **{**kwargs, "help": help_text})
+
+
+def _load_config(args):
+    """The config at ``args.config`` with each given flag's value set at its
+    key in the document, parsed once."""
+    doc = read_config(args.config)
+    for flag, (key, _) in _CONFIG_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None or not isinstance(doc, dict):
+            continue
+        *section, name = key.split(".")
+        target = doc.setdefault(section[0], {}) if section else doc
+        if isinstance(target, dict):  # else config_from_dict names the section
+            target[name] = value
+    return config_from_dict(doc, base_dir=os.path.dirname(os.path.abspath(args.config)))
 
 
 def _seed(text: str) -> int:
@@ -110,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--data", required=True, help="trajectory CSV (u_1..u_m, y_1..y_p)")
     p_id.add_argument("--config", required=True, help="experiment config JSON")
     p_id.add_argument("--out", required=True, help="output behavior JSON path")
-    _add_common_overrides(p_id, plant=True)
+    _add_config_flags(p_id, "--rank-tol", "--plant")
 
     p_pred = sub.add_parser(
         "predict",
@@ -123,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--behavior", required=True, help="behavior JSON from identify")
     p_pred.add_argument("--wini", required=True, help="history window CSV (L_ini rows)")
     p_pred.add_argument("--uf", required=True, help="future input CSV (L_f rows, u_1..u_m)")
-    _add_common_overrides(p_pred)
 
     p_ctl = sub.add_parser(
         "control",
@@ -135,12 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_ctl.add_argument("--config", required=True)
-    p_ctl.add_argument(
-        "--controller", choices=CONTROLLER_NAMES,
-        default=None, help="override the controller named in the config",
-    )
     p_ctl.add_argument("--out", default=None, help="optional JSON result path")
-    _add_common_overrides(p_ctl, plant=True)
+    _add_config_flags(p_ctl, *_RUN_FLAGS, "--controller")
 
     p_cl = sub.add_parser(
         "closed-loop",
@@ -154,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cl.add_argument("--config", required=True)
     p_cl.add_argument("--out", required=True, help="output CSV path")
-    _add_common_overrides(p_cl, plant=True)
+    _add_config_flags(p_cl, *_RUN_FLAGS)
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -162,10 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Writes lambda, mean_cost, std_cost, runs_ok, runs_failed per row.",
     )
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--grid", default=None,
-                         help="comma-separated ascending weights (default: config grid)")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    _add_common_overrides(p_sweep, plant=True)
+    _add_config_flags(p_sweep, *_RUN_FLAGS, "--grid")
 
     p_ver = sub.add_parser(
         "verify",
@@ -174,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--suite", choices=SUITES, default="all")
     p_ver.add_argument("--seed", type=_seed, default=0)
-    _add_common_overrides(p_ver)
 
     return parser
 
@@ -206,7 +215,7 @@ def _load_input_csv(path, m):
 
 
 def _cmd_identify(args) -> int:
-    cfg = _load_config_with_plant(args)
+    cfg = _load_config(args)
     traj = load_csv(args.data, cfg.dims)
     dm = build_data_matrix(traj, cfg.l_ini, cfg.l_f, mode=cfg.data_mode)
     expected = cfg.dims.m * (cfg.l_ini + cfg.l_f) + cfg.plant.n
@@ -247,10 +256,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_control(args) -> int:
-    cfg = _load_config_with_plant(args)
-    if args.controller is not None:
-        cfg = dataclasses.replace(cfg, controller=args.controller)
-        check_weights(cfg.controller, (cfg.lam, *cfg.lambda_grid))
+    cfg = _load_config(args)
     traj, dm, pm = identification_run(cfg)
     w_ini = traj.samples[-cfg.l_ini :].reshape(-1)
     cp = cfg.control_problem()
@@ -281,7 +287,7 @@ def _cmd_control(args) -> int:
 
 
 def _cmd_closed_loop(args) -> int:
-    cfg = _load_config_with_plant(args)
+    cfg = _load_config(args)
     record = run_closed_loop(cfg)
     record.save_csv(args.out)
     summary_path = args.out + ".summary.json"
@@ -297,14 +303,7 @@ def _cmd_closed_loop(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config_with_plant(args)
-    grid = None
-    if args.grid is not None:
-        try:
-            grid = [float(v) for v in args.grid.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"could not parse --grid {args.grid!r}") from None
-    cells = sweep_lambda(cfg, grid)
+    cells = sweep_lambda(_load_config(args))
     with open(args.out, "wb") as fh:
         fh.write(sweep_csv_bytes(cells))
     for c in cells:

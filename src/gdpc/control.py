@@ -254,15 +254,6 @@ class HessianReport:
     psd: bool
 
 
-@dataclass(frozen=True)
-class LambdaThreshold:
-    """Robust-controller weights; ``lambda_psd`` equals ``lambda0`` (see
-    :func:`lambda_threshold`)."""
-
-    lambda0: float
-    lambda_psd: float
-
-
 def _check_w_ini(w_ini, size: int) -> np.ndarray:
     """``w_ini`` as a 1-D float vector; raises :class:`ShapeError` unless it
     has length ``size`` and finite entries."""
@@ -275,7 +266,7 @@ def _check_w_ini(w_ini, size: int) -> np.ndarray:
 
 
 def _run_qp(prob: QpProblem, settings: QpSettings | None) -> QpSolution:
-    sol = solve(prob, settings or QpSettings())
+    sol = solve(prob) if settings is None else solve(prob, settings)
     if sol.status == "infeasible":
         raise InfeasibleProblem("controller QP certified infeasible")
     return sol
@@ -683,20 +674,19 @@ def hessian(pm: PredictiveModel, cp: ControlProblem, lam: float) -> HessianRepor
     return HessianReport(matrix=h, psd=is_psd(h, 1e-10))
 
 
-def lambda_threshold(pm: PredictiveModel, cp: ControlProblem) -> LambdaThreshold:
-    """Certified weights for the robust controller.
+def lambda_threshold(pm: PredictiveModel, cp: ControlProblem) -> float:
+    """lambda0, the certified weight threshold of the robust controller.
 
-    ``lambda0`` is the smallest weight making lam*cov^-1 - Q positive
+    lambda0 is the smallest weight making lam*cov^-1 - Q positive
     definite, max Lambda (module docstring) inflated by 1e-6. It is exact
     for a singular covariance too: max Lambda is the largest eigenvalue of
-    F^T Q F for any F with F F^T = cov, and no jitter enters. ``lambda_psd``,
-    the smallest weight >= lambda0 at which the input-space Hessian is PSD,
-    is lambda0 itself: for lam > max Lambda, lam Lambda / (lam - Lambda)
-    >= Lambda, so Z >= Q >= 0 and H = R + M_u^T Z M_u >= R > 0. ``verify``
-    samples lambda_min(H - R) >= 0 as an independent check.
+    F^T Q F for any F with F F^T = cov, and no jitter enters. The
+    input-space Hessian is PSD from lambda0 on: for lam > max Lambda,
+    lam Lambda / (lam - Lambda) >= Lambda, so Z >= Q >= 0 and
+    H = R + M_u^T Z M_u >= R > 0. ``verify`` samples lambda_min(H - R) >= 0
+    as an independent check.
     """
-    lambda0 = _lambda0(pm, cp)
-    return LambdaThreshold(lambda0=lambda0, lambda_psd=lambda0)
+    return _lambda0(pm, cp)
 
 
 def _robust_setup(pm: PredictiveModel, cp: ControlProblem, lam: float):
@@ -706,7 +696,7 @@ def _robust_setup(pm: PredictiveModel, cp: ControlProblem, lam: float):
     lambda0 = _lambda0(pm, cp)
     if lam < lambda0 or lam <= 0.0:
         raise LambdaTooSmall(f"lam={lam:g} below certified lambda0={lambda0:g}",
-                             lambda0=lambda0, lambda_psd=lambda0)
+                             lambda0=lambda0)
     # The input QP with Z(-lam); its mean is the worst-case mean
     # mu_hat + (lam*S - Q)^-1 Q (mu_hat - y_ref). The lam-scale terms of the
     # dual objective cancel exactly: the cost is ||mu_hat(u) - y_ref||_Z^2

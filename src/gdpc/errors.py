@@ -44,14 +44,13 @@ class ParseError(GdpcError, ValueError):
 class LambdaTooSmall(GdpcError, ValueError):
     """Raised when the robust controller weight is below its certified threshold.
 
-    Carries ``lambda0`` (smallest weight making the inner problem concave) and
-    ``lambda_psd`` (smallest weight certifying a convex outer problem).
+    Carries ``lambda0``, the smallest weight making the inner problem
+    concave; from it on the outer problem is convex too.
     """
 
-    def __init__(self, message: str, lambda0: float, lambda_psd: float | None = None):
+    def __init__(self, message: str, lambda0: float):
         super().__init__(message)
         self.lambda0 = lambda0
-        self.lambda_psd = lambda_psd
 
 
 class InfeasibleProblem(GdpcError, RuntimeError):

@@ -2,10 +2,12 @@
 
 A JSON experiment config (versioned, ``"schema": 1``) describes the plant,
 the identification data run, horizons, the control problem, and the
-closed-loop settings. ``run_closed_loop`` freezes the identified predictor
-once (offline identification), then runs the receding-horizon loop:
-assemble the measured history window, solve the configured controller,
-apply the first input block, step the seeded plant.
+closed-loop settings; :func:`config_from_dict` parses and checks all of it
+in one pass, and the CLI's flags are edits of the document before it.
+``run_closed_loop`` freezes the identified predictor once (offline
+identification), then runs the receding-horizon loop: assemble the
+measured history window, solve the configured controller, apply the first
+input block, step the seeded plant.
 
 A step does no more than that. Each noise covariance is factored once per
 ``run_closed_loop`` or ``sweep_lambda`` call, and a run draws each noise
@@ -143,10 +145,11 @@ def _per_channel(raw, count, name, bound=False):
 
 
 # The keys config_from_dict reads: at the top level (None) and in each
-# section but the plant, which StochasticLtiModel parses.
+# section. A plant given by "file" has that key alone.
 _CONFIG_KEYS = {
     None: {"schema", "plant", "data", "horizons", "control", "run", "solver",
            "rank_tol", "jitter"},
+    "plant": {"A", "B", "C", "D", "Sigma_xi", "Sigma_eta"},
     "data": {"steps", "mode", "initial", "input_std", "seed"},
     "horizons": {"L_ini", "L_f"},
     "control": {"controller", "regularizer", "q", "r", "u_ref", "y_ref", "u_min",
@@ -163,7 +166,8 @@ def _section(doc: dict, name: str | None) -> dict:
     section = doc if name is None else doc.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be a JSON object")
-    unknown = sorted(set(section) - _CONFIG_KEYS[name])
+    keys = {"file"} if name == "plant" and "file" in section else _CONFIG_KEYS[name]
+    unknown = sorted(set(section) - keys)
     if unknown:
         prefix = "" if name is None else f"{name}."
         raise ConfigError("unknown config key(s): "
@@ -171,42 +175,35 @@ def _section(doc: dict, name: str | None) -> dict:
     return section
 
 
-def check_weights(controller: str, weights) -> None:
-    """Raise :class:`ConfigError` unless every weight is one the controller
-    accepts: finite, and positive for optimistic and robust (lambda) or
-    non-negative for deepc (lambda_g). spc and ce read no weight."""
-    for value in weights:
-        if not math.isfinite(value):
-            raise ConfigError(f"weight lambda must be finite, got {value}")
-        if controller in ("optimistic", "robust") and not value > 0.0:
-            raise ConfigError(f"{controller} needs a weight lambda > 0, got {value}")
-        if controller == "deepc" and not value >= 0.0:
-            raise ConfigError(f"deepc needs a weight lambda >= 0, got {value}")
-
-
-def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+def read_config(path) -> dict:
+    """The JSON document of the config file at ``path``, unparsed;
+    :class:`ConfigError` if the file is missing or not JSON."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return config_from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)),
-                            overrides=overrides)
 
 
-def config_from_dict(doc: dict, base_dir: str = ".",
-                     overrides: dict | None = None) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(read_config(path),
+                            base_dir=os.path.dirname(os.path.abspath(path)))
+
+
+def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
+    """The checked config of the JSON document ``doc``, whose relative plant
+    file path is taken from ``base_dir``; :class:`ConfigError` naming the
+    first key at fault."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     schema = doc.get("schema")
     if schema != 1:
         raise ConfigError(f"unsupported config schema {schema!r} (expected 1)")
     _section(doc, None)
-    overrides = overrides or {}
 
-    plant_doc = doc.get("plant")
+    plant_doc = None if doc.get("plant") is None else _section(doc, "plant")
     try:
         if plant_doc is None:
             plant = default_benchmark()
@@ -227,9 +224,7 @@ def config_from_dict(doc: dict, base_dir: str = ".",
     horizons = _section(doc, "horizons")
     control = _section(doc, "control")
     run = _section(doc, "run")
-    solver_doc = dict(_section(doc, "solver"))
-    if "eps_abs" in overrides and overrides["eps_abs"] is not None:
-        solver_doc["eps_abs"] = overrides["eps_abs"]
+    solver_doc = _section(doc, "solver")
 
     try:
         l_ini = _number(horizons["L_ini"], int, "horizons.L_ini")
@@ -275,7 +270,13 @@ def config_from_dict(doc: dict, base_dir: str = ".",
         raise ConfigError("control.lambda_grid must be a list")
     lam = _number(control.get("lambda", 1.0), float, "control.lambda")
     grid = tuple(_number(g, float, "control.lambda_grid") for g in grid)
-    check_weights(controller, (lam, *grid))
+    for value in (lam, *grid):
+        if not math.isfinite(value):
+            raise ConfigError(f"weight lambda must be finite, got {value}")
+        if controller in ("optimistic", "robust") and not value > 0.0:
+            raise ConfigError(f"{controller} needs a weight lambda > 0, got {value}")
+        if controller == "deepc" and not value >= 0.0:
+            raise ConfigError(f"deepc needs a weight lambda >= 0, got {value}")
 
     data_input_std = _number(data.get("input_std", 1.0), float, "data.input_std")
     if not (math.isfinite(data_input_std) and data_input_std >= 0.0):
@@ -294,24 +295,16 @@ def config_from_dict(doc: dict, base_dir: str = ".",
     if not 1 <= apply_steps <= l_f:
         raise ConfigError("run.apply_steps must be in [1, L_f]")
 
-    solver = QpSettings(
-        eps_abs=_number(solver_doc.get("eps_abs", 1e-8), float, "solver.eps_abs"),
-        eps_rel=_number(solver_doc.get("eps_rel", 1e-8), float, "solver.eps_rel"),
-        max_iter=_number(solver_doc.get("max_iter", 50000), int, "solver.max_iter"),
-    )
-    if solver.max_iter < 1:
-        raise ConfigError(f"solver.max_iter must be at least 1, got {solver.max_iter}")
-    for key in ("eps_abs", "eps_rel"):
-        value = getattr(solver, key)
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ConfigError(f"solver.{key} must be finite and non-negative, got {value}")
+    eps_abs = _number(solver_doc.get("eps_abs", 1e-8), float, "solver.eps_abs")
+    eps_rel = _number(solver_doc.get("eps_rel", 1e-8), float, "solver.eps_rel")
+    max_iter = _number(solver_doc.get("max_iter", 50000), int, "solver.max_iter")
+    try:
+        solver = QpSettings(eps_abs=eps_abs, eps_rel=eps_rel, max_iter=max_iter)
+    except ValueError as exc:  # its message begins with the field's name
+        raise ConfigError(f"solver.{exc}") from None
 
-    def override(key, default):
-        value = overrides.get(key)
-        return _number(doc.get(key, default) if value is None else value, float, key)
-
-    rank_tol = override("rank_tol", 1e-10)
-    jitter = override("jitter", 1e-9)
+    rank_tol = _number(doc.get("rank_tol", 1e-10), float, "rank_tol")
+    jitter = _number(doc.get("jitter", 1e-9), float, "jitter")
     if not 0.0 < rank_tol < 1.0:
         raise ConfigError("rank_tol must be in (0, 1)")
     if not (math.isfinite(jitter) and jitter >= 0.0):
@@ -604,8 +597,9 @@ class SweepCell:
     runs_failed: int
 
 
-def sweep_lambda(cfg: ExperimentConfig, grid=None) -> list[SweepCell]:
-    """Monte-Carlo closed-loop cost over an ascending weight grid.
+def sweep_lambda(cfg: ExperimentConfig) -> list[SweepCell]:
+    """Monte-Carlo closed-loop cost over the ascending weight grid
+    ``cfg.lambda_grid``.
 
     Each cell repeats ``cfg.repetitions`` runs with seeds run_seed + r. The
     data are identified and the control problem is built once, since every
@@ -614,12 +608,11 @@ def sweep_lambda(cfg: ExperimentConfig, grid=None) -> list[SweepCell]:
     (infeasibility, threshold violations) or abort are recorded as failed
     and the sweep continues; any other exception propagates.
     """
-    values = tuple(float(g) for g in (grid if grid is not None else cfg.lambda_grid))
+    values = cfg.lambda_grid
     if not values:
         raise ConfigError("sweep requires a non-empty lambda grid")
     if any(b < a for a, b in zip(values, values[1:])):
         raise ConfigError("lambda grid must be ascending")
-    check_weights(cfg.controller, values)
     _, dm, pm = identification_run(cfg)
     cp = cfg.control_problem()
     noise_factors = _noise_factors(cfg.plant)

@@ -104,6 +104,8 @@ bound check when no bound is active. The arrays of a problem are read-only
 copies, so none of this can go stale.
 """
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -241,6 +243,18 @@ class QpSettings:
     eps_abs: float = 1e-8
     eps_rel: float = 1e-8
     max_iter: int = 50000
+
+    def __post_init__(self):
+        """:class:`ValueError`, its message beginning with the field's name,
+        unless ``max_iter`` is an integer >= 1 and both tolerances are
+        finite and non-negative."""
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        for name in ("eps_abs", "eps_rel"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -564,8 +564,7 @@ def _check_robust_dual_bounds_sampled_ball(rng) -> CheckResult:
     worst = -math.inf
     for _ in range(5):
         _, dm, pm, w_ini, cp = _random_instance(rng)
-        thr = ctl.lambda_threshold(pm, cp)
-        lam = 1.3 * max(thr.lambda0, 0.5)
+        lam = 1.3 * max(ctl.lambda_threshold(pm, cp), 0.5)
         res = ctl.robust(pm, w_ini, cp, lam=lam)
         mu_star = res.y_pred.mean
         mu_hat = pm.predict_mean(w_ini, res.u_f)
@@ -594,8 +593,7 @@ def _check_robust_dual_bounds_sampled_ball(rng) -> CheckResult:
 
 def _check_robust_hessian_matches_finite_differences(rng) -> CheckResult:
     _, dm, pm, _, cp = _random_instance(rng)
-    thr = ctl.lambda_threshold(pm, cp)
-    lam = 2.0 * max(thr.lambda0, 1.0)
+    lam = 2.0 * max(ctl.lambda_threshold(pm, cp), 1.0)
     rep = ctl.hessian(pm, cp, lam)
     precision = np.linalg.inv(symmetrize(pm.cov))
     gap = lam * precision - cp.Q
@@ -664,12 +662,10 @@ def _check_lambda_threshold_certificates(rng) -> CheckResult:
     pm = PredictiveModel(M_u=[[1.0]], M_ini=[[0.0, 0.0]], cov=[[2.0]])
     cp = ctl.ControlProblem(dims=SignalDims(1, 1), l_ini=1, l_f=1,
                             Q=[[3.0]], R=[[1.0]], u_ref=[0.0], y_ref=[0.0])
-    thr = ctl.lambda_threshold(pm, cp)
-    scalar_err = abs(thr.lambda0 - 6.0 * (1.0 + 1e-6))
+    scalar_err = abs(ctl.lambda_threshold(pm, cp) - 6.0 * (1.0 + 1e-6))
     _, dm, pm2, _, cp2 = _random_instance(rng)
-    thr2 = ctl.lambda_threshold(pm2, cp2)
-    probe = max(thr2.lambda_psd, thr2.lambda0) * (1.0 + 1e-6)
-    certified = ctl.hessian(pm2, cp2, probe).psd and thr2.lambda_psd >= thr2.lambda0
+    probe = ctl.lambda_threshold(pm2, cp2) * (1.0 + 1e-6)
+    certified = ctl.hessian(pm2, cp2, probe).psd
     return CheckResult(
         name="lambda_threshold_certificates",
         passed=scalar_err <= 1e-9 and certified,
@@ -680,12 +676,12 @@ def _check_lambda_threshold_certificates(rng) -> CheckResult:
 
 
 def _check_hessian_dominates_input_weight_above_lambda0(rng) -> CheckResult:
-    """lambda_psd = lambda0: for lam >= lambda0 the robust Hessian is at
-    least R, checked by the eigenvalues of H - R on sampled instances."""
+    """For lam >= lambda0 the robust Hessian is at least R, checked by the
+    eigenvalues of H - R on sampled instances."""
     worst = -math.inf
     for _ in range(5):
         _, _, pm, _, cp = _random_instance(rng)
-        lambda0 = ctl.lambda_threshold(pm, cp).lambda0
+        lambda0 = ctl.lambda_threshold(pm, cp)
         for lam in lambda0 * (1.0 + np.array([0.0, 1e-9, 1e-6, 1e-3, 1.0, 1e3])):
             vals = np.linalg.eigvalsh(ctl.hessian(pm, cp, lam).matrix - cp.R)
             worst = max(worst, -float(vals[0]) / max(1.0, abs(float(vals[-1]))))
@@ -770,7 +766,7 @@ def _check_spectral_weights_match_solve_forms(rng) -> CheckResult:
         worst["precision"] = max(worst["precision"], _rel(
             ctl._precision(pm.cov, ctl.DEFAULT_JITTER), precision, 1e-300))
         worst["lambda0"] = max(worst["lambda0"],
-                               _rel(ctl.lambda_threshold(pm, cp).lambda0, lambda0, 1e-300))
+                               _rel(ctl.lambda_threshold(pm, cp), lambda0, 1e-300))
         weights = [(lam, 0.5 * lam, ctl.optimistic, 0.0,
                     0.5 * lam * precision @ np.linalg.solve(cp.Q + 0.5 * lam * precision, cp.Q))
                    for lam in (1e-3, 0.2, 1.0, 10.0, 500.0, 1e4)]

@@ -134,8 +134,8 @@ class TestC03RobustSampledBound:
         worst_grad = 0.0
         for _ in range(20):
             inst = random_control_instance(rng)
-            thr = lambda_threshold(inst.pm, inst.cp)
-            lam = max(thr.lambda0, 0.3) * float(rng.uniform(1.2, 3.0))
+            lambda0 = lambda_threshold(inst.pm, inst.cp)
+            lam = max(lambda0, 0.3) * float(rng.uniform(1.2, 3.0))
             res = robust(inst.pm, inst.w_ini, inst.cp, lam=lam)
             mu_star = res.y_pred.mean
             mu_hat = inst.pm.predict_mean(inst.w_ini, res.u_f)

@@ -651,6 +651,15 @@ class TestSerialization:
         assert np.array_equal(back.mean, gb.mean)
         assert np.array_equal(back.cov, gb.cov)
 
+    @pytest.mark.parametrize("change,name", [
+        ({"schema": 7}, "schema 7"), ({"covv": 1}, "covv"), ({"schema": None}, "schema None"),
+    ])
+    def test_other_schema_or_unknown_key_rejected(self, change, name):
+        doc = make_behavior(np.eye(2)).to_json_dict()
+        doc.update(change)
+        with pytest.raises(ShapeError, match=name):
+            GaussianBehavior.from_json_dict(doc)
+
     def test_permutation_consistency(self):
         dims = SignalDims(2, 1)
         perm = interleave_permutation(dims, 2)

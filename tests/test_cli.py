@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through a subprocess (real exit codes)."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -9,11 +10,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gdpc import cli
 from gdpc.behavior import GaussianBehavior
 from gdpc.plant import default_benchmark, simulate
 from gdpc.trajectory import SignalDims, save_csv
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Each subcommand's option dests. A config flag is listed only where the
+# handler reads the value it sets, so none is accepted that changes nothing.
+OPTION_DESTS = {
+    "identify": {"data", "config", "out", "rank_tol", "plant"},
+    "predict": {"behavior", "wini", "uf"},
+    "control": {"config", "controller", "out", "rank_tol", "jitter", "eps_abs", "plant"},
+    "closed-loop": {"config", "out", "rank_tol", "jitter", "eps_abs", "plant"},
+    "sweep": {"config", "grid", "out", "rank_tol", "jitter", "eps_abs", "plant"},
+    "verify": {"suite", "seed"},
+}
 
 
 def run_cli(*args, cwd=None):
@@ -42,6 +55,44 @@ def workdir(tmp_path_factory):
     }
     (path / "config.json").write_text(json.dumps(config))
     return path
+
+
+class TestContract:
+    def test_option_dests_per_subcommand(self):
+        (subparsers,) = [a for a in cli.build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        got = {name: {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+               for name, sub in subparsers.choices.items()}
+        assert got == OPTION_DESTS
+
+    @pytest.mark.parametrize("flag", ["--jitter", "--rank-tol", "--eps-abs"])
+    @pytest.mark.parametrize("command", [
+        ["predict", "--behavior", "b.json", "--wini", "w.csv", "--uf", "u.csv"],
+        ["verify", "--suite", "solver"],
+    ], ids=["predict", "verify"])
+    def test_commands_without_a_config_reject_config_flags(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*command, flag, "1e-9"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_each_flag_sets_its_config_value(self, workdir):
+        plant_path = workdir / "flag_plant.json"
+        default_benchmark(0.1, 0.2).save_json(plant_path)
+        args = cli.build_parser().parse_args([
+            "sweep", "--config", str(ROOT / "configs" / "example.json"), "--out", "x.csv",
+            "--rank-tol", "1e-6", "--jitter", "0", "--eps-abs", "1e-5",
+            "--plant", str(plant_path), "--grid", "1, 2",
+        ])
+        cfg = cli._load_config(args)
+        assert (cfg.rank_tol, cfg.jitter, cfg.solver.eps_abs) == (1e-6, 0.0, 1e-5)
+        assert cfg.lambda_grid == (1.0, 2.0)
+        assert np.array_equal(cfg.plant.Sigma_xi, default_benchmark(0.1, 0.2).Sigma_xi)
+        args = cli.build_parser().parse_args([
+            "control", "--config", str(ROOT / "configs" / "example.json"),
+            "--controller", "robust",
+        ])
+        assert cli._load_config(args).controller == "robust"
 
 
 class TestIdentify:
@@ -208,6 +259,32 @@ class TestPlantOverride:
         assert proc.returncode == 0, proc.stderr
         assert out_a.read_bytes() != out_b.read_bytes()
 
+    def test_plant_flag_equals_the_plant_file_key(self, workdir):
+        # The flag's path is taken from the working directory, the key's
+        # from the config's directory.
+        default_benchmark(0.1, 0.2).save_json(workdir / "noisier.json")
+        config = json.loads((workdir / "config.json").read_text())
+        (workdir / "keyed.json").write_text(json.dumps({**config,
+                                                        "plant": {"file": "noisier.json"}}))
+        (workdir / "sub").mkdir(exist_ok=True)
+        (workdir / "sub" / "config.json").write_text(json.dumps(config))
+        keyed = run_cli("closed-loop", "--config", "keyed.json", "--out", "keyed.csv",
+                        cwd=workdir)
+        flagged = run_cli("closed-loop", "--config", "sub/config.json", "--plant",
+                          "noisier.json", "--out", "flagged.csv", cwd=workdir)
+        assert keyed.returncode == 0 and flagged.returncode == 0, keyed.stderr + flagged.stderr
+        assert (workdir / "keyed.csv").read_bytes() == (workdir / "flagged.csv").read_bytes()
+
+    def test_extra_plant_key_is_config_error(self, workdir):
+        config = json.loads((workdir / "config.json").read_text())
+        config["plant"] = {**default_benchmark().to_json_dict(), "Sigma_xii": [[9.0]]}
+        path = workdir / "extra_plant_key.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli("closed-loop", "--config", str(path), "--out", str(workdir / "bad.csv"))
+        assert proc.returncode == 3, proc.stderr
+        assert "plant.Sigma_xii" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (workdir / "bad.csv").exists()
+
     def test_missing_plant_file_is_config_error(self, workdir):
         proc = run_cli("closed-loop", "--config", str(workdir / "config.json"),
                        "--plant", str(workdir / "ghost.json"),
@@ -226,6 +303,12 @@ class TestSweep:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("lambda,")
         assert len(lines) == 3
+
+    def test_bad_grid_entry_is_config_error(self, workdir):
+        proc = run_cli("sweep", "--config", str(workdir / "config.json"),
+                       "--grid", "5,abc", "--out", str(workdir / "bad_sweep.csv"))
+        assert proc.returncode == 3, proc.stderr
+        assert "control.lambda_grid" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestVerifyCommand:

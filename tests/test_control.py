@@ -569,10 +569,10 @@ class TestRobust:
     def test_below_threshold_rejected(self):
         rng = np.random.default_rng(17)
         inst = random_control_instance(rng)
-        thr = lambda_threshold(inst.pm, inst.cp)
+        lambda0 = lambda_threshold(inst.pm, inst.cp)
         with pytest.raises(LambdaTooSmall) as err:
-            robust(inst.pm, inst.w_ini, inst.cp, lam=0.5 * thr.lambda0)
-        assert err.value.lambda0 == pytest.approx(thr.lambda0)
+            robust(inst.pm, inst.w_ini, inst.cp, lam=0.5 * lambda0)
+        assert err.value.lambda0 == pytest.approx(lambda0)
 
     def test_worst_case_mean_stationarity(self):
         # The worst-case mean zeroes the inner Lagrangian gradient
@@ -580,8 +580,8 @@ class TestRobust:
         # central differences on the Lagrangian itself.
         rng = np.random.default_rng(18)
         inst = random_control_instance(rng)
-        thr = lambda_threshold(inst.pm, inst.cp)
-        lam = 1.5 * max(thr.lambda0, 1e-6) + 1.0
+        lambda0 = lambda_threshold(inst.pm, inst.cp)
+        lam = 1.5 * max(lambda0, 1e-6) + 1.0
         res = robust(inst.pm, inst.w_ini, inst.cp, lam=lam)
         mu_star = res.y_pred.mean
         mu_hat = inst.pm.predict_mean(inst.w_ini, res.u_f)
@@ -606,8 +606,8 @@ class TestRobust:
         rng = np.random.default_rng(19)
         for _ in range(5):
             inst = random_control_instance(rng)
-            thr = lambda_threshold(inst.pm, inst.cp)
-            lam = 1.3 * max(thr.lambda0, 0.5)
+            lambda0 = lambda_threshold(inst.pm, inst.cp)
+            lam = 1.3 * max(lambda0, 0.5)
             res = robust(inst.pm, inst.w_ini, inst.cp, lam=lam)
             mu_star = res.y_pred.mean
             mu_hat = inst.pm.predict_mean(inst.w_ini, res.u_f)
@@ -647,8 +647,8 @@ class TestHessian:
     def test_matches_finite_difference_hessian(self):
         rng = np.random.default_rng(21)
         inst = random_control_instance(rng)
-        thr = lambda_threshold(inst.pm, inst.cp)
-        lam = 2.0 * max(thr.lambda0, 1.0)
+        lambda0 = lambda_threshold(inst.pm, inst.cp)
+        lam = 2.0 * max(lambda0, 1.0)
         rep = hessian(inst.pm, inst.cp, lam)
         precision = np.linalg.inv(inst.pm.cov)
         gap = lam * precision - inst.cp.Q
@@ -710,22 +710,21 @@ class TestLambdaThreshold:
         # lam/2 > 3  <=>  lam > 6.
         pm = scalar_model_pm(cov=2.0)
         cp = scalar_cp(q=3.0)
-        thr = lambda_threshold(pm, cp)
-        assert thr.lambda0 == pytest.approx(6.0 * (1.0 + 1e-6), rel=1e-9)
+        lambda0 = lambda_threshold(pm, cp)
+        assert type(lambda0) is float
+        assert lambda0 == pytest.approx(6.0 * (1.0 + 1e-6), rel=1e-9)
 
     def test_zero_output_weight(self):
         pm = scalar_model_pm()
         cp = scalar_cp(q=0.0)
-        thr = lambda_threshold(pm, cp)
-        assert thr.lambda0 == 0.0
-        assert thr.lambda_psd == 0.0
+        lambda0 = lambda_threshold(pm, cp)
+        assert lambda0 == 0.0
 
     def test_psd_certificate(self):
         rng = np.random.default_rng(23)
         inst = random_control_instance(rng)
-        thr = lambda_threshold(inst.pm, inst.cp)
-        assert thr.lambda_psd >= thr.lambda0
-        probe = max(thr.lambda_psd, thr.lambda0) * (1.0 + 1e-6)
+        lambda0 = lambda_threshold(inst.pm, inst.cp)
+        probe = lambda0 * (1.0 + 1e-6)
         assert hessian(inst.pm, inst.cp, probe).psd
 
     def test_rank_one_covariance_is_exact(self):
@@ -739,10 +738,10 @@ class TestLambdaThreshold:
             cp = inst.cp
             v = rng.standard_normal(cp.n_y)
             pm = PredictiveModel(M_u=inst.pm.M_u, M_ini=inst.pm.M_ini, cov=np.outer(v, v))
-            thr = lambda_threshold(pm, cp)
+            lambda0 = lambda_threshold(pm, cp)
             exact = (1.0 + 1e-6) * float(v @ cp.Q @ v)
-            assert abs(thr.lambda0 - exact) <= 1e-12 * exact
-            lam = 2.0 * thr.lambda0
+            assert abs(lambda0 - exact) <= 1e-12 * exact
+            lam = 2.0 * lambda0
             res = robust(pm, inst.w_ini, cp, lam)
             assert res.solver.status == "optimal"
             qv = cp.Q @ v
@@ -786,8 +785,8 @@ class TestControlProblemValidation:
     def test_box_constraints_respected_across_controllers(self):
         rng = np.random.default_rng(24)
         inst = random_control_instance(rng, with_input_box=True)
-        thr = lambda_threshold(inst.pm, inst.cp)
-        lam = 2.0 * max(thr.lambda0, 1.0)
+        lambda0 = lambda_threshold(inst.pm, inst.cp)
+        lam = 2.0 * max(lambda0, 1.0)
         for res in (
             spc(inst.pm, inst.w_ini, inst.cp),
             certainty_equivalence(inst.pm, inst.w_ini, inst.cp),
@@ -819,7 +818,7 @@ def call_controller(name, inst, w_ini):
     """One call of controller ``name`` (deepc as deepc-<regularizer>) on
     ``inst`` with the history window ``w_ini``; optimistic and robust at
     twice the robust threshold, deepc at lambda_g 1."""
-    lam = 2.0 * max(lambda_threshold(inst.pm, inst.cp).lambda0, 1.0)
+    lam = 2.0 * max(lambda_threshold(inst.pm, inst.cp), 1.0)
     if name.startswith("deepc"):
         return deepc(inst.dm, w_ini, inst.cp, name.split("-")[1], 1.0)
     if name in ("optimistic", "robust"):
@@ -991,7 +990,7 @@ class TestPerRunSetup:
         pm, cp = self.singular_cov_model(inst.pm, rng), inst.cp
         pm2 = dataclasses.replace(pm, M_u=1.5 * pm.M_u)
         cp2 = self.other_cp(cp)
-        lam = 2.0 * lambda_threshold(pm, cp).lambda0
+        lam = 2.0 * lambda_threshold(pm, cp)
         calls = [
             (pm, cp, {"lam": lam}), (pm, cp, {"lam": 5.0 * lam}), (pm, cp, {"lam": lam}),
             (pm, cp, {"lam": 1.5 * lam}), (pm, cp, {"lam": lam}),
@@ -1002,7 +1001,7 @@ class TestPerRunSetup:
 
     def test_failed_setup_is_not_kept(self):
         inst, _ = self.instance(47)
-        lam0 = lambda_threshold(inst.pm, inst.cp).lambda0
+        lam0 = lambda_threshold(inst.pm, inst.cp)
         ok = robust(inst.pm, inst.w_ini, inst.cp, 2.0 * lam0)
         for _ in range(2):
             with pytest.raises(LambdaTooSmall):

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import random_stable_plant, record_solver_paths
 
-from gdpc import control, harness, plant, qp
+from gdpc import cli, control, harness, plant, qp
 from gdpc.errors import ConfigError, InfeasibleProblem, LambdaTooSmall
 from gdpc.harness import (
     config_from_dict,
@@ -27,6 +27,13 @@ from gdpc.verify import _joint_deepc, verify
 verify_module = importlib.import_module("gdpc.verify")
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.json"
+
+
+def load_with_flags(*flags):
+    """The example config as ``gdpc closed-loop`` loads it with ``flags``."""
+    args = cli.build_parser().parse_args(
+        ["closed-loop", "--config", str(EXAMPLE_CONFIG), "--out", "unused.csv", *flags])
+    return cli._load_config(args)
 
 
 def base_doc(**over):
@@ -63,11 +70,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict(doc)
 
-    @pytest.mark.parametrize("section", ["data", "horizons", "control", "run", "solver"])
+    @pytest.mark.parametrize("section", ["plant", "data", "horizons", "control", "run",
+                                         "solver"])
     def test_unknown_key_is_named(self, section):
         doc = base_doc()
         doc.setdefault(section, {})["extra"] = 1
         with pytest.raises(ConfigError, match=rf"{section}\.extra"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("extra,name", [
+        ({"Sigma_xii": [[9.0]]}, "plant.Sigma_xii"), ({"file": "plant.json"}, "plant.A"),
+    ])
+    def test_plant_is_a_file_or_exactly_the_matrices(self, extra, name):
+        # An extra Sigma_xii used to build silently with the default Sigma_xi.
+        doc = base_doc(plant={**default_benchmark().to_json_dict(), **extra})
+        with pytest.raises(ConfigError, match=rf"unknown config key\(s\): .*{name}"):
             config_from_dict(doc)
 
     def test_section_must_be_an_object(self):
@@ -103,15 +120,15 @@ class TestConfig:
 
     def test_zero_jitter_override_is_kept(self):
         assert load_config(EXAMPLE_CONFIG).jitter == 1e-9
-        assert load_config(EXAMPLE_CONFIG, overrides={"jitter": None}).jitter == 1e-9
-        assert load_config(EXAMPLE_CONFIG, overrides={"jitter": 0.0}).jitter == 0.0
+        assert load_with_flags().jitter == 1e-9
+        assert load_with_flags("--jitter", "0").jitter == 0.0
 
     @pytest.mark.parametrize("value", [-1.0, -1e-12, float("nan"), float("inf")])
     def test_bad_jitter_rejected(self, value):
         with pytest.raises(ConfigError, match="jitter"):
             config_from_dict(base_doc(jitter=value))
         with pytest.raises(ConfigError, match="jitter"):
-            load_config(EXAMPLE_CONFIG, overrides={"jitter": value})
+            load_with_flags(f"--jitter={value}")
 
     @pytest.mark.parametrize("key,value", [
         ("max_iter", 0), ("max_iter", -5), ("eps_abs", -1e-8), ("eps_abs", float("inf")),
@@ -128,12 +145,12 @@ class TestConfig:
 
     def test_bad_eps_abs_override_rejected(self):
         with pytest.raises(ConfigError, match="solver.eps_abs"):
-            load_config(EXAMPLE_CONFIG, overrides={"eps_abs": -1.0})
+            load_with_flags("--eps-abs=-1.0")
 
     def test_zero_rank_tol_override_rejected(self):
         with pytest.raises(ConfigError, match="rank_tol"):
-            load_config(EXAMPLE_CONFIG, overrides={"rank_tol": 0.0})
-        cfg = load_config(EXAMPLE_CONFIG, overrides={"rank_tol": 0.5})
+            load_with_flags("--rank-tol", "0.0")
+        cfg = load_with_flags("--rank-tol", "0.5")
         assert cfg.rank_tol == 0.5
 
     @pytest.mark.parametrize("controller,lam", [
@@ -163,10 +180,10 @@ class TestConfig:
         assert cfg.lam == 0.0 and cfg.lambda_grid == (0.0, 1.0)
 
     def test_bad_weight_in_explicit_sweep_grid_rejected(self):
-        cfg = config_from_dict(base_doc(control={"controller": "robust", "q": 1.0,
-                                                 "r": 0.05, "y_ref": 1.0}))
+        doc = base_doc(control={"controller": "robust", "q": 1.0, "r": 0.05, "y_ref": 1.0,
+                                "lambda_grid": [-1.0, 1.0]})
         with pytest.raises(ConfigError, match="lambda"):
-            sweep_lambda(cfg, [-1.0, 1.0])
+            config_from_dict(doc)
 
     def test_data_initial_modes(self):
         doc = base_doc()
@@ -421,7 +438,7 @@ class TestSweep:
         doc["control"] = {"controller": "optimistic", "q": 1.0, "r": 0.05,
                           "y_ref": 1.0, "lambda": 50.0}
         cfg = config_from_dict(doc)
-        cells = sweep_lambda(cfg, [50.0])
+        cells = sweep_lambda(dataclasses.replace(cfg, lambda_grid=(50.0,)))
         costs = [run_closed_loop(dataclasses.replace(cfg, run_seed=cfg.run_seed + r,
                                                      lam=50.0)).realized_cost
                  for r in range(cfg.repetitions)]
@@ -445,7 +462,7 @@ class TestSweep:
         doc["control"] = {"controller": "optimistic", "q": 1.0, "r": 0.05,
                           "y_ref": 1.0, "lambda": 1.0}
         cfg = config_from_dict(doc)
-        cell = sweep_lambda(cfg, [1e10])[0]
+        cell = sweep_lambda(dataclasses.replace(cfg, lambda_grid=(1e10,)))[0]
         spc_doc = base_doc()
         spc_doc["run"] = doc["run"]
         spc_doc["control"] = {"controller": "spc", "q": 1.0, "r": 0.05, "y_ref": 1.0}
@@ -462,7 +479,7 @@ class TestSweep:
         cfg = config_from_dict(doc)
         # A tiny weight sits below the certified threshold and must fail;
         # the huge weight succeeds.
-        cells = sweep_lambda(cfg, [1e-12, 1e6])
+        cells = sweep_lambda(dataclasses.replace(cfg, lambda_grid=(1e-12, 1e6)))
         assert cells[0].runs_ok == 0 and cells[0].runs_failed == 1
         assert np.isnan(cells[0].mean_cost)
         assert cells[1].runs_ok == 1
@@ -472,7 +489,7 @@ class TestSweep:
         doc["control"] = {"controller": "robust", "q": 1.0, "r": 0.05, "y_ref": 1.0}
         doc["run"] = {"steps": 12, "repetitions": 2, "seed": 5}
         cfg = config_from_dict(doc)
-        grid = [1e-12, 10.0, 1e4]
+        grid = (1e-12, 10.0, 1e4)
         expected = []
         for lam in grid:
             costs = []
@@ -489,7 +506,7 @@ class TestSweep:
         identify = harness.identification_run
         monkeypatch.setattr(harness, "identification_run",
                             lambda c: calls.append(c) or identify(c))
-        cells = sweep_lambda(cfg, grid)
+        cells = sweep_lambda(dataclasses.replace(cfg, lambda_grid=grid))
         assert len(calls) == 1
         got = [(c.runs_ok, c.runs_failed, None if np.isnan(c.mean_cost) else c.mean_cost)
                for c in cells]
@@ -507,12 +524,12 @@ class TestSweep:
 
         monkeypatch.setattr(control, "optimistic", broken)
         with pytest.raises(TypeError, match="controller bug"):
-            sweep_lambda(cfg, [1.0])
+            sweep_lambda(dataclasses.replace(cfg, lambda_grid=(1.0,)))
 
     def test_unsorted_grid_rejected(self):
         cfg = config_from_dict(base_doc())
         with pytest.raises(ConfigError):
-            sweep_lambda(cfg, [10.0, 1.0])
+            sweep_lambda(dataclasses.replace(cfg, lambda_grid=(10.0, 1.0)))
 
     def test_sweep_csv_byte_reproducible(self):
         doc = base_doc()
@@ -599,8 +616,9 @@ class TestVerify:
         active_set = qp._active_set
 
         def one_iteration_early(prob, factor, settings):
+            # max_iter is at least 1, so a one-iteration solve is left whole.
             full = active_set(prob, factor, settings)
-            cut = dataclasses.replace(settings, max_iter=full.iterations - 1)
+            cut = dataclasses.replace(settings, max_iter=max(full.iterations - 1, 1))
             return dataclasses.replace(active_set(prob, factor, cut), status=full.status)
 
         monkeypatch.setattr(qp, "_active_set", one_iteration_early)

@@ -232,6 +232,21 @@ class TestValidation:
             QpProblem(P=np.diag([1.0, -1.0]), q=[0.0, 0.0])
         assert calls == [1, 1]
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_iter", -3), ("max_iter", 0), ("max_iter", 2.5), ("max_iter", True),
+        ("eps_abs", float("nan")), ("eps_abs", -1.0), ("eps_rel", float("inf")),
+        ("eps_rel", -1e-12),
+    ])
+    def test_settings_reject_bad_fields(self, field, value):
+        # An equality QP with max_iter -3 returned iterations -3 and an x off
+        # the equality; eps_abs NaN or -1 ran ADMM for all its iterations.
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            QpSettings(**{field: value})
+
+    def test_settings_accept_their_smallest_values(self):
+        settings = QpSettings(eps_abs=0.0, eps_rel=0, max_iter=np.int64(1))
+        assert (settings.eps_abs, settings.eps_rel, settings.max_iter) == (0.0, 0, 1)
+
     def test_arrays_are_read_only_copies(self):
         q, lower = np.zeros(2), -np.ones(2)
         prob = QpProblem(P=np.eye(2), q=q, lower=lower)
