@@ -29,6 +29,7 @@ from .linalg import (
     chol_psd,
     is_psd,
     pinv,
+    psd_factor,
     read_only,
     symmetrize,
 )
@@ -77,7 +78,8 @@ class GaussianBehavior:
         if not is_psd(cov, 1e-8):
             raise NotPositiveDefinite("behavior covariance is not PSD at tolerance 1e-8")
         if self.ordering not in (ORDER_INTERLEAVED, ORDER_BLOCKED):
-            raise ValueError(f"unknown ordering {self.ordering!r}")
+            raise ShapeError(f"unknown ordering {self.ordering!r}, expected "
+                             f"{ORDER_INTERLEAVED!r} or {ORDER_BLOCKED!r}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -512,19 +514,11 @@ def kl_mean_term(mean_a, mean_b, cov_b, jitter: float = 0.0) -> float:
 
 
 def sample(gb: GaussianBehavior, count: int, seed) -> np.ndarray:
-    """``count`` i.i.d. draws as columns, deterministic given the seed.
-
-    Sampled through the eigendecomposition with negative eigenvalues clamped
-    to zero, so singular covariances are fine.
+    """``count`` i.i.d. draws as columns, deterministic given the seed: the
+    mean plus F z for F = ``psd_factor(gb.cov)``, whose eigenvalue cutoff
+    keeps the draws of a singular covariance in its range.
     """
     if count < 1:
         raise ShapeError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
-    vals, vecs = np.linalg.eigh(gb.cov)
-    # Relative cutoff: eigendecomposition noise in null directions would
-    # otherwise leak samples out of the support of a singular covariance.
-    cutoff = 1e-12 * max(float(vals[-1]), 0.0)
-    vals = np.where(vals > cutoff, vals, 0.0)
-    scale = vecs * np.sqrt(vals)
-    z = rng.standard_normal((gb.size, count))
-    return gb.mean[:, None] + scale @ z
+    z = np.random.default_rng(seed).standard_normal((gb.size, count))
+    return gb.mean[:, None] + psd_factor(gb.cov) @ z

@@ -9,7 +9,6 @@ Each config flag sets one key of the config document, which
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -29,6 +28,7 @@ from .harness import (
     sweep_lambda,
 )
 from .trajectory import (
+    _read_rows,
     block_row_permutation,
     build_data_matrix,
     excitation_rank,
@@ -190,25 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_input_csv(path, m):
     """Read an input-only CSV with header u_1..u_m."""
-    expected = [f"u_{i + 1}" for i in range(m)]
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file: missing header row", line=1) from None
-        if [h.strip() for h in header] != expected:
-            raise ParseError(f"header {header!r} does not match {expected!r}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != m:
-                raise ParseError(f"expected {m} fields, got {len(row)}", line=lineno)
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ParseError(f"non-numeric field: {exc}", line=lineno) from None
+    rows = _read_rows(path, [f"u_{i + 1}" for i in range(m)])
     if not rows:
         raise ParseError("no data rows", line=2)
     return np.array(rows)

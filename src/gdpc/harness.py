@@ -10,18 +10,17 @@ measured history window, solve the configured controller, apply the first
 input block, step the seeded plant.
 
 A step does no more than that. Each noise covariance is factored once per
-``run_closed_loop`` or ``sweep_lambda`` call, and a run draws each noise
-stream for all its steps before the loop, bit for bit the per-step
-``multivariate_normal`` draws. The plant advances by ``plant.step``'s
-expressions inline, without its per-call argument checks; the samples go
-into one preallocated array whose rows are the history windows, and the
-step records are built from that array after the loop.
+``run_closed_loop`` or ``sweep_lambda`` call, by ``linalg.psd_factor``, and
+a run draws each noise stream for all its steps before the loop, by
+``plant.gaussian_rows`` as ``simulate`` draws it. The plant advances by
+``plant.step``'s expressions inline, without its per-call argument checks;
+the samples go into one preallocated array whose rows are the history
+windows, and the step records are built from that array after the loop.
 """
 
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +28,12 @@ import numpy as np
 from . import control as ctl
 from .behavior import predictive_model
 from .errors import ConfigError, GdpcError, InfeasibleProblem, UnstableSystem
+from .linalg import psd_factor
 from .plant import (
+    PLANT_KEYS,
     StochasticLtiModel,
     default_benchmark,
+    gaussian_rows,
     simulate,
     stationary_state_covariance,
 )
@@ -149,7 +151,7 @@ def _per_channel(raw, count, name, bound=False):
 _CONFIG_KEYS = {
     None: {"schema", "plant", "data", "horizons", "control", "run", "solver",
            "rank_tol", "jitter"},
-    "plant": {"A", "B", "C", "D", "Sigma_xi", "Sigma_eta"},
+    "plant": set(PLANT_KEYS),
     "data": {"steps", "mode", "initial", "input_std", "seed"},
     "horizons": {"L_ini", "L_f"},
     "control": {"controller", "regularizer", "q", "r", "u_ref", "y_ref", "u_min",
@@ -473,32 +475,9 @@ def run_closed_loop(cfg: ExperimentConfig) -> RunRecord:
                         cfg.run_seed, cfg.lam)
 
 
-def _noise_factor(cov: np.ndarray) -> np.ndarray:
-    """F^T for numpy's default ``multivariate_normal`` method: F = U sqrt(s)
-    from the SVD U diag(s) V^T of ``cov``, after its PSD check, which warns."""
-    cov = np.array(cov, dtype=float)
-    u, s, vh = np.linalg.svd(cov)
-    if not np.allclose(np.dot(vh.T * s, vh), cov, rtol=1e-8, atol=1e-8):
-        warnings.warn("covariance is not symmetric positive-semidefinite.",
-                      RuntimeWarning, stacklevel=2)
-    return (u * np.sqrt(s)).T
-
-
 def _noise_factors(model: StochasticLtiModel) -> tuple[np.ndarray, np.ndarray]:
     """The process and measurement noise factors of ``model``."""
-    return _noise_factor(model.Sigma_xi), _noise_factor(model.Sigma_eta)
-
-
-def _gaussian_draws(rng: np.random.Generator, factor_t: np.ndarray, steps: int) -> np.ndarray:
-    """``steps`` rows, each ``rng.multivariate_normal(zeros, cov)`` bit for bit
-    and from the same stream, for ``factor_t = _noise_factor(cov)``.
-
-    Each row is its own (1, k) @ (k, k) product, numpy's per-draw product,
-    stacked; one (steps, k) @ (k, k) product rounds some rows differently.
-    """
-    k = factor_t.shape[0]
-    z = rng.standard_normal((steps, k))
-    return np.zeros(k) + (z[:, None, :] @ factor_t)[:, 0]
+    return psd_factor(model.Sigma_xi), psd_factor(model.Sigma_eta)
 
 
 def _closed_loop(cfg: ExperimentConfig, dm, pm, cp: ctl.ControlProblem,
@@ -519,8 +498,8 @@ def _closed_loop(cfg: ExperimentConfig, dm, pm, cp: ctl.ControlProblem,
 
     ss = np.random.SeedSequence(seed)
     rng_warm, rng_xi, rng_eta = [np.random.default_rng(s) for s in ss.spawn(3)]
-    xi_seq = _gaussian_draws(rng_xi, noise_factors[0], steps)
-    eta_seq = _gaussian_draws(rng_eta, noise_factors[1], steps)
+    xi_seq = gaussian_rows(rng_xi, noise_factors[0], steps)
+    eta_seq = gaussian_rows(rng_eta, noise_factors[1], steps)
     warm_up = np.clip(cfg.data_input_std * rng_warm.standard_normal((l_ini, m)),
                       cp.u_lower[:m], cp.u_upper[:m])
 

@@ -1,10 +1,11 @@
 """Dense linear-algebra kernels the rest of the package builds on.
 
 Thin, contract-checked wrappers around LAPACK (via numpy/scipy): truncated
-pseudoinverse, symmetric eigendecomposition, Cholesky with shift, a square
-root of a semidefinite matrix, PSD test, and the discrete Lyapunov solve;
-and the read-only copy the package's value types keep their arrays in. All
-functions treat inputs as immutable and are safe to call concurrently.
+pseudoinverse, symmetric eigendecomposition, Cholesky with shift, the
+package's one square root of a covariance (``psd_factor``), PSD test, and
+the discrete Lyapunov solve; and the read-only copy the package's value
+types keep their arrays in. All functions treat inputs as immutable and are
+safe to call concurrently.
 """
 
 import warnings
@@ -121,15 +122,19 @@ def chol_psd(s, shift: float = 0.0) -> np.ndarray:
 
 
 def psd_factor(cov, name: str = "covariance") -> np.ndarray:
-    """A factor F with F F^T = cov from its eigendecomposition, tolerating
-    singular covariances: F = V diag(sqrt(max(d, 0))). Raises ``ShapeError``
-    naming ``name`` if cov is not positive semidefinite by ``is_psd``'s
-    relative rule at 1e-8."""
+    """A factor F with F F^T = cov from its eigendecomposition V diag(d) V^T,
+    the package's one square root of a covariance: F = V diag(sqrt(d')),
+    where d' is d with every eigenvalue at or below 1e-12 max(d, 0) set to
+    zero. A singular covariance is fine, and the cutoff keeps the rounding
+    of its null directions out of F, so draws F z stay in its range. Raises
+    ``ShapeError`` naming ``name`` if cov is not positive semidefinite by
+    ``is_psd``'s relative rule at 1e-8."""
     vals, vecs = np.linalg.eigh(symmetrize(cov))
     if vals[0] < -1e-8 * max(1.0, abs(vals[-1])):
         raise ShapeError(f"{name} must be positive semidefinite, "
                          f"smallest eigenvalue {vals[0]:.3g}")
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+    cutoff = 1e-12 * max(float(vals[-1]), 0.0)
+    return vecs * np.sqrt(np.where(vals > cutoff, vals, 0.0))
 
 
 def is_psd(s, tol: float = 1e-10) -> bool:

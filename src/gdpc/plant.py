@@ -13,6 +13,10 @@ x_{t+1} - A x_t = B u_t + xi_t by one banded forward substitution (LAPACK
 ``dtbtrs``, 2n^2 doubles of band per sample), which matches the stepwise
 recursion to rounding, not bit for bit. ``step`` is one exact per-sample
 update; the closed loop applies its expressions inline.
+
+Every noise stream, here and in the closed loop, is drawn by
+``gaussian_rows``: all its samples at once, z F^T for a standard normal
+(count, k) array z and F = ``linalg.psd_factor(cov)``.
 """
 
 import json
@@ -25,6 +29,10 @@ from scipy.linalg.lapack import dtbtrs
 from .errors import ShapeError
 from .linalg import as_matrix, is_psd, lyap_discrete, psd_factor, spectral_radius, symmetrize
 from .trajectory import SignalDims, Trajectory
+
+
+# The keys of a plant's JSON description, each a matrix field of the model.
+PLANT_KEYS = ("A", "B", "C", "D", "Sigma_xi", "Sigma_eta")
 
 
 @dataclass(frozen=True)
@@ -82,26 +90,19 @@ class StochasticLtiModel:
         return SignalDims(m=self.m, p=self.p)
 
     def to_json_dict(self) -> dict:
-        return {
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
-            "C": self.C.tolist(),
-            "D": self.D.tolist(),
-            "Sigma_xi": self.Sigma_xi.tolist(),
-            "Sigma_eta": self.Sigma_eta.tolist(),
-        }
+        return {key: getattr(self, key).tolist() for key in PLANT_KEYS}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StochasticLtiModel":
+        """The model of a :meth:`to_json_dict` document; :class:`ShapeError`
+        naming every key it does not read, or a missing key."""
+        if not isinstance(data, dict):
+            raise ShapeError("plant description must be a JSON object")
+        unknown = sorted(map(str, set(data) - set(PLANT_KEYS)))
+        if unknown:
+            raise ShapeError("unknown plant key(s): " + ", ".join(unknown))
         try:
-            return cls(
-                A=np.array(data["A"], dtype=float),
-                B=np.array(data["B"], dtype=float),
-                C=np.array(data["C"], dtype=float),
-                D=np.array(data["D"], dtype=float),
-                Sigma_xi=np.array(data["Sigma_xi"], dtype=float),
-                Sigma_eta=np.array(data["Sigma_eta"], dtype=float),
-            )
+            return cls(**{key: np.array(data[key], dtype=float) for key in PLANT_KEYS})
         except KeyError as exc:
             raise ShapeError(f"plant description missing key {exc}") from None
 
@@ -163,14 +164,11 @@ def step(model: StochasticLtiModel, x, u, xi=None, eta=None):
     return x_next, y
 
 
-def _sample_gaussian(rng, mean, cov, size=None):
-    """Draw from N(mean, cov) tolerating singular covariances."""
-    scale = psd_factor(cov)
-    if size is None:
-        z = rng.standard_normal(scale.shape[0])
-        return mean + scale @ z
-    z = rng.standard_normal((size, scale.shape[0]))
-    return mean + z @ scale.T
+def gaussian_rows(rng: np.random.Generator, factor: np.ndarray, count: int) -> np.ndarray:
+    """``count`` rows drawn from N(0, F F^T) for ``factor`` F, such as
+    ``psd_factor(cov)``: z F^T for the next (count, k) standard normals z of
+    ``rng``."""
+    return rng.standard_normal((count, factor.shape[1])) @ factor.T
 
 
 def _initial_state(model: StochasticLtiModel, x0, rng) -> np.ndarray:
@@ -264,8 +262,8 @@ def simulate(model: StochasticLtiModel, x0, u_policy, steps: int, seed) -> Traje
 
     start = _initial_state(model, x0, rng_x0)
     inputs = _input_sequence(model, u_policy, steps, rng_u)
-    xi_seq = _sample_gaussian(rng_xi, np.zeros(model.n), model.Sigma_xi, size=steps)
-    eta_seq = _sample_gaussian(rng_eta, np.zeros(model.p), model.Sigma_eta, size=steps)
+    xi_seq = gaussian_rows(rng_xi, psd_factor(model.Sigma_xi), steps)
+    eta_seq = gaussian_rows(rng_eta, psd_factor(model.Sigma_eta), steps)
 
     states = _state_rollout(model.A, start, inputs @ model.B.T + xi_seq)
     outputs = states @ model.C.T + inputs @ model.D.T + eta_seq

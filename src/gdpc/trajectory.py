@@ -231,36 +231,40 @@ def save_csv(traj: Trajectory, path) -> None:
             writer.writerow([f"{v:.17g}" for v in row])
 
 
+def _read_rows(path, header: list[str], noun: str = "") -> list[list[float]]:
+    """The numeric rows of the CSV file at ``path`` below its header row,
+    which must be ``header``, blank rows skipped. Raises ``ParseError`` with
+    the line number on a missing header, another header (reported as not
+    matching ``noun`` and ``header``), a row of another width or a
+    non-numeric field."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            found = next(reader)
+        except StopIteration:
+            raise ParseError("empty file: missing header row", line=1) from None
+        if [h.strip() for h in found] != header:
+            raise ParseError(f"header {found!r} does not match {noun}{header!r}", line=1)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=lineno)
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ParseError(f"non-numeric field: {exc}", line=lineno) from None
+    return rows
+
+
 def load_csv(path, dims: SignalDims) -> Trajectory:
     """Read a trajectory written by :func:`save_csv`.
 
     Channel counts come from ``dims`` (the experiment config), never from
     the file shape; the header is validated against them.
     """
-    expected_header = _channel_names(dims)
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file: missing header row", line=1) from None
-        if [h.strip() for h in header] != expected_header:
-            raise ParseError(
-                f"header {header!r} does not match configured channels {expected_header!r}",
-                line=1,
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dims.q:
-                raise ParseError(
-                    f"expected {dims.q} fields, got {len(row)}", line=lineno
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ParseError(f"non-numeric field: {exc}", line=lineno) from None
+    rows = _read_rows(path, _channel_names(dims), "configured channels ")
     if not rows:
         raise TooShort("file contains a header but no data rows")
     return Trajectory(dims=dims, samples=np.array(rows))

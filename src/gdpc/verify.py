@@ -27,8 +27,16 @@ from .behavior import (
     sample,
     GaussianBehavior,
 )
-from .linalg import DEFAULT_RANK_TOL, matrix_rank, pinv, spectral_radius, sym_eig, symmetrize
-from .plant import StochasticLtiModel, _sample_gaussian, simulate, step
+from .linalg import (
+    DEFAULT_RANK_TOL,
+    matrix_rank,
+    pinv,
+    psd_factor,
+    spectral_radius,
+    sym_eig,
+    symmetrize,
+)
+from .plant import StochasticLtiModel, gaussian_rows, simulate, step
 from .qp import QpProblem, QpSettings, _admm, l1_epigraph, solve
 from .trajectory import SignalDims, assemble
 
@@ -285,13 +293,13 @@ def _stepwise_rollout(model, x0, u_policy, steps, seed) -> np.ndarray:
     rng_x0, rng_u, rng_xi, rng_eta = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)]
     if isinstance(x0, tuple):
-        x = _sample_gaussian(rng_x0, np.asarray(x0[0], dtype=float), x0[1])
+        x = np.asarray(x0[0], dtype=float) + psd_factor(x0[1]) @ rng_x0.standard_normal(model.n)
     else:
         x = np.asarray(x0, dtype=float)
     if np.isscalar(u_policy):
         u_policy = float(u_policy) * rng_u.standard_normal((steps, model.m))
-    xi = _sample_gaussian(rng_xi, np.zeros(model.n), model.Sigma_xi, size=steps)
-    eta = _sample_gaussian(rng_eta, np.zeros(model.p), model.Sigma_eta, size=steps)
+    xi = gaussian_rows(rng_xi, psd_factor(model.Sigma_xi), steps)
+    eta = gaussian_rows(rng_eta, psd_factor(model.Sigma_eta), steps)
     rows = []
     for t in range(steps):
         u = u_policy(t, rng_u) if callable(u_policy) else u_policy[t]

@@ -653,6 +653,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("change,name", [
         ({"schema": 7}, "schema 7"), ({"covv": 1}, "covv"), ({"schema": None}, "schema None"),
+        ({"ordering": "weird"}, "unknown ordering 'weird'"),
     ])
     def test_other_schema_or_unknown_key_rejected(self, change, name):
         doc = make_behavior(np.eye(2)).to_json_dict()

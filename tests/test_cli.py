@@ -147,6 +147,16 @@ class TestPredict:
         )
         assert proc.returncode == 3
 
+    def test_unknown_ordering_is_config_error(self, tmp_path):
+        doc = GaussianBehavior(SignalDims(1, 1), 3, np.zeros(6), np.eye(6)).to_json_dict()
+        (tmp_path / "b.json").write_text(json.dumps({**doc, "ordering": "weird"}))
+        (tmp_path / "w.csv").write_text("u_1,y_1\n0.1,0.05\n")
+        (tmp_path / "u.csv").write_text("u_1\n0.5\n0.5\n")
+        proc = run_cli("predict", "--behavior", str(tmp_path / "b.json"),
+                       "--wini", str(tmp_path / "w.csv"), "--uf", str(tmp_path / "u.csv"))
+        assert proc.returncode == 3, proc.stderr
+        assert "'weird'" in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestControl:
     def test_solves_and_writes_json(self, workdir):
@@ -284,6 +294,16 @@ class TestPlantOverride:
         assert proc.returncode == 3, proc.stderr
         assert "plant.Sigma_xii" in proc.stderr and "Traceback" not in proc.stderr
         assert not (workdir / "bad.csv").exists()
+
+    def test_extra_key_in_a_plant_file_is_config_error(self, workdir):
+        plant_doc = {**default_benchmark().to_json_dict(), "Sigma_xii": [[9.0]]}
+        (workdir / "extra_key_plant.json").write_text(json.dumps(plant_doc))
+        proc = run_cli("closed-loop", "--config", str(workdir / "config.json"),
+                       "--plant", str(workdir / "extra_key_plant.json"),
+                       "--out", str(workdir / "bad_file.csv"))
+        assert proc.returncode == 3, proc.stderr
+        assert "Sigma_xii" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (workdir / "bad_file.csv").exists()
 
     def test_missing_plant_file_is_config_error(self, workdir):
         proc = run_cli("closed-loop", "--config", str(workdir / "config.json"),

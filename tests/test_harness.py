@@ -20,6 +20,7 @@ from gdpc.harness import (
     sweep_csv_bytes,
     sweep_lambda,
 )
+from gdpc.linalg import psd_factor
 from gdpc.plant import default_benchmark
 from gdpc.verify import _joint_deepc, verify
 
@@ -105,6 +106,15 @@ class TestConfig:
         cfg_path.write_text(json.dumps(doc))
         cfg = load_config(cfg_path)
         assert cfg.plant.n == 3
+
+    def test_plant_file_with_an_unknown_key_is_rejected(self, tmp_path):
+        # It used to build silently with the default Sigma_xi.
+        plant_doc = {**default_benchmark().to_json_dict(), "Sigma_xii": [[9.0]]}
+        (tmp_path / "plant.json").write_text(json.dumps(plant_doc))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_doc(plant={"file": "plant.json"})))
+        with pytest.raises(ConfigError, match=r"unknown plant key\(s\): Sigma_xii"):
+            load_config(cfg_path)
 
     def test_missing_plant_file(self, tmp_path):
         doc = base_doc(plant={"file": "nope.json"})
@@ -553,15 +563,14 @@ class TestVerify:
         assert "simulate_matches_stepwise_recursion" in names
 
     def test_simulate_oracle_detects_a_shifted_noise_pairing(self, monkeypatch):
-        # simulate draws its noise through plant._sample_gaussian, the
-        # oracle through its own binding: pair step t with the noise of t+1.
-        sample_gaussian = plant._sample_gaussian
+        # simulate draws its noise through plant.gaussian_rows, the oracle
+        # through its own binding: pair step t with the noise of t+1.
+        gaussian_rows = plant.gaussian_rows
 
-        def shifted(rng, mean, cov, size=None):
-            draws = sample_gaussian(rng, mean, cov, size)
-            return draws if size is None else np.roll(draws, -1, axis=0)
+        def shifted(rng, factor, count):
+            return np.roll(gaussian_rows(rng, factor, count), -1, axis=0)
 
-        monkeypatch.setattr(plant, "_sample_gaussian", shifted)
+        monkeypatch.setattr(plant, "gaussian_rows", shifted)
         failed = {c.name for c in verify("lemmas", seed=0).checks if not c.passed}
         assert "simulate_matches_stepwise_recursion" in failed
 
@@ -660,31 +669,34 @@ def plant_noise_covariances():
 
 
 class TestPlantNoise:
-    """The closed loop factors each noise covariance once and draws a run's
-    noise at once; its rows are rng.multivariate_normal's, bit for bit and
-    from the same stream."""
+    """The closed loop and simulate draw a noise stream as
+    ``plant.gaussian_rows(rng, psd_factor(cov), count)``."""
 
     @pytest.mark.parametrize("name", sorted(plant_noise_covariances()))
-    def test_draws_match_multivariate_normal(self, name):
+    def test_sample_covariance_matches(self, name):
+        # Each entry of the sample covariance of N zero-mean draws has
+        # standard deviation sqrt((S_ii S_jj + S_ij^2) / N); allow 5 of them.
         cov = plant_noise_covariances()[name]
-        ours, numpy_rng = np.random.default_rng(8), np.random.default_rng(8)
-        draws = harness._gaussian_draws(ours, harness._noise_factor(cov), 2000)
-        mean = np.zeros(cov.shape[0])
-        for got in draws:
-            want = numpy_rng.multivariate_normal(mean, cov)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert ours.standard_normal() == numpy_rng.standard_normal()
+        count = 20000
+        draws = plant.gaussian_rows(np.random.default_rng(8), psd_factor(cov), count)
+        assert draws.shape == (count, cov.shape[0])
+        spread = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / count)
+        assert np.all(np.abs(draws.T @ draws / count - cov) <= 5.0 * spread)
 
-    def test_indefinite_covariance_warns_once(self):
-        with pytest.warns(RuntimeWarning, match="positive-semidefinite") as caught:
-            harness._noise_factor(np.diag([1.0, -1.0]))
-        assert len(caught) == 1
+    def test_rank_deficient_draws_stay_in_the_range(self):
+        cov = plant_noise_covariances()["6_state_xi_rank_2"]
+        u, s, _ = np.linalg.svd(cov)
+        assert np.count_nonzero(s > 1e-12 * s[0]) == 2
+        basis = u[:, :2]
+        draws = plant.gaussian_rows(np.random.default_rng(8), psd_factor(cov), 2000)
+        outside = draws - (draws @ basis) @ basis.T
+        assert np.abs(outside).max() <= 1e-14 * np.abs(draws).max()
 
 
 def stepwise_closed_loop(cfg, seed=None):
-    """run_closed_loop as a loop of single steps: a multivariate_normal draw
-    per noise stream and a plant.step per step, the history a list of
-    samples, and each record built as its step is taken."""
+    """run_closed_loop as a loop of single steps: each noise stream drawn
+    before the loop by plant.gaussian_rows, a plant.step per step, the
+    history a list of samples, and each record built as its step is taken."""
     seed = cfg.run_seed if seed is None else seed
     _, dm, pm = harness.identification_run(cfg)
     cp = cfg.control_problem()
@@ -692,14 +704,14 @@ def stepwise_closed_loop(cfg, seed=None):
     dims = model.dims
     rng_warm, rng_xi, rng_eta = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+    xi = plant.gaussian_rows(rng_xi, psd_factor(model.Sigma_xi), cfg.run_steps)
+    eta = plant.gaussian_rows(rng_eta, psd_factor(model.Sigma_eta), cfg.run_steps)
     x = np.zeros(model.n)
     history, records = [], []
 
     def advance(u):
         nonlocal x
-        xi = rng_xi.multivariate_normal(np.zeros(model.n), model.Sigma_xi)
-        eta = rng_eta.multivariate_normal(np.zeros(model.p), model.Sigma_eta)
-        x, y = plant.step(model, x, u, xi, eta)
+        x, y = plant.step(model, x, u, xi[len(history)], eta[len(history)])
         history.append(np.concatenate([u, y]))
         return y
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgWarning, solve_discrete_lyapunov
 
-from gdpc.errors import InvalidMatrix, NotPositiveDefinite, UnstableSystem
+from gdpc.errors import InvalidMatrix, NotPositiveDefinite, ShapeError, UnstableSystem
 from gdpc.linalg import (
     chol_psd,
     is_psd,
     lyap_discrete,
     matrix_rank,
     pinv,
+    psd_factor,
     spectral_radius,
     sym_eig,
     symmetrize,
@@ -140,6 +141,28 @@ class TestIsPsd:
             dec = sym_eig(s)
             expected = dec.values[-1] >= -tol * max(1.0, abs(dec.values[0]))
             assert is_psd(s, tol) == expected
+
+
+class TestPsdFactor:
+    def test_factor_reproduces_the_covariance(self):
+        rng = np.random.default_rng(21)
+        for rank in (1, 3, 5):
+            cov = random_matrix_of_rank(rng, 5, rank, rank)
+            cov = cov @ cov.T
+            factor = psd_factor(cov)
+            assert np.allclose(factor @ factor.T, cov, rtol=0, atol=1e-12 * np.abs(cov).max())
+
+    def test_eigenvalues_below_the_cutoff_are_zeroed(self):
+        # Eigenvalues 1 and 1e-13 (below 1e-12 times the largest) and 2e-12.
+        basis, _ = np.linalg.qr(np.random.default_rng(22).standard_normal((3, 3)))
+        factor = psd_factor(basis @ np.diag([1.0, 1e-13, 2e-12]) @ basis.T)
+        norms = np.sort(np.linalg.norm(factor, axis=0))
+        assert norms[0] == 0.0
+        assert np.allclose(norms[1:], np.sqrt([2e-12, 1.0]), rtol=1e-3)
+
+    def test_indefinite_covariance_is_named(self):
+        with pytest.raises(ShapeError, match="Sigma must be positive semidefinite"):
+            psd_factor(np.diag([1.0, -1.0]), "Sigma")
 
 
 class TestLyapDiscrete:

@@ -373,6 +373,13 @@ class TestValidation:
                 D=np.zeros((1, 1)), Sigma_xi=np.eye(2), Sigma_eta=np.eye(1),
             )
 
+    def test_unknown_plant_keys_are_named(self):
+        doc = {**default_benchmark().to_json_dict(), "Sigma_xii": [[9.0]], "E": [[1.0]]}
+        with pytest.raises(ShapeError, match=r"unknown plant key\(s\): E, Sigma_xii"):
+            StochasticLtiModel.from_json_dict(doc)
+        with pytest.raises(ShapeError, match="must be a JSON object"):
+            StochasticLtiModel.from_json_dict([[1.0]])
+
     def test_noise_must_be_psd(self):
         with pytest.raises(ShapeError):
             StochasticLtiModel(
