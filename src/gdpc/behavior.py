@@ -6,7 +6,9 @@ estimate for zero-mean i.i.d. columns and full-row-rank W); conditioning on
 a "free" index set yields the Gaussian predictive distribution; the
 predictive model extracts the affine predictor (input map, history map) and
 the predictive covariance used by all controllers, from one LQ factorization
-of the data matrix, computed in place on one copy of the data. In that
+of the data matrix, computed in place on one copy of the data and kept by
+the data matrix with the predictor read from it, so deepc's set-up on the
+same data factors nothing again. In that
 square-root form, conditioning is one triangular inverse of the free
 block's factor whenever the data certify its full rank, and an SVD
 pseudoinverse otherwise. A behavior can also be
@@ -16,6 +18,7 @@ forward map the Monte-Carlo oracles certify.
 
 import json
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +128,10 @@ class GaussianBehavior:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GaussianBehavior":
         """The behavior of a :meth:`to_json_dict` document; :class:`ShapeError`
-        for another schema, a missing key or a key it does not read."""
+        for another schema, a missing key, a key it does not read, or a value
+        of the wrong kind, naming its key: ``dims`` must be an object, ``L``,
+        ``m`` and ``p`` integers (no boolean, no fraction), and ``mean`` and
+        ``cov`` arrays of numbers."""
         schema = data.get("schema") if isinstance(data, dict) else None
         if schema != 1:
             raise ShapeError(f"unsupported behavior schema {schema!r} (expected 1)")
@@ -133,12 +139,15 @@ class GaussianBehavior:
         if unknown:
             raise ShapeError("unknown behavior key(s): " + ", ".join(map(str, unknown)))
         try:
-            dims = SignalDims(m=int(data["dims"]["m"]), p=int(data["dims"]["p"]))
+            dims = data["dims"]
+            if not isinstance(dims, dict):
+                raise ShapeError(f"behavior dims must be an object, got {dims!r}")
             return cls(
-                dims=dims,
-                window=int(data["L"]),
-                mean=np.array(data["mean"], dtype=float),
-                cov=np.array(data["cov"], dtype=float),
+                dims=SignalDims(m=_json_integer(dims["m"], "dims.m"),
+                                p=_json_integer(dims["p"], "dims.p")),
+                window=_json_integer(data["L"], "L"),
+                mean=_json_array(data["mean"], "mean"),
+                cov=_json_array(data["cov"], "cov"),
                 ordering=data.get("ordering", ORDER_INTERLEAVED),
             )
         except KeyError as exc:
@@ -152,6 +161,25 @@ class GaussianBehavior:
     def load_json(cls, path) -> "GaussianBehavior":
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def _json_integer(raw, key: str) -> int:
+    """``raw`` as an int if it is a whole number other than a boolean, else
+    :class:`ShapeError` naming the behavior document's ``key``."""
+    if isinstance(raw, numbers.Integral) and not isinstance(raw, bool):
+        return int(raw)
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    raise ShapeError(f"behavior {key} must be an integer, got {raw!r}")
+
+
+def _json_array(raw, key: str) -> np.ndarray:
+    """``raw`` as a float array, or :class:`ShapeError` naming the behavior
+    document's ``key``."""
+    try:
+        return np.array(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise ShapeError(f"behavior {key} must be an array of numbers") from None
 
 
 @dataclass(frozen=True)
@@ -338,6 +366,34 @@ def _lower_factor(qr: np.ndarray) -> np.ndarray:
     return np.triu(qr[: qr.shape[1]]).T
 
 
+def _kept_lq(dm: DataMatrix) -> dict:
+    """``dm``'s LQ factorization, kept in ``dm._lq``: the first call runs
+    :func:`_qr_in_place` and keeps, read-only, its output ``qr`` and
+    ``tau`` and L = R^T (``l``); every later call returns them."""
+    kept = dm._lq
+    if "l" not in kept:
+        qr, tau = _qr_in_place(dm)
+        l_fac = _lower_factor(qr)
+        for array in (qr, tau, l_fac):
+            array.flags.writeable = False
+        kept.update(qr=qr, tau=tau, l=l_fac)
+    return kept
+
+
+def _kept_predictor(dm: DataMatrix, rank_tol: float) -> tuple[PredictiveModel, np.ndarray]:
+    """:func:`lq_predictor` of ``dm``'s kept factor (:func:`_kept_lq`) at
+    ``rank_tol``, made by the first call for that ``rank_tol`` and kept in
+    ``dm._lq``, L_F^+ read-only: predictive_model and deepc's set-up share
+    it."""
+    kept = _kept_lq(dm)
+    key = ("predictor", rank_tol)
+    if key not in kept:
+        pm, free_pinv = lq_predictor(dm, kept["l"], rank_tol)
+        free_pinv.flags.writeable = False
+        kept[key] = pm, free_pinv
+    return kept[key]
+
+
 def data_lq(dm: DataMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Economy LQ factorization [W_p; U_f; Y_f] = L Q^T of the data matrix.
 
@@ -346,18 +402,20 @@ def data_lq(dm: DataMatrix) -> tuple[np.ndarray, np.ndarray]:
     factorization of the transposed ordered data matrix (the LQ step of
     subspace identification), so no Gram matrix is formed and the condition
     number is not squared. The factorization runs in place on one copy of
-    the data (:func:`_qr_in_place`), and LAPACK's ``dorgqr`` then forms Q
-    from the reflectors in the same buffer, after L has been read out.
-    Every quantity the predictor and deepc need depends on the data only
-    through L.
+    the data (:func:`_qr_in_place`) once per data matrix, by this function
+    or :func:`predictive_model`, whichever comes first, and ``dm`` keeps
+    its reflectors and L, read-only (:func:`_kept_lq`). Each call forms Q
+    afresh from a copy of the kept reflectors, by LAPACK's ``dorgqr``, and
+    returns the kept L. Every quantity the predictor and deepc need depends
+    on the data only through L.
     """
-    qr, tau = _qr_in_place(dm)
-    l_fac = _lower_factor(qr)
-    reflectors = qr[:, : tau.size]
+    kept = _kept_lq(dm)
+    tau = kept["tau"]
+    reflectors = np.array(kept["qr"][:, : tau.size], order="F")
     _, work, _ = dorgqr(reflectors, tau, lwork=-1, overwrite_a=1)
     basis, _, info = dorgqr(reflectors, tau, lwork=int(work[0]), overwrite_a=1)
     _check_lapack(info, "dorgqr")
-    return l_fac, basis
+    return kept["l"], basis
 
 
 def lq_predictor(
@@ -433,9 +491,13 @@ def predictive_model(dm: DataMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> Pred
     the pseudoinverse of L_F (relative to its largest singular value); when
     it provably truncates nothing, L_F^+ is the triangular inverse of
     :func:`lq_predictor`. Only L is formed: the in-place QR factorization
-    of :func:`data_lq` runs without accumulating Q.
+    of :func:`data_lq` runs without accumulating Q. ``dm`` keeps the
+    factorization and the model for each ``rank_tol`` (:func:`_kept_lq`,
+    :func:`_kept_predictor`), so a later call with the same ``rank_tol``
+    returns the same model, and deepc's set-up on ``dm`` reads both
+    without factoring the data again.
     """
-    return lq_predictor(dm, _lower_factor(_qr_in_place(dm)[0]), rank_tol)[0]
+    return _kept_predictor(dm, rank_tol)[0]
 
 
 def from_state_space(

@@ -49,7 +49,11 @@ right-hand side of the (u, s, y) QP (with sq2 also the linear term) and of
 deepc's 1-norm QP. The set-up holds the output weight Z, M_u^T Z and the
 QP with its bounds, PSD proof and Cholesky factor; for certainty
 equivalence also tr(Q cov); for optimistic and robust the map to the mean;
-for deepc the LQ factor, the predictor and the maps to the mean and g. The
+for deepc the basis Q of the data's LQ factorization and the maps to the
+mean and g. deepc reads the LQ factor L, the predictor and L_F^+ from the
+data matrix, which keeps them from identification's
+:func:`~gdpc.behavior.predictive_model` call (or makes them at deepc's
+first set-up), so a closed-loop run factors its data once. The
 equality-constrained QPs go to :func:`~gdpc.qp.solve`'s exact dual
 active-set method when their KKT matrix is nonsingular, and to ADMM
 otherwise; the KKT factorization is made by the first solve and shared by
@@ -85,9 +89,9 @@ import numpy as np
 from .behavior import (
     ConditionalGaussian,
     PredictiveModel,
+    _kept_predictor,
     data_lq,
     jittered_cholesky,
-    lq_predictor,
     predictive_model,
 )
 from .errors import InfeasibleProblem, LambdaTooSmall, ShapeError
@@ -441,9 +445,11 @@ def _deepc_residual(dm: DataMatrix, rank_tol: float):
     """What deepc's 2-norm forms share (see :func:`deepc`): the data's LQ
     factor L and basis Q (:func:`data_lq`), the predictor, L_F^+ and the
     fit's residual G = L_Y - (L_Y L_F^+) L_F, L_F and L_Y the free and
-    output rows of L."""
+    output rows of L. L, the predictor and L_F^+ are the ones ``dm`` keeps
+    from identification (:func:`~gdpc.behavior.predictive_model`); only Q
+    is formed here."""
     l_fac, basis = data_lq(dm)
-    pm, free_pinv = lq_predictor(dm, l_fac, rank_tol)
+    pm, free_pinv = _kept_predictor(dm, rank_tol)
     n_free = free_pinv.shape[1]
     l_free, l_out = l_fac[:n_free], l_fac[n_free:]
     return l_fac, basis, pm, free_pinv, l_out - (l_out @ free_pinv) @ l_free

@@ -9,9 +9,9 @@ identification), then runs the receding-horizon loop: assemble the
 measured history window, solve the configured controller, apply the first
 input block, step the seeded plant.
 
-A step does no more than that. Each noise covariance is factored once per
-``run_closed_loop`` or ``sweep_lambda`` call, by ``linalg.psd_factor``, and
-a run draws each noise stream for all its steps before the loop, by
+A step does no more than that. The noise factors are the plant model's,
+made once when the model is built, so a run factors no noise covariance;
+it draws each noise stream for all its steps before the loop, by
 ``plant.gaussian_rows`` as ``simulate`` draws it. The plant advances by
 ``plant.step``'s expressions inline, without its per-call argument checks;
 the samples go into one preallocated array whose rows are the history
@@ -28,7 +28,6 @@ import numpy as np
 from . import control as ctl
 from .behavior import predictive_model
 from .errors import ConfigError, GdpcError, InfeasibleProblem, UnstableSystem
-from .linalg import psd_factor
 from .plant import (
     PLANT_KEYS,
     StochasticLtiModel,
@@ -471,21 +470,13 @@ def run_closed_loop(cfg: ExperimentConfig) -> RunRecord:
     outputs.
     """
     _, dm, pm = identification_run(cfg)
-    return _closed_loop(cfg, dm, pm, cfg.control_problem(), _noise_factors(cfg.plant),
-                        cfg.run_seed, cfg.lam)
-
-
-def _noise_factors(model: StochasticLtiModel) -> tuple[np.ndarray, np.ndarray]:
-    """The process and measurement noise factors of ``model``."""
-    return psd_factor(model.Sigma_xi), psd_factor(model.Sigma_eta)
+    return _closed_loop(cfg, dm, pm, cfg.control_problem(), cfg.run_seed, cfg.lam)
 
 
 def _closed_loop(cfg: ExperimentConfig, dm, pm, cp: ctl.ControlProblem,
-                 noise_factors: tuple[np.ndarray, np.ndarray],
                  seed: int, lam: float) -> RunRecord:
     """The loop of :func:`run_closed_loop` on an identified data matrix and
-    predictor, a built control problem and the plant's noise factors, with
-    the run's seed and weight.
+    predictor and a built control problem, with the run's seed and weight.
 
     A step is the controller call and a few vector operations: the noise of
     the run is drawn before it, the samples go into one preallocated array,
@@ -498,8 +489,8 @@ def _closed_loop(cfg: ExperimentConfig, dm, pm, cp: ctl.ControlProblem,
 
     ss = np.random.SeedSequence(seed)
     rng_warm, rng_xi, rng_eta = [np.random.default_rng(s) for s in ss.spawn(3)]
-    xi_seq = gaussian_rows(rng_xi, noise_factors[0], steps)
-    eta_seq = gaussian_rows(rng_eta, noise_factors[1], steps)
+    xi_seq = gaussian_rows(rng_xi, model.xi_factor, steps)
+    eta_seq = gaussian_rows(rng_eta, model.eta_factor, steps)
     warm_up = np.clip(cfg.data_input_std * rng_warm.standard_normal((l_ini, m)),
                       cp.u_lower[:m], cp.u_upper[:m])
 
@@ -594,14 +585,13 @@ def sweep_lambda(cfg: ExperimentConfig) -> list[SweepCell]:
         raise ConfigError("lambda grid must be ascending")
     _, dm, pm = identification_run(cfg)
     cp = cfg.control_problem()
-    noise_factors = _noise_factors(cfg.plant)
     cells = []
     for lam in values:
         costs = []
         failed = 0
         for rep in range(cfg.repetitions):
             try:
-                rec = _closed_loop(cfg, dm, pm, cp, noise_factors, cfg.run_seed + rep, lam)
+                rec = _closed_loop(cfg, dm, pm, cp, cfg.run_seed + rep, lam)
             except GdpcError:
                 failed += 1
                 continue

@@ -126,10 +126,13 @@ def psd_factor(cov, name: str = "covariance") -> np.ndarray:
     the package's one square root of a covariance: F = V diag(sqrt(d')),
     where d' is d with every eigenvalue at or below 1e-12 max(d, 0) set to
     zero. A singular covariance is fine, and the cutoff keeps the rounding
-    of its null directions out of F, so draws F z stay in its range. Raises
+    of its null directions out of F, so draws F z stay in its range; an empty
+    cov has an empty F. Raises
     ``ShapeError`` naming ``name`` if cov is not positive semidefinite by
     ``is_psd``'s relative rule at 1e-8."""
     vals, vecs = np.linalg.eigh(symmetrize(cov))
+    if not vals.size:
+        return vecs
     if vals[0] < -1e-8 * max(1.0, abs(vals[-1])):
         raise ShapeError(f"{name} must be positive semidefinite, "
                          f"smallest eigenvalue {vals[0]:.3g}")
@@ -176,7 +179,13 @@ def lyap_discrete(a, qc) -> np.ndarray:
         raise InvalidMatrix(
             f"A and Qc must be square with matching size, got {am.shape}, {qm.shape}"
         )
-    rho = spectral_radius(am)
+    return _stable_lyap(am, qm, spectral_radius(am))
+
+
+def _stable_lyap(am: np.ndarray, qm: np.ndarray, rho: float) -> np.ndarray:
+    """:func:`lyap_discrete` on a checked square A, a symmetric Qc of its
+    size and A's spectral radius ``rho``, for a caller that already holds
+    it; raises ``UnstableSystem`` unless ``rho`` < 1 - 1e-9."""
     if rho >= 1.0 - 1e-9:
         raise UnstableSystem(f"spectral radius {rho:.6g} >= 1; no stationary solution")
     n = am.shape[0]
@@ -190,6 +199,6 @@ def lyap_discrete(a, qc) -> np.ndarray:
         rcond = dgecon(lu, float(np.abs(lhs).sum(axis=0).max()))[0]
         if rcond < np.finfo(float).eps:
             warnings.warn(f"An ill-conditioned matrix detected: rcond = {rcond}.",
-                          LinAlgWarning, stacklevel=2)
+                          LinAlgWarning, stacklevel=3)
         sol = vec.reshape(n, n)
     return 0.5 * (sol + sol.T)

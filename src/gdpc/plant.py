@@ -16,18 +16,24 @@ update; the closed loop applies its expressions inline.
 
 Every noise stream, here and in the closed loop, is drawn by
 ``gaussian_rows``: all its samples at once, z F^T for a standard normal
-(count, k) array z and F = ``linalg.psd_factor(cov)``.
+(count, k) array z and F = ``linalg.psd_factor(cov)``. The model makes F
+for Sigma_xi and Sigma_eta once, in the check that both are PSD, and keeps
+them with A's spectral radius: a rollout, the closed loop and the
+stationary covariance read them and factor neither covariance again.
 """
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
 from .errors import ShapeError
-from .linalg import as_matrix, is_psd, lyap_discrete, psd_factor, spectral_radius, symmetrize
+# Not called here; benchmarks/tracing.py wraps plant.is_psd and
+# plant.lyap_discrete by name.
+from .linalg import is_psd, lyap_discrete  # noqa: F401
+from .linalg import _stable_lyap, as_matrix, psd_factor, spectral_radius, symmetrize
 from .trajectory import SignalDims, Trajectory
 
 
@@ -37,7 +43,15 @@ PLANT_KEYS = ("A", "B", "C", "D", "Sigma_xi", "Sigma_eta")
 
 @dataclass(frozen=True)
 class StochasticLtiModel:
-    """State-space matrices plus process/measurement noise covariances."""
+    """State-space matrices plus process/measurement noise covariances.
+
+    The model also keeps what every rollout reads of it, made once by its
+    checks: ``xi_factor`` and ``eta_factor``, the read-only square roots
+    ``psd_factor(Sigma_xi)`` and ``psd_factor(Sigma_eta)``, and ``radius``,
+    A's spectral radius. They are not arguments, and ``==`` and
+    :meth:`to_json_dict` do not read them; ``dataclasses.replace`` makes
+    them afresh.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -45,6 +59,9 @@ class StochasticLtiModel:
     D: np.ndarray
     Sigma_xi: np.ndarray
     Sigma_eta: np.ndarray
+    xi_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    eta_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = as_matrix(self.A, "A")
@@ -66,12 +83,15 @@ class StochasticLtiModel:
             raise ShapeError(f"Sigma_xi must be {(n, n)}, got {sxi.shape}")
         if seta.shape != (c.shape[0], c.shape[0]):
             raise ShapeError(f"Sigma_eta must be {(c.shape[0],) * 2}, got {seta.shape}")
-        for name, cov in (("Sigma_xi", sxi), ("Sigma_eta", seta)):
-            if not is_psd(cov, 1e-8):
-                raise ShapeError(f"{name} must be positive semidefinite")
-        for field, value in (("A", a), ("B", b), ("C", c), ("D", d),
-                             ("Sigma_xi", sxi), ("Sigma_eta", seta)):
-            object.__setattr__(self, field, value)
+        # psd_factor is is_psd's test at 1e-8 and raises naming the field.
+        xi_factor = psd_factor(sxi, "Sigma_xi")
+        eta_factor = psd_factor(seta, "Sigma_eta")
+        xi_factor.flags.writeable = eta_factor.flags.writeable = False
+        for name, value in (("A", a), ("B", b), ("C", c), ("D", d),
+                            ("Sigma_xi", sxi), ("Sigma_eta", seta),
+                            ("xi_factor", xi_factor), ("eta_factor", eta_factor),
+                            ("radius", spectral_radius(a))):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -253,17 +273,16 @@ def simulate(model: StochasticLtiModel, x0, u_policy, steps: int, seed) -> Traje
     ss = np.random.SeedSequence(seed)
     rng_x0, rng_u, rng_xi, rng_eta = [np.random.default_rng(s) for s in ss.spawn(4)]
 
-    rho = spectral_radius(model.A)
-    if rho >= 1.0:
+    if model.radius >= 1.0:
         warnings.warn(
-            f"plant spectral radius {rho:.4g} >= 1; simulation may diverge",
+            f"plant spectral radius {model.radius:.4g} >= 1; simulation may diverge",
             stacklevel=2,
         )
 
     start = _initial_state(model, x0, rng_x0)
     inputs = _input_sequence(model, u_policy, steps, rng_u)
-    xi_seq = gaussian_rows(rng_xi, psd_factor(model.Sigma_xi), steps)
-    eta_seq = gaussian_rows(rng_eta, psd_factor(model.Sigma_eta), steps)
+    xi_seq = gaussian_rows(rng_xi, model.xi_factor, steps)
+    eta_seq = gaussian_rows(rng_eta, model.eta_factor, steps)
 
     states = _state_rollout(model.A, start, inputs @ model.B.T + xi_seq)
     outputs = states @ model.C.T + inputs @ model.D.T + eta_seq
@@ -272,9 +291,11 @@ def simulate(model: StochasticLtiModel, x0, u_policy, steps: int, seed) -> Traje
 
 def stationary_state_covariance(model: StochasticLtiModel, input_cov) -> np.ndarray:
     """Stationary state covariance under white Gaussian input with per-step
-    covariance ``input_cov``: solves S = A S A^T + B input_cov B^T + Sigma_xi."""
+    covariance ``input_cov``: solves S = A S A^T + B input_cov B^T + Sigma_xi
+    by :func:`~gdpc.linalg.lyap_discrete`'s method, its stability test on
+    the model's kept ``radius``."""
     qc = model.B @ symmetrize(input_cov) @ model.B.T + model.Sigma_xi
-    return lyap_discrete(model.A, qc)
+    return _stable_lyap(model.A, symmetrize(qc), model.radius)
 
 
 def default_benchmark(

@@ -84,6 +84,12 @@ class DataMatrix:
     invariant in the columns). Every entry must be finite. Both arrays are
     read-only, ``matrix`` a copy, since deepc keeps set-up work per data
     matrix object (see :mod:`gdpc.control`).
+
+    A data matrix also keeps its LQ factorization, made by the first
+    :func:`~gdpc.behavior.predictive_model` or
+    :func:`~gdpc.behavior.data_lq` call, and the predictors read from it, in
+    ``_lq``: not an argument, not compared, and empty again in a copy made
+    by ``dataclasses.replace``.
     """
 
     dims: SignalDims
@@ -91,6 +97,7 @@ class DataMatrix:
     l_f: int
     matrix: np.ndarray  # (q*L, D), chronological row order
     row_index: np.ndarray = field(default=None)  # set in __post_init__
+    _lq: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = read_only(self.matrix)
@@ -107,6 +114,7 @@ class DataMatrix:
         row_index.flags.writeable = False
         object.__setattr__(self, "matrix", w)
         object.__setattr__(self, "row_index", row_index)
+        object.__setattr__(self, "_lq", {})
 
     @property
     def window_length(self) -> int:

@@ -463,7 +463,10 @@ def _joint_deepc(dm, cp, regularizer, lambda_g, rank_tol=DEFAULT_RANK_TOL):
     lambda_g ||beta||^2 (sq2).
     Without the cuts, noiseless data's rounding-noise directions would leave
     y free at no cost. ``control.deepc`` parametrizes g by the predictor and
-    the fit's residual instead, so this is a second computation. Returns the
+    the fit's residual instead, so this is a second computation: it shares
+    with deepc only the data, through the factor L that ``dm`` keeps, and
+    forms its own basis Q and its own predictor (:func:`lq_predictor`).
+    Returns the
     set-up's step, (w_ini, settings) -> (u, mean, cov, objective, solution,
     g), in the form of ``control._deepc_setup``."""
     l_fac, basis = data_lq(dm)

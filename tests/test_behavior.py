@@ -1,6 +1,8 @@
 """Tests for Gaussian trajectory behaviors: estimation, conditioning,
 prediction, the state-space forward map, divergence, and sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import random_stable_plant
@@ -390,11 +392,14 @@ class TestLqRoute:
 
     @pytest.mark.parametrize("steps", [2000, 15, 10])
     def test_r_only_factor_is_the_lq_factor(self, steps):
-        # predictive_model factors R alone; deepc's data_lq also forms Q.
+        # predictive_model factors R alone; deepc's data_lq also forms Q. A
+        # data matrix keeps its factor, so the reference factors a fresh
+        # data matrix of the same columns, first through data_lq.
         model = random_stable_plant(np.random.default_rng(33), n=2, m=1, p=1)
         dm = build_data_matrix(simulate(model, np.zeros(2), 1.0, steps=steps, seed=33), 2, 4)
         pm = predictive_model(dm)
-        ref, _ = lq_predictor(dm, data_lq(dm)[0])
+        fresh = assemble(dm.matrix, dm.dims, dm.l_ini, dm.l_f)
+        ref, _ = lq_predictor(fresh, data_lq(fresh)[0])
         for got, want in ((pm.M_ini, ref.M_ini), (pm.M_u, ref.M_u), (pm.cov, ref.cov)):
             assert got.tobytes() == want.tobytes()
 
@@ -469,6 +474,61 @@ class TestLqRoute:
         # Keeping only the leading direction of the free block leaves more
         # output variance unexplained.
         assert np.trace(truncated.cov) > np.trace(default.cov) + 1e-6
+
+
+class TestKeptFactor:
+    """A data matrix keeps its one LQ factorization and the predictors read
+    from it."""
+
+    @pytest.fixture
+    def factorings(self, monkeypatch):
+        made = []
+        qr_in_place = behavior._qr_in_place
+        monkeypatch.setattr(behavior, "_qr_in_place",
+                            lambda dm: made.append(dm) or qr_in_place(dm))
+        return made
+
+    @staticmethod
+    def data():
+        model = random_stable_plant(np.random.default_rng(36), n=2, m=1, p=1)
+        return build_data_matrix(simulate(model, np.zeros(2), 1.0, steps=120, seed=36), 2, 4)
+
+    def test_one_factorization_serves_every_call(self, factorings):
+        dm = self.data()
+        pm = predictive_model(dm)
+        assert predictive_model(dm) is pm
+        truncated = predictive_model(dm, rank_tol=0.9)
+        assert truncated is not pm and predictive_model(dm, 0.9) is truncated
+        (l_a, q_a), (l_b, q_b) = data_lq(dm), data_lq(dm)
+        assert list(map(id, factorings)) == [id(dm)]
+        assert l_a is l_b and not l_a.flags.writeable
+        # Q is formed afresh from the kept reflectors by each call.
+        assert q_a is not q_b and q_a.tobytes() == q_b.tobytes() and q_a.flags.writeable
+        assert np.allclose(l_a @ q_a.T, dm.ordered, rtol=0, atol=1e-12)
+        assert np.allclose(q_a.T @ q_a, np.eye(q_a.shape[1]), rtol=0, atol=1e-12)
+
+    def test_data_lq_first_gives_the_same_bits(self, factorings):
+        # Whichever call factors the data, the factor and the model are the
+        # ones a fresh data matrix gives.
+        dm = self.data()
+        l_fac, basis = data_lq(dm)
+        pm = predictive_model(dm)
+        fresh = assemble(dm.matrix, dm.dims, dm.l_ini, dm.l_f)
+        ref = predictive_model(fresh)
+        ref_l, ref_q = data_lq(fresh)
+        assert list(map(id, factorings)) == [id(dm), id(fresh)]
+        for got, want in ((l_fac, ref_l), (basis, ref_q), (pm.M_ini, ref.M_ini),
+                          (pm.M_u, ref.M_u), (pm.cov, ref.cov)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_replaced_data_matrix_factors_afresh(self, factorings):
+        dm = self.data()
+        predictive_model(dm)
+        twin = dataclasses.replace(dm)
+        assert twin._lq == {} and "_lq" not in repr(dm)
+        assert [f.compare for f in dataclasses.fields(dm) if f.name == "_lq"] == [False]
+        predictive_model(twin)
+        assert list(map(id, factorings)) == [id(dm), id(twin)]
 
 
 class TestFromStateSpace:
@@ -660,6 +720,31 @@ class TestSerialization:
         doc.update(change)
         with pytest.raises(ShapeError, match=name):
             GaussianBehavior.from_json_dict(doc)
+
+    @pytest.mark.parametrize("change,name", [
+        ({"dims": 5}, "dims must be an object"),
+        ({"dims": {"m": "a", "p": 1}}, "dims.m must be an integer"),
+        ({"dims": {"m": 1, "p": 1.5}}, "dims.p must be an integer"),
+        ({"dims": {"m": True, "p": 1}}, "dims.m must be an integer"),
+        ({"L": "x"}, "L must be an integer"), ({"L": 2.5}, "L must be an integer"),
+        ({"L": False}, "L must be an integer"),
+        ({"mean": "abc"}, "mean must be an array of numbers"),
+        ({"cov": [[1.0, "x"], [0.0, 1.0]]}, "cov must be an array of numbers"),
+        ({"cov": [[1.0], [0.0, 1.0]]}, "cov must be an array of numbers"),
+    ])
+    def test_values_of_the_wrong_kind_are_named(self, change, name):
+        doc = make_behavior(np.eye(2)).to_json_dict()
+        doc.update(change)
+        with pytest.raises(ShapeError, match=name):
+            GaussianBehavior.from_json_dict(doc)
+
+    def test_whole_numbers_are_integers(self):
+        gb = make_behavior(np.eye(2))
+        doc = {**gb.to_json_dict(), "L": float(gb.window),
+               "dims": {"m": np.int64(gb.dims.m), "p": 1.0}}
+        back = GaussianBehavior.from_json_dict(doc)
+        assert (back.window, back.dims) == (gb.window, gb.dims)
+        assert type(back.window) is int and type(back.dims.m) is int
 
     def test_permutation_consistency(self):
         dims = SignalDims(2, 1)

@@ -147,6 +147,26 @@ class TestPredict:
         )
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("change,message", [
+        ({"dims": 5}, "behavior dims must be an object"),
+        ({"dims": {"m": "a", "p": 1}}, "behavior dims.m must be an integer"),
+        ({"dims": {"m": 1, "p": 1.5}}, "behavior dims.p must be an integer"),
+        ({"L": "x"}, "behavior L must be an integer"),
+        ({"L": 3.5}, "behavior L must be an integer"),
+        ({"L": True}, "behavior L must be an integer"),
+        ({"mean": "abc"}, "behavior mean must be an array of numbers"),
+        ({"cov": "x"}, "behavior cov must be an array of numbers"),
+    ])
+    def test_values_of_the_wrong_kind_are_config_errors(self, tmp_path, change, message):
+        doc = GaussianBehavior(SignalDims(1, 1), 3, np.zeros(6), np.eye(6)).to_json_dict()
+        (tmp_path / "b.json").write_text(json.dumps({**doc, **change}))
+        (tmp_path / "w.csv").write_text("u_1,y_1\n0.1,0.05\n")
+        (tmp_path / "u.csv").write_text("u_1\n0.5\n0.5\n")
+        proc = run_cli("predict", "--behavior", str(tmp_path / "b.json"),
+                       "--wini", str(tmp_path / "w.csv"), "--uf", str(tmp_path / "u.csv"))
+        assert proc.returncode == 3, proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
     def test_unknown_ordering_is_config_error(self, tmp_path):
         doc = GaussianBehavior(SignalDims(1, 1), 3, np.zeros(6), np.eye(6)).to_json_dict()
         (tmp_path / "b.json").write_text(json.dumps({**doc, "ordering": "weird"}))

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import random_stable_plant, record_solver_paths
 
-from gdpc import cli, control, harness, plant, qp
+from gdpc import behavior, cli, control, harness, plant, qp
 from gdpc.errors import ConfigError, InfeasibleProblem, LambdaTooSmall
 from gdpc.harness import (
     config_from_dict,
@@ -22,6 +22,7 @@ from gdpc.harness import (
 )
 from gdpc.linalg import psd_factor
 from gdpc.plant import default_benchmark
+from gdpc.trajectory import DataMatrix
 from gdpc.verify import _joint_deepc, verify
 
 # The module itself: the package binds gdpc.verify to the function.
@@ -440,6 +441,69 @@ class TestDeepcEliminationLoop:
         for a, b in zip(plans[:planned], plans[planned:]):
             assert close(a.u_f, b.u_f) and close(a.y_pred.mean, b.y_pred.mean)
             assert close(a.objective, b.objective) and close(a.g, b.g)
+
+
+class TestIdentifiedOnce:
+    """A run factors its data once, for the predictor and deepc alike, and
+    reads the plant's noise factors and spectral radius from the model."""
+
+    def test_deepc_run_factors_its_data_once(self, monkeypatch):
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        doc["control"]["controller"] = "deepc"
+        cfg = config_from_dict(doc)
+        factored = []
+        qr_in_place = behavior._qr_in_place
+        monkeypatch.setattr(behavior, "_qr_in_place",
+                            lambda dm: factored.append(dm) or qr_in_place(dm))
+        deepc, calls = control.deepc, []
+
+        def recorded(*args, **kwargs):
+            calls.append((args, kwargs, deepc(*args, **kwargs)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(control, "deepc", recorded)
+        run_closed_loop(cfg)
+        assert len(factored) == 1 and calls
+        dm = factored[0]
+        assert all(args[0] is dm for args, _, _ in calls)
+        # deepc on an unfactored copy of the data factors it in its set-up
+        # and gives the same results, bit for bit.
+        fresh = DataMatrix(dm.dims, dm.l_ini, dm.l_f, dm.matrix)
+        for args, kwargs, result in calls:
+            again = deepc(fresh, *args[1:], **kwargs)
+            for got, want in ((result.u_f, again.u_f), (result.g, again.g),
+                              (result.objective, again.objective)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert len(factored) == 2 and factored[1] is fresh
+
+    @pytest.mark.parametrize("controller", ["spc", "robust"])
+    def test_runs_factor_no_noise_covariance(self, controller, monkeypatch):
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        doc["control"].update(controller=controller, lambda_grid=[5.0, 50.0])
+        doc["run"].update(steps=12, repetitions=2)
+        cfg = config_from_dict(doc)
+        eigh, decomposed, factored = np.linalg.eigh, [], []
+
+        def noted_eigh(a, *args, **kwargs):
+            decomposed.append(np.array(a))
+            return eigh(a, *args, **kwargs)
+
+        def noted_factor(cov, name="covariance"):
+            factored.append(name)
+            return psd_factor(cov, name)
+
+        def no_eigvals(*args):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigh", noted_eigh)
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        monkeypatch.setattr(plant, "psd_factor", noted_factor)
+        run_closed_loop(cfg)
+        sweep_lambda(cfg)
+        assert factored == ["x0 cov", "x0 cov"]  # one identification run each
+        noise = (cfg.plant.Sigma_xi, cfg.plant.Sigma_eta)
+        assert decomposed and not [a for a in decomposed for cov in noise
+                                   if a.shape == cov.shape and np.array_equal(a, cov)]
 
 
 class TestSweep:

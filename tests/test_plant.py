@@ -1,5 +1,6 @@
 """Tests for the stochastic LTI simulator and block trajectory operators."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from gdpc import harness, plant
-from gdpc.errors import ShapeError
-from gdpc.linalg import matrix_rank, spectral_radius
+from gdpc.errors import ShapeError, UnstableSystem
+from gdpc.linalg import lyap_discrete, matrix_rank, psd_factor, spectral_radius
 from gdpc.plant import (
+    PLANT_KEYS,
     StochasticLtiModel,
     build_block_operators,
     default_benchmark,
@@ -386,3 +388,79 @@ class TestValidation:
                 A=np.eye(1) * 0.5, B=np.ones((1, 1)), C=np.ones((1, 1)),
                 D=np.zeros((1, 1)), Sigma_xi=-np.eye(1), Sigma_eta=np.eye(1),
             )
+
+
+class TestKeptFactors:
+    """A model makes its noise factors and A's spectral radius once, in its
+    checks, and every rollout reads them."""
+
+    @pytest.mark.parametrize("field", ["Sigma_xi", "Sigma_eta"])
+    def test_an_indefinite_covariance_is_named(self, field):
+        doc = default_benchmark().to_json_dict()
+        size = len(doc[field])
+        doc[field] = np.diag([1.0] * (size - 1) + [-1e-3]).tolist()
+        with pytest.raises(ShapeError, match=f"{field} must be positive semidefinite"):
+            StochasticLtiModel.from_json_dict(doc)
+
+    def test_kept_fields_are_the_factors_and_the_radius(self):
+        model = default_benchmark()
+        for kept, cov in ((model.xi_factor, model.Sigma_xi), (model.eta_factor, model.Sigma_eta)):
+            assert kept.tobytes() == psd_factor(cov).tobytes() and not kept.flags.writeable
+        assert model.radius == spectral_radius(model.A)
+
+    def test_comparison_and_json_ignore_the_kept_fields(self):
+        model = default_benchmark()
+        assert [f.name for f in dataclasses.fields(model) if f.compare] == list(PLANT_KEYS)
+        assert [f.name for f in dataclasses.fields(model) if f.init] == list(PLANT_KEYS)
+        assert list(model.to_json_dict()) == list(PLANT_KEYS)
+        assert "xi_factor" not in repr(model)
+        one_state = {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]],
+                     "Sigma_xi": [[0.04]], "Sigma_eta": [[0.01]]}
+        twin = StochasticLtiModel.from_json_dict(one_state)
+        assert twin == StochasticLtiModel.from_json_dict(one_state)
+
+    def test_replace_makes_them_afresh(self):
+        model = default_benchmark()
+        changed = dataclasses.replace(model, A=0.5 * model.A, Sigma_xi=4.0 * model.Sigma_xi,
+                                      Sigma_eta=np.zeros((1, 1)))
+        assert changed.radius == spectral_radius(0.5 * model.A) < model.radius
+        assert changed.xi_factor.tobytes() == psd_factor(4.0 * model.Sigma_xi).tobytes()
+        assert not changed.eta_factor.any()
+
+    def test_rollouts_factor_no_noise_covariance(self, monkeypatch):
+        # simulate and the stationary covariance read the kept fields; only
+        # x0's covariance is factored, and A's eigenvalues are not taken.
+        model = default_benchmark()
+        x0 = (np.zeros(3), stationary_state_covariance(model, np.eye(1)))
+        want = simulate(model, x0, 1.0, steps=50, seed=4).samples
+        factored = []
+
+        def noted(cov, name="covariance"):
+            factored.append(name)
+            return psd_factor(cov, name)
+
+        def no_eigvals(*args):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(plant, "psd_factor", noted)
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        assert stationary_state_covariance(model, np.eye(1)).tobytes() == x0[1].tobytes()
+        assert simulate(model, x0, 1.0, steps=50, seed=4).samples.tobytes() == want.tobytes()
+        assert factored == ["x0 cov"]
+
+    def test_the_stationary_covariance_keeps_lyap_discretes_result(self):
+        model = default_benchmark()
+        qc = model.B @ model.B.T + model.Sigma_xi
+        got = stationary_state_covariance(model, np.eye(1))
+        assert got.tobytes() == lyap_discrete(model.A, qc).tobytes()
+        unstable = dataclasses.replace(model, A=1.2 * model.A)
+        with pytest.raises(UnstableSystem, match="spectral radius"):
+            stationary_state_covariance(unstable, np.eye(1))
+
+    def test_a_model_without_states_builds_and_simulates(self):
+        model = StochasticLtiModel(A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((1, 0)),
+                                   D=np.zeros((1, 1)), Sigma_xi=np.zeros((0, 0)),
+                                   Sigma_eta=np.eye(1))
+        assert model.xi_factor.shape == (0, 0) and model.radius == 0.0
+        samples = simulate(model, np.zeros(0), 1.0, steps=5, seed=0).samples
+        assert samples.shape == (5, 2) and np.isfinite(samples).all()
