@@ -58,8 +58,8 @@ def _grid(text: str) -> list[str]:
 _CONFIG_FLAGS = {
     "--rank-tol": ("rank_tol", dict(type=float, help="relative singular-value cutoff")),
     "--jitter": ("jitter", dict(
-        type=float, help="relative jitter of optimistic's precision with an output box, "
-                         "the only place jitter is applied")),
+        type=float, help="relative jitter of optimistic's covariance factor with an output "
+                         "box, the only place jitter is applied")),
     "--eps-abs": ("solver.eps_abs", dict(
         type=float, help="absolute tolerance: ADMM's, and that of the residual test an "
                          "exact equality-constrained solve must pass; the box-only "

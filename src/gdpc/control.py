@@ -38,8 +38,13 @@ equivalence <= robust, and robust needs lam > max Lambda. max Lambda is
 the same for every square root L of cov, so robust's lambda0 takes it from
 the one of cov's eigendecomposition (:func:`~gdpc.linalg.psd_factor`),
 which a singular covariance has too: it needs no jitter. The jitter
-reaches only optimistic's precision with an output box. ``verify`` checks
-Z and both controllers against the spectral form.
+reaches only optimistic with an output box, whose (u, mean) QP is in
+square-root form: with T the lower Cholesky factor of cov, jittered if cov
+is not PD, the tether kappa ||mean - mu_hat||^2 over cov is kappa ||J x -
+T^-1 bias||^2 over x = (u, mean), J = T^-1 [-M_u I], so the QP takes one
+triangular inverse and never forms the precision. ``verify`` checks Z and
+both controllers against the spectral form, and that QP against its
+precision form.
 
 Per-run set-up. In a receding-horizon run only the history window w_ini
 changes from one call to the next. Each controller is therefore a set-up,
@@ -48,13 +53,14 @@ w_ini-dependent vectors and solves: the QP's linear term, or the equality
 right-hand side of the (u, s, y) QP (with sq2 also the linear term) and of
 deepc's 1-norm QP. The set-up holds the output weight Z, M_u^T Z and the
 QP with its bounds, PSD proof and Cholesky factor; for certainty
-equivalence also tr(Q cov); for optimistic and robust the map to the mean;
-for deepc the basis Q of the data's LQ factorization and the maps to the
-mean and g. deepc reads the LQ factor L, the predictor and L_F^+ from the
-data matrix, which keeps them from identification's
-:func:`~gdpc.behavior.predictive_model` call (or makes them at deepc's
-first set-up), so a closed-loop run factors its data once. The
-equality-constrained QPs go to :func:`~gdpc.qp.solve`'s exact dual
+equivalence also tr(Q cov); for optimistic and robust the map to the mean,
+or with optimistic's output box T^-1 and J, from which a step forms T^-1
+bias, the linear term and the tether; for deepc the basis Q of the data's
+LQ factorization and the maps to the mean and g. deepc reads the LQ factor
+L, the predictor and L_F^+ from the data matrix, which keeps them from
+identification's :func:`~gdpc.behavior.predictive_model` call (or makes
+them at deepc's first set-up), so a closed-loop run factors its data once.
+The equality-constrained QPs go to :func:`~gdpc.qp.solve`'s exact dual
 active-set method when their KKT matrix is nonsingular, and to ADMM
 otherwise; the KKT factorization is made by the first solve and shared by
 the later ones (:meth:`QpProblem.updated`), while ADMM sets up afresh at
@@ -85,6 +91,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 from .behavior import (
     ConditionalGaussian,
@@ -94,7 +101,7 @@ from .behavior import (
     jittered_cholesky,
     predictive_model,
 )
-from .errors import InfeasibleProblem, LambdaTooSmall, ShapeError
+from .errors import InfeasibleProblem, LambdaTooSmall, NotPositiveDefinite, ShapeError
 # Not called here; benchmarks/tracing.py wraps control.chol_psd and
 # control.pinv by name.
 from .linalg import chol_psd, pinv  # noqa: F401
@@ -290,13 +297,6 @@ def _prepared(name: str, model, cp: ControlProblem, params: tuple, build):
         kept = (model, cp, params, build())
         _SETUPS[name] = kept
     return kept[3]
-
-
-def _precision(cov, jitter: float) -> np.ndarray:
-    """The precision L^-T L^-1 with L L^T the covariance, jittered if it is
-    not PD (:func:`~gdpc.behavior.jittered_cholesky`)."""
-    inv_chol = np.linalg.solve(jittered_cholesky(cov, jitter), np.eye(cov.shape[0]))
-    return symmetrize(inv_chol.T @ inv_chol)
 
 
 def _lambda0(pm: PredictiveModel, cp: ControlProblem) -> float:
@@ -596,38 +596,38 @@ def deepc(
 def _optimistic_setup(pm: PredictiveModel, cp: ControlProblem, lam: float, jitter: float):
     """optimistic's set-up; its step maps (bias, settings) to (u, mean,
     objective, solution), and without an output box also t
-    (:func:`_tethered_input_qp`)."""
+    (:func:`_tethered_input_qp`). With an output box, the (u, mean) QP in
+    square-root form: with T the lower Cholesky factor of the covariance,
+    jittered if it is not PD (:func:`~gdpc.behavior.jittered_cholesky`),
+    J = T^-1 [-M_u I] and v = T^-1 bias, the tether is kappa ||J x - v||^2
+    over x = (u, mean), so P = 2 blockdiag(R, Q) + 2 kappa J^T J and
+    q = -2 kappa J^T v - 2 [R u_ref; Q y_ref]."""
     kappa = 0.5 * lam
     if not cp.has_output_box:
         return _tethered_input_qp(pm, cp, kappa)
 
-    nu, ny = cp.n_u, cp.n_y
-    precision = _precision(pm.cov, jitter)
-    p_mat = np.zeros((nu + ny, nu + ny))
-    p_mat[:nu, :nu] = 2.0 * (cp.R + kappa * pm.M_u.T @ precision @ pm.M_u)
-    p_mat[:nu, nu:] = -2.0 * kappa * pm.M_u.T @ precision
-    p_mat[nu:, :nu] = p_mat[:nu, nu:].T
-    p_mat[nu:, nu:] = 2.0 * (cp.Q + kappa * precision)
-    template = QpProblem(
-        P=symmetrize(p_mat), q=np.zeros(nu + ny),
-        lower=np.concatenate([cp.u_lower, cp.y_lower]),
-        upper=np.concatenate([cp.u_upper, cp.y_upper]),
-    )
-    # The linear term is [2 kappa M_u^T S bias - 2 R u_ref;
-    # -2 kappa S bias - 2 Q y_ref], S the precision.
-    tether_u = 2.0 * kappa * pm.M_u.T
-    tether_mu = -2.0 * kappa * precision
-    r_u_ref = 2.0 * cp.R @ cp.u_ref
-    q_y_ref = 2.0 * cp.Q @ cp.y_ref
+    nu = cp.n_u
+    inv_t, info = dtrtri(jittered_cholesky(pm.cov, jitter), lower=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"the covariance's Cholesky factor is singular "
+                                  f"(dtrtri info {info})")
+    j_mat = np.hstack([-(inv_t @ pm.M_u), inv_t])
+    p_mat = (2.0 * kappa) * (j_mat.T @ j_mat)  # J^T J is exactly symmetric
+    p_mat[:nu, :nu] += 2.0 * cp.R
+    p_mat[nu:, nu:] += 2.0 * cp.Q
+    template = QpProblem(P=p_mat, q=np.zeros(p_mat.shape[0]),
+                         lower=np.concatenate([cp.u_lower, cp.y_lower]),
+                         upper=np.concatenate([cp.u_upper, cp.y_upper]))
+    tether = (-2.0 * kappa) * j_mat.T
+    ref_lin = np.concatenate([2.0 * cp.R @ cp.u_ref, 2.0 * cp.Q @ cp.y_ref])
 
     def step(bias, settings):
-        q_vec = np.concatenate([tether_u @ (precision @ bias) - r_u_ref,
-                                tether_mu @ bias - q_y_ref])
-        sol = _run_qp(template.updated(q=q_vec), settings)
+        v = inv_t @ bias
+        sol = _run_qp(template.updated(q=tether @ v - ref_lin), settings)
         u = sol.x[:nu]
         mu = sol.x[nu:]
-        diff = mu - (pm.M_u @ u + bias)
-        return u, mu, cp.tracking_cost(u, mu) + kappa * float(diff @ precision @ diff), sol
+        resid = j_mat @ sol.x - v
+        return u, mu, cp.tracking_cost(u, mu) + kappa * float(resid @ resid), sol
 
     return step
 
@@ -649,8 +649,11 @@ def optimistic(
     covariance needs no jitter. The reported objective is then the
     eliminated value ||mu_hat - y_ref||_Z^2 + ||u - u_ref||_R^2, which,
     unlike the tether term, does not multiply a rounding-level difference
-    by the precision. With an output box the (u, mean) QP uses the
-    precision of the covariance, jittered if it is not PD."""
+    by the precision. With an output box the (u, mean) QP is in
+    square-root form, built from the inverse of the covariance's Cholesky
+    factor, jittered by ``jitter`` if the covariance is not PD
+    (:func:`~gdpc.behavior.jittered_cholesky`); with ``jitter`` 0 a singular
+    covariance raises :class:`NotPositiveDefinite` there."""
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be finite and positive, got {lam}")
     if not (math.isfinite(jitter) and jitter >= 0.0):

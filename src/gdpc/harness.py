@@ -218,7 +218,9 @@ def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
             plant = StochasticLtiModel.from_json_dict(plant_doc)
     except ConfigError:
         raise
-    except Exception as exc:
+    except (ValueError, TypeError, OSError) as exc:
+        # Every GdpcError, JSONDecodeError and UnicodeDecodeError is a
+        # ValueError; anything else is a fault of the program, not the config.
         raise ConfigError(f"invalid plant description: {exc}") from None
 
     data = _section(doc, "data")

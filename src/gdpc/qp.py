@@ -101,7 +101,11 @@ vector, and shares the Cholesky factor, |P| and the KKT factor, none of
 which reads either vector. So the step of the (u, s, y) QP of deepc and of
 spc with an output box is one triangular solve with the run's KKT factor and a
 bound check when no bound is active. The arrays of a problem are read-only
-copies, so none of this can go stale.
+copies, so none of this can go stale. Each array a caller passes is copied
+once (P's copy is its symmetrized form); the arrays the constructor makes
+itself (the empty A_eq and b_eq, the infinite bounds, the Cholesky factor
+and |P|) are made read-only in place, and a problem without equality rows
+takes no finiteness scan of them.
 """
 
 import math
@@ -145,6 +149,17 @@ def _finite_vector(value, size: int, name: str) -> np.ndarray:
     return read_only(v)
 
 
+def _own_vector(value) -> np.ndarray:
+    """A 1-D float copy of ``value``, the one copy made of it."""
+    return np.array(value, dtype=float, order="C").reshape(-1)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, an array no caller holds, made read-only in place."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class QpProblem:
     """Data of one convex QP. ``lower``/``upper`` accept +-inf entries; any
@@ -170,8 +185,10 @@ class QpProblem:
     _kkt: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = read_only(symmetrize(self.P))
-        qv = np.asarray(self.q, dtype=float).reshape(-1)
+        # Each array the caller passed is copied once (symmetrize's output is
+        # P's copy); the arrays made here are frozen in place.
+        p = _frozen(symmetrize(self.P))
+        qv = _own_vector(self.q)
         n = qv.shape[0]
         if p.shape != (n, n):
             raise ShapeError(f"P must be {(n, n)}, got {p.shape}")
@@ -184,28 +201,26 @@ class QpProblem:
             factor = None
             if not is_psd(p, 1e-8):
                 raise ShapeError("P must be positive semidefinite at tolerance 1e-8")
-        a = np.zeros((0, n)) if self.A_eq is None else np.asarray(self.A_eq, dtype=float)
-        b = np.zeros(0) if self.b_eq is None else np.asarray(self.b_eq, dtype=float).reshape(-1)
+        a = np.zeros((0, n)) if self.A_eq is None else np.array(self.A_eq, dtype=float)
+        b = np.zeros(0) if self.b_eq is None else _own_vector(self.b_eq)
         if a.ndim != 2 or a.shape[1] != n or a.shape[0] != b.shape[0]:
             raise ShapeError(f"A_eq/b_eq shapes inconsistent: {a.shape}, {b.shape}")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        if a.shape[0] and not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ShapeError("A_eq/b_eq contain non-finite entries")
-        lo = np.full(n, -np.inf) if self.lower is None else np.asarray(self.lower, dtype=float).reshape(-1)
-        hi = np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float).reshape(-1)
+        lo = np.full(n, -np.inf) if self.lower is None else _own_vector(self.lower)
+        hi = np.full(n, np.inf) if self.upper is None else _own_vector(self.upper)
         if lo.shape != (n,) or hi.shape != (n,):
             raise ShapeError(f"bounds must have length {n}")
         if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
             raise ShapeError("bounds contain NaN")
         if np.any(lo > hi):
             raise ShapeError("lower bound exceeds upper bound")
-        for name, value in (("P", p), ("q", read_only(qv)), ("A_eq", read_only(a)),
-                            ("b_eq", read_only(b)), ("lower", read_only(lo)),
-                            ("upper", read_only(hi)),
-                            ("_p_factor", None if factor is None else read_only(factor)),
-                            ("_abs_p", read_only(np.abs(p)) if factor is not None
-                             and a.shape[0] == 0 else None),
-                            ("_kkt", {})):
-            object.__setattr__(self, name, value)
+        for name, value in (("P", p), ("q", qv), ("A_eq", a), ("b_eq", b), ("lower", lo),
+                            ("upper", hi), ("_p_factor", factor),
+                            ("_abs_p", np.abs(p) if factor is not None
+                             and a.shape[0] == 0 else None)):
+            object.__setattr__(self, name, None if value is None else _frozen(value))
+        object.__setattr__(self, "_kkt", {})
 
     @property
     def n(self) -> int:

@@ -127,6 +127,7 @@ _CHILD_KEYS = {
     "spectral_weights_match_solve_forms": 1,
     "box_qp_matches_independent_oracles": 2,
     "deepc_elimination_matches_joint_qp": 3,
+    "optimistic_output_box_matches_precision_form": 4,
 }
 
 
@@ -757,16 +758,16 @@ def _check_spectral_weights_match_solve_forms(rng) -> CheckResult:
     """The weight of ``control._tethered_weight`` against the spectral form
     (``_tethered_oracle``) and the precision forms kappa S (Q + kappa
     S)^-1 Q (optimistic, kappa = lam/2) and Q + Q (lam S - Q)^-1 Q (robust,
-    kappa = -lam); ``control._precision`` against inv(L)^T inv(L) and lambda0
-    against max eig(G Q G) (1 + 1e-6), G the symmetric square root of cov,
-    all to 1e-9 relative. End to end, optimistic's and robust's plans, means
-    and objectives against ``_tethered_oracle``, to 1e-9 relative to
+    kappa = -lam), with S = inv(L)^T inv(L), and lambda0 against max eig(G Q
+    G) (1 + 1e-6), G the symmetric square root of cov, all to 1e-9
+    relative. End to end, optimistic's and robust's plans, means and
+    objectives against ``_tethered_oracle``, to 1e-9 relative to
     max(1, |oracle|). Noisy instances, with and without an input box; the
     robust weights sit at lambda0 (1.001, 2, 10, 1e3), since at lambda0
     itself lam I - cov Q is too ill-conditioned for two forms to agree to
     1e-9. Draws from its own child generator (``_child``)."""
     local = _child(rng, "spectral_weights_match_solve_forms")
-    worst = dict.fromkeys(("precision", "lambda0", "weights", "controllers"), 0.0)
+    worst = dict.fromkeys(("lambda0", "weights", "controllers"), 0.0)
     for k in range(6):
         _, _, pm, w_ini, cp = _random_instance(local, with_input_box=k % 2 == 1)
         inv_chol = np.linalg.inv(np.linalg.cholesky(pm.cov))
@@ -774,8 +775,6 @@ def _check_spectral_weights_match_solve_forms(rng) -> CheckResult:
         dec = sym_eig(pm.cov)
         root = (dec.vectors * np.sqrt(np.clip(dec.values, 0.0, None))) @ dec.vectors.T
         lambda0 = float(np.max(np.linalg.eigvalsh(root.T @ cp.Q @ root))) * (1.0 + 1e-6)
-        worst["precision"] = max(worst["precision"], _rel(
-            ctl._precision(pm.cov, ctl.DEFAULT_JITTER), precision, 1e-300))
         worst["lambda0"] = max(worst["lambda0"],
                                _rel(ctl.lambda_threshold(pm, cp), lambda0, 1e-300))
         weights = [(lam, 0.5 * lam, ctl.optimistic, 0.0,
@@ -800,6 +799,65 @@ def _check_spectral_weights_match_solve_forms(rng) -> CheckResult:
         residual=residual,
         tolerance=1e-9,
         detail=", ".join(f"{k} {v:.1e}" for k, v in worst.items()),
+    )
+
+
+def _optimistic_precision_oracle(pm, w_ini, cp, lam):
+    """(u, mean, objective, status) of optimistic with an output box,
+    solved as the (u, mean) QP in precision form: S = inv(L)^T inv(L), L
+    numpy's Cholesky factor of cov (so cov must be PD), and the tether
+    kappa ||mean - M_u u - bias||_S^2, kappa = lam/2. ``control.optimistic``
+    builds the same QP from the factor's inverse J = L^-1 [-M_u I] and never
+    forms S, so this is a second computation of the QP data."""
+    inv_chol = np.linalg.inv(np.linalg.cholesky(pm.cov))
+    precision = inv_chol.T @ inv_chol
+    kappa = 0.5 * lam
+    nu, ny = cp.n_u, cp.n_y
+    bias = pm.M_ini @ w_ini
+    p_mat = np.zeros((nu + ny, nu + ny))
+    p_mat[:nu, :nu] = 2.0 * (cp.R + kappa * pm.M_u.T @ precision @ pm.M_u)
+    p_mat[:nu, nu:] = -2.0 * kappa * pm.M_u.T @ precision
+    p_mat[nu:, :nu] = p_mat[:nu, nu:].T
+    p_mat[nu:, nu:] = 2.0 * (cp.Q + kappa * precision)
+    s_bias = precision @ bias
+    q_vec = np.concatenate([2.0 * kappa * pm.M_u.T @ s_bias - 2.0 * cp.R @ cp.u_ref,
+                            -2.0 * kappa * s_bias - 2.0 * cp.Q @ cp.y_ref])
+    sol = solve(QpProblem(P=p_mat, q=q_vec, lower=np.concatenate([cp.u_lower, cp.y_lower]),
+                          upper=np.concatenate([cp.u_upper, cp.y_upper])))
+    u, mean = sol.x[:nu], sol.x[nu:]
+    diff = mean - pm.M_u @ u - bias
+    return u, mean, cp.tracking_cost(u, mean) + kappa * float(diff @ precision @ diff), sol.status
+
+
+def _check_optimistic_output_box_matches_precision_form(rng, mutate=None) -> CheckResult:
+    """optimistic with an output box against its (u, mean) QP in precision
+    form (``_optimistic_precision_oracle``): plan, mean and objective to
+    1e-9 relative, at lam 0.2, 1, 10 and 500, on noisy instances with an
+    input box and an output box that binds (``_binding_output_box``). The
+    count of solves with a mean on its output bound may not be 0.
+    ``mutate`` ``"double_pred_cov"`` doubles optimistic's covariance. Draws
+    from its own child generator (``_child``)."""
+    local = _child(rng, "optimistic_output_box_matches_precision_form")
+    worst, statuses, binding, solves = 0.0, set(), 0, 0
+    for _ in range(4):
+        _, _, pm, w_ini, cp = _random_instance(local, with_input_box=True)
+        boxed = _binding_output_box(pm, w_ini, cp)
+        run_pm = replace(pm, cov=2.0 * pm.cov) if mutate == MUTATE_COV else pm
+        for lam in (0.2, 1.0, 10.0, 500.0):
+            u, mean, objective, status = _optimistic_precision_oracle(pm, w_ini, boxed, lam)
+            res = ctl.optimistic(run_pm, w_ini, boxed, lam)
+            statuses.update((status, res.solver.status))
+            solves += 1
+            binding += bool(np.any(res.y_pred.mean >= boxed.y_upper)
+                            or np.any(res.y_pred.mean <= boxed.y_lower))
+            worst = max(worst, _rel(res.u_f, u), _rel(res.y_pred.mean, mean),
+                        _rel(res.objective, objective))
+    return CheckResult(
+        name="optimistic_output_box_matches_precision_form",
+        passed=worst <= 1e-9 and statuses == {"optimal"} and binding > 0,
+        residual=worst,
+        tolerance=1e-9,
+        detail=f"statuses {sorted(statuses)}, output box binds in {binding} of {solves} solves",
     )
 
 
@@ -968,9 +1026,11 @@ _THEOREM_CHECKS = (
     _check_hessian_dominates_input_weight_above_lambda0,
     _check_controllers_collapse_to_certainty_equivalence,
     _check_spectral_weights_match_solve_forms,
+    _check_optimistic_output_box_matches_precision_form,
 )
 _MUTABLE_CHECKS = (_check_projected_deepc_equals_optimistic,
-                   _check_deepc_elimination_matches_joint_qp)
+                   _check_deepc_elimination_matches_joint_qp,
+                   _check_optimistic_output_box_matches_precision_form)
 _SOLVER_CHECKS = (
     _check_qp_matches_kkt_oracle,
     _check_l1_soft_threshold_exact,
@@ -984,7 +1044,8 @@ def verify(suite: str = "all", seed: int = 0, mutate: str | None = None) -> Veri
     """Run a certification suite and collect per-check pass/fail results.
 
     ``mutate`` (test hook): ``"double_pred_cov"`` doubles optimistic's
-    predictive covariance inside the deepc/optimistic equivalence check, and
+    predictive covariance inside the deepc/optimistic equivalence check and
+    the output-box precision-form check, and
     ``"kappa_without_d"`` runs deepc at lambda_g D inside the elimination
     check (for its eliminated form, kappa = lambda_g instead of
     lambda_g / D); that check must then fail. Used to confirm the suite

@@ -144,7 +144,7 @@ def test_traced_factorizations_per_solve(controller, factorizations, tracing):
 
 
 def test_output_box_optimistic_needs_no_eigendecomposition(tracing):
-    # The (u, mean) QP uses only the precision.
+    # The (u, mean) QP uses only the Cholesky factor of the covariance.
     children = loop_children(tracing, short_loop_config("optimistic", True))
     assert_first_solve_only(children, "linalg.chol_psd", 1)
     assert_first_solve_only(children, "linalg.sym_eig", 0)

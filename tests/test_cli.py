@@ -331,6 +331,24 @@ class TestPlantOverride:
                        "--out", str(workdir / "x.csv"))
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("name,content", [
+        ("text_matrix.json", json.dumps({**default_benchmark().to_json_dict(), "A": [["a"]]})),
+        ("not_json.json", "{\"A\": [[0.5]],"),
+        ("plant_dir", None),
+    ])
+    def test_unreadable_plant_is_config_error(self, workdir, name, content):
+        # A non-numeric matrix, a file that is not JSON and a directory.
+        path = workdir / name
+        if content is None:
+            path.mkdir(exist_ok=True)
+        else:
+            path.write_text(content)
+        proc = run_cli("closed-loop", "--config", str(workdir / "config.json"),
+                       "--plant", str(path), "--out", str(workdir / "unread.csv"))
+        assert proc.returncode == 3, proc.stderr
+        assert "invalid plant description" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (workdir / "unread.csv").exists()
+
 
 class TestSweep:
     def test_grid_rows(self, workdir):

@@ -12,7 +12,7 @@ from conftest import (
     record_solver_paths,
 )
 
-from gdpc import control, qp
+from gdpc import behavior, control, qp
 from gdpc.behavior import PredictiveModel, kl_mean_term, predictive_model
 from gdpc.control import (
     ControlProblem,
@@ -25,7 +25,7 @@ from gdpc.control import (
     robust,
     spc,
 )
-from gdpc.errors import InfeasibleProblem, LambdaTooSmall, ShapeError
+from gdpc.errors import InfeasibleProblem, LambdaTooSmall, NotPositiveDefinite, ShapeError
 from gdpc.linalg import pinv, sym_eig
 from gdpc.plant import simulate, step
 from gdpc.qp import QpProblem, QpSettings, solve
@@ -555,6 +555,104 @@ class TestOptimistic:
         inst = random_control_instance(rng)
         with pytest.raises(ValueError):
             optimistic(inst.pm, inst.w_ini, inst.cp, lam=0.0)
+
+
+class TestOptimisticSquareRootForm:
+    """optimistic's (u, mean) QP with an output box, built from the inverse
+    of the covariance's Cholesky factor T: J = T^-1 [-M_u I], P =
+    2 blockdiag(R, Q) + 2 kappa J^T J and q = -2 kappa J^T T^-1 bias - 2 [R
+    u_ref; Q y_ref]."""
+
+    @staticmethod
+    def captured(monkeypatch):
+        """Record the P passed to each QpProblem ``control`` builds and each
+        problem ``control`` solves."""
+        built, solved = [], []
+        problem, run = control.QpProblem, control.solve
+
+        def building(**kwargs):
+            built.append(kwargs["P"])
+            return problem(**kwargs)
+
+        def solving(prob, *args):
+            solved.append(prob)
+            return run(prob, *args)
+
+        monkeypatch.setattr(control, "QpProblem", building)
+        monkeypatch.setattr(control, "solve", solving)
+        return built, solved
+
+    @staticmethod
+    def precision_form(pm, w_ini, cp, lam):
+        """(P, q) of the (u, mean) QP with the precision S = inv(L)^T inv(L)."""
+        inv_chol = np.linalg.inv(np.linalg.cholesky(pm.cov))
+        s_mat = inv_chol.T @ inv_chol
+        kappa, nu = 0.5 * lam, cp.n_u
+        a = np.hstack([-pm.M_u, np.eye(cp.n_y)])  # mean - M_u u
+        p_mat = 2.0 * kappa * a.T @ s_mat @ a
+        p_mat[:nu, :nu] += 2.0 * cp.R
+        p_mat[nu:, nu:] += 2.0 * cp.Q
+        q_vec = -2.0 * kappa * a.T @ s_mat @ (pm.M_ini @ w_ini)
+        q_vec -= 2.0 * np.concatenate([cp.R @ cp.u_ref, cp.Q @ cp.y_ref])
+        return p_mat, q_vec
+
+    def test_qp_equals_the_precision_form(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        for _ in range(5):
+            inst = random_control_instance(rng, with_input_box=True, with_output_box=True)
+            for lam in (0.2, 10.0, 500.0):
+                built, solved = self.captured(monkeypatch)
+                optimistic(inst.pm, inst.w_ini, inst.cp, lam)
+                p_ref, q_ref = self.precision_form(inst.pm, inst.w_ini, inst.cp, lam)
+                assert len(built) == len(solved) == 1
+                assert np.max(np.abs(built[0] - p_ref)) <= 1e-12 * np.max(np.abs(p_ref))
+                assert np.max(np.abs(solved[0].q - q_ref)) <= 1e-12 * np.max(np.abs(q_ref))
+                # J^T J is exactly symmetric, so P needs no symmetrizing.
+                assert np.array_equal(built[0], built[0].T)
+
+    @staticmethod
+    def rank_one_instance():
+        rng = np.random.default_rng(62)
+        inst = random_control_instance(rng, with_output_box=True)
+        v = rng.standard_normal(inst.cp.n_y)
+        pm = PredictiveModel(M_u=inst.pm.M_u, M_ini=inst.pm.M_ini, cov=np.outer(v, v))
+        return pm, inst.w_ini, inst.cp
+
+    def test_singular_covariance_needs_its_jitter(self):
+        pm, w_ini, cp = self.rank_one_instance()
+        with pytest.raises(NotPositiveDefinite):
+            optimistic(pm, w_ini, cp, 5.0, jitter=0.0)
+
+    def test_jitter_changes_the_plan(self):
+        pm, w_ini, cp = self.rank_one_instance()
+        small = optimistic(pm, w_ini, cp, 5.0, jitter=1e-9)
+        large = optimistic(pm, w_ini, cp, 5.0, jitter=1e-3)
+        assert small.solver.status == large.solver.status == "optimal"
+        assert np.max(np.abs(small.u_f - large.u_f)) > 1e-6
+
+    def test_set_up_factors_cov_and_p_once(self, monkeypatch):
+        # One Cholesky factor of cov, one triangular inverse and one potrf of
+        # P; no general solve, inverse or eigendecomposition.
+        rng = np.random.default_rng(63)
+        inst = random_control_instance(rng, with_input_box=True, with_output_box=True)
+        calls = []
+
+        def counted(module, name, label):
+            fn = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls.append(label)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(behavior, "chol_psd", "cholesky of cov")
+        counted(control, "dtrtri", "triangular inverse")
+        counted(qp, "dpotrf", "potrf of P")
+        for name in ("solve", "inv", "eigh", "eigvalsh", "cholesky", "lstsq", "svd"):
+            counted(np.linalg, name, f"np.linalg.{name}")
+        control._optimistic_setup(inst.pm, inst.cp, 5.0, control.DEFAULT_JITTER)
+        assert sorted(calls) == ["cholesky of cov", "potrf of P", "triangular inverse"]
 
 
 class TestRobust:

@@ -184,6 +184,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="lambda"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("loader,plant_doc", [
+        ("load_json", {"file": "plant.json"}), ("from_json_dict", {}),
+    ])
+    def test_loader_fault_is_not_a_config_error(self, monkeypatch, tmp_path, loader, plant_doc):
+        # Only the errors of a bad description become ConfigError; a fault
+        # inside the loader propagates as itself.
+        (tmp_path / "plant.json").write_text(json.dumps(default_benchmark().to_json_dict()))
+
+        def broken(cls, arg):
+            raise RuntimeError("loader bug")
+
+        monkeypatch.setattr(plant.StochasticLtiModel, loader, classmethod(broken))
+        with pytest.raises(RuntimeError, match="loader bug"):
+            config_from_dict(base_doc(plant=plant_doc), base_dir=str(tmp_path))
+
     def test_smallest_weights_accepted(self):
         doc = json.loads(EXAMPLE_CONFIG.read_text())
         doc["control"].update(controller="deepc", lambda_grid=[0.0, 1.0], **{"lambda": 0.0})
@@ -643,9 +658,20 @@ class TestVerify:
         # residual rather than by raising.
         report = verify("theorems", seed=1, mutate="double_pred_cov")
         failed = [c for c in report.checks if not c.passed]
-        assert [c.name for c in failed] == ["projected_deepc_equals_optimistic"]
-        assert math.isfinite(failed[0].residual)
-        assert failed[0].residual > failed[0].tolerance
+        assert [c.name for c in failed] == ["projected_deepc_equals_optimistic",
+                                            "optimistic_output_box_matches_precision_form"]
+        for check in failed:
+            assert math.isfinite(check.residual)
+            assert check.residual > check.tolerance
+
+    def test_output_box_oracle_detects_a_doubled_covariance(self):
+        # optimistic's (u, mean) QP with a doubled covariance against the
+        # precision form of the true one.
+        name = "optimistic_output_box_matches_precision_form"
+        assert {c.name: c for c in verify("theorems", seed=0).checks}[name].passed
+        check = {c.name: c for c in verify("theorems", seed=0,
+                                           mutate="double_pred_cov").checks}[name]
+        assert not check.passed and check.tolerance < check.residual < math.inf
 
     def test_raising_check_keeps_its_name(self, monkeypatch):
         # A check that raises is reported under the name it has when it

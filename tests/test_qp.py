@@ -254,6 +254,18 @@ class TestValidation:
         assert prob.q[0] == 0.0 and prob.lower[0] == -1.0
         for array in (prob.P, prob.q, prob.A_eq, prob.b_eq, prob.lower, prob.upper):
             assert not array.flags.writeable
+        box_only = prob
+        given = {"P": 2.0 * np.eye(3), "q": np.ones(3), "A_eq": np.ones((1, 3)),
+                 "b_eq": np.ones(1), "lower": -np.ones(3), "upper": np.ones(3)}
+        kept = {name: value.copy() for name, value in given.items()}
+        prob = QpProblem(**given)
+        for name, value in given.items():
+            assert value.flags.writeable  # the caller's array is left as it was
+            value[...] = 7.0
+            assert np.array_equal(getattr(prob, name), kept[name])
+            assert not getattr(prob, name).flags.writeable
+        for array in (box_only._p_factor, box_only._abs_p, prob._p_factor):
+            assert not array.flags.writeable
 
 
 def reject_polish(monkeypatch):
