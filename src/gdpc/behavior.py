@@ -211,8 +211,9 @@ class ConditionalGaussian:
     def _of_model(cls, mean: np.ndarray, cov: np.ndarray) -> "ConditionalGaussian":
         """The distribution with a 1-D float ``mean`` of matching length and a
         :class:`PredictiveModel`'s covariance, which that model's
-        ``__post_init__`` has made read-only, symmetric and finite: both are
-        kept as they are, without the checks of ``__post_init__``."""
+        constructor (``__post_init__`` or ``_of_fit``) has made read-only,
+        symmetric and finite: both are kept as they are, without the checks
+        of ``__post_init__``."""
         new = object.__new__(cls)
         new.__dict__.update(mean=mean, cov=cov)
         return new
@@ -225,9 +226,12 @@ class PredictiveModel:
     ``M_u`` maps the stacked future input, ``M_ini`` maps the stacked past
     window; the predicted output mean is M_u u_f + M_ini w_ini. The three
     arrays must be finite matrices with equal row counts, and ``cov`` must
-    pass the PSD test of :class:`GaussianBehavior` (tolerance 1e-8). The
-    arrays are read-only copies, since the controllers keep set-up work per
-    model object (see :mod:`gdpc.control`).
+    pass the PSD test of :class:`GaussianBehavior` (tolerance 1e-8); it is
+    kept as (cov + cov^T)/2. The arrays are read-only, since the controllers
+    keep set-up work per model object (see :mod:`gdpc.control`): copies of
+    a caller's arrays, or, for the model :func:`lq_predictor` identifies,
+    arrays it has just made and no one else holds, frozen in place
+    (:meth:`_of_fit`).
     """
 
     M_u: np.ndarray  # (p*L_f, m*L_f)
@@ -247,6 +251,29 @@ class PredictiveModel:
         object.__setattr__(self, "M_u", m_u)
         object.__setattr__(self, "M_ini", m_ini)
         object.__setattr__(self, "cov", cov)
+
+    @classmethod
+    def _of_fit(cls, m_u: np.ndarray, m_ini: np.ndarray, cov: np.ndarray) -> "PredictiveModel":
+        """The model of fresh float arrays that no one else holds, made by
+        :func:`lq_predictor` with equal row counts, ``cov`` the Gram matrix
+        T T^T / D of the fit's residual T. Each array must be finite
+        (``InvalidMatrix`` otherwise); ``cov`` is symmetrized only if it is
+        not exactly symmetric already, and each is frozen in place, not
+        copied. ``cov`` is not eigendecomposed: T has at most qL columns,
+        so the rounding of the computed Gram matrix moves its eigenvalues
+        by at most about (qL)^2 eps times the largest, and none can fall
+        below the 1e-8 rule of ``__post_init__`` for any qL below
+        thousands."""
+        for array, name in ((m_u, "M_u"), (m_ini, "M_ini"), (cov, "cov")):
+            if not np.isfinite(array).all():
+                raise InvalidMatrix(f"{name} contains non-finite entries")
+        if not (cov == cov.T).all():
+            cov = symmetrize(cov)
+        for array in (m_u, m_ini, cov):
+            array.flags.writeable = False
+        new = object.__new__(cls)
+        new.__dict__.update(M_u=m_u, M_ini=m_ini, cov=cov)
+        return new
 
     def predict_mean(self, w_ini, u_f) -> np.ndarray:
         w_ini = np.asarray(w_ini, dtype=float).reshape(-1)
@@ -441,6 +468,10 @@ def lq_predictor(
     identification). Otherwise, for rank-deficient data, fewer columns
     than free rows or a truncating ``rank_tol``, L_F^+ is the SVD
     pseudoinverse :func:`gdpc.linalg.pinv`.
+
+    The model is built by :meth:`PredictiveModel._of_fit`: its arrays are
+    checked finite and frozen where they are made, and the covariance,
+    a Gram matrix and so PSD by construction, takes no PSD test.
     """
     check_rank_tol(rank_tol)
     n_free = dm.free_rows.size
@@ -458,9 +489,10 @@ def lq_predictor(
         free_pinv = pinv(l_free, rank_tol)
         coeff = l_out @ free_pinv
         tail = l_out - coeff @ l_free
-    pm = PredictiveModel(
-        M_u=coeff[:, n_ini:], M_ini=coeff[:, :n_ini], cov=tail @ tail.T / dm.n_columns
-    )
+    # The two maps are column blocks of coeff, each copied to an array of
+    # its own; the covariance is the fresh Gram matrix.
+    pm = PredictiveModel._of_fit(coeff[:, n_ini:].copy(), coeff[:, :n_ini].copy(),
+                                 tail @ tail.T / dm.n_columns)
     return pm, free_pinv
 
 

@@ -291,6 +291,8 @@ def _cmd_sweep(args) -> int:
     for c in cells:
         print(f"lambda={c.lam:.4g}  mean={c.mean_cost:.6e}  std={c.std_cost:.3e}  "
               f"ok={c.runs_ok}  failed={c.runs_failed}")
+        if c.failures:
+            print(f"  first failure: {c.failures[0]}")
     print(f"sweep written to {args.out}")
     return EXIT_OK
 

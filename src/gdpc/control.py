@@ -105,7 +105,15 @@ from .errors import InfeasibleProblem, LambdaTooSmall, NotPositiveDefinite, Shap
 # Not called here; benchmarks/tracing.py wraps control.chol_psd and
 # control.pinv by name.
 from .linalg import chol_psd, pinv  # noqa: F401
-from .linalg import DEFAULT_RANK_TOL, is_psd, psd_factor, read_only, sym_eig, symmetrize
+from .linalg import (
+    DEFAULT_RANK_TOL,
+    is_psd,
+    psd_factor,
+    read_only,
+    sym_eig,
+    sym_eigenvalues,
+    symmetrize,
+)
 from .qp import QpProblem, QpSettings, QpSolution, l1_epigraph, solve
 from .trajectory import DataMatrix, SignalDims
 
@@ -119,9 +127,14 @@ class ControlProblem:
     """Horizons, stacked weights, references, and constraint boxes.
 
     ``Q`` weighs the stacked future output (PSD), ``R`` the stacked future
-    input (PD). References and boxes are full-stack vectors; references must
-    be finite, and box entries may be +-inf but not NaN. The arrays are
-    read-only copies (see the module docstring).
+    input (PD). Q passes when lambda_min >= -1e-10 max(1, |lambda_max|)
+    (``is_psd``) and R when lambda_min > 0, both with the eigenvalues of
+    ``sym_eigenvalues``: a diagonal weight, such as every one
+    :meth:`from_step_weights` builds, is decided from its diagonal, which
+    holds its eigenvalues, any other by ``eigvalsh``. Horizons must be >= 1.
+    References and boxes are full-stack vectors; references must be finite,
+    and box entries may be +-inf but not NaN. The arrays are read-only
+    copies (see the module docstring).
     """
 
     dims: SignalDims
@@ -137,6 +150,8 @@ class ControlProblem:
     y_upper: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.l_ini < 1 or self.l_f < 1:
+            raise ShapeError(f"horizons must be >= 1, got L_ini={self.l_ini}, L_f={self.l_f}")
         nu, ny = self.dims.m * self.l_f, self.dims.p * self.l_f
         qw = symmetrize(self.Q)
         rw = symmetrize(self.R)
@@ -146,7 +161,7 @@ class ControlProblem:
             raise ShapeError(f"R must be {(nu, nu)}, got {rw.shape}")
         if not is_psd(qw, 1e-10):
             raise ShapeError("Q must be positive semidefinite")
-        if np.linalg.eigvalsh(rw)[0] <= 0.0:
+        if sym_eigenvalues(rw)[0] <= 0.0:
             raise ShapeError("R must be positive definite")
         u_ref = np.asarray(self.u_ref, dtype=float).reshape(-1)
         y_ref = np.asarray(self.y_ref, dtype=float).reshape(-1)

@@ -562,11 +562,16 @@ def _step_records(cfg: ExperimentConfig, samples: np.ndarray, iterations, lam_ef
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One weight's Monte-Carlo result. ``failures`` says why each failed
+    run failed, in run order: ``"run_seed=<seed>: "`` followed by the
+    exception's class and message, or by the run's ``abort_reason``."""
+
     lam: float
     mean_cost: float
     std_cost: float
     runs_ok: int
     runs_failed: int
+    failures: tuple[str, ...] = ()
 
 
 def sweep_lambda(cfg: ExperimentConfig) -> list[SweepCell]:
@@ -578,7 +583,8 @@ def sweep_lambda(cfg: ExperimentConfig) -> list[SweepCell]:
     run of the sweep would build the same ones; the controller's set-up is
     then made once per weight. Runs that raise a package error
     (infeasibility, threshold violations) or abort are recorded as failed
-    and the sweep continues; any other exception propagates.
+    and the sweep continues, the reason kept in the cell's ``failures``;
+    any other exception propagates.
     """
     values = cfg.lambda_grid
     if not values:
@@ -590,22 +596,23 @@ def sweep_lambda(cfg: ExperimentConfig) -> list[SweepCell]:
     cells = []
     for lam in values:
         costs = []
-        failed = 0
+        failures = []
         for rep in range(cfg.repetitions):
+            seed = cfg.run_seed + rep
             try:
-                rec = _closed_loop(cfg, dm, pm, cp, cfg.run_seed + rep, lam)
-            except GdpcError:
-                failed += 1
+                rec = _closed_loop(cfg, dm, pm, cp, seed, lam)
+            except GdpcError as exc:
+                failures.append(f"run_seed={seed}: {type(exc).__name__}: {exc}")
                 continue
             if rec.aborted:
-                failed += 1
+                failures.append(f"run_seed={seed}: {rec.abort_reason}")
                 continue
             costs.append(rec.realized_cost)
         mean = float(np.mean(costs)) if costs else math.nan
         std = float(np.std(costs)) if costs else math.nan
         cells.append(
-            SweepCell(lam=lam, mean_cost=mean, std_cost=std,
-                      runs_ok=len(costs), runs_failed=failed)
+            SweepCell(lam=lam, mean_cost=mean, std_cost=std, runs_ok=len(costs),
+                      runs_failed=len(failures), failures=tuple(failures))
         )
     return cells
 

@@ -140,12 +140,28 @@ def psd_factor(cov, name: str = "covariance") -> np.ndarray:
     return vecs * np.sqrt(np.where(vals > cutoff, vals, 0.0))
 
 
+def sym_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the symmetric ``m``, ascending: its sorted
+    diagonal when every other entry is zero, which is what ``eigvalsh``
+    returns for a diagonal matrix, else ``eigvalsh``'s. A diagonal whose
+    largest entry is outside [1e-140, 1e140] (and not 0) goes to
+    ``eigvalsh`` too, since LAPACK's syevd rescales such a matrix, which
+    rounds its eigenvalues."""
+    d = np.diagonal(m)
+    top = np.max(np.abs(d), initial=0.0)
+    if (top == 0.0 or 1e-140 <= top <= 1e140) and np.count_nonzero(m) == np.count_nonzero(d):
+        return np.sort(d)
+    return np.linalg.eigvalsh(m)
+
+
 def is_psd(s, tol: float = 1e-10) -> bool:
-    """True iff lambda_min(S) >= -tol * max(1, |lambda_max(S)|)."""
+    """True iff lambda_min(S) >= -tol * max(1, |lambda_max(S)|), with the
+    eigenvalues of :func:`sym_eigenvalues` (a diagonal S needs no
+    ``eigvalsh``)."""
     m = symmetrize(s)
     if m.shape[0] == 0:
         return True
-    vals = np.linalg.eigvalsh(m)
+    vals = sym_eigenvalues(m)
     return bool(vals[0] >= -tol * max(1.0, abs(vals[-1])))
 
 
@@ -164,9 +180,11 @@ def lyap_discrete(a, qc) -> np.ndarray:
     Requires a Schur-stable A (spectral radius < 1) and PSD Qc. Below 10
     states it solves (I - A kron A) vec S = vec Qc, the system
     ``scipy.linalg.solve_discrete_lyapunov`` builds at those sizes, by one
-    LAPACK gesv call; like ``scipy.linalg.solve`` it raises ``LinAlgError``
-    on an exactly singular factor and warns (``LinAlgWarning``) when the
-    gecon reciprocal condition number is below eps. The result is scipy's
+    LAPACK gesv call, with A kron A formed as one broadcast product whose
+    entries A[i, j] A[k, l] are ``np.kron``'s bit for bit; like
+    ``scipy.linalg.solve`` it raises ``LinAlgError`` on an exactly singular
+    factor and warns (``LinAlgWarning``) when the gecon reciprocal
+    condition number is below eps. The result is scipy's
     bit for bit where scipy's ``solve`` treats the matrix as general; where
     it detects structure (a diagonal, lower triangular or symmetric A) it
     may differ from scipy's by rounding. From 10 states on it calls scipy,
@@ -185,14 +203,17 @@ def lyap_discrete(a, qc) -> np.ndarray:
 def _stable_lyap(am: np.ndarray, qm: np.ndarray, rho: float) -> np.ndarray:
     """:func:`lyap_discrete` on a checked square A, a symmetric Qc of its
     size and A's spectral radius ``rho``, for a caller that already holds
-    it; raises ``UnstableSystem`` unless ``rho`` < 1 - 1e-9."""
+    it; raises ``UnstableSystem`` unless ``rho`` < 1 - 1e-9. A kron A is
+    the broadcast product A[:, None, :, None] A[None, :, None, :] reshaped
+    to (n^2, n^2), whose entries are exactly ``np.kron``'s."""
     if rho >= 1.0 - 1e-9:
         raise UnstableSystem(f"spectral radius {rho:.6g} >= 1; no stationary solution")
     n = am.shape[0]
     if not 0 < n < 10:
         sol = solve_discrete_lyapunov(am, qm)
     else:
-        lhs = np.eye(n * n) - np.kron(am, am)
+        kron = (am[:, None, :, None] * am[None, :, None, :]).reshape(n * n, n * n)
+        lhs = np.eye(n * n) - kron
         lu, _, vec, info = dgesv(lhs, qm.reshape(-1))
         if info > 0:
             raise LinAlgError("A singular matrix detected.")

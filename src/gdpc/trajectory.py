@@ -66,11 +66,10 @@ def block_row_permutation(dims: SignalDims, l_ini: int, l_f: int) -> np.ndarray:
     """Row indices reordering a chronological length-L stack into
     [w_ini; u_f; y_f]."""
     q, m = dims.q, dims.m
-    past = np.arange(q * l_ini)
-    future_steps = np.arange(l_ini, l_ini + l_f)
-    u_f = np.concatenate([s * q + np.arange(m) for s in future_steps])
-    y_f = np.concatenate([s * q + m + np.arange(dims.p) for s in future_steps])
-    return np.concatenate([past, u_f, y_f])
+    starts = q * np.arange(l_ini, l_ini + l_f)[:, None]  # first row of each future step
+    u_f = (starts + np.arange(m)).ravel()
+    y_f = (starts + m + np.arange(dims.p)).ravel()
+    return np.concatenate([np.arange(q * l_ini), u_f, y_f])
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,10 @@ class DataMatrix:
     [w_ini; u_f; y_f] ordering. Column order is chronological by window
     start (fixed for reproducibility; the estimators are permutation
     invariant in the columns). Every entry must be finite. Both arrays are
-    read-only, ``matrix`` a copy, since deepc keeps set-up work per data
-    matrix object (see :mod:`gdpc.control`).
+    read-only, since deepc keeps set-up work per data matrix object (see
+    :mod:`gdpc.control`): ``matrix`` is a copy of the caller's array, or,
+    built by :func:`build_data_matrix`, the window array it has just made,
+    frozen in place (:meth:`_of_windows`).
 
     A data matrix also keeps its LQ factorization, made by the first
     :func:`~gdpc.behavior.predictive_model` or
@@ -96,11 +97,28 @@ class DataMatrix:
     l_ini: int
     l_f: int
     matrix: np.ndarray  # (q*L, D), chronological row order
-    row_index: np.ndarray = field(default=None)  # set in __post_init__
+    row_index: np.ndarray = field(default=None)  # set by _check_and_set
     _lq: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = read_only(self.matrix)
+        self._check_and_set(read_only(self.matrix))
+
+    @classmethod
+    def _of_windows(cls, dims: SignalDims, l_ini: int, l_f: int,
+                    windows: np.ndarray) -> "DataMatrix":
+        """The data matrix of a fresh float array of stacked windows that no
+        one else holds, frozen in place instead of copied, with every check
+        of ``__post_init__``."""
+        windows.flags.writeable = False
+        new = object.__new__(cls)
+        new.__dict__.update(dims=dims, l_ini=l_ini, l_f=l_f)
+        new._check_and_set(windows)
+        return new
+
+    def _check_and_set(self, w: np.ndarray) -> None:
+        """Check the read-only float array ``w`` against the window lengths
+        and keep it as ``matrix``, with the row permutation and an empty
+        LQ store."""
         if self.l_ini < 1 or self.l_f < 1:
             raise ShapeError(f"window lengths must be >= 1, got L_ini={self.l_ini}, L_f={self.l_f}")
         expected_rows = self.dims.q * (self.l_ini + self.l_f)
@@ -203,9 +221,16 @@ def assemble(columns: np.ndarray, dims: SignalDims, l_ini: int, l_f: int) -> Dat
 def build_data_matrix(
     traj: Trajectory, l_ini: int, l_f: int, mode: str = "hankel"
 ) -> DataMatrix:
-    """Window a trajectory and assemble the partitioned data matrix."""
+    """Window a trajectory and assemble the partitioned data matrix.
+
+    The data matrix keeps the window array that :func:`window_trajectory`
+    has just made, frozen in place rather than copied
+    (``DataMatrix._of_windows``). It is still scanned for non-finite
+    entries: ``traj`` keeps its caller's sample array, which may have
+    changed since the trajectory checked it.
+    """
     cols = window_trajectory(traj, l_ini + l_f, mode)
-    return assemble(cols, traj.dims, l_ini, l_f)
+    return DataMatrix._of_windows(traj.dims, l_ini, l_f, cols)
 
 
 @dataclass(frozen=True)

@@ -362,6 +362,21 @@ class TestSweep:
         assert lines[0].startswith("lambda,")
         assert len(lines) == 3
 
+    def test_failed_cell_prints_its_first_failure(self, workdir):
+        # robust below its certified threshold fails every run of the cell.
+        config = json.loads((workdir / "config.json").read_text())
+        config["control"]["controller"] = "robust"
+        (workdir / "robust.json").write_text(json.dumps(config))
+        out = workdir / "robust_sweep.csv"
+        proc = run_cli("sweep", "--config", str(workdir / "robust.json"),
+                       "--grid", "1e-12,1e6", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "failed=2" in lines[0]
+        assert lines[1].startswith("  first failure: run_seed=17: LambdaTooSmall: ")
+        assert "failed=0" in lines[2] and "first failure" not in proc.stdout.split(lines[2])[1]
+        assert out.read_text().splitlines()[0] == "lambda,mean_cost,std_cost,runs_ok,runs_failed"
+
     def test_bad_grid_entry_is_config_error(self, workdir):
         proc = run_cli("sweep", "--config", str(workdir / "config.json"),
                        "--grid", "5,abc", "--out", str(workdir / "bad_sweep.csv"))

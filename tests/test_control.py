@@ -865,6 +865,52 @@ class TestControlProblemValidation:
                 Q=[[-1.0]], R=[[1.0]], u_ref=[0.0], y_ref=[0.0],
             )
 
+    @staticmethod
+    def eigvalsh_verdict(q, r):
+        """The oracle: the weight rules evaluated on eigvalsh's eigenvalues,
+        Q PSD by is_psd's rule at 1e-10 and R PD."""
+        q_eigs, r_eigs = np.linalg.eigvalsh(q), np.linalg.eigvalsh(r)
+        return (q_eigs[0] >= -1e-10 * max(1.0, abs(q_eigs[-1]))) and r_eigs[0] > 0.0
+
+    @pytest.mark.parametrize("q,r,accepted", [
+        (np.diag([1.0, 0.0, 2.0]), np.diag([1.0, 0.5]), True),
+        (np.diag([1.0, -1e-12, 2.0]), np.diag([1.0, 0.5]), True),  # within the 1e-10 rule
+        (np.diag([1.0, -1e-9, 2.0]), np.diag([1.0, 0.5]), False),
+        (np.diag([-1e-11, -1e-12, -0.0]), np.diag([1.0, 0.5]), True),
+        (np.diag([1.0, 1.0, 2.0]), np.diag([1.0, 0.0]), False),
+        (np.diag([1.0, 1.0, 2.0]), np.diag([-1.0, 0.5]), False),
+        (np.diag([1.0, 1.0, 2.0]), np.diag([1e-300, 0.5]), True),
+        (np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+         np.diag([1.0, 0.5]), False),  # not diagonal and indefinite
+        (np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]),
+         np.diag([1.0, 0.5]), True),
+        (np.diag([1.0, 1.0, 2.0]), np.array([[1.0, 2.0], [2.0, 1.0]]), False),
+        (np.diag([1.0, 1.0, 2.0]), np.array([[2.0, 1.0], [1.0, 2.0]]), True),
+    ])
+    def test_weights_are_judged_as_eigvalsh_judges_them(self, q, r, accepted):
+        # A diagonal weight is decided from its diagonal, any other by
+        # eigvalsh; both must give eigvalsh's verdict.
+        assert self.eigvalsh_verdict(q, r) == accepted
+
+        def build():  # two inputs, three outputs, one future step
+            return ControlProblem(dims=SignalDims(2, 3), l_ini=1, l_f=1, Q=q, R=r,
+                                  u_ref=np.zeros(2), y_ref=np.zeros(3))
+
+        if accepted:
+            build()
+        else:
+            with pytest.raises(ShapeError, match="positive"):
+                build()
+
+    @pytest.mark.parametrize("l_ini,l_f", [(1, 0), (1, -1), (0, 2)])
+    def test_horizons_below_one_are_shape_errors(self, l_ini, l_f):
+        with pytest.raises(ShapeError, match="horizons"):
+            ControlProblem(dims=SignalDims(1, 1), l_ini=l_ini, l_f=l_f, Q=np.eye(1),
+                           R=np.eye(1), u_ref=[0.0], y_ref=[0.0])
+        if l_f >= 0:  # np.tile rejects a negative L_f first, with a ValueError
+            with pytest.raises(ShapeError, match="horizons"):
+                ControlProblem.from_step_weights(SignalDims(1, 1), l_ini, l_f)
+
     @pytest.mark.parametrize("kw,name", [
         ({"y_ref": np.nan}, "y_ref"), ({"u_ref": np.inf}, "u_ref"),
         ({"y_ref": -np.inf}, "y_ref"), ({"u_min": np.nan}, "u_lower"),

@@ -572,6 +572,24 @@ class TestSweep:
         assert cells[0].runs_ok == 0 and cells[0].runs_failed == 1
         assert np.isnan(cells[0].mean_cost)
         assert cells[1].runs_ok == 1
+        # The failed run's reason names its seed and the error.
+        (reason,) = cells[0].failures
+        assert reason.startswith("run_seed=0: LambdaTooSmall: ")
+        assert cells[1].failures == ()
+
+    def test_aborted_run_reason_is_recorded(self):
+        # spc on the example with y in [-3, 0.95] is infeasible at t = 4,
+        # and the run aborts; the cell keeps the run's abort reason.
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        doc["control"].update(controller="spc", y_min=-3.0, y_max=0.95)
+        doc["run"] = {"steps": 12, "repetitions": 2, "seed": 0}
+        cfg = config_from_dict(doc)
+        runs = [run_closed_loop(dataclasses.replace(cfg, run_seed=seed)) for seed in (0, 1)]
+        cell = sweep_lambda(dataclasses.replace(cfg, lambda_grid=(1.0,)))[0]
+        expected = tuple(f"run_seed={rec.seed}: {rec.abort_reason}" for rec in runs if rec.aborted)
+        assert expected and cell.failures == expected
+        assert cell.runs_failed == len(expected)
+        assert all("infeasible" in reason for reason in cell.failures)
 
     def test_cells_match_one_identification_per_run(self, monkeypatch):
         doc = base_doc()

@@ -14,6 +14,7 @@ from gdpc.linalg import (
     psd_factor,
     spectral_radius,
     sym_eig,
+    sym_eigenvalues,
     symmetrize,
 )
 from gdpc.plant import default_benchmark, stationary_state_covariance
@@ -141,6 +142,35 @@ class TestIsPsd:
             dec = sym_eig(s)
             expected = dec.values[-1] >= -tol * max(1.0, abs(dec.values[0]))
             assert is_psd(s, tol) == expected
+
+    def test_diagonal_eigenvalues_are_eigvalsh_bit_for_bit(self, monkeypatch):
+        # A diagonal matrix takes its sorted diagonal, which is exactly what
+        # eigvalsh returns for it, without calling eigvalsh.
+        rng = np.random.default_rng(14)
+        diagonals = [rng.standard_normal(n) * 10.0 ** rng.integers(-130, 130, n)
+                     for n in (1, 2, 5, 8, 16)]
+        diagonals += [np.array([1.0, -0.0, 0.0, -1e-12, 2.0]), np.zeros(3),
+                      np.array([1e140, -1e-300]), np.array([-1e-140, 1e-300])]
+        expected = [np.linalg.eigvalsh(np.diag(d)) for d in diagonals]
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+        for d, want in zip(diagonals, expected):
+            assert np.array_equal(sym_eigenvalues(np.diag(d)), want)
+            assert is_psd(np.diag(d)) == (want[0] >= -1e-10 * max(1.0, abs(want[-1])))
+
+    @pytest.mark.parametrize("s", [
+        np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]),
+        np.diag([1e200, -1e-263, 3.0]),  # rescaled by syevd, so not the diagonal
+        np.diag([1e-200, 3e-150]),
+    ])
+    def test_other_matrices_use_eigvalsh(self, s, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        assert np.array_equal(sym_eigenvalues(s), eigvalsh(s)) and calls == [1]
 
 
 class TestPsdFactor:
