@@ -60,6 +60,14 @@ LQ factorization and the maps to the mean and g. deepc reads the LQ factor
 L, the predictor and L_F^+ from the data matrix, which keeps them from
 identification's :func:`~gdpc.behavior.predictive_model` call (or makes
 them at deepc's first set-up), so a closed-loop run factors its data once.
+A set-up proves only what its construction does not already give. Z(kappa)
+takes one LAPACK gesv of Q cov with kappa added to its diagonal in place,
+and is (kappa gain + (kappa gain)^T) / 2; the input QP's P is H + H^T for
+the half-Hessian H = R + (M_u^T Z) M_u, exactly symmetric. Every QP but
+deepc's 1-norm epigraph is built from such parts and ControlProblem's
+read-only bounds by ``QpProblem._of_parts`` (see :mod:`gdpc.qp`), which
+keeps the finiteness scan of P and q and P's potrf proof and factor, but
+neither copies nor symmetrizes nor re-checks the bounds.
 The equality-constrained QPs go to :func:`~gdpc.qp.solve`'s exact dual
 active-set method when their KKT matrix is nonsingular, and to ADMM
 otherwise; the KKT factorization is made by the first solve and shared by
@@ -67,11 +75,11 @@ the later ones (:meth:`QpProblem.updated`), while ADMM sets up afresh at
 every solve. Each controller keeps its last set-up, keyed by the identity
 of the model (``pm`` or ``dm``) and of ``cp``, both held so that their ids
 cannot be reused, and by the equality of the parameters the set-up reads:
-lam (and optimistic's jitter), or deepc's regularizer, lambda_g and
-rank_tol. The QP settings reach only the solve. The arrays of
-PredictiveModel, DataMatrix and ControlProblem are read-only, so an
-in-place write raises instead of leaving a stale set-up; a different model
-is a different object. A step evaluates the expressions of a one-shot call
+lam (and, with an output box, optimistic's jitter), or deepc's
+regularizer, lambda_g and rank_tol. The QP settings reach only the solve.
+The arrays of PredictiveModel, DataMatrix and ControlProblem are
+read-only, so an in-place write raises instead of leaving a stale set-up;
+a different model is a different object. A step evaluates the expressions of a one-shot call
 with the constant parts computed once ((M_u^T Z) v is what M_u^T Z v
 evaluates), so its results are bit for bit those of a fresh set-up.
 
@@ -83,15 +91,17 @@ read-only, symmetric and finite, without checking it again
 (``ConditionalGaussian._of_model``). The result is built from those
 checked parts without the dataclass ``__init__``
 (``ControlResult._of_parts``), as the solver's is; certainty equivalence
-takes spc's result with only the objective replaced, and spc forms its
-objective from the deviations it holds (``ControlProblem._deviation_cost``).
+takes spc's result with only the objective replaced, and the steps that
+hold the deviations u - u_ref and y - y_ref form the tracking cost from
+them (``ControlProblem._deviation_cost``): spc's, optimistic's with an
+output box and deepc's (u, s, y) and 1-norm steps.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dgesv, dtrtri
 
 from .behavior import (
     ConditionalGaussian,
@@ -120,6 +130,10 @@ from .trajectory import DataMatrix, SignalDims
 REGULARIZERS = ("proj2", "sq2", "l1")
 
 DEFAULT_JITTER = 1e-9
+
+# The set-ups' constructor, bound here: benchmarks/tracing.py rebinds
+# control.QpProblem to a plain function, through which it is not reachable.
+_qp_of_parts = QpProblem._of_parts
 
 
 @dataclass(frozen=True)
@@ -323,15 +337,19 @@ def _lambda0(pm: PredictiveModel, cp: ControlProblem) -> float:
 
 def _tethered_weight(pm: PredictiveModel, cp: ControlProblem, kappa: float):
     """(gain, Z(kappa)) with gain = (Q cov + kappa I)^-1 Q and Z(kappa) =
-    kappa gain (module docstring); Q cov + kappa I is invertible for kappa
-    > 0 and for kappa = -lam with lam > max Lambda."""
-    gain = np.linalg.solve(cp.Q @ pm.cov + kappa * np.eye(cp.n_y), cp.Q)
-    return gain, symmetrize(kappa * gain)
-
-
-def _input_hessian(pm: PredictiveModel, cp: ControlProblem, z) -> np.ndarray:
-    """Half-Hessian R + M_u^T Z M_u of the eliminated input problem."""
-    return symmetrize(cp.R + pm.M_u.T @ z @ pm.M_u)
+    kappa gain, symmetrized (module docstring); Q cov + kappa I is
+    invertible for kappa > 0 and for kappa = -lam with lam > max Lambda.
+    One LAPACK gesv, which raises :class:`numpy.linalg.LinAlgError` where
+    its LU factor is exactly singular, as ``np.linalg.solve`` does."""
+    a = cp.Q @ pm.cov
+    a.flat[:: cp.n_y + 1] += kappa
+    _, _, gain, info = dgesv(a, cp.Q, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    # C order, as np.linalg.solve returns it: a step's gain @ dev has its bits.
+    gain = np.ascontiguousarray(gain)
+    kappa_gain = kappa * gain
+    return gain, 0.5 * (kappa_gain + kappa_gain.T)
 
 
 def _input_qp(pm: PredictiveModel, cp: ControlProblem, z):
@@ -339,11 +357,14 @@ def _input_qp(pm: PredictiveModel, cp: ControlProblem, z):
     the input box, the QP of every controller without an output box but for
     deepc's other forms (module docstring). Returns its step, (bias,
     settings) -> solution, which forms only the linear term
-    2 (M_u^T Z (bias - y_ref) - R u_ref)."""
+    2 (M_u^T Z (bias - y_ref) - R u_ref). P = 2 H is H + H^T for the
+    half-Hessian H = R + M_u^T Z M_u, exactly symmetric and bit for bit
+    2 symmetrize(H)."""
     m_u_t_z = pm.M_u.T @ z
     r_u_ref = cp.R @ cp.u_ref
-    template = QpProblem(P=2.0 * _input_hessian(pm, cp, z), q=np.zeros(cp.n_u),
-                         lower=cp.u_lower, upper=cp.u_upper)
+    half = cp.R + m_u_t_z @ pm.M_u
+    template = _qp_of_parts(P=half + half.T, q=np.zeros(cp.n_u),
+                            lower=cp.u_lower, upper=cp.u_upper)
 
     def step(bias, settings):
         lin = m_u_t_z @ (bias - cp.y_ref) - r_u_ref
@@ -389,9 +410,9 @@ def _tracking_qp(cp: ControlProblem, head, a_eq, u_weight=None) -> QpProblem:
     free = np.full(k, np.inf)
     y_lower = cp.y_lower if cp.has_output_box else np.full(ny, -np.inf)
     y_upper = cp.y_upper if cp.has_output_box else np.full(ny, np.inf)
-    return QpProblem(P=p_mat, q=q_vec, A_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]),
-                     lower=np.concatenate([-free, cp.u_lower, y_lower]),
-                     upper=np.concatenate([free, cp.u_upper, y_upper]))
+    return _qp_of_parts(P=p_mat, q=q_vec, A_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]),
+                        lower=np.concatenate([-free, cp.u_lower, y_lower]),
+                        upper=np.concatenate([free, cp.u_upper, y_upper]))
 
 
 def _spc_setup(pm: PredictiveModel, cp: ControlProblem):
@@ -516,7 +537,8 @@ def _deepc_usy(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g: f
         sol = _run_qp(prob, settings)
         s, u, y = sol.x[:r], sol.x[r : r + nu], sol.x[r + nu :]
         fit = free_pinv @ np.concatenate([w, u])  # L_F^+ [w_ini; u]
-        objective = cp.tracking_cost(u, y) + lambda_g * float(s @ s + (fit @ fit if sq2 else 0.0))
+        objective = (cp._deviation_cost(u - cp.u_ref, y - cp.y_ref)
+                     + lambda_g * float(s @ s + (fit @ fit if sq2 else 0.0)))
         return u, y, pm.cov, objective, sol, basis @ (fit + right_t[:r].T @ s)  # V_r s
 
     return step
@@ -541,7 +563,9 @@ def _deepc_l1(dm: DataMatrix, cp: ControlProblem, lambda_g: float, rank_tol: flo
         sol = _run_qp(template.updated(b_eq=np.concatenate([w, b_tail])), settings)
         x = sol.x[keep]
         g, u, y = x[:d], x[d : d + cp.n_u], x[d + cp.n_u :]
-        return u, y, pm.cov, cp.tracking_cost(u, y) + lambda_g * float(np.abs(g).sum()), sol, g
+        objective = (cp._deviation_cost(u - cp.u_ref, y - cp.y_ref)
+                     + lambda_g * float(np.abs(g).sum()))
+        return u, y, pm.cov, objective, sol, g
 
     return step
 
@@ -630,9 +654,9 @@ def _optimistic_setup(pm: PredictiveModel, cp: ControlProblem, lam: float, jitte
     p_mat = (2.0 * kappa) * (j_mat.T @ j_mat)  # J^T J is exactly symmetric
     p_mat[:nu, :nu] += 2.0 * cp.R
     p_mat[nu:, nu:] += 2.0 * cp.Q
-    template = QpProblem(P=p_mat, q=np.zeros(p_mat.shape[0]),
-                         lower=np.concatenate([cp.u_lower, cp.y_lower]),
-                         upper=np.concatenate([cp.u_upper, cp.y_upper]))
+    template = _qp_of_parts(P=p_mat, q=np.zeros(p_mat.shape[0]),
+                            lower=np.concatenate([cp.u_lower, cp.y_lower]),
+                            upper=np.concatenate([cp.u_upper, cp.y_upper]))
     tether = (-2.0 * kappa) * j_mat.T
     ref_lin = np.concatenate([2.0 * cp.R @ cp.u_ref, 2.0 * cp.Q @ cp.y_ref])
 
@@ -642,7 +666,8 @@ def _optimistic_setup(pm: PredictiveModel, cp: ControlProblem, lam: float, jitte
         u = sol.x[:nu]
         mu = sol.x[nu:]
         resid = j_mat @ sol.x - v
-        return u, mu, cp.tracking_cost(u, mu) + kappa * float(resid @ resid), sol
+        objective = cp._deviation_cost(u - cp.u_ref, mu - cp.y_ref) + kappa * float(resid @ resid)
+        return u, mu, objective, sol
 
     return step
 
@@ -674,7 +699,9 @@ def optimistic(
     if not (math.isfinite(jitter) and jitter >= 0.0):
         raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
     bias = pm.M_ini @ _check_w_ini(w_ini, pm.M_ini.shape[1])
-    step = _prepared("optimistic", pm, cp, (lam, jitter),
+    # Only the output box's set-up reads the jitter.
+    params = (lam, jitter) if cp.has_output_box else (lam,)
+    step = _prepared("optimistic", pm, cp, params,
                      lambda: _optimistic_setup(pm, cp, lam, jitter))
     u, mu, objective, sol, *_ = step(bias, settings)
     return ControlResult._of_parts(u, ConditionalGaussian._of_model(mu, pm.cov), objective, sol,
@@ -694,7 +721,7 @@ def hessian(pm: PredictiveModel, cp: ControlProblem, lam: float) -> HessianRepor
     except np.linalg.LinAlgError:
         raise LambdaTooSmall(f"lam*precision - Q is singular at lam={lam:g}",
                              lambda0=lam) from None
-    h = _input_hessian(pm, cp, z)
+    h = symmetrize(cp.R + pm.M_u.T @ z @ pm.M_u)
     return HessianReport(matrix=h, psd=is_psd(h, 1e-10))
 
 

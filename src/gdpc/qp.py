@@ -100,12 +100,27 @@ next: :meth:`QpProblem.updated` derives such a problem, checks only the new
 vector, and shares the Cholesky factor, |P| and the KKT factor, none of
 which reads either vector. So the step of the (u, s, y) QP of deepc and of
 spc with an output box is one triangular solve with the run's KKT factor and a
-bound check when no bound is active. The arrays of a problem are read-only
-copies, so none of this can go stale. Each array a caller passes is copied
-once (P's copy is its symmetrized form); the arrays the constructor makes
-itself (the empty A_eq and b_eq, the infinite bounds, the Cholesky factor
-and |P|) are made read-only in place, and a problem without equality rows
+bound check when no bound is active. The arrays of a problem are read-only,
+so none of this can go stale. The constructor copies each array a caller
+passes once (P's copy is its symmetrized form); the arrays it makes itself
+(the empty A_eq and b_eq, the infinite bounds, the Cholesky factor and
+|P|) are made read-only in place, and a problem without equality rows
 takes no finiteness scan of them.
+
+The controllers' set-ups (every one in ``control`` but the 1-norm
+epigraph of deepc, which :func:`l1_epigraph` builds by the constructor)
+build their QPs by ``QpProblem._of_parts`` instead, from arrays they have
+just formed out of ``PredictiveModel``'s and ``ControlProblem``'s checked
+arrays: P exactly symmetric by construction, the shapes consistent, the
+bounds ``ControlProblem``'s, free of NaN with lower <= upper. It still
+proves what construction does not: one finiteness scan of P and of q (and
+of A_eq and b_eq when given), raising as the constructor does, and P's
+potrf proof and factor, with the eigenvalue test where potrf fails, and
+|P| for a box-only problem, in the code the constructor runs
+(``_set_fields``). It takes the arrays as they are, with no copy and no
+symmetrizing, and makes them read-only in place; ``ControlProblem``'s
+bounds already are. Its problem equals the constructor's of the same
+arrays field for field.
 """
 
 import math
@@ -117,7 +132,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpotrf, dpotrs
 
-from .errors import ShapeError
+from .errors import InvalidMatrix, ShapeError
 from .linalg import is_psd, matrix_rank, read_only, sym_eig, symmetrize
 
 INFINITY_SENTINEL = 1e30
@@ -164,7 +179,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class QpProblem:
     """Data of one convex QP. ``lower``/``upper`` accept +-inf entries; any
     other non-finite entry raises :class:`ShapeError`. The arrays are
-    read-only copies.
+    read-only copies (:meth:`_of_parts` freezes its own arrays instead).
 
     A problem keeps the work it has done on P: the upper Cholesky factor
     when P is positive definite, which is both the proof that P is PSD and
@@ -194,13 +209,6 @@ class QpProblem:
             raise ShapeError(f"P must be {(n, n)}, got {p.shape}")
         if not np.all(np.isfinite(qv)):
             raise ShapeError("q contains non-finite entries")
-        # A P that passes potrf is positive definite; only one that fails
-        # needs the eigenvalue test.
-        factor, info = dpotrf(p)
-        if info != 0:
-            factor = None
-            if not is_psd(p, 1e-8):
-                raise ShapeError("P must be positive semidefinite at tolerance 1e-8")
         a = np.zeros((0, n)) if self.A_eq is None else np.array(self.A_eq, dtype=float)
         b = np.zeros(0) if self.b_eq is None else _own_vector(self.b_eq)
         if a.ndim != 2 or a.shape[1] != n or a.shape[0] != b.shape[0]:
@@ -215,6 +223,41 @@ class QpProblem:
             raise ShapeError("bounds contain NaN")
         if np.any(lo > hi):
             raise ShapeError("lower bound exceeds upper bound")
+        self._set_fields(p, qv, a, b, lo, hi)
+
+    @classmethod
+    def _of_parts(cls, P, q, lower, upper, A_eq=None, b_eq=None) -> "QpProblem":
+        """The problem of arrays a controller's set-up has formed from checked
+        parts (module docstring): P exactly symmetric, the shapes consistent,
+        the bounds free of NaN with lower <= upper. It scans P, q and any
+        A_eq and b_eq for non-finite entries, raising as the constructor
+        does, and proves P PSD as the constructor does. The arrays, which no
+        caller may write afterwards, are taken as they are and made
+        read-only in place. The result equals the constructor's field for
+        field."""
+        if not np.isfinite(P).all():
+            raise InvalidMatrix("symmetric input contains non-finite entries")
+        if not np.isfinite(q).all():
+            raise ShapeError("q contains non-finite entries")
+        if A_eq is None:
+            A_eq, b_eq = np.zeros((0, q.shape[0])), np.zeros(0)
+        elif not (np.isfinite(A_eq).all() and np.isfinite(b_eq).all()):
+            raise ShapeError("A_eq/b_eq contain non-finite entries")
+        new = object.__new__(cls)
+        new._set_fields(P, q, A_eq, b_eq, lower, upper)
+        return new
+
+    def _set_fields(self, p, qv, a, b, lo, hi):
+        """Sets the fields of both constructors from their checked arrays,
+        none of which a caller can still write: P's proof (a P that passes
+        potrf is positive definite; only one that fails needs the eigenvalue
+        test), the Cholesky factor, |P| for a box-only problem, and the
+        arrays, read-only."""
+        factor, info = dpotrf(p)
+        if info != 0:
+            factor = None
+            if not is_psd(p, 1e-8):
+                raise ShapeError("P must be positive semidefinite at tolerance 1e-8")
         for name, value in (("P", p), ("q", qv), ("A_eq", a), ("b_eq", b), ("lower", lo),
                             ("upper", hi), ("_p_factor", factor),
                             ("_abs_p", np.abs(p) if factor is not None

@@ -220,6 +220,9 @@ def test_steps_after_the_first_do_no_validation(controller, output_box, monkeypa
     for cls in (qp.QpProblem, behavior.ConditionalGaussian):
         monkeypatch.setattr(cls, "__post_init__",
                             noted(f"{cls.__name__}.__post_init__", cls.__post_init__))
+    # The set-ups build their QPs by control._qp_of_parts (QpProblem._of_parts).
+    monkeypatch.setattr(control, "_qp_of_parts",
+                        noted("QpProblem._of_parts", control._qp_of_parts))
     monkeypatch.setattr(qp, "dpotrf", noted(lambda a: ("potrf", a.shape[0]), qp.dpotrf))
     monkeypatch.setattr(control, "solve", noted(lambda prob, settings: ("qp", prob.n),
                                                 control.solve))
@@ -237,9 +240,9 @@ def test_steps_after_the_first_do_no_validation(controller, output_box, monkeypa
     monkeypatch.setattr(control, name, started)
     harness.run_closed_loop(short_loop_config(controller, output_box))
     assert len(steps) > 1  # spc's run with an output box ends infeasible at its second step
-    assert "QpProblem.__post_init__" in steps[0]
+    assert "QpProblem._of_parts" in steps[0] and "QpProblem.__post_init__" not in steps[0]
     for ran in steps[1:]:
         (qp_size,) = {entry[1] for entry in ran if isinstance(entry, tuple) and entry[0] == "qp"}
-        forbidden = (*VALIDATION, "QpProblem.__post_init__", "ConditionalGaussian.__post_init__",
-                     ("potrf", qp_size))
+        forbidden = (*VALIDATION, "QpProblem.__post_init__", "QpProblem._of_parts",
+                     "ConditionalGaussian.__post_init__", ("potrf", qp_size))
         assert not [entry for entry in ran if entry in forbidden]

@@ -1,6 +1,7 @@
 """Tests for the five control formulations and their equivalences."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from conftest import (
     record_solver_paths,
 )
 
-from gdpc import behavior, control, qp
+from gdpc import behavior, control, harness, linalg, qp
 from gdpc.behavior import PredictiveModel, kl_mean_term, predictive_model
 from gdpc.control import (
     ControlProblem,
@@ -25,12 +26,20 @@ from gdpc.control import (
     robust,
     spc,
 )
-from gdpc.errors import InfeasibleProblem, LambdaTooSmall, NotPositiveDefinite, ShapeError
-from gdpc.linalg import pinv, sym_eig
+from gdpc.errors import (
+    InfeasibleProblem,
+    InvalidMatrix,
+    LambdaTooSmall,
+    NotPositiveDefinite,
+    ShapeError,
+)
+from gdpc.linalg import pinv, sym_eig, symmetrize
 from gdpc.plant import simulate, step
 from gdpc.qp import QpProblem, QpSettings, solve
 from gdpc.trajectory import SignalDims, build_data_matrix
 from gdpc.verify import _binding_output_box, _certainty_equivalence_oracle
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.json"
 
 
 def scalar_model_pm(cov=2.0, gain=1.0):
@@ -565,10 +574,10 @@ class TestOptimisticSquareRootForm:
 
     @staticmethod
     def captured(monkeypatch):
-        """Record the P passed to each QpProblem ``control`` builds and each
-        problem ``control`` solves."""
+        """Record the P passed to each QP ``control``'s set-ups build
+        (``control._qp_of_parts``) and each problem ``control`` solves."""
         built, solved = [], []
-        problem, run = control.QpProblem, control.solve
+        problem, run = control._qp_of_parts, control.solve
 
         def building(**kwargs):
             built.append(kwargs["P"])
@@ -578,7 +587,7 @@ class TestOptimisticSquareRootForm:
             solved.append(prob)
             return run(prob, *args)
 
-        monkeypatch.setattr(control, "QpProblem", building)
+        monkeypatch.setattr(control, "_qp_of_parts", building)
         monkeypatch.setattr(control, "solve", solving)
         return built, solved
 
@@ -1170,3 +1179,178 @@ class TestPerRunSetup:
                             u_ref=np.zeros(2), y_ref=np.zeros(2))
         q[1, 1] = 3.0
         assert cp.Q[1, 1] == 1.0
+
+
+QP_FIELDS = ("P", "q", "A_eq", "b_eq", "lower", "upper", "_p_factor", "_abs_p")
+
+
+class TestSetUpQps:
+    """Every set-up but deepc's 1-norm builds its QP by
+    ``QpProblem._of_parts`` from parts it has checked, and gets the problem
+    the validating constructor builds of the same arrays, field for field;
+    the tethered weight is one LAPACK gesv."""
+
+    @staticmethod
+    def captured(monkeypatch):
+        """(arrays passed, problem built) for each QP the set-ups build."""
+        built = []
+        of_parts = control._qp_of_parts
+
+        def building(**kwargs):
+            built.append((kwargs, of_parts(**kwargs)))
+            return built[-1][1]
+
+        monkeypatch.setattr(control, "_qp_of_parts", building)
+        return built
+
+    @staticmethod
+    def instance(seed, **kw):
+        return random_control_instance(np.random.default_rng(seed), with_input_box=True, **kw)
+
+    def calls(self):
+        """(label, controller call) of every set-up path."""
+        plain, boxed = self.instance(80), self.instance(81, with_output_box=True)
+        lam0 = lambda_threshold(plain.pm, plain.cp)
+
+        def on(inst, fn, *args, **kw):
+            return lambda: fn(inst.pm, inst.w_ini, inst.cp, *args, **kw)
+
+        def on_dm(inst, *args):
+            return lambda: deepc(inst.dm, inst.w_ini, inst.cp, *args)
+
+        return [
+            ("spc", on(plain, spc)),
+            ("ce", on(self.instance(82), certainty_equivalence)),
+            ("spc output box", on(boxed, spc)),
+            ("deepc eliminated", on_dm(plain, "proj2", 5.0)),
+            ("deepc proj2 output box", on_dm(boxed, "proj2", 5.0)),
+            ("deepc sq2", on_dm(plain, "sq2", 5.0)),
+            ("deepc lambda_g 0", on_dm(plain, "proj2", 0.0)),
+            ("optimistic", on(plain, optimistic, 5.0)),
+            ("optimistic output box", on(boxed, optimistic, 5.0)),
+            ("robust", on(plain, robust, 2.0 * lam0)),
+        ]
+
+    def test_each_set_up_qp_equals_the_constructors(self, monkeypatch):
+        for label, call in self.calls():
+            built = self.captured(monkeypatch)
+            call()
+            assert len(built) == 1, label
+            kwargs, got = built[0]
+            want = QpProblem(**kwargs)
+            for name in QP_FIELDS:
+                a, b = getattr(got, name), getattr(want, name)
+                if b is None:
+                    assert a is None, (label, name)
+                    continue
+                assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), \
+                    (label, name)
+                assert not a.flags.writeable, (label, name)
+            if want.n_eq == 0:
+                assert got._p_factor is not None and got._abs_p is not None, label
+
+    def test_deepc_l1_keeps_the_constructor(self, monkeypatch):
+        built = self.captured(monkeypatch)
+        inits = []
+        post_init = QpProblem.__post_init__
+        monkeypatch.setattr(QpProblem, "__post_init__",
+                            lambda self: inits.append(1) or post_init(self))
+        inst = self.instance(83)
+        deepc(inst.dm, inst.w_ini, inst.cp, "l1", 0.5)
+        # _tracking_qp's (g, u, y) QP, then l1_epigraph's validated problem.
+        assert len(built) == 1 and inits == [1]
+
+    def test_an_overflowing_p_raises(self):
+        # 2 kappa J^T J overflows at lam 1e308, as the constructor found.
+        inst = self.instance(84, with_output_box=True)
+        with np.errstate(over="ignore"), pytest.raises(InvalidMatrix, match="non-finite"):
+            optimistic(inst.pm, inst.w_ini, inst.cp, 1e308)
+
+    @staticmethod
+    def solve_form(pm, cp, kappa):
+        """(gain, Z) of the plain statement, with numpy's solve."""
+        gain = np.linalg.solve(cp.Q @ pm.cov + kappa * np.eye(cp.n_y), cp.Q)
+        return gain, symmetrize(kappa * gain)
+
+    @staticmethod
+    def gesv_form(pm, cp, kappa):
+        """(gain, Z) of the plain statement, with scipy's LAPACK gesv."""
+        gain = control.dgesv(cp.Q @ pm.cov + kappa * np.eye(cp.n_y), cp.Q)[2]
+        return gain, symmetrize(kappa * gain)
+
+    @staticmethod
+    def assert_bits(got, want):
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes() and a.flags.c_contiguous
+
+    @staticmethod
+    def example():
+        cfg = harness.load_config(EXAMPLE_CONFIG)
+        _, dm, pm = harness.identification_run(cfg)
+        return cfg, dm, pm, cfg.control_problem()
+
+    def test_tethered_weight_at_the_examples_weight_is_numpys(self):
+        # optimistic's, deepc's and robust's kappa at the example's lambda.
+        cfg, dm, pm, cp = self.example()
+        for kappa in (0.5 * cfg.lam, cfg.lam / dm.n_columns, -cfg.lam):
+            self.assert_bits(control._tethered_weight(pm, cp, kappa),
+                             self.solve_form(pm, cp, kappa))
+
+    def test_tethered_weight_is_the_plain_gesv_form(self):
+        # The plain statement's bits with scipy's gesv, on the example's
+        # weights and on random instances. numpy links its own OpenBLAS
+        # build, whose gesv rounds some systems differently (on the example,
+        # optimistic's and deepc's kappa at lambda 0.5 and deepc's at 5);
+        # there the two agree to well within eps cond(A).
+        cfg, dm, pm, cp = self.example()
+        assert min(cfg.lambda_grid) > lambda_threshold(pm, cp)  # robust's too
+        cases = [(pm, cp, k) for lam in cfg.lambda_grid
+                 for k in (0.5 * lam, lam / dm.n_columns, -lam)]
+        rng = np.random.default_rng(85)
+        for _ in range(40):
+            inst = random_control_instance(rng, with_input_box=True)
+            lam0 = lambda_threshold(inst.pm, inst.cp)
+            cases += [(inst.pm, inst.cp, k) for k in (1e-6, 0.05, 0.5, 5.0, 250.0, -1.001 * lam0,
+                                                      -2.0 * lam0, -10.0 * lam0)]
+        eps = np.finfo(float).eps
+        for pm, cp, kappa in cases:
+            got = control._tethered_weight(pm, cp, kappa)
+            self.assert_bits(got, self.gesv_form(pm, cp, kappa))
+            cond = np.linalg.cond(cp.Q @ pm.cov + kappa * np.eye(cp.n_y))
+            for a, b in zip(got, self.solve_form(pm, cp, kappa)):
+                assert np.max(np.abs(a - b)) <= eps * cond * np.max(np.abs(b))
+
+    def test_tethered_set_up_counts(self, monkeypatch):
+        # One gesv, one potrf; no numpy solve, no symmetrize, no validating
+        # QpProblem constructor.
+        inst = self.instance(87)
+        calls = []
+
+        def counted(owner, name, label):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *args, **kw: calls.append(label) or fn(*args, **kw))
+
+        counted(control, "dgesv", "dgesv")
+        counted(qp, "dpotrf", "qp.dpotrf")
+        counted(np.linalg, "solve", "np.linalg.solve")
+        for module in (control, qp, linalg, behavior):
+            counted(module, "symmetrize", "symmetrize")
+        counted(QpProblem, "__post_init__", "QpProblem.__post_init__")
+        control._tethered_input_qp(inst.pm, inst.cp, 2.5)
+        assert sorted(calls) == ["dgesv", "qp.dpotrf"]
+
+    def test_optimistic_without_output_box_ignores_the_jitter(self, monkeypatch):
+        builds = []
+        setup = control._optimistic_setup
+        monkeypatch.setattr(control, "_optimistic_setup",
+                            lambda *args: builds.append(args[3]) or setup(*args))
+        plain, boxed = self.instance(88), self.instance(89, with_output_box=True)
+        for inst, expected in ((plain, [1e-9]), (boxed, [1e-9, 1e-3, 1e-9])):
+            builds.clear()
+            first = optimistic(inst.pm, inst.w_ini, inst.cp, 5.0, jitter=1e-9)
+            again = optimistic(inst.pm, inst.w_ini, inst.cp, 5.0, jitter=1e-3)
+            optimistic(inst.pm, inst.w_ini, inst.cp, 5.0, jitter=1e-9)
+            assert builds == expected
+            if not inst.cp.has_output_box:
+                assert_same_result(first, again)

@@ -10,7 +10,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from gdpc import qp
-from gdpc.errors import ShapeError
+from gdpc.errors import InvalidMatrix, ShapeError
 from gdpc.qp import (
     QpProblem,
     QpSettings,
@@ -1239,3 +1239,94 @@ class TestUpdated:
                     {"b_eq": [np.inf, 0.0]}, {"b_eq": np.ones(3)}):
             with pytest.raises(ShapeError):
                 base.updated(**bad)
+
+
+class TestOfParts:
+    """``QpProblem._of_parts``, the constructor of the controllers' set-ups:
+    it scans P, q, A_eq and b_eq for non-finite entries and proves P PSD as
+    the constructor does, takes the arrays it is given, and builds the
+    constructor's problem field for field."""
+
+    @staticmethod
+    def parts(rng, n, m=0, psd=False):
+        """Fresh arrays of a problem with an exactly symmetric P, singular
+        (a zero last row and column) if ``psd``."""
+        b_mat = rng.standard_normal((n, n))
+        if psd:
+            b_mat[-1] = 0.0
+        p = b_mat @ b_mat.T  # exactly symmetric
+        kw = {"P": p, "q": rng.standard_normal(n),
+              "lower": np.where(rng.random(n) < 0.3, -np.inf, -rng.random(n)),
+              "upper": np.where(rng.random(n) < 0.3, np.inf, rng.random(n))}
+        if psd:  # a bounded problem
+            kw["lower"][-1], kw["upper"][-1] = -1.0, 1.0
+        if m:
+            kw.update(A_eq=rng.standard_normal((m, n)), b_eq=rng.standard_normal(m))
+        return kw
+
+    @pytest.mark.parametrize("m,psd", [(0, False), (0, True), (3, False), (3, True)])
+    def test_equals_the_constructor(self, m, psd):
+        rng = np.random.default_rng(70 + m + psd)
+        for _ in range(5):
+            kw = self.parts(rng, 8, m, psd)
+            want = QpProblem(**kw)  # copies the arrays _of_parts then freezes
+            got = QpProblem._of_parts(**kw)
+            assert_same_fields(got, want)
+            assert (got._p_factor is None) == psd
+            assert (got._abs_p is None) == (psd or m > 0)
+            for value in vars(got).values():
+                if isinstance(value, np.ndarray):
+                    assert not value.flags.writeable
+            assert_same_solution(solve(got), solve(want))
+
+    def test_takes_its_arrays_and_freezes_them_in_place(self):
+        kw = self.parts(np.random.default_rng(74), 5, 2)
+        got = QpProblem._of_parts(**kw)
+        for name, value in kw.items():
+            assert getattr(got, name) is value and not value.flags.writeable
+
+    def test_takes_read_only_bounds_as_they_are(self):
+        kw = self.parts(np.random.default_rng(75), 4)
+        for name in ("lower", "upper"):
+            kw[name].flags.writeable = False
+        got = QpProblem._of_parts(**kw)
+        assert got.lower is kw["lower"] and got.upper is kw["upper"]
+
+    def test_non_finite_entries_raise_as_in_the_constructor(self):
+        rng = np.random.default_rng(76)
+        for name, error in (("P", InvalidMatrix), ("q", ShapeError), ("A_eq", ShapeError),
+                            ("b_eq", ShapeError)):
+            for bad in (np.nan, np.inf):
+                kw = self.parts(rng, 4, 2)
+                kw[name][(0,) * kw[name].ndim] = bad
+                if name == "P":
+                    kw[name][0, 0] = bad  # still symmetric
+                with pytest.raises(error) as public:
+                    QpProblem(**kw)
+                with pytest.raises(error) as parts:
+                    QpProblem._of_parts(**kw)
+                assert str(parts.value) == str(public.value)
+
+    def test_a_failed_cholesky_takes_the_eigenvalue_test(self, monkeypatch):
+        calls = []
+        is_psd = qp.is_psd
+        monkeypatch.setattr(qp, "is_psd", lambda *args: calls.append(1) or is_psd(*args))
+        b = np.random.default_rng(77).standard_normal((4, 4))
+        got = QpProblem._of_parts(P=b @ b.T, q=np.zeros(4), lower=-np.ones(4),
+                                  upper=np.ones(4))
+        assert calls == [] and got._p_factor is not None
+        got = QpProblem._of_parts(P=np.diag([1.0, 0.0]), q=np.zeros(2),
+                                  lower=np.full(2, -np.inf), upper=np.full(2, np.inf))
+        assert calls == [1] and got._p_factor is None and got._abs_p is None
+        with pytest.raises(ShapeError, match="positive semidefinite"):
+            QpProblem._of_parts(P=np.diag([1.0, -1.0]), q=np.zeros(2),
+                                lower=np.full(2, -np.inf), upper=np.full(2, np.inf))
+        assert calls == [1, 1]
+
+    def test_the_constructor_is_not_run(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("QpProblem.__post_init__ called")
+
+        kw = self.parts(np.random.default_rng(78), 3)
+        monkeypatch.setattr(QpProblem, "__post_init__", fail)
+        QpProblem._of_parts(**kw)
