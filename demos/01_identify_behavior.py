@@ -36,12 +36,12 @@ print(f"rank {rank.rank} (noiseless target would be {target}), "
 estimated = behavior.estimate(dm)
 
 # The exact stacked covariance for comparison: stationary state, white
-# stacked input, interleaved to match the data layout.
+# stacked input, in the data's chronological layout.
 exact = behavior.from_state_space(
     model, WINDOW,
     state_cov=state_cov,
     input_cov=np.kron(np.eye(WINDOW), input_cov),
-).to_interleaved()
+)
 
 err = np.linalg.norm(estimated.cov - exact.cov) / np.linalg.norm(exact.cov)
 print(f"relative covariance estimation error over {dm.n_columns} windows: {err:.3%}")

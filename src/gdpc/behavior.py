@@ -1,6 +1,8 @@
 """Gaussian trajectory models: estimation, conditioning, and prediction.
 
 A behavior models length-L trajectory stacks w in R^{qL} as N(mean, cov).
+A stack has one layout, the chronological one of the data matrix's rows:
+per step t the block [u_t; y_t], steps in time order.
 The covariance is estimated from data as W W^T / D (the maximum-likelihood
 estimate for zero-mean i.i.d. columns and full-row-rank W); conditioning on
 a "free" index set yields the Gaussian predictive distribution; the
@@ -12,8 +14,8 @@ same data factors nothing again. In that
 square-root form, conditioning is one triangular inverse of the free
 block's factor whenever the data certify its full rank, and an SVD
 pseudoinverse otherwise. A behavior can also be
-constructed directly from a stochastic state-space model, which is the
-forward map the Monte-Carlo oracles certify.
+constructed directly from a stochastic state-space model, in the same
+layout, which is the forward map the Monte-Carlo oracles certify.
 """
 
 import json
@@ -37,36 +39,26 @@ from .linalg import (
     symmetrize,
 )
 from .plant import StochasticLtiModel, build_block_operators
-from .trajectory import DataMatrix, SignalDims
+from .trajectory import DataMatrix, SignalDims, block_row_permutation
 
 logger = logging.getLogger(__name__)
-
-ORDER_INTERLEAVED = "interleaved"  # per-step [u_t; y_t] blocks, chronological
-ORDER_BLOCKED = "blocked"  # full input stack first, then full output stack
-
-
-def interleave_permutation(dims: SignalDims, window: int) -> np.ndarray:
-    """Indices such that w_interleaved = w_blocked[perm].
-
-    The blocked layout stacks all L input steps, then all L output steps.
-    """
-    m, p = dims.m, dims.p
-    idx = np.empty(dims.q * window, dtype=int)
-    for t in range(window):
-        idx[t * dims.q : t * dims.q + m] = t * m + np.arange(m)
-        idx[t * dims.q + m : (t + 1) * dims.q] = window * m + t * p + np.arange(p)
-    return idx
 
 
 @dataclass(frozen=True)
 class GaussianBehavior:
-    """Mean and PSD covariance of length-L stacked trajectories."""
+    """Mean and PSD covariance of length-L stacked trajectories.
+
+    Entries follow the chronological stack, per step t the block
+    [u_t; y_t], the row order of :attr:`DataMatrix.matrix`, so the data's
+    columns, :func:`condition`'s indices and
+    :func:`~gdpc.trajectory.block_row_permutation` all address a behavior
+    as they address the data.
+    """
 
     dims: SignalDims
     window: int
     mean: np.ndarray
     cov: np.ndarray
-    ordering: str = ORDER_INTERLEAVED
 
     def __post_init__(self):
         k = self.dims.q * self.window
@@ -80,40 +72,12 @@ class GaussianBehavior:
             raise ShapeError("mean contains non-finite entries")
         if not is_psd(cov, 1e-8):
             raise NotPositiveDefinite("behavior covariance is not PSD at tolerance 1e-8")
-        if self.ordering not in (ORDER_INTERLEAVED, ORDER_BLOCKED):
-            raise ShapeError(f"unknown ordering {self.ordering!r}, expected "
-                             f"{ORDER_INTERLEAVED!r} or {ORDER_BLOCKED!r}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
     @property
     def size(self) -> int:
         return self.dims.q * self.window
-
-    def to_interleaved(self) -> "GaussianBehavior":
-        if self.ordering == ORDER_INTERLEAVED:
-            return self
-        perm = interleave_permutation(self.dims, self.window)
-        return GaussianBehavior(
-            dims=self.dims,
-            window=self.window,
-            mean=self.mean[perm],
-            cov=self.cov[np.ix_(perm, perm)],
-            ordering=ORDER_INTERLEAVED,
-        )
-
-    def to_blocked(self) -> "GaussianBehavior":
-        if self.ordering == ORDER_BLOCKED:
-            return self
-        perm = interleave_permutation(self.dims, self.window)
-        inverse = np.argsort(perm)
-        return GaussianBehavior(
-            dims=self.dims,
-            window=self.window,
-            mean=self.mean[inverse],
-            cov=self.cov[np.ix_(inverse, inverse)],
-            ordering=ORDER_BLOCKED,
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,7 +86,6 @@ class GaussianBehavior:
             "L": self.window,
             "mean": self.mean.tolist(),
             "cov": self.cov.tolist(),
-            "ordering": self.ordering,
         }
 
     @classmethod
@@ -131,13 +94,20 @@ class GaussianBehavior:
         for another schema, a missing key, a key it does not read, or a value
         of the wrong kind, naming its key: ``dims`` must be an object, ``L``,
         ``m`` and ``p`` integers (no boolean, no fraction), and ``mean`` and
-        ``cov`` arrays of numbers."""
+        ``cov`` arrays of numbers. A document may carry ``"ordering":
+        "interleaved"``, the chronological layout's name in files written
+        before the behavior had one layout; any other ``ordering`` is a
+        :class:`ShapeError` that names it."""
         schema = data.get("schema") if isinstance(data, dict) else None
         if schema != 1:
             raise ShapeError(f"unsupported behavior schema {schema!r} (expected 1)")
         unknown = sorted(set(data) - {"schema", "dims", "L", "mean", "cov", "ordering"})
         if unknown:
             raise ShapeError("unknown behavior key(s): " + ", ".join(map(str, unknown)))
+        ordering = data.get("ordering", "interleaved")
+        if ordering != "interleaved":
+            raise ShapeError(f"unknown ordering {ordering!r}: a behavior is read only in "
+                             f"the chronological per-step [u_t; y_t] layout ('interleaved')")
         try:
             dims = data["dims"]
             if not isinstance(dims, dict):
@@ -148,7 +118,6 @@ class GaussianBehavior:
                 window=_json_integer(data["L"], "L"),
                 mean=_json_array(data["mean"], "mean"),
                 cov=_json_array(data["cov"], "cov"),
-                ordering=data.get("ordering", ORDER_INTERLEAVED),
             )
         except KeyError as exc:
             raise ShapeError(f"behavior document missing key {exc}") from None
@@ -186,22 +155,16 @@ def _json_array(raw, key: str) -> np.ndarray:
 class ConditionalGaussian:
     """Predictive distribution of the dependent block given the free block.
 
-    ``cov`` is kept as (cov + cov^T)/2. A read-only float array equal to its
-    transpose with finite entries, such as every :class:`PredictiveModel`'s
-    covariance, already is that matrix and is shared, not copied; any other
-    covariance is copied."""
+    ``cov`` is kept as a new array, (cov + cov^T)/2. A
+    :class:`PredictiveModel`'s prediction shares the model's covariance
+    instead (:meth:`_of_model`)."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = self.cov
-        if not (isinstance(cov, np.ndarray) and not cov.flags.writeable
-                and cov.dtype == np.float64 and cov.ndim == 2
-                and cov.shape[0] == cov.shape[1]
-                and (cov == cov.T).all() and np.isfinite(cov).all()):
-            cov = symmetrize(cov)
+        cov = symmetrize(self.cov)
         if cov.shape[0] != mean.shape[0]:
             raise ShapeError(f"mean/cov size mismatch: {mean.shape} vs {cov.shape}")
         object.__setattr__(self, "mean", mean)
@@ -281,7 +244,8 @@ class PredictiveModel:
         return self.M_u @ u_f + self.M_ini @ w_ini
 
     def predict(self, w_ini, u_f) -> ConditionalGaussian:
-        return ConditionalGaussian(mean=self.predict_mean(w_ini, u_f), cov=self.cov)
+        """The predicted output distribution; it shares the model's ``cov``."""
+        return ConditionalGaussian._of_model(self.predict_mean(w_ini, u_f), self.cov)
 
 
 def estimate(dm: DataMatrix, subtract_mean: bool = False) -> GaussianBehavior:
@@ -366,8 +330,7 @@ def condition(gb: GaussianBehavior, free_index, free_value) -> ConditionalGaussi
     cov_dd = gb.cov[np.ix_(dep, dep)]
     gain = cov_df @ pinv(cov_ff)
     mean = gb.mean[dep] + gain @ (value - gb.mean[free])
-    cov = symmetrize(cov_dd - gain @ cov_df.T)
-    return ConditionalGaussian(mean=mean, cov=cov)
+    return ConditionalGaussian(mean=mean, cov=cov_dd - gain @ cov_df.T)
 
 
 def _check_lapack(info: int, routine: str) -> None:
@@ -544,9 +507,10 @@ def from_state_space(
 
     Assumes the initial state and the stacked input are independent
     Gaussians; ``input_cov`` is the full (m*L x m*L) stacked-input covariance
-    and ``state_cov`` the state covariance at the window start. Returns the
-    blocked (input stack, output stack) ordering with the interleaving
-    permutation available via :meth:`GaussianBehavior.to_interleaved`.
+    and ``state_cov`` the state covariance at the window start. The moments
+    are formed as blocks of the (input stack, output stack) vector and
+    scattered once into the chronological layout of every behavior: the
+    blocked vector is w[b] for b = ``block_row_permutation(dims, 0, window)``.
     """
     n, m, p = model.n, model.m, model.p
     state_cov = symmetrize(state_cov)
@@ -571,11 +535,12 @@ def from_state_space(
 
     out_cov = obs @ state_cov @ obs.T + t_u @ input_cov @ t_u.T + t_xi @ xi_blk @ t_xi.T + eta_blk
     cross = t_u @ input_cov  # cov(y-stack, u-stack)
-    cov = np.block([[input_cov, cross.T], [cross, out_cov]])
-    mean = np.concatenate([input_mean, obs @ state_mean + t_u @ input_mean])
-    return GaussianBehavior(
-        dims=model.dims, window=window, mean=mean, cov=symmetrize(cov), ordering=ORDER_BLOCKED
-    )
+    rows = block_row_permutation(model.dims, 0, window)
+    cov = np.empty((rows.size, rows.size))
+    cov[np.ix_(rows, rows)] = np.block([[input_cov, cross.T], [cross, out_cov]])
+    mean = np.empty(rows.size)
+    mean[rows] = np.concatenate([input_mean, obs @ state_mean + t_u @ input_mean])
+    return GaussianBehavior(dims=model.dims, window=window, mean=mean, cov=cov)
 
 
 def kl_divergence(p: ConditionalGaussian, q: ConditionalGaussian, jitter: float = 0.0) -> float:

@@ -211,7 +211,7 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    gb = GaussianBehavior.load_json(args.behavior).to_interleaved()
+    gb = GaussianBehavior.load_json(args.behavior)
     dims = gb.dims
     history = load_csv(args.wini, dims)
     u_future = _load_input_csv(args.uf, dims.m)

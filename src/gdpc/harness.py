@@ -13,7 +13,7 @@ A step does no more than that. The noise factors are the plant model's,
 made once when the model is built, so a run factors no noise covariance;
 it draws each noise stream for all its steps before the loop, by
 ``plant.gaussian_rows`` as ``simulate`` draws it. The plant advances by
-``plant.step``'s expressions inline, without its per-call argument checks;
+``plant._advance``, ``plant.step``'s update without its argument checks;
 the samples go into one preallocated array whose rows are the history
 windows, and the step records are built from that array after the loop.
 """
@@ -31,6 +31,7 @@ from .errors import ConfigError, GdpcError, InfeasibleProblem, UnstableSystem
 from .plant import (
     PLANT_KEYS,
     StochasticLtiModel,
+    _advance,
     default_benchmark,
     gaussian_rows,
     simulate,
@@ -487,7 +488,6 @@ def _closed_loop(cfg: ExperimentConfig, dm, pm, cp: ctl.ControlProblem,
     model = cfg.plant
     dims = model.dims
     m, l_ini, steps = dims.m, cfg.l_ini, cfg.run_steps
-    a, b, c, d = model.A, model.B, model.C, model.D
 
     ss = np.random.SeedSequence(seed)
     rng_warm, rng_xi, rng_eta = [np.random.default_rng(s) for s in ss.spawn(3)]
@@ -505,11 +505,9 @@ def _closed_loop(cfg: ExperimentConfig, dm, pm, cp: ctl.ControlProblem,
     x = np.zeros(model.n)
 
     def apply(t, u):
-        # plant.step's update, on arrays of the right shape already.
         nonlocal x
-        samples[l_ini + t, m:] = c @ x + d @ u + eta_seq[t]
+        x, samples[l_ini + t, m:] = _advance(model, x, u, xi_seq[t], eta_seq[t])
         samples[l_ini + t, :m] = u
-        x = a @ x + b @ u + xi_seq[t]
 
     for t in range(l_ini):
         apply(t, warm_up[t])

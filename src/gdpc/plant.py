@@ -169,19 +169,19 @@ def build_block_operators(model: StochasticLtiModel, window: int) -> BlockOperat
 
 
 def step(model: StochasticLtiModel, x, u, xi=None, eta=None):
-    """One exact plant update; returns (x_next, y).
-
-    ``harness._closed_loop`` applies these two expressions inline on arrays
-    of the right shape, without the conversions here, so a change to them
-    must be made there too.
-    """
+    """One exact plant update; returns (x_next, y)."""
     x = np.asarray(x, dtype=float).reshape(model.n)
     u = np.asarray(u, dtype=float).reshape(model.m)
     xi = np.zeros(model.n) if xi is None else np.asarray(xi, dtype=float).reshape(model.n)
     eta = np.zeros(model.p) if eta is None else np.asarray(eta, dtype=float).reshape(model.p)
+    return _advance(model, x, u, xi, eta)
+
+
+def _advance(model: StochasticLtiModel, x, u, xi, eta):
+    """:func:`step`'s update, (x_next, y), on float vectors of the model's
+    sizes, unchecked: the closed loop calls it once per sample."""
     y = model.C @ x + model.D @ u + eta
-    x_next = model.A @ x + model.B @ u + xi
-    return x_next, y
+    return model.A @ x + model.B @ u + xi, y
 
 
 def gaussian_rows(rng: np.random.Generator, factor: np.ndarray, count: int) -> np.ndarray:

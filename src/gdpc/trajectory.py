@@ -64,7 +64,8 @@ class Trajectory:
 
 def block_row_permutation(dims: SignalDims, l_ini: int, l_f: int) -> np.ndarray:
     """Row indices reordering a chronological length-L stack into
-    [w_ini; u_f; y_f]."""
+    [w_ini; u_f; y_f]. With ``l_ini`` 0 they give the blocked stack, all L
+    inputs and then all L outputs."""
     q, m = dims.q, dims.m
     starts = q * np.arange(l_ini, l_ini + l_f)[:, None]  # first row of each future step
     u_f = (starts + np.arange(m)).ravel()
@@ -208,14 +209,9 @@ def window_trajectory(traj: Trajectory, window: int, mode: str = "hankel") -> np
 
 
 def assemble(columns: np.ndarray, dims: SignalDims, l_ini: int, l_f: int) -> DataMatrix:
-    """Wrap stacked window columns into a partitioned DataMatrix."""
-    cols = np.asarray(columns, dtype=float)
-    if cols.ndim != 2 or cols.shape[0] != dims.q * (l_ini + l_f):
-        raise ShapeError(
-            f"columns must have {dims.q * (l_ini + l_f)} rows for q={dims.q}, "
-            f"L={l_ini + l_f}, got shape {cols.shape}"
-        )
-    return DataMatrix(dims=dims, l_ini=l_ini, l_f=l_f, matrix=cols)
+    """Wrap stacked window columns into a partitioned DataMatrix; its
+    constructor checks them (:class:`ShapeError`)."""
+    return DataMatrix(dims=dims, l_ini=l_ini, l_f=l_f, matrix=columns)
 
 
 def build_data_matrix(

@@ -38,7 +38,7 @@ from .linalg import (
 )
 from .plant import StochasticLtiModel, gaussian_rows, simulate, step
 from .qp import QpProblem, QpSettings, _admm, l1_epigraph, solve
-from .trajectory import SignalDims, assemble
+from .trajectory import SignalDims, assemble, block_row_permutation
 
 SUITES = ("lemmas", "theorems", "solver", "all")
 
@@ -255,9 +255,11 @@ def _check_state_space_window_covariance_monte_carlo(rng) -> CheckResult:
         u_t = u_all[:, t * m : (t + 1) * m]
         ys[:, t * p : (t + 1) * p] = x @ model.C.T + u_t @ model.D.T + eta
         x = x @ model.A.T + u_t @ model.B.T + xi
-    stacked = np.hstack([u_all, ys])
+    stacked = np.hstack([u_all, ys])  # blocked: all inputs, then all outputs
     empirical = stacked.T @ stacked / n_mc
-    err = float(np.linalg.norm(empirical - gb.cov) / np.linalg.norm(gb.cov))
+    b = block_row_permutation(model.dims, 0, window)
+    blocked = gb.cov[np.ix_(b, b)]
+    err = float(np.linalg.norm(empirical - blocked) / np.linalg.norm(blocked))
     return CheckResult(
         name="state_space_window_covariance_monte_carlo",
         passed=err <= 0.05,

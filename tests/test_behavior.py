@@ -16,7 +16,6 @@ from gdpc.behavior import (
     data_lq,
     estimate,
     from_state_space,
-    interleave_permutation,
     kl_divergence,
     log_likelihood,
     lq_predictor,
@@ -30,9 +29,10 @@ from gdpc.plant import (
     build_block_operators,
     default_benchmark,
     simulate,
+    stationary_state_covariance,
     step,
 )
-from gdpc.trajectory import SignalDims, assemble, build_data_matrix
+from gdpc.trajectory import SignalDims, assemble, block_row_permutation, build_data_matrix
 
 DIMS_SISO = SignalDims(1, 1)
 
@@ -282,8 +282,8 @@ class TestPredictiveModelValidation:
 
 
 class TestConditionalGaussianCovariance:
-    """The covariance is kept as (cov + cov^T)/2, shared when it already is
-    that matrix and read-only, copied otherwise."""
+    """The covariance is kept as a new array, (cov + cov^T)/2; a model's
+    prediction shares the model's covariance."""
 
     def test_a_model_covariance_is_shared_with_the_same_bits(self):
         rng = np.random.default_rng(14)
@@ -541,9 +541,10 @@ class TestFromStateSpace:
         rng = np.random.default_rng(6)
         input_cov = random_spd(rng, window)
         gb = from_state_space(model, window, state_cov=np.eye(2), input_cov=input_cov)
+        b = block_row_permutation(model.dims, 0, window)
         expected = np.zeros((6, 6))
         expected[:3, :3] = input_cov
-        assert np.allclose(gb.cov, expected, atol=1e-12)
+        assert np.allclose(gb.cov[np.ix_(b, b)], expected, atol=1e-12)
 
     def test_memoryless_gain_expansion(self):
         # y_t = D_g u_t + eta_t: per-step output block D_g D_g^T + Sigma_eta,
@@ -558,8 +559,10 @@ class TestFromStateSpace:
         gb = from_state_space(
             model, window, state_cov=np.zeros((1, 1)), input_cov=np.eye(2 * window)
         )
-        out_block = gb.cov[4:, 4:]
-        cross = gb.cov[4:, :4]
+        b = block_row_permutation(model.dims, 0, window)
+        blocked = gb.cov[np.ix_(b, b)]
+        out_block = blocked[4:, 4:]
+        cross = blocked[4:, :4]
         per_step = d_gain @ d_gain.T + eta
         assert np.allclose(out_block, np.kron(np.eye(window), per_step), atol=1e-12)
         assert np.allclose(cross, np.kron(np.eye(window), d_gain), atol=1e-12)
@@ -589,26 +592,37 @@ class TestFromStateSpace:
             u_t = u_all[:, t : t + 1]
             ys[:, t : t + 1] = x @ model.C.T + u_t @ model.D.T + eta
             x = x @ model.A.T + u_t @ model.B.T + xi
-        stacked = np.hstack([u_all, ys])
+        stacked = np.hstack([u_all, ys])  # blocked: all inputs, then all outputs
         empirical = stacked.T @ stacked / n_mc
-        err = np.linalg.norm(empirical - gb.cov) / np.linalg.norm(gb.cov)
+        b = block_row_permutation(model.dims, 0, window)
+        blocked = gb.cov[np.ix_(b, b)]
+        err = np.linalg.norm(empirical - blocked) / np.linalg.norm(blocked)
         assert err < 0.08
 
-    def test_interleaving_round_trip(self):
-        rng = np.random.default_rng(8)
-        model = StochasticLtiModel(
-            A=[[0.5]], B=[[1.0, 0.2]], C=[[1.0], [0.3]], D=np.zeros((2, 2)),
-            Sigma_xi=[[0.01]], Sigma_eta=0.02 * np.eye(2),
-        )
-        gb = from_state_space(
-            model, 2, state_cov=[[1.0]], input_cov=random_spd(rng, 4)
-        )
-        assert gb.ordering == "blocked"
-        inter = gb.to_interleaved()
-        assert inter.ordering == "interleaved"
-        back = inter.to_blocked()
-        assert np.allclose(back.cov, gb.cov, atol=1e-14)
-        assert np.allclose(back.mean, gb.mean, atol=1e-14)
+    def test_shares_the_data_layout(self):
+        # The exact behavior of stationary windows under white input scores
+        # the data as the data's own estimate does, and conditioning it on
+        # the data's free rows gives the identified predictor's mean.
+        model = default_benchmark()
+        l_ini, l_f = 2, 2
+        window = l_ini + l_f
+        state_cov = stationary_state_covariance(model, np.eye(model.m))
+        traj = simulate(model, (np.zeros(model.n), state_cov), 1.0, steps=5000, seed=3)
+        dm = build_data_matrix(traj, l_ini, l_f)
+        gb = from_state_space(model, window, state_cov=state_cov,
+                              input_cov=np.eye(model.m * window))
+        d = dm.n_columns
+        gap = abs(log_likelihood(gb, dm) - log_likelihood(estimate(dm), dm)) / d
+        assert gap <= 0.05
+
+        pm = predictive_model(dm)
+        perm = block_row_permutation(dm.dims, l_ini, l_f)
+        n_ini, n_free = dm.dims.q * l_ini, dm.free_rows.size
+        for j in range(0, d, 50):
+            column = dm.matrix[:, j]
+            cond = condition(gb, perm[:n_free], column[perm[:n_free]])
+            identified = pm.predict_mean(column[perm[:n_ini]], column[perm[n_ini:n_free]])
+            assert np.abs(cond.mean - identified).max() <= 0.05
 
     def test_mean_map(self):
         model = StochasticLtiModel(
@@ -624,7 +638,8 @@ class TestFromStateSpace:
             state_mean=mu_x, input_mean=mu_u,
         )
         expected_y = ops.observability @ mu_x + ops.input_toeplitz @ mu_u
-        assert np.allclose(gb.mean, np.concatenate([mu_u, expected_y]), atol=1e-14)
+        b = block_row_permutation(model.dims, 0, window)
+        assert np.allclose(gb.mean[b], np.concatenate([mu_u, expected_y]), atol=1e-14)
 
 
 class TestKlDivergence:
@@ -707,13 +722,22 @@ class TestSerialization:
         back = GaussianBehavior.load_json(path)
         assert back.dims == gb.dims
         assert back.window == gb.window
-        assert back.ordering == gb.ordering
         assert np.array_equal(back.mean, gb.mean)
         assert np.array_equal(back.cov, gb.cov)
+
+    def test_the_written_document_has_no_ordering(self):
+        assert "ordering" not in make_behavior(np.eye(2)).to_json_dict()
+
+    def test_a_legacy_interleaved_document_loads(self):
+        rng = np.random.default_rng(15)
+        gb = make_behavior(random_spd(rng, 4), mean=rng.standard_normal(4))
+        back = GaussianBehavior.from_json_dict({**gb.to_json_dict(), "ordering": "interleaved"})
+        assert np.array_equal(back.mean, gb.mean) and np.array_equal(back.cov, gb.cov)
 
     @pytest.mark.parametrize("change,name", [
         ({"schema": 7}, "schema 7"), ({"covv": 1}, "covv"), ({"schema": None}, "schema None"),
         ({"ordering": "weird"}, "unknown ordering 'weird'"),
+        ({"ordering": "blocked"}, "unknown ordering 'blocked'"),
     ])
     def test_other_schema_or_unknown_key_rejected(self, change, name):
         doc = make_behavior(np.eye(2)).to_json_dict()
@@ -745,9 +769,3 @@ class TestSerialization:
         back = GaussianBehavior.from_json_dict(doc)
         assert (back.window, back.dims) == (gb.window, gb.dims)
         assert type(back.window) is int and type(back.dims.m) is int
-
-    def test_permutation_consistency(self):
-        dims = SignalDims(2, 1)
-        perm = interleave_permutation(dims, 2)
-        # blocked = [u0(2), u1(2), y0, y1]; interleaved = [u0, y0, u1, y1].
-        assert np.array_equal(perm, [0, 1, 4, 2, 3, 5])

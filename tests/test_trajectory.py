@@ -9,6 +9,7 @@ from gdpc.trajectory import (
     SignalDims,
     Trajectory,
     assemble,
+    block_row_permutation,
     build_data_matrix,
     excitation_rank,
     load_csv,
@@ -160,6 +161,12 @@ class TestAssemble:
         dm = assemble(np.arange(9.0).reshape(9, 1), dims, l_ini=1, l_f=2)
         assert np.array_equal(dm.row_index, [0, 1, 2, 3, 4, 6, 7, 5, 8])
         assert np.array_equal(dm.future_outputs[:, 0], [5.0, 8.0])
+
+    def test_no_history_gives_the_blocked_stack(self):
+        # m=2, p=1, L=2: rows are [u0 u0 y0 | u1 u1 y1]; the blocked stack
+        # [u0 u0 u1 u1 | y0 y1] reads rows 0, 1, 3, 4, then 2, 5.
+        dims = SignalDims(2, 1)
+        assert np.array_equal(block_row_permutation(dims, 0, 2), [0, 1, 3, 4, 2, 5])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
