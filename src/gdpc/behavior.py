@@ -7,15 +7,15 @@ The covariance is estimated from data as W W^T / D (the maximum-likelihood
 estimate for zero-mean i.i.d. columns and full-row-rank W); conditioning on
 a "free" index set yields the Gaussian predictive distribution; the
 predictive model extracts the affine predictor (input map, history map) and
-the predictive covariance used by all controllers, from one LQ factorization
-of the data matrix, computed in place on one copy of the data and kept by
-the data matrix with the predictor read from it, so deepc's set-up on the
-same data factors nothing again. In that
-square-root form, conditioning is one triangular inverse of the free
-block's factor whenever the data certify its full rank, and an SVD
-pseudoinverse otherwise. A behavior can also be
-constructed directly from a stochastic state-space model, in the same
-layout, which is the forward map the Monte-Carlo oracles certify.
+the predictive covariance used by all controllers, from the factor L of one
+LQ factorization of the data matrix, computed in place on one copy of the
+data; the data matrix keeps L and the predictor read from it (not Q, which
+is never formed), so deepc's set-up on the same data factors nothing again.
+In that square-root form, conditioning is one triangular inverse of the
+free block's factor whenever the data certify its full rank, and an SVD
+pseudoinverse otherwise. A behavior can also be constructed directly from a
+stochastic state-space model, in the same layout, which is the forward map
+the Monte-Carlo oracles certify.
 """
 
 import json
@@ -24,7 +24,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr, dtrtri
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dtrtri
 
 from .errors import InvalidMatrix, NotPositiveDefinite, ShapeError
 from .linalg import (
@@ -333,79 +333,50 @@ def condition(gb: GaussianBehavior, free_index, free_value) -> ConditionalGaussi
     return ConditionalGaussian(mean=mean, cov=cov_dd - gain @ cov_df.T)
 
 
-def _check_lapack(info: int, routine: str) -> None:
-    if info != 0:
-        raise InvalidMatrix(f"{routine} failed with info={info}")
-
-
-def _qr_in_place(dm: DataMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Householder QR of the transposed ordered data matrix, by LAPACK's
-    ``dgeqrf`` on the fresh Fortran-order copy ``dm.ordered.T``, which it
-    overwrites: R is in the upper triangle of its first min(D, qL) rows,
-    the reflectors below it and their scalars in ``tau``. The work array
-    has LAPACK's optimal size, so the blocked algorithm runs."""
+def _qr_in_place(dm: DataMatrix) -> np.ndarray:
+    """L = R^T, (qL, k) with k = min(D, qL), for the Householder QR of the
+    transposed ordered data matrix, by LAPACK's ``dgeqrf`` on the fresh
+    Fortran-order copy ``dm.ordered.T``, which it overwrites with R in the
+    upper triangle of its first k rows and the reflectors, dropped with the
+    copy, below it. The work array has LAPACK's optimal size, so the
+    blocked algorithm runs."""
     a = dm.ordered.T
     work, _ = dgeqrf_lwork(*a.shape)
-    qr, tau, _, info = dgeqrf(a, lwork=int(work), overwrite_a=1)
-    _check_lapack(info, "dgeqrf")
-    return qr, tau
-
-
-def _lower_factor(qr: np.ndarray) -> np.ndarray:
-    """L = R^T, (qL, k), from the output of :func:`_qr_in_place`."""
+    qr, _, _, info = dgeqrf(a, lwork=int(work), overwrite_a=1)
+    if info != 0:
+        raise InvalidMatrix(f"dgeqrf failed with info={info}")
     return np.triu(qr[: qr.shape[1]]).T
 
 
-def _kept_lq(dm: DataMatrix) -> dict:
-    """``dm``'s LQ factorization, kept in ``dm._lq``: the first call runs
-    :func:`_qr_in_place` and keeps, read-only, its output ``qr`` and
-    ``tau`` and L = R^T (``l``); every later call returns them."""
-    kept = dm._lq
-    if "l" not in kept:
-        qr, tau = _qr_in_place(dm)
-        l_fac = _lower_factor(qr)
-        for array in (qr, tau, l_fac):
-            array.flags.writeable = False
-        kept.update(qr=qr, tau=tau, l=l_fac)
-    return kept
-
-
 def _kept_predictor(dm: DataMatrix, rank_tol: float) -> tuple[PredictiveModel, np.ndarray]:
-    """:func:`lq_predictor` of ``dm``'s kept factor (:func:`_kept_lq`) at
+    """:func:`lq_predictor` of ``dm``'s kept factor (:func:`data_lq`) at
     ``rank_tol``, made by the first call for that ``rank_tol`` and kept in
     ``dm._lq``, L_F^+ read-only: predictive_model and deepc's set-up share
     it."""
-    kept = _kept_lq(dm)
     key = ("predictor", rank_tol)
-    if key not in kept:
-        pm, free_pinv = lq_predictor(dm, kept["l"], rank_tol)
+    if key not in dm._lq:
+        pm, free_pinv = lq_predictor(dm, data_lq(dm), rank_tol)
         free_pinv.flags.writeable = False
-        kept[key] = pm, free_pinv
-    return kept[key]
+        dm._lq[key] = pm, free_pinv
+    return dm._lq[key]
 
 
-def data_lq(dm: DataMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Economy LQ factorization [W_p; U_f; Y_f] = L Q^T of the data matrix.
+def data_lq(dm: DataMatrix) -> np.ndarray:
+    """The factor L, (qL, k), of the economy LQ factorization
+    [W_p; U_f; Y_f] = L Q^T of the data matrix, k = min(D, qL).
 
-    Returns ``(L, Q)`` with L of shape (qL, k), Q of shape (D, k) with
-    orthonormal columns, and k = min(D, qL). Computed as the QR
-    factorization of the transposed ordered data matrix (the LQ step of
-    subspace identification), so no Gram matrix is formed and the condition
-    number is not squared. The factorization runs in place on one copy of
-    the data (:func:`_qr_in_place`) once per data matrix, by this function
-    or :func:`predictive_model`, whichever comes first, and ``dm`` keeps
-    its reflectors and L, read-only (:func:`_kept_lq`). Each call forms Q
-    afresh from a copy of the kept reflectors, by LAPACK's ``dorgqr``, and
-    returns the kept L. Every quantity the predictor and deepc need depends
-    on the data only through L.
+    Computed as the QR factorization of the transposed ordered data matrix
+    (the LQ step of subspace identification), so no Gram matrix is formed
+    and the condition number is not squared, in place on one copy of the
+    data (:func:`_qr_in_place`), once per data matrix: ``dm`` keeps L,
+    read-only, in ``dm._lq``. Q is never formed: the predictor and deepc
+    depend on the data only through L (see :func:`gdpc.control.deepc`).
     """
-    kept = _kept_lq(dm)
-    tau = kept["tau"]
-    reflectors = np.array(kept["qr"][:, : tau.size], order="F")
-    _, work, _ = dorgqr(reflectors, tau, lwork=-1, overwrite_a=1)
-    basis, _, info = dorgqr(reflectors, tau, lwork=int(work[0]), overwrite_a=1)
-    _check_lapack(info, "dorgqr")
-    return kept["l"], basis
+    if "l" not in dm._lq:
+        l_fac = _qr_in_place(dm)
+        l_fac.flags.writeable = False
+        dm._lq["l"] = l_fac
+    return dm._lq["l"]
 
 
 def lq_predictor(
@@ -418,8 +389,8 @@ def lq_predictor(
     Gram matrix (L_Y - coeff L_F)(L_Y - coeff L_F)^T / D, which is PSD by
     construction. Singular values of L_F below ``rank_tol`` times the
     largest are treated as zero. Also returns L_F^+, from which deepc forms
-    the fit's residual L_Y - (L_Y L_F^+) L_F and its plan's combination
-    vector.
+    the fit's residual L_Y - (L_Y L_F^+) L_F and the map from its plan to
+    the combination vector g.
 
     With n_f free rows and D >= n_f, L_F = [L_11 0] with L_11 square and
     lower triangular. When LAPACK's ``dtrtri`` inverts L_11 to a finite
@@ -485,12 +456,10 @@ def predictive_model(dm: DataMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> Pred
     and memory O(D qL); no D x D matrix is formed. ``rank_tol`` truncates
     the pseudoinverse of L_F (relative to its largest singular value); when
     it provably truncates nothing, L_F^+ is the triangular inverse of
-    :func:`lq_predictor`. Only L is formed: the in-place QR factorization
-    of :func:`data_lq` runs without accumulating Q. ``dm`` keeps the
-    factorization and the model for each ``rank_tol`` (:func:`_kept_lq`,
-    :func:`_kept_predictor`), so a later call with the same ``rank_tol``
-    returns the same model, and deepc's set-up on ``dm`` reads both
-    without factoring the data again.
+    :func:`lq_predictor`. ``dm`` keeps L and the model for each
+    ``rank_tol`` (:func:`data_lq`, :func:`_kept_predictor`): a later call
+    with the same ``rank_tol`` returns the same model, and deepc's set-up
+    on ``dm`` reads both without factoring the data again.
     """
     return _kept_predictor(dm, rank_tol)[0]
 

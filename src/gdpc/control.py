@@ -55,8 +55,8 @@ deepc's 1-norm QP. The set-up holds the output weight Z, M_u^T Z and the
 QP with its bounds, PSD proof and Cholesky factor; for certainty
 equivalence also tr(Q cov); for optimistic and robust the map to the mean,
 or with optimistic's output box T^-1 and J, from which a step forms T^-1
-bias, the linear term and the tether; for deepc the basis Q of the data's
-LQ factorization and the maps to the mean and g. deepc reads the LQ factor
+bias, the linear term and the tether; for deepc the maps to the mean and
+to the vector v with g = W^T v (no LQ basis Q). deepc reads the LQ factor
 L, the predictor and L_F^+ from the data matrix, which keeps them from
 identification's :func:`~gdpc.behavior.predictive_model` call (or makes
 them at deepc's first set-up), so a closed-loop run factors its data once.
@@ -328,9 +328,17 @@ def _prepared(name: str, model, cp: ControlProblem, params: tuple, build):
     return kept[3]
 
 
+def _check_sizes(pm: PredictiveModel, cp: ControlProblem) -> None:
+    """:class:`ShapeError` unless M_u is (n_y, n_u); a set-up checks it once."""
+    if pm.M_u.shape != (cp.n_y, cp.n_u):
+        raise ShapeError(f"predictive model and control problem disagree on sizes: M_u is "
+                         f"{pm.M_u.shape}, (n_y, n_u) is {(cp.n_y, cp.n_u)}")
+
+
 def _lambda0(pm: PredictiveModel, cp: ControlProblem) -> float:
     """max Lambda (1 + 1e-6), Lambda the eigenvalues of F^T Q F with F F^T
-    the covariance (module docstring)."""
+    the covariance (module docstring), after :func:`_check_sizes`."""
+    _check_sizes(pm, cp)
     root = psd_factor(pm.cov)
     return float(np.max(sym_eig(root.T @ cp.Q @ root).values, initial=0.0)) * (1.0 + 1e-6)
 
@@ -418,6 +426,7 @@ def _tracking_qp(cp: ControlProblem, head, a_eq, u_weight=None) -> QpProblem:
 def _spc_setup(pm: PredictiveModel, cp: ControlProblem):
     """spc's set-up; its step maps (bias, settings) to the solution, whose
     first n_u entries are the input."""
+    _check_sizes(pm, cp)
     if not cp.has_output_box:
         return _input_qp(pm, cp, cp.Q)
     template = _tracking_qp(cp, np.zeros((0, 0)), np.hstack([-pm.M_u, np.eye(cp.n_y)]))
@@ -456,9 +465,9 @@ def certainty_equivalence(
     ``verify`` checks this against the constrained (u, mean) QP solved
     directly.
     """
+    res = _spc(pm, w_ini, cp, settings)  # first: spc's set-up checks the sizes
     trace = _prepared("certainty_equivalence", pm, cp, (),
                       lambda: float(np.trace(cp.Q @ pm.cov)))
-    res = _spc(pm, w_ini, cp, settings)
     return ControlResult._of_parts(res.u_f, res.y_pred, res.objective + trace, res.solver,
                                    res.lambda_effective)
 
@@ -479,32 +488,47 @@ def _deepc_setup(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g:
 
 def _deepc_residual(dm: DataMatrix, rank_tol: float):
     """What deepc's 2-norm forms share (see :func:`deepc`): the data's LQ
-    factor L and basis Q (:func:`data_lq`), the predictor, L_F^+ and the
-    fit's residual G = L_Y - (L_Y L_F^+) L_F, L_F and L_Y the free and
-    output rows of L. L, the predictor and L_F^+ are the ones ``dm`` keeps
-    from identification (:func:`~gdpc.behavior.predictive_model`); only Q
-    is formed here."""
-    l_fac, basis = data_lq(dm)
+    factor L (:func:`data_lq`), the predictor, L_F^+, coeff = L_Y L_F^+ and
+    the fit's residual G = L_Y - coeff L_F, L_F and L_Y the free and output
+    rows of L. L, the predictor and L_F^+ are the ones ``dm`` keeps from
+    identification (:func:`~gdpc.behavior.predictive_model`)."""
+    l_fac = data_lq(dm)
     pm, free_pinv = _kept_predictor(dm, rank_tol)
     n_free = free_pinv.shape[1]
     l_free, l_out = l_fac[:n_free], l_fac[n_free:]
-    return l_fac, basis, pm, free_pinv, l_out - (l_out @ free_pinv) @ l_free
+    coeff = l_out @ free_pinv
+    return l_fac, pm, free_pinv, coeff, l_out - coeff @ l_free
+
+
+def _combination(dm: DataMatrix, free_pinv, coeff, z_map):
+    """A deepc step's map (x, s) -> g = Q (L_F^+ x + G^T z_map s) for
+    x = [w_ini; u], without Q: it is W^T [(L_F^+)^T L_F^+ x - coeff^T z; z]
+    for z = z_map s, since Q L_F^+ x = F^T (L_F^+)^T L_F^+ x (L_F^+ L_F is
+    the symmetric projector onto the range of L_F^+, also for a truncated
+    L_F^+) and Q G^T z = Y_f^T z - F^T coeff^T z. The two maps to that
+    vector have their rows in the order of ``dm.matrix``, so W^T is
+    ``dm.matrix.T``."""
+    to_x = np.zeros((dm.matrix.shape[0], free_pinv.shape[1]))
+    to_x[dm.free_rows] = free_pinv.T @ free_pinv
+    to_s = np.empty((dm.matrix.shape[0], z_map.shape[1]))
+    to_s[dm.free_rows] = -coeff.T @ z_map
+    to_s[dm.dependent_rows] = z_map
+    return lambda x, s: dm.matrix.T @ (to_x @ x + to_s @ s)
 
 
 def _deepc_eliminated(dm: DataMatrix, cp: ControlProblem, lambda_g: float, rank_tol: float):
     """deepc with proj2, lambda_g > 0 and no output box, as the input QP
     with the weight Z(kappa), kappa = lambda_g / D (:func:`_tethered_input_qp`;
-    see :func:`deepc`). Its step recovers the combination vector from
-    alpha = L_F^+ [w_ini; u] - G^T t / D (:func:`_deepc_residual`)."""
-    _, basis, pm, free_pinv, resid = _deepc_residual(dm, rank_tol)
+    see :func:`deepc`). Its step forms the combination vector from
+    alpha = L_F^+ [w_ini; u] - G^T t / D (:func:`_combination`, z = -t / D)."""
+    _, pm, free_pinv, coeff, _ = _deepc_residual(dm, rank_tol)
     d = dm.n_columns
-    resid_t_d = resid.T / d  # G^T / D
     input_qp = _tethered_input_qp(pm, cp, lambda_g / d)
+    combination = _combination(dm, free_pinv, coeff, np.eye(cp.n_y) / -d)
 
     def step(w, settings):
         u, mean, objective, sol, t = input_qp(pm.M_ini @ w, settings)
-        alpha = free_pinv @ np.concatenate([w, u]) - resid_t_d @ t
-        return u, mean, pm.cov, objective, sol, basis @ alpha
+        return u, mean, pm.cov, objective, sol, combination(np.concatenate([w, u]), t)
 
     return step
 
@@ -512,13 +536,13 @@ def _deepc_eliminated(dm: DataMatrix, cp: ControlProblem, lambda_g: float, rank_
 def _deepc_usy(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g: float,
                rank_tol: float):
     """deepc as the QP over (u, s, y) (see :func:`deepc`), x = (s, u, y) in
-    :func:`_tracking_qp`. G_r and V_r come from the SVD of the residual G
-    (:func:`_deepc_residual`) cut at ``rank_tol`` max |L|; cut relative to
-    G itself, it would keep noiseless data's rounding noise. sq2 adds
-    lambda_g P_u^T P_u to the u block and 2 lambda_g P_u^T P_w w_ini to its
-    linear term, [P_w P_u] = L_F^+."""
-    l_fac, basis, pm, free_pinv, resid = _deepc_residual(dm, rank_tol)
-    left, sing, right_t = np.linalg.svd(resid, full_matrices=False)
+    :func:`_tracking_qp`. G_r and V_r = G^T U_r Sigma_r^-1 (for
+    :func:`_combination`) come from the SVD of the residual G cut at
+    ``rank_tol`` max |L|; cut relative to G itself, it would keep noiseless
+    data's rounding noise. sq2 adds lambda_g P_u^T P_u to the u block and
+    2 lambda_g P_u^T P_w w_ini to its linear term, [P_w P_u] = L_F^+."""
+    l_fac, pm, free_pinv, coeff, resid = _deepc_residual(dm, rank_tol)
+    left, sing, _ = np.linalg.svd(resid, full_matrices=False)
     r = int(np.count_nonzero(sing > rank_tol * np.max(np.abs(l_fac))))
     nu, n_ini = cp.n_u, dm.dims.q * dm.l_ini
     sq2 = regularizer == "sq2" and lambda_g > 0.0
@@ -529,6 +553,7 @@ def _deepc_usy(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g: f
         u_weight=symmetrize(cp.R + lambda_g * p_u.T @ p_u) if sq2 else None)
     q_map = np.zeros((template.n, n_ini))
     q_map[r : r + nu] = 2.0 * lambda_g * p_u.T @ p_w
+    combination = _combination(dm, free_pinv, coeff, left[:, :r] / sing[:r])
 
     def step(w, settings):
         prob = template.updated(b_eq=pm.M_ini @ w)
@@ -536,10 +561,11 @@ def _deepc_usy(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g: f
             prob = prob.updated(q=template.q + q_map @ w)
         sol = _run_qp(prob, settings)
         s, u, y = sol.x[:r], sol.x[r : r + nu], sol.x[r + nu :]
-        fit = free_pinv @ np.concatenate([w, u])  # L_F^+ [w_ini; u]
+        x = np.concatenate([w, u])
+        fit = free_pinv @ x  # L_F^+ [w_ini; u]
         objective = (cp._deviation_cost(u - cp.u_ref, y - cp.y_ref)
                      + lambda_g * float(s @ s + (fit @ fit if sq2 else 0.0)))
-        return u, y, pm.cov, objective, sol, basis @ (fit + right_t[:r].T @ s)  # V_r s
+        return u, y, pm.cov, objective, sol, combination(x, s)  # Q (L_F^+ x + V_r s)
 
     return step
 
@@ -595,10 +621,11 @@ def deepc(
     at ``rank_tol`` max |L| (:func:`_deepc_usy`): a QP over (u, s, y)
     whatever D is, and on noiseless data (r = 0) spc's (u, y) QP. It reports
     g = Q (L_F^+ [w_ini; u] + V_r s), the minimum-norm g of its
-    (w_ini, u, y), and the tracking cost plus lambda_g ||s||^2 (plus sq2's
-    term). With ``lambda_g`` = 0 every regularizer solves it. w_ini enters
-    only through the predictor: a window off the data's subspace is fitted
-    by least squares, not rejected.
+    (w_ini, u, y), formed as W^T v without Q (:func:`_combination`), and
+    the tracking cost plus lambda_g ||s||^2 (plus sq2's term). With
+    ``lambda_g`` = 0 every regularizer solves it. w_ini enters only through
+    the predictor: a window off the data's subspace is fitted by least
+    squares, not rejected.
 
     proj2 with ``lambda_g`` > 0 and no output box eliminates s in closed
     form, the paper's result that regularized DeePC is distributionally
@@ -641,6 +668,7 @@ def _optimistic_setup(pm: PredictiveModel, cp: ControlProblem, lam: float, jitte
     J = T^-1 [-M_u I] and v = T^-1 bias, the tether is kappa ||J x - v||^2
     over x = (u, mean), so P = 2 blockdiag(R, Q) + 2 kappa J^T J and
     q = -2 kappa J^T v - 2 [R u_ref; Q y_ref]."""
+    _check_sizes(pm, cp)
     kappa = 0.5 * lam
     if not cp.has_output_box:
         return _tethered_input_qp(pm, cp, kappa)
@@ -716,6 +744,7 @@ def hessian(pm: PredictiveModel, cp: ControlProblem, lam: float) -> HessianRepor
     docstring. Exact for every lam at which lam I - cov Q is invertible;
     where a solve finds it singular it raises :class:`LambdaTooSmall`.
     """
+    _check_sizes(pm, cp)
     try:
         z = _tethered_weight(pm, cp, -lam)[1]
     except np.linalg.LinAlgError:

@@ -87,11 +87,11 @@ class DataMatrix:
     built by :func:`build_data_matrix`, the window array it has just made,
     frozen in place (:meth:`_of_windows`).
 
-    A data matrix also keeps its LQ factorization, made by the first
-    :func:`~gdpc.behavior.predictive_model` or
+    A data matrix also keeps the factor L of its LQ factorization, made by
+    the first :func:`~gdpc.behavior.predictive_model` or
     :func:`~gdpc.behavior.data_lq` call, and the predictors read from it, in
-    ``_lq``: not an argument, not compared, and empty again in a copy made
-    by ``dataclasses.replace``.
+    ``_lq`` (no Q, no reflectors): not an argument, not compared, and empty
+    again in a copy made by ``dataclasses.replace``.
     """
 
     dims: SignalDims

@@ -16,7 +16,6 @@ import numpy as np
 from . import control as ctl
 from .behavior import (
     PredictiveModel,
-    data_lq,
     estimate,
     lq_predictor,
     kl_mean_term,
@@ -467,12 +466,13 @@ def _joint_deepc(dm, cp, regularizer, lambda_g, rank_tol=DEFAULT_RANK_TOL):
     Without the cuts, noiseless data's rounding-noise directions would leave
     y free at no cost. ``control.deepc`` parametrizes g by the predictor and
     the fit's residual instead, so this is a second computation: it shares
-    with deepc only the data, through the factor L that ``dm`` keeps, and
-    forms its own basis Q and its own predictor (:func:`lq_predictor`).
-    Returns the
-    set-up's step, (w_ini, settings) -> (u, mean, cov, objective, solution,
-    g), in the form of ``control._deepc_setup``."""
-    l_fac, basis = data_lq(dm)
+    with deepc only the data, factors them itself by ``np.linalg.qr`` into
+    its own basis Q and factor L, and forms its own predictor
+    (:func:`lq_predictor`). Returns the set-up's step, (w_ini, settings) ->
+    (u, mean, cov, objective, solution, g), in the form of
+    ``control._deepc_setup``."""
+    basis, upper = np.linalg.qr(dm.ordered.T)
+    l_fac = upper.T
     pm, free_pinv = lq_predictor(dm, l_fac, rank_tol)
     n_free, n_ini, nu, ny = free_pinv.shape[1], dm.dims.q * dm.l_ini, cp.n_u, cp.n_y
     left, sing, right_t = np.linalg.svd(l_fac)

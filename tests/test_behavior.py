@@ -22,8 +22,9 @@ from gdpc.behavior import (
     predictive_model,
     sample,
 )
+from gdpc.control import ControlProblem, deepc
 from gdpc.errors import InvalidMatrix, NotPositiveDefinite, ShapeError
-from gdpc.linalg import matrix_rank, pinv, read_only, symmetrize
+from gdpc.linalg import DEFAULT_RANK_TOL, matrix_rank, pinv, read_only, symmetrize
 from gdpc.plant import (
     StochasticLtiModel,
     build_block_operators,
@@ -392,14 +393,13 @@ class TestLqRoute:
 
     @pytest.mark.parametrize("steps", [2000, 15, 10])
     def test_r_only_factor_is_the_lq_factor(self, steps):
-        # predictive_model factors R alone; deepc's data_lq also forms Q. A
-        # data matrix keeps its factor, so the reference factors a fresh
+        # A data matrix keeps its factor, so the reference factors a fresh
         # data matrix of the same columns, first through data_lq.
         model = random_stable_plant(np.random.default_rng(33), n=2, m=1, p=1)
         dm = build_data_matrix(simulate(model, np.zeros(2), 1.0, steps=steps, seed=33), 2, 4)
         pm = predictive_model(dm)
         fresh = assemble(dm.matrix, dm.dims, dm.l_ini, dm.l_f)
-        ref, _ = lq_predictor(fresh, data_lq(fresh)[0])
+        ref, _ = lq_predictor(fresh, data_lq(fresh))
         for got, want in ((pm.M_ini, ref.M_ini), (pm.M_u, ref.M_u), (pm.cov, ref.cov)):
             assert got.tobytes() == want.tobytes()
 
@@ -407,7 +407,7 @@ class TestLqRoute:
     def test_tall_noisy_data_takes_the_triangular_inverse(self, m, p, n, monkeypatch):
         model = random_stable_plant(np.random.default_rng(34), n=n, m=m, p=p)
         dm = build_data_matrix(simulate(model, np.zeros(n), 1.0, steps=600, seed=34), 3, 4)
-        l_fac = data_lq(dm)[0]
+        l_fac = data_lq(dm)
         coeff, cov, free_pinv = svd_lq_predictor(dm, l_fac)
         calls = count_pinv_calls(monkeypatch)
         pm, got_pinv = lq_predictor(dm, l_fac)
@@ -433,7 +433,7 @@ class TestLqRoute:
             rng = np.random.default_rng(32)
             cols = sample(make_behavior(random_spd(rng, 6), window=3), 200, seed=3)
             dm, rank_tol = assemble(cols, DIMS_SISO, 1, 2), 0.9
-        l_fac = data_lq(dm)[0]
+        l_fac = data_lq(dm)
         coeff, cov, free_pinv = svd_lq_predictor(dm, l_fac, rank_tol)
         calls = count_pinv_calls(monkeypatch)
         pm, got_pinv = lq_predictor(dm, l_fac, rank_tol)
@@ -499,27 +499,50 @@ class TestKeptFactor:
         assert predictive_model(dm) is pm
         truncated = predictive_model(dm, rank_tol=0.9)
         assert truncated is not pm and predictive_model(dm, 0.9) is truncated
-        (l_a, q_a), (l_b, q_b) = data_lq(dm), data_lq(dm)
+        l_fac = data_lq(dm)
         assert list(map(id, factorings)) == [id(dm)]
-        assert l_a is l_b and not l_a.flags.writeable
-        # Q is formed afresh from the kept reflectors by each call.
-        assert q_a is not q_b and q_a.tobytes() == q_b.tobytes() and q_a.flags.writeable
-        assert np.allclose(l_a @ q_a.T, dm.ordered, rtol=0, atol=1e-12)
-        assert np.allclose(q_a.T @ q_a, np.eye(q_a.shape[1]), rtol=0, atol=1e-12)
+        assert data_lq(dm) is l_fac and not l_fac.flags.writeable
+        # L is lower trapezoidal with L L^T = W W^T, so W = L Q^T for a Q
+        # with orthonormal columns; no call forms that Q.
+        ordered = dm.ordered
+        assert l_fac.shape == (ordered.shape[0], min(ordered.shape))
+        assert not np.triu(l_fac, 1).any()
+        gram = ordered @ ordered.T
+        assert np.allclose(l_fac @ l_fac.T, gram, rtol=0, atol=1e-12 * np.abs(gram).max())
 
     def test_data_lq_first_gives_the_same_bits(self, factorings):
         # Whichever call factors the data, the factor and the model are the
         # ones a fresh data matrix gives.
         dm = self.data()
-        l_fac, basis = data_lq(dm)
+        l_fac = data_lq(dm)
         pm = predictive_model(dm)
         fresh = assemble(dm.matrix, dm.dims, dm.l_ini, dm.l_f)
         ref = predictive_model(fresh)
-        ref_l, ref_q = data_lq(fresh)
+        ref_l = data_lq(fresh)
         assert list(map(id, factorings)) == [id(dm), id(fresh)]
-        for got, want in ((l_fac, ref_l), (basis, ref_q), (pm.M_ini, ref.M_ini),
-                          (pm.M_u, ref.M_u), (pm.cov, ref.cov)):
+        for got, want in ((l_fac, ref_l), (pm.M_ini, ref.M_ini), (pm.M_u, ref.M_u),
+                          (pm.cov, ref.cov)):
             assert got.tobytes() == want.tobytes()
+
+    def test_the_data_matrix_keeps_l_and_the_predictors_only(self, factorings):
+        # After identification and deepc's set-ups (both 2-norm routes),
+        # the store holds L and the predictor with L_F^+, and no array of
+        # D rows: neither Q nor the Householder reflectors.
+        dm = self.data()
+        pm = predictive_model(dm)
+        cp = ControlProblem.from_step_weights(dm.dims, dm.l_ini, dm.l_f)
+        w_ini = dm.past[:, 0]
+        for regularizer in ("proj2", "sq2"):
+            deepc(dm, w_ini, cp, regularizer, 1.0)
+        assert list(map(id, factorings)) == [id(dm)]
+        key = ("predictor", DEFAULT_RANK_TOL)
+        assert set(dm._lq) == {"l", key}
+        l_fac = dm._lq["l"]
+        kept_pm, free_pinv = dm._lq[key]
+        assert l_fac is data_lq(dm) and kept_pm is pm
+        rows, d = dm.matrix.shape
+        assert d > rows and l_fac.shape == (rows, rows)
+        assert free_pinv.shape == (rows, dm.free_rows.size) and not free_pinv.flags.writeable
 
     def test_a_replaced_data_matrix_factors_afresh(self, factorings):
         dm = self.data()

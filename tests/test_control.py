@@ -33,7 +33,7 @@ from gdpc.errors import (
     NotPositiveDefinite,
     ShapeError,
 )
-from gdpc.linalg import pinv, sym_eig, symmetrize
+from gdpc.linalg import matrix_rank, pinv, sym_eig, symmetrize
 from gdpc.plant import simulate, step
 from gdpc.qp import QpProblem, QpSettings, solve
 from gdpc.trajectory import SignalDims, build_data_matrix
@@ -446,6 +446,74 @@ class TestDeepcElimination:
             for got, want in ((res.u_f, ref.u_f), (res.y_pred.mean, ref.y_pred.mean)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
             assert res.objective == pytest.approx(ref.objective, rel=1e-12)
+
+
+def deepc_g_reference(dm, w_ini, res, cp, regularizer, lambda_g, rank_tol=1e-10):
+    """deepc's g as Q alpha, with W = L Q^T factored here by np.linalg.qr
+    and alpha = L_F^+ [w_ini; u] + beta from the plan: beta = -G^T t / D for
+    the eliminated form, t = (Q cov + kappa I)^-1 Q (mu_hat - y_ref), and
+    V_r Sigma_r^-1 U_r^T (y - mu_hat) for the (u, s, y) QP, with
+    G = L_Y - L_Y L_F^+ L_F the fit's residual and its SVD cut at rank_tol
+    max |L|."""
+    basis, upper = np.linalg.qr(dm.ordered.T)
+    l_fac = upper.T
+    n_free = dm.free_rows.size
+    l_free, l_out = l_fac[:n_free], l_fac[n_free:]
+    free_pinv = np.linalg.pinv(l_free, rcond=rank_tol)
+    resid = l_out - (l_out @ free_pinv) @ l_free
+    pm = predictive_model(dm, rank_tol)
+    mu_hat = pm.M_u @ res.u_f + pm.M_ini @ w_ini
+    if regularizer == "proj2" and lambda_g > 0.0 and not cp.has_output_box:
+        kappa = lambda_g / dm.n_columns
+        t = np.linalg.solve(cp.Q @ pm.cov + kappa * np.eye(cp.n_y), cp.Q @ (mu_hat - cp.y_ref))
+        beta = -resid.T @ t / dm.n_columns
+    else:
+        left, sing, right_t = np.linalg.svd(resid, full_matrices=False)
+        r = int(np.count_nonzero(sing > rank_tol * np.max(np.abs(l_fac))))
+        beta = right_t[:r].T @ ((left[:, :r].T @ (res.y_pred.mean - mu_hat)) / sing[:r])
+    return basis @ (free_pinv @ np.concatenate([w_ini, res.u_f]) + beta)
+
+
+def g_test_instances():
+    """Noisy data, noiseless data whose free block has full rank (the
+    triangular inverse) or not (the SVD pseudoinverse), and wide data with
+    D 15 < qL 22: (data matrix, w_ini, control problem)."""
+    rng = np.random.default_rng(29)
+    out = []
+    for _ in range(3):
+        inst = random_control_instance(rng, with_input_box=True)
+        out.append((inst.dm, inst.w_ini, inst.cp))
+    for l_ini, l_f in ((2, 3), (4, 2)):
+        model, dm, w_ini, _ = noiseless_instance(rng, l_ini=l_ini, l_f=l_f)
+        out.append((dm, w_ini, ControlProblem.from_step_weights(
+            model.dims, l_ini, l_f, q_diag=1.0, r_diag=0.2, y_ref=0.8, u_min=-0.5, u_max=0.5)))
+    model = random_stable_plant(rng, n=2, m=1, p=1)
+    traj = simulate(model, np.zeros(2), 1.0, steps=15 + 11 - 1, seed=29)
+    dm = build_data_matrix(traj, 3, 8)
+    fresh = simulate(model, np.zeros(2), 1.0, steps=5, seed=30)
+    out.append((dm, fresh.samples[-3:].reshape(-1), ControlProblem.from_step_weights(
+        model.dims, 3, 8, q_diag=1.0, r_diag=0.1, y_ref=0.8, u_min=-1.0, u_max=1.0)))
+    return out
+
+
+def test_g_is_q_alpha_of_an_independent_factorization():
+    # deepc forms g as W^T v without Q; the reference forms Q alpha.
+    noiseless = pinv_route = wide = 0
+    for dm, w_ini, cp in g_test_instances():
+        pm = predictive_model(dm)
+        rows, d = dm.matrix.shape
+        wide += d < rows
+        free_rank = matrix_rank(dm.free_block)
+        pinv_route += free_rank < dm.free_rows.size
+        noiseless += np.abs(pm.cov).max() <= 1e-12
+        for problem in (cp, _binding_output_box(pm, w_ini, cp)):
+            for regularizer, lambda_g in (("proj2", 0.0), ("proj2", 0.5), ("proj2", 50.0),
+                                          ("sq2", 5.0)):
+                res = deepc(dm, w_ini, problem, regularizer, lambda_g)
+                want = deepc_g_reference(dm, w_ini, res, problem, regularizer, lambda_g)
+                gap = np.linalg.norm(res.g - want) / np.linalg.norm(want)
+                assert gap <= 1e-10, (regularizer, lambda_g, problem.has_output_box, gap)
+    assert noiseless == 2 and pinv_route >= 1 and wide == 1
 
 
 class TestOptimistic:
@@ -929,6 +997,32 @@ class TestControlProblemValidation:
     def test_non_finite_reference_or_nan_bound_is_named(self, kw, name):
         with pytest.raises(ShapeError, match=name):
             ControlProblem.from_step_weights(SignalDims(1, 1), 3, 8, **kw)
+
+    @pytest.mark.parametrize("entry", ["spc", "ce", "optimistic", "robust", "hessian",
+                                       "lambda_threshold"])
+    @pytest.mark.parametrize("output_box", [False, True])
+    def test_a_model_of_other_sizes_is_a_shape_error(self, entry, output_box):
+        # A model identified at L_f 8 against a problem at L_f 6: each entry
+        # point names both shapes instead of failing inside a matmul.
+        model = random_stable_plant(np.random.default_rng(29), n=2, m=1, p=1)
+        traj = simulate(model, np.zeros(2), 1.0, steps=120, seed=29)
+        pm = predictive_model(build_data_matrix(traj, 3, 8))
+        cp = ControlProblem.from_step_weights(model.dims, 3, 6, y_min=-5.0 if output_box else None)
+        w_ini = traj.samples[:3].reshape(-1)
+        calls = {
+            "spc": lambda: spc(pm, w_ini, cp),
+            "ce": lambda: certainty_equivalence(pm, w_ini, cp),
+            "optimistic": lambda: optimistic(pm, w_ini, cp, lam=1.0),
+            "robust": lambda: robust(pm, w_ini, cp, lam=1e6),
+            "hessian": lambda: hessian(pm, cp, 1e6),
+            "lambda_threshold": lambda: lambda_threshold(pm, cp),
+        }
+        if entry == "robust" and output_box:  # robust rejects an output box first
+            with pytest.raises(ShapeError, match="output box"):
+                calls[entry]()
+            return
+        with pytest.raises(ShapeError, match=r"M_u is \(8, 8\), \(n_y, n_u\) is \(6, 6\)"):
+            calls[entry]()
 
     def test_infinite_bounds_are_allowed(self):
         cp = ControlProblem.from_step_weights(SignalDims(1, 1), 3, 8, u_min=-np.inf,
