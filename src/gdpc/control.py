@@ -15,7 +15,7 @@ output mean), subject to per-stack input boxes and optional output boxes.
   every case but the 1-norm with a positive weight solves the (u, s, y) QP
   that spc solves with an output box (:func:`_deepc_usy`), or, with the
   projected one, a positive weight and no output box, the input QP below
-  with s eliminated. The 1-norm with a positive weight keeps the raw g.
+  with s eliminated. The 1-norm with a positive weight keeps g = g+ - g-.
 * ``optimistic``: jointly picks the predicted mean inside a relative-entropy
   ball around the estimate to lower the expected cost (the regularized
   deepc problem in disguise for the projected regularizer).
@@ -63,11 +63,12 @@ them at deepc's first set-up), so a closed-loop run factors its data once.
 A set-up proves only what its construction does not already give. Z(kappa)
 takes one LAPACK gesv of Q cov with kappa added to its diagonal in place,
 and is (kappa gain + (kappa gain)^T) / 2; the input QP's P is H + H^T for
-the half-Hessian H = R + (M_u^T Z) M_u, exactly symmetric. Every QP but
-deepc's 1-norm epigraph is built from such parts and ControlProblem's
-read-only bounds by ``QpProblem._of_parts`` (see :mod:`gdpc.qp`), which
-keeps the finiteness scan of P and q and P's potrf proof and factor, but
-neither copies nor symmetrizes nor re-checks the bounds.
+the half-Hessian H = R + (M_u^T Z) M_u, exactly symmetric. Every QP is
+built by :func:`_input_qp` or, over (v, u, y), :func:`_tracking_qp`, from
+such parts and ControlProblem's read-only bounds by
+``QpProblem._of_parts`` (see :mod:`gdpc.qp`), which keeps the finiteness
+scan of P and q and P's potrf proof and factor, but neither copies nor
+symmetrizes nor re-checks the bounds.
 The equality-constrained QPs go to :func:`~gdpc.qp.solve`'s exact dual
 active-set method when their KKT matrix is nonsingular, and to ADMM
 otherwise; the KKT factorization is made by the first solve and shared by
@@ -124,7 +125,7 @@ from .linalg import (
     sym_eigenvalues,
     symmetrize,
 )
-from .qp import QpProblem, QpSettings, QpSolution, l1_epigraph, solve
+from .qp import QpProblem, QpSettings, QpSolution, solve
 from .trajectory import DataMatrix, SignalDims
 
 REGULARIZERS = ("proj2", "sq2", "l1")
@@ -360,17 +361,22 @@ def _tethered_weight(pm: PredictiveModel, cp: ControlProblem, kappa: float):
     return gain, 0.5 * (kappa_gain + kappa_gain.T)
 
 
+def _half_hessian(pm: PredictiveModel, cp: ControlProblem, z):
+    """(M_u^T Z, H), H = R + (M_u^T Z) M_u the input QP's half-Hessian."""
+    m_u_t_z = pm.M_u.T @ z
+    return m_u_t_z, cp.R + m_u_t_z @ pm.M_u
+
+
 def _input_qp(pm: PredictiveModel, cp: ControlProblem, z):
     """Set-up of min ||u - u_ref||_R^2 + ||M_u u + bias - y_ref||_Z^2 over
     the input box, the QP of every controller without an output box but for
     deepc's other forms (module docstring). Returns its step, (bias,
     settings) -> solution, which forms only the linear term
     2 (M_u^T Z (bias - y_ref) - R u_ref). P = 2 H is H + H^T for the
-    half-Hessian H = R + M_u^T Z M_u, exactly symmetric and bit for bit
-    2 symmetrize(H)."""
-    m_u_t_z = pm.M_u.T @ z
+    half-Hessian H (:func:`_half_hessian`), exactly symmetric and bit for
+    bit 2 symmetrize(H)."""
+    m_u_t_z, half = _half_hessian(pm, cp, z)
     r_u_ref = cp.R @ cp.u_ref
-    half = cp.R + m_u_t_z @ pm.M_u
     template = _qp_of_parts(P=half + half.T, q=np.zeros(cp.n_u),
                             lower=cp.u_lower, upper=cp.u_upper)
 
@@ -402,25 +408,29 @@ def _tethered_input_qp(pm: PredictiveModel, cp: ControlProblem, kappa: float):
     return step
 
 
-def _tracking_qp(cp: ControlProblem, head, a_eq, u_weight=None) -> QpProblem:
-    """The QP over x = (v, u, y): min 0.5 v^T head v + ||u - u_ref||_R^2
-    + ||y - y_ref||_Q^2 subject to A_eq x = b_eq, the input box on u and the
-    output box, if any, on y, with v free and b_eq zero for a step to
-    replace. spc's with an output box has no v; deepc's v is s
-    (:func:`_deepc_usy`, whose ``u_weight`` replaces R in the u block for
-    sq2) or, for l1, g (:func:`_deepc_l1`)."""
+def _tracking_qp(cp: ControlProblem, head, a_eq=None, u_weight=None, v_cost=0.0,
+                 v_lower=-np.inf, added=None) -> QpProblem:
+    """The QP over x = (v, u, y): min 0.5 v^T head v + v_cost sum(v) + 0.5
+    x^T added x + ||u - u_ref||_R^2 + ||y - y_ref||_Q^2 subject to any
+    A_eq x = b_eq, b_eq zero for a step to replace, v >= v_lower, the input
+    box on u and the output box, if any, on y; P is ``added``, written in
+    place, plus the blocks. spc's with an output box has no v; deepc's v is
+    s (:func:`_deepc_usy`, whose ``u_weight`` replaces R in the u block for
+    sq2) or, for l1, (g+, g-) (:func:`_deepc_l1`); optimistic's adds its
+    tether and has no A_eq (:func:`_optimistic_setup`)."""
     k, nu, ny = head.shape[0], cp.n_u, cp.n_y
-    p_mat = np.zeros((k + nu + ny, k + nu + ny))
-    p_mat[:k, :k] = head
-    p_mat[k : k + nu, k : k + nu] = 2.0 * (cp.R if u_weight is None else u_weight)
-    p_mat[k + nu :, k + nu :] = 2.0 * cp.Q
-    q_vec = np.concatenate([np.zeros(k), -2.0 * cp.R @ cp.u_ref, -2.0 * cp.Q @ cp.y_ref])
-    free = np.full(k, np.inf)
+    p_mat = np.zeros((k + nu + ny,) * 2) if added is None else added
+    p_mat[:k, :k] += head
+    p_mat[k : k + nu, k : k + nu] += 2.0 * (cp.R if u_weight is None else u_weight)
+    p_mat[k + nu :, k + nu :] += 2.0 * cp.Q
+    q_vec = np.concatenate([np.full(k, v_cost), -2.0 * cp.R @ cp.u_ref,
+                            -2.0 * cp.Q @ cp.y_ref])
     y_lower = cp.y_lower if cp.has_output_box else np.full(ny, -np.inf)
     y_upper = cp.y_upper if cp.has_output_box else np.full(ny, np.inf)
-    return _qp_of_parts(P=p_mat, q=q_vec, A_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]),
-                        lower=np.concatenate([-free, cp.u_lower, y_lower]),
-                        upper=np.concatenate([free, cp.u_upper, y_upper]))
+    return _qp_of_parts(P=p_mat, q=q_vec, A_eq=a_eq,
+                        b_eq=None if a_eq is None else np.zeros(a_eq.shape[0]),
+                        lower=np.concatenate([np.full(k, v_lower), cp.u_lower, y_lower]),
+                        upper=np.concatenate([np.full(k, np.inf), cp.u_upper, y_upper]))
 
 
 def _spc_setup(pm: PredictiveModel, cp: ControlProblem):
@@ -571,24 +581,22 @@ def _deepc_usy(dm: DataMatrix, cp: ControlProblem, regularizer: str, lambda_g: f
 
 
 def _deepc_l1(dm: DataMatrix, cp: ControlProblem, lambda_g: float, rank_tol: float):
-    """deepc with l1 and lambda_g > 0 (see :func:`deepc`): the QP over the
-    raw D-column g, u and y (:func:`_tracking_qp`) with the equality rows
-    W g = [w_ini; u; y] and the 1-norm through an epigraph
-    (:func:`~gdpc.qp.l1_epigraph`)."""
+    """deepc with l1 and lambda_g > 0 (see :func:`deepc`): the QP over
+    x = (g+, g-, u, y) (:func:`_tracking_qp`) with the raw D-column
+    g = g+ - g-, g+, g- >= 0 at the linear cost lambda_g on every entry, and
+    the equality rows W (g+ - g-) = [w_ini; u; y]. At a minimizer no entry
+    is positive in both halves (lowering both by the smaller keeps the rows
+    and lowers the cost), so the cost is lambda_g ||g||_1."""
     pm = predictive_model(dm, rank_tol)
-    d, n_ini = dm.n_columns, dm.dims.q * dm.l_ini
-    a_eq = np.zeros((n_ini + cp.n_u + cp.n_y, d + cp.n_u + cp.n_y))
-    a_eq[:, :d] = dm.ordered
-    a_eq[n_ini:, d:] = -np.eye(cp.n_u + cp.n_y)
-    template, keep = l1_epigraph(_tracking_qp(cp, np.zeros((d, d)), a_eq), lambda_g,
-                                 np.arange(d))
-    # b_eq is [w_ini; 0], with the epigraph's zero rows appended.
-    b_tail = np.zeros(template.n_eq - n_ini)
+    d, n_ini, nuy = dm.n_columns, dm.dims.q * dm.l_ini, cp.n_u + cp.n_y
+    a_eq = np.hstack([dm.ordered, -dm.ordered, -np.eye(n_ini + nuy, nuy, -n_ini)])
+    template = _tracking_qp(cp, np.zeros((2 * d, 2 * d)), a_eq, v_cost=lambda_g, v_lower=0.0)
+    b_tail = np.zeros(nuy)  # b_eq is [w_ini; 0]
 
     def step(w, settings):
         sol = _run_qp(template.updated(b_eq=np.concatenate([w, b_tail])), settings)
-        x = sol.x[keep]
-        g, u, y = x[:d], x[d : d + cp.n_u], x[d + cp.n_u :]
+        g = sol.x[:d] - sol.x[d : 2 * d]
+        u, y = sol.x[2 * d : 2 * d + cp.n_u], sol.x[2 * d + cp.n_u :]
         objective = (cp._deviation_cost(u - cp.u_ref, y - cp.y_ref)
                      + lambda_g * float(np.abs(g).sum()))
         return u, y, pm.cov, objective, sol, g
@@ -636,13 +644,14 @@ def deepc(
     invertible for every PSD cov and Q, so noiseless data are exact with no
     jitter. The reported objective is ||e||_Z^2 + ||u - u_ref||_R^2.
 
-    ``l1`` with ``lambda_g`` > 0 keeps the raw D-column g, since the 1-norm
-    is not rotation-invariant (:func:`_deepc_l1`). g has length D in every
-    case, and the covariance is the predictive one from the same L.
-    ``rank_tol`` truncates L_F^+, whose dropped directions join G.
-    ``verify`` checks both forms against a joint QP in the data's row-space
-    coordinates. Everything but w_ini is set up once per (dm, cp,
-    regularizer, lambda_g, rank_tol); see the module docstring.
+    ``l1`` with ``lambda_g`` > 0 keeps the raw D-column g = g+ - g-, since
+    the 1-norm is not rotation-invariant (:func:`_deepc_l1`). g has length
+    D in every case, and the covariance is the predictive one from the same
+    L. ``rank_tol`` truncates L_F^+, whose dropped directions join G.
+    ``verify`` checks the 2-norms against a joint QP in the data's row-space
+    coordinates and l1 against its epigraph form and optimality conditions.
+    Everything but w_ini is set up once per (dm, cp, regularizer, lambda_g,
+    rank_tol); see the module docstring.
     """
     if regularizer not in REGULARIZERS:
         raise ValueError(f"regularizer must be one of {REGULARIZERS}, got {regularizer!r}")
@@ -667,32 +676,25 @@ def _optimistic_setup(pm: PredictiveModel, cp: ControlProblem, lam: float, jitte
     jittered if it is not PD (:func:`~gdpc.behavior.jittered_cholesky`),
     J = T^-1 [-M_u I] and v = T^-1 bias, the tether is kappa ||J x - v||^2
     over x = (u, mean), so P = 2 blockdiag(R, Q) + 2 kappa J^T J and
-    q = -2 kappa J^T v - 2 [R u_ref; Q y_ref]."""
+    q = -2 kappa J^T v - 2 [R u_ref; Q y_ref], :func:`_tracking_qp`'s."""
     _check_sizes(pm, cp)
     kappa = 0.5 * lam
     if not cp.has_output_box:
         return _tethered_input_qp(pm, cp, kappa)
 
-    nu = cp.n_u
     inv_t, info = dtrtri(jittered_cholesky(pm.cov, jitter), lower=1)
     if info != 0:
         raise NotPositiveDefinite(f"the covariance's Cholesky factor is singular "
                                   f"(dtrtri info {info})")
     j_mat = np.hstack([-(inv_t @ pm.M_u), inv_t])
-    p_mat = (2.0 * kappa) * (j_mat.T @ j_mat)  # J^T J is exactly symmetric
-    p_mat[:nu, :nu] += 2.0 * cp.R
-    p_mat[nu:, nu:] += 2.0 * cp.Q
-    template = _qp_of_parts(P=p_mat, q=np.zeros(p_mat.shape[0]),
-                            lower=np.concatenate([cp.u_lower, cp.y_lower]),
-                            upper=np.concatenate([cp.u_upper, cp.y_upper]))
+    template = _tracking_qp(cp, np.zeros((0, 0)),  # J^T J is exactly symmetric
+                            added=(2.0 * kappa) * (j_mat.T @ j_mat))
     tether = (-2.0 * kappa) * j_mat.T
-    ref_lin = np.concatenate([2.0 * cp.R @ cp.u_ref, 2.0 * cp.Q @ cp.y_ref])
 
     def step(bias, settings):
         v = inv_t @ bias
-        sol = _run_qp(template.updated(q=tether @ v - ref_lin), settings)
-        u = sol.x[:nu]
-        mu = sol.x[nu:]
+        sol = _run_qp(template.updated(q=template.q + tether @ v), settings)
+        u, mu = sol.x[: cp.n_u], sol.x[cp.n_u :]
         resid = j_mat @ sol.x - v
         objective = cp._deviation_cost(u - cp.u_ref, mu - cp.y_ref) + kappa * float(resid @ resid)
         return u, mu, objective, sol
@@ -750,7 +752,7 @@ def hessian(pm: PredictiveModel, cp: ControlProblem, lam: float) -> HessianRepor
     except np.linalg.LinAlgError:
         raise LambdaTooSmall(f"lam*precision - Q is singular at lam={lam:g}",
                              lambda0=lam) from None
-    h = symmetrize(cp.R + pm.M_u.T @ z @ pm.M_u)
+    h = symmetrize(_half_hessian(pm, cp, z)[1])
     return HessianReport(matrix=h, psd=is_psd(h, 1e-10))
 
 

@@ -32,8 +32,7 @@ to ADMM.
   Its answer is returned only if it passes ADMM's own residual test at
   ``eps_abs``/``eps_rel`` with bound multipliers of the right sign. The
   (u, s, y) QPs of spc with an output box and of deepc (an output box, the
-  squared 2-norm, or lambda_g = 0) are of this kind, but not deepc's
-  1-norm epigraph.
+  squared 2-norm, or lambda_g = 0) are of this kind, but not deepc's 1-norm.
 * Every other problem goes to operator splitting on the consensus form
   l <= [A_eq; I] x <= u (``_admm``), the OSQP iteration: deterministic Ruiz
   equilibration, a regularized KKT factorization reused across iterations,
@@ -42,7 +41,7 @@ to ADMM.
   solves the reduced KKT system once the active set has settled. These are
   a P that is only semidefinite without equality rows, a singular KKT
   matrix (rank-deficient A_eq, or P singular on the null space of A_eq, as
-  in the 1-norm epigraph), and every equality QP whose dual active-set
+  in deepc's 1-norm QP), and every equality QP whose dual active-set
   answer is infeasible, hits ``max_iter`` or fails the residual test. An
   infeasible verdict is confirmed by ADMM: for equality rows that meet the
   box only at its boundary, rounding can make the dual method report the
@@ -107,11 +106,10 @@ passes once (P's copy is its symmetrized form); the arrays it makes itself
 |P|) are made read-only in place, and a problem without equality rows
 takes no finiteness scan of them.
 
-The controllers' set-ups (every one in ``control`` but the 1-norm
-epigraph of deepc, which :func:`l1_epigraph` builds by the constructor)
-build their QPs by ``QpProblem._of_parts`` instead, from arrays they have
-just formed out of ``PredictiveModel``'s and ``ControlProblem``'s checked
-arrays: P exactly symmetric by construction, the shapes consistent, the
+The controllers' set-ups build their QPs by ``QpProblem._of_parts``
+instead, from arrays they have just formed out of ``PredictiveModel``'s
+and ``ControlProblem``'s checked arrays: P exactly symmetric by
+construction, the shapes consistent, the
 bounds ``ControlProblem``'s, free of NaN with lower <= upper. It still
 proves what construction does not: one finiteness scan of P and of q (and
 of A_eq and b_eq when given), raising as the constructor does, and P's
@@ -562,9 +560,9 @@ def _kkt_factor(prob: QpProblem):
     """The LU factor of [P A_eq'; A_eq 0] if it is nonsingular to working
     precision, else None. Made by the first solve and kept, with [A_eq; I],
     in ``prob._kkt``, which every problem :meth:`QpProblem.updated` derives
-    shares. A P with fewer than n - n_eq nonzero columns is not factored:
-    the first block column [P; A_eq] then has rank below n, at most the
-    number of those columns plus n_eq."""
+    shares. A P with fewer than n - n_eq nonzero columns (deepc's 1-norm QP)
+    is not factored: the first block column [P; A_eq] then has rank below
+    n, at most the number of those columns plus n_eq."""
     kept = prob._kkt
     if "factor" not in kept:
         p, a, n, m = prob.P, prob.A_eq, prob.n, prob.n_eq
@@ -963,11 +961,11 @@ def _admm(prob: QpProblem, settings: QpSettings) -> QpSolution:
 def l1_epigraph(prob: QpProblem, weight: float, selector) -> tuple[QpProblem, np.ndarray]:
     """Augment the problem with weight * sum |x_i| over ``selector``.
 
-    Each selected variable is split as x_i = pos_i - neg_i with pos, neg >= 0
-    and linear cost weight on both, which is the epigraph of the absolute
-    value within the equality-plus-box problem class. Returns the augmented
-    problem and the indices of the original variables inside it, which is an
-    exact projection of any augmented minimizer.
+    Each selected x_i is linked to pos_i - neg_i, pos, neg >= 0 at linear
+    cost weight: the absolute value's epigraph, ``verify``'s oracle for
+    deepc's 1-norm QP, which splits g itself. Returns the augmented problem
+    and the indices of the original variables inside it, which is an exact
+    projection of any augmented minimizer.
     """
     if weight < 0.0:
         raise ValueError(f"weight must be nonnegative, got {weight}")

@@ -77,9 +77,10 @@ class VerifyReport:
         return out
 
 
-def _random_instance(rng, with_input_box=False, sizes=None, noise_var=0.01):
+def _random_instance(rng, with_input_box=False, sizes=None, noise_var=0.01, d_factor=None):
     """A random plant with n, m, p states, inputs and outputs (``sizes``, or
-    drawn), its data matrix and predictor from noise of variance
+    drawn), its data matrix of ``d_factor`` (or drawn, 2 to 4) times as many
+    columns as rows and its predictor, from noise of variance
     ``noise_var``, a history window and a tracking problem."""
     # Local import keeps the test-style generator out of library users' way.
     from .trajectory import build_data_matrix
@@ -97,7 +98,9 @@ def _random_instance(rng, with_input_box=False, sizes=None, noise_var=0.01):
     )
     dims = SignalDims(m, p)
     window = l_ini + l_f
-    d_cols = int(rng.integers(2, 5)) * dims.q * window
+    if d_factor is None:
+        d_factor = int(rng.integers(2, 5))
+    d_cols = d_factor * dims.q * window
     traj = simulate(model, np.zeros(n), 1.0, steps=window + d_cols - 1,
                     seed=int(rng.integers(2**31)))
     dm = build_data_matrix(traj, l_ini, l_f)
@@ -127,6 +130,7 @@ _CHILD_KEYS = {
     "box_qp_matches_independent_oracles": 2,
     "deepc_elimination_matches_joint_qp": 3,
     "optimistic_output_box_matches_precision_form": 4,
+    "deepc_l1_matches_epigraph_form": 5,
 }
 
 
@@ -571,6 +575,83 @@ def _check_deepc_elimination_matches_joint_qp(rng, mutate=None) -> CheckResult:
         tolerance=1e-9,
         detail=(f"g {worst_g:.1e} (tol 1e-7), statuses {sorted(statuses)}, "
                 f"QP sizes match the routes: {routed}, output box binds in {binding} solves"),
+    )
+
+
+def _l1_epigraph_deepc(dm, cp, lambda_g):
+    """deepc with l1 and lambda_g > 0 in its epigraph form: the QP over the
+    raw D-column g, u and y, with P zero on g, the rows W g = [w_ini; u; y]
+    from ``dm.ordered`` and the tracking cost's blocks, assembled here and
+    augmented by :func:`~gdpc.qp.l1_epigraph` with a free copy of g, two
+    nonnegative halves and D link rows. ``control.deepc`` poses the same
+    problem on the halves alone, so this is a second construction that
+    shares with it only the data. Returns the step, w_ini -> (u, y,
+    objective, solution), solved at the default settings."""
+    d, n_ini, nu, ny = dm.n_columns, dm.dims.q * dm.l_ini, cp.n_u, cp.n_y
+    n = d + nu + ny
+    p_mat = np.zeros((n, n))
+    p_mat[d : d + nu, d : d + nu] = 2.0 * cp.R
+    p_mat[d + nu :, d + nu :] = 2.0 * cp.Q
+    q_vec = np.concatenate([np.zeros(d), -2.0 * cp.R @ cp.u_ref, -2.0 * cp.Q @ cp.y_ref])
+    a_eq = np.hstack([dm.ordered, np.vstack([np.zeros((n_ini, nu + ny)), -np.eye(nu + ny)])])
+    y_lower = cp.y_lower if cp.has_output_box else np.full(ny, -np.inf)
+    y_upper = cp.y_upper if cp.has_output_box else np.full(ny, np.inf)
+    raw = QpProblem(P=p_mat, q=q_vec, A_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]),
+                    lower=np.concatenate([np.full(d, -np.inf), cp.u_lower, y_lower]),
+                    upper=np.concatenate([np.full(d, np.inf), cp.u_upper, y_upper]))
+    template, keep = l1_epigraph(raw, lambda_g, np.arange(d))
+    b_tail = np.zeros(template.n_eq - n_ini)
+
+    def step(w):
+        sol = solve(template.updated(b_eq=np.concatenate([w, b_tail])))
+        g, u, y = np.split(sol.x[keep], [d, d + nu])
+        return u, y, cp.tracking_cost(u, y) + lambda_g * float(np.abs(g).sum()), sol
+
+    return step
+
+
+def _check_deepc_l1_matches_epigraph_form(rng) -> CheckResult:
+    """``deepc`` with l1 against its epigraph form (``_l1_epigraph_deepc``):
+    plan and objective to 1e-7 relative. deepc's answer must also carry its
+    own optimality certificate, read from its solution and the data alone:
+    with nu the multipliers of the rows W g = [w_ini; u; y], those rows hold
+    to 1e-9 relative, |W_j^T nu| <= lambda_g (1 + 1e-6) for every column,
+    and W_j^T nu = -lambda_g sign(g_j) to 1e-6 relative on the support
+    (|g_j| above 1e-9 max |g|). Noisy SISO data (D 32 to 48) and a noisy
+    3x3 plant (D 48 to 72), at lambda_g 0.5 and 50, without and with a
+    binding output box (``_binding_output_box``); every solve must end
+    optimal. Noiseless data are not among them: there ADMM, on either form,
+    can end ``max_iter`` or stop unpolished 1e-5 from the optimum. Draws
+    from its own child generator (``_child``)."""
+    local = _child(rng, "deepc_l1_matches_epigraph_form")
+    instances = [_random_instance(local, with_input_box=True, sizes=sizes, d_factor=k)
+                 for sizes, k in (((2, 1, 1), 4), ((3, 3, 3), 2))]
+    worst, rows, bound, support, statuses = 0.0, 0.0, 0.0, 0.0, set()
+    for _, dm, pm, w_ini, cp in instances:
+        w_mat = dm.ordered
+        for problem in (cp, _binding_output_box(pm, w_ini, cp)):
+            for lambda_g in (0.5, 50.0):
+                res = ctl.deepc(dm, w_ini, problem, "l1", lambda_g)
+                u, y, objective, sol = _l1_epigraph_deepc(dm, problem, lambda_g)(w_ini)
+                statuses.update((sol.status, res.solver.status))
+                worst = max(worst, _rel(res.u_f, u), _rel(res.y_pred.mean, y),
+                            _rel(res.objective, objective))
+                target = np.concatenate([w_ini, res.u_f, res.y_pred.mean])
+                rows = max(rows, _rel(w_mat @ res.g, target))
+                pressure = w_mat.T @ res.solver.eq_duals  # W_j^T nu
+                bound = max(bound, float(np.max(np.abs(pressure))) / lambda_g - 1.0)
+                on = np.abs(res.g) > 1e-9 * np.max(np.abs(res.g))
+                support = max(support, float(np.max(
+                    np.abs(pressure[on] + lambda_g * np.sign(res.g[on])), initial=0.0)) / lambda_g)
+    residual = max(worst / 1e-7, rows / 1e-9, bound / 1e-6, support / 1e-6)
+    return CheckResult(
+        name="deepc_l1_matches_epigraph_form",
+        passed=residual <= 1.0 and statuses == {"optimal"},
+        residual=residual,
+        tolerance=1.0,
+        detail=(f"plan/objective {worst:.1e} (tol 1e-7), rows {rows:.1e} (tol 1e-9), "
+                f"max |W^T nu| / lambda_g - 1 {bound:.1e} (tol 1e-6), support "
+                f"{support:.1e} (tol 1e-6), statuses {sorted(statuses)}"),
     )
 
 
@@ -1020,6 +1101,7 @@ _THEOREM_CHECKS = (
     _check_spc_equals_certainty_equivalence,
     _check_projected_deepc_equals_optimistic,
     _check_deepc_elimination_matches_joint_qp,
+    _check_deepc_l1_matches_epigraph_form,
     _check_robust_dual_bounds_sampled_ball,
     _check_robust_hessian_matches_finite_differences,
     _check_hessian_reduces_to_input_weight_without_output_cost,

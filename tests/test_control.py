@@ -35,7 +35,7 @@ from gdpc.errors import (
 )
 from gdpc.linalg import matrix_rank, pinv, sym_eig, symmetrize
 from gdpc.plant import simulate, step
-from gdpc.qp import QpProblem, QpSettings, solve
+from gdpc.qp import QpProblem, QpSettings, l1_epigraph, solve
 from gdpc.trajectory import SignalDims, build_data_matrix
 from gdpc.verify import _binding_output_box, _certainty_equivalence_oracle
 
@@ -245,7 +245,7 @@ class TestDeepc:
         assert res.solver.x.size == cp.n_u + cp.n_y
 
     def test_l1_epigraph_takes_admm(self, monkeypatch):
-        # P is zero on g and on the epigraph variables: a singular KKT matrix.
+        # P is zero on both halves of g: a singular KKT matrix.
         inst = random_control_instance(np.random.default_rng(11), d_factor_max=2)
         paths = record_solver_paths(monkeypatch)
         res = deepc(inst.dm, inst.w_ini, inst.cp, regularizer="l1", lambda_g=0.1)
@@ -270,32 +270,43 @@ class TestDeepc:
         assert np.linalg.norm(kernel_part) <= 1e-6 * max(1.0, np.linalg.norm(res.g))
 
 
-def raw_deepc_plan(dm, w_ini, cp, regularizer, lambda_g):
-    """The deepc QP over all D columns of g, assembled here from the raw
-    data matrix: the reference for the row-space route."""
+def raw_deepc_qp(dm, w_ini, cp, g_block):
+    """The deepc QP over all D columns of g, u and y, assembled here from
+    the raw data matrix, with the cost 0.5 g^T g_block g on g: the reference
+    for the row-space route and, with g_block zero and ``l1_epigraph``, for
+    the 1-norm."""
     d, nu, ny = dm.n_columns, cp.n_u, cp.n_y
     n = d + nu + ny
     p_mat = np.zeros((n, n))
-    if regularizer == "proj2":
-        free = dm.free_block
-        p_mat[:d, :d] = 2.0 * lambda_g * (np.eye(d) - pinv(free) @ free)
-    else:
-        p_mat[:d, :d] = 2.0 * lambda_g * np.eye(d)
+    p_mat[:d, :d] = g_block
     p_mat[d : d + nu, d : d + nu] = 2.0 * cp.R
     p_mat[d + nu :, d + nu :] = 2.0 * cp.Q
     q_vec = np.concatenate([np.zeros(d), -2.0 * cp.R @ cp.u_ref, -2.0 * cp.Q @ cp.y_ref])
     a_eq = np.hstack([dm.ordered, np.vstack([np.zeros((w_ini.size, nu + ny)),
                                              -np.eye(nu + ny)])])
     b_eq = np.concatenate([w_ini, np.zeros(nu + ny)])
-    lower = np.concatenate([np.full(d, -np.inf), cp.u_lower, np.full(ny, -np.inf)])
-    upper = np.concatenate([np.full(d, np.inf), cp.u_upper, np.full(ny, np.inf)])
-    sol = solve(QpProblem(P=p_mat, q=q_vec, A_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper))
-    return sol.x[d : d + nu]
+    box = cp.has_output_box
+    lower = np.concatenate([np.full(d, -np.inf), cp.u_lower,
+                            cp.y_lower if box else np.full(ny, -np.inf)])
+    upper = np.concatenate([np.full(d, np.inf), cp.u_upper,
+                            cp.y_upper if box else np.full(ny, np.inf)])
+    return QpProblem(P=p_mat, q=q_vec, A_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper)
+
+
+def raw_deepc_plan(dm, w_ini, cp, regularizer, lambda_g):
+    """The plan of :func:`raw_deepc_qp` with proj2's or sq2's penalty."""
+    d = dm.n_columns
+    if regularizer == "proj2":
+        free = dm.free_block
+        g_block = 2.0 * lambda_g * (np.eye(d) - pinv(free) @ free)
+    else:
+        g_block = 2.0 * lambda_g * np.eye(d)
+    return solve(raw_deepc_qp(dm, w_ini, cp, g_block)).x[d : d + cp.n_u]
 
 
 class TestDeepcRowSpace:
     """proj2 and sq2 solve a QP whose size does not depend on D; l1 keeps
-    the raw D-column g."""
+    the raw D-column g, as the difference of two nonnegative halves."""
 
     L_INI, L_F = 2, 3
 
@@ -346,9 +357,9 @@ class TestDeepcRowSpace:
         dm = self.data(model, 40, seed=3)
         res = deepc(dm, w_ini, cp, "l1", lambda_g=0.5)
         d = dm.n_columns
-        # g, u_f, y_f and the two epigraph halves of g.
-        assert res.solver.x.size == 3 * d + cp.n_u + cp.n_y
-        assert np.array_equal(res.g, res.solver.x[:d])
+        # The two halves of g, u_f and y_f.
+        assert res.solver.x.size == 2 * d + cp.n_u + cp.n_y
+        assert np.array_equal(res.g, res.solver.x[:d] - res.solver.x[d : 2 * d])
 
     def test_rank_tol_reaches_the_regularizer(self):
         rng = np.random.default_rng(15)
@@ -363,7 +374,7 @@ class TestDeepcRowSpace:
 
 class TestDeepcElimination:
     """proj2 with lambda_g > 0 and no output box eliminates g and solves the
-    input QP; l1 with lambda_g > 0 keeps the raw (g, u, y) QP; every other
+    input QP; l1 with lambda_g > 0 keeps the raw (g+, g-, u, y) QP; every other
     case solves the joint QP over (s, u, y), s the coordinates of the fit's
     residual directions."""
 
@@ -398,8 +409,8 @@ class TestDeepcElimination:
         res = deepc(inst.dm, inst.w_ini, inst.cp, regularizer, lambda_g)
         assert paths == [path] and res.solver.status == "optimal"
         nu, ny, d = inst.cp.n_u, inst.cp.n_y, inst.dm.n_columns
-        if regularizer == "l1":  # g, u, y and the epigraph's two halves of g
-            assert res.solver.x.size == 3 * d + nu + ny
+        if regularizer == "l1":  # the two halves of g, u and y
+            assert res.solver.x.size == 2 * d + nu + ny
             return
         # Noisy data with D >= qL: the residual G has full rank, r = n_y.
         assert res.solver.x.size == nu + 2 * ny
@@ -446,6 +457,84 @@ class TestDeepcElimination:
             for got, want in ((res.u_f, ref.u_f), (res.y_pred.mean, ref.y_pred.mean)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
             assert res.objective == pytest.approx(ref.objective, rel=1e-12)
+
+
+class TestDeepcL1:
+    """deepc with l1 and lambda_g > 0 solves the QP over g = g+ - g- with
+    g+, g- >= 0 at the linear cost lambda_g, u and y: 2D + n_u + n_y
+    variables and the q L_ini + n_u + n_y rows W (g+ - g-) = [w_ini; u; y].
+    Its plan is that of the epigraph form of the raw (g, u, y) QP."""
+
+    LAMBDA_G = 5.0
+
+    @staticmethod
+    def instance(kind):
+        """(dm, pm, w_ini, cp) of noisy SISO data (D 40), noiseless SISO data
+        (D 30) or noisy 3x3 data (D 60), with L_ini 2 and L_f 3."""
+        rng = np.random.default_rng(91)
+        if kind == "noiseless":
+            model, dm, w_ini, _ = noiseless_instance(rng)
+        else:
+            n, m, columns = (2, 1, 40) if kind == "noisy" else (3, 3, 60)
+            model = random_stable_plant(rng, n=n, m=m, p=m)
+            traj = simulate(model, np.zeros(n), 1.0, steps=columns + 4, seed=92)
+            dm = build_data_matrix(traj, 2, 3)
+            w_ini = simulate(model, np.zeros(n), 1.0, steps=4, seed=93).samples[-2:].reshape(-1)
+        cp = ControlProblem.from_step_weights(model.dims, 2, 3, q_diag=1.0, r_diag=0.2,
+                                              y_ref=0.8, u_min=-0.5, u_max=0.5)
+        return dm, predictive_model(dm), w_ini, cp
+
+    @pytest.mark.parametrize("output_box", [False, True])
+    @pytest.mark.parametrize("kind", ["noisy", "noiseless", "3x3"])
+    def test_matches_the_epigraph_form(self, kind, output_box, monkeypatch):
+        dm, pm, w_ini, cp = self.instance(kind)
+        if output_box:
+            cp = _binding_output_box(pm, w_ini, cp)
+        solved, run = [], control.solve
+        monkeypatch.setattr(control, "solve", lambda prob, *args: solved.append(prob)
+                            or run(prob, *args))
+        res = deepc(dm, w_ini, cp, "l1", self.LAMBDA_G)
+        d, nu, ny = dm.n_columns, cp.n_u, cp.n_y
+        (prob,) = solved
+        assert (prob.n, prob.n_eq) == (2 * d + nu + ny, w_ini.size + nu + ny)
+        assert np.array_equal(res.g, res.solver.x[:d] - res.solver.x[d : 2 * d])
+        epigraph, keep = l1_epigraph(raw_deepc_qp(dm, w_ini, cp, np.zeros((d, d))),
+                                     self.LAMBDA_G, np.arange(d))
+        ref = solve(epigraph)
+        g, u, y = np.split(ref.x[keep], [d, d + nu])
+        assert res.solver.status == ref.status == "optimal"
+        for got, want in ((res.u_f, u), (res.y_pred.mean, y)):
+            assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
+        objective = cp.tracking_cost(u, y) + self.LAMBDA_G * np.abs(g).sum()
+        assert res.objective == pytest.approx(objective, rel=1e-8)
+
+    def test_steps_after_the_first_build_and_validate_nothing(self, monkeypatch):
+        # A second call on the same set-up forms b_eq and solves; the
+        # predictor, the QP and P's proof belong to the first call.
+        dm, _, w_ini, cp = self.instance("noisy")
+        deepc(dm, w_ini, cp, "l1", self.LAMBDA_G)
+        ran = []
+
+        def noted(label, fn):
+            def call(*args, **kw):
+                ran.append(label(*args) if callable(label) else label)
+                return fn(*args, **kw)
+            return call
+
+        for module in (behavior, control, linalg, qp):
+            for name in ("symmetrize", "is_psd", "chol_psd", "sym_eig", "pinv",
+                         "predictive_model"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, noted(name, getattr(module, name)))
+        for cls in (QpProblem, behavior.ConditionalGaussian):
+            monkeypatch.setattr(cls, "__post_init__",
+                                noted(f"{cls.__name__}.__post_init__", cls.__post_init__))
+        monkeypatch.setattr(control, "_qp_of_parts", noted("_of_parts", control._qp_of_parts))
+        monkeypatch.setattr(qp, "dpotrf", noted(lambda a: ("potrf", a.shape[0]), qp.dpotrf))
+        res = deepc(dm, w_ini + 0.1, cp, "l1", self.LAMBDA_G)
+        assert res.solver.status == "optimal" and dm.n_columns == 40
+        n = res.solver.x.size
+        assert [entry for entry in ran if isinstance(entry, str) or entry == ("potrf", n)] == []
 
 
 def deepc_g_reference(dm, w_ini, res, cp, regularizer, lambda_g, rank_tol=1e-10):
@@ -686,6 +775,38 @@ class TestOptimisticSquareRootForm:
                 assert np.max(np.abs(solved[0].q - q_ref)) <= 1e-12 * np.max(np.abs(q_ref))
                 # J^T J is exactly symmetric, so P needs no symmetrizing.
                 assert np.array_equal(built[0], built[0].T)
+
+    @staticmethod
+    def direct_assembly(pm, w_ini, cp, lam, jitter):
+        """The (u, mean) QP of one step assembled directly, not by
+        ``control._tracking_qp``: P = 2 kappa J^T J with 2R and 2Q added to
+        its diagonal blocks, q = -2 kappa J^T v - [2 R u_ref; 2 Q y_ref]."""
+        kappa, nu = 0.5 * lam, cp.n_u
+        inv_t = control.dtrtri(behavior.jittered_cholesky(pm.cov, jitter), lower=1)[0]
+        j_mat = np.hstack([-(inv_t @ pm.M_u), inv_t])
+        p_mat = (2.0 * kappa) * (j_mat.T @ j_mat)
+        p_mat[:nu, :nu] += 2.0 * cp.R
+        p_mat[nu:, nu:] += 2.0 * cp.Q
+        ref_lin = np.concatenate([2.0 * cp.R @ cp.u_ref, 2.0 * cp.Q @ cp.y_ref])
+        q_vec = (-2.0 * kappa) * j_mat.T @ (inv_t @ (pm.M_ini @ w_ini)) - ref_lin
+        return QpProblem(P=p_mat, q=q_vec, lower=np.concatenate([cp.u_lower, cp.y_lower]),
+                         upper=np.concatenate([cp.u_upper, cp.y_upper]))
+
+    def test_qp_is_the_direct_assembly_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        singular = self.rank_one_instance()
+        cases = [(singular, 1e-9)]
+        for _ in range(4):
+            inst = random_control_instance(rng, with_input_box=True, with_output_box=True)
+            cases.append(((inst.pm, inst.w_ini, inst.cp), 1e-9))
+        for (pm, w_ini, cp), jitter in cases:
+            for lam in (0.2, 10.0, 500.0):
+                _, solved = self.captured(monkeypatch)
+                optimistic(pm, w_ini, cp, lam, jitter=jitter)
+                want = self.direct_assembly(pm, w_ini, cp, lam, jitter)
+                for name in QP_FIELDS:
+                    a, b = getattr(solved[0], name), getattr(want, name)
+                    assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), (lam, name)
 
     @staticmethod
     def rank_one_instance():
@@ -1279,8 +1400,8 @@ QP_FIELDS = ("P", "q", "A_eq", "b_eq", "lower", "upper", "_p_factor", "_abs_p")
 
 
 class TestSetUpQps:
-    """Every set-up but deepc's 1-norm builds its QP by
-    ``QpProblem._of_parts`` from parts it has checked, and gets the problem
+    """Every set-up builds its QP by ``QpProblem._of_parts`` from parts it
+    has checked, and gets the problem
     the validating constructor builds of the same arrays, field for field;
     the tethered weight is one LAPACK gesv."""
 
@@ -1320,6 +1441,8 @@ class TestSetUpQps:
             ("deepc proj2 output box", on_dm(boxed, "proj2", 5.0)),
             ("deepc sq2", on_dm(plain, "sq2", 5.0)),
             ("deepc lambda_g 0", on_dm(plain, "proj2", 0.0)),
+            ("deepc l1", on_dm(plain, "l1", 0.5)),
+            ("deepc l1 output box", on_dm(boxed, "l1", 0.5)),
             ("optimistic", on(plain, optimistic, 5.0)),
             ("optimistic output box", on(boxed, optimistic, 5.0)),
             ("robust", on(plain, robust, 2.0 * lam0)),
@@ -1343,7 +1466,7 @@ class TestSetUpQps:
             if want.n_eq == 0:
                 assert got._p_factor is not None and got._abs_p is not None, label
 
-    def test_deepc_l1_keeps_the_constructor(self, monkeypatch):
+    def test_deepc_l1_builds_by_of_parts(self, monkeypatch):
         built = self.captured(monkeypatch)
         inits = []
         post_init = QpProblem.__post_init__
@@ -1351,8 +1474,8 @@ class TestSetUpQps:
                             lambda self: inits.append(1) or post_init(self))
         inst = self.instance(83)
         deepc(inst.dm, inst.w_ini, inst.cp, "l1", 0.5)
-        # _tracking_qp's (g, u, y) QP, then l1_epigraph's validated problem.
-        assert len(built) == 1 and inits == [1]
+        # _tracking_qp's (g+, g-, u, y) QP, and no validating constructor.
+        assert len(built) == 1 and inits == []
 
     def test_an_overflowing_p_raises(self):
         # 2 kappa J^T J overflows at lam 1e308, as the constructor found.

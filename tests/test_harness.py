@@ -728,6 +728,23 @@ class TestVerify:
         failed = {c.name for c in report.checks if not c.passed}
         assert failed == {"deepc_elimination_matches_joint_qp"}
 
+    def test_l1_check_detects_a_halved_cost_on_the_negative_half(self, monkeypatch):
+        # deepc's 1-norm QP with lambda_g / 2 on g-: the split no longer
+        # prices |g|, and its plan leaves the epigraph form's.
+        tracking_qp = control._tracking_qp
+
+        def halved(cp, head, *args, **kw):
+            prob = tracking_qp(cp, head, *args, **kw)
+            if "v_lower" not in kw:
+                return prob
+            q, d = prob.q.copy(), head.shape[0] // 2
+            q[d : 2 * d] *= 0.5
+            return prob.updated(q=q)
+
+        monkeypatch.setattr(control, "_tracking_qp", halved)
+        failed = {c.name for c in verify("theorems", seed=0).checks if not c.passed}
+        assert failed == {"deepc_l1_matches_epigraph_form"}
+
     def test_box_qp_oracle_detects_an_early_stop(self, monkeypatch):
         assert verify("solver", seed=0).all_passed
         active_set = qp._active_set
