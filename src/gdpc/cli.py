@@ -57,9 +57,6 @@ def _grid(text: str) -> list[str]:
 # argparse keywords. A subcommand takes the flags whose values it reads.
 _CONFIG_FLAGS = {
     "--rank-tol": ("rank_tol", dict(type=float, help="relative singular-value cutoff")),
-    "--jitter": ("jitter", dict(
-        type=float, help="relative jitter of optimistic's covariance factor with an output "
-                         "box, the only place jitter is applied")),
     "--eps-abs": ("solver.eps_abs", dict(
         type=float, help="absolute tolerance: ADMM's, and that of the residual test an "
                          "exact equality-constrained solve must pass; the box-only "
@@ -69,7 +66,7 @@ _CONFIG_FLAGS = {
                                                 help="controller to solve")),
     "--grid": ("control.lambda_grid", dict(type=_grid, help="comma-separated ascending weights")),
 }
-_RUN_FLAGS = ("--rank-tol", "--jitter", "--eps-abs", "--plant")
+_RUN_FLAGS = ("--rank-tol", "--eps-abs", "--plant")
 
 
 def _add_config_flags(parser, *flags):

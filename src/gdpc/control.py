@@ -37,14 +37,13 @@ W diag(kappa Lambda / (kappa + Lambda)) W^T: optimistic <= certainty
 equivalence <= robust, and robust needs lam > max Lambda. max Lambda is
 the same for every square root L of cov, so robust's lambda0 takes it from
 the one of cov's eigendecomposition (:func:`~gdpc.linalg.psd_factor`),
-which a singular covariance has too: it needs no jitter. The jitter
-reaches only optimistic with an output box, whose (u, mean) QP is in
-square-root form: with T the lower Cholesky factor of cov, jittered if cov
-is not PD, the tether kappa ||mean - mu_hat||^2 over cov is kappa ||J x -
-T^-1 bias||^2 over x = (u, mean), J = T^-1 [-M_u I], so the QP takes one
-triangular inverse and never forms the precision. ``verify`` checks Z and
-both controllers against the spectral form, and that QP against its
-precision form.
+which a singular covariance has too. optimistic with an output box solves
+a (u, mean) QP in square-root form from cov's pivoted Cholesky factor: it
+tethers the directions whose variance working precision resolves against
+kappa and holds the others as equality rows (:func:`_optimistic_setup`),
+for a PD and a singular cov alike, with no precision and no jitter.
+``verify`` checks Z and both controllers against the spectral form, and
+that QP against its precision form and the (u, s, y) QP.
 
 Per-run set-up. In a receding-horizon run only the history window w_ini
 changes from one call to the next. Each controller is therefore a set-up,
@@ -54,35 +53,35 @@ right-hand side of the (u, s, y) QP (with sq2 also the linear term) and of
 deepc's 1-norm QP. The set-up holds the output weight Z, M_u^T Z and the
 QP with its bounds, PSD proof and Cholesky factor; for certainty
 equivalence also tr(Q cov); for optimistic and robust the map to the mean,
-or with optimistic's output box T^-1 and J, from which a step forms T^-1
-bias, the linear term and the tether; for deepc the maps to the mean and
-to the vector v with g = W^T v (no LQ basis Q). deepc reads the LQ factor
-L, the predictor and L_F^+ from the data matrix, which keeps them from
-identification's :func:`~gdpc.behavior.predictive_model` call (or makes
-them at deepc's first set-up), so a closed-loop run factors its data once.
-A set-up proves only what its construction does not already give. Z(kappa)
-takes one LAPACK gesv of Q cov with kappa added to its diagonal in place,
-and is (kappa gain + (kappa gain)^T) / 2; the input QP's P is H + H^T for
-the half-Hessian H = R + (M_u^T Z) M_u, exactly symmetric. Every QP is
-built by :func:`_input_qp` or, over (v, u, y), :func:`_tracking_qp`, from
-such parts and ControlProblem's read-only bounds by
-``QpProblem._of_parts`` (see :mod:`gdpc.qp`), which keeps the finiteness
-scan of P and q and P's potrf proof and factor, but neither copies nor
-symmetrizes nor re-checks the bounds.
-The equality-constrained QPs go to :func:`~gdpc.qp.solve`'s exact dual
-active-set method when their KKT matrix is nonsingular, and to ADMM
-otherwise; the KKT factorization is made by the first solve and shared by
-the later ones (:meth:`QpProblem.updated`), while ADMM sets up afresh at
-every solve. Each controller keeps its last set-up, keyed by the identity
-of the model (``pm`` or ``dm``) and of ``cp``, both held so that their ids
-cannot be reused, and by the equality of the parameters the set-up reads:
-lam (and, with an output box, optimistic's jitter), or deepc's
-regularizer, lambda_g and rank_tol. The QP settings reach only the solve.
-The arrays of PredictiveModel, DataMatrix and ControlProblem are
-read-only, so an in-place write raises instead of leaving a stale set-up;
-a different model is a different object. A step evaluates the expressions of a one-shot call
-with the constant parts computed once ((M_u^T Z) v is what M_u^T Z v
-evaluates), so its results are bit for bit those of a fresh set-up.
+or with optimistic's output box [S; N^T] and J, from which a step forms
+[S; N^T] bias, the linear term, the tether and any equality right-hand
+side; for deepc the maps to the mean and to the vector v with g = W^T v
+(no LQ basis Q). deepc reads the LQ factor L, the predictor and L_F^+ from
+the data matrix, which keeps them from identification's
+:func:`~gdpc.behavior.predictive_model` call (or makes them at deepc's
+first set-up), so a closed-loop run factors its data once. A set-up proves
+only what its construction does not already give. Z(kappa) takes one
+LAPACK gesv of Q cov with kappa added to its diagonal in place, and is
+(kappa gain + (kappa gain)^T) / 2; the input QP's P is H + H^T for the
+half-Hessian H = R + (M_u^T Z) M_u, exactly symmetric. Every QP is built
+by :func:`_input_qp` or, over (v, u, y), :func:`_tracking_qp`, from such
+parts and ControlProblem's read-only bounds by ``QpProblem._of_parts``
+(see :mod:`gdpc.qp`), which keeps the finiteness scan of P and q and P's
+potrf proof and factor, but neither copies nor symmetrizes nor re-checks
+the bounds. The equality-constrained QPs go to :func:`~gdpc.qp.solve`'s
+exact dual active-set method when their KKT matrix is nonsingular, and to
+ADMM otherwise; the KKT factorization is made by the first solve and
+shared by the later ones (:meth:`QpProblem.updated`), while ADMM sets up
+afresh at every solve. Each controller keeps its last set-up, keyed by the
+identity of the model (``pm`` or ``dm``) and of ``cp``, both held so that
+their ids cannot be reused, and by the equality of the parameters the
+set-up reads: lam, or deepc's regularizer, lambda_g and rank_tol. The QP
+settings reach only the solve. The arrays of PredictiveModel, DataMatrix
+and ControlProblem are read-only, so an in-place write raises instead of
+leaving a stale set-up; a different model is a different object. A step
+evaluates the expressions of a one-shot call with the constant parts
+computed once ((M_u^T Z) v is what M_u^T Z v evaluates), so its results
+are bit for bit those of a fresh set-up.
 
 A step checks what depends on its call, w_ini's length and finiteness and
 the QP's new vector, and validates nothing that the set-up has: its QP is
@@ -102,17 +101,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dtrtri
+from scipy.linalg.lapack import dgesv, dpstrf, dtrtrs
 
 from .behavior import (
     ConditionalGaussian,
     PredictiveModel,
     _kept_predictor,
     data_lq,
-    jittered_cholesky,
     predictive_model,
 )
-from .errors import InfeasibleProblem, LambdaTooSmall, NotPositiveDefinite, ShapeError
+from .errors import InfeasibleProblem, LambdaTooSmall, ShapeError
 # Not called here; benchmarks/tracing.py wraps control.chol_psd and
 # control.pinv by name.
 from .linalg import chol_psd, pinv  # noqa: F401
@@ -129,8 +127,6 @@ from .qp import QpProblem, QpSettings, QpSolution, solve
 from .trajectory import DataMatrix, SignalDims
 
 REGULARIZERS = ("proj2", "sq2", "l1")
-
-DEFAULT_JITTER = 1e-9
 
 # The set-ups' constructor, bound here: benchmarks/tracing.py rebinds
 # control.QpProblem to a plain function, through which it is not reachable.
@@ -417,7 +413,7 @@ def _tracking_qp(cp: ControlProblem, head, a_eq=None, u_weight=None, v_cost=0.0,
     place, plus the blocks. spc's with an output box has no v; deepc's v is
     s (:func:`_deepc_usy`, whose ``u_weight`` replaces R in the u block for
     sq2) or, for l1, (g+, g-) (:func:`_deepc_l1`); optimistic's adds its
-    tether and has no A_eq (:func:`_optimistic_setup`)."""
+    tether and holds cov's unresolved directions (:func:`_optimistic_setup`)."""
     k, nu, ny = head.shape[0], cp.n_u, cp.n_y
     p_mat = np.zeros((k + nu + ny,) * 2) if added is None else added
     p_mat[:k, :k] += head
@@ -668,34 +664,48 @@ def deepc(
                                    lambda_g, g)
 
 
-def _optimistic_setup(pm: PredictiveModel, cp: ControlProblem, lam: float, jitter: float):
+def _pivoted_cholesky(cov, tau: float):
+    """(L, piv, r): pstrf's Pi^T cov Pi = L L^T with complete pivoting, stopped
+    at its default tolerance n u max diag(cov), the rounding of cov; its
+    1-based pivots; and r, the count of L_kk^2 above ``tau`` among them."""
+    fac, piv, rank, _ = dpstrf(cov, lower=1)
+    return fac, piv, int(np.count_nonzero(fac.diagonal()[:rank] ** 2 > tau))
+
+
+def _optimistic_setup(pm: PredictiveModel, cp: ControlProblem, lam: float):
     """optimistic's set-up; its step maps (bias, settings) to (u, mean,
     objective, solution), and without an output box also t
     (:func:`_tethered_input_qp`). With an output box, the (u, mean) QP in
-    square-root form: with T the lower Cholesky factor of the covariance,
-    jittered if it is not PD (:func:`~gdpc.behavior.jittered_cholesky`),
-    J = T^-1 [-M_u I] and v = T^-1 bias, the tether is kappa ||J x - v||^2
-    over x = (u, mean), so P = 2 blockdiag(R, Q) + 2 kappa J^T J and
-    q = -2 kappa J^T v - 2 [R u_ref; Q y_ref], :func:`_tracking_qp`'s."""
+    square-root form. A direction of variance d adds kappa / d to P, which
+    working precision cannot tell from a constraint beyond s / (n eps)
+    (``qp._nonsingular_lu``'s rule; s = max diag(R, Q), n = n_u + n_y). So the
+    r pivots of :func:`_pivoted_cholesky` above kappa n eps / s are tethered
+    and the rest held: with [S; N^T] = [L_11 0; L_21 I]^-1 Pi^T, S of r rows,
+    the tether is kappa ||J x - S bias||^2 over x = (u, mean), J = S [-M_u I],
+    and N^T [-M_u I] x = N^T bias are the equality rows. Noisy data give
+    r = n_y, a box-only QP; noiseless data r = 0, spc's (u, y) QP with its
+    rows permuted."""
     _check_sizes(pm, cp)
     kappa = 0.5 * lam
     if not cp.has_output_box:
         return _tethered_input_qp(pm, cp, kappa)
 
-    inv_t, info = dtrtri(jittered_cholesky(pm.cov, jitter), lower=1)
-    if info != 0:
-        raise NotPositiveDefinite(f"the covariance's Cholesky factor is singular "
-                                  f"(dtrtri info {info})")
-    j_mat = np.hstack([-(inv_t @ pm.M_u), inv_t])
-    template = _tracking_qp(cp, np.zeros((0, 0)),  # J^T J is exactly symmetric
-                            added=(2.0 * kappa) * (j_mat.T @ j_mat))
+    ny, top = cp.n_y, max(cp.R.diagonal().max(), cp.Q.diagonal().max())
+    fac, piv, r = _pivoted_cholesky(pm.cov, kappa * (cp.n_u + ny) * np.finfo(float).eps / top)
+    fac[r:, r:] = np.eye(ny - r)  # [L_11 0; L_21 I]; trtrs reads its lower triangle
+    w_map = dtrtrs(fac, np.eye(ny)[piv - 1], lower=1)[0]  # [S; N^T]
+    lifted = np.hstack([-(w_map @ pm.M_u), w_map])  # [S; N^T] [-M_u I]
+    j_mat = lifted[:r]
+    template = _tracking_qp(cp, np.zeros((0, 0)), lifted[r:] if r < ny else None,
+                            added=(2.0 * kappa) * (j_mat.T @ j_mat))  # exactly symmetric
     tether = (-2.0 * kappa) * j_mat.T
 
     def step(bias, settings):
-        v = inv_t @ bias
-        sol = _run_qp(template.updated(q=template.q + tether @ v), settings)
+        w = w_map @ bias  # [S bias; N^T bias]
+        prob = template.updated(q=template.q + tether @ w[:r], b_eq=w[r:] if r < ny else None)
+        sol = _run_qp(prob, settings)
         u, mu = sol.x[: cp.n_u], sol.x[cp.n_u :]
-        resid = j_mat @ sol.x - v
+        resid = j_mat @ sol.x - w[:r]
         objective = cp._deviation_cost(u - cp.u_ref, mu - cp.y_ref) + kappa * float(resid @ resid)
         return u, mu, objective, sol
 
@@ -708,31 +718,26 @@ def optimistic(
     cp: ControlProblem,
     lam: float,
     settings: QpSettings | None = None,
-    jitter: float = DEFAULT_JITTER,
+    jitter: float = 1e-9,
 ) -> ControlResult:
     """Jointly optimize the input and the predicted output mean, with the
     mean tethered to the estimate by lam/2 times its precision-weighted
     squared distance (the mean term of the relative entropy). Without an
     output box the mean is eliminated: the input QP with the weight Z(kappa),
     kappa = lam/2, and the mean mu_hat - cov (Q cov + kappa I)^-1 Q (mu_hat
-    - y_ref) (module docstring), which needs no precision, so a singular
-    covariance needs no jitter. The reported objective is then the
-    eliminated value ||mu_hat - y_ref||_Z^2 + ||u - u_ref||_R^2, which,
-    unlike the tether term, does not multiply a rounding-level difference
-    by the precision. With an output box the (u, mean) QP is in
-    square-root form, built from the inverse of the covariance's Cholesky
-    factor, jittered by ``jitter`` if the covariance is not PD
-    (:func:`~gdpc.behavior.jittered_cholesky`); with ``jitter`` 0 a singular
-    covariance raises :class:`NotPositiveDefinite` there."""
+    - y_ref) (module docstring), which needs no precision. The reported
+    objective is then the eliminated value ||mu_hat - y_ref||_Z^2 +
+    ||u - u_ref||_R^2, which, unlike the tether term, does not multiply a
+    rounding-level difference by the precision. With an output box the
+    (u, mean) QP is in square-root form, from the covariance's pivoted
+    Cholesky factor (:func:`_optimistic_setup`). Both are exact for a
+    singular covariance. ``jitter`` is checked and otherwise ignored."""
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be finite and positive, got {lam}")
     if not (math.isfinite(jitter) and jitter >= 0.0):
         raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
     bias = pm.M_ini @ _check_w_ini(w_ini, pm.M_ini.shape[1])
-    # Only the output box's set-up reads the jitter.
-    params = (lam, jitter) if cp.has_output_box else (lam,)
-    step = _prepared("optimistic", pm, cp, params,
-                     lambda: _optimistic_setup(pm, cp, lam, jitter))
+    step = _prepared("optimistic", pm, cp, (lam,), lambda: _optimistic_setup(pm, cp, lam))
     u, mu, objective, sol, *_ = step(bias, settings)
     return ControlResult._of_parts(u, ConditionalGaussian._of_model(mu, pm.cov), objective, sol,
                                    lam)

@@ -53,6 +53,8 @@ def _fmt(value: float) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config; no key sets ``jitter``, which optimistic ignores."""
+
     plant: StochasticLtiModel
     data_steps: int
     data_mode: str
@@ -79,7 +81,7 @@ class ExperimentConfig:
     apply_steps: int
     solver: QpSettings
     rank_tol: float
-    jitter: float
+    jitter: float = 1e-9
 
     @property
     def dims(self) -> SignalDims:
@@ -150,7 +152,7 @@ def _per_channel(raw, count, name, bound=False):
 # section. A plant given by "file" has that key alone.
 _CONFIG_KEYS = {
     None: {"schema", "plant", "data", "horizons", "control", "run", "solver",
-           "rank_tol", "jitter"},
+           "rank_tol"},
     "plant": set(PLANT_KEYS),
     "data": {"steps", "mode", "initial", "input_std", "seed"},
     "horizons": {"L_ini", "L_f"},
@@ -308,11 +310,8 @@ def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
         raise ConfigError(f"solver.{exc}") from None
 
     rank_tol = _number(doc.get("rank_tol", 1e-10), float, "rank_tol")
-    jitter = _number(doc.get("jitter", 1e-9), float, "jitter")
     if not 0.0 < rank_tol < 1.0:
         raise ConfigError("rank_tol must be in (0, 1)")
-    if not (math.isfinite(jitter) and jitter >= 0.0):
-        raise ConfigError(f"jitter must be finite and non-negative, got {jitter}")
 
     return ExperimentConfig(
         plant=plant,
@@ -341,7 +340,6 @@ def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
         apply_steps=apply_steps,
         solver=solver,
         rank_tol=rank_tol,
-        jitter=jitter,
     )
 
 
@@ -455,7 +453,7 @@ def _solve_controller(cfg: ExperimentConfig, dm, pm, cp, w_ini, lam=None):
         return ctl.deepc(dm, w_ini, cp, cfg.regularizer, lam, cfg.solver,
                          rank_tol=cfg.rank_tol)
     if cfg.controller == "optimistic":
-        return ctl.optimistic(pm, w_ini, cp, lam, cfg.solver, jitter=cfg.jitter)
+        return ctl.optimistic(pm, w_ini, cp, lam, cfg.solver)
     if cfg.controller == "robust":
         return ctl.robust(pm, w_ini, cp, lam, cfg.solver)
     raise ConfigError(f"unknown controller {cfg.controller!r}")

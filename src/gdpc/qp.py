@@ -6,33 +6,33 @@ a nonsingular KKT system goes to an exact active-set method, anything else
 to ADMM.
 
 * A problem without equality rows whose P passes a Cholesky factorization
-  (LAPACK potrf) goes to an exact primal active-set method
-  (``_active_set``). It works on the bounds that hold with equality, one
-  Cholesky solve of the free-variable block per iteration, and ends at the
-  minimizer in finitely many steps. When the unconstrained minimizer lies
-  strictly inside the box it is the answer, returned after that one solve
-  without the ratio and multiplier tests; one comparison, lower < x < upper
-  in every entry, decides it, and NaN and +-inf fail it. The box-only
-  controller QPs (spc, certainty equivalence, optimistic and robust, with
-  or without an output box on optimistic, and deepc's eliminated form) are
-  of this kind: P >= 2R > 0. Without an output box their minimizer is
-  often interior; on ``configs/example.json`` every one is. With an output
-  box on optimistic, bounds are always active and most solves end after
-  one or two iterations, so the iteration does only the arithmetic of its
-  statement: a step whose free-block minimizer lies in the box is a full
+  (LAPACK potrf) goes to an exact primal active-set method (``_active_set``).
+  It works on the bounds that hold with equality, one Cholesky solve of the
+  free-variable block per iteration, and ends at the minimizer in finitely
+  many steps. When the unconstrained minimizer lies strictly inside the box
+  it is the answer, returned after that one solve without the ratio and
+  multiplier tests; one comparison, lower < x < upper in every entry, decides
+  it, and NaN and +-inf fail it. The box-only controller QPs (spc, certainty
+  equivalence, optimistic and robust, deepc's eliminated form, and
+  optimistic's with an output box when it tethers all r = n_y directions, as
+  on noisy data) are of this kind: P >= 2R > 0. Without an output box their
+  minimizer is often interior; on ``configs/example.json`` every one is. With
+  an output box on optimistic, bounds are always active and most solves end
+  after one or two iterations, so the iteration does only the arithmetic of
+  its statement: a step whose free-block minimizer lies in the box is a full
   step without a ratio test, and the rounding threshold of the multiplier
-  test reads |P| from the problem. A non-finite minimizer or step, or a
-  free block that rounding makes fail potrf, sends the problem to ADMM.
+  test reads |P| from the problem. A non-finite minimizer or step, or a free
+  block that rounding makes fail potrf, sends the problem to ADMM.
 * A problem with equality rows whose KKT matrix [P A_eq'; A_eq 0] is
   nonsingular to working precision (LAPACK getrf, then a gecon reciprocal
-  condition number above size * eps) goes to an exact dual active-set
-  method (``_eq_active_set``), Goldfarb and Idnani's. It starts at the
+  condition number above size * eps) goes to an exact dual active-set method
+  (``_eq_active_set``), Goldfarb and Idnani's. It starts at the
   equality-constrained minimizer, one solve with that factor, and adds the
   violated bounds one by one, solving the free-block KKT system each time.
   Its answer is returned only if it passes ADMM's own residual test at
-  ``eps_abs``/``eps_rel`` with bound multipliers of the right sign. The
-  (u, s, y) QPs of spc with an output box and of deepc (an output box, the
-  squared 2-norm, or lambda_g = 0) are of this kind, but not deepc's 1-norm.
+  ``eps_abs``/``eps_rel`` with bound multipliers of the right sign. Of this
+  kind are the (u, s, y) QPs of spc and deepc (an output box, the squared
+  2-norm, or lambda_g = 0), and optimistic's if r < n_y; not deepc's 1-norm.
 * Every other problem goes to operator splitting on the consensus form
   l <= [A_eq; I] x <= u (``_admm``), the OSQP iteration: deterministic Ruiz
   equilibration, a regularized KKT factorization reused across iterations,

@@ -35,7 +35,8 @@ from .linalg import (
     sym_eig,
     symmetrize,
 )
-from .plant import StochasticLtiModel, gaussian_rows, simulate, step
+from .errors import InfeasibleProblem
+from .plant import StochasticLtiModel, default_benchmark, gaussian_rows, simulate, step
 from .qp import QpProblem, QpSettings, _admm, l1_epigraph, solve
 from .trajectory import SignalDims, assemble, block_row_permutation
 
@@ -131,6 +132,7 @@ _CHILD_KEYS = {
     "deepc_elimination_matches_joint_qp": 3,
     "optimistic_output_box_matches_precision_form": 4,
     "deepc_l1_matches_epigraph_form": 5,
+    "optimistic_output_box_exact_for_singular_covariance": 6,
 }
 
 
@@ -944,6 +946,105 @@ def _check_optimistic_output_box_matches_precision_form(rng, mutate=None) -> Che
     )
 
 
+def _optimistic_usy_oracle(pm, w_ini, cp, lam):
+    """(u, mean, objective, status) of optimistic with an output box, solved
+    as the QP over (s, u, y): min ||u - u_ref||_R^2 + ||y - y_ref||_Q^2 +
+    kappa ||s||^2 subject to y = M_u u + F s + bias and both boxes, with
+    F = ``psd_factor(cov)`` and kappa = lam/2. The mean moves only in the
+    range of cov, for a singular cov too, and the QP forms no precision;
+    it is built by the validating ``QpProblem`` constructor, apart from
+    ``control._tracking_qp`` and the pivoted Cholesky factor."""
+    f = psd_factor(pm.cov)
+    k, nu, ny = f.shape[1], cp.n_u, cp.n_y
+    kappa = 0.5 * lam
+    p_mat = np.zeros((k + nu + ny, k + nu + ny))
+    p_mat[:k, :k] = 2.0 * kappa * np.eye(k)
+    p_mat[k : k + nu, k : k + nu] = 2.0 * cp.R
+    p_mat[k + nu :, k + nu :] = 2.0 * cp.Q
+    sol = solve(QpProblem(
+        P=p_mat, q=np.concatenate([np.zeros(k), -2.0 * cp.R @ cp.u_ref, -2.0 * cp.Q @ cp.y_ref]),
+        A_eq=np.hstack([-f, -pm.M_u, np.eye(ny)]), b_eq=pm.M_ini @ w_ini,
+        lower=np.concatenate([np.full(k, -np.inf), cp.u_lower, cp.y_lower]),
+        upper=np.concatenate([np.full(k, np.inf), cp.u_upper, cp.y_upper])))
+    s, u, y = sol.x[:k], sol.x[k : k + nu], sol.x[k + nu :]
+    return u, y, cp.tracking_cost(u, y) + kappa * float(s @ s), sol.status
+
+
+def _noiseless_siso(windows):
+    """(pm, cp, w_inis): the predictor of 200 noiseless samples (seed 0) of
+    ``default_benchmark(0, 0)`` at L_ini 3, L_f 8, a tracking problem (q 1,
+    r 0.05, y_ref 1) with u in [-3, 3] and y in [-3, 0.95], and the first
+    ``windows`` history windows of the data on which spc is feasible. The
+    predictive covariance is rounding noise, its eigenvalues 1e-32 to
+    5e-29."""
+    from .trajectory import build_data_matrix
+
+    model = default_benchmark(0.0, 0.0)
+    traj = simulate(model, np.zeros(3), 1.0, steps=200, seed=0)
+    pm = predictive_model(build_data_matrix(traj, 3, 8))
+    cp = ctl.ControlProblem.from_step_weights(model.dims, 3, 8, q_diag=1.0, r_diag=0.05,
+                                              y_ref=1.0, u_min=-3.0, u_max=3.0,
+                                              y_min=-3.0, y_max=0.95)
+    w_inis = []
+    for t in range(traj.samples.shape[0] - 3):
+        w_ini = traj.samples[t : t + 3].reshape(-1)
+        try:
+            ctl.spc(pm, w_ini, cp)
+        except InfeasibleProblem:
+            continue
+        w_inis.append(w_ini)
+        if len(w_inis) == windows:
+            break
+    return pm, cp, w_inis
+
+
+def _check_optimistic_output_box_exact_for_singular_covariance(rng) -> CheckResult:
+    """optimistic with an output box on singular covariances against the
+    (u, s, y) QP of ``_optimistic_usy_oracle``: plan, mean and objective to
+    1e-9 relative, every solve ``optimal``. The instances, at lam 0.5, 50
+    and 1e6: two history windows of ``_noiseless_siso``, and a noiseless
+    ``_random_instance`` with 2 states and 1 output, whose 2-step history
+    window determines the state, with an output box that binds
+    (``_binding_output_box``). Their covariances are rounding noise, so the
+    plan must also be spc's to 1e-12; with more states than the window
+    determines, noiseless data leave a real covariance and a plan off spc's.
+    And at lam 0.5, 50 and 1e4, a noisy 2-output instance whose
+    covariance loses its two smallest directions, with such a box: the
+    square-root form keeps its other directions, whose tether kappa / d
+    makes P's condition number grow with lam, so at lam 1e6 rounding alone
+    can move the plan by more than 1e-9. Draws from its own child generator
+    (``_child``)."""
+    local = _child(rng, "optimistic_output_box_exact_for_singular_covariance")
+    pm, cp, w_inis = _noiseless_siso(2)
+    cases = [(pm, w_ini, cp, True) for w_ini in w_inis]
+    _, _, pm, w_ini, cp = _random_instance(local, with_input_box=True, sizes=(2, 2, 1),
+                                           noise_var=0.0)
+    cases.append((pm, w_ini, _binding_output_box(pm, w_ini, cp), True))
+    _, _, pm, w_ini, cp = _random_instance(local, with_input_box=True, sizes=(3, 2, 2))
+    kept = psd_factor(pm.cov)[:, 2:]  # eigh's order: the two smallest go
+    pm = replace(pm, cov=kept @ kept.T)
+    cases.append((pm, w_ini, _binding_output_box(pm, w_ini, cp), False))
+    worst, spc_gap, statuses = 0.0, 0.0, set()
+    for pm, w_ini, cp, noiseless in cases:
+        plan = ctl.spc(pm, w_ini, cp).u_f
+        for lam in (0.5, 50.0, 1e6 if noiseless else 1e4):
+            u, mean, objective, status = _optimistic_usy_oracle(pm, w_ini, cp, lam)
+            res = ctl.optimistic(pm, w_ini, cp, lam)
+            statuses.update((status, res.solver.status))
+            worst = max(worst, _rel(res.u_f, u), _rel(res.y_pred.mean, mean),
+                        _rel(res.objective, objective))
+            if noiseless:
+                spc_gap = max(spc_gap, _rel(res.u_f, plan))
+    return CheckResult(
+        name="optimistic_output_box_exact_for_singular_covariance",
+        passed=worst <= 1e-9 and spc_gap <= 1e-12 and statuses == {"optimal"},
+        residual=worst,
+        tolerance=1e-9,
+        detail=f"noiseless plans off spc's by {spc_gap:.1e} (tol 1e-12), "
+               f"statuses {sorted(statuses)}",
+    )
+
+
 # ---------------------------------------------------------------- solver --
 
 
@@ -1111,6 +1212,7 @@ _THEOREM_CHECKS = (
     _check_controllers_collapse_to_certainty_equivalence,
     _check_spectral_weights_match_solve_forms,
     _check_optimistic_output_box_matches_precision_form,
+    _check_optimistic_output_box_exact_for_singular_covariance,
 )
 _MUTABLE_CHECKS = (_check_projected_deepc_equals_optimistic,
                    _check_deepc_elimination_matches_joint_qp,

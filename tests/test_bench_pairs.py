@@ -18,7 +18,7 @@ def pairs():
     return module
 
 
-SPEC = {"end_to_end": [
+SPEC = {"workloads": [{"name": "loop_box"}, {"name": "loop_deepc"}], "end_to_end": [
     {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
     {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
 ]}

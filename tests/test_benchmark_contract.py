@@ -10,6 +10,7 @@ here first.
 
 import copy
 import dataclasses
+import functools
 import importlib.util
 import inspect
 import json
@@ -78,8 +79,10 @@ def test_controllers_keep_their_positional_arguments(workloads):
 
 def test_optimistic_keeps_its_jitter():
     # LoopDeepc._check_solve calls control.optimistic(..., jitter=cfg.jitter).
+    # Both are ignored; no config key sets the field, which keeps its default.
     assert "jitter" in inspect.signature(control.optimistic).parameters
     assert "jitter" in {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+    assert harness.load_config(ROOT / "configs" / "example.json").jitter == 1e-9
 
 
 @pytest.mark.parametrize("controller", sorted(HARNESS_NAMES))
@@ -143,11 +146,25 @@ def test_traced_factorizations_per_solve(controller, factorizations, tracing):
     assert not any("control.lambda_threshold" in c for c in children)
 
 
-def test_output_box_optimistic_needs_no_eigendecomposition(tracing):
-    # The (u, mean) QP uses only the Cholesky factor of the covariance.
+def test_output_box_optimistic_needs_no_eigendecomposition(tracing, monkeypatch):
+    # The (u, mean) QP uses only the pivoted Cholesky factor of the
+    # covariance (control.dpstrf, which the tracer does not wrap), taken
+    # under the run's first controller span.
+    factors, calls = [], []
+    optimistic, pstrf = control.optimistic, control.dpstrf
+
+    @functools.wraps(optimistic)  # the tracer names its span by the function
+    def counted(*args, **kwargs):
+        calls.append(0)
+        return optimistic(*args, **kwargs)
+
+    monkeypatch.setattr(control, "optimistic", counted)
+    monkeypatch.setattr(control, "dpstrf",
+                        lambda *a, **kw: factors.append(len(calls)) or pstrf(*a, **kw))
     children = loop_children(tracing, short_loop_config("optimistic", True))
-    assert_first_solve_only(children, "linalg.chol_psd", 1)
+    assert_first_solve_only(children, "linalg.chol_psd", 0)
     assert_first_solve_only(children, "linalg.sym_eig", 0)
+    assert factors == [1] and len(calls) == len(children) > 1
 
 
 def test_robust_sweep_factors_once_per_weight(tracing):

@@ -22,9 +22,9 @@ ROOT = Path(__file__).resolve().parent.parent
 OPTION_DESTS = {
     "identify": {"data", "config", "out", "rank_tol", "plant"},
     "predict": {"behavior", "wini", "uf"},
-    "control": {"config", "controller", "out", "rank_tol", "jitter", "eps_abs", "plant"},
-    "closed-loop": {"config", "out", "rank_tol", "jitter", "eps_abs", "plant"},
-    "sweep": {"config", "grid", "out", "rank_tol", "jitter", "eps_abs", "plant"},
+    "control": {"config", "controller", "out", "rank_tol", "eps_abs", "plant"},
+    "closed-loop": {"config", "out", "rank_tol", "eps_abs", "plant"},
+    "sweep": {"config", "grid", "out", "rank_tol", "eps_abs", "plant"},
     "verify": {"suite", "seed"},
 }
 
@@ -81,11 +81,11 @@ class TestContract:
         default_benchmark(0.1, 0.2).save_json(plant_path)
         args = cli.build_parser().parse_args([
             "sweep", "--config", str(ROOT / "configs" / "example.json"), "--out", "x.csv",
-            "--rank-tol", "1e-6", "--jitter", "0", "--eps-abs", "1e-5",
+            "--rank-tol", "1e-6", "--eps-abs", "1e-5",
             "--plant", str(plant_path), "--grid", "1, 2",
         ])
         cfg = cli._load_config(args)
-        assert (cfg.rank_tol, cfg.jitter, cfg.solver.eps_abs) == (1e-6, 0.0, 1e-5)
+        assert (cfg.rank_tol, cfg.solver.eps_abs) == (1e-6, 1e-5)
         assert cfg.lambda_grid == (1.0, 2.0)
         assert np.array_equal(cfg.plant.Sigma_xi, default_benchmark(0.1, 0.2).Sigma_xi)
         args = cli.build_parser().parse_args([
@@ -218,11 +218,13 @@ class TestClosedLoop:
 
 
     @pytest.mark.parametrize("value", ["-1", "nan"])
-    def test_bad_jitter_flag_is_config_error(self, workdir, value):
+    def test_jitter_flag_is_unrecognized(self, workdir, value):
+        # No controller takes a jitter, so no command has the flag.
         proc = run_cli("closed-loop", "--config", str(workdir / "config.json"),
                        f"--jitter={value}", "--out", str(workdir / "bad.csv"))
-        assert proc.returncode == 3, proc.stderr
-        assert "jitter" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.returncode == 2, proc.stderr
+        assert "unrecognized arguments: --jitter" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not (workdir / "bad.csv").exists()
 
     @pytest.mark.parametrize("solver", [{"max_iter": 0}, {"eps_rel": -1e-6}])
@@ -242,8 +244,9 @@ class TestClosedLoop:
         ("run.steps", 20.5), ("horizons.L_ini", True), ("control.lambda", False),
         ("control.q", math.inf), ("control.y_ref", math.inf), ("control.r", [math.nan]),
         ("control.u_max", math.nan), ("data.input_std", -1.0), ("data.input_std", math.inf),
-        ("data.seed", -1), ("run.seed", -1), ("jitter", -1.0), ("jitter", math.nan),
-        ("jitter", math.inf),
+        ("data.seed", -1), ("run.seed", -1),
+        # jitter is an unknown key: no controller takes a jitter.
+        ("jitter", -1.0), ("jitter", math.nan), ("jitter", math.inf),
     ])
     def test_non_numeric_value_is_config_error(self, workdir, key, value):
         config = json.loads((workdir / "config.json").read_text())

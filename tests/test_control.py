@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import (
     assert_same_fields,
     fd_hessian,
@@ -26,18 +27,18 @@ from gdpc.control import (
     robust,
     spc,
 )
-from gdpc.errors import (
-    InfeasibleProblem,
-    InvalidMatrix,
-    LambdaTooSmall,
-    NotPositiveDefinite,
-    ShapeError,
-)
-from gdpc.linalg import matrix_rank, pinv, sym_eig, symmetrize
+from gdpc.errors import InfeasibleProblem, LambdaTooSmall, ShapeError
+from gdpc.linalg import matrix_rank, pinv, psd_factor, sym_eig, symmetrize
 from gdpc.plant import simulate, step
 from gdpc.qp import QpProblem, QpSettings, l1_epigraph, solve
 from gdpc.trajectory import SignalDims, build_data_matrix
-from gdpc.verify import _binding_output_box, _certainty_equivalence_oracle
+from gdpc.verify import (
+    _binding_output_box,
+    _certainty_equivalence_oracle,
+    _noiseless_siso,
+    _optimistic_usy_oracle,
+    _random_instance,
+)
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.json"
 
@@ -724,10 +725,11 @@ class TestOptimistic:
 
 
 class TestOptimisticSquareRootForm:
-    """optimistic's (u, mean) QP with an output box, built from the inverse
-    of the covariance's Cholesky factor T: J = T^-1 [-M_u I], P =
-    2 blockdiag(R, Q) + 2 kappa J^T J and q = -2 kappa J^T T^-1 bias - 2 [R
-    u_ref; Q y_ref]."""
+    """optimistic's (u, mean) QP with an output box, built from the
+    covariance's Cholesky factor with complete pivoting, Pi^T cov Pi = L L^T:
+    with [S; N^T] = [L_11 0; L_21 I]^-1 Pi^T (S of r rows), J = S [-M_u I],
+    P = 2 blockdiag(R, Q) + 2 kappa J^T J, q = -2 kappa J^T S bias - 2 [R
+    u_ref; Q y_ref], and the rows N^T [-M_u I] x = N^T bias."""
 
     @staticmethod
     def captured(monkeypatch):
@@ -777,35 +779,46 @@ class TestOptimisticSquareRootForm:
                 assert np.array_equal(built[0], built[0].T)
 
     @staticmethod
-    def direct_assembly(pm, w_ini, cp, lam, jitter):
+    def direct_assembly(pm, w_ini, cp, lam):
         """The (u, mean) QP of one step assembled directly, not by
-        ``control._tracking_qp``: P = 2 kappa J^T J with 2R and 2Q added to
-        its diagonal blocks, q = -2 kappa J^T v - [2 R u_ref; 2 Q y_ref]."""
-        kappa, nu = 0.5 * lam, cp.n_u
-        inv_t = control.dtrtri(behavior.jittered_cholesky(pm.cov, jitter), lower=1)[0]
-        j_mat = np.hstack([-(inv_t @ pm.M_u), inv_t])
+        ``control._tracking_qp``: the pivoted factor at the set-up's
+        tolerance, [S; N^T] by one triangular solve, P = 2 kappa J^T J with
+        2R and 2Q added to its diagonal blocks, q = -2 kappa J^T S bias -
+        [2 R u_ref; 2 Q y_ref], A_eq = N^T [-M_u I] and b_eq = N^T bias."""
+        kappa, nu, ny = 0.5 * lam, cp.n_u, cp.n_y
+        top = max(np.diagonal(cp.R).max(), np.diagonal(cp.Q).max())
+        fac, piv, r = control._pivoted_cholesky(pm.cov, kappa * (nu + ny) * np.finfo(float).eps
+                                                / top)
+        fac[r:, r:] = np.eye(ny - r)
+        w_map = control.dtrtrs(fac, np.eye(ny)[piv - 1], lower=1)[0]
+        lifted = np.hstack([-(w_map @ pm.M_u), w_map])
+        j_mat = lifted[:r]
         p_mat = (2.0 * kappa) * (j_mat.T @ j_mat)
         p_mat[:nu, :nu] += 2.0 * cp.R
         p_mat[nu:, nu:] += 2.0 * cp.Q
         ref_lin = np.concatenate([2.0 * cp.R @ cp.u_ref, 2.0 * cp.Q @ cp.y_ref])
-        q_vec = (-2.0 * kappa) * j_mat.T @ (inv_t @ (pm.M_ini @ w_ini)) - ref_lin
-        return QpProblem(P=p_mat, q=q_vec, lower=np.concatenate([cp.u_lower, cp.y_lower]),
+        w = w_map @ (pm.M_ini @ w_ini)
+        q_vec = (-2.0 * kappa) * j_mat.T @ w[:r] - ref_lin
+        return QpProblem(P=p_mat, q=q_vec, A_eq=lifted[r:], b_eq=w[r:],
+                         lower=np.concatenate([cp.u_lower, cp.y_lower]),
                          upper=np.concatenate([cp.u_upper, cp.y_upper]))
 
     def test_qp_is_the_direct_assembly_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(64)
-        singular = self.rank_one_instance()
-        cases = [(singular, 1e-9)]
+        cases = [self.rank_one_instance()]
         for _ in range(4):
             inst = random_control_instance(rng, with_input_box=True, with_output_box=True)
-            cases.append(((inst.pm, inst.w_ini, inst.cp), 1e-9))
-        for (pm, w_ini, cp), jitter in cases:
+            cases.append((inst.pm, inst.w_ini, inst.cp))
+        for pm, w_ini, cp in cases:
             for lam in (0.2, 10.0, 500.0):
                 _, solved = self.captured(monkeypatch)
-                optimistic(pm, w_ini, cp, lam, jitter=jitter)
-                want = self.direct_assembly(pm, w_ini, cp, lam, jitter)
+                optimistic(pm, w_ini, cp, lam)
+                want = self.direct_assembly(pm, w_ini, cp, lam)
                 for name in QP_FIELDS:
                     a, b = getattr(solved[0], name), getattr(want, name)
+                    if b is None:
+                        assert a is None, (lam, name)
+                        continue
                     assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), (lam, name)
 
     @staticmethod
@@ -816,21 +829,74 @@ class TestOptimisticSquareRootForm:
         pm = PredictiveModel(M_u=inst.pm.M_u, M_ini=inst.pm.M_ini, cov=np.outer(v, v))
         return pm, inst.w_ini, inst.cp
 
-    def test_singular_covariance_needs_its_jitter(self):
+    def test_singular_covariance_is_held_exactly(self, monkeypatch):
+        # cov = v v^T keeps one direction, r = 1, and holds the other n_y - 1
+        # as equality rows; on their null space 2 kappa J^T J is the
+        # precision form 2 kappa A^T cov^+ A, A = [-M_u I], to 1e-12, and
+        # the plan is the (u, s, y) QP's.
         pm, w_ini, cp = self.rank_one_instance()
-        with pytest.raises(NotPositiveDefinite):
-            optimistic(pm, w_ini, cp, 5.0, jitter=0.0)
+        lift = np.hstack([-pm.M_u, np.eye(cp.n_y)])
+        for lam in (0.2, 10.0, 500.0):
+            built, solved = self.captured(monkeypatch)
+            res = optimistic(pm, w_ini, cp, lam)
+            prob = solved[0]
+            assert prob.A_eq.shape == (cp.n_y - 1, cp.n_u + cp.n_y)
+            assert res.solver.status == "optimal"
+            null = scipy.linalg.null_space(prob.A_eq)
+            tether = built[0].copy()
+            tether[: cp.n_u, : cp.n_u] -= 2.0 * cp.R
+            tether[cp.n_u :, cp.n_u :] -= 2.0 * cp.Q
+            got = null.T @ tether @ null
+            want = lam * null.T @ lift.T @ np.linalg.pinv(pm.cov) @ lift @ null
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            u, mean, objective, status = _optimistic_usy_oracle(pm, w_ini, cp, lam)
+            assert status == "optimal"
+            assert np.max(np.abs(res.u_f - u)) <= 1e-9 * max(1.0, np.max(np.abs(u)))
+            assert np.max(np.abs(res.y_pred.mean - mean)) <= 1e-9 * max(1.0, np.max(np.abs(mean)))
+            assert res.objective == pytest.approx(objective, rel=1e-9)
 
-    def test_jitter_changes_the_plan(self):
+    def test_jitter_is_ignored(self):
         pm, w_ini, cp = self.rank_one_instance()
         small = optimistic(pm, w_ini, cp, 5.0, jitter=1e-9)
         large = optimistic(pm, w_ini, cp, 5.0, jitter=1e-3)
-        assert small.solver.status == large.solver.status == "optimal"
-        assert np.max(np.abs(small.u_f - large.u_f)) > 1e-6
+        assert small.solver.status == "optimal"
+        assert_same_result(small, large)
+
+    def test_noiseless_data_give_spcs_plan(self):
+        # The predictive covariance is rounding noise (eigenvalues 1e-32 to
+        # 5e-29): every direction is held, and the (u, mean) QP is spc's.
+        pm, cp, w_inis = _noiseless_siso(4)
+        assert len(w_inis) == 4
+        for w_ini in w_inis:
+            plan = spc(pm, w_ini, cp).u_f
+            for lam in (0.5, 50.0, 1e6):
+                res = optimistic(pm, w_ini, cp, lam)
+                assert res.solver.status == "optimal"
+                assert res.solver.iterations < 20
+                assert np.max(np.abs(res.u_f - plan)) <= 1e-12 * max(1.0, np.max(np.abs(plan)))
+
+    def test_partly_singular_covariance_is_the_usy_qps(self):
+        # Noisy covariances without their two smallest directions, with an
+        # output box that binds: the (u, s, y) QP with F = psd_factor(cov).
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            _, _, pm, w_ini, cp = _random_instance(rng, with_input_box=True, sizes=(3, 2, 2))
+            kept = psd_factor(pm.cov)[:, 2:]
+            pm = dataclasses.replace(pm, cov=kept @ kept.T)
+            cp = _binding_output_box(pm, w_ini, cp)
+            for lam in (0.2, 10.0, 1e4):
+                u, mean, objective, status = _optimistic_usy_oracle(pm, w_ini, cp, lam)
+                res = optimistic(pm, w_ini, cp, lam)
+                assert status == res.solver.status == "optimal"
+                assert np.max(np.abs(res.u_f - u)) <= 1e-9 * max(1.0, np.max(np.abs(u)))
+                assert np.max(np.abs(res.y_pred.mean - mean)) <= 1e-9 * max(
+                    1.0, np.max(np.abs(mean)))
+                assert res.objective == pytest.approx(objective, rel=1e-9)
 
     def test_set_up_factors_cov_and_p_once(self, monkeypatch):
-        # One Cholesky factor of cov, one triangular inverse and one potrf of
-        # P; no general solve, inverse or eigendecomposition.
+        # One pivoted Cholesky factor of cov, one triangular solve and one
+        # potrf of P; no unpivoted Cholesky factor of cov, and no general
+        # solve, inverse or eigendecomposition.
         rng = np.random.default_rng(63)
         inst = random_control_instance(rng, with_input_box=True, with_output_box=True)
         calls = []
@@ -844,13 +910,15 @@ class TestOptimisticSquareRootForm:
 
             monkeypatch.setattr(module, name, call)
 
-        counted(behavior, "chol_psd", "cholesky of cov")
-        counted(control, "dtrtri", "triangular inverse")
+        for module in (behavior, control, linalg):
+            counted(module, "chol_psd", "chol_psd")
+        counted(control, "dpstrf", "pivoted cholesky of cov")
+        counted(control, "dtrtrs", "triangular solve")
         counted(qp, "dpotrf", "potrf of P")
         for name in ("solve", "inv", "eigh", "eigvalsh", "cholesky", "lstsq", "svd"):
             counted(np.linalg, name, f"np.linalg.{name}")
-        control._optimistic_setup(inst.pm, inst.cp, 5.0, control.DEFAULT_JITTER)
-        assert sorted(calls) == ["cholesky of cov", "potrf of P", "triangular inverse"]
+        control._optimistic_setup(inst.pm, inst.cp, 5.0)
+        assert sorted(calls) == ["pivoted cholesky of cov", "potrf of P", "triangular solve"]
 
 
 class TestRobust:
@@ -1477,11 +1545,14 @@ class TestSetUpQps:
         # _tracking_qp's (g+, g-, u, y) QP, and no validating constructor.
         assert len(built) == 1 and inits == []
 
-    def test_an_overflowing_p_raises(self):
-        # 2 kappa J^T J overflows at lam 1e308, as the constructor found.
+    def test_an_overflowing_tether_holds_every_direction(self):
+        # At lam 1e308 no direction's kappa / d is resolvable against R and
+        # Q: every one is held, nothing overflows, and the plan is spc's.
         inst = self.instance(84, with_output_box=True)
-        with np.errstate(over="ignore"), pytest.raises(InvalidMatrix, match="non-finite"):
-            optimistic(inst.pm, inst.w_ini, inst.cp, 1e308)
+        res = optimistic(inst.pm, inst.w_ini, inst.cp, 1e308)
+        plan = spc(inst.pm, inst.w_ini, inst.cp).u_f
+        assert res.solver.status == "optimal"
+        assert np.max(np.abs(res.u_f - plan)) <= 1e-12 * max(1.0, np.max(np.abs(plan)))
 
     @staticmethod
     def solve_form(pm, cp, kappa):
@@ -1561,13 +1632,12 @@ class TestSetUpQps:
         builds = []
         setup = control._optimistic_setup
         monkeypatch.setattr(control, "_optimistic_setup",
-                            lambda *args: builds.append(args[3]) or setup(*args))
-        plain, boxed = self.instance(88), self.instance(89, with_output_box=True)
-        for inst, expected in ((plain, [1e-9]), (boxed, [1e-9, 1e-3, 1e-9])):
+                            lambda *args: builds.append(args[2]) or setup(*args))
+        # With an output box too: no set-up reads the jitter.
+        for inst in (self.instance(88), self.instance(89, with_output_box=True)):
             builds.clear()
             first = optimistic(inst.pm, inst.w_ini, inst.cp, 5.0, jitter=1e-9)
             again = optimistic(inst.pm, inst.w_ini, inst.cp, 5.0, jitter=1e-3)
             optimistic(inst.pm, inst.w_ini, inst.cp, 5.0, jitter=1e-9)
-            assert builds == expected
-            if not inst.cp.has_output_box:
-                assert_same_result(first, again)
+            assert builds == [5.0]
+            assert_same_result(first, again)

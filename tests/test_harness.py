@@ -22,6 +22,7 @@ from gdpc.harness import (
 )
 from gdpc.linalg import psd_factor
 from gdpc.plant import default_benchmark
+from gdpc.qp import QpSettings
 from gdpc.trajectory import DataMatrix
 from gdpc.verify import _joint_deepc, verify
 
@@ -129,17 +130,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict(doc)
 
-    def test_zero_jitter_override_is_kept(self):
-        assert load_config(EXAMPLE_CONFIG).jitter == 1e-9
-        assert load_with_flags().jitter == 1e-9
-        assert load_with_flags("--jitter", "0").jitter == 0.0
-
-    @pytest.mark.parametrize("value", [-1.0, -1e-12, float("nan"), float("inf")])
-    def test_bad_jitter_rejected(self, value):
-        with pytest.raises(ConfigError, match="jitter"):
+    @pytest.mark.parametrize("value", [0.0, 1e-9, -1.0, -1e-12, float("nan"), float("inf")])
+    def test_bad_jitter_rejected(self, value, capsys):
+        # No controller takes a jitter: the key is unknown and the flag gone,
+        # whatever the value, and the parsed config keeps its default.
+        with pytest.raises(ConfigError, match=r"unknown config key\(s\): jitter"):
             config_from_dict(base_doc(jitter=value))
-        with pytest.raises(ConfigError, match="jitter"):
+        with pytest.raises(SystemExit):
             load_with_flags(f"--jitter={value}")
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert load_with_flags().jitter == load_config(EXAMPLE_CONFIG).jitter == 1e-9
 
     @pytest.mark.parametrize("key,value", [
         ("max_iter", 0), ("max_iter", -5), ("eps_abs", -1e-8), ("eps_abs", float("inf")),
@@ -649,9 +649,23 @@ class TestSweep:
         assert a == b
 
 
+@pytest.fixture(scope="class")
+def unpatched():
+    """verify(suite, seed=0), run once per suite and shared by the calls that
+    no monkeypatch is in force for."""
+    reports = {}
+
+    def report(suite):
+        if suite not in reports:
+            reports[suite] = verify(suite, seed=0)
+        return reports[suite]
+
+    return report
+
+
 class TestVerify:
-    def test_all_suites_pass(self):
-        report = verify("all", seed=0)
+    def test_all_suites_pass(self, unpatched):
+        report = unpatched("all")
         assert report.all_passed
         names = {c.name for c in report.checks}
         assert "projected_deepc_equals_optimistic" in names
@@ -682,19 +696,19 @@ class TestVerify:
             assert math.isfinite(check.residual)
             assert check.residual > check.tolerance
 
-    def test_output_box_oracle_detects_a_doubled_covariance(self):
+    def test_output_box_oracle_detects_a_doubled_covariance(self, unpatched):
         # optimistic's (u, mean) QP with a doubled covariance against the
         # precision form of the true one.
         name = "optimistic_output_box_matches_precision_form"
-        assert {c.name: c for c in verify("theorems", seed=0).checks}[name].passed
+        assert {c.name: c for c in unpatched("theorems").checks}[name].passed
         check = {c.name: c for c in verify("theorems", seed=0,
                                            mutate="double_pred_cov").checks}[name]
         assert not check.passed and check.tolerance < check.residual < math.inf
 
-    def test_raising_check_keeps_its_name(self, monkeypatch):
+    def test_raising_check_keeps_its_name(self, monkeypatch, unpatched):
         # A check that raises is reported under the name it has when it
         # passes, and every check's name is its function's.
-        passing = [c.name for c in verify("all", seed=0).checks]
+        passing = [c.name for c in unpatched("all").checks]
         assert passing == [fn.__name__.removeprefix("_check_") for fn in (
             *verify_module._LEMMA_CHECKS, *verify_module._THEOREM_CHECKS,
             *verify_module._SOLVER_CHECKS)]
@@ -721,9 +735,9 @@ class TestVerify:
         assert not spectral.passed
         assert 1e-6 < spectral.residual < math.inf
 
-    def test_elimination_check_detects_a_wrong_weight(self):
+    def test_elimination_check_detects_a_wrong_weight(self, unpatched):
         # kappa = lambda_g instead of lambda_g / D on the eliminated side.
-        assert verify("theorems", seed=0).all_passed
+        assert unpatched("theorems").all_passed
         report = verify("theorems", seed=0, mutate="kappa_without_d")
         failed = {c.name for c in report.checks if not c.passed}
         assert failed == {"deepc_elimination_matches_joint_qp"}
@@ -745,8 +759,28 @@ class TestVerify:
         failed = {c.name for c in verify("theorems", seed=0).checks if not c.passed}
         assert failed == {"deepc_l1_matches_epigraph_form"}
 
-    def test_box_qp_oracle_detects_an_early_stop(self, monkeypatch):
-        assert verify("solver", seed=0).all_passed
+    def test_singular_covariance_check_detects_kept_pivots(self, monkeypatch):
+        # Every pivot pstrf factors at its own default tolerance kept: the
+        # noiseless covariances' rounding-level directions are tethered, and
+        # their plans leave spc's and the (u, s, y) QP's. The controllers'
+        # solves stop at 1 000 iterations, so that a stalled ADMM ends early;
+        # the check passes under that cap alone.
+        run = control.solve
+        monkeypatch.setattr(control, "solve", lambda prob, settings=QpSettings():
+                            run(prob, dataclasses.replace(settings, max_iter=1000)))
+
+        def check():
+            return verify_module._check_optimistic_output_box_exact_for_singular_covariance(
+                np.random.default_rng(0))
+
+        assert check().passed
+        pivoted = control._pivoted_cholesky
+        monkeypatch.setattr(control, "_pivoted_cholesky", lambda cov, tau: pivoted(cov, -1.0))
+        failed = check()
+        assert not failed.passed and failed.residual > failed.tolerance
+
+    def test_box_qp_oracle_detects_an_early_stop(self, monkeypatch, unpatched):
+        assert unpatched("solver").all_passed
         active_set = qp._active_set
 
         def one_iteration_early(prob, factor, settings):
@@ -770,8 +804,8 @@ class TestVerify:
             alone = {c.name: c for c in verify(suite, seed=3).checks}
             assert alone[name] == everything[name], suite
 
-    def test_report_schema_stable(self):
-        report = verify("solver", seed=0)
+    def test_report_schema_stable(self, unpatched):
+        report = unpatched("solver")
         for check in report.checks:
             assert isinstance(check.name, str)
             assert isinstance(check.passed, bool)

@@ -14,8 +14,8 @@ ones, so a drift of the host's speed falls on both sides alike. With
 call runs all its pairs afresh.
 
 The runner only invokes the benchmark: it imports nothing from
-``benchmarks/``, and reads the metrics' direction and bounds from
-``BENCHMARK.json``.
+``benchmarks/``, and reads the workloads and the metrics' direction and
+bounds from ``BENCHMARK.json``.
 """
 
 import argparse
@@ -29,7 +29,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("loop_box", "loop_deepc", "loop_outbox", "sweep_bigD")
 CLAIM_SHARE = 0.9  # a claimed gain must show in at least this share of pairs
 SECONDS = 28  # the run length BENCHMARK.json's run_seconds fixes
 
@@ -144,7 +143,7 @@ def summarize(spec: dict, runs: list[dict], description: str, parent_commit: str
         raise ValueError("every pair needs a parent and a change run")
     first = sides["change"][0]["result"]["metrics"]
     end_to_end = {}
-    for workload in WORKLOADS:
+    for workload in (w["name"] for w in spec["workloads"]):
         rows = {}
         for metric in spec["end_to_end"]:
             key = f"{workload}.{metric['name']}"
